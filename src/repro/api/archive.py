@@ -1,9 +1,8 @@
 """The streaming, session-oriented archive reading facade.
 
-:class:`Archive` replaces the whole-buffer ``ArchiveReader(archive: bytes)``
-API: it operates on a seekable file object (the central directory is parsed
-from the archive tail, member payloads are fetched by offset in bounded
-chunks), so a multi-gigabyte archive is never held in memory.  All
+:class:`Archive` operates on a seekable file object (the central directory
+is parsed from the archive tail, member payloads are fetched by offset in
+bounded chunks), so a multi-gigabyte archive is never held in memory.  All
 behavioural knobs live in one frozen :class:`~repro.api.options.ReadOptions`
 and decoder VM lifecycle is owned by a single
 :class:`~repro.api.session.DecoderSession` per archive.
@@ -18,16 +17,16 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 from repro.codecs.registry import default_registry
-from repro.core.archive_reader import (
+from repro.core.extension import VxaExtension, parse_extension, parse_unix_extra
+from repro.core.fsutil import fsync_directory, fsync_file
+from repro.core.policy import SecurityAttributes, VmReusePolicy
+from repro.core.types import (
     ExtractedFile,
     IntegrityReport,
     MODE_AUTO,
     MODE_NATIVE,
     MODE_VXA,
 )
-from repro.core.extension import VxaExtension, parse_extension, parse_unix_extra
-from repro.core.fsutil import fsync_directory, fsync_file
-from repro.core.policy import SecurityAttributes, VmReusePolicy
 from repro.errors import (
     ArchiveError,
     DecoderMissingError,
@@ -270,17 +269,7 @@ class Archive:
                     else min(wall, self.options.member_deadline))
             self._limits = replace(self._limits, max_wall_seconds=wall)
         self._decoder_cache: dict[int, bytes] = {}
-        self._session = DecoderSession(
-            self._load_decoder,
-            policy=self.options.reuse,
-            engine=self.options.engine,
-            limits=self._limits,
-            superblock_limit=self.options.superblock_limit,
-            chain_fragments=self.options.chain_fragments,
-            code_cache_limit=self.options.code_cache_limit,
-            verify_images=self.options.verify_images,
-            analysis_elision=self.options.analysis_elision,
-        )
+        self._session = DecoderSession(self._load_decoder, self.options, self._limits)
         if self._zip.directory_reconstructed:
             self._session.stats.directory_reconstructed += 1
         if self._zip.commit_verified:
@@ -351,8 +340,7 @@ class Archive:
     # -- extraction -----------------------------------------------------------
 
     def extract(self, name: str, *, mode: str | None = None,
-                force_decode: bool | None = None,
-                _fresh_vm: bool | None = None) -> ExtractedFile:
+                force_decode: bool | None = None) -> ExtractedFile:
         """Extract one member fully into memory.
 
         Pre-compressed members (the redec path) are returned in their stored,
@@ -360,7 +348,7 @@ class Archive:
         vxUnZIP's default of leaving popular formats compressed on extraction.
         """
         entry = self._zip.find(name)
-        chunks, meta = self._member_pipeline(entry, mode, force_decode, _fresh_vm)
+        chunks, meta = self._member_pipeline(entry, mode, force_decode)
         data = b"".join(chunks)
         used_vxa, decoded, codec_name, precompressed = meta
         return ExtractedFile(name, data, used_vxa, codec_name, precompressed,
@@ -383,7 +371,7 @@ class Archive:
         decoded through the session first, then served chunk-wise.
         """
         entry = self._zip.find(name)
-        chunks, _ = self._member_pipeline(entry, mode, force_decode, None)
+        chunks, _ = self._member_pipeline(entry, mode, force_decode)
         return _MemberStream(chunks, name)
 
     def extract_to(self, name: str, writable, *, mode: str | None = None,
@@ -393,7 +381,7 @@ class Archive:
         Returns the number of bytes written.
         """
         entry = self._zip.find(name)
-        chunks, _ = self._member_pipeline(entry, mode, force_decode, None)
+        chunks, _ = self._member_pipeline(entry, mode, force_decode)
         written = 0
         for chunk in chunks:
             writable.write(chunk)
@@ -441,8 +429,7 @@ class Archive:
         for name, target in targets:
             entry = self._zip.find(name)
             try:
-                chunks, meta = self._member_pipeline(entry, mode, force_decode,
-                                                     None)
+                chunks, meta = self._member_pipeline(entry, mode, force_decode)
                 used_vxa, decoded, codec_name, _ = meta
                 target.parent.mkdir(parents=True, exist_ok=True)
                 # Stream into a temporary sibling and rename on success, so
@@ -560,23 +547,15 @@ class Archive:
             from repro.parallel.engine import parallel_check
 
             return parallel_check(self, jobs, reuse=reuse, names=names)
-        session = DecoderSession(
-            self._load_decoder,
-            policy=reuse if reuse is not None else self.options.reuse,
-            engine=self.options.engine,
-            limits=self._limits,
-            superblock_limit=self.options.superblock_limit,
-            chain_fragments=self.options.chain_fragments,
-            code_cache_limit=self.options.code_cache_limit,
-            verify_images=self.options.verify_images,
-            analysis_elision=self.options.analysis_elision,
-        )
+        options = (self.options if reuse is None
+                   else self.options.with_changes(reuse=reuse))
+        session = DecoderSession(self._load_decoder, options, self._limits)
         entries = (self._zip.entries if names is None
                    else [self._zip.find(name) for name in names])
         report = IntegrityReport()
         for entry in entries:
             self._check_entry(session, entry, report)
-        report.add_counters(session.stats)
+        report.merge(session.stats)
         session.close()
         return report
 
@@ -732,8 +711,7 @@ class Archive:
         return encoded
 
     def _run_archived_decoder(self, session: DecoderSession, entry: ZipEntry,
-                              extension: VxaExtension, encoded: bytes,
-                              fresh_override: bool | None = None) -> bytes:
+                              extension: VxaExtension, encoded: bytes) -> bytes:
         limits = None
         fault_syscall = None
         plan = self.options.fault_plan
@@ -747,7 +725,6 @@ class Archive:
             encoded,
             attributes=self._attributes_for(entry),
             limits=limits,
-            fresh_override=fresh_override,
             fault_syscall=fault_syscall,
         )
         if result.exit_code != 0:
@@ -758,8 +735,7 @@ class Archive:
         return result.output
 
     def _member_pipeline(self, entry: ZipEntry, mode: str | None,
-                         force_decode: bool | None,
-                         fresh_override: bool | None):
+                         force_decode: bool | None):
         """Plan the chunk stream for one member.
 
         Returns ``(chunks, (used_vxa, decoded, codec_name, precompressed))``.
@@ -791,7 +767,7 @@ class Archive:
             chunks = self._zip.iter_member_chunks(entry, chunk_size=chunk_size)
             return chunks, (False, False, extension.codec_name, True)
 
-        data, used_vxa = self._decode_member(entry, extension, mode, fresh_override)
+        data, used_vxa = self._decode_member(entry, extension, mode)
         chunks = (data[offset:offset + chunk_size]
                   for offset in range(0, len(data), chunk_size))
         if not data:
@@ -800,7 +776,7 @@ class Archive:
                         extension.precompressed)
 
     def _decode_member(self, entry: ZipEntry, extension: VxaExtension,
-                       mode: str, fresh_override: bool | None) -> tuple[bytes, bool]:
+                       mode: str) -> tuple[bytes, bool]:
         encoded = self._encoded_bytes(entry, extension)
         codec = None
         if extension.codec_name and extension.codec_name in self._registry:
@@ -815,9 +791,8 @@ class Archive:
             data, used_vxa = codec.decode(encoded), False
         else:
             # MODE_VXA, or AUTO with no native decoder: run the archived decoder.
-            data = self._run_archived_decoder(
-                self._session, entry, extension, encoded,
-                fresh_override=fresh_override)
+            data = self._run_archived_decoder(self._session, entry, extension,
+                                              encoded)
             used_vxa = True
         if (len(data) != extension.original_size
                 or crc32(data) != extension.original_crc32):

@@ -1,9 +1,8 @@
 """The streaming archive-building facade (vxZIP's writing side).
 
-:class:`ArchiveBuilder` replaces ``ArchiveWriter().finish() -> bytes``: it
-writes members straight through to a caller-supplied (or path-opened)
-binary sink as they are added, so building a multi-gigabyte archive never
-accumulates the whole output in memory.  Codec selection keeps the paper's
+:class:`ArchiveBuilder` writes members straight through to a caller-supplied
+(or path-opened) binary sink as they are added, so building a multi-gigabyte
+archive never accumulates the whole output in memory.  Codec selection keeps the paper's
 behaviour: recognise already-compressed input and store it untouched with a
 decoder attached (the redec path), otherwise encode with a fitting codec
 and tag the member with the reserved VXA method.
@@ -17,11 +16,11 @@ import pathlib
 
 from repro.codecs.base import Codec
 from repro.codecs.registry import default_registry
-from repro.core.archive_writer import ArchivedFileInfo, ArchiveManifest
 from repro.core.decoder_store import DecoderStore, StoredDecoder
 from repro.core.extension import VxaExtension, pack_unix_extra
 from repro.core.fsutil import fsync_directory, fsync_file
 from repro.core.policy import SecurityAttributes
+from repro.core.types import ArchivedFileInfo, ArchiveManifest
 from repro.errors import ArchiveError
 from repro.faults.media import TornFinalize
 from repro.zipformat.crc import crc32

@@ -1,12 +1,12 @@
 """Frozen configuration objects for the :mod:`repro.api` facade.
 
-All the knobs that used to ride along as per-call keyword arguments on
-``ArchiveReader`` / ``ArchiveWriter`` (``mode``, ``engine``, ``vm_limits``,
-``fresh_vm``, ``reuse_policy``, ``allow_lossy``, ...) are consolidated here
-into two immutable dataclasses, fixed for the lifetime of an
+Every reading and writing knob (extraction mode, engine, execution limits,
+VM reuse policy, lossy permission, ...) lives in one of two immutable
+dataclasses, fixed for the lifetime of an
 :class:`~repro.api.archive.Archive` or
-:class:`~repro.api.builder.ArchiveBuilder` session.  A scheduler can hand a
-session to a worker knowing its behaviour cannot drift mid-batch.
+:class:`~repro.api.builder.ArchiveBuilder` session and handed down whole
+to the layers that read them.  A scheduler can hand a session to a worker
+knowing its behaviour cannot drift mid-batch.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.codecs.registry import CodecRegistry
-from repro.core.archive_reader import MODE_AUTO, MODE_NATIVE, MODE_VXA
 from repro.core.policy import VmReusePolicy
+from repro.core.types import MODE_AUTO, MODE_NATIVE, MODE_VXA
 from repro.faults import FaultPlan
 from repro.vm.limits import ExecutionLimits
 from repro.vm.machine import ENGINE_INTERPRETER, ENGINE_TRANSLATOR

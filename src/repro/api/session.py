@@ -4,8 +4,7 @@ Paper section 2.4: reusing VM state across files that share a decoder
 "may improve performance, especially on archives containing many small
 files", at the cost of potential cross-file information leakage; the
 recommended mitigation is to re-initialise whenever the security attributes
-of the files being processed change.  The old core scattered this decision
-across ad-hoc ``fresh_vm`` flags; :class:`DecoderSession` is now the single
+of the files being processed change.  :class:`DecoderSession` is the single
 place that owns decoder VMs, applies the :class:`~repro.core.policy.VmReusePolicy`
 against each file's :class:`~repro.core.policy.SecurityAttributes`, and
 counts how often state was reused versus re-initialised (the ablation
@@ -24,53 +23,23 @@ posture costs.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import fields
 from typing import Callable
 
+from repro.api.options import ReadOptions
 from repro.core.policy import SecurityAttributes, VmReusePolicy
+from repro.core.types import SessionStats
 from repro.vm.code_cache import CodeCache
-from repro.vm.limits import ExecutionLimits
-from repro.vm.machine import DecodeResult, ENGINE_TRANSLATOR, VirtualMachine
+from repro.vm.limits import ExecutionLimits, ExecutionStats
+from repro.vm.machine import DecodeResult, VirtualMachine
 
-
-@dataclass
-class SessionStats:
-    """Counters for one decoder session (feeds the section 2.4 ablation).
-
-    The code-cache counters aggregate the per-run
-    :class:`~repro.vm.limits.ExecutionStats` of every decode performed
-    through this session; ``vxunzip --stats`` and
-    :class:`~repro.core.archive_reader.IntegrityReport` surface them.
-    """
-
-    decodes: int = 0
-    vm_initialisations: int = 0     # pristine decoder image (re)loads
-    vm_reuses: int = 0              # decodes that kept previous VM state
-    fragments_translated: int = 0   # superblock translations performed
-    cache_hits: int = 0             # blocks served from the fragment cache
-    chained_branches: int = 0       # transitions over back-patched edges
-    retranslations: int = 0         # translations of an already-seen entry
-    evictions: int = 0              # fragments dropped by the LRU entry cap
-    guards_elided: int = 0          # bounds guards dropped on static proofs
-    images_verified: int = 0        # decoder images statically analysed
-    members_salvaged: int = 0       # members extracted despite media damage
-    directory_reconstructed: int = 0  # opens that rebuilt a lost directory
-    commit_record_verified: int = 0   # opens whose commit record checked out
-
-    def merge(self, other: "SessionStats") -> None:
-        """Accumulate another session's counters (per-worker stats roll-up)."""
-        for field in fields(self):
-            setattr(self, field.name,
-                    getattr(self, field.name) + getattr(other, field.name))
-
-    def as_dict(self) -> dict:
-        """Counters as a plain dict (JSON transport across worker processes)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SessionStats":
-        names = {field.name for field in fields(cls)}
-        return cls(**{key: value for key, value in data.items() if key in names})
+#: Per-run :class:`ExecutionStats` counter -> the :class:`SessionStats`
+#: counter each decode folds it into: the one rename, plus every name the
+#: two declare in common.
+_RUN_COUNTERS = {"fragment_cache_hits": "cache_hits"} | {
+    field.name: field.name for field in fields(ExecutionStats)
+    if field.name in SessionStats.__dataclass_fields__
+}
 
 
 class DecoderSession:
@@ -79,44 +48,17 @@ class DecoderSession:
     Args:
         load_image: callable mapping a decoder pseudo-file offset to the raw
             decoder ELF bytes (typically ``Archive._load_decoder``).
-        policy: the VM reuse policy enforced for every decode.
-        engine: VM engine for all decoder runs.
-        limits: session-wide resource ceilings (scaled per input).
-        superblock_limit: translator trace-length ceiling (``None`` ->
-            engine default).
-        chain_fragments: enable direct-branch back-patching in the engine.
-        code_cache_limit: optional LRU entry cap applied to every
-            session-shared :class:`~repro.vm.code_cache.CodeCache`, so a
-            long-running service cannot grow translation state without
-            bound (``None`` -> unbounded; safe for single archives).
-        verify_images: static-analysis admission policy applied to every
-            decoder image before it runs (``"off"``/``"warn"``/``"reject"``).
-        analysis_elision: let the translator drop statically proved bounds
-            guards (ablation flag).
+        options: the read session's frozen :class:`ReadOptions`; the reuse
+            policy and every engine knob are read from it where a VM is built.
+        limits: the session-wide resource ceilings the archive resolved from
+            ``options`` (scaled per input on every decode).
     """
 
-    def __init__(
-        self,
-        load_image: Callable[[int], bytes],
-        *,
-        policy: VmReusePolicy = VmReusePolicy.ALWAYS_FRESH,
-        engine: str = ENGINE_TRANSLATOR,
-        limits: ExecutionLimits | None = None,
-        superblock_limit: int | None = None,
-        chain_fragments: bool = True,
-        code_cache_limit: int | None = None,
-        verify_images: str = "off",
-        analysis_elision: bool = True,
-    ):
+    def __init__(self, load_image: Callable[[int], bytes],
+                 options: ReadOptions, limits: ExecutionLimits):
         self._load_image = load_image
-        self.policy = policy
-        self._engine = engine
-        self._limits = limits or ExecutionLimits()
-        self._superblock_limit = superblock_limit
-        self._chain_fragments = chain_fragments
-        self._code_cache_limit = code_cache_limit
-        self._verify_images = verify_images
-        self._analysis_elision = analysis_elision
+        self.options = options
+        self._limits = limits
         self._vms: dict[int, VirtualMachine] = {}
         self._code_caches: dict[int, CodeCache] = {}
         self._last_attributes: dict[int, SecurityAttributes] = {}
@@ -127,9 +69,9 @@ class DecoderSession:
     def _needs_fresh(self, decoder_offset: int,
                      attributes: SecurityAttributes) -> bool:
         """Must the VM be re-initialised before decoding this file?"""
-        if self.policy is VmReusePolicy.ALWAYS_FRESH:
+        if self.options.reuse is VmReusePolicy.ALWAYS_FRESH:
             return True
-        if self.policy is VmReusePolicy.ALWAYS_REUSE:
+        if self.options.reuse is VmReusePolicy.ALWAYS_REUSE:
             return False
         previous = self._last_attributes.get(decoder_offset)
         return previous is not None and not previous.same_domain(attributes)
@@ -143,11 +85,11 @@ class DecoderSession:
         semantics bit for bit.  Any reuse-permitting policy shares one
         cache per decoder image across resets and members.
         """
-        if self.policy is VmReusePolicy.ALWAYS_FRESH:
+        if self.options.reuse is VmReusePolicy.ALWAYS_FRESH:
             return None
         cache = self._code_caches.get(decoder_offset)
         if cache is None:
-            cache = CodeCache(shared=True, limit=self._code_cache_limit)
+            cache = CodeCache(shared=True, limit=self.options.code_cache_limit)
             self._code_caches[decoder_offset] = cache
         return cache
 
@@ -160,30 +102,28 @@ class DecoderSession:
         *,
         attributes: SecurityAttributes | None = None,
         limits: ExecutionLimits | None = None,
-        fresh_override: bool | None = None,
         fault_syscall: int | None = None,
     ) -> DecodeResult:
         """Run the archived decoder at ``decoder_offset`` over ``encoded``.
 
         ``attributes`` are the security attributes of the file being decoded;
         under ``REUSE_SAME_ATTRIBUTES`` a change of protection domain forces
-        re-initialisation.  ``fresh_override`` bypasses the policy for legacy
-        callers (the deprecated ``fresh_vm`` flag) and should not be used by
-        new code.  ``fault_syscall`` is the fault-injection hook: fail the
-        run at the guest's Nth virtual system call (``None`` in production).
+        re-initialisation.  ``fault_syscall`` is the fault-injection hook: fail
+        the run at the guest's Nth virtual system call (``None`` in production).
         """
         attributes = attributes or SecurityAttributes()
         vm = self._vms.get(decoder_offset)
         if vm is None:
+            options = self.options
             vm = VirtualMachine(
                 self._load_image(decoder_offset),
-                engine=self._engine,
+                engine=options.engine,
                 limits=self._limits,
                 code_cache=self._code_cache_for(decoder_offset),
-                superblock_limit=self._superblock_limit,
-                chain_fragments=self._chain_fragments,
-                verify_images=self._verify_images,
-                analysis_elision=self._analysis_elision,
+                superblock_limit=options.superblock_limit,
+                chain_fragments=options.chain_fragments,
+                verify_images=options.verify_images,
+                analysis_elision=options.analysis_elision,
             )
             self._vms[decoder_offset] = vm
             if vm.analysis_report is not None:
@@ -192,10 +132,6 @@ class DecoderSession:
             # never needs another reset regardless of policy.
             fresh = False
             self.stats.vm_initialisations += 1
-        elif fresh_override is not None:
-            fresh = fresh_override
-            self.stats.vm_initialisations += 1 if fresh else 0
-            self.stats.vm_reuses += 0 if fresh else 1
         else:
             fresh = self._needs_fresh(decoder_offset, attributes)
             if fresh:
@@ -207,13 +143,9 @@ class DecoderSession:
         run_limits = limits or self._limits.scaled_for_input(len(encoded))
         result = vm.decode(encoded, limits=run_limits, fresh=fresh,
                            fault_syscall=fault_syscall)
-        run = result.stats
-        self.stats.fragments_translated += run.fragments_translated
-        self.stats.cache_hits += run.fragment_cache_hits
-        self.stats.chained_branches += run.chained_branches
-        self.stats.retranslations += run.retranslations
-        self.stats.evictions += run.evictions
-        self.stats.guards_elided += run.guards_elided
+        for run, session in _RUN_COUNTERS.items():
+            setattr(self.stats, session,
+                    getattr(self.stats, session) + getattr(result.stats, run))
         return result
 
     # -- lifecycle -------------------------------------------------------------

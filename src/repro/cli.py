@@ -27,6 +27,7 @@ import sys
 import repro.api as vxa
 from repro.core.integrity import format_report
 from repro.core.policy import VmReusePolicy
+from repro.core.types import format_counters
 from repro.errors import ArchiveDamagedError, VxaError
 
 
@@ -82,6 +83,15 @@ def _cmd_list(args) -> int:
     return 0
 
 
+_STATS_LINES = (
+    ("code cache", ("fragments_translated", "chained_branches", "cache_hits",
+                    "retranslations", "evictions")),
+    ("static analysis", ("images_verified", "guards_elided")),
+    ("durability", ("members_salvaged", "directory_reconstructed",
+                    "commit_record_verified")),
+)
+
+
 def _cmd_extract(args) -> int:
     with vxa.open(args.archive, _read_options(args)) as archive:
         report = archive.extract_into(
@@ -105,23 +115,8 @@ def _cmd_extract(args) -> int:
         if getattr(args, "stats", False):
             # With --jobs > 1 these counters are the merged totals of every
             # worker's DecoderSession, so the line reads the same either way.
-            stats = archive.session.stats
-            print(
-                f"code cache: {stats.fragments_translated} fragment(s) translated, "
-                f"{stats.chained_branches} chained branch(es), "
-                f"{stats.cache_hits} cache hit(s), "
-                f"{stats.retranslations} retranslation(s), "
-                f"{stats.evictions} eviction(s)"
-            )
-            print(
-                f"static analysis: {stats.images_verified} image(s) analysed, "
-                f"{stats.guards_elided} bounds guard(s) elided"
-            )
-            print(
-                f"durability: {stats.members_salvaged} member(s) salvaged, "
-                f"{stats.directory_reconstructed} directory rebuild(s), "
-                f"{stats.commit_record_verified} commit record(s) verified"
-            )
+            print("\n".join(format_counters(archive.session.stats,
+                                            _STATS_LINES)))
     return 1 if report.failures else 0
 
 

@@ -1,26 +1,24 @@
-"""The VXA architecture core: vxZIP archive writer and vxUnZIP archive reader."""
+"""The VXA architecture core beneath the :mod:`repro.api` facade.
 
-from repro.core.archive_reader import (
-    ArchiveReader,
+Extension headers, decoder storage, the VM reuse policy, integrity checking
+and the result types the facade shares.
+"""
+
+from repro.core.decoder_store import DecoderStore, StoredDecoder
+from repro.core.extension import VxaExtension, parse_extension
+from repro.core.integrity import check_archive, format_report, is_archive_intact
+from repro.core.policy import SecurityAttributes, VmReusePolicy, reuse_groups
+from repro.core.types import (
+    ArchivedFileInfo,
+    ArchiveManifest,
     ExtractedFile,
     IntegrityReport,
     MODE_AUTO,
     MODE_NATIVE,
     MODE_VXA,
 )
-from repro.core.archive_writer import (
-    ArchivedFileInfo,
-    ArchiveManifest,
-    ArchiveWriter,
-    create_archive,
-)
-from repro.core.decoder_store import DecoderStore, StoredDecoder
-from repro.core.extension import VxaExtension, parse_extension
-from repro.core.integrity import check_archive, format_report, is_archive_intact
-from repro.core.policy import SecurityAttributes, VmReusePolicy, reuse_groups
 
 __all__ = [
-    "ArchiveReader",
     "ExtractedFile",
     "IntegrityReport",
     "MODE_AUTO",
@@ -28,8 +26,6 @@ __all__ = [
     "MODE_VXA",
     "ArchivedFileInfo",
     "ArchiveManifest",
-    "ArchiveWriter",
-    "create_archive",
     "DecoderStore",
     "StoredDecoder",
     "VxaExtension",

@@ -15,8 +15,8 @@ import io
 from dataclasses import dataclass, field
 
 from repro.codecs.registry import CodecRegistry
-from repro.core.archive_reader import IntegrityReport
 from repro.core.policy import VmReusePolicy
+from repro.core.types import IntegrityReport, format_counters
 from repro.errors import ArchiveError, VxaError, ZipFormatError
 
 
@@ -45,28 +45,20 @@ def is_archive_intact(archive, **kwargs) -> bool:
     return check_archive(archive, **kwargs).ok
 
 
+_REPORT_LINES = (
+    ("decoder VMs", ("vm_initialisations", "vm_reuses")),
+    ("code cache", ("fragments_translated", "cache_hits", "chained_branches",
+                    "retranslations", "evictions")),
+    ("static analysis", ("images_verified", "guards_elided")),
+)
+
+
 def format_report(report: IntegrityReport) -> str:
     """Render an integrity report the way the vxUnZIP tool would print it."""
     lines = [f"members checked : {report.checked}",
              f"members passed  : {report.passed}"]
-    if report.vm_initialisations or report.vm_reuses:
-        lines.append(
-            f"decoder VMs     : {report.vm_initialisations} initialisation(s), "
-            f"{report.vm_reuses} state reuse(s)"
-        )
-    if report.fragments_translated:
-        lines.append(
-            f"code cache      : {report.fragments_translated} fragment(s) translated, "
-            f"{report.cache_hits} cache hit(s), "
-            f"{report.chained_branches} chained branch(es), "
-            f"{report.retranslations} retranslation(s), "
-            f"{report.evictions} eviction(s)"
-        )
-    if report.images_verified or report.guards_elided:
-        lines.append(
-            f"static analysis : {report.images_verified} image(s) analysed, "
-            f"{report.guards_elided} bounds guard(s) elided"
-        )
+    lines += format_counters(report, _REPORT_LINES, label_width=16,
+                             skip_idle=True)
     if report.failures:
         lines.append("failures:")
         lines.extend(f"  - {failure}" for failure in report.failures)

@@ -38,8 +38,7 @@ import os
 import pathlib
 import tempfile
 
-from repro.api.session import SessionStats
-from repro.core.archive_reader import IntegrityReport
+from repro.core.types import IntegrityReport, SessionStats
 from repro.parallel.pool import WorkerPool
 from repro.parallel.scheduler import Scheduler
 from repro.parallel.worker import run_check_shard, run_extract_shard
@@ -203,7 +202,7 @@ def parallel_check(archive, jobs, *, reuse=None, names=None, pool=None):
         report.passed += result["passed"]
         for failure in result["failures"]:
             failures.append((_failure_order(failure, order), failure))
-        report.add_counters(result)
+        report.merge(SessionStats.from_dict(result))
 
     with _shippable_source(archive) as source:
         base = {

@@ -65,8 +65,8 @@ from dataclasses import dataclass
 
 import repro.api as vxa
 from repro.api.options import EXECUTOR_AUTO
-from repro.api.session import SessionStats
 from repro.core.policy import VmReusePolicy
+from repro.core.types import SessionStats
 from repro.errors import (
     ArchiveDamagedError,
     CodecError,
@@ -466,7 +466,7 @@ class BatchService:
                 archive, jobs,
                 reuse=VmReusePolicy(reuse) if reuse is not None else None,
                 names=request.get("members"), pool=self.pool)
-        self._absorb(SessionStats(decodes=report.checked, **report.counters()))
+        self._absorb(report)
         return {
             "archive": request["archive"],
             "ok": report.ok,

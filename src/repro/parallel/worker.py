@@ -22,6 +22,7 @@ pickle boundary in process mode and a JSON boundary in ``vxserve``.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import multiprocessing
 import os
@@ -94,20 +95,24 @@ def _source_key(source: dict):
 def _options_key(options):
     # ReadOptions is frozen but not reliably hashable (a custom
     # ExecutionLimits or registry is a mutable object), so key on a
-    # primitive projection.  The registry is fingerprinted by its codec
-    # names, never object identity: process-mode payloads unpickle a fresh
-    # registry object per task, and an identity key would miss the cache
-    # (reopening the archive and cold-starting the session) every time.
-    registry = options.registry
-    registry_key = (tuple(sorted(registry.names()))
-                    if registry is not None else None)
-    return (options.mode, options.force_decode, options.engine,
-            repr(options.limits), options.reuse.value, options.chunk_size,
-            options.superblock_limit, options.chain_fragments,
-            options.code_cache_limit, options.verify_images,
-            options.analysis_elision, options.on_error, options.retries,
-            options.member_deadline, options.on_damage,
-            options.durable_output, repr(options.fault_plan), registry_key)
+    # primitive projection of every field -- derived from the dataclass, so
+    # a new option can never be served a stale cached archive.  ``jobs`` and
+    # ``executor`` are left out: workers always run the serial path.  The
+    # registry is fingerprinted by its codec names, never object identity:
+    # process-mode payloads unpickle a fresh registry object per task, and
+    # an identity key would miss the cache (reopening the archive and
+    # cold-starting the session) every time.
+    key = []
+    for field in dataclasses.fields(options):
+        if field.name in ("jobs", "executor"):
+            continue
+        value = getattr(options, field.name)
+        if field.name == "registry" and value is not None:
+            value = tuple(sorted(value.names))
+        elif not isinstance(value, (str, int, float, type(None))):
+            value = repr(value)
+        key.append(value)
+    return tuple(key)
 
 
 def _acquire_archive(source: dict, options):

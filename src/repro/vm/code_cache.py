@@ -21,8 +21,8 @@ A cache is only valid for VMs running the *same decoder image* with the same
 memory-check policy and translator configuration; :class:`DecoderSession`
 guarantees this by keying shared caches by decoder pseudo-file offset.
 
-Counters accumulate across runs (they feed ``vxunzip --stats``, the
-profiler report and :class:`~repro.core.archive_reader.IntegrityReport`):
+Counters accumulate across runs (they feed ``vxunzip --stats`` and
+:class:`~repro.core.types.IntegrityReport`):
 
 * ``hits`` / ``misses`` -- fragment executions served from the cache versus
   fragment translations,

@@ -10,7 +10,7 @@ explicit, testable part of the VM contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 @dataclass
@@ -95,17 +95,9 @@ class ExecutionStats:
 
     def merge(self, other: "ExecutionStats") -> None:
         """Accumulate ``other`` into this stats object (for multi-file runs)."""
-        self.instructions += other.instructions
-        self.blocks_executed += other.blocks_executed
-        self.fragments_translated += other.fragments_translated
-        self.fragment_cache_hits += other.fragment_cache_hits
-        self.fragment_cache_misses += other.fragment_cache_misses
-        self.chained_branches += other.chained_branches
-        self.retranslations += other.retranslations
-        self.evictions += other.evictions
-        self.guards_elided += other.guards_elided
-        self.bytes_read += other.bytes_read
-        self.bytes_written += other.bytes_written
-        self.streams_decoded += other.streams_decoded
+        for counter in fields(self):
+            if counter.name != "syscalls":
+                setattr(self, counter.name,
+                        getattr(self, counter.name) + getattr(other, counter.name))
         for name, count in other.syscalls.items():
             self.syscalls[name] = self.syscalls.get(name, 0) + count
