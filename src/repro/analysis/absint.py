@@ -314,9 +314,8 @@ def _step(
     elif op is Op.POP:
         address = regs[REG_SP]
         _record_access(obs, pc, "read", 4, address, root)
-        value = _load_result(state, Op.LD32, 4, address)
-        regs[REG_SP] = regs[REG_SP].add_const(4)
-        regs[rd] = value
+        regs[rd] = _load_result(state, Op.LD32, 4, address)
+        regs[REG_SP] = address.add_const(4)     # written last: `pop sp` = sp + 4
     elif op is Op.MOVI:
         regs[rd] = exact(insn.imm)
     elif op is Op.MOV:

@@ -61,7 +61,9 @@ class SessionStats:
     chained_branches: int = _counter("chained branch(es)")
     retranslations: int = _counter("retranslation(s)")
     evictions: int = _counter("eviction(s)")
-    # guards dropped on static proofs / decoder images statically analysed
+    # guards dropped on static proofs, counted at the access sites the
+    # translator *emitted* (a forwarded load has no site, so the count
+    # falls as forwarding improves) / decoder images statically analysed
     guards_elided: int = _counter("bounds guard(s) elided")
     images_verified: int = _counter("image(s) analysed")
     # members extracted despite media damage, opens that rebuilt a lost

@@ -143,10 +143,6 @@ class InjectedFault(GuestFault):
     """
 
 
-class StackFault(GuestFault):
-    """The guest stack pointer left the sandbox or overflowed."""
-
-
 # --------------------------------------------------------------------------
 # Codec and data format errors
 # --------------------------------------------------------------------------

@@ -62,8 +62,14 @@ class Op(enum.IntEnum):
     ST32 = 0x15        # st32  [rd+imm32], rs
     ST16 = 0x16        # st16  [rd+imm32], rs
     ST8 = 0x17         # st8   [rd+imm32], rs
-    PUSH = 0x18        # push  rs
-    POP = 0x19         # pop   rd
+    # Stack rule (the interpreter is the oracle; the translator and
+    # ``repro.analysis`` follow it): operands are read before sp moves, so
+    # ``push sp`` stores the *old* sp; ``pop rd`` writes rd and then sp, so
+    # ``pop sp`` discards the loaded word and ends at sp + 4.  ``call``/
+    # ``callr``/``ret`` move sp the same way (``callr`` alone reads its
+    # target register after the push).
+    PUSH = 0x18        # push  rs      sp -= 4; [sp] = rs
+    POP = 0x19         # pop   rd      rd = [sp]; sp += 4
     LD16S = 0x1A       # ld16s rd, [rs+imm32]
     LD8S = 0x1B        # ld8s  rd, [rs+imm32]
     LEA = 0x1C         # lea   rd, [rs+imm32]

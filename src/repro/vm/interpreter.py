@@ -20,7 +20,6 @@ from repro.errors import (
     DivisionFault,
     IllegalInstructionFault,
     ResourceLimitExceeded,
-    StackFault,
 )
 from repro.isa.encoding import decode
 from repro.isa.opcodes import Op
@@ -228,8 +227,6 @@ def run_interpreter(vm) -> None:
             else:  # pragma: no cover - table is exhaustive
                 raise IllegalInstructionFault(f"unhandled opcode {op!r} at 0x{pc:08x}")
 
-            if regs[7] > memory.size:
-                raise StackFault(f"stack pointer left the sandbox: sp=0x{regs[7]:08x}")
             pc = next_pc
     finally:
         vm.pc = pc

@@ -84,7 +84,7 @@ class ExecutionStats:
     chained_branches: int = 0       # transitions over back-patched direct edges
     retranslations: int = 0         # translations of an already-seen entry
     evictions: int = 0              # fragments dropped by the LRU entry cap
-    guards_elided: int = 0          # bounds guards dropped on static proofs
+    guards_elided: int = 0          # guards dropped on proofs, at emitted sites
     syscalls: dict[str, int] = field(default_factory=dict)
     bytes_read: int = 0
     bytes_written: int = 0

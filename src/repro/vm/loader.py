@@ -20,7 +20,6 @@ DEFAULT_STACK_SIZE = 256 << 10
 
 #: Extra headroom above the image before the heap would hit the stack.
 HEAP_HEADROOM = 64 << 10
-_HEAP_HEADROOM = HEAP_HEADROOM  # backwards-compatible alias
 
 
 @dataclass
@@ -98,7 +97,7 @@ def load_image(
         image = parse_executable(bytes(image))
 
     load_size = image.load_size
-    needed = load_size + _HEAP_HEADROOM + stack_size
+    needed = load_size + HEAP_HEADROOM + stack_size
     if needed > memory.size:
         memory.grow(max(needed, min(memory.limit, DEFAULT_MEMORY_SIZE)))
     if load_size + stack_size > memory.size:

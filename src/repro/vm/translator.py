@@ -31,13 +31,40 @@ This plays the role of vx32's back-patched branch trampolines: the fragment
 cache's hash table is only consulted for indirect branches (``jmpr``,
 ``callr``, ``ret``) and for the first execution of each direct edge.
 
-*Inlined guest memory and registers.*  Fragments bind the guest's backing
-``bytearray`` and hoist the eight guest registers (and the condition-code
-pair) into Python locals at entry, spilling the modified ones back at every
-exit.  Loads and stores compile to raw slice/index operations guarded by
-precomputed bounds expressions instead of ``GuestMemory`` method calls, and
-the instruction-limit accounting is one addition per executed fragment exit
-rather than per instruction.
+*Inlined guest memory and registers, with value forwarding.*  Fragments bind
+the guest's backing ``bytearray`` and hoist the eight guest registers (and
+the condition-code pair) into Python locals at entry.  The body is not
+rendered statement for statement: the trace is *evaluated symbolically*
+(:class:`_Trace`).  Every guest register and both condition-code operands
+map to a value ``(local, k)`` -- a Python local that is assigned once, plus a
+constant modulo 2**32 -- so ``movi``/``mov``/``lea``/``addi``/``subi``,
+``add``/``sub`` of a constant, the stack-pointer arithmetic of ``push``/
+``pop``/``call``/``ret`` and ``cmp``/``cmpi`` emit nothing; a sum is computed
+once, where a load, a store, a comparison or other arithmetic consumes it.
+(vxc emits stack-machine code -- ``push r0; ld32 r0, [r6-24]; mov r1, r0;
+pop r0`` -- so this is most of what a decoder executes.)  Exits write back
+exactly the registers whose value is no longer the entry local's (plus, in
+a looping fragment, those any back-edge reassigns), a back-edge reassigns
+the entry locals in one parallel assignment, and instruction accounting is
+one addition per executed exit rather than per instruction.
+
+Loads and stores compile to raw slice/index operations guarded by
+precomputed bounds expressions instead of ``GuestMemory`` method calls.
+Every guest store is emitted -- the memory image is exact at every exit and
+fault -- but each 32-bit store and load is also *remembered* by its address
+value, and a later ``ld32``/``pop``/``ret`` of the same address value takes
+the remembered value with no memory access and no guard.  The aliasing rule
+needs the trace alone: a store forgets every remembered word it may overlap
+-- under the *same* base local by an exact test on the two constants and the
+store's width; under a *different* base local always.  (So a push forgets
+what is known of the frame, and a frame store what is known of the stack,
+unless one pointer was copied from the other inside the trace; telling them
+apart takes the static analysis's stack-zone facts and is not done here.)
+Address computations, bounds checks (a wider one subsumes a narrower one at
+the same address value) and ``& 0xffffffff`` elision (per-local upper
+bounds) key on the same immutable values, so a register write invalidates
+nothing.  Each pass over the trace starts from no knowledge at all, which
+is what makes a back-edge to the trace head sound.
 
 The memory-check policies of :mod:`repro.vm.memory` are honoured: under
 ``full`` every load and store carries an explicit bounds check against the
@@ -80,9 +107,6 @@ from repro.vm.syscalls import ACTION_EXIT
 
 #: Maximum number of guest instructions translated into one superblock.
 MAX_SUPERBLOCK_INSTRUCTIONS = 256
-
-#: Backwards-compatible alias (the pre-superblock engine's name).
-MAX_FRAGMENT_INSTRUCTIONS = MAX_SUPERBLOCK_INSTRUCTIONS
 
 _MASK = 0xFFFFFFFF
 _SIGN = 0x80000000
@@ -186,26 +210,36 @@ _FRAGMENT_GLOBALS = {
     "ACTION_EXIT": ACTION_EXIT,
 }
 
-#: Condition expressions over the hoisted condition-code locals.  Signed
-#: comparisons use the sign-bias trick: for 32-bit unsigned a, b it holds
-#: that signed(a) < signed(b)  iff  (a ^ 0x80000000) < (b ^ 0x80000000).
-_CONDITION_EXPR = {
-    Op.JE: "cca == ccb",
-    Op.JNE: "cca != ccb",
-    Op.JLTU: "cca < ccb",
-    Op.JLEU: "cca <= ccb",
-    Op.JGTU: "cca > ccb",
-    Op.JGEU: "cca >= ccb",
-    Op.JLTS: f"(cca ^ {_SIGN}) < (ccb ^ {_SIGN})",
-    Op.JLES: f"(cca ^ {_SIGN}) <= (ccb ^ {_SIGN})",
-    Op.JGTS: f"(cca ^ {_SIGN}) > (ccb ^ {_SIGN})",
-    Op.JGES: f"(cca ^ {_SIGN}) >= (ccb ^ {_SIGN})",
+#: The immediate forms of the two-operand instructions: the same operation
+#: with the constant ``imm`` as second operand.
+_IMMEDIATE_FORMS = {
+    Op.ADDI: Op.ADD, Op.SUBI: Op.SUB, Op.MULI: Op.MUL, Op.ANDI: Op.AND,
+    Op.ORI: Op.OR, Op.XORI: Op.XOR, Op.SHLI: Op.SHL, Op.SHRUI: Op.SHRU,
+    Op.SHRSI: Op.SHRS, Op.CMPI: Op.CMP,
 }
+#: Loads narrower than a word: (width, sign-extending).
+_NARROW_LOADS = {Op.LD16U: (2, False), Op.LD16S: (2, True),
+                 Op.LD8U: (1, False), Op.LD8S: (1, True)}
+_STORE_WIDTHS = {Op.ST32: 4, Op.ST16: 2, Op.ST8: 1}
+_DIVISIONS = {Op.DIVU: "_udiv({}, {}, False)", Op.REMU: "_udiv({}, {}, True)",
+              Op.DIVS: "_sdiv({}, {}, False)", Op.REMS: "_sdiv({}, {}, True)"}
+_COMPARISONS = {
+    Op.JE: "==", Op.JNE: "!=",
+    Op.JLTU: "<", Op.JLEU: "<=", Op.JGTU: ">", Op.JGEU: ">=",
+    Op.JLTS: "<", Op.JLES: "<=", Op.JGTS: ">", Op.JGES: ">=",
+}
+_SIGNED_JUMPS = frozenset({Op.JLTS, Op.JLES, Op.JGTS, Op.JGES})
 
-#: 2**32 - 2**8 and 2**32 - 2**16: adding these is (x - 2**n) & MASK for the
-#: sign-extension of 8- and 16-bit loads, with no masking needed.
-_EXT8 = (1 << 32) - (1 << 8)
-_EXT16 = (1 << 32) - (1 << 16)
+#: What a pass over a trace starts from: the guest registers r0..r7 and the
+#: two operands of the last compare each *are* the entry local of that name.
+_ENTRY = tuple((name, 0) for name in (
+    "r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7", "cca", "ccb"))
+
+
+def _plus(value, k: int):
+    """``value + k`` (mod 2**32) of a symbolic value: no code, new constant."""
+    return (value[0], value[1] + k & _MASK)
+
 
 #: Process-wide memo of compiled fragment sources.  Fragment source text is a
 #: pure function of the trace bytes and the translator configuration, and a
@@ -222,6 +256,350 @@ _CODE_MEMO_LIMIT = 4096
 #: runs outside the lock -- two threads racing to compile the same source
 #: waste one compilation, never correctness.
 _CODE_MEMO_LOCK = threading.Lock()
+
+
+class _Trace:
+    """One pass of the symbolic evaluator over a trace: state plus output.
+
+    A *value* is a pair ``(local, k)`` standing for ``(local + k) mod 2**32``,
+    or ``(None, k)`` for the constant ``k``.  ``local`` names a Python local
+    of the fragment that always holds a number in ``[0, 2**32)`` and is
+    assigned exactly once per pass over the trace: an entry local
+    (``r0..r7``, ``cca``, ``ccb``) or a *root* ``v<n>`` created for a load or
+    for arithmetic that is not an addition of a constant.  Back-edges do
+    reassign the entry locals, but only immediately before ``continue``,
+    which starts a new pass from the entry state below.  Since no local
+    changes mid-pass, everything keyed on values -- ``held``, ``guarded``,
+    ``words`` -- stays true until the pass ends; a guest register write
+    replaces ``regs[i]`` and invalidates nothing.
+    """
+
+    def __init__(self, translator: "Translator"):
+        self.translator = translator
+        #: Statements of the main line.  A write-back of the machine state
+        #: is kept as a record (see :meth:`leave`) until :meth:`render`.
+        self.lines: list = []
+        #: Current value of r0..r7, then of the two compare operands.
+        self.regs = list(_ENTRY)
+        self.reads_entry_cc = False
+        self.looping = False            # some back-edge re-enters the trace
+        #: Upper bound of each root (absent: 2**32 - 1, which is also what
+        #: is assumed of every entry local, so bounds hold on every pass).
+        self.bounds: dict[str, int] = {}
+        self.roots = 0
+        #: value -> main-line local computed to hold it (addresses mostly).
+        self.held: dict[tuple, str] = {}
+        #: address value -> widest access already bounds-checked there.
+        self.guarded: dict[tuple, int] = {}
+        self.guard_widths: set[int] = set()
+        #: address value -> value of the 32-bit word stored or loaded there
+        #: earlier in this pass, with no possibly-overlapping store since.
+        self.words: dict[tuple, tuple] = {}
+        #: Indices into ``regs`` reassigned at some back-edge: from the
+        #: second pass on their entry locals differ from ``vm.regs`` /
+        #: ``vm.cc``, so every exit must write them back.
+        self.loop_carried: set[int] = set()
+
+    # -- values ------------------------------------------------------------------
+
+    def limit(self, value) -> int:
+        """An upper bound of ``value`` as an unsigned number."""
+        local, k = value
+        if local is None:
+            return k
+        return min(self.bounds.get(local, _MASK) + k, _MASK)
+
+    def expr(self, value) -> str:
+        """Python expression for ``value`` (lowest precedence: ``&``)."""
+        local, k = value
+        if local is None:
+            return str(k)
+        if k == 0:
+            return local
+        if value in self.held:
+            return self.held[value]
+        if self.bounds.get(local, _MASK) + k <= _MASK:
+            return f"{local} + {k}"               # provably no wrap-around
+        if k < _SIGN:
+            return f"{local} + {k} & {_MASK}"
+        return f"{local} - {_MASK + 1 - k} & {_MASK}"
+
+    def atom(self, value) -> str:
+        """A local or literal holding ``value``, computed on the main line."""
+        local, k = value
+        if local is not None and k and value not in self.held:
+            text = self.expr(value)
+            self.held[value] = name = f"a{len(self.held)}"
+            self.lines.append(f"{name} = {text}")
+        return self.expr(value)
+
+    def root(self, text: str, bound: int):
+        """Emit ``v<n> = text`` (masked unless ``bound`` fits) as a new root."""
+        name = f"v{self.roots}"
+        self.roots += 1
+        if bound > _MASK:
+            text = f"{text} & {_MASK}"
+        elif bound < _MASK:
+            self.bounds[name] = bound
+        self.lines.append(f"{name} = {text}")
+        return (name, 0)
+
+    # -- guest memory ------------------------------------------------------------
+
+    def address(self, value, width: int, kind: str, pc: int) -> str:
+        """Local holding address ``value``, bounds-checked as policy demands.
+
+        A check at the same address value at least as wide subsumes this one.
+        """
+        local = self.atom(value)
+        checked, proved = self.translator.policy[kind]
+        if checked and self.guarded.get(value, 0) < width:
+            if pc in proved:
+                # The verifier proved this site in bounds for any sandbox at
+                # least min_size bytes large (checked by our caller).  The
+                # elided site is deliberately NOT entered in ``guarded``: a
+                # later unproved access of the same address must still emit
+                # its own check.
+                self.translator.guards_elided += 1
+            else:
+                self.guarded[value] = width
+                self.guard_widths.add(width)
+                self.lines.append(
+                    f"if {local} > s{width}: _flt({local}, {width}, {kind!r})")
+        return local
+
+    def load32(self, address, pc: int):
+        """Value of the word at ``address``: forwarded if known, else loaded.
+
+        Forwarding is sound because ``words[address]`` was recorded by a
+        width-4 access of this very address value that has already executed
+        in this pass (so it did not fault, and neither would this one --
+        the sandbox cannot shrink or grow inside a fragment) and
+        :meth:`store` has dropped it if any store since might overlap it.
+        """
+        value = self.words.get(address)
+        if value is None:
+            local = self.address(address, 4, "read", pc)
+            value = self.words[address] = self.root(f"_u32(buf, {local})[0]",
+                                                    _MASK)
+        return value
+
+    def store(self, address, width: int, value, pc: int) -> None:
+        """Emit the store (always), then update what is known of memory."""
+        local = self.address(address, width, "write", pc)
+        source = self.atom(value)
+        if width == 4:
+            self.lines.append(f"_p32(buf, {local}, {source})")
+        else:
+            if self.limit(value) >> 8 * width:
+                source = f"{source} & {(1 << 8 * width) - 1}"
+            self.lines.append(f"_p16(buf, {local}, {source})" if width == 2
+                              else f"buf[{local}] = {source}")
+        # Aliasing rule.  A remembered word survives only if it provably
+        # cannot overlap [address, address + width): same base local and
+        # ``4 <= distance <= 2**32 - width`` (mod 2**32), which separates the
+        # two ranges whether or not either sum wrapped.  Words under any
+        # other base local may be anywhere, so they are forgotten.
+        base, k = address
+        self.words = {
+            known: word for known, word in self.words.items()
+            if known[0] == base
+            and 4 <= (k - known[1] & _MASK) <= _MASK + 1 - width}
+        if width == 4:
+            self.words[address] = value
+
+    def push(self, value, pc: int) -> None:
+        """Store ``value`` (read by the caller *before* sp moves) below sp."""
+        sp = self.regs[7] = _plus(self.regs[7], -4)
+        self.store(sp, 4, value, pc)
+
+    def pop(self, pc: int):
+        """The word at sp, with sp moved past it."""
+        sp = self.regs[7]
+        value = self.load32(sp, pc)
+        self.regs[7] = _plus(sp, 4)
+        return value
+
+    # -- straight-line instructions ----------------------------------------------
+
+    def step(self, op, rd: int, rs: int, imm: int, pc: int) -> None:
+        """Evaluate one instruction that is neither a branch nor a trap."""
+        regs = self.regs
+        if op is Op.MOVI:
+            regs[rd] = (None, imm)
+        elif op is Op.MOV:
+            regs[rd] = regs[rs]
+        elif op is Op.LEA:
+            regs[rd] = _plus(regs[rs], imm)
+        elif op is Op.LD32:
+            regs[rd] = self.load32(_plus(regs[rs], imm), pc)
+        elif op in _NARROW_LOADS:
+            width, signed = _NARROW_LOADS[op]
+            a = self.address(_plus(regs[rs], imm), width, "read", pc)
+            if width == 1:
+                text = f"buf[{a}]"
+            elif self.translator.policy["read"][0]:
+                text = f"buf[{a}] | buf[{a}+1] << 8"
+            else:
+                text = f"_u16(buf, {a})[0]"
+            if signed:
+                # Adding 2**32 - 2**n sign-extends with no masking needed.
+                self.lines.append(f"t = {text}")
+                text = (f"t + {(1 << 32) - (1 << 8 * width)} "
+                        f"if t >= {1 << 8 * width - 1} else t")
+            regs[rd] = self.root(
+                text, _MASK if signed else (1 << 8 * width) - 1)
+        elif op in _STORE_WIDTHS:
+            self.store(_plus(regs[rd], imm), _STORE_WIDTHS[op], regs[rs], pc)
+        elif op is Op.PUSH:
+            self.push(regs[rd], pc)
+        elif op is Op.POP:
+            value = self.pop(pc)
+            if rd != 7:           # rd is written before sp: ``pop r7`` = sp + 4
+                regs[rd] = value
+        elif op is Op.NOT or op is Op.NEG:
+            sign = "~" if op is Op.NOT else "-"
+            regs[rd] = self.root(f"{sign}{self.atom(regs[rs])}", _MASK + 1)
+        elif op is not Op.NOP:
+            other = regs[rs]
+            if op in _IMMEDIATE_FORMS:
+                op, other = _IMMEDIATE_FORMS[op], (None, imm)
+            if op is Op.CMP:
+                regs[8:] = regs[rd], other
+            else:
+                regs[rd] = self.alu(op, regs[rd], other)
+
+    def alu(self, op, a, b):
+        """The value of ``a <op> b``; adding a constant emits nothing."""
+        if op is Op.ADD or op is Op.SUB:
+            k = (a[1] + b[1] if op is Op.ADD else a[1] - b[1]) & _MASK
+            if b[0] is None:
+                return (a[0], k)
+            if a[0] is None and op is Op.ADD:
+                return (b[0], k)
+            # Only the two locals are combined; the constants fold into k.
+            top = (self.bounds.get(a[0], _MASK) + self.bounds.get(b[0], _MASK)
+                   if op is Op.ADD else _MASK + 1)
+            sign = "+" if op is Op.ADD else "-"
+            return (self.root(f"{a[0] or 0} {sign} {b[0]}", top)[0], k)
+        x, y = self.atom(a), self.atom(b)
+        top_a, top_b = self.limit(a), self.limit(b)
+        if op is Op.MUL:
+            return self.root(f"{x} * {y}", top_a * top_b)
+        if op is Op.AND:
+            return self.root(f"{x} & {y}", min(top_a, top_b))
+        if op is Op.OR or op is Op.XOR:
+            return self.root(
+                f"{x} {'|' if op is Op.OR else '^'} {y}",
+                (1 << max(top_a.bit_length(), top_b.bit_length())) - 1)
+        if op in _DIVISIONS:
+            return self.root(_DIVISIONS[op].format(x, y), _MASK)
+        if op not in (Op.SHL, Op.SHRU, Op.SHRS):
+            raise IllegalInstructionFault(
+                f"unhandled opcode {op!r}")  # pragma: no cover
+        count = b[1] & 31 if b[0] is None else None
+        by = f"({y} & 31)" if count is None else str(count)
+        if op is Op.SHL:
+            return self.root(f"{x} << {by}",
+                             top_a << (31 if count is None else count))
+        if op is Op.SHRS and top_a >= _SIGN:
+            return self.root(f"(({x} ^ {_SIGN}) - {_SIGN}) >> {by}", _MASK + 1)
+        # Logical shift -- also the arithmetic one when the sign bit is
+        # provably clear.
+        return self.root(f"{x} >> {by}", top_a >> (count or 0))
+
+    def condition(self, op) -> str:
+        """The test of conditional jump ``op`` over the current flags."""
+        left, right = self.regs[8:]
+        if left == _ENTRY[8]:
+            self.reads_entry_cc = True
+        if op in _SIGNED_JUMPS:
+            # Sign-bias trick: for 32-bit unsigned a, b it holds that
+            # signed(a) < signed(b)  iff  (a ^ 2**31) < (b ^ 2**31).
+            left, right = (
+                str(side[1] ^ _SIGN) if side[0] is None
+                else f"({self.atom(side)} ^ {_SIGN})" for side in (left, right))
+        else:
+            left, right = self.atom(left), self.atom(right)
+        return f"{left} {_COMPARISONS[op]} {right}"
+
+    # -- leaving the main line ----------------------------------------------------
+
+    def changed(self) -> list[int]:
+        """Indices of ``regs`` whose value is no longer the entry local's."""
+        regs = self.regs
+        return [i for i in range(10) if regs[i] != _ENTRY[i]]
+
+    def leave(self, indent: str, executed: int, *tail: str) -> None:
+        """Account instructions, write the machine state back, run ``tail``.
+
+        The write-back is recorded as ``(indent, expressions)`` -- one per
+        entry of ``regs``, ``None`` for "still the entry local" -- and
+        completed by :meth:`render` with the loop-carried ones, which are
+        only known once every back-edge of the trace has been seen.  The
+        expressions are fixed *now*, so they use nothing the main line
+        computes later; and nothing computed for an exit enters ``held``,
+        so the main line uses nothing computed inside an exit block.
+        """
+        self.lines.append(f"{indent}vm.icount += {executed}")
+        writes: list = [None] * 10
+        for i in self.changed():
+            writes[i] = self.expr(self.regs[i])
+        self.lines.append((indent, writes))
+        self.lines += [indent + line for line in tail]
+
+    def back_edge(self, indent: str, executed: int) -> None:
+        """Jump to the fragment entry *inside* the fragment.
+
+        The entry locals take their new values in one parallel assignment
+        (every right-hand side is read first) and the next pass begins; no
+        write-back or reload happens.  The instruction budget must be
+        enforced here, because a looping fragment may not return to the
+        dispatcher for a long time (or, for a guest spinning forever, ever).
+        """
+        self.looping = True
+        changed = self.changed()
+        self.loop_carried.update(changed)
+        lines = [f"vm.icount += {executed}",
+                 "if vm.icount > vm.budget: _over(vm)"]
+        if changed:
+            lines.append(
+                ", ".join(_ENTRY[i][0] for i in changed) + " = "
+                + ", ".join(self.expr(self.regs[i]) for i in changed))
+        self.lines += [indent + line for line in lines + ["continue"]]
+
+    def render(self, params: str) -> str:
+        """The fragment's source text."""
+        prologue = ["r0, r1, r2, r3, r4, r5, r6, r7 = r"]
+        widths = sorted(self.guard_widths)
+        if len(widths) == 1:
+            prologue.append(f"s{widths[0]} = mem.size - {widths[0]}")
+        elif widths:
+            prologue.append("size = mem.size")
+            prologue += [f"s{w} = size - {w}" for w in widths]
+        if self.reads_entry_cc or 8 in self.loop_carried:   # regs[8:] = cc
+            prologue.append("cca, ccb = vm.cc")
+        body: list[str] = []
+        for line in self.lines:
+            if line.__class__ is str:
+                body.append(line)
+                continue
+            indent, writes = line
+            for i in self.loop_carried:
+                writes[i] = writes[i] or _ENTRY[i][0]
+            dirty = [i for i in range(8) if writes[i]]
+            if len(dirty) >= 4:
+                body.append(f"{indent}r[:] = " + ", ".join(
+                    writes[i] or f"r{i}" for i in range(8)))
+            elif dirty:
+                body.append(indent + "; ".join(
+                    f"r[{i}] = {writes[i]}" for i in dirty))
+            if writes[8]:                  # ``cmp`` sets both operands
+                body.append(f"{indent}vm.cc = ({writes[8]}, {writes[9]})")
+        if self.looping:
+            body = ["while True:"] + ["    " + line for line in body]
+        return "\n".join([f"def _fragment(vm, r, mem, buf{params}):"]
+                         + ["    " + line for line in prologue + body])
 
 
 class Translator:
@@ -259,15 +637,17 @@ class Translator:
         #: fragment instead of duplicating its tail -- the same reason vx32
         #: ends fragments at known translation boundaries.
         self._known_entries = known_entries if known_entries is not None else set()
-        self._check_reads = memory.check_policy == CHECK_FULL
-        self._check_writes = memory.check_policy in (CHECK_FULL, CHECK_WRITE_ONLY)
-        self._proved_reads = proved_reads
-        self._proved_writes = proved_writes
-        #: Bounds guards dropped on static-analysis evidence (cumulative
-        #: across every trace this translator builds).
+        #: Per access kind: is it bounds-checked under the sandbox's policy,
+        #: and the sites whose check the verifier proved redundant.
+        self.policy = {
+            "read": (memory.check_policy == CHECK_FULL, proved_reads),
+            "write": (memory.check_policy in (CHECK_FULL, CHECK_WRITE_ONLY),
+                      proved_writes),
+        }
+        #: Bounds guards dropped on static-analysis evidence at the sites
+        #: this translator emitted (cumulative across every trace it builds;
+        #: a forwarded load emits no access, so it has no guard to drop).
         self.guards_elided = 0
-
-    # -- trace construction ---------------------------------------------------
 
     def translate(self, entry: int) -> Fragment:
         """Translate the superblock starting at guest address ``entry``."""
@@ -278,116 +658,17 @@ class Translator:
                 f"jump target outside the code segment: 0x{entry:08x}"
             )
         code = self._memory.buffer
-        chain = self._chain
-        check_reads = self._check_reads
-        check_writes = self._check_writes
-
-        body: list[str] = []
-        written: set[int] = set()       # guest registers assigned so far
-        guards: set[int] = set()        # access widths needing a bounds local
+        trace = _Trace(self)
+        regs = trace.regs
         exits: list[int] = []           # static successor pc per chainable exit
         visited: set[int] = set()       # trace-local pcs (bounds trace growth)
-        cc_written = False              # condition codes assigned in this trace
-        cc_loaded = False               # entry must load vm.cc into locals
 
-        #: Spill sites are emitted as placeholders and expanded during
-        #: assembly with the *whole-trace* written sets.  This matters for
-        #: looping fragments: a side exit positioned early in the loop body
-        #: must still write back registers that instructions *after* it
-        #: modified on previous iterations.  (For straight-line traces the
-        #: extra spills write back unmodified entry values -- harmless.)
-        SPILL = "\x00spill\x00"
-
-        def spill_lines() -> list[str]:
-            """Placeholder for the register/condition-code write-back."""
-            return [SPILL]
-
-        def exit_lines(executed: int, *, target: int | None = None,
-                       expr: str | None = None) -> list[str]:
-            """One fragment exit: account instructions, spill, leave."""
-            lines = [f"vm.icount += {executed}"]
-            lines += spill_lines()
-            if expr is not None:                       # indirect: dynamic pc
-                lines.append(f"return {expr}")
-            elif chain:                                # back-patchable slot
-                slot = len(exits)
-                exits.append(target)
-                lines.append(f"return X{slot} or {-(slot + 1)}")
-            else:
-                lines.append(f"return {target}")
-            return lines
-
-        #: Per-register value upper bounds along the linear trace.  The
-        #: entry assumption is top (2**32 - 1, every register invariant), so
-        #: the analysis stays sound across in-fragment back-edges: each
-        #: iteration re-enters at the trace head, whose assumptions are the
-        #: weakest.  Whenever an arithmetic result provably stays below
-        #: 2**32 the ``& 0xffffffff`` normalisation is elided.
-        bounds = [_MASK] * 8
-
-        #: Common-subexpression state for guest addresses and bounds checks.
-        #: vxc emits heavily frame-pointer-relative code, so the same
-        #: ``r6 + disp`` address is computed (and checked) many times in a
-        #: row; computing it into a local once and letting a wider check
-        #: subsume narrower ones removes most of that cost.  Both caches are
-        #: invalidated whenever the base register is rewritten; inside a
-        #: looping fragment every cached local is recomputed at its original
-        #: definition site each iteration, so linear reasoning stays sound.
-        addr_vars: dict[tuple[int, int], str] = {}
-        guarded: dict[str, int] = {}
-
-        def invalidate(reg: int) -> None:
-            for key in [k for k in addr_vars if k[0] == reg]:
-                guarded.pop(addr_vars.pop(key), None)
-            guarded.pop(f"r{reg}", None)
-
-        def addr_of(base: int, disp: int) -> tuple[list[str], str]:
-            """Lines + local-variable name holding a guest address."""
-            if disp == 0:
-                return [], f"r{base}"
-            key = (base, disp)
-            var = addr_vars.get(key)
-            if var is not None:
-                return [], var
-            var = f"a{len(addr_vars)}_{base}"
-            addr_vars[key] = var
-            if 0 <= disp and bounds[base] + disp <= _MASK:
-                return [f"{var} = r{base} + {disp}"], var
-            return [f"{var} = r{base} + {disp} & {_MASK}"], var
-
-        proved_reads = self._proved_reads
-        proved_writes = self._proved_writes
-
-        def guard(var: str, width: int, kind: str) -> list[str]:
-            if guarded.get(var, 0) >= width:
-                return []        # already covered by a wider check (CSE)
-            if pc in (proved_writes if kind == "write" else proved_reads):
-                # The verifier proved this site in bounds for any sandbox at
-                # least min_size bytes large (checked by our caller).  The
-                # elided site is deliberately NOT entered in ``guarded``: a
-                # later unproved access through the same local must still
-                # emit its own check.
-                self.guards_elided += 1
-                return []
-            guarded[var] = width
-            guards.add(width)
-            return [f"if {var} > s{width}: _flt({var}, {width}, {kind!r})"]
-
-        looping = False
-
-        def back_edge_lines(executed: int) -> list[str]:
-            """Jump back to the fragment entry *inside* the fragment.
-
-            No spill or reload is needed -- the hoisted locals stay live --
-            but the instruction budget must be enforced here, because a
-            looping fragment may not return to the dispatcher for a long
-            time (or, for a guest spinning forever, at all).
-            """
-            return [
-                f"vm.icount += {executed}",
-                "if vm.icount > vm.budget: _over(vm)",
-                "continue",
-            ]
+        def chained(target: int) -> str:
+            """``return`` statement of an exit to the static pc ``target``."""
+            if not self._chain:
+                return f"return {target}"
+            exits.append(target)                       # back-patchable slot
+            return f"return X{len(exits) - 1} or {-len(exits)}"
 
         pc = entry
         count = 0
@@ -396,16 +677,15 @@ class Translator:
             if pc == entry and count:
                 # A direct back-edge to the trace head: compile a real loop
                 # instead of exiting, so iterations cost no dispatch, no
-                # register spill/reload and no fragment call at all.
-                looping = True
-                body += back_edge_lines(count)
+                # register write-back/reload and no fragment call at all.
+                trace.back_edge("", count)
                 break
             if (count >= limit or pc in visited
                     or (count and pc in self._known_entries)):
                 # Trace budget exhausted, the trace rejoined itself, or we
                 # ran into code that already has its own fragment: leave
                 # through a chainable exit to wherever we stopped.
-                body += exit_lines(count, target=pc)
+                trace.leave("", count, chained(pc))
                 break
             visited.add(pc)
             try:
@@ -415,19 +695,18 @@ class Translator:
                     raise IllegalInstructionFault(str(error)) from None
                 # Undecodable bytes beyond a side exit: fault lazily, only if
                 # execution actually falls through to them.
-                body += exit_lines(count, target=pc)
+                trace.leave("", count, chained(pc))
                 break
             if pc + insn.length > text_end:
                 if count == 0:
                     raise IllegalInstructionFault(
                         f"instruction at 0x{pc:08x} straddles the code segment end"
                     )
-                body += exit_lines(count, target=pc)
+                trace.leave("", count, chained(pc))
                 break
             count += 1
             op = insn.op
             rd = insn.rd
-            rs = insn.rs
             imm = insn.imm
             next_pc = pc + insn.length
 
@@ -435,132 +714,60 @@ class Translator:
             if op is Op.JMP:
                 target = (next_pc + imm) & _MASK
                 if not text_start <= target < text_end:
-                    body += exit_lines(count, target=target)
+                    trace.leave("", count, chained(target))
                     break
                 pc = target               # follow the direct branch in-trace
                 continue
             if op in CONDITIONAL_JUMPS:
                 target = (next_pc + imm) & _MASK
-                if not cc_written and not cc_loaded:
-                    cc_loaded = True      # taken edge reads inherited flags
-                body.append(f"if {_CONDITION_EXPR[op]}:")
+                trace.lines.append(f"if {trace.condition(op)}:")
                 if target == entry:
-                    looping = True
-                    body += ["    " + line
-                             for line in back_edge_lines(count)]
+                    trace.back_edge("    ", count)
                 else:
-                    body += ["    " + line
-                             for line in exit_lines(count, target=target)]
+                    trace.leave("    ", count, chained(target))
                 pc = next_pc              # keep translating the fall-through
                 continue
-            if op is Op.CALL:
-                target = (next_pc + imm) & _MASK
-                body.append(f"r7 = r7 - 4 & {_MASK}")
-                invalidate(7)     # the pre-decrement guard no longer covers r7
-                if check_writes:
-                    body += guard("r7", 4, "write")
-                body.append(f"_p32(buf, r7, {next_pc})")
-                written.add(7)
-                body += exit_lines(count, target=target)
+            if op is Op.CALL or op is Op.CALLR:
+                # ``call`` ends the trace; the return address is one more
+                # word the callee's ``ret`` cannot see from its own trace.
+                trace.push((None, next_pc), pc)
+                if op is Op.CALL:
+                    trace.leave("", count, chained((next_pc + imm) & _MASK))
+                else:       # like the interpreter: target read after the push
+                    trace.leave("", count, f"return {trace.expr(regs[rd])}")
                 break
             if op is Op.RET:
-                if check_reads:
-                    body += guard("r7", 4, "read")
-                body.append("t = _u32(buf, r7)[0]")
-                body.append(f"r7 = r7 + 4 & {_MASK}")
-                written.add(7)
-                body += exit_lines(count, expr="t")
+                target = trace.pop(pc)
+                trace.leave("", count, f"return {trace.expr(target)}")
                 break
             if op is Op.JMPR:
-                body += exit_lines(count, expr=f"r{rd}")
-                break
-            if op is Op.CALLR:
-                body.append(f"r7 = r7 - 4 & {_MASK}")
-                invalidate(7)     # the pre-decrement guard no longer covers r7
-                if check_writes:
-                    body += guard("r7", 4, "write")
-                body.append(f"_p32(buf, r7, {next_pc})")
-                written.add(7)
-                body += exit_lines(count, expr=f"r{rd}")
+                trace.leave("", count, f"return {trace.expr(regs[rd])}")
                 break
             if op is Op.VXCALL:
                 # The handler may grow guest memory, so the trace must end
                 # here (the bounds locals would go stale); the continuation
-                # is still statically known and therefore chainable.
-                body.append(f"vm.icount += {count}")
-                body += spill_lines()
-                body.append(
-                    "t, act = vm.syscall_handler.dispatch(r0, r1, r2, r3)")
-                body.append(f"r0 = t & {_MASK}")
-                body.append("r[0] = r0")
-                body.append("if act == ACTION_EXIT:")
-                body.append("    vm.halted = True")
-                if chain:
-                    slot = len(exits)
-                    exits.append(next_pc)
-                    body.append(f"return X{slot} or {-(slot + 1)}")
-                else:
-                    body.append(f"return {next_pc}")
+                # is still statically known and therefore chainable.  Every
+                # register is written back before the handler runs.
+                arguments = ", ".join(trace.expr(regs[i]) for i in range(4))
+                trace.leave(
+                    "", count,
+                    f"t, act = vm.syscall_handler.dispatch({arguments})",
+                    f"r[0] = t & {_MASK}",
+                    "if act == ACTION_EXIT:",
+                    "    vm.halted = True",
+                    chained(next_pc))
                 break
             if op is Op.HALT:
-                body.append(f"vm.icount += {count}")
-                body += spill_lines()
-                body.append("vm.halted = True")
-                body.append("vm.syscall_handler.exit_code = 0")
-                body.append(f"return {next_pc}")
+                trace.leave("", count, "vm.halted = True",
+                            "vm.syscall_handler.exit_code = 0",
+                            f"return {next_pc}")
                 break
-
-            # -- straight-line instructions ----------------------------------
-            lines, touched, touches_cc = self._straightline(
-                op, rd, rs, imm, pc, addr_of, guard, invalidate,
-                check_reads, check_writes, bounds)
-            if touches_cc:
-                cc_written = True
-            body += lines
-            written |= touched
-            for reg in touched:
-                invalidate(reg)
+            trace.step(op, rd, insn.rs, imm, pc)
             pc = next_pc
 
-        # -- assemble and compile the fragment --------------------------------
+        # -- compile the fragment ---------------------------------------------
         params = "".join(f", X{i}=None" for i in range(len(exits)))
-        prologue = ["r0, r1, r2, r3, r4, r5, r6, r7 = r"]
-        if guards:
-            if len(guards) == 1:
-                width = next(iter(guards))
-                prologue.append(f"s{width} = mem.size - {width}")
-            else:
-                prologue.append("size = mem.size")
-                prologue += [f"s{w} = size - {w}" for w in sorted(guards)]
-        if cc_written:
-            # Exits spill the condition codes unconditionally, so the locals
-            # must exist even on a path that exits before the first CMP.
-            cc_loaded = True
-        if cc_loaded:
-            prologue.append("cca, ccb = vm.cc")
-        final_spill: list[str] = []
-        if written:
-            if len(written) >= 4:
-                final_spill.append("r[:] = r0, r1, r2, r3, r4, r5, r6, r7")
-            else:
-                final_spill.append("; ".join(
-                    f"r[{i}] = r{i}" for i in sorted(written)))
-        if cc_written:
-            final_spill.append("vm.cc = (cca, ccb)")
-        expanded: list[str] = []
-        for line in body:
-            if line.endswith(SPILL):
-                indent = line[: -len(SPILL)]
-                expanded += [indent + spill for spill in final_spill]
-            else:
-                expanded.append(line)
-        body = expanded
-        if looping:
-            body = ["while True:"] + ["    " + line for line in body]
-        source = "\n".join(
-            [f"def _fragment(vm, r, mem, buf{params}):"]
-            + ["    " + line for line in prologue + body]
-        )
+        source = trace.render(params)
         namespace = dict(_FRAGMENT_GLOBALS)
         with _CODE_MEMO_LOCK:
             code_object = _CODE_MEMO.get(source)
@@ -579,217 +786,6 @@ class Translator:
             source=source,
             exit_targets=tuple(exits),
         )
-
-    # -- per-instruction code generation ---------------------------------------
-
-    def _straightline(self, op, rd, rs, imm, pc, addr_of, guard, invalidate,
-                      check_reads, check_writes, bounds):
-        """Emit code for one non-control-flow instruction.
-
-        Returns ``(lines, written_registers, touches_cc)`` and updates
-        ``bounds`` -- the per-register value upper bounds used to elide
-        ``& 0xffffffff`` normalisations that provably cannot matter.
-        """
-        M = _MASK
-
-        def alu(nb: int, expr: str):
-            """Emit ``r{rd} = expr``, masking only when the bound demands it."""
-            if nb > M:
-                bounds[rd] = M
-                return [f"r{rd} = {expr} & {M}"], {rd}, False
-            bounds[rd] = nb
-            return [f"r{rd} = {expr}"], {rd}, False
-
-        # Data movement -------------------------------------------------------
-        if op is Op.MOVI:
-            bounds[rd] = imm
-            return [f"r{rd} = {imm}"], {rd}, False
-        if op is Op.MOV:
-            bounds[rd] = bounds[rs]
-            return [f"r{rd} = r{rs}"], {rd}, False
-        if op is Op.LD32:
-            setup, a = addr_of(rs, imm)
-            if check_reads:
-                setup += guard(a, 4, "read")
-            setup.append(f"r{rd} = _u32(buf, {a})[0]")
-            bounds[rd] = M
-            return setup, {rd}, False
-        if op is Op.LD16U:
-            setup, a = addr_of(rs, imm)
-            if check_reads:
-                setup += guard(a, 2, "read")
-                setup.append(f"r{rd} = buf[{a}] | buf[{a}+1] << 8")
-            else:
-                setup.append(f"r{rd} = _u16(buf, {a})[0]")
-            bounds[rd] = 0xFFFF
-            return setup, {rd}, False
-        if op is Op.LD8U:
-            setup, a = addr_of(rs, imm)
-            if check_reads:
-                setup += guard(a, 1, "read")
-            setup.append(f"r{rd} = buf[{a}]")
-            bounds[rd] = 0xFF
-            return setup, {rd}, False
-        if op is Op.LD16S:
-            setup, a = addr_of(rs, imm)
-            if check_reads:
-                setup += guard(a, 2, "read")
-                setup.append(f"t = buf[{a}] | buf[{a}+1] << 8")
-            else:
-                setup.append(f"t = _u16(buf, {a})[0]")
-            setup.append(f"r{rd} = t + {_EXT16} if t >= 32768 else t")
-            bounds[rd] = M
-            return setup, {rd}, False
-        if op is Op.LD8S:
-            setup, a = addr_of(rs, imm)
-            if check_reads:
-                setup += guard(a, 1, "read")
-            setup.append(f"t = buf[{a}]")
-            setup.append(f"r{rd} = t + {_EXT8} if t >= 128 else t")
-            bounds[rd] = M
-            return setup, {rd}, False
-        if op is Op.ST32:
-            setup, a = addr_of(rd, imm)
-            if check_writes:
-                setup += guard(a, 4, "write")
-            setup.append(f"_p32(buf, {a}, r{rs})")
-            return setup, set(), False
-        if op is Op.ST16:
-            setup, a = addr_of(rd, imm)
-            if check_writes:
-                setup += guard(a, 2, "write")
-            if bounds[rs] <= 0xFFFF:
-                setup.append(f"_p16(buf, {a}, r{rs})")
-            else:
-                setup.append(f"_p16(buf, {a}, r{rs} & 65535)")
-            return setup, set(), False
-        if op is Op.ST8:
-            setup, a = addr_of(rd, imm)
-            if check_writes:
-                setup += guard(a, 1, "write")
-            if bounds[rs] <= 0xFF:
-                setup.append(f"buf[{a}] = r{rs}")
-            else:
-                setup.append(f"buf[{a}] = r{rs} & 255")
-            return setup, set(), False
-        if op is Op.LEA:
-            if imm == 0:
-                bounds[rd] = bounds[rs]
-                return [f"r{rd} = r{rs}"], {rd}, False
-            if 0 <= imm and bounds[rs] + imm <= M:
-                bounds[rd] = bounds[rs] + imm
-                return [f"r{rd} = r{rs} + {imm}"], {rd}, False
-            bounds[rd] = M
-            return [f"r{rd} = r{rs} + {imm} & {M}"], {rd}, False
-        if op is Op.PUSH:
-            lines = [f"r7 = r7 - 4 & {M}"]
-            invalidate(7)         # the pre-decrement guard no longer covers r7
-            if check_writes:
-                lines += guard("r7", 4, "write")
-            lines.append(f"_p32(buf, r7, r{rd})")
-            bounds[7] = M
-            return lines, {7}, False
-        if op is Op.POP:
-            lines = []
-            if check_reads:
-                lines += guard("r7", 4, "read")
-            lines.append(f"r{rd} = _u32(buf, r7)[0]")
-            lines.append(f"r7 = r7 + 4 & {M}")
-            bounds[rd] = M
-            bounds[7] = M
-            return lines, {rd, 7}, False
-
-        # ALU register-register -------------------------------------------------
-        if op is Op.ADD:
-            return alu(bounds[rd] + bounds[rs], f"r{rd} + r{rs}")
-        if op is Op.SUB:
-            bounds[rd] = M
-            return [f"r{rd} = r{rd} - r{rs} & {M}"], {rd}, False
-        if op is Op.MUL:
-            return alu(bounds[rd] * bounds[rs], f"r{rd} * r{rs}")
-        if op is Op.DIVU:
-            bounds[rd] = M
-            return [f"r{rd} = _udiv(r{rd}, r{rs}, False)"], {rd}, False
-        if op is Op.REMU:
-            bounds[rd] = M
-            return [f"r{rd} = _udiv(r{rd}, r{rs}, True)"], {rd}, False
-        if op is Op.DIVS:
-            bounds[rd] = M
-            return [f"r{rd} = _sdiv(r{rd}, r{rs}, False)"], {rd}, False
-        if op is Op.REMS:
-            bounds[rd] = M
-            return [f"r{rd} = _sdiv(r{rd}, r{rs}, True)"], {rd}, False
-        if op is Op.AND:
-            bounds[rd] = min(bounds[rd], bounds[rs])
-            return [f"r{rd} &= r{rs}"], {rd}, False
-        if op is Op.OR:
-            bounds[rd] = (1 << max(bounds[rd].bit_length(),
-                                   bounds[rs].bit_length())) - 1
-            return [f"r{rd} |= r{rs}"], {rd}, False
-        if op is Op.XOR:
-            bounds[rd] = (1 << max(bounds[rd].bit_length(),
-                                   bounds[rs].bit_length())) - 1
-            return [f"r{rd} ^= r{rs}"], {rd}, False
-        if op is Op.SHL:
-            bounds[rd] = M
-            return [f"r{rd} = r{rd} << (r{rs} & 31) & {M}"], {rd}, False
-        if op is Op.SHRU:
-            return [f"r{rd} >>= r{rs} & 31"], {rd}, False
-        if op is Op.SHRS:
-            if bounds[rd] < _SIGN:
-                # The sign bit is provably clear: arithmetic == logical shift.
-                return [f"r{rd} >>= r{rs} & 31"], {rd}, False
-            bounds[rd] = M
-            return [
-                f"r{rd} = ((r{rd} ^ {_SIGN}) - {_SIGN}) >> (r{rs} & 31) & {M}"
-            ], {rd}, False
-        if op is Op.CMP:
-            return [f"cca = r{rd}; ccb = r{rs}"], set(), True
-        if op is Op.NOT:
-            bounds[rd] = M
-            return [f"r{rd} = ~r{rs} & {M}"], {rd}, False
-        if op is Op.NEG:
-            bounds[rd] = M
-            return [f"r{rd} = -r{rs} & {M}"], {rd}, False
-
-        # ALU register-immediate --------------------------------------------------
-        if op is Op.ADDI:
-            return alu(bounds[rd] + imm, f"r{rd} + {imm}")
-        if op is Op.SUBI:
-            bounds[rd] = M
-            return [f"r{rd} = r{rd} - {imm} & {M}"], {rd}, False
-        if op is Op.MULI:
-            return alu(bounds[rd] * imm, f"r{rd} * {imm}")
-        if op is Op.ANDI:
-            bounds[rd] = min(bounds[rd], imm)
-            return [f"r{rd} &= {imm}"], {rd}, False
-        if op is Op.ORI:
-            bounds[rd] = (1 << max(bounds[rd].bit_length(),
-                                   imm.bit_length())) - 1
-            return [f"r{rd} |= {imm}"], {rd}, False
-        if op is Op.XORI:
-            bounds[rd] = (1 << max(bounds[rd].bit_length(),
-                                   imm.bit_length())) - 1
-            return [f"r{rd} ^= {imm}"], {rd}, False
-        if op is Op.SHLI:
-            return alu(bounds[rd] << (imm & 31), f"r{rd} << {imm & 31}")
-        if op is Op.SHRUI:
-            bounds[rd] >>= imm & 31
-            return [f"r{rd} >>= {imm & 31}"], {rd}, False
-        if op is Op.SHRSI:
-            if bounds[rd] < _SIGN:
-                bounds[rd] >>= imm & 31
-                return [f"r{rd} >>= {imm & 31}"], {rd}, False
-            bounds[rd] = M
-            return [
-                f"r{rd} = ((r{rd} ^ {_SIGN}) - {_SIGN}) >> {imm & 31} & {M}"
-            ], {rd}, False
-        if op is Op.CMPI:
-            return [f"cca = r{rd}; ccb = {imm}"], set(), True
-        if op is Op.NOP:
-            return [], set(), False
-        raise IllegalInstructionFault(
-            f"unhandled opcode {op!r} at 0x{pc:08x}")  # pragma: no cover
 
 
 def run_translator(vm) -> None:

@@ -279,6 +279,31 @@ def test_elision_disabled_by_option():
         assert archive.session.stats.guards_elided == 0
 
 
+def test_pop_into_sp_is_analysed_the_way_the_engines_run_it():
+    """``pop sp`` ends at sp + 4 -- the loaded word is discarded (the stack
+    rule in ``repro.isa.opcodes``) -- so what follows are stack accesses the
+    verifier proves, about the very r7 the translator then runs unguarded."""
+    image = build_asm("""
+        _start:
+            movi r3, 0x7fffff00
+            push r3
+            pop  r7
+            movi r2, 7
+            st32 [r7-8], r2
+            ld32 r1, [r7-8]
+            movi r0, 0
+            vxcall
+    """)
+    report = verify_image(image)
+    assert report.ok
+    assert (len(report.proved_reads), len(report.proved_writes)) == (2, 2)
+    for engine in ("interpreter", "translator"):
+        vm = VirtualMachine(image, engine=engine)
+        stack_top = vm.regs[7]
+        assert vm.decode(b"").exit_code == 7
+        assert vm.regs[7] == stack_top and vm.regs[3] == 0x7FFFFF00
+
+
 # -- CLI ----------------------------------------------------------------------------
 
 

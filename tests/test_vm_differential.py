@@ -2,16 +2,17 @@
 
 The superblock translator performs aggressive transformations -- trace
 formation across basic blocks, fragment chaining, in-fragment loop
-compilation, register/condition-code hoisting, bounds-based mask elision and
-address CSE -- so this suite is its safety net: randomized guest programs
-(generated straight into assembler source) must behave *identically* on the
-reference interpreter and on the translator in every configuration worth
-shipping: default superblocks, single-instruction fragments and chaining
-disabled.
+compilation, symbolic register/condition-code values, store-to-load
+forwarding, bounds-based mask elision -- so this suite is its safety net:
+randomized guest programs (generated straight into assembler source) must
+behave *identically* on the reference interpreter and on the translator in
+every configuration worth shipping: default superblocks, single-instruction
+fragments and chaining disabled.
 
 "Identically" covers exit code, stdout, stderr, the final register file, the
-final condition codes and the entire guest memory image.  A separate set of
-fixed adversarial programs checks that fault *types* also agree.
+final condition codes, the entire guest memory image and the executed
+instruction count.  Hand-written programs pin the aliasing and stack-pointer
+corner cases one by one, and a last set checks that fault *types* agree.
 """
 
 from __future__ import annotations
@@ -44,47 +45,97 @@ def _random_program(seed: int) -> str:
     push/pop traffic, then writes the data window to stdout and exits with a
     register-derived code -- plenty of surface for superblock formation,
     chaining and in-fragment loops to go wrong observably.
+
+    Memory traffic is shaped to catch a wrong store-to-load forward: window
+    addresses are unaligned and reached through several bases with the same
+    run-time value (``r6`` itself, ``lea`` off it, a constant, a value the
+    translator cannot see through), with displacements that wrap 2**32;
+    narrow stores land inside words stored a moment earlier; ``[r7+k]`` is
+    read and written between a ``push`` and its ``pop``; and counter loops
+    carry memory and balanced stack traffic, some storing a word late in
+    one iteration that the head of the next one loads.
     """
     rng = random.Random(seed)
     lines = ["_start:", "    movi r6, buffer"]
     label = 0
+    reserved: set[int] = set()      # live loop counters: never written
+    pushed = 0                      # words on the stack above the program's own
 
     def fresh_label(prefix: str) -> str:
         nonlocal label
         label += 1
         return f"{prefix}{label}"
 
+    def target() -> int:
+        """A register the generated code may overwrite."""
+        return rng.choice([reg for reg in _SCRATCH if reg not in reserved])
+
+    def window(width: int, offset: int | None = None) -> tuple[list[str], str]:
+        """Set-up lines plus a ``[reg+disp]`` operand inside the data window."""
+        if offset is None:
+            offset = rng.randrange(0, 257 - width)
+        style = rng.randrange(6)
+        if style <= 1:
+            return [], f"[r6+{offset}]"
+        base = target()
+        anchor = rng.randrange(0, 512)
+        disp = (offset - anchor) & 0xFFFFFFFF   # wraps 2**32 when anchor > offset
+        setup = {
+            2: [f"    lea r{base}, [r6+{anchor}]"],
+            3: [f"    movi r{base}, buffer", f"    addi r{base}, {anchor}"],
+            4: [f"    lea r{base}, [r6+{anchor}]", f"    xori r{base}, 0"],
+            5: [f"    mov r{base}, r6", f"    subi r{base}, {-anchor & 0xFFFFFFFF}"],
+        }[style]
+        return setup, f"[r{base}+{disp}]"
+
+    def store(offset: int | None = None, width: int | None = None) -> list[str]:
+        mnemonic = rng.choice([m for m, w in _STORES.items()
+                               if width in (None, w)])
+        source = rng.choice(_SCRATCH)
+        setup, operand = window(_STORES[mnemonic], offset)
+        return setup + [f"    {mnemonic} {operand}, r{source}"]
+
+    def load(offset: int | None = None, mnemonic: str | None = None) -> list[str]:
+        mnemonic = mnemonic or rng.choice(_LOADS)
+        # The base is set up before the destination is chosen, so the two
+        # may coincide (``ld32 r3, [r3+k]``).
+        setup, operand = window(4, offset)
+        return setup + [f"    {mnemonic} r{target()}, {operand}"]
+
     def random_ops(depth: int, budget: int) -> list[str]:
+        nonlocal pushed
         ops: list[str] = []
         for _ in range(budget):
-            kind = rng.randrange(10)
-            rd = rng.choice(_SCRATCH)
-            rs = rng.choice(_SCRATCH)
+            kind = rng.randrange(12)
             if kind <= 2:
-                ops.append(f"    {rng.choice(_ALU_RR)} r{rd}, r{rs}")
+                ops.append(f"    {rng.choice(_ALU_RR)} r{target()}, "
+                           f"r{rng.choice(_SCRATCH)}")
             elif kind <= 4:
                 imm = rng.choice((rng.randrange(64), rng.randrange(1 << 32)))
-                ops.append(f"    {rng.choice(_ALU_RI)} r{rd}, {imm}")
-            elif kind == 5:                    # aligned-window store
-                mnemonic, width = rng.choice(list(_STORES.items()))
-                offset = rng.randrange(0, 256 - width, width)
-                ops.append(f"    lea r{rd}, [r6+{offset}]")
-                ops.append(f"    {mnemonic} [r{rd}], r{rs}")
+                ops.append(f"    {rng.choice(_ALU_RI)} r{target()}, {imm}")
+            elif kind == 5:                    # window store
+                ops += store()
             elif kind == 6:                    # window load
-                mnemonic = rng.choice(_LOADS)
-                offset = rng.randrange(0, 252)
-                ops.append(f"    {mnemonic} r{rd}, [r6+{offset}]")
-            elif kind == 7:                    # forward branch over a few ops
+                ops += load()
+            elif kind == 7:                    # word, overlapping store, reload
+                offset = rng.randrange(3, 247)
+                ops += store(offset, 4)
+                ops += store(offset + rng.randrange(-3, 7))
+                ops += load(offset, "ld32")
+            elif kind == 8:                    # forward branch over a few ops
                 skip = fresh_label("skip")
-                ops.append(f"    cmpi r{rd}, {rng.randrange(1 << 32)}")
+                ops.append(f"    cmpi r{rng.choice(_SCRATCH)}, "
+                           f"{rng.randrange(1 << 32)}")
                 ops.append(f"    {rng.choice(_CONDS)} {skip}")
                 ops.extend(random_ops(depth + 1, rng.randrange(1, 3)))
                 ops.append(f"{skip}:")
-            elif kind == 8 and depth == 0:     # bounded counter loop
+            elif kind == 9 and depth == 0:     # bounded counter loop
                 head = fresh_label("loop")
                 done = fresh_label("brk")
-                counter = rng.choice(_SCRATCH)
+                counter = target()
+                reserved.add(counter)
                 top_tested = rng.random() < 0.5
+                carried = rng.randrange(0, 250) if rng.random() < 0.5 else None
                 ops.append(f"    movi r{counter}, {rng.randrange(2, 7)}")
                 ops.append(f"{head}:")
                 if top_tested:
@@ -94,15 +145,11 @@ def _random_program(seed: int) -> str:
                     # superblock spill bug).
                     ops.append(f"    cmpi r{counter}, 0")
                     ops.append(f"    jleu {done}")
-                body = random_ops(depth + 1, rng.randrange(1, 4))
-                # The loop must terminate: nothing in the body may touch the
-                # counter (in any operand position) and push/pop pairs could
-                # be half-filtered, so drop them wholesale.
-                body = [line for line in body
-                        if f"r{counter}" not in line
-                        and "push" not in line and "pop" not in line
-                        and "[r" not in line]
-                ops.extend(body)
+                if carried is not None:        # loads what the last pass stored
+                    ops += load(carried, "ld32")
+                ops.extend(random_ops(depth + 1, rng.randrange(1, 4)))
+                if carried is not None:
+                    ops += store(carried + rng.randrange(0, 3), 4)
                 ops.append(f"    subi r{counter}, 1")
                 if top_tested:
                     ops.append(f"    jmp {head}")
@@ -110,10 +157,20 @@ def _random_program(seed: int) -> str:
                     ops.append(f"    cmpi r{counter}, 0")
                     ops.append(f"    jgtu {head}")
                 ops.append(f"{done}:")
+                reserved.discard(counter)
+            elif kind == 10 and pushed:        # sp-relative access to pushed words
+                k = rng.randrange(0, 4 * pushed - 3)
+                if rng.random() < 0.5:
+                    ops.append(f"    ld32 r{target()}, [r7+{k}]")
+                else:
+                    mnemonic = rng.choice(list(_STORES))
+                    ops.append(f"    {mnemonic} [r7+{k}], r{rng.choice(_SCRATCH)}")
             else:                              # push/pop pair
-                ops.append(f"    push r{rd}")
-                ops.extend(random_ops(depth + 1, rng.randrange(0, 2)))
-                ops.append(f"    pop r{rs}")
+                ops.append(f"    push r{rng.choice(_SCRATCH)}")
+                pushed += 1
+                ops.extend(random_ops(depth + 1, rng.randrange(0, 3)))
+                pushed -= 1
+                ops.append(f"    pop r{target()}")
         return ops
 
     lines += random_ops(0, rng.randrange(12, 30))
@@ -166,27 +223,153 @@ _TRANSLATOR_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_random_programs_agree_across_engines(seed):
-    image = build_asm(_random_program(seed))
+def _assert_engines_agree(image: bytes, tag) -> None:
     reference = _run(image, ENGINE_INTERPRETER)
     for config in _TRANSLATOR_CONFIGS:
         candidate = _run(image, ENGINE_TRANSLATOR, **config)
-        assert candidate[0].exit_code == reference[0].exit_code, (seed, config)
-        assert candidate[0].output == reference[0].output, (seed, config)
-        assert candidate[0].stderr == reference[0].stderr, (seed, config)
-        assert candidate[1] == reference[1], (seed, config)   # registers
-        assert candidate[2] == reference[2], (seed, config)   # condition codes
-        assert candidate[3] == reference[3], (seed, config)   # whole memory
+        assert candidate[0].exit_code == reference[0].exit_code, (tag, config)
+        assert candidate[0].output == reference[0].output, (tag, config)
+        assert candidate[0].stderr == reference[0].stderr, (tag, config)
+        assert candidate[1] == reference[1], (tag, config)   # registers
+        assert candidate[2] == reference[2], (tag, config)   # condition codes
+        assert candidate[3] == reference[3], (tag, config)   # whole memory
+        # Superblock accounting (one addition per exit) must stay exact.
+        assert (candidate[0].stats.instructions
+                == reference[0].stats.instructions), (tag, config)
 
 
-def test_instruction_counts_agree_exactly():
-    """Superblock accounting (one addition per exit) must stay exact."""
-    for seed in range(8):
-        image = build_asm(_random_program(seed))
-        interp, *_ = _run(image, ENGINE_INTERPRETER)
-        trans, *_ = _run(image, ENGINE_TRANSLATOR)
-        assert trans.stats.instructions == interp.stats.instructions, seed
+@pytest.mark.parametrize("seed", range(64))
+def test_random_programs_agree_across_engines(seed):
+    _assert_engines_agree(build_asm(_random_program(seed)), seed)
+
+
+#: Hand-written programs aimed at the translator's value forwarding: each
+#: one is wrong under a plausible shortcut (forwarding across an aliasing
+#: store, keeping a stale word, moving sp in the wrong order).  ``r6``
+#: enters pointing at a 64-byte buffer; the expected values in the comments
+#: are what the interpreter -- the oracle -- computes.
+_FORWARDING_PROGRAMS = {
+    # ``pop sp`` writes rd, then sp: r7 ends at sp + 4, not at 1234 (+ 4).
+    "pop_into_sp": """
+        movi r3, 1234
+        push r3
+        pop  r7
+        ld32 r1, [r7-4]         ; 1234 is still in the slot just popped
+    """,
+    # ``push sp`` stores the sp it had *before* the decrement.
+    "push_of_sp": """
+        push r7
+        pop  r1                 ; the old sp
+        push r7
+        ld32 r2, [r7]
+    """,
+    # A store through a pointer only known at run time (r5 == sp - 4 after
+    # the ``ori``) hits the pushed slot: the pop must reload it.
+    "store_through_runtime_alias": """
+        movi r1, 111
+        movi r2, 222
+        lea  r5, [r7-4]
+        ori  r5, 0
+        push r1
+        st32 [r5], r2
+        pop  r3                 ; 222
+    """,
+    # The same slot named through the frame pointer: provably the same
+    # address, so the pop takes the *new* value without reloading.
+    "store_through_frame_pointer": """
+        mov  r6, r7
+        movi r1, 111
+        movi r2, 222
+        push r1
+        st32 [r6-4], r2
+        pop  r3                 ; 222
+        ld32 r4, [r6-4]         ; 222
+    """,
+    # A word store two bytes into a remembered word, then narrow stores
+    # inside both: every reload must see the merged bytes.
+    "overlapping_word_stores": """
+        movi r1, 0x11223344
+        movi r2, 0xAABBCCDD
+        st32 [r6+8], r1
+        st32 [r6+10], r2
+        ld32 r3, [r6+8]         ; 0xCCDD3344
+        ld32 r4, [r6+10]        ; 0xAABBCCDD
+        st8  [r6+11], r1
+        ld32 r5, [r6+10]        ; 0xAABB44DD
+        st16 [r6+7], r2
+        ld32 r1, [r6+8]         ; 0x44DD33CC
+        ld32 r2, [r6+4]
+    """,
+    # A store far enough away (same base) keeps the forward; one byte
+    # closer it does not.
+    "adjacent_stores": """
+        movi r1, 0x01020304
+        movi r2, 0x0A0B0C0D
+        st32 [r6+16], r1
+        st32 [r6+20], r2
+        st32 [r6+12], r2
+        ld32 r3, [r6+16]        ; untouched
+        st32 [r6+13], r2
+        ld32 r4, [r6+16]        ; low byte replaced
+        st32 [r6+4294967295], r1 ; r6 - 1: wraps, far from +16
+        ld32 r5, [r6+20]
+    """,
+    # sp may hold anything between accesses (isolation is per access).
+    "sp_parked_outside_the_sandbox": """
+        mov  r5, r7
+        movi r7, 0x7fffffff
+        mov  r7, r5
+        push r5
+        pop  r1
+    """,
+    # A loop whose head loads what its tail stored on the previous pass,
+    # with a pushed word living across the store.
+    "loop_carried_memory": """
+        movi r1, 5
+        movi r2, 1
+        st32 [r6], r2
+    again:
+        ld32 r3, [r6]
+        push r3
+        add  r3, r3
+        st32 [r6], r3
+        pop  r4                 ; the value before doubling
+        add  r5, r4
+        subi r1, 1
+        cmpi r1, 0
+        jgtu again
+    """,
+}
+
+
+def _forwarding_image(name: str) -> bytes:
+    return build_asm("_start:\n    movi r6, buffer\n" + _FORWARDING_PROGRAMS[name]
+                     + "    halt\n.data\nbuffer:\n    .space 64\n")
+
+
+@pytest.mark.parametrize("name", _FORWARDING_PROGRAMS)
+def test_forwarding_programs_agree_across_engines(name):
+    _assert_engines_agree(_forwarding_image(name), name)
+
+
+def test_forwarding_programs_compute_the_commented_values():
+    """The oracle itself is pinned, so the engines cannot agree on a bug."""
+    def registers(name):
+        return _run(_forwarding_image(name), ENGINE_INTERPRETER)[1]
+
+    stack_top = registers("sp_parked_outside_the_sandbox")[7]
+    regs = registers("pop_into_sp")
+    assert (regs[1], regs[7]) == (1234, stack_top)
+    regs = registers("push_of_sp")
+    assert (regs[1], regs[2], regs[7]) == (stack_top, stack_top, stack_top - 4)
+    assert registers("store_through_runtime_alias")[3] == 222
+    assert registers("store_through_frame_pointer")[3:5] == [222, 222]
+    regs = registers("overlapping_word_stores")
+    assert regs[3:6] == [0xCCDD3344, 0xAABBCCDD, 0xAABB44DD]
+    assert regs[1] == 0x44DD33CC
+    regs = registers("adjacent_stores")
+    assert regs[3:5] == [0x01020304, 0x0102030A]
+    assert registers("loop_carried_memory")[5] == 1 + 2 + 4 + 8 + 16
 
 
 _FAULT_PROGRAMS = [
@@ -201,6 +384,8 @@ _FAULT_PROGRAMS = [
     ("rem_zero", "    movi r1, 5\n    movi r2, 0\n    rems r1, r2\n    halt\n",
      DivisionFault),
     ("jump_wild", "    movi r1, 0x123456\n    jmpr r1\n", GuestFault),
+    # ``callr sp`` jumps to sp *after* the push in both engines: the stack.
+    ("call_into_stack", "    callr r7\n", GuestFault),
 ]
 
 
