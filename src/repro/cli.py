@@ -122,6 +122,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_analyze(args) -> int:
     from repro.analysis import verify_image
+    from repro.elf.reader import read_note
 
     failed = 0
     with vxa.open(args.archive) as archive:
@@ -141,7 +142,9 @@ def _cmd_analyze(args) -> int:
             report = verify_image(image)
             counts = report.counts()
             status = "SAFE" if report.ok else "UNSAFE"
-            print(f"decoder {codec} @0x{offset:x} "
+            # Images outlive the compiler that built them; say which one did.
+            toolchain = read_note(image).get("toolchain", "unknown toolchain")
+            print(f"decoder {codec} @0x{offset:x} [{toolchain}] "
                   f"({len(members)} member(s)): {status}")
             print(f"  sites: {counts['proved']} proved, "
                   f"{counts['guard']} guarded, {counts['unsafe']} unsafe; "

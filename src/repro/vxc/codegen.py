@@ -3,9 +3,30 @@
 Model
 -----
 
-* all values are 32-bit integers held in memory; expression evaluation uses
-  R0 as the accumulator, R1 as the secondary operand and the guest stack for
-  intermediates, so no value is ever live in a register across a statement,
+* all values are 32-bit integers.  Per function, up to three scalar ``int``
+  locals or parameters -- those with the highest static use weight, see
+  :mod:`repro.vxc.semantics` -- live in the callee-saved registers R2, R3
+  and R5 for the whole call; arrays and the remaining scalars live in frame
+  slots at ``[fp-k]``, parameters at ``[fp+8+4i]``,
+* a function saves exactly the registers it assigns, to ``[fp-4]``,
+  ``[fp-8]``, ``[fp-12]`` in its prologue, loads register-resident
+  parameters once from their argument slots, and restores at its single
+  epilogue ``fn_<name>__end``; a function that assigns none has the plain
+  ``push fp; mov fp, sp; subi sp, N`` frame.  Nothing is done at call sites,
+* a local that is read before it is written holds whatever its home held:
+  for a register local that is the *caller's* value of that register, not
+  a stale stack word.  As in C, the name is in scope in its own initializer,
+* R0 is the accumulator and the return value, R1 the second operand, R4 the
+  address scratch for globals and array bases.  A binary operator,
+  comparison or ``udiv``/``umod``/``asr`` whose right operand is a leaf (a
+  literal, a ``const``, a scalar or an array name) loads it straight into
+  R1; any other right operand is evaluated with the left one pushed.  An
+  element store or ``poke`` whose value is a leaf keeps the address in R1
+  instead of pushing it.  Operands are evaluated left to right, call
+  arguments right to left,
+* the ``read``/``write`` builtins take their arguments in R1-R3 and so push
+  R2 and R3 once the arguments are evaluated (through R4 and R0, an
+  argument may assign a register local) and pop both after the ``vxcall``,
 * ``/`` and ``%`` are signed (C ``int`` semantics), ``>>`` is a *logical*
   shift (use the ``asr`` builtin for an arithmetic shift, ``udiv``/``umod``
   for unsigned division), comparisons are signed,
@@ -16,6 +37,11 @@ Model
   (zero-initialised); ``const int`` scalars fold to immediates,
 * ``_start`` initialises the runtime heap pointer, calls ``main`` and passes
   its return value to the ``exit`` virtual system call.
+
+Images already in archives were built with whatever convention their
+compiler had (see ``repro.vxc.compiler.TOOLCHAIN``) and run unchanged: the
+convention is between functions of one image, never between an image and
+the VM.
 """
 
 from __future__ import annotations
@@ -57,6 +83,10 @@ _PEEK_INSTRUCTIONS = {
 }
 
 _POKE_INSTRUCTIONS = {"poke8": "st8", "poke16": "st16", "poke32": "st32"}
+
+#: Operands :meth:`CodeGenerator._gen_leaf` loads into any register without
+#: touching the stack: literals, ``const`` and scalar names, array names.
+_LEAVES = (ast.NumberLiteral, ast.StringLiteral, ast.Identifier)
 
 
 def _mem(base: str, offset: int) -> str:
@@ -141,13 +171,21 @@ class CodeGenerator:
         self._emit("mov fp, sp")
         if layout.frame_size:
             self._emit(f"subi sp, {layout.frame_size}")
-        params = {
-            name: ("param", 8 + 4 * index) for index, name in enumerate(layout.params)
-        }
-        self._scopes = [params]
+        saves = [
+            (symbol.register, _mem("fp", -4 * (index + 1)))
+            for index, symbol in enumerate(layout.register_symbols)
+        ]
+        for register, slot in saves:
+            self._emit(f"st32 {slot}, {register}")
+        for symbol in layout.register_symbols:
+            if symbol.is_param:
+                self._emit(f"ld32 {symbol.register}, {_mem('fp', symbol.offset)}")
+        self._scopes = [{symbol.name: symbol for symbol in layout.params}]
         self._gen_stmt(function.body, layout)
         self._emit("movi r0, 0")  # implicit return value for fall-through
         self._emit_label(self._epilogue_label)
+        for register, slot in saves:
+            self._emit(f"ld32 {register}, {slot}")
         self._emit("mov sp, fp")
         self._emit("pop fp")
         self._emit("ret")
@@ -200,7 +238,7 @@ class CodeGenerator:
             self._scopes[-1][node.name] = symbol
             if node.initializer is not None:
                 self._gen_expr(node.initializer)
-                self._emit(f"st32 {_mem('fp', symbol.offset)}, r0")
+                self._gen_scalar_store(node, symbol)
         elif isinstance(node, ast.ExprStmt):
             self._gen_expr(node.expr)
         elif isinstance(node, ast.If):
@@ -309,24 +347,15 @@ class CodeGenerator:
             self._emit(f"cmpi r0, {node.right.value & 0xFFFFFFFF}")
             return
         self._gen_expr(node.left)
-        self._emit("push r0")
-        self._gen_expr(node.right)
-        self._emit("mov r1, r0")
-        self._emit("pop r0")
+        self._gen_right_operand(node.right)
         self._emit("cmp r0, r1")
 
     # -- value-context expressions ---------------------------------------------------------
 
     def _gen_expr(self, node: ast.Expr) -> None:
         """Generate code leaving the expression value in R0."""
-        if isinstance(node, ast.NumberLiteral):
-            self._emit(f"movi r0, {node.value & 0xFFFFFFFF}")
-        elif isinstance(node, ast.StringLiteral):
-            index = len(self._string_literals)
-            self._string_literals.append(node.value)
-            self._emit(f"movi r0, str_{index}")
-        elif isinstance(node, ast.Identifier):
-            self._gen_identifier(node)
+        if isinstance(node, _LEAVES):
+            self._gen_leaf(node, "r0")
         elif isinstance(node, ast.UnaryOp):
             self._gen_unary(node)
         elif isinstance(node, ast.BinaryOp):
@@ -354,27 +383,53 @@ class CodeGenerator:
         else:  # pragma: no cover
             self._error(node, f"cannot generate expression {type(node).__name__}")
 
-    def _gen_identifier(self, node: ast.Identifier) -> None:
+    def _gen_leaf(self, node: ast.Expr, register: str) -> None:
+        """Load one of ``_LEAVES`` into ``register``.
+
+        This writes no register but ``register`` and R4, runs no guest code
+        and leaves the stack alone, so it is safe while another operand waits
+        in R0 or R1.
+        """
+        if isinstance(node, ast.NumberLiteral):
+            self._emit(f"movi {register}, {node.value & 0xFFFFFFFF}")
+        elif isinstance(node, ast.StringLiteral):
+            index = len(self._string_literals)
+            self._string_literals.append(node.value)
+            self._emit(f"movi {register}, str_{index}")
+        else:
+            self._gen_identifier(node, register)
+
+    def _gen_identifier(self, node: ast.Identifier, register: str) -> None:
         symbol = self._lookup(node.name)
         if symbol is None:
             self._error(node, f"undeclared identifier {node.name!r}")
-        if isinstance(symbol, tuple) and symbol[0] == "param":
-            self._emit(f"ld32 r0, {_mem('fp', symbol[1])}")
-        elif isinstance(symbol, LocalSymbol):
-            if symbol.is_array:
-                self._emit(f"lea r0, {_mem('fp', symbol.offset)}")
+        if isinstance(symbol, LocalSymbol):
+            if symbol.register is not None:
+                self._emit(f"mov {register}, {symbol.register}")
+            elif symbol.is_array:
+                self._emit(f"lea {register}, {_mem('fp', symbol.offset)}")
             else:
-                self._emit(f"ld32 r0, {_mem('fp', symbol.offset)}")
+                self._emit(f"ld32 {register}, {_mem('fp', symbol.offset)}")
         elif isinstance(symbol, GlobalSymbol):
             if symbol.const_value is not None:
-                self._emit(f"movi r0, {symbol.const_value}")
+                self._emit(f"movi {register}, {symbol.const_value}")
             elif symbol.is_array:
-                self._emit(f"movi r0, {self._global_address[symbol.name]}")
+                self._emit(f"movi {register}, {self._global_address[symbol.name]}")
             else:
                 self._emit(f"movi r4, {self._global_address[symbol.name]}")
-                self._emit("ld32 r0, [r4]")
+                self._emit(f"ld32 {register}, [r4]")
         else:  # pragma: no cover
             self._error(node, f"cannot evaluate {node.name!r}")
+
+    def _gen_right_operand(self, node: ast.Expr) -> None:
+        """R0 holds a left operand: leave it there and put ``node`` in R1."""
+        if isinstance(node, _LEAVES):
+            self._gen_leaf(node, "r1")
+        else:
+            self._emit("push r0")
+            self._gen_expr(node)
+            self._emit("mov r1, r0")
+            self._emit("pop r0")
 
     def _gen_unary(self, node: ast.UnaryOp) -> None:
         self._gen_expr(node.operand)
@@ -419,23 +474,16 @@ class CodeGenerator:
             self._emit("movi r0, 1")
             self._emit_label(label_end)
             return
-        mnemonic, immediate_form = _WORD_BINOPS[node.op]
-        if immediate_form is not None and isinstance(node.right, ast.NumberLiteral):
-            self._gen_expr(node.left)
-            self._emit(f"{immediate_form} r0, {node.right.value & 0xFFFFFFFF}")
-            return
         self._gen_expr(node.left)
-        self._emit("push r0")
-        self._gen_expr(node.right)
-        self._emit("mov r1, r0")
-        self._emit("pop r0")
-        self._emit(f"{mnemonic} r0, r1")
+        self._apply_binop(node.op, node.right)
 
-    def _apply_binop_from_stack(self, op: str) -> None:
-        """R0 holds the right operand; the left operand is on the stack."""
-        self._emit("mov r1, r0")
-        self._emit("pop r0")
-        mnemonic, _ = _WORD_BINOPS[op]
+    def _apply_binop(self, op: str, right: ast.Expr) -> None:
+        """R0 holds the left operand; leave ``left op right`` in R0."""
+        mnemonic, immediate_form = _WORD_BINOPS[op]
+        if immediate_form is not None and isinstance(right, ast.NumberLiteral):
+            self._emit(f"{immediate_form} r0, {right.value & 0xFFFFFFFF}")
+            return
+        self._gen_right_operand(right)
         self._emit(f"{mnemonic} r0, r1")
 
     def _gen_assignment(self, node: ast.Assignment) -> None:
@@ -445,53 +493,53 @@ class CodeGenerator:
             symbol = self._lookup(target.name)
             if symbol is None:
                 self._error(target, f"undeclared identifier {target.name!r}")
-            store = self._scalar_store_line(target, symbol)
             if compound_op is None:
                 self._gen_expr(node.value)
             else:
-                self._gen_identifier(target)
-                self._emit("push r0")
-                self._gen_expr(node.value)
-                self._apply_binop_from_stack(compound_op)
-            self._emit_scalar_store(store)
+                self._gen_identifier(target, "r0")
+                self._apply_binop(compound_op, node.value)
+            self._gen_scalar_store(target, symbol)
             return
         # Array element target.
         symbol = self._index_symbol(target)
         store = "st8" if symbol.elem_size == 1 else "st32"
-        load = "ld8u" if symbol.elem_size == 1 else "ld32"
         self._gen_element_address(target, symbol)
-        self._emit("push r0")                       # [address]
         if compound_op is None:
-            self._gen_expr(node.value)
+            self._gen_store_value(node.value)
         else:
+            load = "ld8u" if symbol.elem_size == 1 else "ld32"
+            self._emit("push r0")                   # [address]
             self._emit(f"{load} r0, [r0]")
-            self._emit("push r0")                   # [address, old]
-            self._gen_expr(node.value)
-            self._apply_binop_from_stack(compound_op)
-        self._emit("pop r1")                        # address
+            self._apply_binop(compound_op, node.value)
+            self._emit("pop r1")                    # address
         self._emit(f"{store} [r1], r0")
 
-    def _scalar_store_line(self, node: ast.Identifier, symbol):
-        if isinstance(symbol, tuple) and symbol[0] == "param":
-            return ("direct", f"st32 {_mem('fp', symbol[1])}, r0")
-        if isinstance(symbol, LocalSymbol) and not symbol.is_array:
-            return ("direct", f"st32 {_mem('fp', symbol.offset)}, r0")
-        if isinstance(symbol, GlobalSymbol) and not symbol.is_array and not symbol.is_const:
-            return ("global", self._global_address[symbol.name])
-        self._error(node, f"cannot assign to {node.name!r}")
-
-    def _emit_scalar_store(self, store) -> None:
-        kind, payload = store
-        if kind == "direct":
-            self._emit(payload)
+    def _gen_store_value(self, value: ast.Expr) -> None:
+        """R0 holds a store address: move it to R1 and put ``value`` in R0."""
+        if isinstance(value, _LEAVES):
+            self._emit("mov r1, r0")
+            self._gen_leaf(value, "r0")
         else:
-            self._emit(f"movi r4, {payload}")
+            self._emit("push r0")
+            self._gen_expr(value)
+            self._emit("pop r1")
+
+    def _gen_scalar_store(self, node, symbol) -> None:
+        """Store R0 to the scalar variable ``symbol``."""
+        if isinstance(symbol, LocalSymbol) and symbol.register is not None:
+            self._emit(f"mov {symbol.register}, r0")
+        elif isinstance(symbol, LocalSymbol) and not symbol.is_array:
+            self._emit(f"st32 {_mem('fp', symbol.offset)}, r0")
+        elif isinstance(symbol, GlobalSymbol) and not symbol.is_array and not symbol.is_const:
+            self._emit(f"movi r4, {self._global_address[symbol.name]}")
             self._emit("st32 [r4], r0")
+        else:
+            self._error(node, f"cannot assign to {node.name!r}")
 
     def _index_symbol(self, node: ast.Index):
         base = node.base
         symbol = self._lookup(base.name)
-        if symbol is None or isinstance(symbol, tuple) or not symbol.is_array:
+        if symbol is None or not symbol.is_array:
             self._error(node, f"{base.name!r} is not an array")
         return symbol
 
@@ -531,14 +579,23 @@ class CodeGenerator:
     def _gen_builtin(self, node: ast.Call) -> None:
         name = node.name
         if name in ("read", "write"):
-            for argument in node.args:
+            # The call takes its arguments in R1-R3, and R2 and R3 may hold
+            # locals: they are saved once the arguments (which may assign
+            # those locals) are evaluated, and restored after the call.
+            for argument in node.args[:2]:
                 self._gen_expr(argument)
                 self._emit("push r0")
-            self._emit("pop r3")
-            self._emit("pop r2")
+            self._gen_expr(node.args[2])
+            self._emit("pop r4")
             self._emit("pop r1")
+            self._emit("push r2")
+            self._emit("push r3")
+            self._emit("mov r2, r4")
+            self._emit("mov r3, r0")
             self._emit(f"movi r0, {_SYSCALL_NUMBERS[name]}")
             self._emit("vxcall")
+            self._emit("pop r3")
+            self._emit("pop r2")
             return
         if name in ("exit", "setperm"):
             self._gen_expr(node.args[0])
@@ -556,18 +613,13 @@ class CodeGenerator:
             return
         if name in _POKE_INSTRUCTIONS:
             self._gen_expr(node.args[0])
-            self._emit("push r0")
-            self._gen_expr(node.args[1])
-            self._emit("pop r1")
+            self._gen_store_value(node.args[1])
             self._emit(f"{_POKE_INSTRUCTIONS[name]} [r1], r0")
             return
         if name in ("udiv", "umod", "asr"):
             mnemonic = {"udiv": "divu", "umod": "remu", "asr": "shrs"}[name]
             self._gen_expr(node.args[0])
-            self._emit("push r0")
-            self._gen_expr(node.args[1])
-            self._emit("mov r1, r0")
-            self._emit("pop r0")
+            self._gen_right_operand(node.args[1])
             self._emit(f"{mnemonic} r0, r1")
             return
         self._error(node, f"unknown builtin {name!r}")  # pragma: no cover

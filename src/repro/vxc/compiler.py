@@ -26,6 +26,12 @@ CATEGORY_DECODER = "decoder"
 CATEGORY_LIBRARY = "library"
 CATEGORY_RUNTIME = "runtime"
 
+#: Stamped into every image's provenance note.  Bump it whenever the same
+#: source would compile to different code: archived images keep the version
+#: that built them (0.1 kept every scalar in the frame; 0.2 is the register
+#: convention described in :mod:`repro.vxc.codegen`).
+TOOLCHAIN = "vxc-0.2"
+
 
 @dataclass
 class SourceUnit:
@@ -115,7 +121,7 @@ def compile_units(
 
     note = {
         "codec": codec_name or "unknown",
-        "toolchain": "vxc-0.1",
+        "toolchain": TOOLCHAIN,
         "text_bytes": len(program.text),
         "data_bytes": len(program.data),
         "bss_bytes": program.bss_size,

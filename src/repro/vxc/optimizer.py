@@ -6,6 +6,20 @@ conventional toolchain because every guest instruction is interpreted or
 translated by the VM: smaller code is directly visible in the Figure 7
 benchmark.  The passes are deliberately conservative -- they never move code
 across labels.
+
+What is left for them since vxc 0.2: very little, by design.  The generator
+no longer pushes a left operand or a store address when the other side is a
+leaf, and ``read``/``write`` take their last argument from R0, so the
+adjacent ``push``/``pop`` pairs the 0.1 images had (two per image, in the
+runtime's I/O wrappers) are not emitted in the first place; on the six
+bundled decoders all three passes now find nothing.  What they still catch
+is in other people's sources: a ``continue`` that ends a ``for`` body or an
+empty ``else`` leaves a ``jmp`` to the very next label.  The push/pop and
+self-move passes stay as a net under the generator -- any future emission
+pattern that puts the two back to back is cleaned up here rather than
+shipped.  Anything cleverer (a dead ``mov r0, rN`` before a compare) is the
+translator's job: it folds register moves to nothing at no cost to the
+image format (``repro.vm.translator``).
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ Performs the checks and pre-computations the code generator relies on:
   functions),
 * array subscript validation (only declared arrays are indexable; raw
   addresses must use the ``peek``/``poke`` builtins),
-* frame layout: every local declaration in a function is assigned a distinct
-  frame-pointer-relative slot.
+* storage layout: per function, the hottest ``int`` scalars (parameters
+  included) are assigned the callee-saved registers r2/r3/r5 and every other
+  local declaration a distinct frame-pointer-relative slot.
 
 The results are returned as a :class:`SemanticInfo` object consumed by
 :mod:`repro.vxc.codegen`.
@@ -48,6 +49,13 @@ BUILTINS = {
 
 _ELEM_SIZES = {"int": 4, "byte": 1}
 
+#: Callee-saved registers that hold hot scalars, in assignment order.  r0 is
+#: the accumulator, r1 the second operand and r4 the address scratch.
+LOCAL_REGISTERS = ("r2", "r3", "r5")
+
+#: A use inside a loop counts this many times one outside it, per nesting level.
+_LOOP_WEIGHT = 8
+
 
 @dataclass
 class GlobalSymbol:
@@ -73,17 +81,23 @@ class GlobalSymbol:
 
 @dataclass
 class LocalSymbol:
-    """A local variable or array with an assigned frame slot."""
+    """A parameter, local variable or local array and where it lives."""
 
     name: str
     elem_kind: str
     elem_size: int
     length: int | None
-    offset: int                   # negative offset from the frame pointer
+    offset: int = 0               # from the frame pointer: parameters >= 8, locals < 0
+    register: str | None = None   # home register; the frame slot is then unused
+    weight: int = 0               # static use count, scaled by loop depth
 
     @property
     def is_array(self) -> bool:
         return self.length is not None
+
+    @property
+    def is_param(self) -> bool:
+        return self.offset > 0
 
 
 @dataclass
@@ -91,9 +105,12 @@ class FunctionInfo:
     """Per-function layout information."""
 
     name: str
-    params: list[str]
+    params: list[LocalSymbol]
     frame_size: int = 0
     locals_by_decl: dict[int, LocalSymbol] = field(default_factory=dict)
+    #: Symbols given a register, in ``LOCAL_REGISTERS`` order; the k-th one's
+    #: register is saved at ``[fp - 4*(k+1)]`` for the life of the frame.
+    register_symbols: list[LocalSymbol] = field(default_factory=list)
 
 
 @dataclass
@@ -218,26 +235,56 @@ def _collect_functions(program: ast.Program, info: SemanticInfo) -> None:
             seen_params.add(param.name)
         info.functions[function.name] = FunctionInfo(
             name=function.name,
-            params=[param.name for param in function.params],
+            params=[
+                LocalSymbol(param.name, "int", 4, None, offset=8 + 4 * index)
+                for index, param in enumerate(function.params)
+            ],
         )
 
 
 class _FunctionChecker:
-    """Walks one function body: scoping, arity, loop placement, frame layout."""
+    """Walks one function body: scoping, arity, loop placement, storage layout."""
 
     def __init__(self, function: ast.FunctionDef, info: SemanticInfo):
         self._function = function
         self._info = info
         self._layout = info.functions[function.name]
-        self._scopes: list[dict[str, LocalSymbol | str]] = []
+        self._scopes: list[dict[str, LocalSymbol]] = []
         self._loop_depth = 0
-        self._frame_size = 0
 
     def run(self) -> None:
-        self._scopes.append({name: "param" for name in self._layout.params})
+        self._scopes.append({symbol.name: symbol for symbol in self._layout.params})
         self._check_stmt(self._function.body)
         self._scopes.pop()
-        self._layout.frame_size = (self._frame_size + 15) & ~15
+        self._assign_storage()
+
+    def _assign_storage(self) -> None:
+        """Give the hottest ``int`` scalars registers and the rest frame slots.
+
+        A register costs a save and a restore (and, for a parameter, the load
+        from its argument slot), so a scalar only gets one when its weight
+        exceeds that.  The sort is stable, so ties go to the earlier
+        declaration and the same source always yields the same image.
+        """
+        layout = self._layout
+        local_symbols = list(layout.locals_by_decl.values())
+        candidates = [
+            symbol
+            for symbol in layout.params + local_symbols
+            if not symbol.is_array and symbol.elem_kind == "int"
+            and symbol.weight > 2 + symbol.is_param
+        ]
+        candidates.sort(key=lambda symbol: -symbol.weight)
+        layout.register_symbols = candidates[: len(LOCAL_REGISTERS)]
+        for register, symbol in zip(LOCAL_REGISTERS, layout.register_symbols):
+            symbol.register = register
+        frame_size = 4 * len(layout.register_symbols)
+        for symbol in local_symbols:
+            if symbol.register is None:
+                size = symbol.length * symbol.elem_size if symbol.is_array else 4
+                frame_size += (size + 3) & ~3
+                symbol.offset = -frame_size
+        layout.frame_size = (frame_size + 15) & ~15
 
     # -- helpers ------------------------------------------------------------------
 
@@ -252,25 +299,24 @@ class _FunctionChecker:
             return self._info.globals[name]
         return None
 
+    def _count_use(self, symbol) -> None:
+        if isinstance(symbol, LocalSymbol):
+            symbol.weight += _LOOP_WEIGHT ** self._loop_depth
+
     def _declare_local(self, decl: ast.VarDecl) -> None:
         scope = self._scopes[-1]
         if decl.name in scope:
             self._error(decl, f"duplicate local {decl.name!r}")
-        elem_size = _ELEM_SIZES[decl.elem_kind]
-        if decl.array_length is not None:
-            if decl.array_length <= 0:
-                self._error(decl, f"array {decl.name!r} must have a positive length")
-            size = (decl.array_length * elem_size + 3) & ~3
-        else:
-            size = 4
-        self._frame_size += size
+        if decl.array_length is not None and decl.array_length <= 0:
+            self._error(decl, f"array {decl.name!r} must have a positive length")
         symbol = LocalSymbol(
             name=decl.name,
             elem_kind=decl.elem_kind,
-            elem_size=elem_size,
+            elem_size=_ELEM_SIZES[decl.elem_kind],
             length=decl.array_length,
-            offset=-self._frame_size,
         )
+        if decl.initializer is not None:
+            self._count_use(symbol)
         scope[decl.name] = symbol
         self._layout.locals_by_decl[id(decl)] = symbol
 
@@ -283,11 +329,13 @@ class _FunctionChecker:
                 self._check_stmt(statement)
             self._scopes.pop()
         elif isinstance(node, ast.VarDecl):
+            # Declared first: as in C (and in codegen) the name is already in
+            # scope in its own initializer, so uses there are credited to it.
+            self._declare_local(node)
             if node.initializer is not None:
                 if node.array_length is not None:
                     self._error(node, "local arrays cannot have initializers")
                 self._check_expr(node.initializer)
-            self._declare_local(node)
         elif isinstance(node, ast.ExprStmt):
             self._check_expr(node.expr)
         elif isinstance(node, ast.If):
@@ -296,19 +344,19 @@ class _FunctionChecker:
             if node.otherwise is not None:
                 self._check_stmt(node.otherwise)
         elif isinstance(node, (ast.While, ast.DoWhile)):
-            self._check_expr(node.cond)
             self._loop_depth += 1
+            self._check_expr(node.cond)
             self._check_stmt(node.body)
             self._loop_depth -= 1
         elif isinstance(node, ast.For):
             self._scopes.append({})
             if node.init is not None:
                 self._check_stmt(node.init)
+            self._loop_depth += 1
             if node.cond is not None:
                 self._check_expr(node.cond)
             if node.step is not None:
                 self._check_expr(node.step)
-            self._loop_depth += 1
             self._check_stmt(node.body)
             self._loop_depth -= 1
             self._scopes.pop()
@@ -338,6 +386,7 @@ class _FunctionChecker:
                 if node.name in self._info.functions or node.name in BUILTINS:
                     self._error(node, f"{node.name!r} is a function, not a value")
                 self._error(node, f"undeclared identifier {node.name!r}")
+            self._count_use(symbol)
             return
         if isinstance(node, ast.UnaryOp):
             self._check_expr(node.operand)
@@ -375,6 +424,7 @@ class _FunctionChecker:
                     self._error(target, f"cannot assign to array {target.name!r}")
             if isinstance(symbol, LocalSymbol) and symbol.is_array:
                 self._error(target, f"cannot assign to array {target.name!r}")
+            self._count_use(symbol)
             return
         if isinstance(target, ast.Index):
             self._check_index(target)
@@ -389,11 +439,9 @@ class _FunctionChecker:
         symbol = self._lookup(base.name)
         if symbol is None:
             self._error(base, f"undeclared identifier {base.name!r}")
-        if isinstance(symbol, str):  # parameter
+        if not symbol.is_array:
             self._error(node, f"{base.name!r} is not an array; "
                               "use peek/poke to dereference addresses")
-        if isinstance(symbol, (GlobalSymbol, LocalSymbol)) and not symbol.is_array:
-            self._error(node, f"{base.name!r} is not an array")
         self._check_expr(node.index)
 
     def _check_call(self, node: ast.Call) -> None:

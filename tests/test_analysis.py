@@ -321,6 +321,8 @@ def test_cli_analyze_safe_archive(tmp_path, capsys):
     output = capsys.readouterr().out
     assert "SAFE" in output
     assert "proved" in output
+    # Each image is listed with the compiler that built it.
+    assert "decoder vxz @" in output and "[vxc-0.2]" in output
 
 
 def test_cli_analyze_hostile_archive(tmp_path, capsys, hostile_images):

@@ -95,10 +95,19 @@ def _bench_inputs() -> dict[str, bytes]:
 
 #: ``(_u32( sites, _p32( sites)`` in the whole code cache after one decode of
 #: the input above, with the statement-for-statement generator this one
-#: replaced (PR 13).  Stores are never dropped, so ``_p32(`` must not move.
+#: replaced (PR 13's ``vm/translator.py`` in a scratch copy, run on today's
+#: images).  Stores are never dropped, so ``_p32(`` must not move.
+#:
+#: The pins are per toolchain version: they describe the images vxc 0.2
+#: builds and must be recomputed whenever ``repro.vxc.compiler.TOOLCHAIN``
+#: is bumped.  For the vxc 0.1 images they were (368, 243), (583, 393),
+#: (719, 526), (856, 615), (364, 299), (389, 281) and forwarding left 58-60%
+#: of the word loads; 0.2 keeps hot scalars in registers, so most of the
+#: frame re-reads forwarding used to remove are never emitted and it leaves
+#: 68-77% of a much smaller number (vxz: 217 sites then, 187 now).
 _STATEMENT_FOR_STATEMENT = {
-    "vxz": (368, 243), "vxbwt": (583, 393), "vximg": (719, 526),
-    "vxjp2": (856, 615), "vxflac": (364, 299), "vxsnd": (389, 281),
+    "vxz": (244, 148), "vxbwt": (365, 221), "vximg": (524, 359),
+    "vxjp2": (602, 417), "vxflac": (274, 251), "vxsnd": (305, 227),
 }
 
 
@@ -112,4 +121,4 @@ def test_bundled_decoder_memory_sites(name):
                        for fragment in vm.code_cache.fragments.values())
     word_loads, word_stores = _STATEMENT_FOR_STATEMENT[name]
     assert source.count("_p32(") == word_stores
-    assert source.count("_u32(") <= 0.7 * word_loads
+    assert source.count("_u32(") <= 0.8 * word_loads

@@ -17,10 +17,14 @@ corner cases one by one, and a last set checks that fault *types* agree.
 
 from __future__ import annotations
 
+import hashlib
+import pathlib
 import random
 
 import pytest
 
+from repro.analysis import verify_image
+from repro.elf.reader import read_note
 from repro.errors import DivisionFault, GuestFault, MemoryFault
 from repro.vm.machine import ENGINE_INTERPRETER, ENGINE_TRANSLATOR, VirtualMachine
 
@@ -416,3 +420,28 @@ def test_randomized_out_of_bounds_addresses_fault_identically():
                 except MemoryFault:
                     outcomes.append("fault")
             assert outcomes[0] == outcomes[1] == "fault", (address, mnemonic)
+
+
+# -- an image from an older compiler ----------------------------------------------------
+
+#: ``vxz-vxc-0.1.elf`` is the vxz decoder as the vxc 0.1 code generator built
+#: it (every scalar in a frame slot, every intermediate on the stack), with a
+#: payload its encoder produced.  Archives carry such images for good: they
+#: must keep decoding, and keep verifying, under every engine configuration,
+#: whatever the current compiler would emit for the same source.  Never
+#: regenerate these files.
+_DATA = pathlib.Path(__file__).parent / "data"
+_ARCHIVED_OUTPUT_SHA256 = "dd8add34c82cd72018415a5731b3bdd39d41117caccda9114927f958f8e62dd3"
+
+
+def test_image_built_by_the_previous_compiler_still_decodes():
+    image = (_DATA / "vxz-vxc-0.1.elf").read_bytes()
+    payload = (_DATA / "vxz-vxc-0.1.payload.vxz").read_bytes()
+    assert len(image) == 7383 and read_note(image)["toolchain"] == "vxc-0.1"
+    assert verify_image(image).ok
+    runs = [{"engine": ENGINE_INTERPRETER}]
+    runs += [{"engine": ENGINE_TRANSLATOR, **config} for config in _TRANSLATOR_CONFIGS]
+    for vm_kwargs in runs:
+        result = VirtualMachine(image, **vm_kwargs).decode(payload)
+        assert result.exit_code == 0, vm_kwargs
+        assert hashlib.sha256(result.output).hexdigest() == _ARCHIVED_OUTPUT_SHA256, vm_kwargs

@@ -450,6 +450,7 @@ def test_compile_result_reports_code_provenance():
     """
     result = compile_source(source, codec_name="prov")
     assert result.note["codec"] == "prov"
+    assert result.note["toolchain"] == "vxc-0.2"
     assert result.note["decoder_code_bytes"] > 0
     assert result.note["library_code_bytes"] > 0
     assert result.text_size >= (
@@ -458,3 +459,123 @@ def test_compile_result_reports_code_provenance():
     assert "main" in result.function_sizes
     assert "memcopy" in result.function_sizes
     assert result.compressed_size < result.image_size
+
+
+# -- the code generator's register convention (read off the assembly, no clock) --
+
+
+def _function_body(assembly: str, name: str) -> list[str]:
+    """Instructions and labels of ``fn_<name>``, label line excluded."""
+    lines = [line.strip() for line in assembly.splitlines()]
+    start = lines.index(f"fn_{name}:") + 1
+    end = lines.index("ret", start) + 1
+    return lines[start:end]
+
+
+def _between(lines: list[str], first_prefix: str, last_prefix: str) -> list[str]:
+    first = next(i for i, line in enumerate(lines) if line.startswith(first_prefix))
+    last = next(i for i, line in enumerate(lines) if line.startswith(last_prefix))
+    return lines[first:last]
+
+
+def _compile_bare(source: str):
+    return compile_source(source, codec_name="gate", include_runtime=False)
+
+
+def test_hot_scalars_of_a_counting_loop_never_touch_the_frame():
+    source = """
+    int main() {
+        int i; int n; int total;
+        n = 10; total = 0;
+        for (i = 0; i < n; i = i + 1) { total = total + i; }
+        return total;
+    }
+    """
+    body = _function_body(_compile_bare(source).assembly, "main")
+    loop = _between(body, ".for", ".endfor")
+    assert loop and not [line for line in loop if "[fp" in line or "push" in line]
+    assert run_vxc(source).exit_code == 45
+
+
+@pytest.mark.parametrize("statement", [
+    "r = x + y;", "r = x < n;", "if (x < n) { r = 1; }", "a[i] = v;", "g[i] = v;",
+    "r = udiv(x, n);", "r = x - K;", "x += y;", "poke32(a, v);", "r = x * total;",
+])
+def test_leaf_right_operands_skip_the_stack(statement):
+    # Four hot scalars (x, y, n, i): some of the leaves live in registers,
+    # the others in frame slots, parameters and globals.
+    source = f"""
+    const int K = 5;
+    int g[8]; int total;
+    int f(int v, int n) {{
+        int a[8]; int x; int y; int i; int r;
+        x = 1; y = 2; i = 3; r = 0;
+        while (i < 8) {{ x = x + y; y = y + n; i = i + x; }}
+        {statement}
+        return r;
+    }}
+    int main() {{ return f(1, 2); }}
+    """
+    body = _function_body(_compile_bare(source).assembly, "f")
+    tail = body[body.index(next(line for line in body if line.startswith(".endwhile"))):]
+    assert not [line for line in tail if line.startswith(("push", "pop r0", "pop r1"))]
+
+
+def test_function_without_register_locals_keeps_the_plain_frame():
+    source = """
+    int pick(int a, int b) { int t[2]; t[0] = a; if (t[0] < b) { return a; } return b; }
+    int main() { return pick(3, 4); }
+    """
+    body = _function_body(_compile_bare(source).assembly, "pick")
+    assert body[:4] == ["push fp", "mov fp, sp", "subi sp, 16", "lea r0, [fp-8]"]
+    assert body[-4:] == ["fn_pick__end:", "mov sp, fp", "pop fp", "ret"]
+    assert not [line for line in body if "r2" in line or "r3" in line or "r5" in line]
+
+
+def test_register_saves_and_restores_pair_up_in_every_function():
+    from repro.codecs.guest import vximg_guest_units
+    from repro.vxc.compiler import compile_units
+
+    result = compile_units(vximg_guest_units(), codec_name="vximg")
+    assigned_somewhere = 0
+    for name in result.function_sizes:
+        if name == "_start":
+            continue
+        body = _function_body(result.assembly, name)
+        entry = body[2:] if not body[2].startswith("subi sp") else body[3:]
+        saves = []
+        while entry[len(saves)].startswith("st32 [fp-") and entry[len(saves)][-2:] in (
+                "r2", "r3", "r5"):
+            saves.append(entry[len(saves)])
+        epilogue = body[body.index(f"fn_{name}__end:") + 1:]
+        restores = [f"ld32 {save[-2:]}, {save[5:-4]}" for save in saves]
+        assert epilogue == restores + ["mov sp, fp", "pop fp", "ret"], name
+        saved = {save[-2:] for save in saves}
+        assert [save[5:-4] for save in saves] == [
+            f"[fp-{4 * (index + 1)}]" for index in range(len(saves))], name
+        # Only saved registers are ever assigned.  read/write load R2 and R3
+        # inside their own ``push r2; push r3 ... pop r3; pop r2`` bracket.
+        outside_io, in_bracket = [], False
+        for previous, line in zip([""] + body, body):
+            if (previous, line) == ("push r2", "push r3"):
+                in_bracket = True
+            elif not in_bracket:
+                outside_io.append(line)
+            elif line == "pop r2":
+                in_bracket = False
+        assert not in_bracket, name
+        written = {line.split()[1].rstrip(",") for line in outside_io
+                   if line.startswith(("mov r", "ld32 r", "movi r", "lea r"))}
+        assert written & {"r2", "r3", "r5"} <= saved, name
+        assigned_somewhere += len(saves)
+    assert assigned_somewhere > 20
+
+
+def test_same_source_compiles_to_identical_bytes():
+    from repro.codecs.guest import vxbwt_guest_units
+    from repro.vxc.compiler import compile_units
+
+    first = compile_units(vxbwt_guest_units(), codec_name="vxbwt")
+    second = compile_units(vxbwt_guest_units(), codec_name="vxbwt")
+    assert first.elf == second.elf
+    assert first.assembly == second.assembly
