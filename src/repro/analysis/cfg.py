@@ -94,7 +94,7 @@ def recover_cfg(image: ElfImage | bytes) -> ControlFlowGraph:
     """Recover the CFG of ``image`` from its entry point."""
     if isinstance(image, (bytes, bytearray)):
         image = parse_executable(bytes(image))
-    text_start, text_end, code = _text_bytes(image)
+    text_start, text_end, code = image.text
 
     errors: list[CfgError] = []
     insns: dict[int, Instruction] = {}
@@ -123,10 +123,9 @@ def recover_cfg(image: ElfImage | bytes) -> ControlFlowGraph:
             if pc in insns:
                 continue
             try:
-                insn = decode(code, pc - text_start)
+                insn = decode(code, pc)
             except InvalidInstructionError as error:
-                at = text_start + (error.offset if error.offset is not None
-                                   else pc - text_start)
+                at = error.offset if error.offset is not None else pc
                 reason = error.reason
                 if reason in ("past-end", "truncated"):
                     reason = "falls-off-text"
@@ -245,24 +244,6 @@ def recover_cfg(image: ElfImage | bytes) -> ControlFlowGraph:
         functions=functions,
         call_graph=call_graph,
     )
-
-
-def _text_bytes(image: ElfImage) -> tuple[int, int, bytes]:
-    """Assemble the executable region into one contiguous byte buffer.
-
-    Gaps between executable segments are zero-filled; a zero byte decodes as
-    ``HALT``, so padding is inert rather than ill-formed.
-    """
-    spans = [(s.vaddr, s.vaddr + s.memsz, s.data)
-             for s in image.segments if s.executable]
-    if not spans:
-        return 0, 0, b""
-    start = min(lo for lo, _, _ in spans)
-    end = max(hi for _, hi, _ in spans)
-    buffer = bytearray(end - start)
-    for lo, _, data in spans:
-        buffer[lo - start:lo - start + len(data)] = data
-    return start, end, bytes(buffer)
 
 
 def _partition(

@@ -10,8 +10,11 @@ access, branch and virtual system call as
 
 The resulting :class:`AnalysisReport` is serialisable (``as_dict`` /
 ``from_dict``) so parallel extraction workers and the vxserve batch service
-can ship it alongside the image, and it is memoised process-wide by image
-digest so repeated loads of the same decoder analyse once.
+can ship it alongside the image, and it is kept in the image's process-wide
+record (:mod:`repro.vm.images`, keyed by SHA-256) so a decoder is analysed
+once per process however many sessions load it.  A proof speaks about
+:attr:`ElfImage.text <repro.elf.structures.ElfImage.text>`, the very bytes
+both engines execute.
 
 The PROVED_SAFE contract consumed by ``vm/translator.py``: for an access pc
 in ``proved_reads``/``proved_writes``, *every* concrete execution of that
@@ -24,8 +27,6 @@ host isolation (see the package README).
 
 from __future__ import annotations
 
-import hashlib
-import threading
 from dataclasses import dataclass, field
 
 from repro.analysis.absint import AnalysisResult, analyze
@@ -35,9 +36,9 @@ from repro.analysis.cfg import (
     recover_cfg,
 )
 from repro.analysis.domains import DELTA_LIMIT, ZONE_ABS, ZONE_SP
-from repro.elf.reader import parse_executable
 from repro.elf.structures import ElfImage
 from repro.isa.opcodes import Op
+from repro.vm.images import image_record
 from repro.vm.loader import DEFAULT_STACK_SIZE, HEAP_HEADROOM
 from repro.vm.memory import GUEST_ADDRESS_SPACE_LIMIT
 
@@ -55,10 +56,6 @@ _NESTED_SLACK = 20
 #: Safety margin between the proven maximum stack depth and the bottom of
 #: the reserved stack area.
 _STACK_MARGIN = 4096
-
-_REPORT_MEMO: dict[str, "AnalysisReport"] = {}
-_REPORT_MEMO_LOCK = threading.Lock()
-_REPORT_MEMO_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -140,24 +137,19 @@ class AnalysisReport:
 
 
 def verify_image(image: ElfImage | bytes) -> AnalysisReport:
-    """Statically verify ``image``, memoised by its SHA-256 when raw bytes."""
-    digest = ""
+    """Statically verify ``image``; raw bytes are analysed once per process.
+
+    The report of raw bytes lives in the image's process-wide record
+    (:mod:`repro.vm.images`, keyed by SHA-256), where every VM loading the
+    same bytes finds it too.
+    """
     if isinstance(image, (bytes, bytearray)):
-        digest = hashlib.sha256(bytes(image)).hexdigest()
-        with _REPORT_MEMO_LOCK:
-            cached = _REPORT_MEMO.get(digest)
-        if cached is not None:
-            return cached
-        parsed = parse_executable(bytes(image))
-    else:
-        parsed = image
-    report = _verify_parsed(parsed, digest)
-    if digest:
-        with _REPORT_MEMO_LOCK:
-            if len(_REPORT_MEMO) >= _REPORT_MEMO_LIMIT:
-                _REPORT_MEMO.clear()
-            _REPORT_MEMO[digest] = report
-    return report
+        record = image_record(bytes(image))
+        report = record.analysis()
+        if report is not None:
+            return report
+        image = record.image        # the analysis raised: raise it here too
+    return _verify_parsed(image, "")
 
 
 def _verify_parsed(image: ElfImage, digest: str) -> AnalysisReport:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 ELF_MAGIC = b"\x7fELF"
 
@@ -177,3 +178,24 @@ class ElfImage:
         for segment in self.segments:
             top = max(top, segment.vaddr + segment.memsz)
         return top
+
+    @cached_property
+    def text(self) -> tuple[int, int, bytes]:
+        """``(start, end, code)``: the executable region and its immutable bytes.
+
+        ``code`` is indexed by guest address and ``end`` bytes long: the
+        executable segments as the loader places them (later over earlier,
+        ``memsz`` beyond the file data zeroed), zeros everywhere else -- a
+        zero byte decodes as ``HALT``, so padding is inert rather than
+        ill-formed.  This is the one copy both execution engines fetch
+        instructions from and the static analysis reads, so all three see
+        the same code whatever the guest later stores over it.
+        """
+        spans = [s for s in self.segments if s.executable]
+        if not spans:
+            return 0, 0, b""
+        end = max(s.vaddr + s.memsz for s in spans)
+        code = bytearray(end)
+        for s in spans:
+            code[s.vaddr:s.vaddr + s.memsz] = s.data.ljust(s.memsz, b"\0")
+        return min(s.vaddr for s in spans), end, bytes(code)

@@ -64,7 +64,7 @@ class CodeCache:
     """
 
     __slots__ = ("fragments", "instructions", "known", "shared", "limit",
-                 "lock", "analysis", "hits", "misses", "chained_branches",
+                 "lock", "hits", "misses", "chained_branches",
                  "retranslations", "evictions")
 
     def __init__(self, *, shared: bool = False, limit: int | None = None):
@@ -79,12 +79,6 @@ class CodeCache:
         self.limit = limit
         #: Reentrant so counter merges may nest inside structural updates.
         self.lock = threading.RLock()
-        #: The decoder image's static-analysis report
-        #: (:class:`repro.analysis.verify.AnalysisReport`), attached once by
-        #: the first VM to analyse the image and reused by every other VM
-        #: sharing this cache -- analysis, like translation, is a pure
-        #: function of the decoder's code.
-        self.analysis = None
         self.hits = 0
         self.misses = 0
         self.chained_branches = 0
@@ -143,14 +137,6 @@ class CodeCache:
                 return True
             self.known.add(entry)
             return False
-
-    # -- analysis results ------------------------------------------------------
-
-    def set_analysis(self, report) -> None:
-        """Attach the image's static-analysis report (first writer wins)."""
-        with self.lock:
-            if self.analysis is None:
-                self.analysis = report
 
     # -- instruction store (reference interpreter) ----------------------------
 

@@ -1,0 +1,125 @@
+"""One record per decoder image per process, keyed by the image's SHA-256.
+
+What a decoder executes is a pure function of its image: both engines fetch
+instructions from :attr:`ElfImage.text <repro.elf.structures.ElfImage.text>`,
+an immutable copy of the executable segments, never from guest memory (the
+rule beside ``ST8`` in :mod:`repro.isa.opcodes`).  So is everything derived
+from that code -- the static analysis's proofs and the translator's
+fragments -- and this module keeps each of them once per process instead of
+once per session: the parsed image, its :class:`AnalysisReport` and one
+:class:`~repro.vm.code_cache.CodeCache` per translator configuration.
+
+Why sharing across sessions, members and threads leaks nothing (paper
+section 2.4 confines shared state to one protection domain):
+
+* the key is the SHA-256 of the image bytes *actually loaded*, computed
+  here; a digest recorded in an archive is never read, so an archive cannot
+  name another image's record;
+* nothing stored under the key has a guest-writable byte or a byte of member
+  data among its inputs: the parse and the analysis read the image only; a
+  fragment is translated from ``text`` and the configuration in its cache's
+  key (the check policy, the trace limit, chaining, whether proved guards
+  are dropped, the entry cap -- everything ``run_translator`` hands the
+  :class:`~repro.vm.translator.Translator`).  Member data decides only
+  *which* entries get translated and in what order, hence where one trace
+  stops and the next begins; every fragment is a faithful translation of
+  the code at its entry whatever that order was;
+* the counters a cache accumulates are totals of host work, reported by
+  nobody to the guest.
+
+Thread safety: one lock guards the table and every record's slots.  It is
+held for dictionary operations only -- parsing, analysing, translating and
+compiling all happen outside it and are published under it, so two threads
+meeting on a new image waste one computation, never correctness, and no
+long call can hold the lock across a ``fork``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import threading
+from collections import OrderedDict
+from typing import TYPE_CHECKING
+
+from repro.elf.reader import parse_executable
+from repro.elf.structures import ElfImage
+from repro.vm.code_cache import CodeCache
+
+if TYPE_CHECKING:
+    from repro.analysis.verify import AnalysisReport
+
+#: Images remembered per process; past it the least recently used record is
+#: forgotten (a VM that holds it keeps running on it).  Each record is
+#: bounded in turn: a cache by ``max_fragments`` and by the text length.
+IMAGE_LIMIT = 64
+
+_RECORDS: OrderedDict[str, "ImageRecord"] = OrderedDict()
+_LOCK = threading.Lock()
+
+
+class ImageRecord:
+    """Everything the process has derived from one decoder image."""
+
+    __slots__ = ("digest", "image", "_analysed", "_report", "_caches")
+
+    def __init__(self, digest: str, image: ElfImage):
+        self.digest = digest
+        self.image = image
+        self._analysed = False
+        self._report: AnalysisReport | None = None
+        self._caches: dict[tuple, CodeCache] = {}
+
+    def analysis(self) -> AnalysisReport | None:
+        """The image's static-analysis report, computed on first use.
+
+        ``None`` means the analysis itself raised; that is remembered too,
+        so a hostile image cannot make every VM pay for the attempt.
+        """
+        if not self._analysed:
+            from repro.analysis.verify import _verify_parsed
+
+            try:
+                report = _verify_parsed(self.image, self.digest)
+            except Exception:
+                report = None
+            with _LOCK:
+                if not self._analysed:      # first writer wins
+                    self._report, self._analysed = report, True
+        return self._report
+
+    def code_cache(self, config: tuple, limit: int | None) -> CodeCache:
+        """The cache shared by every VM translating this image under ``config``.
+
+        ``config`` is :meth:`VirtualMachine.translator_config
+        <repro.vm.machine.VirtualMachine.translator_config>`; ``limit``, the
+        cache's entry cap, is part of the key because one user's evictions
+        are another's retranslations.
+        """
+        key = (*config, limit)
+        with _LOCK:
+            cache = self._caches.get(key)
+            if cache is None:
+                cache = self._caches[key] = CodeCache(shared=True, limit=limit)
+        return cache
+
+
+def image_record(data: bytes) -> ImageRecord:
+    """The process's record for the image ``data`` (parsed on first sight)."""
+    digest = hashlib.sha256(data).hexdigest()
+    with _LOCK:
+        record = _RECORDS.get(digest)
+        if record is not None:
+            _RECORDS.move_to_end(digest)
+            return record
+    record = ImageRecord(digest, parse_executable(data))
+    with _LOCK:
+        record = _RECORDS.setdefault(digest, record)
+        while len(_RECORDS) > IMAGE_LIMIT:
+            _RECORDS.popitem(last=False)
+    return record
+
+
+def forget_images() -> None:
+    """Empty the table (tests that assert on a cold process)."""
+    with _LOCK:
+        _RECORDS.clear()

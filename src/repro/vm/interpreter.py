@@ -19,6 +19,7 @@ from repro.errors import (
     DeadlineExceeded,
     DivisionFault,
     IllegalInstructionFault,
+    InvalidInstructionError,
     ResourceLimitExceeded,
 )
 from repro.isa.encoding import decode
@@ -46,7 +47,7 @@ def run_interpreter(vm) -> None:
     stats = vm.stats
     code_cache = vm.code_cache
     decode_cache = code_cache.instructions
-    code = memory.buffer
+    code = vm.text                # the image's immutable code, never memory
     text_start = vm.text_start
     text_end = vm.text_end
     budget = vm.limits_in_effect.max_instructions
@@ -75,11 +76,10 @@ def run_interpreter(vm) -> None:
                 )
             insn = decode_cache.get(pc)
             if insn is None:
-                insn = decode(code, pc)
-                if pc + insn.length > text_end:
-                    raise IllegalInstructionFault(
-                        f"instruction at 0x{pc:08x} straddles the code segment end"
-                    )
+                try:        # ``code`` ends at text_end: a straddler is truncated
+                    insn = decode(code, pc)
+                except InvalidInstructionError as error:
+                    raise IllegalInstructionFault(str(error)) from None
                 code_cache.store_instruction(pc, insn)
             executed += 1
             op = insn.op

@@ -105,8 +105,6 @@ def load_image(
             f"decoder image needs {load_size} bytes plus stack, sandbox is {memory.size}"
         )
 
-    text_start = None
-    text_end = None
     for segment in image.segments:
         memory.write_bytes(segment.vaddr, segment.data)
         # memsz > filesz space is already zero because sandboxes start zeroed,
@@ -114,19 +112,13 @@ def load_image(
         if segment.memsz > len(segment.data):
             zero_start = segment.vaddr + len(segment.data)
             memory.write_bytes(zero_start, b"\x00" * (segment.memsz - len(segment.data)))
-        if segment.executable:
-            start, end = segment.vaddr, segment.vaddr + segment.memsz
-            if text_start is None:
-                text_start, text_end = start, end
-            else:
-                text_start = min(text_start, start)
-                text_end = max(text_end, end)
 
+    text_start, text_end, _ = image.text
     stack_top = (memory.size - 16) & ~0xF
     return LoadedProgram(
         entry=image.entry,
         stack_top=stack_top,
         brk=load_size,
-        text_start=text_start or 0,
-        text_end=text_end or 0,
+        text_start=text_start,
+        text_end=text_end,
     )

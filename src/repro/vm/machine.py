@@ -13,9 +13,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.elf.reader import parse_executable
 from repro.errors import VxaError
 from repro.vm.code_cache import CodeCache
+from repro.vm.images import ImageRecord, image_record
 from repro.vm.interpreter import run_interpreter
 from repro.vm.limits import ExecutionLimits, ExecutionStats
 from repro.vm.loader import admit_image, load_image
@@ -93,8 +93,11 @@ class VirtualMachine:
         if engine not in _ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
         if isinstance(image, (bytes, bytearray)):
-            image = parse_executable(bytes(image))
-        self._image = image
+            record = image_record(bytes(image))
+        else:           # a parsed image has no bytes to key on: a private record
+            record = ImageRecord("", image)
+        self._record = record
+        self._image = record.image
         self.engine = engine
         self._memory_size = memory_size
         self.limits = limits or ExecutionLimits()
@@ -120,6 +123,7 @@ class VirtualMachine:
         self.syscall_handler: SyscallHandler | None = None
         self.text_start = 0
         self.text_end = 0
+        self.text = b""
         self.reset()
 
     # -- lifecycle -----------------------------------------------------------
@@ -129,26 +133,17 @@ class VirtualMachine:
 
         In ``warn``/``reject`` modes failures surface exactly as
         :func:`repro.vm.loader.admit_image` specifies.  With verification
-        off, analysis still runs opportunistically when the translator could
-        use its proofs -- but purely as an optimisation, so any analysis
-        failure is swallowed and simply leaves every dynamic guard in place.
-        A session-shared code cache carries the report across VMs of the
-        same image, so each decoder is analysed at most once per session.
+        off, the analysis is still consulted when the translator could use
+        its proofs -- but purely as an optimisation, so an analysis that
+        raised simply leaves every dynamic guard in place.  The report is the
+        image record's, so an image is analysed at most once per process.
         """
-        report = self.code_cache.analysis
         if verify_images != "off":
-            report = admit_image(self._image, verify_images, report=report)
-        elif (report is None and self.analysis_elision
-              and self.engine == ENGINE_TRANSLATOR):
-            try:
-                from repro.analysis.verify import verify_image
-
-                report = verify_image(self._image)
-            except Exception:
-                report = None
-        if report is not None:
-            self.code_cache.set_analysis(report)
-        return report
+            return admit_image(self._image, verify_images,
+                               report=self._record.analysis())
+        if self.analysis_elision and self.engine == ENGINE_TRANSLATOR:
+            return self._record.analysis()
+        return None
 
     def reset(self) -> None:
         """Re-initialise the VM with a pristine copy of the decoder image.
@@ -177,8 +172,9 @@ class VirtualMachine:
         self.pc = loaded.entry
         self.cc = (0, 0)
         self.halted = False
-        self.text_start = loaded.text_start
-        self.text_end = loaded.text_end
+        # What executes is the image's own immutable text, whatever the
+        # guest stores over the copy just loaded into the sandbox.
+        self.text_start, self.text_end, self.text = self._image.text
         # A session-shared cache survives re-initialisation: translations are
         # derived from the (identical, freshly reloaded) decoder image, never
         # from member data, so keeping them leaks nothing between files.  A

@@ -606,8 +606,13 @@ class Translator:
     """Scans guest code and produces superblock :class:`Fragment` objects.
 
     Args:
-        memory: the guest sandbox (code bytes and check policy source).
+        memory: the guest sandbox; only its check policy is read.
         text_start, text_end: the executable region recorded by the loader.
+        text: the code, indexed by guest address and ``text_end`` bytes long
+            (:attr:`ElfImage.text <repro.elf.structures.ElfImage.text>`).
+            It is never ``memory``: a guest store into the text range changes
+            what loads see, not what runs.  ``None`` snapshots ``memory`` once,
+            now, for tests that hand-place code in a bare sandbox.
         superblock_limit: maximum guest instructions per trace (``None``
             uses :data:`MAX_SUPERBLOCK_INSTRUCTIONS`; ``1`` degenerates to
             one instruction per fragment, for ablations).
@@ -623,11 +628,13 @@ class Translator:
     """
 
     def __init__(self, memory, text_start: int, text_end: int, *,
+                 text: bytes | None = None,
                  superblock_limit: int | None = None, chain: bool = True,
                  known_entries=None,
                  proved_reads: frozenset = frozenset(),
                  proved_writes: frozenset = frozenset()):
-        self._memory = memory
+        self._text = (bytes(memory.buffer[:text_end]) if text is None
+                      else text)
         self._text_start = text_start
         self._text_end = text_end
         self._limit = superblock_limit or MAX_SUPERBLOCK_INSTRUCTIONS
@@ -657,7 +664,7 @@ class Translator:
             raise IllegalInstructionFault(
                 f"jump target outside the code segment: 0x{entry:08x}"
             )
-        code = self._memory.buffer
+        code = self._text
         trace = _Trace(self)
         regs = trace.regs
         exits: list[int] = []           # static successor pc per chainable exit
@@ -693,15 +700,9 @@ class Translator:
             except InvalidInstructionError as error:
                 if count == 0:
                     raise IllegalInstructionFault(str(error)) from None
-                # Undecodable bytes beyond a side exit: fault lazily, only if
-                # execution actually falls through to them.
-                trace.leave("", count, chained(pc))
-                break
-            if pc + insn.length > text_end:
-                if count == 0:
-                    raise IllegalInstructionFault(
-                        f"instruction at 0x{pc:08x} straddles the code segment end"
-                    )
+                # Undecodable bytes (or an instruction cut off by the end of
+                # text) beyond a side exit: fault lazily, only if execution
+                # actually falls through to them.
                 trace.leave("", count, chained(pc))
                 break
             count += 1
@@ -831,7 +832,7 @@ def run_translator(vm) -> None:
         proved_reads = report.proved_reads
         proved_writes = report.proved_writes
     translator = Translator(
-        memory, vm.text_start, vm.text_end,
+        memory, vm.text_start, vm.text_end, text=vm.text,
         superblock_limit=vm.superblock_limit, chain=chain,
         known_entries=cache.known if use_cache else None,
         proved_reads=proved_reads, proved_writes=proved_writes,

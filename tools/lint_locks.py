@@ -5,7 +5,7 @@ Two concurrency invariants keep the in-process worker pool sound, and both
 are easy to break silently when refactoring:
 
 1. every mutation of :class:`repro.vm.code_cache.CodeCache` state
-   (``fragments``/``instructions``/``known``/``analysis`` and the counters)
+   (``fragments``/``instructions``/``known`` and the counters)
    happens inside a ``with self.lock:`` block -- plain *reads* are
    deliberately lock-free (an atomic dict read with a tolerated racy miss),
    so only mutations are checked;
@@ -29,7 +29,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: CodeCache attributes that constitute lock-protected state.
 CACHE_STATE = {
-    "fragments", "instructions", "known", "analysis",
+    "fragments", "instructions", "known",
     "hits", "misses", "chained_branches", "retranslations", "evictions",
 }
 
