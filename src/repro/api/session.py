@@ -29,7 +29,6 @@ from typing import Callable
 from repro.api.options import ReadOptions
 from repro.core.policy import SecurityAttributes, VmReusePolicy
 from repro.core.types import SessionStats
-from repro.vm.code_cache import CodeCache
 from repro.vm.limits import ExecutionLimits, ExecutionStats
 from repro.vm.machine import DecodeResult, VirtualMachine
 
@@ -60,7 +59,6 @@ class DecoderSession:
         self.options = options
         self._limits = limits
         self._vms: dict[int, VirtualMachine] = {}
-        self._code_caches: dict[int, CodeCache] = {}
         self._last_attributes: dict[int, SecurityAttributes] = {}
         self.stats = SessionStats()
 
@@ -75,23 +73,6 @@ class DecoderSession:
             return False
         previous = self._last_attributes.get(decoder_offset)
         return previous is not None and not previous.same_domain(attributes)
-
-    def _code_cache_for(self, decoder_offset: int) -> CodeCache | None:
-        """The session-shared code cache for one decoder, when permitted.
-
-        Translation sharing rides on the reuse policy's consent: when the
-        policy never reuses VM state (``ALWAYS_FRESH``) each VM keeps a
-        private cache that resets with it, preserving pristine-sandbox
-        semantics bit for bit.  Any reuse-permitting policy shares one
-        cache per decoder image across resets and members.
-        """
-        if self.options.reuse is VmReusePolicy.ALWAYS_FRESH:
-            return None
-        cache = self._code_caches.get(decoder_offset)
-        if cache is None:
-            cache = CodeCache(shared=True, limit=self.options.code_cache_limit)
-            self._code_caches[decoder_offset] = cache
-        return cache
 
     # -- decoding --------------------------------------------------------------
 
@@ -119,12 +100,13 @@ class DecoderSession:
                 self._load_image(decoder_offset),
                 engine=options.engine,
                 limits=self._limits,
-                code_cache=self._code_cache_for(decoder_offset),
                 superblock_limit=options.superblock_limit,
                 chain_fragments=options.chain_fragments,
                 verify_images=options.verify_images,
                 analysis_elision=options.analysis_elision,
             )
+            if options.reuse is not VmReusePolicy.ALWAYS_FRESH:
+                vm.share_code_cache(options.code_cache_limit)
             self._vms[decoder_offset] = vm
             if vm.analysis_report is not None:
                 self.stats.images_verified += 1
@@ -153,7 +135,6 @@ class DecoderSession:
     def reset(self) -> None:
         """Drop all VM state (a pristine image is loaded on next use)."""
         self._vms.clear()
-        self._code_caches.clear()
         self._last_attributes.clear()
 
     def close(self) -> None:

@@ -90,8 +90,11 @@ class CodeCache:
 
     # -- fragment store (translator engine) -----------------------------------
 
-    def store(self, entry: int, fragment) -> None:
+    def store(self, entry: int, fragment) -> int:
         """Insert one translated fragment, evicting LRU entries over the cap.
+
+        Returns how many it evicted, so a run counts its own evictions and
+        not those of another thread storing into the same cache.
 
         Insertion order doubles as the recency order (:meth:`touch` refreshes
         it on a hit), so the eviction victim is always ``next(iter(...))``.
@@ -105,13 +108,16 @@ class CodeCache:
         later jump to the evicted entry retranslates (counted in
         ``retranslations``).
         """
+        evicted = 0
         with self.lock:
             if self.limit is not None:
                 fragments = self.fragments
                 while len(fragments) >= self.limit:
                     del fragments[next(iter(fragments))]
-                    self.evictions += 1
+                    evicted += 1
+                self.evictions += evicted
             self.fragments[entry] = fragment
+        return evicted
 
     def touch(self, entry: int) -> None:
         """Refresh ``entry``'s LRU recency (only called when a cap is set).

@@ -125,6 +125,15 @@ class VirtualMachine:
         self.text_end = 0
         self.text = b""
         self.reset()
+        #: Does the translator drop the guards the analysis proved redundant?
+        #: Only with a clean report whose proofs cover the sandbox as loaded.
+        #: A sandbox only grows, and :meth:`reset` loads the same image into
+        #: the same initial size, so this holds for the VM's whole life --
+        #: which is what lets it be part of a shared cache's key.
+        report = self.analysis_report
+        self.elides_guards = bool(
+            analysis_elision and report is not None and report.ok
+            and self.memory.size >= report.min_size)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -144,6 +153,19 @@ class VirtualMachine:
         if self.analysis_elision and self.engine == ENGINE_TRANSLATOR:
             return self._record.analysis()
         return None
+
+    def share_code_cache(self, limit: int | None = None) -> None:
+        """Swap the private cache for the process-wide one of this image.
+
+        The cache is found under the image's digest and every input of
+        :func:`~repro.vm.translator.run_translator` other than the image's
+        text, so whoever else holds it translates exactly as this VM would
+        (``limit`` is the cache's LRU entry cap, see :mod:`repro.vm.images`).
+        """
+        config = (self._check_policy, self.superblock_limit,
+                  self.use_fragment_cache, self.chain_fragments,
+                  self.elides_guards)
+        self.code_cache = self._record.code_cache(config, limit)
 
     def reset(self) -> None:
         """Re-initialise the VM with a pristine copy of the decoder image.

@@ -821,16 +821,13 @@ def run_translator(vm) -> None:
     else:
         vm.budget = min(budget, DEADLINE_CHECK_INTERVAL)
     max_fragments = limits.max_fragments
-    # Analysis-driven guard elision: only with a clean report whose proofs
-    # cover the live sandbox (memory growth is monotone, so the size check
-    # cannot be invalidated mid-run).
+    # Analysis-driven guard elision (the VM decided once, at load, whether
+    # the report's proofs cover its sandbox).
     proved_reads: frozenset = frozenset()
     proved_writes: frozenset = frozenset()
-    report = getattr(vm, "analysis_report", None)
-    if (getattr(vm, "analysis_elision", False) and report is not None
-            and report.ok and memory.size >= report.min_size):
-        proved_reads = report.proved_reads
-        proved_writes = report.proved_writes
+    if vm.elides_guards:
+        proved_reads = vm.analysis_report.proved_reads
+        proved_writes = vm.analysis_report.proved_writes
     translator = Translator(
         memory, vm.text_start, vm.text_end, text=vm.text,
         superblock_limit=vm.superblock_limit, chain=chain,
@@ -839,18 +836,18 @@ def run_translator(vm) -> None:
     )
     fragments = cache.fragments
     lru_capped = cache.limit is not None
-    evictions_before = cache.evictions
     buf = memory.buffer
 
     blocks = 0
     misses = 0
     retranslated = 0
+    evicted = 0
     chained = 0
     vm.icount = 0
     pc = vm.pc
 
     def resolve(target: int) -> Fragment:
-        nonlocal misses, retranslated
+        nonlocal misses, retranslated, evicted
         fragment = fragments.get(target) if use_cache else None
         if fragment is not None:
             if lru_capped:
@@ -871,7 +868,7 @@ def run_translator(vm) -> None:
         if cache.note_translation(target):
             retranslated += 1
         if use_cache:
-            cache.store(target, fragment)
+            evicted += cache.store(target, fragment)
         return fragment
 
     try:
@@ -941,6 +938,6 @@ def run_translator(vm) -> None:
         stats.chained_branches += chained
         stats.retranslations += retranslated
         stats.guards_elided += translator.guards_elided
-        stats.evictions += cache.evictions - evictions_before
+        stats.evictions += evicted
         cache.record_run(hits=hits, misses=misses, chained_branches=chained,
                          retranslations=retranslated)
