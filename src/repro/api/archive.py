@@ -165,8 +165,8 @@ class MemberPlan:
     ``decoder_offset`` is the archived-decoder pseudo-file offset *when the
     extraction will actually run the archived decoder* under the effective
     mode -- the :mod:`repro.parallel` scheduler groups members by it so each
-    worker's :class:`DecoderSession` keeps one warm code cache per decoder
-    image.  ``None`` means the member takes a VM-free path (plain ZIP data,
+    worker keeps one warm VM (and each worker process one warm code cache) per
+    decoder image.  ``None`` means the member takes a VM-free path (plain ZIP data,
     stored redec bytes, or a native codec).  ``cost`` is the stored size --
     the paper's members are decode-bound, so compressed bytes are a serviceable
     work estimate.  ``domain`` is the canonical protection-domain key used by

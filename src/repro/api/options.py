@@ -81,8 +81,8 @@ class ReadOptions:
             archives and tests), or ``"auto"`` to choose by workload size
             and machine shape.
         code_cache_limit: optional LRU cap on translated fragments per
-            session-shared code cache, so long-lived services (``vxserve``)
-            cannot grow translation state without bound; evictions are
+            shared code cache (one per decoder image, configuration and cap
+            in the process, see :mod:`repro.vm.images`); evictions are
             surfaced next to the hit/chain/retranslation counters.
         verify_images: static-analysis admission policy for archived
             decoder images -- ``"off"`` (default), ``"warn"`` (analyse and

@@ -10,15 +10,18 @@ against each file's :class:`~repro.core.policy.SecurityAttributes`, and
 counts how often state was reused versus re-initialised (the ablation
 benchmark reports these counters).
 
-The session also owns one :class:`~repro.vm.code_cache.CodeCache` per
-decoder image whenever the policy permits VM reuse at all.  Translated
-fragments are derived from the decoder's *code*, never from member data, so
-they stay valid (and leak nothing) across the sandbox re-initialisations the
-policy forces on protection-domain changes: members sharing a decoder share
-its translations for the life of the session.  Under ``ALWAYS_FRESH`` the
-caches stay private to each VM and are invalidated on every reset -- the
-session's retranslation counters then expose exactly what that safety
-posture costs.
+What a session does *not* own is translated code.  Both engines fetch
+instructions from the decoder image's immutable text, never from the sandbox,
+so translations and static-analysis proofs are functions of the image digest
+(and the translator configuration) alone: they live in the process-wide
+registry :mod:`repro.vm.images`, and whenever the policy permits VM reuse at
+all the session points each VM at the registry's cache for its image.
+Members sharing a decoder share its translations across the sandbox
+re-initialisations the policy forces on protection-domain changes, and so do
+later sessions and other threads; re-initialising really does leave nothing
+of the previous member behind, code included.  Under ``ALWAYS_FRESH`` each VM
+keeps a private cache that is invalidated on every reset -- the session's
+retranslation counters then expose exactly what that posture costs.
 """
 
 from __future__ import annotations

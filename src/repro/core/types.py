@@ -55,17 +55,21 @@ class SessionStats:
     vm_reuses: int = _counter("state reuse(s)")
     # superblock translations, blocks served from the fragment cache,
     # transitions over back-patched edges, translations of an already-seen
-    # entry, fragments dropped by the LRU entry cap
-    fragments_translated: int = _counter("fragment(s) translated")
+    # entry, fragments dropped by the LRU entry cap.  Translations (and the
+    # guards elided in them) are work *this session performed*: code caches
+    # are process-wide (repro.vm.images), so a session that finds its images
+    # already translated reports 0 of them and all cache hits.
+    fragments_translated: int = _counter("fragment(s) translated by this session")
     cache_hits: int = _counter("cache hit(s)")
     chained_branches: int = _counter("chained branch(es)")
     retranslations: int = _counter("retranslation(s)")
     evictions: int = _counter("eviction(s)")
     # guards dropped on static proofs, counted at the access sites the
     # translator *emitted* (a forwarded load has no site, so the count
-    # falls as forwarding improves) / decoder images statically analysed
-    guards_elided: int = _counter("bounds guard(s) elided")
-    images_verified: int = _counter("image(s) analysed")
+    # falls as forwarding improves) / decoder images admitted with an
+    # analysis report, whether this session computed it or the process had it
+    guards_elided: int = _counter("bounds guard(s) elided in what it translated")
+    images_verified: int = _counter("image(s) with an analysis report")
     # members extracted despite media damage, opens that rebuilt a lost
     # directory, opens whose commit record checked out
     members_salvaged: int = _counter("member(s) salvaged")

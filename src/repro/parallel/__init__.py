@@ -7,16 +7,17 @@ archive file itself.  This package exploits that:
 
 * :class:`~repro.parallel.scheduler.Scheduler` groups an archive's members
   by decoder image and cost estimate and shards them across ``N`` workers,
-  so each worker's :class:`~repro.api.session.DecoderSession` keeps one warm
-  code cache per decoder image (the PR-2 ``CodeCache``) instead of all
-  workers cold-starting every decoder,
+  so a worker *process* translates the decoders of its own members only
+  (the ``CodeCache`` of an image is process-wide, see
+  :mod:`repro.vm.images`: thread workers share it, process workers each
+  build their own),
 * :class:`~repro.parallel.pool.WorkerPool` runs the shards on a
   ``ProcessPoolExecutor`` (true multi-core scaling) or an in-process thread
   pool (cheap startup for small archives and tests),
 * :mod:`~repro.parallel.worker` is the worker-side bootstrap: each worker
   owns long-lived archives and decoder sessions, reused across shards and
   -- under ``vxserve`` -- across requests, so translations are paid once
-  per worker,
+  per process,
 * :mod:`~repro.parallel.service` is ``vxserve``: a long-running batch
   service (JSON-lines over stdio or a unix socket) multiplexing
   extract/check requests for many archives onto one shared worker pool,

@@ -7,7 +7,8 @@ The in-process ``ThreadPoolExecutor`` flavour exists for small archives
 live file object, and for tests; it exercises exactly the same scheduler,
 worker bootstrap and stats plumbing, just without the serialization
 boundary.  The thread flavour is also why the translator's compiled-source
-memo and every ``CodeCache`` mutation path take locks.
+memo, the image registry and every ``CodeCache`` mutation path take locks:
+its workers share one cache per decoder image.
 
 ``resolve_executor`` centralises the ``"auto"`` policy so the facade, the
 CLI and ``vxserve`` agree on it.

@@ -3,17 +3,17 @@
 A worker (one OS process of the ``ProcessPoolExecutor``, or one thread of
 the in-process pool) keeps a small LRU of open :class:`~repro.api.Archive`
 objects keyed by archive identity and options.  Each cached archive owns its
-:class:`~repro.api.session.DecoderSession`, which in turn owns one
-:class:`~repro.vm.code_cache.CodeCache` per decoder image -- so a decoder's
-superblocks are translated once per worker and reused for every member the
-scheduler routed there, and (under ``vxserve``) for every later request that
-touches the same archive.  Across *different* archives the process-wide
-compiled-source memo in :mod:`repro.vm.translator` still short-circuits
-recompilation of identical decoder images.
+:class:`~repro.api.session.DecoderSession` and so its warm VMs; the
+translated code those VMs run is not the worker's but the process's
+(:mod:`repro.vm.images`, one :class:`~repro.vm.code_cache.CodeCache` per
+decoder image digest and translator configuration) -- a decoder's
+superblocks are translated once per process and reused by every member,
+every archive and every thread-pool worker that meets the same image.
 
-State lives in ``threading.local``: a process-pool worker runs tasks on its
-main thread, a thread-pool worker is itself a thread, so the same bootstrap
-serves both and no state is ever shared between workers.
+Worker state lives in ``threading.local``: a process-pool worker runs tasks
+on its main thread, a thread-pool worker is itself a thread, so the same
+bootstrap serves both and archives and sessions are never shared between
+workers (the image registry, which is, takes its own lock).
 
 The shard runners return plain dicts of primitives -- they must cross a
 pickle boundary in process mode and a JSON boundary in ``vxserve``.

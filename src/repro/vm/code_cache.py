@@ -1,14 +1,16 @@
 """A first-class cache of translated guest code.
 
 vx32's viability rests on caching translated fragments and reusing them every
-time the decoder jumps to the same entry point (paper section 4.2).  In this
-reproduction the cache used to be a bare dict buried inside
-:class:`~repro.vm.machine.VirtualMachine`; promoting it to an object lets the
-:class:`~repro.api.session.DecoderSession` *own* one cache per decoder image
-and share it across every VM (and VM re-initialisation) in an archive-read
-session: translations are derived from the decoder's code alone -- never from
-member data -- so sharing them leaks nothing between files even when the
-section 2.4 policy forces the sandbox itself to be re-initialised.
+time the decoder jumps to the same entry point (paper section 4.2).  Here a
+translation is a function of the decoder *image* and the translator's
+configuration and of nothing else: both engines fetch code from the image's
+immutable text, never from guest memory, so no member's data and no store a
+guest makes can reach a fragment.  A cache therefore belongs to an image, not
+to a sandbox or a session: :mod:`repro.vm.images` keeps one per (image
+SHA-256, translator configuration) for the whole process, and every
+:class:`~repro.api.session.DecoderSession` whose policy permits sharing hands
+it to its VMs -- across the sandbox re-initialisations section 2.4 forces,
+across sessions, across the threads of a worker pool.
 
 The cache holds two keyed stores over the same guest image:
 
@@ -18,11 +20,16 @@ The cache holds two keyed stores over the same guest image:
   objects, keyed by guest address (used by the reference interpreter).
 
 A cache is only valid for VMs running the *same decoder image* with the same
-memory-check policy and translator configuration; :class:`DecoderSession`
-guarantees this by keying shared caches by decoder pseudo-file offset.
+memory-check policy and translator configuration; the registry guarantees
+this by construction of its key (see
+:meth:`VirtualMachine.share_code_cache
+<repro.vm.machine.VirtualMachine.share_code_cache>`).  A cache built by hand
+and passed as ``code_cache=`` is the caller's to keep consistent.
 
-Counters accumulate across runs (they feed ``vxunzip --stats`` and
-:class:`~repro.core.types.IntegrityReport`):
+Counters accumulate over every run of every VM that holds the cache (what
+one session did is in its own runs' :class:`~repro.vm.limits.ExecutionStats`,
+which is what ``vxunzip --stats`` and
+:class:`~repro.core.types.IntegrityReport` add up):
 
 * ``hits`` / ``misses`` -- fragment executions served from the cache versus
   fragment translations,
@@ -35,32 +42,34 @@ Counters accumulate across runs (they feed ``vxunzip --stats`` and
 
 Thread safety: all *mutation* paths (fragment/instruction insertion, LRU
 bookkeeping, counter merges, invalidation) take the cache's lock, so the
-in-process thread pool of :mod:`repro.parallel` cannot corrupt a cache or
-lose counter updates even if two workers ever share one.  Plain lookups stay
-lock-free -- a dict read is atomic under CPython and the engines tolerate a
-racy miss (the worst case is a duplicate translation, observable as a
-retranslation, never corruption).
+in-process thread pool of :mod:`repro.parallel`, whose workers do share the
+registry's caches, cannot corrupt one or lose counter updates.  Plain lookups
+stay lock-free -- a dict read is atomic under CPython and the engines
+tolerate a racy miss (the worst case is a duplicate translation, observable
+as a retranslation, never corruption).
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 
 
 class CodeCache:
     """Translated-code store shared by the VM execution engines.
 
     Args:
-        shared: a shared cache is owned by a session and survives
+        shared: a shared cache outlives its VMs and survives
             :meth:`VirtualMachine.reset`; a private cache is invalidated on
-            reset so an ``ALWAYS_FRESH`` decode starts from a clean slate.
+            reset so an ``ALWAYS_FRESH`` decode starts from a clean slate
+            (a policy since code became immutable, no longer a safety need).
         limit: optional cap on the number of cached fragments.  When the
             cap is reached the least-recently-used fragment is evicted (and
-            counted in ``evictions``), so a long-lived service touching many
-            decoder images cannot grow without bound.  ``None`` (the
-            default) keeps the cache unbounded, which is always safe for a
-            single archive: fragment count is bounded by the decoder's own
-            code size and by ``ExecutionLimits.max_fragments``.
+            counted in ``evictions``).  ``None`` (the default) keeps the
+            cache unbounded, which is always safe: an entry point is an
+            address of the image's immutable text, so the fragment count is
+            bounded by the text length as well as by
+            ``ExecutionLimits.max_fragments``.
     """
 
     __slots__ = ("fragments", "instructions", "known", "shared", "limit",
@@ -70,7 +79,7 @@ class CodeCache:
     def __init__(self, *, shared: bool = False, limit: int | None = None):
         if limit is not None and limit < 1:
             raise ValueError("code cache limit must be at least 1")
-        self.fragments: dict = {}
+        self.fragments: OrderedDict = OrderedDict()
         self.instructions: dict = {}
         #: Entry points ever translated -- survives invalidation, so repeated
         #: translation of the same entry is observable as a retranslation.
@@ -113,7 +122,7 @@ class CodeCache:
             if self.limit is not None:
                 fragments = self.fragments
                 while len(fragments) >= self.limit:
-                    del fragments[next(iter(fragments))]
+                    fragments.popitem(last=False)
                     evicted += 1
                 self.evictions += evicted
             self.fragments[entry] = fragment
@@ -122,15 +131,16 @@ class CodeCache:
     def touch(self, entry: int) -> None:
         """Refresh ``entry``'s LRU recency (only called when a cap is set).
 
-        This pays a lock + pop/reinsert per dispatcher hit, but only for
-        capped caches, only on indirect branches (chained transitions never
-        reach the dispatcher), and a dispatched fragment's execution costs
-        orders of magnitude more -- measured well under 1% of decode time.
+        This pays a lock + reorder per dispatcher hit, but only for capped
+        caches, only on indirect branches (chained transitions never reach
+        the dispatcher), and a dispatched fragment's execution costs orders
+        of magnitude more -- measured well under 1% of decode time.  The
+        entry is moved, never removed and re-inserted: another thread's
+        lock-free lookup must not find it missing and translate it again.
         """
         with self.lock:
-            fragment = self.fragments.pop(entry, None)
-            if fragment is not None:
-                self.fragments[entry] = fragment
+            if entry in self.fragments:     # not evicted since the lookup
+                self.fragments.move_to_end(entry)
 
     def note_translation(self, entry: int) -> bool:
         """Record ``entry`` in the translation history under the lock.

@@ -78,6 +78,7 @@ class ImageRecord:
         if not self._analysed:
             from repro.analysis.verify import _verify_parsed
 
+            report: AnalysisReport | None
             try:
                 report = _verify_parsed(self.image, self.digest)
             except Exception:

@@ -6,6 +6,13 @@ virtual file handles, runs the decoder with either the dynamic translator
 (default, like vx32) or the reference interpreter, and exposes the paper's
 reuse-vs-reinitialise policy for decoding several streams with one decoder
 (section 2.4).
+
+The sandbox is private and mutable; the code is neither.  Given image bytes,
+the VM takes the parsed image, its immutable text and its analysis report
+from the process-wide record for those bytes (:mod:`repro.vm.images`, keyed
+by SHA-256): translations and proofs are functions of the image digest, so
+constructing the thousandth VM of an image parses, analyses and -- with a
+shared cache -- translates nothing.
 """
 
 from __future__ import annotations
@@ -57,9 +64,11 @@ class VirtualMachine:
         check_policy: memory sandbox policy (``full``, ``write-only``,
             ``none``) -- see :mod:`repro.vm.memory`.
         use_fragment_cache: disable only for the fragment-cache ablation.
-        code_cache: a session-owned :class:`~repro.vm.code_cache.CodeCache`
-            shared with other VMs of the same decoder image; ``None`` gives
-            the VM a private cache that is invalidated on :meth:`reset`.
+        code_cache: a :class:`~repro.vm.code_cache.CodeCache` to use as
+            given (the caller vouches that every VM sharing it runs this
+            image under this configuration); ``None`` gives the VM a private
+            cache that is invalidated on :meth:`reset`, which
+            :meth:`share_code_cache` swaps for the process-wide one.
         superblock_limit: maximum guest instructions per translated trace
             (``None`` uses the translator default; ``1`` reproduces the old
             one-basic-block engine).
@@ -197,10 +206,10 @@ class VirtualMachine:
         # What executes is the image's own immutable text, whatever the
         # guest stores over the copy just loaded into the sandbox.
         self.text_start, self.text_end, self.text = self._image.text
-        # A session-shared cache survives re-initialisation: translations are
-        # derived from the (identical, freshly reloaded) decoder image, never
-        # from member data, so keeping them leaks nothing between files.  A
-        # private cache is dropped so ALWAYS_FRESH semantics stay pristine.
+        # A shared cache survives re-initialisation: translations are made
+        # from the image's immutable text, never from the sandbox or member
+        # data, so keeping them leaks nothing between files.  A private
+        # cache is dropped: ALWAYS_FRESH pays retranslation by policy.
         if not self.code_cache.shared:
             self.code_cache.invalidate()
         self.syscall_handler = None

@@ -7,6 +7,15 @@ and emits an equivalent *safe fragment* -- here a compiled Python function --
 which is stored in a :class:`~repro.vm.code_cache.CodeCache` keyed by the
 guest entry point.
 
+The stream it scans is the image's immutable text
+(:attr:`ElfImage.text <repro.elf.structures.ElfImage.text>`), never guest
+memory: a guest may store over its own code, and loads will see the store,
+but what executes is what was archived.  A fragment is therefore a function
+of the image and of the translator's configuration alone -- no member data,
+no guest-writable byte -- which is what allows the cache it lands in to be
+the process-wide one found under the image's SHA-256
+(:mod:`repro.vm.images`) and to outlive sandboxes, sessions and threads.
+
 The engine goes beyond one-basic-block-at-a-time translation in three ways,
 mirroring the optimisations that make vx32 fast:
 
@@ -31,9 +40,10 @@ This plays the role of vx32's back-patched branch trampolines: the fragment
 cache's hash table is only consulted for indirect branches (``jmpr``,
 ``callr``, ``ret``) and for the first execution of each direct edge.
 
-*Inlined guest memory and registers, with value forwarding.*  Fragments bind
-the guest's backing ``bytearray`` and hoist the eight guest registers (and
-the condition-code pair) into Python locals at entry.  The body is not
+*Inlined guest memory and registers, with value forwarding.*  Fragments take
+the guest's backing ``bytearray`` as an argument (so one fragment serves any
+VM of its image) and hoist the eight guest registers (and the
+condition-code pair) into Python locals at entry.  The body is not
 rendered statement for statement: the trace is *evaluated symbolically*
 (:class:`_Trace`).  Every guest register and both condition-code operands
 map to a value ``(local, k)`` -- a Python local that is assigned once, plus a
@@ -41,12 +51,11 @@ constant modulo 2**32 -- so ``movi``/``mov``/``lea``/``addi``/``subi``,
 ``add``/``sub`` of a constant, the stack-pointer arithmetic of ``push``/
 ``pop``/``call``/``ret`` and ``cmp``/``cmpi`` emit nothing; a sum is computed
 once, where a load, a store, a comparison or other arithmetic consumes it.
-(vxc emits stack-machine code -- ``push r0; ld32 r0, [r6-24]; mov r1, r0;
-pop r0`` -- so this is most of what a decoder executes.)  Exits write back
-exactly the registers whose value is no longer the entry local's (plus, in
-a looping fragment, those any back-edge reassigns), a back-edge reassigns
-the entry locals in one parallel assignment, and instruction accounting is
-one addition per executed exit rather than per instruction.
+Exits write back exactly the registers whose value is no longer the entry
+local's (plus, in a looping fragment, those any back-edge reassigns), a
+back-edge reassigns the entry locals in one parallel assignment, and
+instruction accounting is one addition per executed exit rather than per
+instruction.
 
 Loads and stores compile to raw slice/index operations guarded by
 precomputed bounds expressions instead of ``GuestMemory`` method calls.
@@ -77,8 +86,8 @@ or resize memory outside the sandbox.
 
 Because the guest ISA is variable-length, the translator only ever decodes
 along realised execution paths; a jump into the middle of an instruction
-simply translates whatever bytes are found there, and anything that does not
-decode raises :class:`~repro.errors.IllegalInstructionFault` -- the guest can
+simply translates whatever bytes the image has there, and anything that does
+not decode raises :class:`~repro.errors.IllegalInstructionFault` -- the guest can
 hurt only itself.  A trace that runs into undecodable bytes *after* a side
 exit ends early with a lazy exit, so the fault is only raised if execution
 actually falls through to the bad address.
@@ -611,8 +620,7 @@ class Translator:
         text: the code, indexed by guest address and ``text_end`` bytes long
             (:attr:`ElfImage.text <repro.elf.structures.ElfImage.text>`).
             It is never ``memory``: a guest store into the text range changes
-            what loads see, not what runs.  ``None`` snapshots ``memory`` once,
-            now, for tests that hand-place code in a bare sandbox.
+            what loads see, not what runs.
         superblock_limit: maximum guest instructions per trace (``None``
             uses :data:`MAX_SUPERBLOCK_INSTRUCTIONS`; ``1`` degenerates to
             one instruction per fragment, for ablations).
@@ -628,13 +636,12 @@ class Translator:
     """
 
     def __init__(self, memory, text_start: int, text_end: int, *,
-                 text: bytes | None = None,
+                 text: bytes,
                  superblock_limit: int | None = None, chain: bool = True,
                  known_entries=None,
                  proved_reads: frozenset = frozenset(),
                  proved_writes: frozenset = frozenset()):
-        self._text = (bytes(memory.buffer[:text_end]) if text is None
-                      else text)
+        self._text = text
         self._text_start = text_start
         self._text_end = text_end
         self._limit = superblock_limit or MAX_SUPERBLOCK_INSTRUCTIONS
@@ -802,6 +809,15 @@ def run_translator(vm) -> None:
       into the fragment's defaults,
     * a non-negative ``int`` -- a dynamically computed successor address
       (indirect branch); resolve it through the fragment cache's hash table.
+
+    The cache may be shared with VMs running on other threads.  Fragments
+    are re-entrant (all machine state arrives as arguments), and the one
+    unlocked read-modify-write below -- back-patching ``func.__defaults__``
+    -- is benign: two threads linking different exits of one fragment may
+    lose one of the links, which is simply resolved and patched again at
+    its next crossing, and any link that *is* present is the right one,
+    because the successor of a static exit is a function of the image and
+    of the cache's configuration, the same for every VM that holds it.
     """
     memory = vm.memory
     regs = vm.regs

@@ -72,3 +72,45 @@ def echo_decoder_image() -> bytes:
             .space 4096
         """
     )
+
+
+#: ``(word 0, word 1)`` on stdin.  When word 0 is not zero the decoder stores
+#: word 1 over the immediate of ``patch: movi r2, 0x11111111`` -- an
+#: instruction it has not executed yet and only reaches through ``jmpr`` --
+#: then runs it and writes r2.  The code that runs must be the code that was
+#: archived: the answer is ``11111111`` for every member, in particular for
+#: the member decoded *after* one that stored something else (section 2.4:
+#: re-initialising the sandbox must leave nothing of the previous member).
+SELF_PATCHING_DECODER = """
+_start:
+    movi r0, 1              ; READ
+    movi r1, 0
+    movi r2, words
+    movi r3, 8
+    vxcall
+    movi r4, words
+    ld32 r1, [r4]
+    cmpi r1, 0
+    je   run
+    ld32 r1, [r4+4]
+    movi r4, patch
+    st32 [r4+2], r1         ; a legal store; the target happens to be text
+run:
+    movi r5, patch
+    jmpr r5
+patch:
+    movi r2, 0x11111111
+    movi r4, words
+    st32 [r4], r2
+    movi r0, 2              ; WRITE
+    movi r1, 1
+    movi r2, words
+    movi r3, 4
+    vxcall
+    movi r0, 0              ; EXIT
+    movi r1, 0
+    vxcall
+.data
+words:
+    .space 8
+"""

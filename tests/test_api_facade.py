@@ -240,6 +240,28 @@ def test_session_shares_translations_when_reuse_permitted(tmp_path):
     assert fresh_stats.retranslations > 0
 
 
+@pytest.mark.parametrize("engine", ["translator", "interpreter"])
+def test_reinitialised_session_vm_runs_the_archived_code(engine):
+    """Section 2.4 at the session: a member of another owner gets a zeroed
+    sandbox, a reloaded image *and* the archived code -- not code the previous
+    owner's member stored over it (``efbeadde`` before code was immutable)."""
+    import struct
+
+    from repro.vm.limits import ExecutionLimits
+
+    from tests.conftest import SELF_PATCHING_DECODER, build_asm
+
+    image = build_asm(SELF_PATCHING_DECODER)
+    options = vxa.ReadOptions(engine=engine,
+                              reuse=VmReusePolicy.REUSE_SAME_ATTRIBUTES)
+    session = vxa.DecoderSession(lambda offset: image, options, ExecutionLimits())
+    session.decode(0, struct.pack("<II", 1, 0xDEADBEEF),
+                   attributes=SecurityAttributes(owner=1))
+    second = session.decode(0, bytes(8), attributes=SecurityAttributes(owner=2))
+    assert (session.stats.vm_initialisations, session.stats.vm_reuses) == (2, 0)
+    assert second.output.hex() == "11111111"
+
+
 def test_integrity_report_carries_code_cache_counters(tmp_path):
     path = tmp_path / "counters.zip"
     with vxa.create(path) as builder:

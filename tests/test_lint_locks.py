@@ -1,9 +1,11 @@
 """The AST lock-linter: the repo is clean, and violations are detected.
 
-``tools/lint_locks.py`` guards two concurrency invariants (CodeCache state
+``tools/lint_locks.py`` guards three concurrency invariants (CodeCache state
 mutations under ``self.lock``; ``_CODE_MEMO`` accesses under
-``_CODE_MEMO_LOCK``).  These tests pin both directions: the shipped sources
-pass, and deliberately broken synthetic sources fail with pointed messages.
+``_CODE_MEMO_LOCK``; the image registry's table and record slots under
+``_LOCK``, with nothing slow called while it is held).  These tests pin both
+directions: the shipped sources pass, and deliberately broken synthetic
+sources fail with pointed messages.
 """
 
 import pathlib
@@ -95,3 +97,58 @@ def test_code_memo_access_rules(tmp_path, snippet, expect_clean):
     path.write_text(snippet)
     violations = lint_locks.check_code_memo(path)
     assert (violations == []) is expect_clean
+
+
+_REGISTRY = """
+_RECORDS = {{}}
+
+class ImageRecord:
+    def __init__(self, digest):
+        self._report = None
+        self._caches = {{}}
+
+    def analysis(self):
+        {publish}
+
+    def code_cache(self, key):
+        with _LOCK:
+            cache = self._caches[key] = object()
+        return cache
+
+def image_record(data):
+    {lookup}
+    record = ImageRecord(parse_executable(data))
+    with _LOCK:
+        {insert}
+    return record
+"""
+
+_CLEAN = dict(
+    publish="report = _verify_parsed(self)\n        with _LOCK:\n"
+            "            self._report = report",
+    lookup="with _LOCK:\n        record = _RECORDS.get(data)",
+    insert="record = _RECORDS.setdefault(data, record)")
+
+
+@pytest.mark.parametrize("change,message", [
+    ({}, None),
+    ({"lookup": "record = _RECORDS.get(data)"}, "_RECORDS accessed outside"),
+    ({"publish": "self._report = _verify_parsed(self)"},
+     "ImageRecord.analysis writes self._report outside"),
+    ({"publish": "self._caches.clear()"}, "self._caches.clear() outside"),
+    ({"publish": "del self._caches[0]"}, "mutates self._caches outside"),
+    ({"insert": "_RECORDS[data] = record; record.analysis()"},
+     "analysis() called while holding _LOCK"),
+    ({"insert": "_RECORDS[data] = ImageRecord(parse_executable(data))"},
+     "parse_executable() called while holding _LOCK"),
+], ids=["clean", "unlocked-table-read", "unlocked-slot-write",
+        "unlocked-slot-method", "unlocked-slot-delete", "analysis-under-lock",
+        "parse-under-lock"])
+def test_image_registry_rules(tmp_path, change, message):
+    path = tmp_path / "images.py"
+    path.write_text(_REGISTRY.format(**{**_CLEAN, **change}))
+    violations = lint_locks.check_image_registry(path)
+    if message is None:
+        assert violations == []
+    else:
+        assert len(violations) == 1 and message in violations[0][2]

@@ -32,7 +32,7 @@ from tests.conftest import build_asm
 def _source(body: str) -> str:
     """Generated source of the fragment at the entry of ``body``."""
     vm = VirtualMachine(build_asm("_start:\n" + body))
-    translator = Translator(vm.memory, vm.text_start, vm.text_end)
+    translator = Translator(vm.memory, vm.text_start, vm.text_end, text=vm.text)
     return translator.translate(vm.pc).source
 
 

@@ -376,6 +376,68 @@ def test_forwarding_programs_compute_the_commented_values():
     assert registers("loop_carried_memory")[5] == 1 + 2 + 4 + 8 + 16
 
 
+#: Code is immutable (the rule beside ``ST8`` in ``repro.isa.opcodes``): a
+#: store into the text range is a data store -- loads see it, execution does
+#: not.  Each program overwrites the immediate of a ``movi`` with r1 and both
+#: runs it and loads it back; the comments give what the oracle computes.
+_STORES_INTO_TEXT = {
+    # ... of an instruction further down the very trace being executed.
+    "ahead_in_the_trace": ("""
+        movi r1, 0xAAAAAAAA
+        movi r4, target
+        st32 [r4+2], r1
+    target:
+        movi r2, 0x11111111     ; runs as archived
+        ld32 r3, [r4+2]         ; 0xAAAAAAAA
+    """, {2: 0x11111111, 3: 0xAAAAAAAA}),
+    # ... of an instruction no engine has decoded yet when the store runs.
+    "ahead_behind_an_indirect_jump": ("""
+        movi r1, 0xAAAAAAAA
+        movi r4, target
+        st32 [r4+2], r1
+        jmpr r4
+    target:
+        movi r2, 0x11111111
+        ld32 r3, [r4+2]
+    """, {2: 0x11111111, 3: 0xAAAAAAAA}),
+    # ... of an instruction already executed, which then executes again.
+    "behind": ("""
+        movi r3, 0
+    target:
+        movi r2, 0x11111111
+        add  r5, r2             ; 0x11111111 twice
+        movi r4, target
+        movi r1, 0x44444444
+        st32 [r4+2], r1
+        addi r3, 1
+        cmpi r3, 2
+        jltu target
+        ld32 r3, [r4+2]         ; 0x44444444
+    """, {5: 0x22222222, 3: 0x44444444}),
+    # ... between a push and its pop: forwarding must neither lose the
+    # pushed word nor mistake the store for one into the stack.
+    "under_a_push_pop_pair": ("""
+        movi r1, 0x33333333
+        movi r4, target
+        push r1
+        st32 [r4+2], r1
+        pop  r5                 ; 0x33333333
+    target:
+        movi r2, 0x11111111
+        ld32 r3, [r4+2]         ; 0x33333333
+    """, {5: 0x33333333, 2: 0x11111111, 3: 0x33333333}),
+}
+
+
+@pytest.mark.parametrize("name", _STORES_INTO_TEXT)
+def test_a_store_into_text_changes_what_loads_see_not_what_runs(name):
+    body, expected = _STORES_INTO_TEXT[name]
+    image = build_asm("_start:\n" + body + "    halt\n")
+    _assert_engines_agree(image, name)
+    registers = _run(image, ENGINE_INTERPRETER)[1]
+    assert {reg: registers[reg] for reg in expected} == expected
+
+
 _FAULT_PROGRAMS = [
     ("wild_store", "    movi r1, 0x7000000\n    movi r2, 1\n    st32 [r1], r2\n    halt\n",
      MemoryFault),

@@ -638,6 +638,47 @@ def test_shared_code_cache_across_vm_instances(echo_decoder_image):
     assert result.stats.fragments_translated == 0
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+def test_fresh_decode_runs_the_archived_code_not_the_previous_members(engine):
+    """Both engines fetch code from the image, so a shared cache cannot carry
+    one member's self-modification into the next member's decode."""
+    import struct
+
+    from repro.vm.code_cache import CodeCache
+
+    from tests.conftest import SELF_PATCHING_DECODER
+
+    vm = VirtualMachine(build_asm(SELF_PATCHING_DECODER), engine=engine,
+                        code_cache=CodeCache(shared=True))
+    first = vm.decode(struct.pack("<II", 1, 0xDEADBEEF), fresh=True)
+    second = vm.decode(bytes(8), fresh=True)
+    assert (first.output.hex(), second.output.hex()) == ("11111111", "11111111")
+
+
+def test_reset_replaces_a_sandbox_the_guest_grew():
+    """In-place zeroing is for the sandbox the VM allocated; one the guest
+    grew is dropped, never handed (larger) to the next member."""
+    from repro.vm.memory import DEFAULT_MEMORY_SIZE
+
+    vm = VirtualMachine(build_asm("""
+    _start:
+        movi r0, 3            ; SETPERM
+        movi r1, 0x600000
+        vxcall
+        movi r0, 0
+        movi r1, 0
+        vxcall
+    """))
+    initial = vm.memory
+    vm.reset()
+    assert vm.memory is initial                       # same geometry: reused
+    assert vm.decode(b"", fresh=False).exit_code == 0
+    assert vm.memory is initial and initial.size == 0x600000
+    vm.reset()
+    assert vm.memory is not initial
+    assert vm.memory.size == len(vm.memory.buffer) == DEFAULT_MEMORY_SIZE
+
+
 def test_interpreter_uses_code_cache_instruction_store(echo_decoder_image):
     vm = VirtualMachine(echo_decoder_image, engine=ENGINE_INTERPRETER)
     vm.decode(b"abc")

@@ -144,7 +144,7 @@ def test_translator_survives_in_place_memory_reset():
     # hand-encode: movi r1, 7  (0x10, reg, imm32) ; halt (0x00)
     code = bytes([0x10, 1]) + (7).to_bytes(4, "little") + bytes([0x00])
     memory.write_bytes(0, code)
-    translator = Translator(memory, 0, len(code))
+    translator = Translator(memory, 0, len(code), text=code)
     before = translator.translate(0).source
     memory.reset()
     memory.write_bytes(0, code)       # reload the same image in place

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """AST lint: translated-code caches are only mutated under their locks.
 
-Two concurrency invariants keep the in-process worker pool sound, and both
+Three concurrency invariants keep the in-process worker pool sound, and all
 are easy to break silently when refactoring:
 
 1. every mutation of :class:`repro.vm.code_cache.CodeCache` state
@@ -11,7 +11,13 @@ are easy to break silently when refactoring:
    so only mutations are checked;
 2. every access (read or write) to the process-wide compile memo
    ``_CODE_MEMO`` in :mod:`repro.vm.translator` happens inside a
-   ``with _CODE_MEMO_LOCK:`` block.
+   ``with _CODE_MEMO_LOCK:`` block;
+3. in the process-wide image registry :mod:`repro.vm.images`, every access
+   to the table ``_RECORDS`` and every write to an ``ImageRecord`` slot
+   happens inside ``with _LOCK:``, and nothing slow or re-entrant --
+   parsing, analysing, translating, compiling -- is called while it is held
+   (this is where thread workers really share caches, and a lock held over
+   a long call would also be held across a ``fork``).
 
 This checker parses the source with :mod:`ast` -- no imports, no runtime
 monkey-patching -- so it runs anywhere Python runs and is wired into CI and
@@ -33,10 +39,17 @@ CACHE_STATE = {
     "hits", "misses", "chained_branches", "retranslations", "evictions",
 }
 
+#: ImageRecord slots written after construction, under the registry lock.
+RECORD_STATE = {"_analysed", "_report", "_caches"}
+
+#: Calls that must not run while the registry lock is held.
+SLOW_CALLS = {"parse_executable", "verify_image", "_verify_parsed", "analysis",
+              "translate", "compile"}
+
 #: Method names that mutate the container they are called on.
 MUTATING_METHODS = {
     "clear", "add", "pop", "popitem", "update", "setdefault",
-    "append", "extend", "remove", "discard", "insert",
+    "append", "extend", "remove", "discard", "insert", "move_to_end",
 }
 
 #: Methods that may touch cache state without the lock (run before the
@@ -152,6 +165,55 @@ class _MemoChecker(_LockTracker):
                 "_CODE_MEMO accessed outside `with _CODE_MEMO_LOCK`")
 
 
+class _RegistryChecker(_LockTracker):
+    """Checks :mod:`repro.vm.images` against invariant 3."""
+
+    def __init__(self, path: pathlib.Path):
+        super().__init__(path)
+        self.function = ""
+
+    def _is_lock_expr(self, node: ast.expr) -> bool:
+        return isinstance(node, ast.Name) and node.id == "_LOCK"
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        outer, self.function = self.function, node.name
+        self.generic_visit(node)
+        self.function = outer
+
+    def visit_Name(self, node: ast.Name) -> None:
+        unlocked_definition = node.col_offset == 0 and isinstance(node.ctx, ast.Store)
+        if node.id == "_RECORDS" and not self.lock_depth and not unlocked_definition:
+            self._report(node, "_RECORDS accessed outside `with _LOCK`")
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if (node.attr in RECORD_STATE and isinstance(node.ctx, (ast.Store, ast.Del))
+                and not self.lock_depth and self.function not in EXEMPT_METHODS):
+            self._report(node, f"ImageRecord.{self.function} writes "
+                               f"self.{node.attr} outside `with _LOCK`")
+        self.generic_visit(node)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name in SLOW_CALLS and self.lock_depth:
+            self._report(node, f"{name}() called while holding _LOCK")
+        if (isinstance(func, ast.Attribute) and name in MUTATING_METHODS
+                and isinstance(func.value, ast.Attribute)
+                and func.value.attr in RECORD_STATE and not self.lock_depth):
+            self._report(node, f"ImageRecord.{self.function} calls "
+                               f"self.{func.value.attr}.{name}() outside `with _LOCK`")
+        self.generic_visit(node)
+
+    def visit_Subscript(self, node: ast.Subscript) -> None:
+        target = node.value
+        if (isinstance(node.ctx, (ast.Store, ast.Del))
+                and isinstance(target, ast.Attribute)
+                and target.attr in RECORD_STATE and not self.lock_depth):
+            self._report(node, f"ImageRecord.{self.function} mutates "
+                               f"self.{target.attr} outside `with _LOCK`")
+        self.generic_visit(node)
+
+
 def _parse(path: pathlib.Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -178,9 +240,16 @@ def check_code_memo(path: pathlib.Path) -> list[tuple[pathlib.Path, int, str]]:
     return checker.violations
 
 
+def check_image_registry(path: pathlib.Path) -> list[tuple[pathlib.Path, int, str]]:
+    checker = _RegistryChecker(path)
+    checker.visit(_parse(path))
+    return checker.violations
+
+
 def run(root: pathlib.Path = REPO_ROOT) -> list[tuple[pathlib.Path, int, str]]:
     violations = []
     violations += check_code_cache(root / "src" / "repro" / "vm" / "code_cache.py")
+    violations += check_image_registry(root / "src" / "repro" / "vm" / "images.py")
     for path in sorted((root / "src" / "repro").rglob("*.py")):
         violations += check_code_memo(path)
     return violations
