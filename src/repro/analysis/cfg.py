@@ -131,12 +131,7 @@ def recover_cfg(image: ElfImage | bytes) -> ControlFlowGraph:
                     reason = "falls-off-text"
                 add_error(at, reason, str(error), soft)
                 continue
-            if pc + insn.length > text_end:
-                add_error(pc, "falls-off-text",
-                          f"instruction at 0x{pc:x} straddles the end of text",
-                          soft)
-                continue
-            insns[pc] = insn
+            insns[pc] = insn      # (``code`` ends at text_end: no straddlers)
             next_pc = pc + insn.length
             info = OPCODES[insn.op]
             succs: list[int] = []

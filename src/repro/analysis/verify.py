@@ -11,10 +11,8 @@ access, branch and virtual system call as
 The resulting :class:`AnalysisReport` is serialisable (``as_dict`` /
 ``from_dict``) so parallel extraction workers and the vxserve batch service
 can ship it alongside the image, and it is kept in the image's process-wide
-record (:mod:`repro.vm.images`, keyed by SHA-256) so a decoder is analysed
-once per process however many sessions load it.  A proof speaks about
-:attr:`ElfImage.text <repro.elf.structures.ElfImage.text>`, the very bytes
-both engines execute.
+record (:mod:`repro.vm.images`, keyed by SHA-256).  A proof speaks about
+``ElfImage.text``, the very bytes both engines execute.
 
 The PROVED_SAFE contract consumed by ``vm/translator.py``: for an access pc
 in ``proved_reads``/``proved_writes``, *every* concrete execution of that
@@ -137,12 +135,8 @@ class AnalysisReport:
 
 
 def verify_image(image: ElfImage | bytes) -> AnalysisReport:
-    """Statically verify ``image``; raw bytes are analysed once per process.
-
-    The report of raw bytes lives in the image's process-wide record
-    (:mod:`repro.vm.images`, keyed by SHA-256), where every VM loading the
-    same bytes finds it too.
-    """
+    """Statically verify ``image``; raw bytes are analysed once per process
+    (the report lives in the image's :mod:`repro.vm.images` record)."""
     if isinstance(image, (bytes, bytearray)):
         record = image_record(bytes(image))
         report = record.analysis()

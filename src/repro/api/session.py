@@ -13,15 +13,14 @@ benchmark reports these counters).
 What a session does *not* own is translated code.  Both engines fetch
 instructions from the decoder image's immutable text, never from the sandbox,
 so translations and static-analysis proofs are functions of the image digest
-(and the translator configuration) alone: they live in the process-wide
-registry :mod:`repro.vm.images`, and whenever the policy permits VM reuse at
-all the session points each VM at the registry's cache for its image.
-Members sharing a decoder share its translations across the sandbox
-re-initialisations the policy forces on protection-domain changes, and so do
-later sessions and other threads; re-initialising really does leave nothing
-of the previous member behind, code included.  Under ``ALWAYS_FRESH`` each VM
-keeps a private cache that is invalidated on every reset -- the session's
-retranslation counters then expose exactly what that posture costs.
+(and the translator configuration) alone and live in the process-wide
+:mod:`repro.vm.images`; whenever the policy permits VM reuse at all, the
+session points each VM at the registry's cache for its image.  Translations
+thus survive the re-initialisations the policy forces, the session itself and
+thread boundaries, while a re-initialised sandbox keeps nothing of the
+previous member, code included.  Under ``ALWAYS_FRESH`` each VM keeps a
+private cache, invalidated on every reset -- the session's retranslation
+counters then expose exactly what that posture costs.
 """
 
 from __future__ import annotations

@@ -56,9 +56,8 @@ class SessionStats:
     # superblock translations, blocks served from the fragment cache,
     # transitions over back-patched edges, translations of an already-seen
     # entry, fragments dropped by the LRU entry cap.  Translations (and the
-    # guards elided in them) are work *this session performed*: code caches
-    # are process-wide (repro.vm.images), so a session that finds its images
-    # already translated reports 0 of them and all cache hits.
+    # guards elided in them) are work *this session performed*: caches are
+    # process-wide, so a session may report 0 of them and all cache hits.
     fragments_translated: int = _counter("fragment(s) translated by this session")
     cache_hits: int = _counter("cache hit(s)")
     chained_branches: int = _counter("chained branch(es)")

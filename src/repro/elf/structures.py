@@ -184,12 +184,10 @@ class ElfImage:
         """``(start, end, code)``: the executable region and its immutable bytes.
 
         ``code`` is indexed by guest address and ``end`` bytes long: the
-        executable segments as the loader places them (later over earlier,
-        ``memsz`` beyond the file data zeroed), zeros everywhere else -- a
-        zero byte decodes as ``HALT``, so padding is inert rather than
-        ill-formed.  This is the one copy both execution engines fetch
-        instructions from and the static analysis reads, so all three see
-        the same code whatever the guest later stores over it.
+        executable segments as the loader places them, zeros elsewhere (a
+        zero byte decodes as ``HALT``, so padding is inert).  Both engines
+        fetch instructions from this one copy and the static analysis reads
+        it, so all three see the same code whatever the guest stores later.
         """
         spans = [s for s in self.segments if s.executable]
         if not spans:

@@ -64,10 +64,9 @@ class Op(enum.IntEnum):
     ST8 = 0x17         # st8   [rd+imm32], rs
     # Code rule: code is immutable.  Instructions are fetched from the
     # image's executable segments as archived (``ElfImage.text``), never
-    # from guest memory, so a store into the text range is a legal *data*
-    # store -- later loads see it -- and changes nothing that executes.
-    # What runs is what was archived, analysed and digested, which is also
-    # what lets translations and proofs be shared by image digest.
+    # from guest memory: a store into the text range is a legal *data* store
+    # that later loads see and that changes nothing that executes.  What
+    # runs is what was archived, analysed and digested.
     # Stack rule (the interpreter is the oracle; the translator and
     # ``repro.analysis`` follow it): operands are read before sp moves, so
     # ``push sp`` stores the *old* sp; ``pop rd`` writes rd and then sp, so

@@ -3,12 +3,11 @@
 Two facts drive the design:
 
 * **Decoder affinity.**  Translating a decoder's superblocks is the dominant
-  fixed cost of the VM path (PR 2), and translations live in one
-  :class:`~repro.vm.code_cache.CodeCache` per decoder image per *process*
-  (:mod:`repro.vm.images`).  If members of one decoder image were sprayed
-  round-robin across process workers, every worker would pay the full
-  translation of every decoder (thread workers share the cache, and gain
-  warm VMs from affinity instead).  Members of
+  fixed cost of the VM path (PR 2), and translations live in one cache per
+  decoder image per *process* (:mod:`repro.vm.images`).  If members of one
+  decoder image were sprayed round-robin across process workers, every
+  worker would pay the full translation of every decoder (thread workers
+  share the cache and gain only warm VMs from affinity).  Members of
   one decoder image therefore stay together -- up to the point where a
   group alone exceeds a worker's fair share of the total cost.  Such a
   group is split into contiguous chunks (so a single-decoder archive, the

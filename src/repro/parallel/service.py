@@ -5,11 +5,10 @@ extract/check requests against many archives and multiplexes them onto a
 single shared :class:`~repro.parallel.pool.WorkerPool`.  Because the pool
 (and therefore each worker's :mod:`~repro.parallel.worker` state) outlives
 any one request, a worker that has already served an archive keeps its
-:class:`~repro.api.session.DecoderSession` for the next request; and every
-decoder image's analysis report and translated
-:class:`~repro.vm.code_cache.CodeCache` are kept once per process by image
-digest (:mod:`repro.vm.images`), so they are warm for every worker thread,
-every archive carrying that decoder and every fresh ``check`` session.
+:class:`~repro.api.session.DecoderSession` for the next request, and every
+decoder image's analysis report and translated code are kept once per process
+by image digest (:mod:`repro.vm.images`): warm for every worker thread, every
+archive carrying that decoder and every fresh ``check`` session.
 ``ReadOptions.code_cache_limit`` (on by default here) and the registry's
 image bound keep that state bounded over an unbounded request stream.
 

@@ -4,13 +4,12 @@ vx32's viability rests on caching translated fragments and reusing them every
 time the decoder jumps to the same entry point (paper section 4.2).  Here a
 translation is a function of the decoder *image* and the translator's
 configuration and of nothing else: both engines fetch code from the image's
-immutable text, never from guest memory, so no member's data and no store a
-guest makes can reach a fragment.  A cache therefore belongs to an image, not
-to a sandbox or a session: :mod:`repro.vm.images` keeps one per (image
-SHA-256, translator configuration) for the whole process, and every
-:class:`~repro.api.session.DecoderSession` whose policy permits sharing hands
-it to its VMs -- across the sandbox re-initialisations section 2.4 forces,
-across sessions, across the threads of a worker pool.
+immutable text, never from guest memory, so no member's data and no guest
+store can reach a fragment.  A cache therefore belongs to an image, not to a
+sandbox or a session: :mod:`repro.vm.images` keeps one per (image SHA-256,
+translator configuration) for the whole process, and every session whose
+policy permits sharing points its VMs at it -- across the re-initialisations
+section 2.4 forces, across sessions, across the threads of a worker pool.
 
 The cache holds two keyed stores over the same guest image:
 
@@ -21,10 +20,8 @@ The cache holds two keyed stores over the same guest image:
 
 A cache is only valid for VMs running the *same decoder image* with the same
 memory-check policy and translator configuration; the registry guarantees
-this by construction of its key (see
-:meth:`VirtualMachine.share_code_cache
-<repro.vm.machine.VirtualMachine.share_code_cache>`).  A cache built by hand
-and passed as ``code_cache=`` is the caller's to keep consistent.
+this by construction of its key (``VirtualMachine.share_code_cache``).  A
+cache built by hand and passed as ``code_cache=`` is the caller's to keep so.
 
 Counters accumulate over every run of every VM that holds the cache (what
 one session did is in its own runs' :class:`~repro.vm.limits.ExecutionStats`,
@@ -102,9 +99,8 @@ class CodeCache:
     def store(self, entry: int, fragment) -> int:
         """Insert one translated fragment, evicting LRU entries over the cap.
 
-        Returns how many it evicted, so a run counts its own evictions and
-        not those of another thread storing into the same cache.
-
+        Returns how many it evicted: a run counts its own evictions, not
+        those of another thread storing into the same cache.
         Insertion order doubles as the recency order (:meth:`touch` refreshes
         it on a hit), so the eviction victim is always ``next(iter(...))``.
         Recency is only observed at dispatcher lookups -- chained

@@ -1,37 +1,31 @@
 """One record per decoder image per process, keyed by the image's SHA-256.
 
-What a decoder executes is a pure function of its image: both engines fetch
-instructions from :attr:`ElfImage.text <repro.elf.structures.ElfImage.text>`,
-an immutable copy of the executable segments, never from guest memory (the
-rule beside ``ST8`` in :mod:`repro.isa.opcodes`).  So is everything derived
-from that code -- the static analysis's proofs and the translator's
-fragments -- and this module keeps each of them once per process instead of
-once per session: the parsed image, its :class:`AnalysisReport` and one
+Both engines fetch instructions from :attr:`ElfImage.text
+<repro.elf.structures.ElfImage.text>`, never from guest memory (the code rule
+in :mod:`repro.isa.opcodes`), so everything derived from an image's code is a
+function of the image alone and is kept here once per process, not once per
+session: the parsed image, its :class:`AnalysisReport`, and one
 :class:`~repro.vm.code_cache.CodeCache` per translator configuration.
 
-Why sharing across sessions, members and threads leaks nothing (paper
+Why sharing across members, sessions and threads leaks nothing (paper
 section 2.4 confines shared state to one protection domain):
 
-* the key is the SHA-256 of the image bytes *actually loaded*, computed
-  here; a digest recorded in an archive is never read, so an archive cannot
-  name another image's record;
+* the key is the SHA-256 of the image bytes *actually loaded*, computed here;
+  a digest recorded in an archive is never read, so an archive cannot name
+  another image's record;
 * nothing stored under the key has a guest-writable byte or a byte of member
-  data among its inputs: the parse and the analysis read the image only; a
-  fragment is translated from ``text`` and the configuration in its cache's
-  key (the check policy, the trace limit, chaining, whether proved guards
-  are dropped, the entry cap -- everything ``run_translator`` hands the
-  :class:`~repro.vm.translator.Translator`).  Member data decides only
-  *which* entries get translated and in what order, hence where one trace
-  stops and the next begins; every fragment is a faithful translation of
-  the code at its entry whatever that order was;
-* the counters a cache accumulates are totals of host work, reported by
-  nobody to the guest.
+  data among its inputs.  The parse and the analysis read the image only; a
+  fragment is translated from ``text`` under the configuration in its
+  cache's key (everything ``run_translator`` reads besides the text).
+  Member data decides only *which* entries get translated and in what order,
+  hence where one trace stops and the next begins; every fragment is a
+  faithful translation of the code at its entry whatever that order was.
 
-Thread safety: one lock guards the table and every record's slots.  It is
-held for dictionary operations only -- parsing, analysing, translating and
-compiling all happen outside it and are published under it, so two threads
-meeting on a new image waste one computation, never correctness, and no
-long call can hold the lock across a ``fork``.
+One lock guards the table and every record's slots.  It is held for
+dictionary operations only: parsing, analysing and translating happen outside
+it and are published under it (as ``_CODE_MEMO`` does), so two threads meeting
+on a new image waste one computation, never correctness, and no long call
+holds the lock across a ``fork``.  ``tools/lint_locks.py`` checks both.
 """
 
 from __future__ import annotations
@@ -49,8 +43,8 @@ if TYPE_CHECKING:
     from repro.analysis.verify import AnalysisReport
 
 #: Images remembered per process; past it the least recently used record is
-#: forgotten (a VM that holds it keeps running on it).  Each record is
-#: bounded in turn: a cache by ``max_fragments`` and by the text length.
+#: forgotten (a VM holding it keeps running on it).  A record's caches are
+#: bounded in turn, by ``max_fragments`` and by the text length.
 IMAGE_LIMIT = 64
 
 _RECORDS: OrderedDict[str, "ImageRecord"] = OrderedDict()
@@ -70,11 +64,8 @@ class ImageRecord:
         self._caches: dict[tuple, CodeCache] = {}
 
     def analysis(self) -> AnalysisReport | None:
-        """The image's static-analysis report, computed on first use.
-
-        ``None`` means the analysis itself raised; that is remembered too,
-        so a hostile image cannot make every VM pay for the attempt.
-        """
+        """The image's analysis report, computed on first use; ``None`` if
+        the analysis raised (remembered too: no VM pays for a second try)."""
         if not self._analysed:
             from repro.analysis.verify import _verify_parsed
 
@@ -89,13 +80,9 @@ class ImageRecord:
         return self._report
 
     def code_cache(self, config: tuple, limit: int | None) -> CodeCache:
-        """The cache shared by every VM translating this image under ``config``.
-
-        ``config`` is :meth:`VirtualMachine.translator_config
-        <repro.vm.machine.VirtualMachine.translator_config>`; ``limit``, the
-        cache's entry cap, is part of the key because one user's evictions
-        are another's retranslations.
-        """
+        """The cache of every VM translating this image under ``config``
+        (see :meth:`VirtualMachine.share_code_cache`); the entry cap ``limit``
+        is part of the key: one user's evictions are another's retranslations."""
         key = (*config, limit)
         with _LOCK:
             cache = self._caches.get(key)

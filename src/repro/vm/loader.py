@@ -1,9 +1,9 @@
 """Load VXA decoder ELF images into a guest sandbox.
 
 Mirrors vx32's loader: the decoder image is copied to its linked virtual
-addresses inside the sandbox, the stack pointer is parked at the top of the
-initial sandbox, and the executable region is recorded so the execution
-engines can refuse to run code outside it (code sandboxing, section 4.2).
+addresses inside the sandbox and the stack pointer is parked at the top of
+the initial sandbox.  (The executable region the engines confine execution
+to, and the code they fetch, are ``ElfImage.text``, not this copy.)
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ class LoadedProgram:
     entry: int
     stack_top: int
     brk: int                       # first free address after the image (heap start)
-    text_start: int
-    text_end: int
 
 
 def admit_image(image: ElfImage | bytes, mode: str = "off", *, report=None):
@@ -113,12 +111,5 @@ def load_image(
             zero_start = segment.vaddr + len(segment.data)
             memory.write_bytes(zero_start, b"\x00" * (segment.memsz - len(segment.data)))
 
-    text_start, text_end, _ = image.text
     stack_top = (memory.size - 16) & ~0xF
-    return LoadedProgram(
-        entry=image.entry,
-        stack_top=stack_top,
-        brk=load_size,
-        text_start=text_start,
-        text_end=text_end,
-    )
+    return LoadedProgram(entry=image.entry, stack_top=stack_top, brk=load_size)

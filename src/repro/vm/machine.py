@@ -7,12 +7,10 @@ virtual file handles, runs the decoder with either the dynamic translator
 reuse-vs-reinitialise policy for decoding several streams with one decoder
 (section 2.4).
 
-The sandbox is private and mutable; the code is neither.  Given image bytes,
-the VM takes the parsed image, its immutable text and its analysis report
-from the process-wide record for those bytes (:mod:`repro.vm.images`, keyed
-by SHA-256): translations and proofs are functions of the image digest, so
-constructing the thousandth VM of an image parses, analyses and -- with a
-shared cache -- translates nothing.
+The sandbox is private and mutable; the code is neither.  Translations and
+proofs are functions of the image digest, so a VM given image bytes takes
+the parsed image, its immutable text and its analysis report from the
+process-wide record for those bytes (:mod:`repro.vm.images`).
 """
 
 from __future__ import annotations
@@ -65,10 +63,9 @@ class VirtualMachine:
             ``none``) -- see :mod:`repro.vm.memory`.
         use_fragment_cache: disable only for the fragment-cache ablation.
         code_cache: a :class:`~repro.vm.code_cache.CodeCache` to use as
-            given (the caller vouches that every VM sharing it runs this
-            image under this configuration); ``None`` gives the VM a private
-            cache that is invalidated on :meth:`reset`, which
-            :meth:`share_code_cache` swaps for the process-wide one.
+            given (the caller vouches for every VM sharing it); ``None``
+            gives the VM a private cache that is invalidated on :meth:`reset`
+            and that :meth:`share_code_cache` swaps for the process-wide one.
         superblock_limit: maximum guest instructions per translated trace
             (``None`` uses the translator default; ``1`` reproduces the old
             one-basic-block engine).
@@ -102,11 +99,10 @@ class VirtualMachine:
         if engine not in _ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
         if isinstance(image, (bytes, bytearray)):
-            record = image_record(bytes(image))
+            self._record = image_record(bytes(image))
         else:           # a parsed image has no bytes to key on: a private record
-            record = ImageRecord("", image)
-        self._record = record
-        self._image = record.image
+            self._record = ImageRecord("", image)
+        self._image = self._record.image
         self.engine = engine
         self._memory_size = memory_size
         self.limits = limits or ExecutionLimits()
@@ -135,10 +131,9 @@ class VirtualMachine:
         self.text = b""
         self.reset()
         #: Does the translator drop the guards the analysis proved redundant?
-        #: Only with a clean report whose proofs cover the sandbox as loaded.
-        #: A sandbox only grows, and :meth:`reset` loads the same image into
-        #: the same initial size, so this holds for the VM's whole life --
-        #: which is what lets it be part of a shared cache's key.
+        #: Only with a clean report whose proofs cover the sandbox as loaded;
+        #: a sandbox only grows and :meth:`reset` reloads the same geometry,
+        #: so this is fixed for the VM's life and can key a shared cache.
         report = self.analysis_report
         self.elides_guards = bool(
             analysis_elision and report is not None and report.ok
@@ -164,13 +159,10 @@ class VirtualMachine:
         return None
 
     def share_code_cache(self, limit: int | None = None) -> None:
-        """Swap the private cache for the process-wide one of this image.
-
-        The cache is found under the image's digest and every input of
-        :func:`~repro.vm.translator.run_translator` other than the image's
-        text, so whoever else holds it translates exactly as this VM would
-        (``limit`` is the cache's LRU entry cap, see :mod:`repro.vm.images`).
-        """
+        """Swap the private cache for the process-wide one of this image,
+        found under every input :func:`~repro.vm.translator.run_translator`
+        reads besides the image's text (``limit``: the cache's LRU cap), so
+        whoever else holds it translates exactly as this VM would."""
         config = (self._check_policy, self.superblock_limit,
                   self.use_fragment_cache, self.chain_fragments,
                   self.elides_guards)
@@ -203,8 +195,7 @@ class VirtualMachine:
         self.pc = loaded.entry
         self.cc = (0, 0)
         self.halted = False
-        # What executes is the image's own immutable text, whatever the
-        # guest stores over the copy just loaded into the sandbox.
+        # What executes: the image's immutable text, not the copy just loaded.
         self.text_start, self.text_end, self.text = self._image.text
         # A shared cache survives re-initialisation: translations are made
         # from the image's immutable text, never from the sandbox or member

@@ -78,8 +78,7 @@ class GuestMemory:
         """
         buffer = self.buffer
         size = len(buffer)
-        # Equal-length slice assignment from one small shared block: no
-        # sandbox-sized temporary (3 ms per 4 MiB), no resize.
+        # Equal-length slice assignment: no sandbox-sized temporary, no resize.
         whole = size - size % len(_ZEROS)
         for start in range(0, whole, len(_ZEROS)):
             buffer[start:start + len(_ZEROS)] = _ZEROS

@@ -7,14 +7,12 @@ and emits an equivalent *safe fragment* -- here a compiled Python function --
 which is stored in a :class:`~repro.vm.code_cache.CodeCache` keyed by the
 guest entry point.
 
-The stream it scans is the image's immutable text
-(:attr:`ElfImage.text <repro.elf.structures.ElfImage.text>`), never guest
-memory: a guest may store over its own code, and loads will see the store,
+The stream it scans is the image's immutable text (``ElfImage.text``), never
+guest memory: a guest may store over its own code, and loads see the store,
 but what executes is what was archived.  A fragment is therefore a function
-of the image and of the translator's configuration alone -- no member data,
-no guest-writable byte -- which is what allows the cache it lands in to be
-the process-wide one found under the image's SHA-256
-(:mod:`repro.vm.images`) and to outlive sandboxes, sessions and threads.
+of the image and the translator's configuration alone, which is what lets
+its cache be the process-wide one found under the image's SHA-256
+(:mod:`repro.vm.images`) and outlive sandboxes, sessions and threads.
 
 The engine goes beyond one-basic-block-at-a-time translation in three ways,
 mirroring the optimisations that make vx32 fast:
@@ -617,10 +615,9 @@ class Translator:
     Args:
         memory: the guest sandbox; only its check policy is read.
         text_start, text_end: the executable region recorded by the loader.
-        text: the code, indexed by guest address and ``text_end`` bytes long
-            (:attr:`ElfImage.text <repro.elf.structures.ElfImage.text>`).
-            It is never ``memory``: a guest store into the text range changes
-            what loads see, not what runs.
+        text: the code (``ElfImage.text``), indexed by guest address and
+            ``text_end`` bytes long.  Never ``memory``: a guest store into
+            the text range changes what loads see, not what runs.
         superblock_limit: maximum guest instructions per trace (``None``
             uses :data:`MAX_SUPERBLOCK_INSTRUCTIONS`; ``1`` degenerates to
             one instruction per fragment, for ablations).
@@ -707,9 +704,8 @@ class Translator:
             except InvalidInstructionError as error:
                 if count == 0:
                     raise IllegalInstructionFault(str(error)) from None
-                # Undecodable bytes (or an instruction cut off by the end of
-                # text) beyond a side exit: fault lazily, only if execution
-                # actually falls through to them.
+                # Undecodable bytes (or an instruction the end of text cuts
+                # off) beyond a side exit: fault lazily, only if reached.
                 trace.leave("", count, chained(pc))
                 break
             count += 1
@@ -810,14 +806,13 @@ def run_translator(vm) -> None:
     * a non-negative ``int`` -- a dynamically computed successor address
       (indirect branch); resolve it through the fragment cache's hash table.
 
-    The cache may be shared with VMs running on other threads.  Fragments
-    are re-entrant (all machine state arrives as arguments), and the one
-    unlocked read-modify-write below -- back-patching ``func.__defaults__``
-    -- is benign: two threads linking different exits of one fragment may
-    lose one of the links, which is simply resolved and patched again at
-    its next crossing, and any link that *is* present is the right one,
-    because the successor of a static exit is a function of the image and
-    of the cache's configuration, the same for every VM that holds it.
+    The cache may be shared with VMs on other threads.  Fragments are
+    re-entrant (all machine state arrives as arguments), and the one unlocked
+    read-modify-write below, back-patching ``func.__defaults__``, is benign:
+    two threads linking different exits of one fragment may lose one link,
+    which is resolved and patched again at its next crossing, and any link
+    present is the right one -- the successor of a static exit depends on
+    the image and the cache's configuration only.
     """
     memory = vm.memory
     regs = vm.regs
@@ -837,8 +832,7 @@ def run_translator(vm) -> None:
     else:
         vm.budget = min(budget, DEADLINE_CHECK_INTERVAL)
     max_fragments = limits.max_fragments
-    # Analysis-driven guard elision (the VM decided once, at load, whether
-    # the report's proofs cover its sandbox).
+    # Analysis-driven guard elision, decided once per VM at load.
     proved_reads: frozenset = frozenset()
     proved_writes: frozenset = frozenset()
     if vm.elides_guards:
