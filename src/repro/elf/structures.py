@@ -184,8 +184,8 @@ class ElfImage:
         """``(start, end, code)``: the executable region and its immutable bytes.
 
         ``code`` is indexed by guest address and ``end`` bytes long: the
-        executable segments as the loader places them, zeros elsewhere (a
-        zero byte decodes as ``HALT``, so padding is inert).  Both engines
+        executable segments' file bytes at their addresses, zeros elsewhere
+        (a zero byte decodes as ``HALT``, so padding is inert).  Both engines
         fetch instructions from this one copy and the static analysis reads
         it, so all three see the same code whatever the guest stores later.
         """
@@ -195,5 +195,5 @@ class ElfImage:
         end = max(s.vaddr + s.memsz for s in spans)
         code = bytearray(end)
         for s in spans:
-            code[s.vaddr:s.vaddr + s.memsz] = s.data.ljust(s.memsz, b"\0")
+            code[s.vaddr:s.vaddr + len(s.data)] = s.data
         return min(s.vaddr for s in spans), end, bytes(code)

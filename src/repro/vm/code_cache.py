@@ -41,9 +41,9 @@ Thread safety: all *mutation* paths (fragment/instruction insertion, LRU
 bookkeeping, counter merges, invalidation) take the cache's lock, so the
 in-process thread pool of :mod:`repro.parallel`, whose workers do share the
 registry's caches, cannot corrupt one or lose counter updates.  Plain lookups
-stay lock-free -- a dict read is atomic under CPython and the engines
-tolerate a racy miss (the worst case is a duplicate translation, observable
-as a retranslation, never corruption).
+(and :meth:`touch`, see there) stay lock-free -- a dict read is atomic under
+CPython and the engines tolerate a racy miss (the worst case is a duplicate
+translation, observable as a retranslation, never corruption).
 """
 
 from __future__ import annotations
@@ -127,16 +127,18 @@ class CodeCache:
     def touch(self, entry: int) -> None:
         """Refresh ``entry``'s LRU recency (only called when a cap is set).
 
-        This pays a lock + reorder per dispatcher hit, but only for capped
-        caches, only on indirect branches (chained transitions never reach
-        the dispatcher), and a dispatched fragment's execution costs orders
-        of magnitude more -- measured well under 1% of decode time.  The
-        entry is moved, never removed and re-inserted: another thread's
-        lock-free lookup must not find it missing and translate it again.
+        Paid per dispatcher hit, i.e. on indirect branches only (chained
+        transitions never reach the dispatcher).  Deliberately lock-free, like
+        the lookup before it: ``move_to_end`` is one C-level reorder, atomic
+        under the interpreter lock, and the entry is never removed and
+        re-inserted, so no other thread's lookup can miss it.  Taking the
+        lock here made two workers sharing a cache convoy on it (a vxserve
+        ``check`` ran at half speed).
         """
-        with self.lock:
-            if entry in self.fragments:     # not evicted since the lookup
-                self.fragments.move_to_end(entry)
+        try:
+            self.fragments.move_to_end(entry)
+        except KeyError:                    # evicted since the lookup
+            pass
 
     def note_translation(self, entry: int) -> bool:
         """Record ``entry`` in the translation history under the lock.

@@ -47,6 +47,11 @@ if TYPE_CHECKING:
 #: bounded in turn, by ``max_fragments`` and by the text length.
 IMAGE_LIMIT = 64
 
+#: A record pins its image's bytes and text span, so the table takes only
+#: images where the two stay under this (50x the bundled decoders).  A larger
+#: one gets a private record: parsed and analysed per VM, pinned by nobody.
+IMAGE_BYTES_LIMIT = 1 << 20
+
 _RECORDS: OrderedDict[str, "ImageRecord"] = OrderedDict()
 _LOCK = threading.Lock()
 
@@ -100,6 +105,8 @@ def image_record(data: bytes) -> ImageRecord:
             _RECORDS.move_to_end(digest)
             return record
     record = ImageRecord(digest, parse_executable(data))
+    if len(data) + record.image.load_size > IMAGE_BYTES_LIMIT:
+        return record
     with _LOCK:
         record = _RECORDS.setdefault(digest, record)
         while len(_RECORDS) > IMAGE_LIMIT:

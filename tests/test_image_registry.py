@@ -294,6 +294,18 @@ def test_least_recently_used_record_is_forgotten_and_its_vm_keeps_decoding(
     assert work["translations"] == translated
 
 
+def test_an_image_too_large_to_pin_gets_a_private_record(work):
+    """The table outlives archives and sessions, so it takes small images
+    only; a large one is parsed and analysed per VM, as before the table."""
+    large = build_asm("_start:\n    movi r0, 0\n    movi r1, 0\n    vxcall\n"
+                      f".data\nfiller:\n    .space {images.IMAGE_BYTES_LIMIT}\n")
+    first, second = images.image_record(large), images.image_record(large)
+    assert first is not second and not images._RECORDS
+    for _ in range(2):
+        assert VirtualMachine(large).decode(b"").exit_code == 0
+    assert work["analyses"] == 2
+
+
 # -- threads ----------------------------------------------------------------------
 
 

@@ -8,7 +8,8 @@ are easy to break silently when refactoring:
    (``fragments``/``instructions``/``known`` and the counters)
    happens inside a ``with self.lock:`` block -- plain *reads* are
    deliberately lock-free (an atomic dict read with a tolerated racy miss),
-   so only mutations are checked;
+   and so is ``touch``'s recency refresh (one atomic ``move_to_end``, which
+   inserts and removes nothing), so only mutations are checked;
 2. every access (read or write) to the process-wide compile memo
    ``_CODE_MEMO`` in :mod:`repro.vm.translator` happens inside a
    ``with _CODE_MEMO_LOCK:`` block;
@@ -49,7 +50,7 @@ SLOW_CALLS = {"parse_executable", "verify_image", "_verify_parsed", "analysis",
 #: Method names that mutate the container they are called on.
 MUTATING_METHODS = {
     "clear", "add", "pop", "popitem", "update", "setdefault",
-    "append", "extend", "remove", "discard", "insert", "move_to_end",
+    "append", "extend", "remove", "discard", "insert",
 }
 
 #: Methods that may touch cache state without the lock (run before the
