@@ -185,9 +185,9 @@ class ElfImage:
 
         ``code`` is indexed by guest address and ``end`` bytes long: the
         executable segments' file bytes at their addresses, zeros elsewhere
-        (a zero byte decodes as ``HALT``, so padding is inert).  Both engines
-        fetch instructions from this one copy and the static analysis reads
-        it, so all three see the same code whatever the guest stores later.
+        (a zero byte decodes as ``HALT``: padding is inert).  Both engines
+        fetch from this one copy and the static analysis reads it, so all
+        three see the same code whatever the guest stores later.
         """
         spans = [s for s in self.segments if s.executable]
         if not spans:

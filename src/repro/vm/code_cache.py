@@ -102,7 +102,7 @@ class CodeCache:
         Returns how many it evicted: a run counts its own evictions, not
         those of another thread storing into the same cache.
         Insertion order doubles as the recency order (:meth:`touch` refreshes
-        it on a hit), so the eviction victim is always ``next(iter(...))``.
+        it on a hit), so the eviction victim is always the first entry.
         Recency is only observed at dispatcher lookups -- chained
         transitions bypass the table entirely, which is acceptable because
         a chained predecessor keeps executing its successor by direct
@@ -127,13 +127,11 @@ class CodeCache:
     def touch(self, entry: int) -> None:
         """Refresh ``entry``'s LRU recency (only called when a cap is set).
 
-        Paid per dispatcher hit, i.e. on indirect branches only (chained
-        transitions never reach the dispatcher).  Deliberately lock-free, like
-        the lookup before it: ``move_to_end`` is one C-level reorder, atomic
-        under the interpreter lock, and the entry is never removed and
-        re-inserted, so no other thread's lookup can miss it.  Taking the
-        lock here made two workers sharing a cache convoy on it (a vxserve
-        ``check`` ran at half speed).
+        Paid per dispatcher hit (indirect branches only).  Lock-free like the
+        lookup before it: ``move_to_end`` is one atomic C-level reorder that
+        never removes the entry, so no other thread's lookup can miss it --
+        and a lock here made two workers sharing a cache convoy on it (a
+        vxserve ``check`` ran at half speed).
         """
         try:
             self.fragments.move_to_end(entry)

@@ -47,9 +47,9 @@ if TYPE_CHECKING:
 #: bounded in turn, by ``max_fragments`` and by the text length.
 IMAGE_LIMIT = 64
 
-#: A record pins its image's bytes and text span, so the table takes only
-#: images where the two stay under this (50x the bundled decoders).  A larger
-#: one gets a private record: parsed and analysed per VM, pinned by nobody.
+#: A record pins its image's bytes and text span: the table takes only images
+#: where both stay under this (50x the bundled decoders); a larger one gets a
+#: private record -- parsed and analysed per VM, pinned by nobody.
 IMAGE_BYTES_LIMIT = 1 << 20
 
 _RECORDS: OrderedDict[str, "ImageRecord"] = OrderedDict()

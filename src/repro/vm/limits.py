@@ -26,11 +26,9 @@ class ExecutionLimits:
         max_stderr_bytes: bytes of diagnostics the decoder may emit.
         max_memory_bytes: ceiling for ``setperm`` growth; also caps the
             initial sandbox size.
-        max_fragments: ceiling on distinct translated code fragments in one
-            cache.  Code is immutable, so entry points are addresses of the
-            image's text and their number is bounded by its length anyway;
-            the ceiling caps what one large hostile image (a jump into every
-            byte) can make the translator hold.
+        max_fragments: ceiling on distinct translated fragments in one cache.
+            Code is immutable, so their number is bounded by the text length
+            anyway; this caps what one large hostile image can make it hold.
         max_wall_seconds: wall-clock deadline for one decoder run.  The
             engines piggyback a cheap time check on their existing fuel
             checks, so a decoder wedged in a loop raises

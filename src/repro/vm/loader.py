@@ -42,7 +42,7 @@ def admit_image(image: ElfImage | bytes, mode: str = "off", *, report=None):
             VM runs the image).
         report: a previously computed
             :class:`~repro.analysis.verify.AnalysisReport` for this very
-            image (e.g. from a session-shared code cache); passing it skips
+            image (e.g. from its :mod:`repro.vm.images` record); passing it skips
             re-analysis but still applies the admission decision.
 
     Returns:

@@ -7,10 +7,9 @@ virtual file handles, runs the decoder with either the dynamic translator
 reuse-vs-reinitialise policy for decoding several streams with one decoder
 (section 2.4).
 
-The sandbox is private and mutable; the code is neither.  Translations and
-proofs are functions of the image digest, so a VM given image bytes takes
-the parsed image, its immutable text and its analysis report from the
-process-wide record for those bytes (:mod:`repro.vm.images`).
+The sandbox is private and mutable; the code is neither: translations and
+proofs are functions of the image digest, so a VM given image bytes takes the
+parsed image, its text and its report from :mod:`repro.vm.images`.
 """
 
 from __future__ import annotations

@@ -810,9 +810,8 @@ def run_translator(vm) -> None:
     re-entrant (all machine state arrives as arguments), and the one unlocked
     read-modify-write below, back-patching ``func.__defaults__``, is benign:
     two threads linking different exits of one fragment may lose one link,
-    which is resolved and patched again at its next crossing, and any link
-    present is the right one -- the successor of a static exit depends on
-    the image and the cache's configuration only.
+    which is re-resolved at its next crossing, and any link present is right
+    -- a static exit's successor depends on image and configuration only.
     """
     memory = vm.memory
     regs = vm.regs
