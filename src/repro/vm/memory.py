@@ -16,6 +16,8 @@ stores, the cheaper policy measured at ~4% overhead on RISC SFI systems.
 
 from __future__ import annotations
 
+from typing import NoReturn
+
 from repro.errors import MemoryFault, ResourceLimitExceeded
 
 #: Hard ceiling on guest address space size (paper section 4.1).
@@ -40,9 +42,18 @@ class GuestMemory:
     The backing store is a single ``bytearray``.  Addresses are guest-virtual
     and start at zero.  ``setperm`` (the heap-growth virtual system call)
     extends the accessible region up to ``limit``.
+
+    ``words`` is the same store as native 32-bit words: one ``memoryview`` of
+    the whole-word prefix of ``buffer``, so on a little-endian host ``words[i]``
+    is the word at byte ``4 * i`` and raises ``IndexError`` exactly when those
+    four bytes are not all inside the sandbox.  A ``bytearray`` with a live
+    export cannot be resized: :meth:`grow` releases the view and makes a new
+    one, and nobody else may export ``buffer``.  So hold ``words`` no longer
+    than the sandbox keeps its size: a fragment reads it at entry and its
+    trace ends at ``vxcall``, the only instruction that can grow the sandbox.
     """
 
-    __slots__ = ("buffer", "size", "limit", "check_policy", "_check_reads", "_check_writes")
+    __slots__ = ("buffer", "words", "size", "limit", "check_policy", "_check_reads", "_check_writes")
 
     def __init__(
         self,
@@ -60,6 +71,7 @@ class GuestMemory:
         if check_policy not in _VALID_POLICIES:
             raise ValueError(f"unknown check policy {check_policy!r}")
         self.buffer = bytearray(size)
+        self.words = self._word_view()
         self.size = size
         self.limit = limit
         self.check_policy = check_policy
@@ -67,6 +79,10 @@ class GuestMemory:
         self._check_writes = check_policy in (CHECK_FULL, CHECK_WRITE_ONLY)
 
     # -- sandbox management -------------------------------------------------
+
+    def _word_view(self) -> memoryview:
+        # The two intermediate views die here: releasing this one ends the export.
+        return memoryview(self.buffer)[:len(self.buffer) & ~3].cast("I")
 
     def reset(self) -> None:
         """Zero the sandbox (used when re-initialising the VM between files).
@@ -97,13 +113,17 @@ class GuestMemory:
             raise ResourceLimitExceeded(
                 f"guest requested {new_size} bytes of memory, limit is {self.limit}"
             )
-        self.buffer.extend(b"\x00" * (new_size - self.size))
+        self.words.release()
+        try:
+            self.buffer.extend(b"\x00" * (new_size - self.size))
+        finally:
+            self.words = self._word_view()
         self.size = new_size
         return self.size
 
     # -- access checks ------------------------------------------------------
 
-    def _fault(self, address: int, size: int, kind: str):
+    def _fault(self, address: int, size: int, kind: str) -> NoReturn:
         raise MemoryFault(address & 0xFFFFFFFF, size, kind)
 
     def check_range(self, address: int, size: int, *, write: bool) -> None:

@@ -73,14 +73,24 @@ bounds) key on the same immutable values, so a register write invalidates
 nothing.  Each pass over the trace starts from no knowledge at all, which
 is what makes a back-edge to the trace head sound.
 
+A word goes through ``struct`` only where nothing is known of its address.
+Where that is a multiple of four *by construction or by an entry guard* --
+never by an analysis fact -- it is ``w[i]`` in ``mem.words``, the sandbox's
+aligned word view: a literal index for a constant, ``w[q7 - 1]`` (``q7 = r7 >>
+2`` hoisted, no address statement) for ``[r6|r7 + 4k]`` under one entry test per pointer,
+``if r7 - LOW & 0xC0000003: return BAIL``, whose one ``&`` proves alignment
+and both ends of the range (:meth:`_Trace.word`).  A fragment that bails has
+changed nothing; the dispatcher replaces it by a translation with the view
+off, so a misaligned ``sp`` stays legal ISA and the engines agree.
+
 The memory-check policies of :mod:`repro.vm.memory` are honoured: under
 ``full`` every load and store carries an explicit bounds check against the
 live sandbox size (and faults with a precise address); ``write-only`` elides
 the read guards and ``none`` elides both.  Eliding a guard never weakens
-isolation: the ``struct`` packers and byte indexing bounds-check against the
-backing store themselves, so an unchecked wild access still faults (via the
-dispatcher's backstop, without a precise address) and can never read, write
-or resize memory outside the sandbox.
+isolation: the ``struct`` packers, byte indexing and the word view all
+bounds-check against the backing store themselves, so an unchecked wild
+access still faults (via the dispatcher's backstop, without a precise
+address) and can never read, write or resize memory outside the sandbox.
 
 Because the guest ISA is variable-length, the translator only ever decodes
 along realised execution paths; a jump into the middle of an instruction
@@ -94,6 +104,7 @@ actually falls through to the bad address.
 from __future__ import annotations
 
 import struct
+import sys
 import threading
 from dataclasses import dataclass
 from time import monotonic
@@ -203,6 +214,12 @@ _U32 = struct.Struct("<I").unpack_from
 _P32 = struct.Struct("<I").pack_into
 _U16 = struct.Struct("<H").unpack_from
 _P16 = struct.Struct("<H").pack_into
+#: ``mem.words`` holds *native* words: it serves little-endian hosts only.
+_BYTEORDER = sys.byteorder
+#: How far from a guarded pointer a word may lie (:meth:`_Trace.word`); what a
+#: fragment whose entry guard fails returns (exit slots count down from -1).
+_REACH = 1 << 20
+_BAIL = -1 << 30
 
 #: Globals made available to generated fragment code.
 _FRAGMENT_GLOBALS = {
@@ -281,8 +298,12 @@ class _Trace:
     replaces ``regs[i]`` and invalidates nothing.
     """
 
-    def __init__(self, translator: "Translator"):
+    def __init__(self, translator: "Translator", view: bool):
         self.translator = translator
+        self.view = view and _BYTEORDER == "little"     # may words use ``w``?
+        self.uses_view = False
+        self.low: dict[str, int] = {}   # guarded pointer -> its ``LOW``
+        self.elided = 0                 # guards dropped on analysis evidence
         #: Statements of the main line.  A write-back of the machine state
         #: is kept as a record (see :meth:`leave`) until :meth:`render`.
         self.lines: list = []
@@ -353,12 +374,13 @@ class _Trace:
 
     # -- guest memory ------------------------------------------------------------
 
-    def address(self, value, width: int, kind: str, pc: int) -> str:
-        """Local holding address ``value``, bounds-checked as policy demands.
+    def address(self, value, width: int, kind: str, pc: int, exact=None) -> str:
+        """Local holding address ``value`` (or ``exact``, an expression equal
+        to it), bounds-checked as policy demands.
 
         A check at the same address value at least as wide subsumes this one.
         """
-        local = self.atom(value)
+        local = exact or self.atom(value)
         checked, proved = self.translator.policy[kind]
         if checked and self.guarded.get(value, 0) < width:
             if pc in proved:
@@ -367,13 +389,57 @@ class _Trace:
                 # elided site is deliberately NOT entered in ``guarded``: a
                 # later unproved access of the same address must still emit
                 # its own check.
-                self.translator.guards_elided += 1
+                self.elided += 1
             else:
                 self.guarded[value] = width
                 self.guard_widths.add(width)
                 self.lines.append(
                     f"if {local} > s{width}: _flt({local}, {width}, {kind!r})")
         return local
+
+    def word(self, value, kind: str, pc: int):
+        """``w[index]`` for the word at address ``value``; ``None``: ``struct``.
+
+        ``w[i]`` is bytes ``4i..4i+3`` and, for ``i >= 0``, raises
+        ``IndexError`` iff ``i >= len(w)`` iff ``4i + 4 > len(buf)``, whatever
+        the sandbox size (the view is its whole-word prefix): exactly when
+        ``_u32``/``_p32`` raise at byte ``4i``.  So a site keeps its behaviour
+        if ``index == address >> 2`` exactly, the address a multiple of four
+        and nothing wrapped.  No analysis fact may establish that (they rest
+        on frame-slot integrity: enough to drop a check the backstop repeats,
+        not to pick a word).  What does:
+
+        (a) a constant address: its own low bits (``w[k >> 2]``, folded);
+        (c) an entry ``r6``/``r7`` plus ``s``, ``s % 4 == 0``, ``|s| <=
+            _REACH``, under the entry guard ``if r7 - LOW & 0xC0000003:
+            return BAIL`` (:meth:`render`; ``LOW``: the largest ``-s`` of the
+            trace).  It passes iff ``r7 - LOW`` -- the unbounded integer: a
+            negative one above ``-2**30`` has bits 30 and 31 set -- is a
+            multiple of four in ``[0, 2**30)``.  Alignment: so is ``r7``, as
+            ``LOW`` is.  Lower bound: ``r7 + s >= 0``, so nothing wraps below
+            zero and no index is negative (Python would count it from the
+            end).  Upper bound: ``r7 + s < 2**30 + 2 * _REACH``, so no sum
+            wraps past 2**32.  Hence ``r7 + s`` *is* the byte address,
+            unmasked, and ``q7 + s // 4``, ``q7 = r7 >> 2``, its index; a
+            site that needs its bounds check keeps it on that byte address
+            (``index > (size - 4) >> 2`` in other words).
+        """
+        local, k = value
+        if not self.view or k & 3:
+            return None
+        if local is None:
+            index = f"{self.address(value, 4, kind, pc)} >> 2"
+        elif local in ("r6", "r7") and (k + _REACH & _MASK) <= 2 * _REACH:
+            offset = _signed(k)
+            step = f" {'-' if offset < 0 else '+'} " if offset else ""
+            self.address(value, 4, kind, pc,
+                         local + (step and f"{step}{abs(offset)}"))
+            self.low[local] = max(self.low.get(local, 0), -offset)
+            index = f"q{local[1]}" + (step and f"{step}{abs(offset) >> 2}")
+        else:
+            return None
+        self.uses_view = True
+        return f"w[{index}]"
 
     def load32(self, address, pc: int):
         """Value of the word at ``address``: forwarded if known, else loaded.
@@ -386,16 +452,19 @@ class _Trace:
         """
         value = self.words.get(address)
         if value is None:
-            local = self.address(address, 4, "read", pc)
-            value = self.words[address] = self.root(f"_u32(buf, {local})[0]",
-                                                    _MASK)
+            text = (self.word(address, "read", pc) or
+                    f"_u32(buf, {self.address(address, 4, 'read', pc)})[0]")
+            value = self.words[address] = self.root(text, _MASK)
         return value
 
     def store(self, address, width: int, value, pc: int) -> None:
         """Emit the store (always), then update what is known of memory."""
-        local = self.address(address, width, "write", pc)
+        word = self.word(address, "write", pc) if width == 4 else None
+        local = word or self.address(address, width, "write", pc)
         source = self.atom(value)
-        if width == 4:
+        if word:
+            self.lines.append(f"{word} = {source}")
+        elif width == 4:
             self.lines.append(f"_p32(buf, {local}, {source})")
         else:
             if self.limit(value) >> 8 * width:
@@ -575,9 +644,18 @@ class _Trace:
                 + ", ".join(self.expr(self.regs[i]) for i in changed))
         self.lines += [indent + line for line in lines + ["continue"]]
 
-    def render(self, params: str) -> str:
-        """The fragment's source text."""
+    def render(self, params: str):
+        """The fragment's source text -- or ``None``: a back-edge moves a
+        pointer the entry guard, which runs once ahead of the loop, vouches for."""
         prologue = ["r0, r1, r2, r3, r4, r5, r6, r7 = r"]
+        for pointer, low in sorted(self.low.items()):
+            if int(pointer[1]) in self.loop_carried:
+                return None
+            test = f"{pointer} - {low}" if low else pointer
+            prologue += [f"if {test} & {0xC0000003}: return {_BAIL}",
+                         f"q{pointer[1]} = {pointer} >> 2"]
+        if self.uses_view:
+            prologue.append("w = mem.words")
         widths = sorted(self.guard_widths)
         if len(widths) == 1:
             prologue.append(f"s{widths[0]} = mem.size - {widths[0]}")
@@ -662,6 +740,10 @@ class Translator:
 
     def translate(self, entry: int) -> Fragment:
         """Translate the superblock starting at guest address ``entry``."""
+        return self._translate(entry, True)
+
+    def _translate(self, entry: int, view: bool) -> Fragment:
+        """``view=False``: every word on the ``struct`` path, no entry guard."""
         text_start = self._text_start
         text_end = self._text_end
         if not text_start <= entry < text_end:
@@ -669,7 +751,7 @@ class Translator:
                 f"jump target outside the code segment: 0x{entry:08x}"
             )
         code = self._text
-        trace = _Trace(self)
+        trace = _Trace(self, view)
         regs = trace.regs
         exits: list[int] = []           # static successor pc per chainable exit
         visited: set[int] = set()       # trace-local pcs (bounds trace growth)
@@ -772,6 +854,9 @@ class Translator:
         # -- compile the fragment ---------------------------------------------
         params = "".join(f", X{i}=None" for i in range(len(exits)))
         source = trace.render(params)
+        if source is None:
+            return self._translate(entry, False)
+        self.guards_elided += trace.elided
         namespace = dict(_FRAGMENT_GLOBALS)
         with _CODE_MEMO_LOCK:
             code_object = _CODE_MEMO.get(source)
@@ -802,7 +887,7 @@ def run_translator(vm) -> None:
       no cache lookup (a *chained* transition),
     * a negative ``int`` -- an unlinked chainable exit; bit-inverted it is
       the exit slot whose static target must be resolved once and patched
-      into the fragment's defaults,
+      into the fragment's defaults (``_BAIL``: its entry guard failed),
     * a non-negative ``int`` -- a dynamically computed successor address
       (indirect branch); resolve it through the fragment cache's hash table.
 
@@ -855,10 +940,11 @@ def run_translator(vm) -> None:
     vm.icount = 0
     pc = vm.pc
 
-    def resolve(target: int) -> Fragment:
+    def resolve(target: int, bailed: Fragment | None = None) -> Fragment:
+        """The fragment for ``target``, not ``bailed`` (its entry guard refused)."""
         nonlocal misses, retranslated, evicted
         fragment = fragments.get(target) if use_cache else None
-        if fragment is not None:
+        if fragment is not None and fragment is not bailed:
             if lru_capped:
                 cache.touch(target)
             return fragment
@@ -867,12 +953,12 @@ def run_translator(vm) -> None:
         # it supersedes the check with a stricter bound (eviction keeps the
         # table under the cap, and translation work stays bounded by the
         # instruction budget -- every translation is a block transition).
-        if use_cache and len(fragments) >= max_fragments:
+        if use_cache and bailed is None and len(fragments) >= max_fragments:
             raise ResourceLimitExceeded(
                 f"decoder exceeded the translated-fragment limit "
                 f"({max_fragments})"
             )
-        fragment = translator.translate(target)
+        fragment = translator._translate(target, bailed is None)
         misses += 1
         if cache.note_translation(target):
             retranslated += 1
@@ -888,13 +974,11 @@ def run_translator(vm) -> None:
             try:
                 ret = func(vm, regs, memory, buf)
             except (IndexError, struct.error) as error:
-                # Unchecked-policy access past the sandbox: the struct
-                # packers bounds-check against the backing store, so even
-                # with guards elided nothing escapes or resizes the sandbox.
-                # Only errors raised by the fragment's own code qualify --
-                # an IndexError out of the syscall layer (reached via a
-                # VXCALL inside the fragment) is a host bug and must
-                # propagate loudly, not masquerade as a guest fault.
+                # Unchecked access past the sandbox: packers, byte indexing
+                # and word view all bounds-check against the backing store.
+                # Only these errors, out of the fragment's own code, qualify:
+                # an IndexError out of the syscall layer (via VXCALL) or a
+                # ValueError (a released view) is a host bug and propagates.
                 traceback = error.__traceback__
                 while traceback.tb_next is not None:
                     traceback = traceback.tb_next
@@ -917,6 +1001,12 @@ def run_translator(vm) -> None:
                     # Indirect branch: the one remaining hash lookup.
                     pc = ret
                     frag = resolve(ret)
+                    func = frag.func
+                elif ret == _BAIL:
+                    # Nothing ran.  A generic fragment takes the entry over;
+                    # chained predecessors still arrive here, and find it.
+                    blocks -= 1
+                    frag = resolve(pc, frag)
                     func = frag.func
                 else:
                     # First crossing of a direct edge: resolve the successor

@@ -262,6 +262,62 @@ def test_reinitialised_session_vm_runs_the_archived_code(engine):
     assert second.output.hex() == "11111111"
 
 
+def test_reinitialised_session_vm_meets_a_new_word_view():
+    """A decoder that grows its sandbox, decoded for two owners by one
+    session VM: the re-initialisation replaces the grown sandbox, and the
+    shared fragments (translated once) index the word view of the new one."""
+    import struct
+
+    from repro.vm.limits import ExecutionLimits
+
+    from tests.conftest import build_asm
+
+    image = build_asm("""
+    _start:
+        movi r0, 3              ; SETPERM
+        movi r1, 0x500000
+        vxcall
+        movi r0, 1              ; READ one word
+        movi r1, 0
+        movi r2, cell
+        movi r3, 4
+        vxcall
+        movi r4, cell
+        ld32 r1, [r4]
+        push r1
+        movi r5, 0x4ffffc       ; only inside the grown sandbox
+        st32 [r5], r1
+        ld32 r2, [r5]
+        addi r2, 1
+        st32 [r4], r2
+        pop  r1
+        movi r0, 2              ; WRITE word + 1
+        movi r1, 1
+        movi r2, cell
+        movi r3, 4
+        vxcall
+        movi r0, 0
+        movi r1, 0
+        vxcall
+    .data
+    cell:
+        .space 4
+    """)
+    options = vxa.ReadOptions(reuse=VmReusePolicy.REUSE_SAME_ATTRIBUTES)
+    session = vxa.DecoderSession(lambda offset: image, options, ExecutionLimits())
+    first = session.decode(0, struct.pack("<I", 41),
+                           attributes=SecurityAttributes(owner=1))
+    (vm,) = session._vms.values()
+    grown = vm.memory.words
+    second = session.decode(0, struct.pack("<I", 99),
+                            attributes=SecurityAttributes(owner=2))
+    assert (first.output, second.output) == (struct.pack("<I", 42),
+                                             struct.pack("<I", 100))
+    assert (session.stats.vm_initialisations, session.stats.vm_reuses) == (2, 0)
+    assert vm.memory.words is not grown and len(vm.memory.words) == 0x500000 >> 2
+    assert second.stats.fragments_translated == 0
+
+
 def test_integrity_report_carries_code_cache_counters(tmp_path):
     path = tmp_path / "counters.zip"
     with vxa.create(path) as builder:

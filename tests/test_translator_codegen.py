@@ -4,20 +4,27 @@ The translator evaluates a trace symbolically and forwards stored and loaded
 words to later loads of the same address (see ``repro.vm.translator``).
 Whether that happens -- and, just as much, whether it *stops* happening when
 a store might alias -- is visible in ``Fragment.source`` as the number of
-``_u32(`` (word load) and ``_p32(`` (word store) sites, which is a pure
-function of the guest code.  The differential suite checks that forwarding
-is right; this file checks that it is there.
+word load and word store sites, which is a pure function of the guest code.
+A site is counted whichever way it reaches its word -- ``_u32(buf, a)[0]`` /
+``_p32(buf, a, v)``, or ``w[i]`` through the aligned word view -- so the
+numbers say what forwarding does and a second set says how many sites the
+view serves.  The differential suite checks that forwarding and the view are
+right; this file checks that they are there.
 """
 
 from __future__ import annotations
 
+import hashlib
+import pathlib
 import random
+import re
 
 import pytest
 
 from repro.codecs.registry import default_registry
 from repro.formats.ppm import write_ppm
 from repro.formats.wav import write_wav
+from repro.vm import translator
 from repro.vm.machine import VirtualMachine
 from repro.vm.translator import Translator
 from repro.workloads import (
@@ -36,14 +43,28 @@ def _source(body: str) -> str:
     return translator.translate(vm.pc).source
 
 
+_WORD_LOADS = (re.compile(r"= _u32\(buf, .*\)\[0\]$", re.M),
+               re.compile(r"= w\[.*\]$", re.M))
+_WORD_STORES = (re.compile(r"^\s*_p32\(buf, ", re.M),
+                re.compile(r"^\s*w\[.*\] = ", re.M))
+
+
+def _word_sites(source: str) -> tuple[int, int, int]:
+    """``(word loads, word stores, of either through the view)`` in ``source``."""
+    loads = [len(form.findall(source)) for form in _WORD_LOADS]
+    stores = [len(form.findall(source)) for form in _WORD_STORES]
+    return sum(loads), sum(stores), loads[1] + stores[1]
+
+
 #: vxc's stack-machine idiom: spill, load an operand, move it, reload.
 _IDIOM = "    push r1\n    ld32 r2, [r6+8]\n    mov r3, r2\n{between}    pop r4\n    halt\n"
 
 
 def test_pop_of_a_pushed_word_is_forwarded():
     source = _source(_IDIOM.format(between=""))
-    assert source.count("_u32(") == 1        # the ld32; the pop reads nothing
-    assert source.count("_p32(") == 1        # the push is still performed
+    loads, stores, _ = _word_sites(source)
+    assert loads == 1                        # the ld32; the pop reads nothing
+    assert stores == 1                       # the push is still performed
     assert "r3 = r2" not in source           # a move is a renaming
     assert "r[3] = v0; r[4] = r1" in source  # ... resolved at the write-back
 
@@ -60,9 +81,9 @@ def test_pop_of_a_pushed_word_is_forwarded():
         "half-below", "half-straddling"])
 def test_an_intervening_store_kills_exactly_what_it_may_overlap(between,
                                                                 word_loads):
-    source = _source(_IDIOM.format(between=between))
-    assert source.count("_u32(") == word_loads
-    assert source.count("_p32(") == 1 + between.count("st32")
+    loads, stores, _ = _word_sites(_source(_IDIOM.format(between=between)))
+    assert loads == word_loads
+    assert stores == 1 + between.count("st32")
 
 
 def test_early_side_exit_of_a_loop_writes_back_later_changes():
@@ -93,10 +114,10 @@ def _bench_inputs() -> dict[str, bytes]:
             "vxflac": clip, "vxsnd": clip}
 
 
-#: ``(_u32( sites, _p32( sites)`` in the whole code cache after one decode of
+#: ``(word load sites, word store sites)`` in the whole code cache after one decode of
 #: the input above, with the statement-for-statement generator this one
 #: replaced (PR 13's ``vm/translator.py`` in a scratch copy, run on today's
-#: images).  Stores are never dropped, so ``_p32(`` must not move.
+#: images).  Stores are never dropped, so the second number must not move.
 #:
 #: The pins are per toolchain version: they describe the images vxc 0.2
 #: builds and must be recomputed whenever ``repro.vxc.compiler.TOOLCHAIN``
@@ -111,14 +132,86 @@ _STATEMENT_FOR_STATEMENT = {
 }
 
 
+def _decode(name: str):
+    """``(vm, result)`` of one decode: a bundled decoder over its input above,
+    or the archived vxc 0.1 image over the payload archived with it."""
+    if name == "vxz-vxc-0.1":
+        data = pathlib.Path(__file__).parent / "data"
+        image = (data / "vxz-vxc-0.1.elf").read_bytes()
+        encoded = (data / "vxz-vxc-0.1.payload.vxz").read_bytes()
+    else:
+        codec = default_registry().get(name)
+        image = codec.guest_decoder_image()
+        encoded = codec.encode(_bench_inputs()[name])
+    vm = VirtualMachine(image)
+    result = vm.decode(encoded)
+    assert result.exit_code == 0
+    return vm, result
+
+
+def _cache_source(vm) -> str:
+    return "\n".join(fragment.source
+                     for _, fragment in sorted(vm.code_cache.fragments.items()))
+
+
 @pytest.mark.parametrize("name", _STATEMENT_FOR_STATEMENT)
 def test_bundled_decoder_memory_sites(name):
-    codec = default_registry().get(name)
-    data = _bench_inputs()[name]
-    vm = VirtualMachine(codec.guest_decoder_image())
-    assert vm.decode(codec.encode(data)).exit_code == 0
-    source = "\n".join(fragment.source
-                       for fragment in vm.code_cache.fragments.values())
+    loads, stores, _ = _word_sites(_cache_source(_decode(name)[0]))
     word_loads, word_stores = _STATEMENT_FOR_STATEMENT[name]
-    assert source.count("_p32(") == word_stores
-    assert source.count("_u32(") <= 0.8 * word_loads
+    assert stores == word_stores
+    assert loads <= 0.8 * word_loads
+
+
+#: Per image: ``guards_elided`` of that decode and the SHA-256 of its output
+#: and of every ``Fragment.source`` in entry order, all three as computed at
+#: the commit before the word view existed (PR 17).  The view must leave the
+#: first two alone; the third is what a host of the other byte order still
+#: generates -- the ``struct`` path, text unchanged.  Like the pins above
+#: these describe the vxc 0.2 images (and one archived 0.1 image, for good).
+_BEFORE_THE_VIEW = {
+    "vxz": (308, "e4871d5b6ded4275",
+            "61858250a2590554f0742af16ff4f8a48f67c03894e35e9fbadc6e56f3e7dbe8"),
+    "vxbwt": (468, "e4871d5b6ded4275",
+              "bf91c5cf3f8fc95c50e53b190bdd2ca37a83647341cfa79ead2b6f5c89b7297f"),
+    "vximg": (700, "56f14171fe442ddf",
+              "3408c1fd025bd7a13a5cfdcdf2f696331f2ee89d227ff21d72283e82db54c370"),
+    "vxjp2": (815, "38192d73aba8073b",
+              "1c50a3ea45caa2de3d3355566b0669635aadfa1d357a63cb9d3b2ef6710c4b3d"),
+    "vxflac": (433, "f63c5aaeed24a6eb",
+               "7f6cf77ec764f5aedbf16c4cb5d727af534b9fb4ed0f276bde0297b7df36b651"),
+    "vxsnd": (417, "423346961ce29de5",
+              "b283620e15adf6f93990cea09e01107cee8625187540b5bd7e6d34bd77631c37"),
+    "vxz-vxc-0.1": (428, "dd8add34c82cd720",
+                    "402cb55246d9f5e8200da876167769fd961f355a872f2fa2128ab1660eee69a0"),
+}
+
+
+def _sources_digest(vm) -> str:
+    digest = hashlib.sha256()
+    for entry, fragment in sorted(vm.code_cache.fragments.items()):
+        digest.update(f"{entry}\n{fragment.source}\n".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", _BEFORE_THE_VIEW)
+def test_the_word_view_serves_nearly_every_word_site(name):
+    vm, result = _decode(name)
+    loads, stores, through_view = _word_sites(_cache_source(vm))
+    assert through_view >= 0.90 * (loads + stores)
+    assert result.stats.retranslations == 0          # no entry guard bailed
+    guards_elided, output, _ = _BEFORE_THE_VIEW[name]
+    assert result.stats.guards_elided == guards_elided
+    assert hashlib.sha256(result.output).hexdigest().startswith(output)
+
+
+@pytest.mark.parametrize("name", _BEFORE_THE_VIEW)
+def test_the_struct_path_is_what_it_was(name, monkeypatch):
+    """On a big-endian host no word goes through the (native-order) view, and
+    what is generated instead is, byte for byte, what PR 17 generated."""
+    monkeypatch.setattr(translator, "_BYTEORDER", "big")
+    vm, result = _decode(name)
+    guards_elided, output, sources = _BEFORE_THE_VIEW[name]
+    assert _word_sites(_cache_source(vm))[2] == 0
+    assert _sources_digest(vm) == sources
+    assert result.stats.guards_elided == guards_elided
+    assert hashlib.sha256(result.output).hexdigest().startswith(output)

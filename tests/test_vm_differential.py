@@ -27,6 +27,7 @@ from repro.analysis import verify_image
 from repro.elf.reader import read_note
 from repro.errors import DivisionFault, GuestFault, MemoryFault
 from repro.vm.machine import ENGINE_INTERPRETER, ENGINE_TRANSLATOR, VirtualMachine
+from repro.vm.translator import _BAIL
 
 from tests.conftest import build_asm
 
@@ -436,6 +437,191 @@ def test_a_store_into_text_changes_what_loads_see_not_what_runs(name):
     _assert_engines_agree(image, name)
     registers = _run(image, ENGINE_INTERPRETER)[1]
     assert {reg: registers[reg] for reg in expected} == expected
+
+
+#: The translator reaches a word at ``[r6|r7 + 4k]`` through an aligned word
+#: view under an entry guard on the pointer (``_Trace.word``); a pointer the
+#: guard refuses -- misaligned, too low for the offsets used, high enough for
+#: a sum to wrap -- is legal ISA all the same, and the entry is retranslated
+#: without the view.  Each program sets the pointer in one fragment and uses
+#: it in the next (``jmpr r5`` between them, r5 = ``use`` kept to the end), so
+#: it arrives as an entry register, not as a constant of the trace.
+#: ``(body, memory_size, bails, faults)``: must the entry guard of the
+#: fragment at ``use`` bail, and must the run end in a ``MemoryFault``.
+_ODD_SIZE = (4 << 20) + 2
+_HOSTILE_POINTERS = {
+    **{f"sp_off_by_{n}": (f"""
+        addi r7, {n}
+        jmpr r5
+    use:
+        movi r1, 0x11223344
+        push r1
+        ld32 r2, [r7+4]
+        pop  r3
+        ld32 r4, [r7-4]         ; forwarded or not, 0x11223344
+        ld32 r1, [r7-8]
+    """, None, True, False) for n in (1, 2, 3)},
+    "fp_misaligned": ("""
+        movi r6, buffer
+        addi r6, 2
+        jmpr r5
+    use:
+        movi r1, 0xAABBCCDD
+        st32 [r6+4], r1
+        ld32 r2, [r6+8]
+        ld16u r3, [r6+6]        ; the upper half of the word just stored
+        ld32 r4, [r6]
+        st32 [r6-4], r3
+    """, None, True, False),
+    # r7 - LOW == 0: the lowest state the guard admits; word 0 is written.
+    "sp_8_two_pushes": ("""
+        movi r7, 8
+        jmpr r5
+    use:
+        push r5
+        push r7
+        ld32 r1, [r7]
+    """, None, False, False),
+    # The second push is at -4, i.e. 0xfffffffc: as an index it would be the
+    # last word of the sandbox.
+    "sp_4_second_push_wraps": ("""
+        movi r7, 4
+        jmpr r5
+    use:
+        push r5
+        push r7
+    """, None, True, True),
+    # r7 + 8 wraps past 2**32 to address 0: as an index, far out of range.
+    "sp_high_sum_wraps": ("""
+        movi r1, 0x600DF00D
+        movi r2, 0
+        st32 [r2], r1
+        movi r7, 0xfffffff8
+        jmpr r5
+    use:
+        ld32 r3, [r7+8]         ; 0x600DF00D
+        ld32 r4, [r7+12]
+    """, None, True, False),
+    # A loop that pushes: the guarded pointer is loop-carried, so the guard,
+    # which runs once ahead of the loop, cannot vouch for the second pass.
+    "loop_that_pushes": ("""
+        jmpr r5
+    use:
+        movi r1, 5
+    again:
+        push r1
+        subi r1, 1
+        cmpi r1, 0
+        jgtu again
+        ld32 r2, [r7+16]        ; 5
+    """, None, False, False),
+    # A loop through two fragments that moves sp by one byte per pass: the
+    # first pass satisfies the guard at ``use``, the second does not.
+    "loop_that_misaligns_sp": ("""
+        movi r1, 4
+        movi r4, tail
+        jmpr r5
+    use:
+        push r1
+        ld32 r2, [r7+4]
+        pop  r3
+        jmpr r4
+    tail:
+        addi r7, 1
+        subi r1, 1
+        cmpi r1, 0
+        jgtu use
+    """, None, True, False),
+    # The last whole word of the sandbox, by a constant address ...
+    "last_word": ("""
+        jmpr r5
+    use:
+        movi r1, 0x3ffffc
+        movi r2, 0xCAFEF00D
+        st32 [r1], r2
+        ld32 r3, [r1]
+        movi r4, 0x3ffff8
+        ld32 r4, [r4+4]
+    """, None, False, False),
+    # ... one past it ...
+    "past_the_last_word": ("""
+        jmpr r5
+    use:
+        movi r1, 0x400000
+        ld32 r3, [r1]
+    """, None, False, True),
+    # ... and the same two where the sandbox ends in a two-byte tail, which
+    # byte accesses reach and no word does.
+    "last_word_before_a_tail": ("""
+        jmpr r5
+    use:
+        movi r1, 0x3ffffc
+        movi r2, 0xCAFEF00D
+        st32 [r1], r2
+        st8  [r1+5], r2
+        ld8u r3, [r1+5]         ; 0x0D
+        ld32 r4, [r1]
+    """, _ODD_SIZE, False, False),
+    "word_straddling_the_tail": ("""
+        jmpr r5
+    use:
+        movi r1, 0x400000
+        movi r2, 0xCAFEF00D
+        st32 [r1], r2
+    """, _ODD_SIZE, False, True),
+}
+
+
+def _observe(image: bytes, engine: str, faults: bool, **vm_kwargs):
+    """``(everything observable, vm)`` of one run.  At a ``MemoryFault`` that
+    is the memory image -- stores are performed in order, so it is exact --
+    and no more: registers are only written back at exits."""
+    vm = VirtualMachine(image, engine=engine, **vm_kwargs)
+    if faults:
+        with pytest.raises(MemoryFault):
+            vm.decode(b"")
+        return bytes(vm.memory.buffer), vm
+    result = vm.decode(b"")
+    return (result.exit_code, list(vm.regs), tuple(vm.cc),
+            bytes(vm.memory.buffer), result.stats.instructions), vm
+
+
+@pytest.mark.parametrize("policy", ["full", "write-only", "none"])
+@pytest.mark.parametrize("name", _HOSTILE_POINTERS)
+def test_pointers_the_entry_guard_refuses_are_still_legal(name, policy):
+    body, memory_size, bails, faults = _HOSTILE_POINTERS[name]
+    image = build_asm("_start:\n    movi r5, use\n" + body
+                      + "    halt\n.data\nbuffer:\n    .space 64\n")
+    sandbox = {"check_policy": policy}
+    if memory_size is not None:
+        sandbox["memory_size"] = memory_size
+    reference, oracle = _observe(image, ENGINE_INTERPRETER, faults, **sandbox)
+    for config in _TRANSLATOR_CONFIGS:
+        observed, vm = _observe(image, ENGINE_TRANSLATOR, faults,
+                                **config, **sandbox)
+        assert observed == reference, (name, config)
+        # The fallback is tested, not assumed: where the guard must refuse,
+        # it did, and a fragment without one has taken the entry over.
+        # (One instruction per fragment bails at a later entry than ``use``;
+        # without a cache there is no fragment to look at.)
+        assert (vm.stats.retranslations > 0) == bails, (name, config)
+        if bails and config in ({}, {"chain_fragments": False},
+                                {"analysis_elision": False}):
+            source = vm.code_cache.fragments[oracle.regs[5]].source
+            assert "w[" not in source, (name, config)
+            assert f"return {_BAIL}" not in source, (name, config)
+
+
+def test_a_guarded_fragment_is_what_those_programs_start_from():
+    """The bails above are bails of a guard that exists: the same entry,
+    reached with an aligned pointer, runs with the view and is kept."""
+    body = _HOSTILE_POINTERS["sp_off_by_1"][0].replace("addi r7, 1", "addi r7, 4")
+    image = build_asm("_start:\n    movi r5, use\n" + body + "    halt\n")
+    vm = _observe(image, ENGINE_TRANSLATOR, False)[1]
+    source = vm.code_cache.fragments[vm.regs[5]].source
+    assert f"if r7 - 8 & {0xC0000003}: return {_BAIL}" in source
+    assert "w[q7 - 1] = " in source and "_p32(" not in source
+    assert vm.stats.retranslations == 0
 
 
 _FAULT_PROGRAMS = [

@@ -679,6 +679,106 @@ def test_reset_replaces_a_sandbox_the_guest_grew():
     assert vm.memory.size == len(vm.memory.buffer) == DEFAULT_MEMORY_SIZE
 
 
+#: Grows the sandbox, then -- in the next fragment, ``vxcall`` ends a trace --
+#: pushes, reads a global and touches the top of the new region, all through
+#: whatever word view the fragment finds at entry.
+_GROW_THEN_USE_WORDS = """
+_start:
+    movi r0, 3            ; SETPERM
+    movi r1, 0x600000
+    vxcall
+    movi r2, 0x1234
+    push r2
+    movi r4, cell
+    st32 [r4], r2
+    ld32 r3, [r4]
+    movi r1, 0x5ffffc     ; the last word of the grown sandbox
+    st32 [r1], r3
+    ld32 r5, [r1]
+    pop  r2
+    halt
+.data
+cell:
+    .space 4
+"""
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_fragment_after_setperm_sees_the_new_word_view(engine):
+    vm = VirtualMachine(build_asm(_GROW_THEN_USE_WORDS), engine=engine)
+    before = vm.memory.words
+    assert vm.decode(b"").exit_code == 0
+    assert vm.regs[2] == vm.regs[3] == vm.regs[5] == 0x1234
+    assert vm.memory.size == 0x600000 and len(vm.memory.words) == 0x600000 >> 2
+    assert vm.memory.words is not before and vm.memory.load32(0x5ffffc) == 0x1234
+    # The grown sandbox is replaced on re-initialisation; the same VM (and
+    # its fragments, translated once) then meets a third view.
+    grown = vm.memory.words
+    assert vm.decode(b"").exit_code == 0
+    assert vm.memory.words is not grown and vm.regs[5] == 0x1234
+
+
+def test_decode_many_keeps_decoding_across_a_growth():
+    """The ``done`` protocol reuses one sandbox: a stream decoded after the
+    guest grew it runs the same fragments over the new view."""
+    source = """
+    _start:
+    stream:
+        movi r0, 3            ; SETPERM: a no-op from the second stream on
+        movi r1, 0x500000
+        vxcall
+        movi r0, 1            ; READ one word
+        movi r1, 0
+        movi r2, cell
+        movi r3, 4
+        vxcall
+        movi r4, cell
+        ld32 r1, [r4]
+        push r1
+        movi r5, 0x4ffffc
+        st32 [r5], r1         ; only inside the grown sandbox
+        ld32 r1, [r5]
+        st32 [r4], r1
+        pop  r1
+        movi r0, 2            ; WRITE it back
+        movi r1, 1
+        movi r2, cell
+        movi r3, 4
+        vxcall
+        movi r0, 4            ; DONE
+        vxcall
+        cmpi r0, 0
+        je   stream
+        movi r0, 0
+        movi r1, 0
+        vxcall
+    .data
+    cell:
+        .space 4
+    """
+    for engine in ENGINES:
+        vm = VirtualMachine(build_asm(source), engine=engine)
+        results = vm.decode_many([b"abcd", b"efgh", b"ijkl"])
+        assert [result.output for result in results] == [b"abcd", b"efgh", b"ijkl"]
+        assert len(vm.memory.words) == 0x500000 >> 2
+
+
+def test_only_index_and_struct_errors_of_a_fragment_are_guest_faults(monkeypatch):
+    """The backstop maps what an out-of-range access raises -- ``IndexError``
+    from the buffer or the word view, ``struct.error`` from the packers.  A
+    ``ValueError`` (a released view, a value that does not fit a word) means
+    the host broke an invariant and must surface as itself."""
+    image = build_asm(_GROW_THEN_USE_WORDS)
+    vm = VirtualMachine(image)
+    vm.reset()
+    vm.memory.words.release()                 # what nothing in the VM ever does
+    from repro.vm.syscalls import StreamSet
+    vm.attach_streams(StreamSet.from_bytes(b""))
+    monkeypatch.setattr(type(vm.memory), "grow", lambda self, size: size)
+    with pytest.raises(ValueError, match="released"):
+        vm.run()
+
+
 def test_interpreter_uses_code_cache_instruction_store(echo_decoder_image):
     vm = VirtualMachine(echo_decoder_image, engine=ENGINE_INTERPRETER)
     vm.decode(b"abc")

@@ -136,6 +136,69 @@ def test_reset_preserves_buffer_identity():
     assert memory.load8u(8000) == 0
 
 
+# -- the word view (``GuestMemory.words``) -------------------------------------
+
+
+def test_word_view_sees_the_buffer_as_little_endian_words():
+    memory = GuestMemory(4096)
+    memory.store32(8, 0x0A0B0C0D)
+    assert len(memory.words) == 1024 and memory.words[2] == 0x0A0B0C0D
+    memory.words[3] = 0x11223344
+    assert memory.load32(12) == 0x11223344 and memory.load8u(12) == 0x44
+    with pytest.raises(IndexError):
+        memory.words[1024]
+
+
+def test_grow_releases_the_exported_view_and_covers_the_new_size():
+    """A ``bytearray`` with a live export cannot be resized: ``grow`` must
+    release the view first (no ``BufferError``) and hand out a new one."""
+    memory = GuestMemory(4096, limit=16384)
+    buffer, old = memory.buffer, memory.words
+    old[1023] = 7
+    assert memory.grow(8192) == 8192
+    assert memory.buffer is buffer and memory.words is not old
+    with pytest.raises(ValueError):           # released, not merely stale
+        old[0]
+    assert len(memory.words) == 2048 and memory.words[1023] == 7
+    memory.words[2047] = 9
+    assert memory.load32(8188) == 9
+    # A refused growth leaves the live view alone.
+    current = memory.words
+    with pytest.raises(ResourceLimitExceeded):
+        memory.grow(32768)
+    assert memory.grow(100) == 8192
+    assert memory.words is current and current[2047] == 9
+
+
+@pytest.mark.parametrize("tail", [1, 2, 3])
+def test_a_size_that_is_no_multiple_of_four_keeps_its_tail_bytes(tail):
+    """The view is the whole-word prefix: the tail stays reachable by byte
+    accesses, the last whole word by the view, and no word straddles in."""
+    memory = GuestMemory(4096 + tail, limit=16384)
+    assert len(memory.buffer) == 4096 + tail and len(memory.words) == 1024
+    memory.store8(4096 + tail - 1, 0xAB)
+    assert memory.load8u(4096 + tail - 1) == 0xAB
+    memory.words[1023] = 0xCAFEF00D
+    assert memory.load32(4092) == 0xCAFEF00D
+    with pytest.raises(IndexError):
+        memory.words[1024]
+    with pytest.raises(MemoryFault):
+        memory.load32(4096)
+    memory.grow(8192 + tail)
+    assert len(memory.words) == 2048 and memory.load8u(4096 + tail - 1) == 0xAB
+
+
+def test_reset_keeps_the_view_and_zeroes_through_it():
+    memory = GuestMemory(4096 + 2)
+    view = memory.words
+    view[5] = 0xFFFFFFFF
+    memory.store8(4097, 1)
+    memory.reset()                            # equal-length slices: no resize
+    assert memory.words is view and view[5] == 0 and not any(memory.buffer)
+    view[5] = 3
+    assert memory.load32(20) == 3
+
+
 def test_translator_survives_in_place_memory_reset():
     """An engine binding taken before reset() still sees live memory."""
     from repro.vm.translator import Translator
