@@ -76,8 +76,9 @@ is what makes a back-edge to the trace head sound.
 A word goes through ``struct`` only where nothing is known of its address.
 Where that is a multiple of four *by construction or by an entry guard* --
 never by an analysis fact -- it is ``w[i]`` in ``mem.words``, the sandbox's
-aligned word view: a literal index for a constant, ``w[q7 - 1]`` (``q7 = r7 >>
-2`` hoisted, no address statement) for ``[r6|r7 + 4k]`` under one entry test per pointer,
+aligned word view: a literal index for a constant, ``w[a >> 2]`` for a root
+the trace shifted left by two or more, ``w[q7 - 1]`` (``q7 = r7 >> 2`` hoisted,
+no address statement) for ``[r6|r7 + 4k]`` under one entry test per pointer,
 ``if r7 - LOW & 0xC0000003: return BAIL``, whose one ``&`` proves alignment
 and both ends of the range (:meth:`_Trace.word`).  A fragment that bails has
 changed nothing; the dispatcher replaces it by a translation with the view
@@ -302,6 +303,7 @@ class _Trace:
         self.translator = translator
         self.view = view and _BYTEORDER == "little"     # may words use ``w``?
         self.uses_view = False
+        self.aligned: set[str] = set()  # roots ``x << c``, ``c >= 2``
         self.low: dict[str, int] = {}   # guarded pointer -> its ``LOW``
         self.elided = 0                 # guards dropped on analysis evidence
         #: Statements of the main line.  A write-back of the machine state
@@ -410,6 +412,8 @@ class _Trace:
         not to pick a word).  What does:
 
         (a) a constant address: its own low bits (``w[k >> 2]``, folded);
+        (b) a root ``x << c``, ``c >= 2``, plus such a constant: the address
+            is masked as ever, so ``>> 2`` is exact;
         (c) an entry ``r6``/``r7`` plus ``s``, ``s % 4 == 0``, ``|s| <=
             _REACH``, under the entry guard ``if r7 - LOW & 0xC0000003:
             return BAIL`` (:meth:`render`; ``LOW``: the largest ``-s`` of the
@@ -427,7 +431,7 @@ class _Trace:
         local, k = value
         if not self.view or k & 3:
             return None
-        if local is None:
+        if local is None or local in self.aligned:
             index = f"{self.address(value, 4, kind, pc)} >> 2"
         elif local in ("r6", "r7") and (k + _REACH & _MASK) <= 2 * _REACH:
             offset = _signed(k)
@@ -576,8 +580,11 @@ class _Trace:
         count = b[1] & 31 if b[0] is None else None
         by = f"({y} & 31)" if count is None else str(count)
         if op is Op.SHL:
-            return self.root(f"{x} << {by}",
-                             top_a << (31 if count is None else count))
+            value = self.root(f"{x} << {by}",
+                              top_a << (31 if count is None else count))
+            if (count or 0) >= 2:       # the mask keeps the low bits
+                self.aligned.add(value[0])
+            return value
         if op is Op.SHRS and top_a >= _SIGN:
             return self.root(f"(({x} ^ {_SIGN}) - {_SIGN}) >> {by}", _MASK + 1)
         # Logical shift -- also the arithmetic one when the sign bit is
