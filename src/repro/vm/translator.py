@@ -652,8 +652,7 @@ class _Trace:
         self.lines += [indent + line for line in lines + ["continue"]]
 
     def render(self, params: str):
-        """The fragment's source text -- or ``None``: a back-edge moves a
-        pointer the entry guard, which runs once ahead of the loop, vouches for."""
+        """The fragment's source; ``None``: a back-edge moves a guarded pointer."""
         prologue = ["r0, r1, r2, r3, r4, r5, r6, r7 = r"]
         for pointer, low in sorted(self.low.items()):
             if int(pointer[1]) in self.loop_carried:
@@ -861,7 +860,7 @@ class Translator:
         # -- compile the fragment ---------------------------------------------
         params = "".join(f", X{i}=None" for i in range(len(exits)))
         source = trace.render(params)
-        if source is None:
+        if source is None:      # the guard runs once, ahead of the loop
             return self._translate(entry, False)
         self.guards_elided += trace.elided
         namespace = dict(_FRAGMENT_GLOBALS)
@@ -965,7 +964,8 @@ def run_translator(vm) -> None:
                 f"decoder exceeded the translated-fragment limit "
                 f"({max_fragments})"
             )
-        fragment = translator._translate(target, bailed is None)
+        fragment = (translator.translate(target) if bailed is None
+                    else translator._translate(target, False))
         misses += 1
         if cache.note_translation(target):
             retranslated += 1
