@@ -463,11 +463,11 @@ class _Trace:
 
     def store(self, address, width: int, value, pc: int) -> None:
         """Emit the store (always), then update what is known of memory."""
-        word = self.word(address, "write", pc) if width == 4 else None
-        local = word or self.address(address, width, "write", pc)
+        viewed = self.word(address, "write", pc) if width == 4 else None
+        local = viewed or self.address(address, width, "write", pc)
         source = self.atom(value)
-        if word:
-            self.lines.append(f"{word} = {source}")
+        if viewed:
+            self.lines.append(f"{viewed} = {source}")
         elif width == 4:
             self.lines.append(f"_p32(buf, {local}, {source})")
         else:

@@ -94,16 +94,16 @@ def measure(name: str, data: bytes) -> Counter:
     # A shared cache survives the re-initialisation between the two decodes.
     vm = VirtualMachine(codec.guest_decoder_image(), code_cache=CodeCache(shared=True))
     lines: Counter = Counter()
-    bails = 0
+    mix: Counter = Counter({"entry-guard bails": 0})
+    bail = getattr(translator, "_BAIL", None)     # absent before the word view
 
     def tracer(frame, event, arg):
-        nonlocal bails
         if not frame.f_code.co_filename.startswith("<vxa-fragment-"):
             return None
         if event == "line":
             lines[frame.f_code, frame.f_lineno] += 1
-        elif event == "return" and arg == getattr(translator, "_BAIL", None):
-            bails += 1
+        elif event == "return" and arg == bail:
+            mix["entry-guard bails"] += 1
         return tracer
 
     encoded = codec.encode(data)
@@ -114,11 +114,11 @@ def measure(name: str, data: bytes) -> Counter:
     finally:
         sys.settrace(None)
     assert result.exit_code == 0, name
-    mix: Counter = Counter({"entry-guard bails": bails})
     by_code = {fragment.func.__code__: classify(fragment.source)
                for fragment in vm.code_cache.fragments.values()}
     for (code, lineno), count in lines.items():
         mix[by_code[code][lineno - 1] if code in by_code else "replaced fragment"] += count
+    mix["total"] = sum(lines.values())
     return mix
 
 
@@ -128,10 +128,8 @@ def report(mixes: dict[str, Counter]) -> str:
         whole.update({key: count * WEIGHTS[name] for key, count in mix.items()})
     columns = {**mixes, "pass": whole}
     rows = [f"{'statements executed':32}" + "".join(f"{name:>12}" for name in columns)]
-    for key in sorted(whole) + ["total"]:
-        counts = [sum(mix.values()) - mix["entry-guard bails"] if key == "total" else mix[key]
-                  for mix in columns.values()]
-        rows.append(f"{key:32}" + "".join(f"{count:12d}" for count in counts))
+    for key in sorted(whole, key=lambda key: (key == "total", key)):
+        rows.append(f"{key:32}" + "".join(f"{mix[key]:12d}" for mix in columns.values()))
     return "\n".join(rows)
 
 
