@@ -63,10 +63,10 @@ class SessionStats:
     chained_branches: int = _counter("chained branch(es)")
     retranslations: int = _counter("retranslation(s)")
     evictions: int = _counter("eviction(s)")
-    # guards dropped on static proofs, counted at the access sites the
-    # translator *emitted* (a forwarded load has no site, so the count
-    # falls as forwarding improves) / decoder images admitted with an
-    # analysis report, whether this session computed it or the process had it
+    # guards dropped on static proofs, per fragment translated (an entry
+    # evicted, or one whose entry guard bailed, counts again) and per access
+    # site *emitted* (a forwarded load has none, so the count falls as
+    # forwarding improves) / decoder images with an analysis report, own or not
     guards_elided: int = _counter("bounds guard(s) elided in what it translated")
     images_verified: int = _counter("image(s) with an analysis report")
     # members extracted despite media damage, opens that rebuilt a lost

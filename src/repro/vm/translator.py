@@ -739,9 +739,9 @@ class Translator:
             "write": (memory.check_policy in (CHECK_FULL, CHECK_WRITE_ONLY),
                       proved_writes),
         }
-        #: Bounds guards dropped on static-analysis evidence at the sites
-        #: this translator emitted (cumulative across every trace it builds;
-        #: a forwarded load emits no access, so it has no guard to drop).
+        #: Bounds guards dropped on static-analysis evidence at the sites this
+        #: translator emitted, summed over the fragments it returns (both, when
+        #: an entry guard bails); a forwarded load has no guard to drop.
         self.guards_elided = 0
 
     def translate(self, entry: int) -> Fragment:

@@ -7,6 +7,7 @@ that every executed line finds a class and that the classes add up.
 
 import pathlib
 import sys
+from collections import Counter
 
 from repro.vm.machine import VirtualMachine
 from repro.vm.translator import Translator
@@ -57,8 +58,22 @@ def test_every_kind_of_statement_gets_its_class():
     assert len(guards) == 2 and len(classes) == source.count("\n") + 1
 
 
-def test_one_decode_is_classed_completely_and_adds_up():
-    mix = fragment_mix.measure("vxz", b"a small member, mostly repeats " * 12)
+def test_the_members_are_the_benchmarks_own():
+    first, weights = fragment_mix.members()
+    assert weights == {"vxz": 8, "vxbwt": 8, "vximg": 4, "vxjp2": 4, "vxflac": 4, "vxsnd": 4}
+    assert list(first) == list(weights) and all(first.values())
+    assert first["vxz"] == first["vxbwt"] and len(first["vxz"]) == 3072
+
+
+def test_one_decode_is_classed_completely_and_adds_up(monkeypatch, capsys):
+    small = b"a small member, mostly repeats " * 12
+    before = sys.gettrace()
+    sys.settrace(mine := lambda frame, event, arg: None)
+    try:
+        mix = fragment_mix.measure("vxz", small)
+        assert sys.gettrace() is mine              # a tracer already installed is put back
+    finally:
+        sys.settrace(before)
     assert mix["replaced fragment"] == 0 and mix["entry-guard bails"] == 0
     # A fragment execution unpacks the registers once and returns once.
     assert mix["entry unpack"] == mix["exit return"] > 0
@@ -66,7 +81,9 @@ def test_one_decode_is_classed_completely_and_adds_up():
     through_view = sum(count for key, count in words.items() if " view " in key)
     assert through_view >= 0.95 * sum(words.values()) > 0
     assert mix["address r6|r7 +- k"] == 0
-    table = fragment_mix.report({"vxz": mix}).splitlines()
+    monkeypatch.setattr(fragment_mix, "members", lambda: ({"vxz": small}, Counter(vxz=8)))
+    fragment_mix.main()
+    table = capsys.readouterr().out.splitlines()
     assert table[0].split() == ["statements", "executed", "vxz", "pass"]
     total = sum(count for key, count in mix.items() if key != "total")
     assert mix["total"] == total                   # nothing counted twice or dropped

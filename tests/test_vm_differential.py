@@ -624,6 +624,34 @@ def test_a_guarded_fragment_is_what_those_programs_start_from():
     assert vm.stats.retranslations == 0
 
 
+def test_a_bail_counts_the_elisions_of_both_translations():
+    """``guards_elided`` sums over ``fragments_translated``, and a bail
+    translates its entry twice.  ``use`` is also a static successor here, so
+    the analysis reaches it and proves its three sites."""
+    body = """
+        subi r7, {n}
+        cmpi r5, 0
+        je   use
+        jmpr r5
+    use:
+        movi r2, buffer
+        st32 [r2], r5
+        push r5
+        ld32 r3, [r2+4]
+        halt
+    .data
+    buffer:
+        .space 64
+    """
+    counted = {}
+    for n in (4, 1):
+        image = build_asm("_start:\n    movi r5, use\n" + body.format(n=n))
+        stats = _observe(image, ENGINE_TRANSLATOR, False)[1].stats
+        counted[n] = (stats.guards_elided, stats.fragments_translated,
+                      stats.retranslations)
+    assert counted == {4: (3, 2, 0), 1: (6, 3, 1)}
+
+
 _FAULT_PROGRAMS = [
     ("wild_store", "    movi r1, 0x7000000\n    movi r2, 1\n    st32 [r1], r2\n    halt\n",
      MemoryFault),

@@ -9,30 +9,31 @@ that only feed it, arithmetic, guards, compares, and what a fragment pays on
 entry and exit.  The counts are exact and repeat; they say where statements
 go inside ``vm.execute``, not how long each takes.
 
-    PYTHONPATH=src python tools/fragment_mix.py [--seed 7]
+    PYTHONPATH=src python tools/fragment_mix.py
 
-The members are vxabench's ``extract_mixed`` ones for that seed, one per
-decoder, and the ``pass`` column weights them as that archive does (8 vxz,
-8 vxbwt, 4 of each media decoder).
+The members are built by vxabench's own ``inputs.mixed_members`` (seed 7, the
+``bench`` shape): the first member of each decoder, and the ``pass`` column
+weights each by the number of members that decoder has in that archive.
 """
 
 from __future__ import annotations
 
-import argparse
-import random
+import pathlib
 import re
 import sys
 from collections import Counter
 
 from repro.codecs.registry import default_registry
-from repro.formats.ppm import write_ppm
-from repro.formats.wav import write_wav
-from repro.vm import translator
 from repro.vm.code_cache import CodeCache
 from repro.vm.machine import VirtualMachine
-from repro.workloads import synthetic_music, synthetic_photo, synthetic_source_tree_bytes
+from repro.vm.translator import _BAIL
 
-WEIGHTS = {"vxz": 8, "vxbwt": 8, "vximg": 4, "vxjp2": 4, "vxflac": 4, "vxsnd": 4}
+sys.path.append(str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "vxabench"))
+
+import inputs  # noqa: E402  (vxabench's: the members measured are the benchmark's)
+
+#: The seed ROADMAP.md and CHANGES.md quote this tool's numbers for.
+SEED = 7
 #: Address bases: ``sp`` = ``[r7+-k]``, ``fp`` = ``[r6+-k]``, ``const`` a literal
 #: (globals); anything else is ``computed``.
 _BASE = re.compile(r"(?P<sp>[rq]7\b)|(?P<fp>[rq]6\b)|(?P<const>\d+$)")
@@ -55,16 +56,14 @@ _CLASSES = [(name, re.compile(pattern)) for name, pattern in (
     ("alu masked", r" & 4294967295$"), ("alu plain", r"= "))]
 
 
-def members(seed: int) -> dict[str, bytes]:
-    """First member of each decoder in vxabench's seed-``seed`` mixed archive."""
-    rng = random.Random(f"mixed-{seed}")
-    texts = [synthetic_source_tree_bytes(3072, seed=rng.randrange(1 << 30))[:3072]
-             for _ in range(8)]
-    photo = write_ppm(synthetic_photo(32, 24, seed=rng.randrange(1 << 30)))
-    clip = write_wav(synthetic_music(seconds=0.1, sample_rate=8000, channels=1,
-                                     seed=rng.randrange(1 << 30)))
-    return {"vxz": texts[0], "vxbwt": texts[0], "vximg": photo, "vxjp2": photo,
-            "vxflac": clip, "vxsnd": clip}
+def members() -> tuple[dict[str, bytes], Counter]:
+    """vxabench's seed-7 mixed archive: the first member of each decoder, and
+    how many members each decoder has in it."""
+    mixed = inputs.mixed_members(SEED, inputs.SHAPES["bench"])
+    first: dict[str, bytes] = {}
+    for member in mixed:
+        first.setdefault(member.codec, member.data)
+    return first, Counter(member.codec for member in mixed)
 
 
 def _base(address: str, definitions: dict[str, str]) -> str:
@@ -95,24 +94,24 @@ def measure(name: str, data: bytes) -> Counter:
     vm = VirtualMachine(codec.guest_decoder_image(), code_cache=CodeCache(shared=True))
     lines: Counter = Counter()
     mix: Counter = Counter({"entry-guard bails": 0})
-    bail = getattr(translator, "_BAIL", None)     # absent before the word view
 
     def tracer(frame, event, arg):
         if not frame.f_code.co_filename.startswith("<vxa-fragment-"):
             return None
         if event == "line":
             lines[frame.f_code, frame.f_lineno] += 1
-        elif event == "return" and arg == bail:
+        elif event == "return" and arg == _BAIL:
             mix["entry-guard bails"] += 1
         return tracer
 
     encoded = codec.encode(data)
     vm.decode(encoded)                    # translate everything first: a warm pass
+    previous = sys.gettrace()             # a debugger's or coverage's: put back after
     sys.settrace(tracer)
     try:
         result = vm.decode(encoded)
     finally:
-        sys.settrace(None)
+        sys.settrace(previous)
     assert result.exit_code == 0, name
     by_code = {fragment.func.__code__: classify(fragment.source)
                for fragment in vm.code_cache.fragments.values()}
@@ -122,10 +121,10 @@ def measure(name: str, data: bytes) -> Counter:
     return mix
 
 
-def report(mixes: dict[str, Counter]) -> str:
+def report(mixes: dict[str, Counter], weights: Counter) -> str:
     whole: Counter = Counter()
     for name, mix in mixes.items():
-        whole.update({key: count * WEIGHTS[name] for key, count in mix.items()})
+        whole.update({key: count * weights[name] for key, count in mix.items()})
     columns = {**mixes, "pass": whole}
     rows = [f"{'statements executed':32}" + "".join(f"{name:>12}" for name in columns)]
     for key in sorted(whole, key=lambda key: (key == "total", key)):
@@ -133,13 +132,10 @@ def report(mixes: dict[str, Counter]) -> str:
     return "\n".join(rows)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args(argv)
-    print(report({name: measure(name, data) for name, data in members(args.seed).items()}))
-    return 0
+def main() -> None:
+    first, weights = members()
+    print(report({name: measure(name, data) for name, data in first.items()}, weights))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
