@@ -38,7 +38,6 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.bench.harness import standard_workloads, time_callable  # noqa: E402
-from repro.vm.code_cache import CodeCache                          # noqa: E402
 from repro.vm.machine import ENGINE_TRANSLATOR, VirtualMachine     # noqa: E402
 
 DECODER_ORDER = ("vxz", "vxbwt", "vximg", "vxjp2", "vxflac", "vxsnd")
@@ -51,8 +50,9 @@ def _geomean(values) -> float:
 
 def _time_vm(image: bytes, encoded: bytes, *, analysis_elision: bool,
              warm_repeats: int = 3):
-    cache = CodeCache(shared=True)
-    vm = VirtualMachine(image, engine=ENGINE_TRANSLATOR, code_cache=cache,
+    # A bare VM starts on an empty fragment table of its own (cold however
+    # warm the process is) and keeps it across the resets between decodes.
+    vm = VirtualMachine(image, engine=ENGINE_TRANSLATOR,
                         analysis_elision=analysis_elision)
     start = time.perf_counter()
     cold = vm.decode(encoded)

@@ -17,6 +17,7 @@ import repro.api as vxa
 from repro.bench.harness import time_callable
 from repro.bench.reporting import format_ratio, format_table
 from repro.core.policy import SecurityAttributes, VmReusePolicy, reuse_groups
+from repro.vm import machine
 from repro.vm.machine import ENGINE_TRANSLATOR, VirtualMachine
 from repro.workloads.text import synthetic_source_file
 
@@ -24,7 +25,7 @@ NUM_FILES = 20
 FILE_SIZE = 600
 
 
-def test_ablation_vm_reuse(benchmark, registry):
+def test_ablation_vm_reuse(benchmark, registry, monkeypatch):
     codec = registry.get("vxz")
     files = [
         synthetic_source_file(FILE_SIZE, seed=200 + index).encode()
@@ -35,30 +36,56 @@ def test_ablation_vm_reuse(benchmark, registry):
 
     def decode_fresh_each_time():
         vm = VirtualMachine(image, engine=ENGINE_TRANSLATOR)
-        outputs = []
-        for encoded in encoded_files:
-            outputs.append(vm.decode(encoded, fresh=True).output)
-        return outputs
+        return vm, [vm.decode(encoded, fresh=True) for encoded in encoded_files]
 
     def decode_with_reuse():
         vm = VirtualMachine(image, engine=ENGINE_TRANSLATOR)
-        return [result.output for result in vm.decode_many(encoded_files)]
+        return vm, vm.decode_many(encoded_files)
 
-    reuse_outputs = benchmark.pedantic(decode_with_reuse, rounds=1, iterations=1)
+    loads = []                  # one entry per image load into a sandbox
+    real_load = machine.load_image
+    monkeypatch.setattr(machine, "load_image",
+                        lambda *args: loads.append(1) or real_load(*args))
+    reuse_vm, reuse_results = benchmark.pedantic(decode_with_reuse, rounds=1,
+                                                 iterations=1)
+    reuse_loads = len(loads)
+    fresh_vm, fresh_results = decode_fresh_each_time()
+    fresh_loads = len(loads) - reuse_loads
+    monkeypatch.undo()
     fresh_seconds = time_callable(decode_fresh_each_time)
     reuse_seconds = time_callable(decode_with_reuse)
-    fresh_outputs = decode_fresh_each_time()
 
-    assert reuse_outputs == fresh_outputs == files      # same data either way
+    # Same data either way.
+    assert ([result.output for result in reuse_results]
+            == [result.output for result in fresh_results] == files)
+
+    # Gate on what the VM counts, not on the clock.  Either way every entry
+    # is translated exactly once per VM -- code belongs to the image and is
+    # kept across re-initialisation -- so what the safe default still pays
+    # for is the sandbox: one image load per file against one in all (plus,
+    # in both counts, the load a VM's constructor does).  Both timings are
+    # reported below, neither is asserted on.
+    fresh_stats = [result.stats for result in fresh_results]
+    fresh_translated = fresh_stats[0].fragments_translated
+    assert [(stats.fragments_translated, stats.retranslations)
+            for stats in fresh_stats[1:]] == [(0, 0)] * (NUM_FILES - 1)
+    reuse_stats = reuse_results[-1].stats   # one run, one stats object
+    reuse_translated = reuse_stats.fragments_translated
+    assert reuse_stats.retranslations == 0
+    assert fresh_translated == len(fresh_vm.code_cache) > 0
+    assert reuse_translated == len(reuse_vm.code_cache) > 0
+    assert (fresh_loads, reuse_loads) == (1 + NUM_FILES, 1 + 1)
 
     speedup = fresh_seconds / reuse_seconds
     rows = [
-        ["re-initialise per file (safe default)", f"{fresh_seconds * 1000:.0f}ms", "1.00x"],
+        ["re-initialise per file (safe default)", f"{fresh_seconds * 1000:.0f}ms",
+         "1.00x", fresh_translated, fresh_loads],
         ["reuse VM via done protocol", f"{reuse_seconds * 1000:.0f}ms",
-         format_ratio(speedup) + " faster"],
+         format_ratio(speedup) + " faster", reuse_translated, reuse_loads],
     ]
     table = format_table(
-        ["Policy", f"Time for {NUM_FILES} small files", "Relative"],
+        ["Policy", f"Time for {NUM_FILES} small files", "Relative",
+         "Fragments translated", "Image loads"],
         rows,
         title="Ablation: VM reuse vs re-initialisation (paper section 2.4)",
     )
@@ -97,9 +124,6 @@ def test_ablation_vm_reuse(benchmark, registry):
     )
     emit_report("ablation_vm_reuse", table)
 
-    # Reuse must help on many-small-file archives (translation and image load
-    # are amortised); require a measurable improvement.
-    assert speedup > 1.15
     assert 1 < len(groups) < 8
 
     by_policy = {row[0]: row for row in session_rows}

@@ -75,7 +75,7 @@ def main() -> None:
         print(f"extracted {len(records)} members with jobs={options.jobs}")
         print(f"merged worker stats: {stats.decodes} decodes, "
               f"{stats.fragments_translated} fragments translated, "
-              f"{stats.vm_reuses} VM reuses, {stats.evictions} evictions")
+              f"{stats.vm_reuses} VM reuses")
 
     # ------------------------------------------------ 2. sharded checking
     with vxa.open(archive_path, options) as archive:

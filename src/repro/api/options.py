@@ -62,15 +62,11 @@ class ReadOptions:
         limits: resource ceilings for decoder runs (``None`` -> defaults).
         reuse: VM reuse policy applied across members sharing a decoder
             (paper section 2.4); enforced by the session's
-            :class:`~repro.api.session.DecoderSession`.
+            :class:`~repro.api.session.DecoderSession`.  It decides when a
+            sandbox is re-initialised, never whether translated code is kept:
+            that belongs to the decoder image under every policy.
         registry: codec registry for native fast paths (``None`` -> default).
         chunk_size: unit for streamed member reads and writes.
-        superblock_limit: maximum guest instructions per translated trace
-            (``None`` -> translator default; ``1`` reproduces the old
-            one-basic-block engine, for ablations).
-        chain_fragments: back-patch direct-branch successors between
-            translated fragments so the dispatcher's hash lookup is only
-            paid on indirect branches (disable only for ablations).
         jobs: default worker count for :meth:`Archive.extract_into` and
             :meth:`Archive.check` (``1`` keeps the serial path; ``N > 1``
             shards members by decoder image across the
@@ -80,10 +76,6 @@ class ReadOptions:
             ``"thread"`` (in-process pool: cheap startup, used for small
             archives and tests), or ``"auto"`` to choose by workload size
             and machine shape.
-        code_cache_limit: optional LRU cap on translated fragments per
-            shared code cache (one per decoder image, configuration and cap
-            in the process, see :mod:`repro.vm.images`); evictions are
-            surfaced next to the hit/chain/retranslation counters.
         verify_images: static-analysis admission policy for archived
             decoder images -- ``"off"`` (default), ``"warn"`` (analyse and
             warn on unsafe images) or ``"reject"`` (refuse to run an image
@@ -134,11 +126,8 @@ class ReadOptions:
     reuse: VmReusePolicy = VmReusePolicy.ALWAYS_FRESH
     registry: CodecRegistry | None = None
     chunk_size: int = 1 << 16
-    superblock_limit: int | None = None
-    chain_fragments: bool = True
     jobs: int = 1
     executor: str = EXECUTOR_AUTO
-    code_cache_limit: int | None = None
     verify_images: str = "off"
     analysis_elision: bool = True
     on_error: str = ON_ERROR_ABORT
@@ -157,14 +146,10 @@ class ReadOptions:
             raise ValueError("chunk_size must be positive")
         if not isinstance(self.reuse, VmReusePolicy):
             raise TypeError("reuse must be a VmReusePolicy")
-        if self.superblock_limit is not None and self.superblock_limit < 1:
-            raise ValueError("superblock_limit must be at least 1")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
         if self.executor not in _EXECUTORS:
             raise ValueError(f"unknown executor {self.executor!r}")
-        if self.code_cache_limit is not None and self.code_cache_limit < 1:
-            raise ValueError("code_cache_limit must be at least 1")
         if self.verify_images not in ("off", "warn", "reject"):
             raise ValueError(f"unknown verify_images mode {self.verify_images!r}")
         if self.on_error not in _ON_ERROR:

@@ -14,13 +14,13 @@ What a session does *not* own is translated code.  Both engines fetch
 instructions from the decoder image's immutable text, never from the sandbox,
 so translations and static-analysis proofs are functions of the image digest
 (and the translator configuration) alone and live in the process-wide
-:mod:`repro.vm.images`; whenever the policy permits VM reuse at all, the
-session points each VM at the registry's cache for its image.  Translations
-thus survive the re-initialisations the policy forces, the session itself and
-thread boundaries, while a re-initialised sandbox keeps nothing of the
-previous member, code included.  Under ``ALWAYS_FRESH`` each VM keeps a
-private cache, invalidated on every reset -- the session's retranslation
-counters then expose exactly what that posture costs.
+:mod:`repro.vm.images`; the session points each VM at the registry's cache
+for its image under every policy.  The policy decides when *state* is thrown
+away: a re-initialised sandbox is zeroed and reloaded from the image and
+keeps nothing of the previous member, while the translations -- which no
+member can reach -- survive the re-initialisation, the session itself and
+thread boundaries.  What ``ALWAYS_FRESH`` costs is therefore the sandbox
+reload per member, not a retranslation.
 """
 
 from __future__ import annotations
@@ -102,13 +102,10 @@ class DecoderSession:
                 self._load_image(decoder_offset),
                 engine=options.engine,
                 limits=self._limits,
-                superblock_limit=options.superblock_limit,
-                chain_fragments=options.chain_fragments,
                 verify_images=options.verify_images,
                 analysis_elision=options.analysis_elision,
             )
-            if options.reuse is not VmReusePolicy.ALWAYS_FRESH:
-                vm.share_code_cache(options.code_cache_limit)
+            vm.share_code_cache()
             self._vms[decoder_offset] = vm
             if vm.analysis_report is not None:
                 self.stats.images_verified += 1

@@ -83,9 +83,14 @@ def _cmd_list(args) -> int:
     return 0
 
 
+#: ``--reuse``: what it decides, and what the safe default costs.
+_REUSE_HELP = ("when VM state is re-initialised between files sharing a "
+               "decoder; always-fresh (default) reloads the sandbox for every "
+               "file, translated code is kept under every policy")
+
 _STATS_LINES = (
     ("code cache", ("fragments_translated", "chained_branches", "cache_hits",
-                    "retranslations", "evictions")),
+                    "retranslations")),
     ("static analysis", ("images_verified", "guards_elided")),
     ("durability", ("members_salvaged", "directory_reconstructed",
                     "commit_record_verified")),
@@ -251,7 +256,7 @@ def _add_reading_commands(commands) -> None:
                          help="print translation code-cache counters after extraction")
     extract.add_argument("--reuse", default=VmReusePolicy.ALWAYS_FRESH.value,
                          choices=[policy.value for policy in VmReusePolicy],
-                         help="VM reuse policy across files sharing a decoder")
+                         help=_REUSE_HELP)
     extract.add_argument("-j", "--jobs", type=int, default=1,
                          help="extract with N parallel workers, sharding "
                               "members by decoder image (default: 1, serial)")
@@ -273,7 +278,7 @@ def _add_reading_commands(commands) -> None:
                             "(exit 1) / unrecoverable (exit 2)")
     check.add_argument("--reuse", default=VmReusePolicy.ALWAYS_FRESH.value,
                        choices=[policy.value for policy in VmReusePolicy],
-                       help="VM reuse policy across files sharing a decoder")
+                       help=_REUSE_HELP)
     check.add_argument("-j", "--jobs", type=int, default=1,
                        help="check with N parallel workers, sharding "
                             "members by decoder image (default: 1, serial)")

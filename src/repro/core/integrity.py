@@ -48,7 +48,7 @@ def is_archive_intact(archive, **kwargs) -> bool:
 _REPORT_LINES = (
     ("decoder VMs", ("vm_initialisations", "vm_reuses")),
     ("code cache", ("fragments_translated", "cache_hits", "chained_branches",
-                    "retranslations", "evictions")),
+                    "retranslations")),
     ("static analysis", ("images_verified", "guards_elided")),
 )
 

@@ -5,7 +5,10 @@ performance on archives with many small files, but risks leaking data from
 one file to another through a buggy or malicious decoder.  The recommended
 mitigation is to re-initialise whenever the security attributes of the files
 being processed change; the policies below encode the three useful points on
-that spectrum.
+that spectrum.  They govern VM *state* only.  Translated code is a function
+of the decoder image, which no file and no guest store can reach, so it is
+kept under every policy (:mod:`repro.vm.images`): re-initialising costs a
+zeroed sandbox and a reloaded image per file, not a retranslation.
 """
 
 from __future__ import annotations

@@ -54,19 +54,18 @@ class SessionStats:
     vm_initialisations: int = _counter("initialisation(s)")
     vm_reuses: int = _counter("state reuse(s)")
     # superblock translations, blocks served from the fragment cache,
-    # transitions over back-patched edges, translations of an already-seen
-    # entry, fragments dropped by the LRU entry cap.  Translations (and the
-    # guards elided in them) are work *this session performed*: caches are
-    # process-wide, so a session may report 0 of them and all cache hits.
+    # transitions over back-patched edges, entries translated again because
+    # their entry guard bailed.  Translations (and the guards elided in them)
+    # are work *this session performed*: caches are process-wide under every
+    # reuse policy, so a session may report 0 of them and all cache hits.
     fragments_translated: int = _counter("fragment(s) translated by this session")
     cache_hits: int = _counter("cache hit(s)")
     chained_branches: int = _counter("chained branch(es)")
     retranslations: int = _counter("retranslation(s)")
-    evictions: int = _counter("eviction(s)")
     # guards dropped on static proofs, per fragment translated (an entry
-    # evicted, or one whose entry guard bailed, counts again) and per access
-    # site *emitted* (a forwarded load has none, so the count falls as
-    # forwarding improves) / decoder images with an analysis report, own or not
+    # whose entry guard bailed counts again) and per access site *emitted*
+    # (a forwarded load has none, so the count falls as forwarding improves)
+    # / decoder images with an analysis report, own or not
     guards_elided: int = _counter("bounds guard(s) elided in what it translated")
     images_verified: int = _counter("image(s) with an analysis report")
     # members extracted despite media damage, opens that rebuilt a lost

@@ -79,6 +79,43 @@ def _pool_for(archive, shards, payloads, jobs, pool):
         yield ephemeral
 
 
+def _run_recovering(pool, runner, payloads, single, *, retries, absorb,
+                    exhausted, recover=True):
+    """Run ``payloads`` on ``pool``; see the module docstring for recovery.
+
+    Each member of a crashed shard is charged one attempt and re-run on the
+    payload ``single(name)`` builds, until it completes or has cost more than
+    ``retries`` attempts and goes to ``exhausted(name, attempts)``.  Reruns
+    go one member at a time: a process-pool break fails every in-flight
+    future, so batching them would charge innocent members for the culprit's
+    crash.  With ``recover`` false a crash is raised like any shard error.
+    """
+    attempts: dict[str, int] = {}
+    retry: list[str] = []
+
+    def settle(outcome, names):
+        if outcome.crashed and recover:
+            for name in names:
+                attempts[name] = attempts.get(name, 0) + 1
+                retry.append(name)
+        elif outcome.error is not None:
+            raise outcome.error
+        else:
+            absorb(outcome.result)
+
+    for outcome in pool.run_all(runner, payloads):
+        settle(outcome, outcome.payload["names"])
+    while retry:
+        rerun = list(retry)
+        retry.clear()
+        for name in rerun:
+            if attempts[name] > retries:
+                exhausted(name, attempts[name])
+            else:
+                [outcome] = pool.run_all(runner, [single(name)])
+                settle(outcome, [name])
+
+
 def parallel_extract_into(archive, directory, names, jobs, *,
                           mode=None, force_decode=None, pool=None):
     """Sharded :meth:`Archive.extract_into`; see that method for semantics."""
@@ -94,7 +131,6 @@ def parallel_extract_into(archive, directory, names, jobs, *,
                                     force_decode=force_decode, jobs=1)
     by_name: dict[str, ExtractionRecord] = {}
     failures: list[MemberFailure] = []
-    abort = options.on_error == ON_ERROR_ABORT
 
     def absorb(result):
         archive.session.stats.merge(SessionStats.from_dict(result["stats"]))
@@ -110,6 +146,16 @@ def parallel_extract_into(archive, directory, names, jobs, *,
         for failure in result["failures"]:
             failures.append(MemberFailure.from_dict(failure))
 
+    def exhausted(name, attempts):
+        failures.append(MemberFailure(
+            name=name,
+            error_type="WorkerCrashed",
+            message=(f"member killed its worker {attempts} time(s); "
+                     f"retry budget ({options.retries}) exhausted"),
+            attempts=attempts,
+            quarantined=options.on_error == ON_ERROR_QUARANTINE,
+        ))
+
     with _shippable_source(archive) as source:
         base = {
             "source": source,
@@ -121,56 +167,11 @@ def parallel_extract_into(archive, directory, names, jobs, *,
         payloads = [dict(base, names=shard.names, worker=shard.worker)
                     for shard in shards]
         with _pool_for(archive, shards, payloads, jobs, pool) as active:
-            attempts: dict[str, int] = {}
-            retry: list[str] = []
-            for outcome in active.run_all(run_extract_shard, payloads):
-                if outcome.crashed and not abort:
-                    # The whole shard's results are lost; schedule every
-                    # member for an individual re-run (idempotent) and
-                    # charge each one attempt -- the culprit is whichever
-                    # member crashes again when run alone.
-                    for name in outcome.payload["names"]:
-                        attempts[name] = attempts.get(name, 0) + 1
-                        retry.append(name)
-                elif outcome.error is not None:
-                    raise outcome.error
-                else:
-                    absorb(outcome.result)
-
-            while retry:
-                rerun = []
-                for name in retry:
-                    if attempts[name] > options.retries:
-                        failures.append(MemberFailure(
-                            name=name,
-                            error_type="WorkerCrashed",
-                            message=(f"member killed its worker "
-                                     f"{attempts[name]} time(s); "
-                                     f"retry budget ({options.retries}) "
-                                     f"exhausted"),
-                            attempts=attempts[name],
-                            quarantined=(options.on_error
-                                         == ON_ERROR_QUARANTINE),
-                        ))
-                    else:
-                        rerun.append(name)
-                retry = []
-                if not rerun:
-                    break
-                # Retries run one member at a time: a process-pool break
-                # fails every in-flight future, so batching reruns would
-                # charge innocent members for the culprit's crash.
-                for name in rerun:
-                    payload = dict(base, names=[name], worker=None,
-                                   fresh=True)
-                    [outcome] = active.run_all(run_extract_shard, [payload])
-                    if outcome.crashed:
-                        attempts[name] += 1
-                        retry.append(name)
-                    elif outcome.error is not None:
-                        raise outcome.error
-                    else:
-                        absorb(outcome.result)
+            _run_recovering(
+                active, run_extract_shard, payloads,
+                lambda name: dict(base, names=[name], worker=None, fresh=True),
+                retries=options.retries, absorb=absorb, exhausted=exhausted,
+                recover=options.on_error != ON_ERROR_ABORT)
 
     order = {name: index for index, name in enumerate(names)}
     failures.sort(key=lambda failure: order.get(failure.name, len(order)))
@@ -204,6 +205,12 @@ def parallel_check(archive, jobs, *, reuse=None, names=None, pool=None):
             failures.append((_failure_order(failure, order), failure))
         report.merge(SessionStats.from_dict(result))
 
+    def exhausted(name, attempts):
+        report.checked += 1
+        failures.append((order.get(name, len(order)),
+                         f"{name}: worker crashed {attempts} time(s); "
+                         f"retry budget exhausted"))
+
     with _shippable_source(archive) as source:
         base = {
             "source": source,
@@ -212,47 +219,13 @@ def parallel_check(archive, jobs, *, reuse=None, names=None, pool=None):
         }
         payloads = [dict(base, names=shard.names) for shard in shards]
         with _pool_for(archive, shards, payloads, jobs, pool) as active:
-            attempts: dict[str, int] = {}
-            retry: list[str] = []
             # The check's contract is record-everything-raise-nothing, so
             # crash recovery applies regardless of the on_error policy.
-            for outcome in active.run_all(run_check_shard, payloads):
-                if outcome.crashed:
-                    for name in outcome.payload["names"]:
-                        attempts[name] = attempts.get(name, 0) + 1
-                        retry.append(name)
-                elif outcome.error is not None:
-                    raise outcome.error
-                else:
-                    absorb(outcome.result)
-
-            while retry:
-                rerun = []
-                for name in retry:
-                    if attempts[name] > archive.options.retries:
-                        report.checked += 1
-                        failures.append((
-                            order.get(name, len(order)),
-                            f"{name}: worker crashed {attempts[name]} "
-                            f"time(s); retry budget exhausted",
-                        ))
-                    else:
-                        rerun.append(name)
-                retry = []
-                if not rerun:
-                    break
-                # One member at a time, for the same reason as extraction:
-                # a pool break must not charge innocent members' budgets.
-                for name in rerun:
-                    payload = dict(base, names=[name], fresh=True)
-                    [outcome] = active.run_all(run_check_shard, [payload])
-                    if outcome.crashed:
-                        attempts[name] += 1
-                        retry.append(name)
-                    elif outcome.error is not None:
-                        raise outcome.error
-                    else:
-                        absorb(outcome.result)
+            _run_recovering(
+                active, run_check_shard, payloads,
+                lambda name: dict(base, names=[name], fresh=True),
+                retries=archive.options.retries, absorb=absorb,
+                exhausted=exhausted)
 
     report.failures.extend(failure for _, failure in sorted(failures))
     return report

@@ -8,9 +8,11 @@ any one request, a worker that has already served an archive keeps its
 :class:`~repro.api.session.DecoderSession` for the next request, and every
 decoder image's analysis report and translated code are kept once per process
 by image digest (:mod:`repro.vm.images`): warm for every worker thread, every
-archive carrying that decoder and every fresh ``check`` session.
-``ReadOptions.code_cache_limit`` (on by default here) and the registry's
-image bound keep that state bounded over an unbounded request stream.
+archive carrying that decoder and every fresh ``check`` session, under every
+reuse policy.  No knob is needed to keep that state bounded over an unbounded
+request stream: the registry bounds the images it remembers, and no request
+field reaches a translator switch, so an image has at most two fragment
+tables (guards elided or kept), each bounded by ``max_fragments``.
 
 The service is overload-safe (see :mod:`repro.parallel.admission`): a
 bounded admission gate (``--max-inflight``/``--queue-depth``) queues
@@ -90,10 +92,6 @@ from repro.parallel.admission import (
 from repro.parallel.engine import parallel_check, parallel_extract_into
 from repro.parallel.pool import WorkerPool, thread_safe_start_method
 
-#: Default LRU cap on translated fragments per decoder image: generous for
-#: any single decoder, but a hard bound for a service that never exits.
-DEFAULT_CODE_CACHE_LIMIT = 4096
-
 #: Admission defaults: a brief queue in front of the gate, a breaker that
 #: trips after a run of consecutive failures and probes half a minute later.
 DEFAULT_QUEUE_DEPTH = 16
@@ -106,8 +104,7 @@ DEFAULT_BREAKER_RESET = 30.0
 DEFAULT_MAX_REQUEST_BYTES = 1 << 20
 
 #: ReadOptions fields a request may override per call.
-_OPTION_FIELDS = ("mode", "force_decode", "engine", "superblock_limit",
-                  "chain_fragments", "chunk_size", "code_cache_limit",
+_OPTION_FIELDS = ("mode", "force_decode", "engine", "chunk_size",
                   "verify_images", "analysis_elision", "on_error", "retries",
                   "member_deadline", "on_damage", "durable_output")
 
@@ -141,8 +138,7 @@ class BatchService:
         executor: pool flavour (``auto``/``process``/``thread``).
         options: service-wide default :class:`~repro.api.ReadOptions`;
             per-request fields override a copy.  The service default enables
-            ``REUSE_SAME_ATTRIBUTES`` (§2.4-safe VM reuse, which also shares
-            code caches across members) and a bounded code cache.
+            ``REUSE_SAME_ATTRIBUTES`` (§2.4-safe reuse of VM state).
         max_inflight: concurrent archive-work requests before the admission
             gate queues and then sheds (``None`` = unbounded, the historic
             behaviour; the ``vxserve`` CLI defaults to ``4 * jobs``).
@@ -169,9 +165,7 @@ class BatchService:
                  max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES):
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.options = options or vxa.ReadOptions(
-            reuse=VmReusePolicy.REUSE_SAME_ATTRIBUTES,
-            code_cache_limit=DEFAULT_CODE_CACHE_LIMIT,
-        )
+            reuse=VmReusePolicy.REUSE_SAME_ATTRIBUTES)
         #: Wall-clock budget for one request's guest work.  It is enforced
         #: where a hang can actually happen -- every member decode gets a
         #: ``member_deadline`` capped to this value, which the VM engines
@@ -679,10 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--reuse", default=VmReusePolicy.REUSE_SAME_ATTRIBUTES.value,
                         choices=[policy.value for policy in VmReusePolicy],
                         help="default VM reuse policy (requests may override)")
-    parser.add_argument("--code-cache-limit", type=int,
-                        default=DEFAULT_CODE_CACHE_LIMIT,
-                        help="LRU cap on translated fragments per decoder "
-                             "image (0 disables the cap)")
     parser.add_argument("--request-timeout", type=float, default=None,
                         help="wall-clock seconds of guest work one request "
                              "may use; enforced per member decode via the "
@@ -723,10 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    options = vxa.ReadOptions(
-        reuse=VmReusePolicy(args.reuse),
-        code_cache_limit=args.code_cache_limit or None,
-    )
+    options = vxa.ReadOptions(reuse=VmReusePolicy(args.reuse))
     if args.on_error is not None:
         options = options.with_changes(on_error=args.on_error)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)

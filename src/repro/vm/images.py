@@ -44,7 +44,8 @@ if TYPE_CHECKING:
 
 #: Images remembered per process; past it the least recently used record is
 #: forgotten (a VM holding it keeps running on it).  A record's caches are
-#: bounded in turn, by ``max_fragments`` and by the text length.
+#: bounded in turn: a session can ask for two (guards elided or kept), each
+#: holds at most ``max_fragments`` and at most one per text address.
 IMAGE_LIMIT = 64
 
 #: A record pins its image's bytes and text span: the table takes only images
@@ -84,15 +85,13 @@ class ImageRecord:
                     self._report, self._analysed = report, True
         return self._report
 
-    def code_cache(self, config: tuple, limit: int | None) -> CodeCache:
+    def code_cache(self, config: tuple) -> CodeCache:
         """The cache of every VM translating this image under ``config``
-        (see :meth:`VirtualMachine.share_code_cache`); the entry cap ``limit``
-        is part of the key: one user's evictions are another's retranslations."""
-        key = (*config, limit)
+        (see :meth:`VirtualMachine.share_code_cache`)."""
         with _LOCK:
-            cache = self._caches.get(key)
+            cache = self._caches.get(config)
             if cache is None:
-                cache = self._caches[key] = CodeCache(shared=True, limit=limit)
+                cache = self._caches[config] = CodeCache()
         return cache
 
 

@@ -82,8 +82,7 @@ class ExecutionStats:
     fragment_cache_hits: int = 0
     fragment_cache_misses: int = 0
     chained_branches: int = 0       # transitions over back-patched direct edges
-    retranslations: int = 0         # translations of an already-seen entry
-    evictions: int = 0              # fragments dropped by the LRU entry cap
+    retranslations: int = 0         # entries translated again: their guard bailed
     guards_elided: int = 0          # guards dropped on proofs, at emitted sites
     syscalls: dict[str, int] = field(default_factory=dict)
     bytes_read: int = 0

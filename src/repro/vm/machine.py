@@ -9,7 +9,9 @@ reuse-vs-reinitialise policy for decoding several streams with one decoder
 
 The sandbox is private and mutable; the code is neither: translations and
 proofs are functions of the image digest, so a VM given image bytes takes the
-parsed image, its text and its report from :mod:`repro.vm.images`.
+parsed image, its text and its report from :mod:`repro.vm.images`, and
+:meth:`VirtualMachine.reset` -- which destroys everything a stream may have
+left in the sandbox -- leaves the table of translated code alone.
 """
 
 from __future__ import annotations
@@ -63,8 +65,9 @@ class VirtualMachine:
         use_fragment_cache: disable only for the fragment-cache ablation.
         code_cache: a :class:`~repro.vm.code_cache.CodeCache` to use as
             given (the caller vouches for every VM sharing it); ``None``
-            gives the VM a private cache that is invalidated on :meth:`reset`
-            and that :meth:`share_code_cache` swaps for the process-wide one.
+            gives the VM an empty table of its own, kept for the VM's life
+            (what cold-translation timings and counts are taken on) unless
+            :meth:`share_code_cache` swaps it for the process-wide one.
         superblock_limit: maximum guest instructions per translated trace
             (``None`` uses the translator default; ``1`` reproduces the old
             one-basic-block engine).
@@ -157,15 +160,15 @@ class VirtualMachine:
             return self._record.analysis()
         return None
 
-    def share_code_cache(self, limit: int | None = None) -> None:
-        """Swap the private cache for the process-wide one of this image,
+    def share_code_cache(self) -> None:
+        """Swap the VM's own table for the process-wide one of this image,
         found under every input :func:`~repro.vm.translator.run_translator`
-        reads besides the image's text (``limit``: the cache's LRU cap), so
-        whoever else holds it translates exactly as this VM would."""
+        reads besides the image's text, so whoever else holds it translates
+        exactly as this VM would."""
         config = (self._check_policy, self.superblock_limit,
                   self.use_fragment_cache, self.chain_fragments,
                   self.elides_guards)
-        self.code_cache = self._record.code_cache(config, limit)
+        self.code_cache = self._record.code_cache(config)
 
     def reset(self) -> None:
         """Re-initialise the VM with a pristine copy of the decoder image.
@@ -194,27 +197,21 @@ class VirtualMachine:
         self.pc = loaded.entry
         self.cc = (0, 0)
         self.halted = False
-        # What executes: the image's immutable text, not the copy just loaded.
+        # What executes: the image's immutable text, not the copy just loaded
+        # -- which is why the code cache is not touched here: translations
+        # are made from that text, never from the sandbox or member data, so
+        # keeping them leaks nothing between files.
         self.text_start, self.text_end, self.text = self._image.text
-        # A shared cache survives re-initialisation: translations are made
-        # from the image's immutable text, never from the sandbox or member
-        # data, so keeping them leaks nothing between files.  A private
-        # cache is dropped: ALWAYS_FRESH pays retranslation by policy.
-        if not self.code_cache.shared:
-            self.code_cache.invalidate()
         self.syscall_handler = None
 
     def _restart(self) -> None:
-        """Reset only the CPU state, preserving memory and translated code.
-
-        Used when the same decoder instance is reused across streams via the
-        ``done`` protocol is *not* in effect but the caller still wants to
-        reuse translations (see :meth:`decode` with ``reuse=True``).
+        """Reset only the CPU state, keeping the sandbox as the last stream
+        left it: how :meth:`decode` with ``fresh=False`` reuses VM state
+        (section 2.4) for a decoder that does not speak the ``done`` protocol.
         """
-        loaded_entry = self._image.entry
         self.regs = [0] * 8
         self.regs[7] = (self.memory.size - 16) & ~0xF
-        self.pc = loaded_entry
+        self.pc = self._image.entry
         self.cc = (0, 0)
         self.halted = False
 
@@ -277,8 +274,9 @@ class VirtualMachine:
             limits: per-run resource limits (default: limits scaled to the
                 input size).
             fresh: when true (the safe default), the sandbox is re-initialised
-                before decoding; when false, the existing sandbox and fragment
-                cache are reused (faster, see section 2.4 for the trade-off).
+                before decoding; when false, the existing sandbox is reused
+                (faster, see section 2.4 for the trade-off).  Translated code
+                is kept either way.
             fault_syscall: fault-injection hook -- fail the run at the Nth
                 virtual system call (``None`` in production).
         """

@@ -33,9 +33,6 @@ ALTERNATE_OPTIONS = {
     "reuse": VmReusePolicy.ALWAYS_REUSE,
     "registry": CodecRegistry([VxzCodec()], default="vxz"),
     "chunk_size": 4096,
-    "superblock_limit": 1,
-    "chain_fragments": False,
-    "code_cache_limit": 7,
     "verify_images": "reject",
     "analysis_elision": False,
     "on_error": vxa.ON_ERROR_SKIP,

@@ -29,14 +29,27 @@ def _cache_violations(tmp_path, body: str):
     return lint_locks.check_code_cache(path)
 
 
+def test_detects_unlocked_insertion(tmp_path):
+    violations = _cache_violations(tmp_path, """
+class CodeCache:
+    def __init__(self):
+        self.fragments = {}
+
+    def store(self, entry, fragment):
+        self.fragments[entry] = fragment
+""")
+    assert len(violations) == 1
+    assert "CodeCache.store mutates self.fragments" in violations[0][2]
+
+
 def test_detects_unlocked_counter_increment(tmp_path):
     violations = _cache_violations(tmp_path, """
 class CodeCache:
-    def record(self):
-        self.hits += 1
+    def count(self, entry):
+        self.fragments[entry] += 1
 """)
     assert len(violations) == 1
-    assert "self.hits" in violations[0][2]
+    assert "self.fragments" in violations[0][2]
 
 
 def test_detects_unlocked_mutation_through_alias(tmp_path):
@@ -54,10 +67,10 @@ def test_detects_unlocked_mutating_method_call(tmp_path):
     violations = _cache_violations(tmp_path, """
 class CodeCache:
     def wipe(self):
-        self.known.clear()
+        self.instructions.clear()
 """)
     assert len(violations) == 1
-    assert "self.known.clear()" in violations[0][2]
+    assert "self.instructions.clear()" in violations[0][2]
 
 
 def test_locked_mutations_pass(tmp_path):
@@ -68,7 +81,7 @@ class CodeCache:
             fragments = self.fragments
             del fragments[next(iter(fragments))]
             self.fragments[entry] = fragment
-            self.evictions += 1
+            self.instructions.pop(entry, None)
 """)
     assert violations == []
 
@@ -78,7 +91,7 @@ def test_init_is_exempt_and_reads_are_free(tmp_path):
 class CodeCache:
     def __init__(self):
         self.fragments = {}
-        self.hits = 0
+        self.instructions = {}
 
     def lookup(self, entry):
         return self.fragments.get(entry)

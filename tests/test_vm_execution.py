@@ -599,20 +599,24 @@ def test_superblock_limit_is_honoured(echo_decoder_image):
                for f in unlimited.code_cache.fragments.values()) > 1
 
 
-def test_private_code_cache_retranslates_after_reset(echo_decoder_image):
+def test_bare_vm_keeps_its_translations_across_a_reset(echo_decoder_image):
     vm = VirtualMachine(echo_decoder_image, engine=ENGINE_TRANSLATOR)
+    own = vm.code_cache
     first = vm.decode(b"x" * 1024)
-    assert first.stats.fragments_translated > 0
+    assert first.stats.fragments_translated == len(own) > 0
+    vm.memory.buffer[-64:] = b"\xaa" * 64          # state a stream left behind
     second = vm.decode(b"x" * 1024)                # fresh=True resets the VM
-    # ALWAYS_FRESH-style use pays translation again, and the engine says so.
-    assert second.stats.fragments_translated > 0
-    assert second.stats.retranslations == second.stats.fragments_translated
+    # The sandbox is pristine again; the code, which no stream can reach, stays.
+    assert second.output == first.output
+    assert not any(vm.memory.buffer[-64:])
+    assert vm.code_cache is own
+    assert (second.stats.fragments_translated, second.stats.retranslations) == (0, 0)
 
 
 def test_shared_code_cache_survives_reset(echo_decoder_image):
     from repro.vm.code_cache import CodeCache
 
-    cache = CodeCache(shared=True)
+    cache = CodeCache()
     vm = VirtualMachine(
         echo_decoder_image, engine=ENGINE_TRANSLATOR, code_cache=cache
     )
@@ -622,13 +626,13 @@ def test_shared_code_cache_survives_reset(echo_decoder_image):
     assert second.output == first.output
     assert second.stats.fragments_translated == 0  # translations carried over
     assert second.stats.retranslations == 0
-    assert cache.snapshot()["fragments"] > 0
+    assert len(cache) == first.stats.fragments_translated
 
 
 def test_shared_code_cache_across_vm_instances(echo_decoder_image):
     from repro.vm.code_cache import CodeCache
 
-    cache = CodeCache(shared=True)
+    cache = CodeCache()
     one = VirtualMachine(echo_decoder_image, code_cache=cache)
     payload = b"hello vxa"
     assert one.decode(payload).output == payload
@@ -649,7 +653,7 @@ def test_fresh_decode_runs_the_archived_code_not_the_previous_members(engine):
     from tests.conftest import SELF_PATCHING_DECODER
 
     vm = VirtualMachine(build_asm(SELF_PATCHING_DECODER), engine=engine,
-                        code_cache=CodeCache(shared=True))
+                        code_cache=CodeCache())
     first = vm.decode(struct.pack("<II", 1, 0xDEADBEEF), fresh=True)
     second = vm.decode(bytes(8), fresh=True)
     assert (first.output.hex(), second.output.hex()) == ("11111111", "11111111")

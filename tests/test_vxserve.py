@@ -12,6 +12,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import socket
 import subprocess
 import sys
@@ -22,7 +23,7 @@ import pytest
 import repro.api as vxa
 from repro.api.options import EXECUTOR_THREAD
 from repro.core.policy import VmReusePolicy
-from repro.parallel.service import BatchService, DEFAULT_CODE_CACHE_LIMIT
+from repro.parallel.service import _OPTION_FIELDS, BatchService
 from repro.workloads import synthetic_log_bytes
 
 REPO_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -212,13 +213,21 @@ def test_shutdown_sets_stopping(service):
     assert service.stopping
 
 
-def test_default_options_are_bounded_and_reusing():
+def test_default_options_are_reusing():
     service = BatchService(jobs=1, executor=EXECUTOR_THREAD)
     try:
         assert service.options.reuse is VmReusePolicy.REUSE_SAME_ATTRIBUTES
-        assert service.options.code_cache_limit == DEFAULT_CODE_CACHE_LIMIT
     finally:
         service.close()
+
+
+def test_protocol_document_lists_exactly_the_fields_a_request_may_set():
+    text = (pathlib.Path(__file__).resolve().parent.parent
+            / "docs" / "vxserve-protocol.md").read_text(encoding="utf-8")
+    section = text.split("### Per-request options", 1)[1].split("\n#", 1)[0]
+    documented = set(re.findall(r"^\| `(\w+)`", section, flags=re.M))
+    assert documented == set(_OPTION_FIELDS) | {"jobs", "reuse", "members",
+                                                "fault_plan"}
 
 
 # -- stream transport ----------------------------------------------------------

@@ -24,7 +24,6 @@ import sys
 from collections import Counter
 
 from repro.codecs.registry import default_registry
-from repro.vm.code_cache import CodeCache
 from repro.vm.machine import VirtualMachine
 from repro.vm.translator import _BAIL
 
@@ -90,8 +89,9 @@ def classify(source: str) -> list[str]:
 def measure(name: str, data: bytes) -> Counter:
     """Executed statements per class for one decode of ``data`` by decoder ``name``."""
     codec = default_registry().get(name)
-    # A shared cache survives the re-initialisation between the two decodes.
-    vm = VirtualMachine(codec.guest_decoder_image(), code_cache=CodeCache(shared=True))
+    # The VM's own fragment table survives the re-initialisation between the
+    # two decodes (and is cold however warm the process is).
+    vm = VirtualMachine(codec.guest_decoder_image())
     lines: Counter = Counter()
     mix: Counter = Counter({"entry-guard bails": 0})
 

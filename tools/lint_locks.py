@@ -5,11 +5,9 @@ Three concurrency invariants keep the in-process worker pool sound, and all
 are easy to break silently when refactoring:
 
 1. every mutation of :class:`repro.vm.code_cache.CodeCache` state
-   (``fragments``/``instructions``/``known`` and the counters)
-   happens inside a ``with self.lock:`` block -- plain *reads* are
-   deliberately lock-free (an atomic dict read with a tolerated racy miss),
-   and so is ``touch``'s recency refresh (one atomic ``move_to_end``, which
-   inserts and removes nothing), so only mutations are checked;
+   (``fragments``/``instructions``) happens inside a ``with self.lock:``
+   block -- plain *reads* are deliberately lock-free (an atomic dict read
+   with a tolerated racy miss), so only mutations are checked;
 2. every access (read or write) to the process-wide compile memo
    ``_CODE_MEMO`` in :mod:`repro.vm.translator` happens inside a
    ``with _CODE_MEMO_LOCK:`` block;
@@ -35,10 +33,7 @@ import sys
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: CodeCache attributes that constitute lock-protected state.
-CACHE_STATE = {
-    "fragments", "instructions", "known",
-    "hits", "misses", "chained_branches", "retranslations", "evictions",
-}
+CACHE_STATE = {"fragments", "instructions"}
 
 #: ImageRecord slots written after construction, under the registry lock.
 RECORD_STATE = {"_analysed", "_report", "_caches"}
