@@ -7,12 +7,14 @@ eight registers plus a map of provable stack slots (entry-``sp``-relative,
 ``FP(0)`` -- the analysis never needs concrete addresses, which is what
 makes its conclusions valid for every sufficiently large sandbox.
 
-Calls are handled with **function summaries** computed by an optimistic
-outer fixpoint: each summary starts at the best claim (stack-disciplined,
-frame-pointer-preserving, writes nothing above its frame) and degrades
-monotonically as the per-function analyses observe violations, so the loop
-terminates and the final summaries are sound by induction on call-tree
-height.
+Calls are handled with **function summaries**, computed over the strongly
+connected components of the call graph, callees first.  A function outside
+any cycle is analysed once, against summaries that are already final.  A
+recursive component runs an optimistic fixpoint of its own: each summary
+starts at the best claim (stack-disciplined, frame-pointer-preserving, writes
+nothing above its frame) and degrades monotonically as the per-function
+analyses observe violations, so the loop terminates and the final summaries
+are sound by induction on call-tree height.
 
 Memory-model caveat (shared with :mod:`repro.analysis.verify` and spelled
 out in the package README): stack slots are assumed not to be aliased by
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.analysis.cfg import ControlFlowGraph
 from repro.analysis.domains import (
@@ -151,38 +154,53 @@ def analyze(cfg: ControlFlowGraph) -> AnalysisResult:
     """Run the interprocedural analysis over a recovered CFG."""
     summaries = {fn: FunctionSummary() for fn in cfg.functions}
     observations: dict[int, _Observations] = {}
-    # The summary lattice is finite and every update is a monotone
-    # degradation, so this converges well inside the iteration cap; the cap
-    # only guards against bugs, falling back to fully pessimistic summaries.
-    for _ in range(8 + 2 * len(summaries)):
-        changed = False
-        for fn in cfg.functions:
-            states = _function_fixpoint(cfg, fn, summaries)
-            obs = _collect(cfg, fn, states, summaries)
-            observations[fn] = obs
-            updated = FunctionSummary(
-                sp_disciplined=obs.ret_sp_ok,
-                preserves_fp=obs.ret_fp_ok,
-                writes_above=obs.writes_above,
-                writes_unknown=obs.writes_unknown,
-                max_down=min(obs.local_down, UNBOUNDED),
-                calls_unknown=obs.calls_unknown,
-            )
-            if updated != summaries[fn]:
-                summaries[fn] = updated
-                changed = True
-        if not changed:
-            break
-    else:  # pragma: no cover - monotonicity bug backstop
-        summaries = {fn: FunctionSummary(False, False, True, True, UNBOUNDED, True)
-                     for fn in cfg.functions}
-        for fn in cfg.functions:
-            states = _function_fixpoint(cfg, fn, summaries)
-            observations[fn] = _collect(cfg, fn, states, summaries)
+
+    def visit(fn: int) -> FunctionSummary:
+        """Analyse ``fn`` against the current summaries; what it now claims."""
+        obs = _collect(cfg, fn, _function_fixpoint(cfg, fn, summaries), summaries)
+        observations[fn] = obs
+        return FunctionSummary(
+            sp_disciplined=obs.ret_sp_ok,
+            preserves_fp=obs.ret_fp_ok,
+            writes_above=obs.writes_above,
+            writes_unknown=obs.writes_unknown,
+            max_down=min(obs.local_down, UNBOUNDED),
+            calls_unknown=obs.calls_unknown,
+        )
+
+    # Callees first: when a component is reached, every summary it can read
+    # from outside itself is already final.
+    for component in _call_graph_components(cfg.call_graph):
+        fn = component[0]
+        if len(component) == 1 and fn not in cfg.call_graph[fn]:
+            # Outside any cycle a function never reads its own summary, so
+            # one visit against final callee summaries is its final answer.
+            summaries[fn] = visit(fn)
+            continue
+        # A recursive component reads its own summaries.  They start at the
+        # best claim, the lattice is finite and every update is a monotone
+        # degradation, so this converges well inside the iteration cap; the
+        # cap only guards against bugs, falling back to fully pessimistic
+        # summaries for the component.
+        for _ in range(8 + 2 * len(component)):
+            changed = False
+            for fn in component:
+                updated = visit(fn)
+                if updated != summaries[fn]:
+                    summaries[fn] = updated
+                    changed = True
+            if not changed:
+                break
+        else:  # pragma: no cover - monotonicity bug backstop
+            for fn in component:
+                summaries[fn] = FunctionSummary(False, False, True, True,
+                                                UNBOUNDED, True)
+            for fn in component:
+                visit(fn)
 
     total_down = _total_down(cfg, observations)
-    accesses = [a for obs in observations.values() for a in obs.accesses]
-    syscalls = [s for obs in observations.values() for s in obs.syscalls]
+    accesses = [a for fn in cfg.functions for a in observations[fn].accesses]
+    syscalls = [s for fn in cfg.functions for s in observations[fn].syscalls]
     return AnalysisResult(
         summaries=summaries,
         accesses=accesses,
@@ -190,6 +208,49 @@ def analyze(cfg: ControlFlowGraph) -> AnalysisResult:
         stack_bounded=total_down < UNBOUNDED,
         total_down=total_down,
     )
+
+
+def _call_graph_components(call_graph: dict[int, set[int]]) -> list[list[int]]:
+    """Strongly connected components of the call graph, callees before their
+    callers, each in sorted order (Tarjan, iterative: a hostile image chooses
+    the depth of its call chains)."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    work: list[tuple[int, Iterator[int]]] = []
+    components: list[list[int]] = []
+
+    def enter(fn: int) -> None:
+        index[fn] = low[fn] = len(index)
+        stack.append(fn)
+        on_stack.add(fn)
+        work.append((fn, iter(sorted(call_graph[fn]))))
+
+    for root in call_graph:
+        if root in index:
+            continue
+        enter(root)
+        while work:
+            fn, callees = work[-1]
+            for callee in callees:
+                if callee not in index:
+                    enter(callee)
+                    break
+                if callee in on_stack:
+                    low[fn] = min(low[fn], index[callee])
+            else:
+                work.pop()
+                if work:
+                    caller = work[-1][0]
+                    low[caller] = min(low[caller], low[fn])
+                if low[fn] == index[fn]:
+                    cut = stack.index(fn)
+                    component = stack[cut:]
+                    del stack[cut:]
+                    on_stack.difference_update(component)
+                    components.append(sorted(component))
+    return components
 
 
 def _function_fixpoint(

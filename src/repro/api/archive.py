@@ -779,7 +779,9 @@ class Archive:
                        mode: str) -> tuple[bytes, bool]:
         encoded = self._encoded_bytes(entry, extension)
         codec = None
-        if extension.codec_name and extension.codec_name in self._registry:
+        if (mode != MODE_VXA and extension.codec_name
+                and extension.codec_name in self._registry):
+            # Resolving the native codec imports it; vxa mode never calls it.
             codec = self._registry.get(extension.codec_name)
         if mode == MODE_NATIVE:
             if codec is None:

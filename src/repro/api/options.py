@@ -12,13 +12,16 @@ knowing its behaviour cannot drift mid-batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-from repro.codecs.registry import CodecRegistry
 from repro.core.policy import VmReusePolicy
 from repro.core.types import MODE_AUTO, MODE_NATIVE, MODE_VXA
 from repro.faults import FaultPlan
 from repro.vm.limits import ExecutionLimits
 from repro.vm.machine import ENGINE_INTERPRETER, ENGINE_TRANSLATOR
+
+if TYPE_CHECKING:
+    from repro.codecs.registry import CodecRegistry
 
 _MODES = (MODE_AUTO, MODE_NATIVE, MODE_VXA)
 _ENGINES = (ENGINE_TRANSLATOR, ENGINE_INTERPRETER)
@@ -55,6 +58,10 @@ class ReadOptions:
     Attributes:
         mode: default extraction mode -- ``"auto"`` (native decoder when
             available, archived decoder otherwise), ``"native"`` or ``"vxa"``.
+            ``"vxa"`` needs no codec dependency: it imports no codec module,
+            no numpy and no compiler, only the VM and the archived decoder.
+            ``"auto"`` and ``"native"`` import the codecs of the members they
+            meet, when they meet them.
         force_decode: decode pre-compressed (redec) members all the way to
             their uncompressed form instead of returning the stored bytes.
         engine: VM engine used for archived decoders (``"translator"`` or

@@ -1,23 +1,1 @@
 """Codec plug-ins: native encoders plus archived VXA guest decoders."""
-
-from repro.codecs.base import Codec, CodecInfo
-from repro.codecs.registry import CodecRegistry, default_registry
-from repro.codecs.vxbwt import VxbwtCodec
-from repro.codecs.vxflac import VxflacCodec
-from repro.codecs.vximg import VximgCodec
-from repro.codecs.vxjp2 import Vxjp2Codec
-from repro.codecs.vxsnd import VxsndCodec
-from repro.codecs.vxz import VxzCodec
-
-__all__ = [
-    "Codec",
-    "CodecInfo",
-    "CodecRegistry",
-    "default_registry",
-    "VxbwtCodec",
-    "VxflacCodec",
-    "VximgCodec",
-    "Vxjp2Codec",
-    "VxsndCodec",
-    "VxzCodec",
-]

@@ -10,6 +10,12 @@ Each codec bundles the two halves the paper describes in section 3.3:
 A codec also provides a *native decoder* (the fast path vxUnZIP may use for
 well-known formats) and two recognisers: one for raw content it can compress
 and one for content already compressed in its own format (the "redec" path).
+
+This module is on every reader's import path (``api.builder`` and
+``codecs.registry`` name :class:`Codec`), so it imports nothing a reader does
+not run: the vxc compiler is imported where an image is built
+(:func:`_compile_guest`), the same way each codec module imports its guest
+source units inside ``guest_units``.
 """
 
 from __future__ import annotations
@@ -17,8 +23,10 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from repro.vxc.compiler import CompileResult, SourceUnit, compile_units
+if TYPE_CHECKING:
+    from repro.vxc.compiler import CompileResult, SourceUnit
 
 
 @dataclass(frozen=True)
@@ -91,6 +99,8 @@ class Codec(abc.ABC):
 @lru_cache(maxsize=None)
 def _compile_guest(codec_class) -> CompileResult:
     """Compile a codec's guest decoder once per process."""
+    from repro.vxc.compiler import compile_units
+
     codec = codec_class()
     return compile_units(
         codec.guest_units(),

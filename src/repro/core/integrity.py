@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.codecs.registry import CodecRegistry
 from repro.core.policy import VmReusePolicy
 from repro.core.types import IntegrityReport, format_counters
 from repro.errors import ArchiveError, VxaError, ZipFormatError
+
+if TYPE_CHECKING:
+    from repro.codecs.registry import CodecRegistry
 
 
 def check_archive(

@@ -1,15 +1,1 @@
 """Minimal ELF32 container for VXA decoder executables."""
-
-from repro.elf.builder import build_executable
-from repro.elf.reader import is_vxa_executable, parse_executable, read_note
-from repro.elf.structures import ElfImage, EM_VXA32, Segment
-
-__all__ = [
-    "build_executable",
-    "is_vxa_executable",
-    "parse_executable",
-    "read_note",
-    "ElfImage",
-    "EM_VXA32",
-    "Segment",
-]

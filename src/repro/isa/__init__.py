@@ -1,40 +1,1 @@
 """VXA-32 instruction set architecture: opcodes, encoding, assembler, disassembler."""
-
-from repro.isa.assembler import Assembler, AssembledProgram, assemble
-from repro.isa.disassembler import disassemble, format_instruction
-from repro.isa.encoding import Instruction, decode, decode_all, encode, instruction_length
-from repro.isa.opcodes import (
-    FD_STDERR,
-    FD_STDIN,
-    FD_STDOUT,
-    NUM_REGISTERS,
-    Op,
-    OPCODES,
-    REG_FP,
-    REG_SP,
-    REGISTER_NAMES,
-    Vxcall,
-)
-
-__all__ = [
-    "Assembler",
-    "AssembledProgram",
-    "assemble",
-    "disassemble",
-    "format_instruction",
-    "Instruction",
-    "decode",
-    "decode_all",
-    "encode",
-    "instruction_length",
-    "FD_STDERR",
-    "FD_STDIN",
-    "FD_STDOUT",
-    "NUM_REGISTERS",
-    "Op",
-    "OPCODES",
-    "REG_FP",
-    "REG_SP",
-    "REGISTER_NAMES",
-    "Vxcall",
-]

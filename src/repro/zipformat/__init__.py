@@ -1,50 +1,1 @@
 """From-scratch ZIP container: the substrate vxZIP builds on."""
-
-from repro.zipformat.commit import (
-    CommitMarker,
-    DigestTable,
-    ExtentDigest,
-    MARKER_SIZE,
-    find_marker_in_tail,
-    parse_marker,
-    split_comment,
-)
-from repro.zipformat.crc import StreamingCrc32, crc32
-from repro.zipformat.reader import ByteSource, DEFAULT_CHUNK_SIZE, ZipReader
-from repro.zipformat.structures import (
-    ExtraField,
-    METHOD_DEFLATE,
-    METHOD_STORE,
-    METHOD_VXA,
-    ZipEntry,
-    dos_datetime,
-    pack_extra_fields,
-    unpack_extra_fields,
-)
-from repro.zipformat.writer import ZipWriter, deflate_compress, deflate_decompress
-
-__all__ = [
-    "CommitMarker",
-    "DigestTable",
-    "ExtentDigest",
-    "MARKER_SIZE",
-    "find_marker_in_tail",
-    "parse_marker",
-    "split_comment",
-    "StreamingCrc32",
-    "crc32",
-    "ByteSource",
-    "DEFAULT_CHUNK_SIZE",
-    "ZipReader",
-    "ExtraField",
-    "METHOD_DEFLATE",
-    "METHOD_STORE",
-    "METHOD_VXA",
-    "ZipEntry",
-    "dos_datetime",
-    "pack_extra_fields",
-    "unpack_extra_fields",
-    "ZipWriter",
-    "deflate_compress",
-    "deflate_decompress",
-]

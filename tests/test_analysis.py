@@ -15,13 +15,16 @@ Covers the acceptance criteria of the ``repro.analysis`` subsystem:
   without elision.
 """
 
+import dataclasses
 import io
 import json
+import pathlib
 import warnings
 
 import pytest
 
-from repro.analysis import VERDICT_UNSAFE, AnalysisReport, verify_image
+from repro.analysis import VERDICT_UNSAFE, AnalysisReport, absint, verify_image
+from repro.analysis.cfg import recover_cfg
 from repro.api import Archive, ArchiveBuilder, MODE_VXA, ReadOptions, WriteOptions
 from repro.codecs.registry import CodecRegistry
 from repro.codecs.vxz import VxzCodec
@@ -31,8 +34,12 @@ from repro.isa.assembler import assemble
 from repro.isa.disassembler import disassemble_for_reassembly
 from repro.vm.loader import admit_image
 from repro.vm.machine import VirtualMachine
+from repro.vxc.compiler import compile_source
 from repro.workloads.text import synthetic_source_tree_bytes
 from tests.conftest import build_asm
+from tests.test_vxc_differential import _PREAMBLE, _SHAPES, _Generator
+
+VXC_0_1_IMAGE = pathlib.Path(__file__).parent / "data" / "vxz-vxc-0.1.elf"
 
 
 def _bundled_codecs():
@@ -363,3 +370,213 @@ def test_min_size_matches_loader_geometry(bundled_reports):
         report = bundled_reports[codec.info.name]
         assert report.min_size == (image.load_size + HEAP_HEADROOM
                                    + DEFAULT_STACK_SIZE)
+
+
+# -- evaluation order: one fixpoint per function, the same report ------------------
+
+#: ``ok / proved_reads / proved_writes / min_size`` of the bundled images.  A
+#: change here changes ``vm.guards_elided.*`` and every generated fragment.
+PINNED_PROOFS = {
+    "vxz": (True, 152, 136, 343180),
+    "vxbwt": (True, 233, 191, 344780),
+    "vximg": (True, 333, 325, 348352),
+    "vxjp2": (True, 409, 398, 346828),
+    "vxflac": (True, 219, 256, 340140),
+    "vxsnd": (True, 189, 218, 340428),
+}
+
+
+def test_bundled_proof_counts_are_pinned(bundled_reports):
+    assert {name: (report.ok, len(report.proved_reads),
+                   len(report.proved_writes), report.min_size)
+            for name, report in bundled_reports.items()} == PINNED_PROOFS
+
+
+def _whole_program_analyze(cfg):
+    """The evaluation order ``absint.analyze`` had before it walked the call
+    graph: every function, over and over, until a whole pass changes nothing.
+    Kept as the reference the component walk must agree with."""
+    summaries = {fn: absint.FunctionSummary() for fn in cfg.functions}
+    observations = {}
+    changed = True
+    while changed:
+        changed = False
+        for fn in cfg.functions:
+            states = absint._function_fixpoint(cfg, fn, summaries)
+            obs = observations[fn] = absint._collect(cfg, fn, states, summaries)
+            updated = absint.FunctionSummary(
+                obs.ret_sp_ok, obs.ret_fp_ok, obs.writes_above, obs.writes_unknown,
+                min(obs.local_down, absint.UNBOUNDED), obs.calls_unknown)
+            changed |= updated != summaries[fn]
+            summaries[fn] = updated
+    total_down = absint._total_down(cfg, observations)
+    return absint.AnalysisResult(
+        summaries, [a for obs in observations.values() for a in obs.accesses],
+        [s for obs in observations.values() for s in obs.syscalls],
+        total_down < absint.UNBOUNDED, total_down)
+
+
+#: Call graphs the bundled decoders lack.  ``down`` ends between the optimistic
+#: start and the bottom (it writes through a pointer and still restores sp and
+#: fp); ``even``/``odd`` drag each other to the bottom over several rounds (a
+#: clobbered fp, a store above the frame); every callee sits *after* its caller
+#: in address order, so the old loop first met it with a summary not yet final.
+_CALL_GRAPHS = {
+    "self-recursion": """
+        _start:
+            movi r1, 3
+            push r1
+            call down
+            addi r7, 4
+            movi r0, 0
+            vxcall
+        down:
+            push r6
+            mov  r6, r7
+            ld32 r1, [r6+8]
+            cmpi r1, 0
+            je   down_out
+            movi r2, cell
+            st32 [r2], r1
+            subi r1, 1
+            push r1
+            call down
+            addi r7, 4
+        down_out:
+            mov  r7, r6
+            pop  r6
+            ret
+        .data
+        cell:
+            .space 4
+    """,
+    "mutual-recursion": """
+        _start:
+            movi r1, 4
+            push r1
+            call even
+            addi r7, 4
+            st32 [r7-4], r0
+            movi r0, 0
+            vxcall
+        even:
+            push r6
+            mov  r6, r7
+            ld32 r1, [r6+8]
+            cmpi r1, 0
+            je   even_out
+            subi r1, 1
+            push r1
+            call odd
+            addi r7, 4
+            ld32 r2, [r6+8]
+        even_out:
+            mov  r7, r6
+            pop  r6
+            ret
+        odd:
+            ld32 r1, [r7+4]
+            cmpi r1, 0
+            je   odd_out
+            subi r1, 1
+            push r1
+            call even
+            addi r7, 4
+            movi r6, 0
+        odd_out:
+            st32 [r7+8], r1
+            ret
+    """,
+    "callr-site": """
+        _start:
+            push r6
+            call through
+            pop  r6
+            call plain
+            movi r0, 0
+            vxcall
+        through:
+            movi r3, plain
+            st32 [r7-4], r3
+            callr r3
+            ld32 r1, [r7-4]
+            ret
+        plain:
+            push r6
+            mov  r6, r7
+            st32 [r6-4], r1
+            pop  r6
+            ret
+    """,
+}
+
+
+def _analysed_images(hostile_images):
+    yield from ((codec.info.name, codec.guest_decoder_image())
+                for codec in _bundled_codecs())
+    yield "vxc-0.1", VXC_0_1_IMAGE.read_bytes()
+    yield from hostile_images.items()
+    yield from ((name, build_asm(source)) for name, source in _CALL_GRAPHS.items())
+    programs = {f"seed-{seed}": _Generator(seed).program()
+                for seed in range(1600, 1660)}
+    programs.update((shape, _PREAMBLE + source) for shape, source in _SHAPES.items())
+    for name, source in programs.items():
+        yield name, compile_source(source, codec_name="differential",
+                                   include_runtime=False).elf
+
+
+def test_component_walk_agrees_with_whole_program_fixpoint(hostile_images):
+    recursive = 0
+    for name, image in _analysed_images(hostile_images):
+        cfg = recover_cfg(image)
+        expected, result = _whole_program_analyze(cfg), absint.analyze(cfg)
+        for field in dataclasses.fields(absint.AnalysisResult):
+            assert (getattr(result, field.name)
+                    == getattr(expected, field.name)), (name, field.name)
+        recursive += not result.stack_bounded
+    # The comparison met cycles, not only trees of calls.
+    assert recursive >= len(_CALL_GRAPHS)
+
+
+def test_call_graph_fixtures_have_the_shapes_they_claim():
+    shapes = {}
+    for name, source in _CALL_GRAPHS.items():
+        cfg = recover_cfg(build_asm(source))
+        components = absint._call_graph_components(cfg.call_graph)
+        assert sorted(fn for component in components for fn in component) \
+            == sorted(cfg.functions)
+        # Callees first: nothing calls into a component that comes later.
+        seen = set()
+        for component in components:
+            seen.update(component)
+            assert all(cfg.call_graph[fn] <= seen for fn in component), name
+        result = absint.analyze(cfg)
+        shapes[name] = (sorted(len(component) for component in components),
+                        any(summary.calls_unknown
+                            for summary in result.summaries.values()))
+    assert shapes == {
+        "self-recursion": ([1, 1], False),
+        "mutual-recursion": ([1, 2], False),
+        "callr-site": ([1, 1, 1], True),
+    }
+
+
+def test_one_function_fixpoint_per_function_outside_cycles(monkeypatch):
+    """A count, not a clock: no bundled decoder recurses, so each of its
+    functions is analysed exactly once."""
+    visits = []
+    fixpoint = absint._function_fixpoint
+
+    def counted(cfg, fn, summaries):
+        visits.append(fn)
+        return fixpoint(cfg, fn, summaries)
+
+    monkeypatch.setattr(absint, "_function_fixpoint", counted)
+    images = {codec.info.name: codec.guest_decoder_image()
+              for codec in _bundled_codecs()}
+    images["vxc-0.1"] = VXC_0_1_IMAGE.read_bytes()
+    for name, image in images.items():
+        cfg = recover_cfg(image)
+        visits.clear()
+        absint.analyze(cfg)
+        assert sorted(visits) == sorted(cfg.functions), name

@@ -23,6 +23,7 @@ import repro.analysis.verify as verify
 import repro.api as vxa
 import repro.vm.images as images
 from repro.api.options import EXECUTOR_THREAD
+from repro.codecs.registry import CodecRegistry
 from repro.core.policy import SecurityAttributes, VmReusePolicy
 from repro.errors import MemoryFault
 from repro.parallel.service import _OPTION_FIELDS, BatchService
@@ -471,6 +472,28 @@ def test_thread_workers_share_one_cache_and_match_serial(
     assert parallel.fragments_translated == work["translations"] >= len(cache) > 0
     assert parallel.retranslations == 0
     assert parallel.cache_hits > 0 and parallel.chained_branches > 0
+
+
+def test_thread_workers_meeting_on_an_unloaded_codec_match_serial(
+        archive_path, members, tmp_path):
+    # Native mode, a registry that has imported nothing yet: the scheduler
+    # splits the one-codec group, so both threads resolve ``vxz`` at once.
+    # Either may instantiate it (no lock: idempotent, last write wins); the
+    # bytes are the serial ones and only the codec that was met got loaded.
+    names = [name for name in members if name.startswith("z")]
+    registry = CodecRegistry()
+    assert registry.names[0] == "vxz" and set(registry._codecs.values()) == {None}
+    native = vxa.ReadOptions(mode=vxa.MODE_NATIVE, registry=registry)
+    serial_bytes, _ = _extract(archive_path, tmp_path / "serial", names=names,
+                               options=native.with_changes(registry=CodecRegistry()))
+    parallel_bytes, parallel = _extract(
+        archive_path, tmp_path / "parallel", names=names,
+        options=native.with_changes(jobs=2, executor=EXECUTOR_THREAD))
+    assert parallel_bytes == serial_bytes \
+        == {name: members[name][0] for name in names}
+    assert parallel.decodes == 0 and not images._RECORDS      # no VM was involved
+    assert [name for name, codec in registry._codecs.items()
+            if codec is not None] == ["vxz"]
 
 
 def test_many_threads_on_one_shared_cache_lose_no_update(echo_decoder_image):
