@@ -55,6 +55,10 @@ def test_table2_decoder_sizes(benchmark, registry):
         rows,
         title="Table 2: Code Size of Virtualized Decoders (reproduction)",
     )
+    # The split is by emitted function (br_bit, out_byte, tk_byte, ... are
+    # mostly generated into their callers), so say what the columns count.
+    table += ("\nLibrary code generated in place of a call counts under the "
+              "function it was generated into (vxc 0.3).\n")
     emit_report("table2_decoder_sizes", table)
 
     by_name = {row["decoder"]: row for row in rows_raw}

@@ -172,3 +172,14 @@ class FunctionDef:
 class Program:
     globals: list[GlobalDecl] = field(default_factory=list)
     functions: list[FunctionDef] = field(default_factory=list)
+
+
+def walk(node: Expr | Stmt):
+    """Yield ``node`` and every expression and statement below it, in source order."""
+    yield node
+    for child in vars(node).values():
+        if isinstance(child, (Expr, Stmt)):
+            yield from walk(child)
+        elif isinstance(child, list):
+            for item in child:
+                yield from walk(item)

@@ -13,24 +13,53 @@ Model
   parameters once from their argument slots, and restores at its single
   epilogue ``fn_<name>__end``; a function that assigns none has the plain
   ``push fp; mov fp, sp; subi sp, N`` frame.  Nothing is done at call sites,
+* a call to a user function is *generated in place* -- no ``call``, no
+  frame, no argument pushes -- when the callee is on no call-graph cycle, has
+  at most 60 statements and expressions, makes no ``read``/``write``/
+  ``setperm`` call itself, and the site is inside a loop of the function
+  being generated or of a copy already being generated in it (so everything
+  a copy calls is a candidate).  The arguments are evaluated right to left,
+  as for a call, each stored straight into a symbol that belongs to this
+  copy alone; the body is generated with scopes of its own (a name it does
+  not declare is a global, whatever the caller has in scope) and an end
+  label its ``return`` jumps to, and the value is in R0 there.  The copy's
+  symbols compete for R2/R3/R5 with the function's, weighed at the loop
+  depth of the site,
+* the copy's symbols that get no register take frame slots above the
+  function's own, in stack discipline: a copy's slots are reserved from
+  before its first argument is evaluated until its body ends, so a copy
+  made inside an argument or inside the body lies above them, and two
+  copies that are never live together share theirs.  The frame grows by the
+  deepest chain of copies, not by the number of sites,
+* only ``main`` and what is still *called* from it, directly or not, is
+  emitted, in source order: a helper whose every site was generated in
+  place is not in the image, nor is a library function nobody uses,
 * a local that is read before it is written holds whatever its home held:
   for a register local that is the *caller's* value of that register, not
-  a stale stack word.  As in C, the name is in scope in its own initializer,
+  a stale stack word -- and for a local of a copy generated in place, the
+  register or frame slot of the function it was copied *into*, with whatever
+  the previous copy to use that slot left there.  As in C, the name is in
+  scope in its own initializer,
 * R0 is the accumulator and the return value, R1 the second operand, R4 the
   address scratch for globals and array bases.  A binary operator,
-  comparison or ``udiv``/``umod``/``asr`` whose right operand is a leaf (a
-  literal, a ``const``, a scalar or an array name) loads it straight into
-  R1; any other right operand is evaluated with the left one pushed.  An
-  element store or ``poke`` whose value is a leaf keeps the address in R1
-  instead of pushing it.  Operands are evaluated left to right, call
-  arguments right to left,
+  comparison, compound assignment to a scalar or ``udiv``/``umod``/``asr``
+  whose right operand is a leaf (a literal, a ``const``, a scalar or an
+  array name) loads it straight into R1.  One whose *left* operand is the
+  leaf evaluates the right operand first, moves it to R1 and then loads the
+  leaf -- whenever the right operand cannot change what the leaf reads: a
+  literal, ``const`` or array name always, a local unless the right operand
+  assigns it, a global scalar unless the right operand assigns it or calls a
+  user function.  Only otherwise is the right operand evaluated with the
+  left one pushed.  An element store or ``poke`` whose value is a leaf keeps
+  the address in R1 instead of pushing it.  The *values* are those of
+  operands evaluated left to right and call arguments right to left,
 * the ``read``/``write`` builtins take their arguments in R1-R3 and so push
   R2 and R3 once the arguments are evaluated (through R4 and R0, an
   argument may assign a register local) and pop both after the ``vxcall``,
 * ``/`` and ``%`` are signed (C ``int`` semantics), ``>>`` is a *logical*
   shift (use the ``asr`` builtin for an arithmetic shift, ``udiv``/``umod``
   for unsigned division), comparisons are signed,
-* the calling convention pushes arguments right-to-left, so the first
+* a call that stays a call pushes its arguments right-to-left, so the first
   argument sits at ``[fp+8]``; the return value is in R0; the caller pops
   its arguments,
 * globals live in ``.data`` (initialised) or a bss region following it
@@ -48,7 +77,7 @@ from __future__ import annotations
 
 from repro.errors import VxcSemanticError
 from repro.vxc import ast_nodes as ast
-from repro.vxc.semantics import BUILTINS, GlobalSymbol, LocalSymbol, SemanticInfo
+from repro.vxc.semantics import BUILTINS, Expansion, GlobalSymbol, LocalSymbol, SemanticInfo
 
 _WORD_BINOPS = {
     "+": ("add", "addi"),
@@ -104,9 +133,13 @@ class CodeGenerator:
         self._lines: list[str] = []
         self._label_counter = 0
         self._string_literals: list[bytes] = []
+        self._definitions = {function.name: function for function in program.functions}
         self._loop_stack: list[tuple[str, str]] = []
-        self._current_function: str | None = None
         self._scopes: list[dict[str, object]] = []
+        # The copy being generated (a function, or a call expanded in it) and
+        # the label its ``return`` jumps to.
+        self._live: Expansion = Expansion([])
+        self._return_label = ""
         # Global placement: name -> address expression usable as an immediate.
         self._global_address: dict[str, str] = {}
         self._bss_total = 0
@@ -117,7 +150,8 @@ class CodeGenerator:
     def generate(self) -> str:
         """Return the complete assembly source for the program."""
         for function in self._program.functions:
-            self._gen_function(function)
+            if function.name in self._info.emitted:
+                self._gen_function(function)
         self._gen_start()
         self._gen_data_section()
         return "\n".join(self._lines) + "\n"
@@ -164,8 +198,6 @@ class CodeGenerator:
 
     def _gen_function(self, function: ast.FunctionDef) -> None:
         layout = self._info.functions[function.name]
-        self._current_function = function.name
-        self._epilogue_label = f"fn_{function.name}__end"
         self._emit_label(f"fn_{function.name}")
         self._emit("push fp")
         self._emit("mov fp, sp")
@@ -180,17 +212,29 @@ class CodeGenerator:
         for symbol in layout.register_symbols:
             if symbol.is_param:
                 self._emit(f"ld32 {symbol.register}, {_mem('fp', symbol.offset)}")
-        self._scopes = [{symbol.name: symbol for symbol in layout.params}]
-        self._gen_stmt(function.body, layout)
-        self._emit("movi r0, 0")  # implicit return value for fall-through
-        self._emit_label(self._epilogue_label)
+        self._live = layout
+        self._gen_body(function, f"fn_{function.name}__end")
         for register, slot in saves:
             self._emit(f"ld32 {register}, {slot}")
         self._emit("mov sp, fp")
         self._emit("pop fp")
         self._emit("ret")
-        self._scopes = []
-        self._current_function = None
+
+    def _gen_body(self, function: ast.FunctionDef, return_label: str) -> None:
+        """Generate the live copy of ``function``'s body, ending at ``return_label``.
+
+        The copy resolves names in scopes of its own, whose outermost holds
+        its parameters, and its ``return`` is a jump to the label.
+        """
+        enclosing = self._scopes, self._return_label
+        self._return_label = return_label
+        self._scopes = [{symbol.name: symbol for symbol in self._live.params}]
+        self._gen_stmt(function.body)
+        statements = function.body.statements
+        if not (statements and isinstance(statements[-1], ast.Return)):
+            self._emit("movi r0, 0")  # implicit return value for fall-through
+        self._emit_label(return_label)
+        self._scopes, self._return_label = enclosing
 
     def _gen_start(self) -> None:
         self._emit_label("_start")
@@ -227,14 +271,14 @@ class CodeGenerator:
 
     # -- statements ------------------------------------------------------------------------
 
-    def _gen_stmt(self, node: ast.Stmt, layout) -> None:
+    def _gen_stmt(self, node: ast.Stmt) -> None:
         if isinstance(node, ast.Block):
             self._scopes.append({})
             for statement in node.statements:
-                self._gen_stmt(statement, layout)
+                self._gen_stmt(statement)
             self._scopes.pop()
         elif isinstance(node, ast.VarDecl):
-            symbol = layout.locals_by_decl[id(node)]
+            symbol = self._live.locals_by_decl[id(node)]
             self._scopes[-1][node.name] = symbol
             if node.initializer is not None:
                 self._gen_expr(node.initializer)
@@ -247,12 +291,12 @@ class CodeGenerator:
             label_end = self._new_label("endif")
             self._gen_branch(node.cond, label_then, label_else)
             self._emit_label(label_then)
-            self._gen_stmt(node.then, layout)
+            self._gen_stmt(node.then)
             if node.otherwise is not None:
                 self._emit(f"jmp {label_end}")
             self._emit_label(label_else)
             if node.otherwise is not None:
-                self._gen_stmt(node.otherwise, layout)
+                self._gen_stmt(node.otherwise)
                 self._emit_label(label_end)
         elif isinstance(node, ast.While):
             label_cond = self._new_label("while")
@@ -262,7 +306,7 @@ class CodeGenerator:
             self._gen_branch(node.cond, label_body, label_end)
             self._emit_label(label_body)
             self._loop_stack.append((label_end, label_cond))
-            self._gen_stmt(node.body, layout)
+            self._gen_stmt(node.body)
             self._loop_stack.pop()
             self._emit(f"jmp {label_cond}")
             self._emit_label(label_end)
@@ -272,7 +316,7 @@ class CodeGenerator:
             label_end = self._new_label("enddo")
             self._emit_label(label_body)
             self._loop_stack.append((label_end, label_cond))
-            self._gen_stmt(node.body, layout)
+            self._gen_stmt(node.body)
             self._loop_stack.pop()
             self._emit_label(label_cond)
             self._gen_branch(node.cond, label_body, label_end)
@@ -284,13 +328,13 @@ class CodeGenerator:
             label_end = self._new_label("endfor")
             self._scopes.append({})
             if node.init is not None:
-                self._gen_stmt(node.init, layout)
+                self._gen_stmt(node.init)
             self._emit_label(label_cond)
             if node.cond is not None:
                 self._gen_branch(node.cond, label_body, label_end)
             self._emit_label(label_body)
             self._loop_stack.append((label_end, label_step))
-            self._gen_stmt(node.body, layout)
+            self._gen_stmt(node.body)
             self._loop_stack.pop()
             self._emit_label(label_step)
             if node.step is not None:
@@ -303,7 +347,7 @@ class CodeGenerator:
                 self._gen_expr(node.value)
             else:
                 self._emit("movi r0, 0")
-            self._emit(f"jmp {self._epilogue_label}")
+            self._emit(f"jmp {self._return_label}")
         elif isinstance(node, ast.Break):
             self._emit(f"jmp {self._loop_stack[-1][0]}")
         elif isinstance(node, ast.Continue):
@@ -346,8 +390,7 @@ class CodeGenerator:
             self._gen_expr(node.left)
             self._emit(f"cmpi r0, {node.right.value & 0xFFFFFFFF}")
             return
-        self._gen_expr(node.left)
-        self._gen_right_operand(node.right)
+        self._gen_operands(node.left, node.right)
         self._emit("cmp r0, r1")
 
     # -- value-context expressions ---------------------------------------------------------
@@ -421,6 +464,38 @@ class CodeGenerator:
         else:  # pragma: no cover
             self._error(node, f"cannot evaluate {node.name!r}")
 
+    def _gen_operands(self, left: ast.Expr, right: ast.Expr) -> None:
+        """Leave ``left`` in R0 and ``right`` in R1, as if evaluated in that order."""
+        if isinstance(left, _LEAVES) and not isinstance(right, _LEAVES) and (
+                self._survives(left, right)):
+            self._gen_expr(right)
+            self._emit("mov r1, r0")
+            self._gen_leaf(left, "r0")
+        else:
+            self._gen_expr(left)
+            self._gen_right_operand(right)
+
+    def _survives(self, leaf: ast.Expr, other: ast.Expr) -> bool:
+        """Whether ``leaf`` reads the same after ``other`` is evaluated as before.
+
+        A literal, a ``const`` or an array name always does.  A local can only
+        change by an assignment written in ``other`` (an expanded call's body
+        has its own names), a global scalar also inside any function called.
+        """
+        if not isinstance(leaf, ast.Identifier):
+            return True
+        symbol = self._lookup(leaf.name)
+        is_global = isinstance(symbol, GlobalSymbol)
+        if symbol.is_array or (is_global and symbol.const_value is not None):
+            return True
+        for node in ast.walk(other):
+            if isinstance(node, ast.Assignment):
+                if isinstance(node.target, ast.Identifier) and node.target.name == leaf.name:
+                    return False
+            elif is_global and isinstance(node, ast.Call) and node.name not in BUILTINS:
+                return False
+        return True
+
     def _gen_right_operand(self, node: ast.Expr) -> None:
         """R0 holds a left operand: leave it there and put ``node`` in R1."""
         if isinstance(node, _LEAVES):
@@ -474,16 +549,20 @@ class CodeGenerator:
             self._emit("movi r0, 1")
             self._emit_label(label_end)
             return
-        self._gen_expr(node.left)
-        self._apply_binop(node.op, node.right)
+        self._apply_binop(node.op, node.left, node.right)
 
-    def _apply_binop(self, op: str, right: ast.Expr) -> None:
-        """R0 holds the left operand; leave ``left op right`` in R0."""
+    def _apply_binop(self, op: str, left: ast.Expr | None, right: ast.Expr) -> None:
+        """Leave ``left op right`` in R0; with no ``left``, R0 holds that operand."""
         mnemonic, immediate_form = _WORD_BINOPS[op]
         if immediate_form is not None and isinstance(right, ast.NumberLiteral):
+            if left is not None:
+                self._gen_expr(left)
             self._emit(f"{immediate_form} r0, {right.value & 0xFFFFFFFF}")
             return
-        self._gen_right_operand(right)
+        if left is None:
+            self._gen_right_operand(right)
+        else:
+            self._gen_operands(left, right)
         self._emit(f"{mnemonic} r0, r1")
 
     def _gen_assignment(self, node: ast.Assignment) -> None:
@@ -496,8 +575,7 @@ class CodeGenerator:
             if compound_op is None:
                 self._gen_expr(node.value)
             else:
-                self._gen_identifier(target, "r0")
-                self._apply_binop(compound_op, node.value)
+                self._apply_binop(compound_op, target, node.value)
             self._gen_scalar_store(target, symbol)
             return
         # Array element target.
@@ -510,7 +588,7 @@ class CodeGenerator:
             load = "ld8u" if symbol.elem_size == 1 else "ld32"
             self._emit("push r0")                   # [address]
             self._emit(f"{load} r0, [r0]")
-            self._apply_binop(compound_op, node.value)
+            self._apply_binop(compound_op, None, node.value)
             self._emit("pop r1")                    # address
         self._emit(f"{store} [r1], r0")
 
@@ -569,6 +647,18 @@ class CodeGenerator:
         if node.name in BUILTINS:
             self._gen_builtin(node)
             return
+        expansion = self._live.expansions.get(id(node))
+        if expansion is not None:
+            # Generated in place.  The copy is live from before its arguments
+            # are evaluated (in the caller's scopes; a site inside one is
+            # looked up under the copy) and stored to its parameters.
+            enclosing, self._live = self._live, expansion
+            for argument, symbol in reversed(list(zip(node.args, expansion.params))):
+                self._gen_expr(argument)
+                self._gen_scalar_store(argument, symbol)
+            self._gen_body(self._definitions[node.name], self._new_label("ret"))
+            self._live = enclosing
+            return
         for argument in reversed(node.args):
             self._gen_expr(argument)
             self._emit("push r0")
@@ -618,8 +708,7 @@ class CodeGenerator:
             return
         if name in ("udiv", "umod", "asr"):
             mnemonic = {"udiv": "divu", "umod": "remu", "asr": "shrs"}[name]
-            self._gen_expr(node.args[0])
-            self._gen_right_operand(node.args[1])
+            self._gen_operands(node.args[0], node.args[1])
             self._emit(f"{mnemonic} r0, r1")
             return
         self._error(node, f"unknown builtin {name!r}")  # pragma: no cover

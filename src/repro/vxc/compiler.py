@@ -4,7 +4,9 @@ Pipeline: lex/parse each source unit, merge them, semantic analysis, code
 generation, peephole optimisation, assembly, ELF packaging.  The driver
 tracks which functions came from which *category* of source (``decoder``,
 ``library`` or ``runtime``) so the resulting executable carries the same
-code-size provenance split the paper reports in Table 2.
+code-size provenance split the paper reports in Table 2 -- by emitted
+function: library code generated in place of a call is counted under the
+function it was generated into.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ CATEGORY_RUNTIME = "runtime"
 #: Stamped into every image's provenance note.  Bump it whenever the same
 #: source would compile to different code: archived images keep the version
 #: that built them (0.1 kept every scalar in the frame; 0.2 is the register
-#: convention described in :mod:`repro.vxc.codegen`).
-TOOLCHAIN = "vxc-0.2"
+#: convention described in :mod:`repro.vxc.codegen`; 0.3 generates calls
+#: inside loops in place, emits only the functions still called and loads a
+#: leaf left operand after its right operand instead of pushing it).
+TOOLCHAIN = "vxc-0.3"
 
 
 @dataclass
@@ -111,6 +115,9 @@ def compile_units(
 
     program = Assembler().assemble(assembly)
     function_sizes = _function_sizes(program)
+    # Sizes are per emitted function: a library helper expanded at a call site
+    # of a decoder function is decoder bytes, and a helper expanded everywhere
+    # has no entry at all.
     category_sizes = {CATEGORY_DECODER: 0, CATEGORY_LIBRARY: 0, CATEGORY_RUNTIME: 0}
     for name, size in function_sizes.items():
         category = function_category.get(name, CATEGORY_RUNTIME)

@@ -12,9 +12,13 @@ no longer pushes a left operand or a store address when the other side is a
 leaf, and ``read``/``write`` take their last argument from R0, so the
 adjacent ``push``/``pop`` pairs the 0.1 images had (two per image, in the
 runtime's I/O wrappers) are not emitted in the first place; on the six
-bundled decoders all three passes now find nothing.  What they still catch
-is in other people's sources: a ``continue`` that ends a ``for`` body or an
-empty ``else`` leaves a ``jmp`` to the very next label.  The push/pop and
+bundled decoders all three passes found nothing.  What they caught was in
+other people's sources: a ``continue`` that ends a ``for`` body or an empty
+``else`` leaves a ``jmp`` to the very next label.  Since vxc 0.3 that pass
+has a regular customer again: ``return`` is a ``jmp`` to the end label of
+the function, or of the copy generated in place of a call, a body usually
+ends in one, and the generator emits nothing between that ``jmp`` and the
+label -- so it goes, one per function and one per copy.  The push/pop and
 self-move passes stay as a net under the generator -- any future emission
 pattern that puts the two back to back is cleaned up here rather than
 shipped.  Anything cleverer (a dead ``mov r0, rN`` before a compare) is the

@@ -9,9 +9,14 @@ Performs the checks and pre-computations the code generator relies on:
   functions),
 * array subscript validation (only declared arrays are indexable; raw
   addresses must use the ``peek``/``poke`` builtins),
-* storage layout: per function, the hottest ``int`` scalars (parameters
-  included) are assigned the callee-saved registers r2/r3/r5 and every other
-  local declaration a distinct frame-pointer-relative slot.
+* which calls are generated in place (:func:`_mark_expandable` says which
+  functions may be, a call site inside a loop says where) and which functions
+  are still called out of line from ``main`` and so must be emitted,
+* storage layout: per function, the hottest ``int`` scalars (parameters and
+  the symbols of expanded calls included) are assigned the callee-saved
+  registers r2/r3/r5, every other local declaration a distinct
+  frame-pointer-relative slot, and the symbols of expanded calls slots above
+  those, shared between calls that are never live together.
 
 The results are returned as a :class:`SemanticInfo` object consumed by
 :mod:`repro.vxc.codegen`.
@@ -56,6 +61,15 @@ LOCAL_REGISTERS = ("r2", "r3", "r5")
 #: A use inside a loop counts this many times one outside it, per nesting level.
 _LOOP_WEIGHT = 8
 
+#: A function of more statements and expressions than this is always called.
+_EXPANSION_LIMIT = 60
+
+#: A function that makes one of these calls itself is always called: they
+#: take their arguments in R1-R3, so they bracket the call with saves of the
+#: register locals, and they move data or the sandbox's end under the
+#: enclosing function -- in a copy that is per-iteration cost and lost proofs.
+_NEVER_EXPANDED = ("read", "write", "setperm")
+
 
 @dataclass
 class GlobalSymbol:
@@ -97,20 +111,45 @@ class LocalSymbol:
 
     @property
     def is_param(self) -> bool:
+        """Whether this is a function's parameter, at home in its argument slot
+        (the parameter of a call generated in place is placed like a local)."""
         return self.offset > 0
 
 
 @dataclass
-class FunctionInfo:
+class Expansion:
+    """The symbols of one generated copy of a function body.
+
+    A function's own copy is its :class:`FunctionInfo`; below it hangs one
+    ``Expansion`` per call generated in place, keyed by ``id`` of the ``Call``
+    node and nested the way the copies' lifetimes nest: a site in the
+    arguments or in the body of an expanded call belongs to that expansion.
+    """
+
+    params: list[LocalSymbol]
+    locals_by_decl: dict[int, LocalSymbol] = field(default_factory=dict)
+    expansions: dict[int, Expansion] = field(default_factory=dict)
+
+    def symbols(self):
+        """Every symbol of this copy and of those below it, in source order."""
+        yield from self.params
+        yield from self.locals_by_decl.values()
+        for nested in self.expansions.values():
+            yield from nested.symbols()
+
+
+@dataclass
+class FunctionInfo(Expansion):
     """Per-function layout information."""
 
-    name: str
-    params: list[LocalSymbol]
     frame_size: int = 0
-    locals_by_decl: dict[int, LocalSymbol] = field(default_factory=dict)
     #: Symbols given a register, in ``LOCAL_REGISTERS`` order; the k-th one's
     #: register is saved at ``[fp - 4*(k+1)]`` for the life of the frame.
     register_symbols: list[LocalSymbol] = field(default_factory=list)
+    #: Whether a call to this function inside a loop is generated in place.
+    expandable: bool = False
+    #: The functions this one still calls, its expansions' calls included.
+    calls: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -119,6 +158,9 @@ class SemanticInfo:
 
     globals: dict[str, GlobalSymbol] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
+    #: ``main`` and what is reachable from it through calls that stayed calls:
+    #: the functions the image needs.
+    emitted: set[str] = field(default_factory=set)
 
 
 def analyze(program: ast.Program) -> SemanticInfo:
@@ -130,12 +172,20 @@ def analyze(program: ast.Program) -> SemanticInfo:
     info = SemanticInfo()
     _collect_globals(program, info)
     _collect_functions(program, info)
+    _mark_expandable(program, info)
+    definitions = {function.name: function for function in program.functions}
     for function in program.functions:
-        _check_function(function, info)
+        _FunctionChecker(function, info, definitions).run()
     if "main" not in info.functions:
         raise VxcSemanticError("program has no 'main' function")
     if info.functions["main"].params:
         raise VxcSemanticError("'main' must take no parameters")
+    pending = ["main"]
+    while pending:
+        name = pending.pop()
+        if name not in info.emitted:
+            info.emitted.add(name)
+            pending += info.functions[name].calls
     return info
 
 
@@ -196,10 +246,7 @@ def _encode_initializer(declaration: ast.GlobalDecl, elem_size: int,
             for value in initializer
         )
     else:  # scalar integer
-        if length is not None:
-            data = (initializer & 0xFFFFFFFF).to_bytes(4, "little")
-        else:
-            data = (initializer & 0xFFFFFFFF).to_bytes(4, "little")
+        data = (initializer & 0xFFFFFFFF).to_bytes(4, "little")
     expected = (length if length is not None else 1) * elem_size
     if len(data) > expected:
         raise VxcSemanticError(
@@ -234,7 +281,6 @@ def _collect_functions(program: ast.Program, info: SemanticInfo) -> None:
                 )
             seen_params.add(param.name)
         info.functions[function.name] = FunctionInfo(
-            name=function.name,
             params=[
                 LocalSymbol(param.name, "int", 4, None, offset=8 + 4 * index)
                 for index, param in enumerate(function.params)
@@ -242,13 +288,61 @@ def _collect_functions(program: ast.Program, info: SemanticInfo) -> None:
         )
 
 
-class _FunctionChecker:
-    """Walks one function body: scoping, arity, loop placement, storage layout."""
+def _mark_expandable(program: ast.Program, info: SemanticInfo) -> None:
+    """Decide, in one pass over the program, which functions a call inside a
+    loop is replaced by: the small ones that make no call in
+    ``_NEVER_EXPANDED`` and cannot reach themselves."""
+    callees: dict[str, list[str]] = {}
+    for function in program.functions:
+        nodes = list(ast.walk(function.body))
+        called = [node.name for node in nodes if isinstance(node, ast.Call)]
+        callees[function.name] = [name for name in called if name in info.functions]
+        info.functions[function.name].expandable = len(nodes) <= _EXPANSION_LIMIT and not any(
+            name in _NEVER_EXPANDED for name in called
+        )
+    for name in _on_a_cycle(callees):
+        info.functions[name].expandable = False
 
-    def __init__(self, function: ast.FunctionDef, info: SemanticInfo):
+
+def _on_a_cycle(callees: dict[str, list[str]]) -> list[str]:
+    """The functions of every call-graph component that has an edge inside it
+    (Tarjan's algorithm: each function and each call is visited once)."""
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    cyclic: list[str] = []
+
+    def visit(name: str) -> None:
+        first = low[name] = len(low)
+        stack.append(name)
+        for callee in callees[name]:
+            if callee not in low:
+                visit(callee)
+            low[name] = min(low[name], low[callee])
+        if low[name] == first:
+            component = []
+            while not component or component[-1] != name:
+                component.append(stack.pop())
+                low[component[-1]] = len(callees)    # finished: below nothing
+            if len(component) > 1 or name in callees[name]:
+                cyclic.extend(component)
+
+    for name in callees:
+        if name not in low:
+            visit(name)
+    return cyclic
+
+
+class _FunctionChecker:
+    """Walks one function body, and the body of every call it expands:
+    scoping, arity, loop placement, storage layout."""
+
+    def __init__(self, function: ast.FunctionDef, info: SemanticInfo,
+                 definitions: dict[str, ast.FunctionDef]):
         self._function = function
         self._info = info
+        self._definitions = definitions
         self._layout = info.functions[function.name]
+        self._live: Expansion = self._layout      # the copy being walked
         self._scopes: list[dict[str, LocalSymbol]] = []
         self._loop_depth = 0
 
@@ -263,14 +357,15 @@ class _FunctionChecker:
 
         A register costs a save and a restore (and, for a parameter, the load
         from its argument slot), so a scalar only gets one when its weight
-        exceeds that.  The sort is stable, so ties go to the earlier
-        declaration and the same source always yields the same image.
+        exceeds that.  The symbols of expanded calls compete with the
+        function's own: their uses were weighed at the depth of the call
+        site.  The sort is stable, so ties go to the earlier declaration and
+        the same source always yields the same image.
         """
         layout = self._layout
-        local_symbols = list(layout.locals_by_decl.values())
         candidates = [
             symbol
-            for symbol in layout.params + local_symbols
+            for symbol in layout.symbols()
             if not symbol.is_array and symbol.elem_kind == "int"
             and symbol.weight > 2 + symbol.is_param
         ]
@@ -278,13 +373,24 @@ class _FunctionChecker:
         layout.register_symbols = candidates[: len(LOCAL_REGISTERS)]
         for register, symbol in zip(LOCAL_REGISTERS, layout.register_symbols):
             symbol.register = register
-        frame_size = 4 * len(layout.register_symbols)
-        for symbol in local_symbols:
-            if symbol.register is None:
+        deepest = self._place(layout, 4 * len(layout.register_symbols))
+        layout.frame_size = (deepest + 15) & ~15
+
+    def _place(self, copy: Expansion, top: int) -> int:
+        """Lay the frame residents of ``copy`` out below ``fp - top`` and the
+        copies nested in it below those; return the deepest byte used.
+
+        Sibling expansions start from the same ``top``: the slots of one are
+        dead when the next begins, so the frame grows by the deepest chain of
+        nested expansions and not by the number of sites.
+        """
+        for symbol in (*copy.params, *copy.locals_by_decl.values()):
+            if symbol.register is None and not symbol.is_param:
                 size = symbol.length * symbol.elem_size if symbol.is_array else 4
-                frame_size += (size + 3) & ~3
-                symbol.offset = -frame_size
-        layout.frame_size = (frame_size + 15) & ~15
+                top += (size + 3) & ~3
+                symbol.offset = -top
+        return max((self._place(nested, top) for nested in copy.expansions.values()),
+                   default=top)
 
     # -- helpers ------------------------------------------------------------------
 
@@ -318,7 +424,7 @@ class _FunctionChecker:
         if decl.initializer is not None:
             self._count_use(symbol)
         scope[decl.name] = symbol
-        self._layout.locals_by_decl[id(decl)] = symbol
+        self._live.locals_by_decl[id(decl)] = symbol
 
     # -- statements ------------------------------------------------------------------
 
@@ -361,11 +467,9 @@ class _FunctionChecker:
             self._loop_depth -= 1
             self._scopes.pop()
         elif isinstance(node, ast.Return):
+            # A bare 'return;' is allowed in int functions (it returns 0).
             if node.value is not None:
                 self._check_expr(node.value)
-            elif self._function.returns_value:
-                # allow bare 'return;' in int functions (value is unspecified, like C89)
-                pass
         elif isinstance(node, ast.Break):
             if self._loop_depth == 0:
                 self._error(node, "'break' outside of a loop")
@@ -456,9 +560,26 @@ class _FunctionChecker:
                 node,
                 f"{node.name!r} expects {expected} argument(s), got {len(node.args)}",
             )
-        for argument in node.args:
+        callee = self._info.functions.get(node.name)
+        if callee is None or not (callee.expandable and self._loop_depth):
+            if callee is not None:
+                self._layout.calls.append(node.name)
+            for argument in node.args:
+                self._check_expr(argument)
+            return
+        # Generated in place: fresh symbols for this copy, weighed at the
+        # depth of the site.  The copy is live from before its first argument
+        # is evaluated (a copy expanded inside an argument must not share
+        # slots with parameters already stored) until its body ends.
+        expansion = Expansion(
+            [LocalSymbol(param.name, "int", 4, None) for param in callee.params]
+        )
+        self._live.expansions[id(node)] = expansion
+        enclosing, self._live = self._live, expansion
+        for argument, symbol in zip(node.args, expansion.params):
             self._check_expr(argument)
-
-
-def _check_function(function: ast.FunctionDef, info: SemanticInfo) -> None:
-    _FunctionChecker(function, info).run()
+            self._count_use(symbol)
+        caller_scopes = self._scopes
+        self._scopes = [{symbol.name: symbol for symbol in expansion.params}]
+        self._check_stmt(self._definitions[node.name].body)
+        self._scopes, self._live = caller_scopes, enclosing

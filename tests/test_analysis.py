@@ -329,7 +329,7 @@ def test_cli_analyze_safe_archive(tmp_path, capsys):
     assert "SAFE" in output
     assert "proved" in output
     # Each image is listed with the compiler that built it.
-    assert "decoder vxz @" in output and "[vxc-0.2]" in output
+    assert "decoder vxz @" in output and "[vxc-0.3]" in output
 
 
 def test_cli_analyze_hostile_archive(tmp_path, capsys, hostile_images):
@@ -376,13 +376,17 @@ def test_min_size_matches_loader_geometry(bundled_reports):
 
 #: ``ok / proved_reads / proved_writes / min_size`` of the bundled images.  A
 #: change here changes ``vm.guards_elided.*`` and every generated fragment.
+#: These are the images vxc 0.3 builds (re-derive them whenever
+#: ``repro.vxc.compiler.TOOLCHAIN`` is bumped); 0.2's had 152/136, 233/191,
+#: 333/325, 409/398, 219/256, 189/218 -- 0.3 drops the unreachable functions'
+#: sites and adds those of the copies it expands.  ``min_size`` did not move.
 PINNED_PROOFS = {
-    "vxz": (True, 152, 136, 343180),
-    "vxbwt": (True, 233, 191, 344780),
-    "vximg": (True, 333, 325, 348352),
-    "vxjp2": (True, 409, 398, 346828),
-    "vxflac": (True, 219, 256, 340140),
-    "vxsnd": (True, 189, 218, 340428),
+    "vxz": (True, 170, 132, 343180),
+    "vxbwt": (True, 242, 180, 344780),
+    "vximg": (True, 392, 327, 348352),
+    "vxjp2": (True, 427, 374, 346828),
+    "vxflac": (True, 275, 262, 340140),
+    "vxsnd": (True, 201, 212, 340428),
 }
 
 
@@ -580,3 +584,50 @@ def test_one_function_fixpoint_per_function_outside_cycles(monkeypatch):
         visits.clear()
         absint.analyze(cfg)
         assert sorted(visits) == sorted(cfg.functions), name
+
+
+# -- the proved stack bound against a run (ROADMAP 3(b), first slice) ---------------
+
+
+@pytest.fixture(scope="module")
+def stack_probe_cases():
+    """``name -> (image, encoded member)``: the bundled decoders over the
+    members ``tools/fragment_mix.py`` measures (vxabench's seed-7 mixed
+    archive, the first member of each decoder) and both archived images."""
+    from tests.test_fragment_mix import fragment_mix     # it puts tools/ on the path
+
+    data = pathlib.Path(__file__).parent / "data"
+    members = fragment_mix.members()[0]
+    cases = {codec.info.name: (codec.guest_decoder_image(),
+                               codec.encode(members[codec.info.name]))
+             for codec in _bundled_codecs()}
+    payload = (data / "vxz-vxc-0.1.payload.vxz").read_bytes()
+    cases["vxz-vxc-0.1"] = (VXC_0_1_IMAGE.read_bytes(), payload)
+    cases["vxz-vxc-0.2"] = ((data / "vxz-vxc-0.2.elf").read_bytes(), payload)
+    return cases
+
+
+@pytest.mark.parametrize("name", ["vxz", "vxbwt", "vximg", "vxjp2", "vxflac", "vxsnd",
+                                  "vxz-vxc-0.1", "vxz-vxc-0.2"])
+def test_the_stack_a_decode_leaves_behind_is_within_the_proved_bound(name, stack_probe_cases):
+    """``total_down`` bounds every byte the image writes below its entry
+    ``sp``; after a decode under the interpreter (every check on, nothing
+    elided) the lowest non-zero word of the stack region must lie above it.
+
+    A necessary condition only: a push of zero, or a slot reserved and never
+    written, leaves nothing to see, so this can miss an excess but never
+    report one that is not there.
+    """
+    from repro.vm.loader import DEFAULT_STACK_SIZE
+    from repro.vm.machine import ENGINE_INTERPRETER
+
+    image, encoded = stack_probe_cases[name]
+    report = verify_image(image)
+    assert report.ok and report.stack_bounded
+    vm = VirtualMachine(image, engine=ENGINE_INTERPRETER)
+    entry_sp = vm.regs[7]
+    assert vm.decode(encoded).exit_code == 0
+    stack = vm.memory.read_bytes(entry_sp - DEFAULT_STACK_SIZE, DEFAULT_STACK_SIZE)
+    untouched = len(stack) - len(stack.lstrip(b"\x00"))
+    deepest = DEFAULT_STACK_SIZE - (untouched & ~3)
+    assert 0 < deepest <= report.total_down, (name, deepest, report.total_down)

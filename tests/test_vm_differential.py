@@ -702,18 +702,21 @@ def test_randomized_out_of_bounds_addresses_fault_identically():
 
 #: ``vxz-vxc-0.1.elf`` is the vxz decoder as the vxc 0.1 code generator built
 #: it (every scalar in a frame slot, every intermediate on the stack), with a
-#: payload its encoder produced.  Archives carry such images for good: they
-#: must keep decoding, and keep verifying, under every engine configuration,
-#: whatever the current compiler would emit for the same source.  Never
-#: regenerate these files.
+#: payload its encoder produced; ``vxz-vxc-0.2.elf`` is the same source as vxc
+#: 0.2 built it (three register locals, a call for every helper), exactly the
+#: bytes the parent of vxc 0.3 bundled.  Archives carry such images for good:
+#: they must keep decoding, and keep verifying, under every engine
+#: configuration, whatever the current compiler would emit for the same
+#: source.  Never regenerate these files.
 _DATA = pathlib.Path(__file__).parent / "data"
 _ARCHIVED_OUTPUT_SHA256 = "dd8add34c82cd72018415a5731b3bdd39d41117caccda9114927f958f8e62dd3"
 
 
-def test_image_built_by_the_previous_compiler_still_decodes():
-    image = (_DATA / "vxz-vxc-0.1.elf").read_bytes()
+def _assert_archived_image_still_decodes(toolchain: str, size: int, sha256_prefix: str):
+    image = (_DATA / f"vxz-{toolchain}.elf").read_bytes()
     payload = (_DATA / "vxz-vxc-0.1.payload.vxz").read_bytes()
-    assert len(image) == 7383 and read_note(image)["toolchain"] == "vxc-0.1"
+    assert len(image) == size and read_note(image)["toolchain"] == toolchain
+    assert hashlib.sha256(image).hexdigest().startswith(sha256_prefix)
     assert verify_image(image).ok
     runs = [{"engine": ENGINE_INTERPRETER}]
     runs += [{"engine": ENGINE_TRANSLATOR, **config} for config in _TRANSLATOR_CONFIGS]
@@ -721,3 +724,11 @@ def test_image_built_by_the_previous_compiler_still_decodes():
         result = VirtualMachine(image, **vm_kwargs).decode(payload)
         assert result.exit_code == 0, vm_kwargs
         assert hashlib.sha256(result.output).hexdigest() == _ARCHIVED_OUTPUT_SHA256, vm_kwargs
+
+
+def test_image_built_by_the_previous_compiler_still_decodes():
+    _assert_archived_image_still_decodes("vxc-0.1", 7383, "13ee9024")
+
+
+def test_image_built_by_vxc_0_2_still_decodes():
+    _assert_archived_image_still_decodes("vxc-0.2", 6807, "844fec34")

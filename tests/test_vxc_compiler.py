@@ -1,5 +1,10 @@
 """End-to-end tests for the vxc compiler: compile programs, run them on the VM."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import VxcSemanticError, VxcSyntaxError
@@ -450,7 +455,7 @@ def test_compile_result_reports_code_provenance():
     """
     result = compile_source(source, codec_name="prov")
     assert result.note["codec"] == "prov"
-    assert result.note["toolchain"] == "vxc-0.2"
+    assert result.note["toolchain"] == "vxc-0.3"
     assert result.note["decoder_code_bytes"] > 0
     assert result.note["library_code_bytes"] > 0
     assert result.text_size >= (
@@ -579,3 +584,25 @@ def test_same_source_compiles_to_identical_bytes():
     second = compile_units(vxbwt_guest_units(), codec_name="vxbwt")
     assert first.elf == second.elf
     assert first.assembly == second.assembly
+    assert "\n.ret" in first.assembly          # calls generated in place, too
+
+
+def test_bundled_images_do_not_depend_on_the_hash_seed():
+    """The image hash is the registry key and the archive's dedup key, so the
+    six bundled images must come out the same in every interpreter: the
+    compiler walks functions and call sites in source order, never a ``set``."""
+    script = (
+        "import hashlib\n"
+        "from repro.codecs.registry import default_registry\n"
+        "for codec in default_registry():\n"
+        "    print(codec.name, hashlib.sha256(codec.guest_decoder_image()).hexdigest())\n"
+    )
+    source_root = str(pathlib.Path(__file__).parent.parent / "src")
+    listings = []
+    for hash_seed in ("0", "1", "random"):
+        environment = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=source_root)
+        listings.append(subprocess.run(
+            [sys.executable, "-c", script], env=environment, check=True,
+            capture_output=True, text=True, timeout=120).stdout)
+    assert listings[0].count("\n") == 6
+    assert listings[0] == listings[1] == listings[2]

@@ -2,10 +2,11 @@
 
 Every other compiler test runs a fixed program against a hand-computed
 answer.  Here seeded random programs, plus a few fixed ones aimed at the
-register convention of ``repro.vxc.codegen``, are compiled and run on both
-engines, and their exit code and stdout are compared with a direct evaluation
-of the parsed AST (:class:`_Reference`): 32-bit wrap-around, signed ``/ %``
-and comparisons, logical ``>>``, short-circuit ``&& ||``, and the evaluation
+register convention of ``repro.vxc.codegen`` and at the calls it generates in
+place, are compiled and run on both engines, and their exit code and stdout
+are compared with a direct evaluation of the parsed AST (:class:`_Reference`,
+which calls every function): 32-bit wrap-around, signed ``/ %`` and
+comparisons, logical ``>>``, short-circuit ``&& ||``, and the evaluation
 order the language has always had (operands left to right, call arguments
 right to left, a compound assignment reads its target before its value).
 
@@ -327,7 +328,9 @@ class _Generator:
 
     Every loop has a dedicated counter nothing else assigns, every index is
     masked to the array length, every divisor is positive, and functions only
-    call functions defined before them (``rec`` recurses on a counter).
+    call functions defined before them (``rec`` recurses on a counter).  The
+    five ``h*`` helpers are small enough to be generated in place wherever a
+    loop calls them, and are called at any loop depth.
     """
 
     def __init__(self, seed: int):
@@ -335,6 +338,7 @@ class _Generator:
         self._lines: list[str] = []
         self._fresh = 0
         self._callable: list[tuple[str, int]] = [("emit", 1)]
+        self._helpers: list[tuple[str, int]] = []
         self._scalars: list[str] = []       # readable scalars in scope
         self._writable: list[str] = []      # ... that are not loop counters
         self._arrays: list[str] = []        # fully written arrays in scope
@@ -343,6 +347,7 @@ class _Generator:
 
     def program(self) -> str:
         self._lines = [_PREAMBLE]
+        self._declare_helpers()
         for index in range(3):
             self._function(f"f{index}", self._rng.randint(1, 4))
         self._lines.append(
@@ -375,6 +380,37 @@ class _Generator:
     def _emit(self, indent: int, text: str) -> None:
         self._lines.append("    " * indent + text)
 
+    def _declare_helpers(self) -> None:
+        """Small functions, one per thing a copy generated in place must get
+        right: a ``return`` out of its own loop, ``break``/``continue`` in it,
+        assigned parameters, a global written, copies inside arguments."""
+        rng = self._rng
+        op = lambda: rng.choice(_BINARY_OPS)  # noqa: E731
+        k = lambda: rng.randint(1, 9)  # noqa: E731
+        self._lines.append(f"""
+int hret(int a, int n) {{
+    for (int i = 0; i < {rng.randint(2, 5)}; ++i) {{
+        a = a * {k()} {op()} i;
+        if ((a & {rng.choice((1, 3, 7))}) == {rng.randint(0, 3)}) {{ return a ^ n; }}
+    }}
+    return a {op()} n;
+}}
+int hbrk(int a, int b) {{
+    int s = b;
+    for (int i = 0; i < {rng.randint(3, 6)}; ++i) {{
+        if (((a >> i) & 1) == {rng.randint(0, 1)}) {{ continue; }}
+        s = s {op()} (a + i);
+        if ((s & 15) > {rng.randint(4, 14)}) {{ break; }}
+    }}
+    return s;
+}}
+int hpar(int p, int q) {{ p = p {op()} q * {k()}; q ^= p; p -= q >> {k()}; return p {op()} q; }}
+int hglob(int v) {{ g0 = g0 * {k()} + v; return g0 ^ (v {op()} g1); }}
+int hnest(int x, int y) {{ return hpar(hret(x, y), hglob(y)) {op()} hbrk(y, x); }}
+""")
+        self._helpers = [("hret", 2), ("hbrk", 2), ("hpar", 2), ("hglob", 1), ("hnest", 2)]
+        self._callable += self._helpers
+
     # -- expressions -----------------------------------------------------------------
 
     def _leaf(self) -> str:
@@ -398,7 +434,7 @@ class _Generator:
         sub = lambda: self._expr(depth + 1)  # noqa: E731
         kind = rng.choice(("binary", "binary", "binary", "compare", "logic", "shift",
                            "divide", "unary", "ternary", "index", "index", "call",
-                           "assign", "builtin"))
+                           "call", "assign", "builtin", "stale"))
         if kind == "binary":
             return f"({sub()} {rng.choice(_BINARY_OPS)} {sub()})"
         if kind == "compare":
@@ -417,14 +453,22 @@ class _Generator:
             return f"({sub()} ? {sub()} : {sub()})"
         if kind == "index":
             return self._index(depth)
-        if kind == "call" and self._loop_depth < 2:
-            name, arity = rng.choice(self._callable)
+        if kind == "call":
+            # The f's loop and ``rec`` recurses: two loops deep, helpers only.
+            name, arity = rng.choice(self._callable if self._loop_depth < 2 else self._helpers)
             if name == "rec":
                 return f"rec(({sub()}) & 3, {sub()})"
             return f"{name}({', '.join(sub() for _ in range(arity))})"
         if kind == "assign" and self._writable:
             op = rng.choice(("=", "+=", "-=", "^=", "*="))
             return f"({rng.choice(self._writable)} {op} {sub()})"
+        if kind == "stale":
+            # A leaf left operand that its right operand changes: read first.
+            op = rng.choice(_BINARY_OPS + tuple(_COMPARISONS))
+            if self._writable and rng.random() < 0.6:
+                name = rng.choice(self._writable)
+                return f"({name} {op} ({name} {rng.choice(('=', '+=', '^='))} {sub()}))"
+            return f"(g0 {op} hglob({sub()}))"
         if kind == "builtin":
             choice = rng.choice(("udiv", "umod", "asr", "peek8", "peek32"))
             if choice == "peek8":
@@ -579,7 +623,21 @@ def test_random_program_matches_reference(seed):
     _check_against_reference(_Generator(seed).program())
 
 
-#: Fixed programs, one per way the register convention can go wrong.
+def test_random_programs_have_calls_generated_in_place():
+    """The generator reaches what it is there for: most programs have calls
+    expanded (each leaves a ``.ret`` label) beside calls that stayed calls."""
+    expanded = called = programs = 0
+    for seed in range(1600, 1620):
+        assembly = compile_source(_Generator(seed).program(), codec_name="differential",
+                                  include_runtime=False).assembly
+        expanded += assembly.count("\n.ret")
+        called += assembly.count("call fn_h")
+        programs += "\n.ret" in assembly
+    assert expanded >= 100 and called >= 100 and programs >= 14
+
+
+#: Fixed programs, one per way the register convention, or a call generated
+#: in place of itself, can go wrong.
 _SHAPES = {
     # Seven scalars, all used in the loop: three get registers, four stay in
     # the frame, and every operator sees both kinds on both sides.
@@ -683,6 +741,131 @@ _SHAPES = {
             }
             emit(x); emit(sum);
             return sum - x;
+        }
+    """,
+    # A helper called per iteration is generated in place, twice in one
+    # statement and again one loop deeper; its locals and parameters compete
+    # for the registers with the caller's and the losers take frame slots.
+    "helper-calls-expanded-inside-loops": """
+        int scale(int v, int k) { int t = v * k; t = t + (v >> 3); return t ^ k; }
+        int clamp(int v) { if (v < 0) { return 0; } if (v > 255) { return 255; } return v; }
+        int main() {
+            int acc = 1; int sum = 0;
+            for (int i = 0; i < 12; ++i) {
+                acc = scale(acc, i + 3) - 4000;
+                sum = sum + clamp(asr(acc, 4)) + clamp(i - 5);
+                for (int j = 0; j < 3; ++j) {
+                    sum = sum * 3 + scale(j, sum & 15); gb[j] = clamp(sum);
+                }
+            }
+            emit(acc); emit(sum); emit(gb[0]); emit(gb[1]); emit(gb[2]);
+            return sum;
+        }
+    """,
+    # x, y and z take the registers, so the parameters of ``outer`` live in
+    # frame slots -- and are stored one by one while the copies of ``inner``
+    # in the other arguments run: their slots must lie above, not beside.
+    "expanded-call-inside-an-argument-of-another": """
+        int inner(int a, int b) { int t = a * 7 + b; int u = t ^ (a << 2); return t + u; }
+        int outer(int p, int q, int r) { int s = p - q; return s * r + p + q; }
+        int main() {
+            int x = 3; int y = 5; int z = 7; int total = 0;
+            for (int i = 0; i < 6; ++i) {
+                for (int j = 0; j < 4; ++j) { x = x + y * j; y = y ^ z + i; z = z + x; }
+                total = total + outer(inner(x, i), inner(y, inner(z, i)), inner(i, total));
+            }
+            emit(x); emit(y); emit(z); emit(total);
+            return total;
+        }
+    """,
+    # ``return`` ends the copy, not the function it was copied into.
+    "early-return-from-inside-a-callee-loop": """
+        int find(int needle) {
+            for (int i = 0; i < 8; ++i) { if (gt[i] == needle) { return i; } }
+            return 0 - 1;
+        }
+        int main() {
+            int hits = 0; int last = 0;
+            for (int k = 0; k < 24; ++k) {
+                last = find(k);
+                if (last >= 0) { hits = hits * 8 + last; }
+                hits = hits + 1;
+            }
+            emit(hits); emit(last);
+            return hits + find(19) * 100 + find(4);
+        }
+    """,
+    # The copy's ``break`` and ``continue`` belong to the copy's loop, the
+    # caller's to the caller's, on either side of the copy.
+    "break-and-continue-in-a-callee-called-from-a-loop": """
+        int odd_sum(int limit) {
+            int s = 0;
+            for (int i = 0; i < 10; ++i) {
+                if ((i & 1) == 0) { continue; }
+                if (i > limit) { break; }
+                s = s + i;
+            }
+            return s;
+        }
+        int main() {
+            int total = 0; int rounds = 0;
+            for (int n = 0; n < 12; ++n) {
+                if (n == 10) { break; }
+                total = total * 2 + odd_sum(n);
+                if (odd_sum(n + 1) == odd_sum(n)) { continue; }
+                rounds = rounds + 1;
+            }
+            emit(total); emit(rounds);
+            return total + rounds;
+        }
+    """,
+    # Arguments are copied: the callee counts its parameters down, the
+    # caller's variables of the same names stay what they were.
+    "callee-assigns-its-parameter": """
+        int countdown(int n, int step) {
+            int c = 0;
+            while (n > 0) { n = n - step; step += 1; c = c + 1; }
+            return c * 16 + step;
+        }
+        int main() {
+            int n = 40; int step = 2; int seen = 0;
+            for (int i = 0; i < 5; ++i) {
+                seen = seen * 3 + countdown(n, step) + countdown(n + i, i + 1);
+                n = n + 1;
+            }
+            emit(n); emit(step); emit(seen);
+            return seen;
+        }
+    """,
+    # ... and a name the callee does not declare is the global, even where
+    # the caller has a local of that name in scope at the call.
+    "callee-names-resolve-in-the-callee-scope": """
+        int tick(int by) { g1 = g1 + by; return g1 ^ g0; }
+        int main() {
+            int g1 = 100; int g0 = 7; int sum = 0;
+            for (int i = 0; i < 5; ++i) {
+                sum = sum * 5 + tick(i + g1); g1 = g1 + 1; g0 = g0 ^ sum;
+            }
+            emit(g1); emit(g0); emit(sum); emit(tick(0));
+            return sum;
+        }
+    """,
+    # A leaf left operand is loaded after its right operand only when the
+    # right operand cannot change it: not past an assignment to it, and for a
+    # global not past a call, expanded or not.
+    "leaf-left-operands-the-right-operand-changes": """
+        int bump(int v) { g0 = g0 + v; return g0 * 2; }
+        int main() {
+            int x = 5; int r = 0;
+            for (int i = 0; i < 4; ++i) {
+                r = r + (x + (x = i + 10)) + (x - (x += 3)) + (x < (x = x - 20));
+                r = r ^ (g0 + bump(i)) ^ (g0 * bump(x));
+                r += (x * (gw[i] = x + r)) + (K - bump(K));
+                x += (x = 2) + bump(1);
+            }
+            r = r + (g0 - bump(3)) + udiv(x, (x = 3) + bump(0));
+            emit(x); emit(r); emit(g0);
+            return r;
         }
     """,
     # The hottest name in the function is an array: it still has no register.
