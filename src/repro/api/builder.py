@@ -175,12 +175,13 @@ class ArchiveBuilder:
             reference = codec.decode(encoded)
         else:
             reference = data
+        reference_crc = crc32(reference)
         extra = unix_extra
         if decoder is not None:
             extra += VxaExtension(
                 decoder_offset=decoder.offset,
                 original_size=len(reference),
-                original_crc32=crc32(reference),
+                original_crc32=reference_crc,
                 codec_name=codec.name,
                 precompressed=False,
                 lossy=codec.info.lossy,
@@ -190,7 +191,7 @@ class ArchiveBuilder:
             encoded,
             method=METHOD_VXA,
             uncompressed_size=len(reference),
-            crc=crc32(reference),
+            crc=reference_crc,
             extra=extra,
             external_attributes=external,
         )

@@ -23,7 +23,7 @@ from repro.zipformat.commit import (
     sha256,
     split_comment,
 )
-from repro.zipformat.crc import StreamingCrc32, crc32
+from repro.zipformat.crc import crc32
 from repro.zipformat.structures import (
     CENTRAL_HEADER_SIGNATURE,
     EOCD_MAX_SCAN,
@@ -329,35 +329,16 @@ class ZipReader:
         """
         if entry.uncompressed_size > MAX_MEMBER_SIZE:
             raise ZipFormatError(f"member {entry.name!r} is implausibly large")
-        checksum = StreamingCrc32()
         if entry.method == METHOD_STORE:
-            for chunk in self.iter_stored_chunks(entry, chunk_size=chunk_size):
-                checksum.update(chunk)
-                yield chunk
-        elif entry.method == METHOD_DEFLATE:
-            decompressor = zlib.decompressobj(-15)
-            produced = 0
-            for chunk in self.iter_stored_chunks(entry, chunk_size=chunk_size):
-                out = decompressor.decompress(chunk)
-                if out:
-                    produced += len(out)
-                    if produced > entry.uncompressed_size:
-                        raise ZipFormatError(
-                            f"deflate member decompressed to more than "
-                            f"{entry.uncompressed_size} bytes, expected exactly that"
-                        )
-                    checksum.update(out)
-                    yield out
-            out = decompressor.flush()
-            if out:
-                produced += len(out)
-                checksum.update(out)
-                yield out
-            if produced != entry.uncompressed_size:
+            data_offset, size = self._stored_extent(entry)
+            if size != entry.uncompressed_size:
                 raise ZipFormatError(
-                    f"deflate member decompressed to {produced} bytes, "
-                    f"expected {entry.uncompressed_size}"
+                    f"stored member {entry.name!r} holds {size} bytes, "
+                    f"its directory entry says {entry.uncompressed_size}"
                 )
+            plain = self._source.iter_at(data_offset, size, chunk_size)
+        elif entry.method == METHOD_DEFLATE:
+            plain = self._iter_inflated_chunks(entry, chunk_size)
         elif entry.method == METHOD_VXA:
             raise ZipFormatError(
                 f"member {entry.name!r} uses the VXA method; extract it through "
@@ -367,8 +348,41 @@ class ZipReader:
             raise ZipFormatError(
                 f"member {entry.name!r} uses unsupported method {entry.method}"
             )
-        if verify_crc and checksum.value != entry.crc32:
+        checksum = 0
+        for chunk in plain:
+            if verify_crc:
+                checksum = crc32(chunk, checksum)
+            yield chunk
+        if verify_crc and checksum != entry.crc32:
             raise ZipFormatError(f"CRC mismatch for member {entry.name!r}")
+
+    def _iter_inflated_chunks(self, entry: ZipEntry,
+                              chunk_size: int) -> Iterator[bytes]:
+        """Inflate a deflate member, holding it to its declared size."""
+        decompressor = zlib.decompressobj(-15)
+        produced = 0
+        for chunk in self.iter_stored_chunks(entry, chunk_size=chunk_size):
+            try:
+                out = decompressor.decompress(chunk)
+            except zlib.error as error:
+                raise ZipFormatError(f"corrupt deflate member: {error}") from None
+            if out:
+                produced += len(out)
+                if produced > entry.uncompressed_size:
+                    raise ZipFormatError(
+                        f"deflate member decompressed to more than "
+                        f"{entry.uncompressed_size} bytes, expected exactly that"
+                    )
+                yield out
+        out = decompressor.flush()
+        if out:
+            produced += len(out)
+            yield out
+        if produced != entry.uncompressed_size:
+            raise ZipFormatError(
+                f"deflate member decompressed to {produced} bytes, "
+                f"expected {entry.uncompressed_size}"
+            )
 
     def read_member(self, entry: ZipEntry, *, verify_crc: bool = True) -> bytes:
         """Decompress a member stored with a traditional ZIP method."""
@@ -381,6 +395,11 @@ class ZipReader:
             raise ZipFormatError("pseudo-file extends past end of archive")
         stored = self._source.read_at(data_offset, entry.compressed_size)
         if entry.method == METHOD_STORE:
+            if len(stored) != entry.uncompressed_size:
+                raise ZipFormatError(
+                    f"stored pseudo-file at offset {offset} holds {len(stored)} "
+                    f"bytes, its header says {entry.uncompressed_size}"
+                )
             data = stored
         elif entry.method == METHOD_DEFLATE:
             data = deflate_decompress(stored, entry.uncompressed_size)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import zlib
 
@@ -129,11 +130,13 @@ class ZipWriter:
         self._entries.append(entry)
         # Digest the whole extent (header + name + extra + payload) so that
         # header corruption is as detectable later as payload bitrot.
+        digest = hashlib.sha256(header)
+        digest.update(payload)
         self._digests.append(ExtentDigest(
             kind=KIND_MEMBER if in_central_directory else KIND_PSEUDO,
             offset=entry.local_header_offset,
             size=len(header) + len(payload),
-            digest=sha256(header + payload),
+            digest=digest.digest(),
             name=name,
         ))
         return entry

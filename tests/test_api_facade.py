@@ -2,6 +2,7 @@
 
 import io
 import pathlib
+import random
 
 import pytest
 
@@ -9,10 +10,14 @@ import repro
 import repro.api as vxa
 from repro.cli import main as cli_main
 from repro.codecs.vxz import VxzCodec
+from repro.core.integrity import assess_media
 from repro.core.policy import SecurityAttributes, VmReusePolicy
 from repro.errors import ArchiveError, PathTraversalError, VxaError, ZipFormatError
 from repro.workloads.text import synthetic_source_tree_bytes
-from repro.zipformat.writer import ZipWriter
+from repro.zipformat.crc import crc32
+from repro.zipformat.reader import DEFAULT_CHUNK_SIZE
+from repro.zipformat.structures import METHOD_DEFLATE
+from repro.zipformat.writer import ZipWriter, deflate_compress
 
 #: Hard cap on how many bytes a single read() may return in the streaming
 #: tests -- far below the archive size, so any code path that slurps the
@@ -405,6 +410,79 @@ def test_extract_into_leaves_no_partial_file_on_corruption(tmp_path):
         with pytest.raises(ZipFormatError):
             bad.extract_into(out)
     assert not any(out.iterdir())       # neither big.raw nor a *.vxa-partial
+
+
+# -- a flipped byte is caught wherever in the stream it sits ------------------------
+#
+# Plain members are CRC-checked as they stream, 64 KiB at a time, carrying the
+# checksum from chunk to chunk.  The archive below has no commit record, so
+# that running CRC is the only thing that can notice the damage.
+
+_STREAMED_SIZE = 1 << 20
+_POSITIONS = {"first": 100, "middle": 8 * DEFAULT_CHUNK_SIZE + 100,
+              "last": _STREAMED_SIZE - DEFAULT_CHUNK_SIZE + 100}
+
+
+@pytest.fixture(scope="module")
+def streamed_plaintexts():
+    rng = random.Random(2305)
+    return {"stored.bin": rng.randbytes(_STREAMED_SIZE),
+            # Sixteen symbols: deflates to ten stored chunks, not to nothing.
+            "deflated.bin": bytes(rng.choices(range(16), k=_STREAMED_SIZE)),
+            "bystander.txt": b"not damaged\n" * 40}
+
+
+def _archive_with_flipped_byte(plaintexts, victim: str, position: int) -> bytes:
+    """Every stream stays well-formed; ``victim`` decodes to one wrong byte."""
+    writer = ZipWriter()
+    for name, data in plaintexts.items():
+        stored = bytearray(data)
+        if name == victim:
+            stored[position] ^= 0x01
+        if name == "deflated.bin":
+            writer.add_member(name, deflate_compress(bytes(stored), level=1),
+                              method=METHOD_DEFLATE, uncompressed_size=len(data),
+                              crc=crc32(data))
+        else:
+            writer.add_member(name, bytes(stored), crc=crc32(data))
+    return writer.finish()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("position", sorted(_POSITIONS))
+@pytest.mark.parametrize("victim", ["stored.bin", "deflated.bin"])
+def test_flipped_byte_is_caught_in_every_chunk_of_a_streamed_member(
+        streamed_plaintexts, victim, position, jobs, tmp_path, capsys):
+    path = tmp_path / "damaged.zip"
+    path.write_bytes(_archive_with_flipped_byte(
+        streamed_plaintexts, victim, _POSITIONS[position]))
+    healthy = sorted(set(streamed_plaintexts) - {victim})
+
+    out = tmp_path / "abort"
+    with vxa.open(path) as archive:
+        with pytest.raises(ZipFormatError, match=f"CRC mismatch.*{victim}"):
+            archive.extract_into(out, jobs=jobs)
+    assert not (out / victim).exists()
+    assert not list(out.rglob("*.vxa-partial"))
+
+    out = tmp_path / "skip"
+    with vxa.open(path, vxa.ReadOptions(on_error="skip")) as archive:
+        report = archive.extract_into(out, jobs=jobs)
+    assert [(failure.name, failure.error_type) for failure in report.failures] == [
+        (victim, "ZipFormatError")]
+    assert "CRC mismatch" in report.failures[0].message
+    assert sorted(item.name for item in out.iterdir()) == healthy
+    for name in healthy:
+        assert (out / name).read_bytes() == streamed_plaintexts[name]
+
+    assessment = assess_media(path.read_bytes())
+    assert assessment.classification() == "salvageable"
+    assert [(verdict.name, verdict.status, verdict.verified_by)
+            for verdict in assessment.damaged_members] == [(victim, "suspect", "none")]
+    assert "CRC mismatch" in assessment.damaged_members[0].reason
+    assert {verdict.verified_by for verdict in assessment.intact_members} == {"crc"}
+    assert cli_main(["check", str(path), "--deep"]) == 1
+    assert f"{victim}: suspect" in capsys.readouterr().out
 
 
 def test_open_on_non_archive_path_closes_handle(tmp_path):
