@@ -9,10 +9,13 @@ Public surface:
 
 See ``README.md`` in this package for the abstract domains and the
 PROVED_SAFE contract the translator's guard elision relies on.
+
+Only the report types and ``verify_image`` are re-exported: a process that
+finds an image's report in the store (:mod:`repro.vm.store`) runs no analysis
+and imports neither engine, so ``cfg`` and ``absint`` are imported from their
+own modules, where an analysis actually runs.
 """
 
-from repro.analysis.absint import AnalysisResult, analyze
-from repro.analysis.cfg import ControlFlowGraph, recover_cfg
 from repro.analysis.verify import (
     VERDICT_GUARD,
     VERDICT_PROVED,
@@ -24,13 +27,9 @@ from repro.analysis.verify import (
 
 __all__ = [
     "AnalysisReport",
-    "AnalysisResult",
-    "ControlFlowGraph",
     "SiteVerdict",
     "VERDICT_GUARD",
     "VERDICT_PROVED",
     "VERDICT_UNSAFE",
-    "analyze",
-    "recover_cfg",
     "verify_image",
 ]

@@ -26,19 +26,17 @@ host isolation (see the package README).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.analysis.absint import AnalysisResult, analyze
-from repro.analysis.cfg import (
-    SEVERITY_ERROR,
-    ControlFlowGraph,
-    recover_cfg,
-)
-from repro.analysis.domains import DELTA_LIMIT, ZONE_ABS, ZONE_SP
 from repro.elf.structures import ElfImage
 from repro.isa.opcodes import Op
 from repro.vm.images import image_record
 from repro.vm.loader import DEFAULT_STACK_SIZE, HEAP_HEADROOM
 from repro.vm.memory import GUEST_ADDRESS_SPACE_LIMIT
+
+if TYPE_CHECKING:       # the engines are imported where an analysis runs
+    from repro.analysis.absint import AnalysisResult
+    from repro.analysis.cfg import ControlFlowGraph
 
 VERDICT_PROVED = "proved"
 VERDICT_GUARD = "guard"
@@ -147,6 +145,11 @@ def verify_image(image: ElfImage | bytes) -> AnalysisReport:
 
 
 def _verify_parsed(image: ElfImage, digest: str) -> AnalysisReport:
+    # Imported here, not at the top: a process whose reports all come from the
+    # store (repro.vm.store) builds AnalysisReports and never runs an engine.
+    from repro.analysis.absint import analyze
+    from repro.analysis.cfg import SEVERITY_ERROR, recover_cfg
+
     cfg = recover_cfg(image)
     result = analyze(cfg)
     min_size = image.load_size + HEAP_HEADROOM + DEFAULT_STACK_SIZE
@@ -192,6 +195,8 @@ def _classify_sites(
     min_size: int,
     stack_ok: bool,
 ) -> list[SiteVerdict]:
+    from repro.analysis.domains import ZONE_ABS
+
     # Memory accesses: an instruction may be observed in several calling
     # contexts; it is proved only if proved in all of them, unsafe if any
     # context makes it definitely fault.
@@ -246,6 +251,8 @@ def _classify_sites(
 
 
 def _classify_access(access, min_size: int, stack_ok: bool) -> tuple[str, str]:
+    from repro.analysis.domains import DELTA_LIMIT, ZONE_ABS, ZONE_SP
+
     address = access.address
     width = access.width
     if address.zone == ZONE_ABS:

@@ -20,7 +20,9 @@ away: a re-initialised sandbox is zeroed and reloaded from the image and
 keeps nothing of the previous member, while the translations -- which no
 member can reach -- survive the re-initialisation, the session itself and
 thread boundaries.  What ``ALWAYS_FRESH`` costs is therefore the sandbox
-reload per member, not a retranslation.
+reload per member, not a retranslation.  They survive the process as well:
+:meth:`DecoderSession.save` hands what this session's decodes added to the
+per-user store behind the registry (``docs/image-store.md``).
 """
 
 from __future__ import annotations
@@ -106,6 +108,7 @@ class DecoderSession:
                 analysis_elision=options.analysis_elision,
             )
             vm.share_code_cache()
+            self.stats.fragments_restored += vm.code_cache.restored
             self._vms[decoder_offset] = vm
             if vm.analysis_report is not None:
                 self.stats.images_verified += 1
@@ -136,7 +139,16 @@ class DecoderSession:
         self._vms.clear()
         self._last_attributes.clear()
 
+    def save(self) -> None:
+        """Write back the report and the translations of every image this
+        session ran, where its decodes added any (an integer test per VM
+        where they did not).  A session that outlives its requests -- a pool
+        worker's -- calls this when a shard ends."""
+        for vm in self._vms.values():
+            vm._record.save()
+
     def close(self) -> None:
+        self.save()
         self.reset()
 
     def __enter__(self) -> "DecoderSession":

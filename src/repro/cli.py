@@ -89,8 +89,8 @@ _REUSE_HELP = ("when VM state is re-initialised between files sharing a "
                "file, translated code is kept under every policy")
 
 _STATS_LINES = (
-    ("code cache", ("fragments_translated", "chained_branches", "cache_hits",
-                    "retranslations")),
+    ("code cache", ("fragments_translated", "fragments_restored",
+                    "chained_branches", "cache_hits", "retranslations")),
     ("static analysis", ("images_verified", "guards_elided")),
     ("durability", ("members_salvaged", "directory_reconstructed",
                     "commit_record_verified")),
@@ -126,7 +126,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from repro.analysis import verify_image
+    from repro.analysis.verify import verify_image
     from repro.elf.reader import read_note
 
     failed = 0

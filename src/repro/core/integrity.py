@@ -50,8 +50,8 @@ def is_archive_intact(archive, **kwargs) -> bool:
 
 _REPORT_LINES = (
     ("decoder VMs", ("vm_initialisations", "vm_reuses")),
-    ("code cache", ("fragments_translated", "cache_hits", "chained_branches",
-                    "retranslations")),
+    ("code cache", ("fragments_translated", "fragments_restored", "cache_hits",
+                    "chained_branches", "retranslations")),
     ("static analysis", ("images_verified", "guards_elided")),
 )
 

@@ -59,6 +59,9 @@ class SessionStats:
     # are work *this session performed*: caches are process-wide under every
     # reuse policy, so a session may report 0 of them and all cache hits.
     fragments_translated: int = _counter("fragment(s) translated by this session")
+    # fragments its VMs found already translated by an earlier *process*
+    # (repro.vm.store), counted per VM built on such a table
+    fragments_restored: int = _counter("restored from the store")
     cache_hits: int = _counter("cache hit(s)")
     chained_branches: int = _counter("chained branch(es)")
     retranslations: int = _counter("retranslation(s)")

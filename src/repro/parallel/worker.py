@@ -200,6 +200,9 @@ def run_extract_shard(payload: dict) -> dict:
             jobs=1,
         )
         after = archive.session.stats.as_dict()
+        # The archive stays open for the next shard, a process worker's until
+        # it dies: hand what this shard translated to the store now.
+        archive.session.save()
     worker = payload.get("worker")
     failures = []
     for failure in report.failures:

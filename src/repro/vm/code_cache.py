@@ -7,9 +7,11 @@ configuration and of nothing else: both engines fetch code from the image's
 immutable text, never from guest memory, so no member's data and no guest
 store can reach a fragment.  A table is therefore never emptied and never
 trimmed.  :mod:`repro.vm.images` keeps one per (image SHA-256, translator
-configuration) for the whole process and every session VM runs on it whatever
-its reuse policy: re-initialising a sandbox between files (section 2.4)
-discards *state*, and translated code holds none.
+configuration) per process, backed per user: a session's close writes what
+the table gained to :mod:`repro.vm.store` and the next process starts from it
+(``restored``, ``unsaved`` below).  Every session VM runs on it whatever its
+reuse policy: re-initialising a sandbox between files (section 2.4) discards
+*state*, and translated code holds none.
 
 Two keyed stores over the same image:
 
@@ -48,12 +50,16 @@ class CodeCache:
             VM may not edit the benchmark that measures it.
     """
 
-    __slots__ = ("fragments", "instructions", "lock")
+    __slots__ = ("fragments", "instructions", "lock", "restored", "unsaved")
 
     def __init__(self, *, shared: bool = False):
         self.fragments: dict = {}
         self.instructions: dict = {}
         self.lock = threading.Lock()
+        #: Fragments the table started with because an earlier process had
+        #: translated them / fragments stored since it was last written back.
+        self.restored = 0
+        self.unsaved = 0
 
     def __len__(self) -> int:
         return len(self.fragments)
@@ -62,6 +68,13 @@ class CodeCache:
         """Insert the fragment translated for guest address ``entry``."""
         with self.lock:
             self.fragments[entry] = fragment
+            self.unsaved += 1
+
+    def snapshot(self) -> list:
+        """The fragments held now, for writing back; ``unsaved`` starts over."""
+        with self.lock:
+            self.unsaved = 0
+            return list(self.fragments.values())
 
     def store_instruction(self, address: int, instruction) -> None:
         """Insert one decoded instruction (bounded by the guest's code size)."""

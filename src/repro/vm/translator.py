@@ -141,6 +141,8 @@ class Fragment:
     end: int                      # guest address where the trace stopped
     source: str                   # generated Python source (for inspection/tests)
     exit_targets: tuple[int, ...] = ()   # static successor pc per chainable exit
+    code: object = None           # what ``compile`` made of ``source``: a table
+                                  # restored from disk and grown is saved from it
 
 
 def _signed(value: int) -> int:
@@ -234,6 +236,15 @@ _FRAGMENT_GLOBALS = {
     "_p16": _P16,
     "ACTION_EXIT": ACTION_EXIT,
 }
+
+
+def bind_fragment(code_object) -> Callable:
+    """The fragment function of a compiled fragment module, over globals of
+    its own -- for a fragment just translated and for one restored from disk."""
+    namespace = dict(_FRAGMENT_GLOBALS)
+    exec(code_object, namespace)
+    return namespace["_fragment"]
+
 
 #: The immediate forms of the two-operand instructions: the same operation
 #: with the constant ``imm`` as second operand.
@@ -864,7 +875,6 @@ class Translator:
         if source is None:      # the guard runs once, ahead of the loop
             return self._translate(entry, False)
         self.guards_elided += trace.elided
-        namespace = dict(_FRAGMENT_GLOBALS)
         with _CODE_MEMO_LOCK:
             code_object = _CODE_MEMO.get(source)
         if code_object is None:
@@ -873,14 +883,14 @@ class Translator:
                 if len(_CODE_MEMO) >= _CODE_MEMO_LIMIT:
                     _CODE_MEMO.clear()
                 _CODE_MEMO[source] = code_object
-        exec(code_object, namespace)
         return Fragment(
             entry=entry,
-            func=namespace["_fragment"],
+            func=bind_fragment(code_object),
             instruction_count=count,
             end=pc,
             source=source,
             exit_targets=tuple(exits),
+            code=code_object,
         )
 
 

@@ -353,6 +353,7 @@ def test_integrity_report_carries_code_cache_counters(tmp_path):
     from repro.core.integrity import format_report
     text = format_report(report)
     assert "code cache" in text and "chained branch(es)" in text
+    assert "translated by this session, 0 restored from the store, " in text
 
 
 def test_same_domain_compares_owner_and_group(tmp_path):

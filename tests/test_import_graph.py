@@ -72,8 +72,8 @@ print(json.dumps({"code": 0, "modules": sorted(sys.modules)}))
 """
 
 
-def _fresh_interpreter(script: str, *args) -> list[str]:
-    """Run ``script`` in a new interpreter; the modules it ended up with."""
+def _fresh_outcome(script: str, *args) -> dict:
+    """Run ``script`` in a new interpreter; the JSON object it printed last."""
     done = subprocess.run(
         [sys.executable, "-c", script, *map(str, args)],
         env={**os.environ, "PYTHONPATH": SRC},
@@ -81,7 +81,12 @@ def _fresh_interpreter(script: str, *args) -> list[str]:
     assert done.returncode == 0, done.stderr
     outcome = json.loads(done.stdout.splitlines()[-1])
     assert outcome["code"] == 0, done.stdout + done.stderr
-    return outcome["modules"]
+    return outcome
+
+
+def _fresh_interpreter(script: str, *args) -> list[str]:
+    """Run ``script`` in a new interpreter; the modules it ended up with."""
+    return _fresh_outcome(script, *args)["modules"]
 
 
 def _imported(modules: list[str], prefixes=WRITE_PATH) -> list[str]:
@@ -115,6 +120,28 @@ def test_reading_with_archived_decoders_imports_no_write_path(
     assert _imported(_fresh_interpreter(VXUNZIP, *arguments)) == []
     if command == "extract":
         assert len(list((tmp_path / "out").iterdir())) == 6
+
+
+#: What runs an analysis; a report restored from the store needs none of it.
+ANALYSIS_ENGINES = ("repro.analysis.absint", "repro.analysis.cfg",
+                    "repro.analysis.domains")
+
+
+def test_a_second_extract_imports_no_analysis_engine(six_decoders, tmp_path):
+    """The first process analyses and translates and leaves both in the
+    per-user store (``repro.vm.store``; the suite's is its own, emptied before
+    each test); the second finds six reports there and imports no engine --
+    which is also the proof that it ran no analysis."""
+    archive, _ = six_decoders
+    runs = [_fresh_interpreter(VXUNZIP, "extract", archive, "-o",
+                               tmp_path / f"out{index}", "--vxa")
+            for index in range(2)]
+    assert _imported(runs[0], ANALYSIS_ENGINES) == sorted(ANALYSIS_ENGINES)
+    assert _imported(runs[1], ANALYSIS_ENGINES) == []
+    assert "repro.analysis.verify" in runs[1]       # reports were still read
+    assert _imported(runs[1]) == []
+    assert ({path.name: path.read_bytes() for path in (tmp_path / "out0").iterdir()}
+            == {path.name: path.read_bytes() for path in (tmp_path / "out1").iterdir()})
 
 
 def test_extract_survives_without_numpy_and_compiler(six_decoders, tmp_path):

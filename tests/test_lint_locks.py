@@ -154,9 +154,24 @@ _CLEAN = dict(
      "analysis() called while holding _LOCK"),
     ({"insert": "_RECORDS[data] = ImageRecord(parse_executable(data))"},
      "parse_executable() called while holding _LOCK"),
+    # The per-user store (repro.vm.store): no file I/O, no marshal, under it.
+    ({"insert": "record = _RECORDS.setdefault(data, store.read(data))"},
+     "read() called while holding _LOCK"),
+    ({"insert": "_RECORDS[data] = record; store.write(data, record)"},
+     "write() called while holding _LOCK"),
+    ({"insert": "_RECORDS.clear(); store.empty()"},
+     "empty() called while holding _LOCK"),
+    ({"insert": "_RECORDS[data] = record; record.save()"},
+     "save() called while holding _LOCK"),
+    ({"insert": "_RECORDS[data] = marshal.loads(data)"},
+     "loads() called while holding _LOCK"),
+    ({"publish": "self._unsaved = True"},
+     "ImageRecord.analysis writes self._unsaved outside"),
 ], ids=["clean", "unlocked-table-read", "unlocked-slot-write",
         "unlocked-slot-method", "unlocked-slot-delete", "analysis-under-lock",
-        "parse-under-lock"])
+        "parse-under-lock", "store-read-under-lock", "store-write-under-lock",
+        "store-empty-under-lock", "record-save-under-lock",
+        "unmarshal-under-lock", "unlocked-unsaved-write"])
 def test_image_registry_rules(tmp_path, change, message):
     path = tmp_path / "images.py"
     path.write_text(_REGISTRY.format(**{**_CLEAN, **change}))

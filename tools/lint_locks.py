@@ -14,7 +14,8 @@ are easy to break silently when refactoring:
 3. in the process-wide image registry :mod:`repro.vm.images`, every access
    to the table ``_RECORDS`` and every write to an ``ImageRecord`` slot
    happens inside ``with _LOCK:``, and nothing slow or re-entrant --
-   parsing, analysing, translating, compiling -- is called while it is held
+   parsing, analysing, translating, compiling, reading or writing the
+   per-user store (file I/O, ``marshal``) -- is called while it is held
    (this is where thread workers really share caches, and a lock held over
    a long call would also be held across a ``fork``).
 
@@ -36,11 +37,13 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 CACHE_STATE = {"fragments", "instructions"}
 
 #: ImageRecord slots written after construction, under the registry lock.
-RECORD_STATE = {"_analysed", "_report", "_caches"}
+RECORD_STATE = {"_analysed", "_report", "_caches", "_unsaved"}
 
 #: Calls that must not run while the registry lock is held.
 SLOW_CALLS = {"parse_executable", "verify_image", "_verify_parsed", "analysis",
-              "translate", "compile"}
+              "translate", "compile",
+              # repro.vm.store's entry points, what they run, what runs them
+              "read", "write", "empty", "loads", "dumps", "save"}
 
 #: Method names that mutate the container they are called on.
 MUTATING_METHODS = {
