@@ -63,12 +63,13 @@ def test_ablation_vm_reuse(benchmark, registry, monkeypatch):
     # is translated exactly once per VM -- code belongs to the image and is
     # kept across re-initialisation -- so what the safe default still pays
     # for is the sandbox: one image load per file against one in all (plus,
-    # in both counts, the load a VM's constructor does).  Both timings are
-    # reported below, neither is asserted on.
+    # in both counts, the load a VM's constructor does).  Which file first
+    # reaches a path depends on its bits, so the fresh decodes are held to
+    # the sum, not to file 1 taking every path.  Both timings are reported
+    # below, neither is asserted on.
     fresh_stats = [result.stats for result in fresh_results]
-    fresh_translated = fresh_stats[0].fragments_translated
-    assert [(stats.fragments_translated, stats.retranslations)
-            for stats in fresh_stats[1:]] == [(0, 0)] * (NUM_FILES - 1)
+    fresh_translated = sum(stats.fragments_translated for stats in fresh_stats)
+    assert [stats.retranslations for stats in fresh_stats] == [0] * NUM_FILES
     reuse_stats = reuse_results[-1].stats   # one run, one stats object
     reuse_translated = reuse_stats.fragments_translated
     assert reuse_stats.retranslations == 0

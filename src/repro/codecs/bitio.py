@@ -2,7 +2,9 @@
 
 Bits are packed least-significant-bit first within each byte, the same
 convention DEFLATE uses, so the guest decoders' bit readers (written in vxc)
-and these Python implementations interoperate byte-for-byte.
+and these Python implementations interoperate byte-for-byte.  The reader
+mirrors the guest's: multi-bit reads cut from a window of whole bytes while
+enough bytes remain, one bit at a time near the end of the stream.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ class BitWriter:
         """Write a Huffman code: most significant bit of the code first.
 
         Canonical Huffman codes are defined MSB-first; emitting them this way
-        lets the decoder consume one bit at a time and compare against the
-        canonical first-code boundaries.
+        lets the decoder either consume one bit at a time and compare against
+        the canonical first-code boundaries, or index a table with the next
+        few bits, in which a short code appears bit-reversed
+        (:class:`~repro.codecs.huffman.HuffmanDecoder` does both).
         """
         for position in range(length - 1, -1, -1):
             self.write_bit((code >> position) & 1)
@@ -79,10 +83,38 @@ class BitReader:
         return bit
 
     def read_bits(self, count: int) -> int:
+        """Read ``count`` bits, the first one least significant.
+
+        Three bytes hold the next 17 bits whatever the bit position, so while
+        three remain up to 17 are cut from one window; otherwise bit by bit,
+        raising where the stream ends (the guest's ``br_bits`` is the same).
+        """
+        data = self._data
+        position = self._byte_position
+        if count <= 17 and len(data) - position >= 3:
+            window = data[position] | data[position + 1] << 8 | data[position + 2] << 16
+            value = (window >> self._bit_position) & ((1 << count) - 1)
+            self.skip(count)
+            return value
         value = 0
         for position in range(count):
             value |= self.read_bit() << position
         return value
+
+    def peek_window(self) -> int:
+        """The unread bits of the next two bytes (at least nine of them),
+        LSB-first, without consuming any; -1 when fewer than two remain."""
+        data = self._data
+        position = self._byte_position
+        if len(data) - position < 2:
+            return -1
+        return (data[position] | data[position + 1] << 8) >> self._bit_position
+
+    def skip(self, count: int) -> None:
+        """Consume ``count`` bits already seen through :meth:`peek_window`."""
+        bits = self._bit_position + count
+        self._byte_position += bits >> 3
+        self._bit_position = bits & 7
 
     def align_to_byte(self) -> None:
         if self._bit_position:

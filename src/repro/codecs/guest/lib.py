@@ -6,7 +6,15 @@ over the virtual system calls, a bit reader, a canonical Huffman decoder and
 writers for the BMP/WAV output containers.  They are tagged as *library*
 source units so the compiler's provenance note splits decoder vs. library
 code size exactly the way Table 2 does.
+
+The width of the Huffman decoder's primary table is interpolated from the
+constant the native decoder uses (:data:`repro.codecs.huffman.FAST_BITS`), so
+the two sides can never drift apart.
 """
+
+from string import Template
+
+from repro.codecs.huffman import FAST_BITS
 
 # --------------------------------------------------------------------------
 # Buffered stream input / output over the read/write virtual system calls.
@@ -122,7 +130,15 @@ int br_bit() {
     return bit;
 }
 
-int br_bits(int count) {
+// Step over `count` bits the caller has already peeked.
+int br_skip(int count) {
+    br_bitpos = br_bitpos + count;
+    br_addr = br_addr + (br_bitpos >> 3);
+    br_bitpos = br_bitpos & 7;
+    return 0;
+}
+
+int br_bits_slow(int count) {
     int value;
     int i;
     value = 0;
@@ -130,6 +146,21 @@ int br_bits(int count) {
         value = value | (br_bit() << i);
     }
     return value;
+}
+
+// Whatever br_bitpos is, the three bytes at br_addr hold the next 17 bits:
+// when all three lie before br_end one shifted window is the value the
+// per-bit loop would assemble, and otherwise the loop runs, stopping
+// (exit 33) exactly where it always stopped.
+int br_bits(int count) {
+    int value;
+    if (count <= 17 && br_end - br_addr >= 3) {
+        value = (peek8(br_addr) | (peek8(br_addr + 1) << 8)
+                 | (peek8(br_addr + 2) << 16)) >> br_bitpos;
+        br_skip(count);
+        return value & ((1 << count) - 1);
+    }
+    return br_bits_slow(count);
 }
 
 int br_align() {
@@ -146,13 +177,30 @@ int br_pos() {
 """
 
 # --------------------------------------------------------------------------
-# Canonical Huffman decoder (count / first-code method), up to two tables.
+# Canonical Huffman decoder, up to two tables: one lookup in a primary table
+# of 2^FAST_BITS entries per symbol, the count / first-code walk behind it.
+#
+# The walk (hd_slow) reads bits MSB-first into `code` and returns at the first
+# length whose canonical range [first, first + count) holds it.  Only the
+# codes below 2^length can ever be held -- the rest are what an
+# over-subscribed table assigns -- and no code that fits is a prefix of
+# another: each length's first code lies past every extension of the shorter
+# lengths' codes.  So the walk returns symbol s after L <= FAST_BITS bits
+# exactly when those bits are s's code, and hd_build puts (s << 4) | L at
+# every index of the table whose low L bits are that code reversed (the
+# stream is read LSB-first).  Entry 0 means the walk needs more bits, or
+# fails; hd_decode then runs it from the same position.  Every symbol, every
+# stopping point and every exit code (33 exhausted, 34 invalid, 35 corrupt
+# lengths) is the walk's, on every input; repro.codecs.huffman.HuffmanDecoder
+# is the same algorithm natively.
 # --------------------------------------------------------------------------
 
-LIB_HUFF = r"""
+LIB_HUFF = Template(r"""
 int hd_counts[32];       // two tables x 16 length counts
 int hd_symbols[640];     // two tables x up to 320 symbols in canonical order
 int hd_maxlen[2];
+int hd_next[16];         // canonical position of the next symbol of each length
+int hd_fast[$fast_tables];     // two tables x $fast_size entries: (symbol << 4) | length
 
 int hd_build(int table, int lengths_addr, int num_symbols) {
     int i;
@@ -160,9 +208,19 @@ int hd_build(int table, int lengths_addr, int num_symbols) {
     int max_length;
     int counts_base;
     int symbols_base;
+    int fast_base;
+    int fast_end;
     int position;
+    int count;
+    int code;
+    int reversed;
+    int step;
+    int bit;
+    int entry;
+    int slot;
     counts_base = table * 16;
     symbols_base = table * 320;
+    fast_base = table << $fast_bits;
     for (i = 0; i < 16; i = i + 1) { hd_counts[counts_base + i] = 0; }
     max_length = 0;
     for (i = 0; i < num_symbols; i = i + 1) {
@@ -174,19 +232,68 @@ int hd_build(int table, int lengths_addr, int num_symbols) {
         }
     }
     hd_maxlen[table] = max_length;
+    // Canonical order (by length, then symbol) in one counting pass.
     position = 0;
-    for (length = 1; length <= max_length; length = length + 1) {
-        for (i = 0; i < num_symbols; i = i + 1) {
-            if (peek8(lengths_addr + i) == length) {
-                hd_symbols[symbols_base + position] = i;
-                position = position + 1;
-            }
+    for (length = 1; length < 16; length = length + 1) {
+        hd_next[length] = position;
+        position = position + hd_counts[counts_base + length];
+    }
+    for (i = 0; i < num_symbols; i = i + 1) {
+        length = peek8(lengths_addr + i);
+        if (length > 0) {
+            hd_symbols[symbols_base + hd_next[length]] = i;
+            hd_next[length] = hd_next[length] + 1;
         }
+    }
+    // The primary table: every code of up to $fast_bits bits that fits its
+    // length, at its bit-reversed index and every 2^length entries after it.
+    // `reversed` follows `code` LSB-first: a carry added at the top bit, and
+    // unchanged by the shift to the next length (a 0 appended below the code
+    // is a 0 above the reversed one).
+    fast_end = fast_base + $fast_size;
+    for (slot = fast_base; slot < fast_end; slot = slot + 1) { hd_fast[slot] = 0; }
+    code = 0;
+    reversed = 0;
+    position = symbols_base;
+    for (length = 1; length <= $fast_bits; length = length + 1) {
+        count = hd_counts[counts_base + length];
+        step = 1 << length;
+        for (i = 0; i < count && code < step; i = i + 1) {
+            entry = (hd_symbols[position + i] << 4) | length;
+            for (slot = fast_base + reversed; slot < fast_end; slot = slot + step) {
+                hd_fast[slot] = entry;
+            }
+            code = code + 1;
+            bit = step >> 1;
+            while (reversed & bit) {
+                reversed = reversed ^ bit;
+                bit = bit >> 1;
+            }
+            reversed = reversed | bit;
+        }
+        position = position + count;
+        code = code << 1;
     }
     return 0;
 }
 
+// Two bytes at br_addr hold at least the next $fast_bits bits, whatever
+// br_bitpos is.
 int hd_decode(int table) {
+    int entry;
+    if (br_end - br_addr >= 2) {
+        entry = hd_fast[(table << $fast_bits)
+                        + (((peek8(br_addr) | (peek8(br_addr + 1) << 8)) >> br_bitpos)
+                           & $fast_mask)];
+        if (entry != 0) {
+            br_skip(entry & 15);
+            return entry >> 4;
+        }
+    }
+    return hd_slow(table);
+}
+
+int hd_slow(int table) {
     int code;
     int first;
     int index;
@@ -212,7 +319,12 @@ int hd_decode(int table) {
     exit(34);                                    // invalid Huffman code
     return 0;
 }
-"""
+""").substitute(
+    fast_bits=FAST_BITS,
+    fast_size=1 << FAST_BITS,
+    fast_mask=(1 << FAST_BITS) - 1,
+    fast_tables=2 << FAST_BITS,
+)
 
 # --------------------------------------------------------------------------
 # Huffman byte-stream layer (entropy coding used by the image codecs):

@@ -2,9 +2,15 @@
 
 Both general-purpose codecs (``vxz`` and ``vxbwt``) and the entropy layer of
 the image codecs use length-limited canonical Huffman codes.  Only the code
-*lengths* are transmitted; codes are reconstructed canonically on both sides,
-which is also what the guest decoders (written in vxc) do with the standard
-count/first-code method.
+*lengths* are transmitted; codes are reconstructed canonically on both sides.
+
+Decoding, here and in the guest decoders' vxc library
+(:mod:`repro.codecs.guest.lib`), is one lookup per symbol in a primary table
+indexed by the next :data:`FAST_BITS` bits of the stream (the technique of
+zlib's ``inflate``), with the standard count/first-code walk, one bit at a
+time, behind it for longer codes and for the last byte of a stream.  The
+table holds exactly what the walk would return, so both paths decode every
+input to the same symbols and stop at the same bit.
 """
 
 from __future__ import annotations
@@ -18,6 +24,19 @@ from repro.errors import CodecError
 
 #: Maximum code length accepted anywhere in this library (same limit as DEFLATE).
 MAX_CODE_LENGTH = 15
+
+#: Width of the primary decoding table, declared once for the native decoder
+#: and the guest library.  At most 9: two bytes of stream always hold the next
+#: nine bits, whatever the bit position within the first.
+FAST_BITS = 9
+_FAST_MASK = (1 << FAST_BITS) - 1
+
+#: ``_REVERSED[i]`` is ``i``'s FAST_BITS-bit pattern mirrored: a code of length
+#: ``L`` sent MSB-first starts an LSB-first window with the bits
+#: ``_REVERSED[code << (FAST_BITS - L)]``.
+_REVERSED = [0] * (1 << FAST_BITS)
+for _index in range(1, 1 << FAST_BITS):
+    _REVERSED[_index] = (_REVERSED[_index >> 1] >> 1) | ((_index & 1) << (FAST_BITS - 1))
 
 
 def build_code_lengths(frequencies: list[int], max_length: int = MAX_CODE_LENGTH) -> list[int]:
@@ -135,10 +154,18 @@ class HuffmanEncoder:
 
 
 class HuffmanDecoder:
-    """Canonical Huffman decoder using the count/first-code method.
+    """Canonical Huffman decoder: a primary table of ``2**FAST_BITS`` entries
+    in front of the count/first-code walk.
 
     This mirrors exactly the algorithm implemented in the guest decoders'
-    shared vxc library, so the two stay in lock-step.
+    shared vxc library, so the two stay in lock-step: the same counting sort
+    into canonical order, the same table entries (``symbol << 4 | length``, 0
+    for "walk instead"), the same two-byte condition for using them and the
+    same walk behind them.  The guest also skips codes that do not fit their
+    length, because it accepts over-subscribed lengths; this decoder rejects
+    those, so every code here fits.  Codes that fit are prefix-free, so no
+    two share an entry, and an entry holds exactly what the walk returns
+    (``codecs/guest/lib.py`` has the argument).
     """
 
     def __init__(self, lengths: list[int]):
@@ -150,15 +177,22 @@ class HuffmanDecoder:
         for length in lengths:
             if length:
                 counts[length] += 1
-        # symbols sorted by (length, symbol) -- canonical order
-        self._symbols = [
-            symbol
-            for length in range(1, max_length + 1)
-            for symbol, symbol_length in enumerate(lengths)
-            if symbol_length == length
-        ]
+        # symbols sorted by (length, symbol) -- canonical order -- in one
+        # counting pass
+        starts = [0] * (max_length + 1)
+        position = 0
+        for length in range(1, max_length + 1):
+            starts[length] = position
+            position += counts[length]
+        symbols = [0] * position
+        for symbol, length in enumerate(lengths):
+            if length:
+                symbols[starts[length]] = symbol
+                starts[length] += 1
+        self._symbols = symbols
         self._counts = counts
         self._max_length = max_length
+        self._fast = fast = [0] * (1 << FAST_BITS)
         if max_length == 0:
             return
         # Validate the Kraft inequality so corrupt headers fail loudly.
@@ -166,12 +200,33 @@ class HuffmanDecoder:
         kraft = sum(unit >> length for length in lengths if length)
         if kraft > unit:
             raise CodecError("over-subscribed Huffman code")
+        code = 0
+        position = 0
+        for length in range(1, min(max_length, FAST_BITS) + 1):
+            count = counts[length]
+            shift = FAST_BITS - length
+            for symbol in symbols[position : position + count]:
+                entries = [symbol << 4 | length] * (1 << shift)
+                fast[_REVERSED[code << shift] :: 1 << length] = entries
+                code += 1
+            position += count
+            code <<= 1
 
     @property
     def is_empty(self) -> bool:
         return self._max_length == 0
 
     def read_symbol(self, reader: BitReader) -> int:
+        window = reader.peek_window()
+        if window >= 0:
+            entry = self._fast[window & _FAST_MASK]
+            if entry:
+                reader.skip(entry & 15)
+                return entry >> 4
+        return self._walk(reader)
+
+    def _walk(self, reader: BitReader) -> int:
+        """The count/first-code walk, one bit at a time."""
         if self.is_empty:
             raise CodecError("cannot decode with an empty Huffman table")
         code = 0
