@@ -14,7 +14,7 @@ import io
 import os
 import pathlib
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.codecs.registry import default_registry
 from repro.core.extension import VxaExtension, parse_extension, parse_unix_extra
@@ -30,7 +30,6 @@ from repro.core.types import (
 from repro.errors import (
     ArchiveError,
     DecoderMissingError,
-    GuestFault,
     IntegrityError,
     PathTraversalError,
     VxaError,
@@ -38,7 +37,7 @@ from repro.errors import (
 )
 from repro.vm.limits import ExecutionLimits
 from repro.zipformat.crc import crc32
-from repro.zipformat.reader import ZipReader
+from repro.zipformat.reader import DEFAULT_CHUNK_SIZE, ZipReader
 from repro.zipformat.structures import METHOD_STORE, METHOD_VXA, ZipEntry
 
 from repro.api.options import (
@@ -76,6 +75,13 @@ class ExtractionRecord:
     decoded: bool
     codec_name: str | None
 
+    def as_dict(self) -> dict:
+        return dict(vars(self), path=str(self.path))
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ExtractionRecord":
+        return cls(**dict(data, path=pathlib.Path(data["path"])))
+
 
 @dataclass
 class MemberFailure:
@@ -106,16 +112,7 @@ class MemberFailure:
     quarantined: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "error_type": self.error_type,
-            "message": self.message,
-            "offset": self.offset,
-            "instructions": self.instructions,
-            "worker": self.worker,
-            "attempts": self.attempts,
-            "quarantined": self.quarantined,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "MemberFailure":
@@ -162,12 +159,12 @@ class ExtractionReport(list):
 class MemberPlan:
     """Scheduling facts about one member extraction.
 
-    ``decoder_offset`` is the archived-decoder pseudo-file offset *when the
-    extraction will actually run the archived decoder* under the effective
-    mode -- the :mod:`repro.parallel` scheduler groups members by it so each
-    worker keeps one warm VM (and each worker process one warm code cache) per
-    decoder image.  ``None`` means the member takes a VM-free path (plain ZIP data,
-    stored redec bytes, or a native codec).  ``cost`` is the stored size --
+    ``decoder_offset`` is the member's route read off as the scheduler needs
+    it: the archived-decoder pseudo-file offset when the route runs that
+    decoder, ``None`` for a VM-free route (plain ZIP data, stored redec bytes,
+    or a native codec).  The :mod:`repro.parallel` scheduler groups members
+    by it so each worker keeps one warm VM (and each worker process one warm
+    code cache) per decoder image.  ``cost`` is the stored size --
     the paper's members are decode-bound, so compressed bytes are a serviceable
     work estimate.  ``domain`` is the canonical protection-domain key used by
     ``REUSE_SAME_ATTRIBUTES`` so a worker can order its members to minimise
@@ -179,6 +176,29 @@ class MemberPlan:
     decoder_offset: int | None
     cost: int
     domain: tuple
+
+
+#: The four ways a member leaves the archive (:meth:`Archive._route`).
+_ROUTE_PLAIN = "plain"      # a plain ZIP member, streamed stored or inflated
+_ROUTE_STORED = "stored"    # a pre-compressed member, handed out as stored
+_ROUTE_NATIVE = "native"    # decoded by the registry's native codec
+_ROUTE_VXA = "vxa"          # decoded by the member's archived decoder
+
+
+class _Route(NamedTuple):
+    """How one member is read, as :meth:`Archive._route` decided it."""
+
+    kind: str
+    extension: VxaExtension | None
+
+    @property
+    def decoder_offset(self) -> int | None:
+        """The archived decoder this route runs; ``None`` when it runs none."""
+        return self.extension.decoder_offset if self.kind == _ROUTE_VXA else None
+
+    @property
+    def codec_name(self) -> str | None:
+        return self.extension.codec_name if self.extension else None
 
 
 class _MemberStream(io.RawIOBase):
@@ -207,8 +227,16 @@ class _MemberStream(io.RawIOBase):
         return f"<vxa member stream {self._name!r}>"
 
 
-def _in_pool_worker() -> bool:
-    """Is this code running inside a parallel pool worker (thread/process)?"""
+def _crashes_worker(error: Exception) -> bool:
+    """Must ``error`` crash the pool worker instead of being contained?
+
+    An injected worker kill inside a pool worker must *crash the worker*, so
+    the pool's crash recovery is the layer under test (a real process kill
+    never reaches a handler at all).  Serially it is one more contained
+    member failure.
+    """
+    if not isinstance(error, WorkerCrashed):
+        return False
     from repro.parallel.worker import in_worker
 
     return in_worker()
@@ -347,12 +375,12 @@ class Archive:
         still-compressed form unless ``force_decode`` is set, mirroring
         vxUnZIP's default of leaving popular formats compressed on extraction.
         """
-        entry = self._zip.find(name)
-        chunks, meta = self._member_pipeline(entry, mode, force_decode)
+        route, chunks = self._read(name, mode, force_decode)
         data = b"".join(chunks)
-        used_vxa, decoded, codec_name, precompressed = meta
-        return ExtractedFile(name, data, used_vxa, codec_name, precompressed,
-                             decoded=decoded)
+        return ExtractedFile(
+            name, data, route.kind == _ROUTE_VXA, route.codec_name,
+            bool(route.extension and route.extension.precompressed),
+            decoded=route.kind != _ROUTE_STORED)
 
     def extract_all(self, *, mode: str | None = None,
                     force_decode: bool | None = None) -> dict[str, ExtractedFile]:
@@ -367,11 +395,10 @@ class Archive:
         """A readable raw stream over a member's extracted contents.
 
         Plain and pre-compressed members stream straight off the archive
-        file in bounded chunks; members needing an archived decoder are
-        decoded through the session first, then served chunk-wise.
+        file in bounded chunks; members needing a decoder are decoded
+        first, then served chunk-wise.
         """
-        entry = self._zip.find(name)
-        chunks, _ = self._member_pipeline(entry, mode, force_decode)
+        _, chunks = self._read(name, mode, force_decode)
         return _MemberStream(chunks, name)
 
     def extract_to(self, name: str, writable, *, mode: str | None = None,
@@ -380,8 +407,7 @@ class Archive:
 
         Returns the number of bytes written.
         """
-        entry = self._zip.find(name)
-        chunks, _ = self._member_pipeline(entry, mode, force_decode)
+        _, chunks = self._read(name, mode, force_decode)
         written = 0
         for chunk in chunks:
             writable.write(chunk)
@@ -423,14 +449,15 @@ class Archive:
             return parallel_extract_into(
                 self, directory, wanted, jobs,
                 mode=mode, force_decode=force_decode)
+        mode, force = self._read_mode(mode, force_decode)
         on_error = self.options.on_error
         durable = self.options.durable_output
         report = ExtractionReport()
         for name, target in targets:
             entry = self._zip.find(name)
             try:
-                chunks, meta = self._member_pipeline(entry, mode, force_decode)
-                used_vxa, decoded, codec_name, _ = meta
+                route = self._route(entry, mode, force)
+                chunks = self._member_chunks(self._session, entry, route)
                 target.parent.mkdir(parents=True, exist_ok=True)
                 # Stream into a temporary sibling and rename on success, so
                 # an error mid-member (CRC mismatch, truncation, decoder
@@ -454,16 +481,11 @@ class Archive:
                 if durable:
                     fsync_directory(target.parent)
             except VxaError as error:
-                if isinstance(error, WorkerCrashed) and _in_pool_worker():
-                    # An injected worker kill must *crash the worker*, not
-                    # be contained here -- the pool's crash recovery is the
-                    # layer under test.  (A real process kill never reaches
-                    # this handler at all.)
-                    raise
-                if on_error == ON_ERROR_ABORT and not self._salvaging:
-                    # Under on_damage="salvage" media damage is contained
-                    # per-member even for abort callers: salvaging exists
-                    # precisely to get the healthy members out.
+                # Under on_damage="salvage" media damage is contained
+                # per-member even for abort callers: salvaging exists
+                # precisely to get the healthy members out.
+                if _crashes_worker(error) or (on_error == ON_ERROR_ABORT
+                                              and not self._salvaging):
                     raise
                 report.failures.append(self._member_failure(entry, error))
                 continue
@@ -471,9 +493,9 @@ class Archive:
                 name=name,
                 path=target,
                 size=written,
-                used_vxa_decoder=used_vxa,
-                decoded=decoded,
-                codec_name=codec_name,
+                used_vxa_decoder=route.kind == _ROUTE_VXA,
+                decoded=route.kind != _ROUTE_STORED,
+                codec_name=route.codec_name,
             ))
         if self._salvaging and (self._zip.directory_reconstructed
                                 or report.failures):
@@ -533,6 +555,9 @@ class Archive:
         ``reuse`` (default: this archive's configured policy), so per-file
         :class:`SecurityAttributes` gate VM reuse exactly as section 2.4
         prescribes; the report carries the session's reuse/re-init counters.
+        Each member goes through the same read step extraction uses; what it
+        raises -- a guest fault, a checksum mismatch, a damaged payload or
+        decoder pseudo-file -- becomes one ``"{name}: {error}"`` failure line.
 
         ``jobs`` (default: ``ReadOptions.jobs``) > 1 shards the decoder-bearing
         members by decoder image across the :mod:`repro.parallel` worker pool;
@@ -554,42 +579,22 @@ class Archive:
                    else [self._zip.find(name) for name in names])
         report = IntegrityReport()
         for entry in entries:
-            self._check_entry(session, entry, report)
+            route = self._route(entry, MODE_VXA, True)
+            if route.kind != _ROUTE_VXA:
+                continue
+            report.checked += 1
+            try:
+                for _ in self._member_chunks(session, entry, route):
+                    pass
+            except VxaError as error:
+                if _crashes_worker(error):
+                    raise
+                report.failures.append(f"{entry.name}: {error}")
+            else:
+                report.passed += 1
         report.merge(session.stats)
         session.close()
         return report
-
-    def _check_entry(self, session: DecoderSession, entry: ZipEntry,
-                     report: IntegrityReport) -> None:
-        """Run the always-use-the-archived-decoder check for one member."""
-        extension = parse_extension(entry.extra)
-        if extension is None:
-            return
-        report.checked += 1
-        try:
-            plan = self.options.fault_plan
-            if plan is not None:
-                plan.io_delay(entry.name)
-                plan.kill_worker(entry.name)
-            encoded = self._encoded_bytes(entry, extension)
-            data = self._run_archived_decoder(session, entry, extension, encoded)
-        except (GuestFault, ArchiveError) as error:
-            report.failures.append(f"{entry.name}: {error}")
-            return
-        except WorkerCrashed:
-            # A simulated worker kill: in a pool worker the shard must
-            # crash so recovery reschedules it; serially it is one more
-            # contained member failure.
-            if _in_pool_worker():
-                raise
-            report.failures.append(f"{entry.name}: worker crashed")
-            return
-        if (len(data) != extension.original_size
-                or crc32(data) != extension.original_crc32):
-            report.failures.append(
-                f"{entry.name}: decoded output does not match its checksum")
-            return
-        report.passed += 1
 
     # -- parallel scheduling support ------------------------------------------
 
@@ -598,38 +603,37 @@ class Archive:
                         force_decode: bool | None = None) -> list[MemberPlan]:
         """Scheduling facts for each requested member under the effective mode.
 
-        Mirrors :meth:`_member_pipeline`'s dispatch decisions without reading
-        any member data, so the :mod:`repro.parallel` scheduler can shard
-        members by decoder image before any work starts.
+        Each member's ``decoder_offset`` is read off the route extraction
+        will take, decided without reading any member data, so the
+        :mod:`repro.parallel` scheduler can shard members by decoder image
+        before any work starts.
         """
-        mode = self.options.mode if mode is None else mode
-        if mode not in (MODE_AUTO, MODE_NATIVE, MODE_VXA):
-            raise ArchiveError(f"unknown extraction mode {mode!r}")
-        force = self.options.force_decode if force_decode is None else force_decode
+        mode, force = self._read_mode(mode, force_decode)
         wanted = names if names is not None else self.names()
         plan: list[MemberPlan] = []
         for index, name in enumerate(wanted):
             entry = self._zip.find(name)
-            extension = parse_extension(entry.extra)
-            decoder_offset: int | None = None
-            if extension is not None:
-                stored_skip = (entry.method == METHOD_STORE
-                               and extension.precompressed and not force)
-                native = (extension.codec_name is not None
-                          and extension.codec_name in self._registry)
-                if not stored_skip and mode != MODE_NATIVE:
-                    if mode == MODE_VXA or not native:
-                        decoder_offset = extension.decoder_offset
             attributes = self._attributes_for(entry)
             plan.append(MemberPlan(
                 index=index,
                 name=name,
-                decoder_offset=decoder_offset,
+                decoder_offset=self._route(entry, mode, force).decoder_offset,
                 cost=max(entry.compressed_size, 1),
                 domain=(attributes.owner, attributes.group,
                         attributes.world_readable),
             ))
         return plan
+
+    def _check_plan(self, names: list[str]) -> list[MemberPlan]:
+        """The members :meth:`check` verifies, as a plan to shard.
+
+        The check's route is the VXA-mode one with pre-compressed members
+        decoded too: every decoder-bearing member runs its archived decoder,
+        and nothing else runs.
+        """
+        return [item for item in self.extraction_plan(
+                    names, mode=MODE_VXA, force_decode=True)
+                if item.decoder_offset is not None]
 
     def worker_source(self) -> dict:
         """How a worker process/thread should reopen this archive.
@@ -696,110 +700,93 @@ class Archive:
             self._decoder_cache[offset] = image
         return image
 
-    def _encoded_bytes(self, entry: ZipEntry, extension: VxaExtension) -> bytes:
+    def _read_mode(self, mode: str | None,
+                   force_decode: bool | None) -> tuple[str, bool]:
+        """The effective, validated mode and force flag of one read call."""
+        mode = self.options.mode if mode is None else mode
+        if mode not in (MODE_AUTO, MODE_NATIVE, MODE_VXA):
+            raise ArchiveError(f"unknown extraction mode {mode!r}")
+        force = self.options.force_decode if force_decode is None else force_decode
+        return mode, force
+
+    def _route(self, entry: ZipEntry, mode: str, force: bool) -> _Route:
+        """Decide how ``entry`` is read: the one place that decides it.
+
+        Extraction, :meth:`extraction_plan` and :meth:`check` (which asks
+        for the ``vxa`` route with ``force``) all read this decision.
+        """
+        extension = parse_extension(entry.extra)
+        if extension is None:
+            return _Route(_ROUTE_PLAIN, None)
+        if entry.method == METHOD_STORE and extension.precompressed and not force:
+            return _Route(_ROUTE_STORED, extension)
+        if mode == MODE_VXA or (mode == MODE_AUTO
+                                and extension.codec_name not in self._registry):
+            return _Route(_ROUTE_VXA, extension)
+        return _Route(_ROUTE_NATIVE, extension)
+
+    def _read(self, name: str, mode: str | None,
+              force_decode: bool | None) -> tuple[_Route, Iterator[bytes]]:
+        """One named member's route and contents, through this archive's session."""
+        entry = self._zip.find(name)
+        route = self._route(entry, *self._read_mode(mode, force_decode))
+        return route, self._member_chunks(self._session, entry, route)
+
+    def _member_chunks(self, session: DecoderSession, entry: ZipEntry,
+                       route: _Route) -> Iterator[bytes]:
+        """A member's contents along ``route``: the read step extract and check share.
+
+        The chaos hooks that fire before a member is read (IO delay, worker
+        kill) fire first.  Plain and stored members then stream lazily off
+        the archive file, CRC-checked as they go.  A decoded member is read,
+        decoded in full (it is one member, never the archive), held to its
+        recorded size and CRC, and then chunked; whatever goes wrong raises.
+        """
+        plan = self.options.fault_plan
+        if plan is not None:
+            plan.io_delay(entry.name)
+            plan.kill_worker(entry.name)
+        if route.kind in (_ROUTE_PLAIN, _ROUTE_STORED):
+            return self._zip.iter_member_chunks(entry)
+        extension = route.extension
         if entry.method == METHOD_VXA:
             encoded = self._zip.read_stored_bytes(entry)
         else:
             # Pre-compressed member stored with method 0: the member data *is*
             # the encoded stream the decoder understands.
             encoded = self._zip.read_member(entry)
-        plan = self.options.fault_plan
         if plan is not None:
-            # Chaos hook: a flipped payload byte surfaces exactly as a truly
-            # corrupt archive would (codec error or checksum mismatch).
+            # A flipped payload byte surfaces exactly as a truly corrupt
+            # archive would (codec error or checksum mismatch).
             encoded = plan.corrupt(entry.name, encoded)
-        return encoded
-
-    def _run_archived_decoder(self, session: DecoderSession, entry: ZipEntry,
-                              extension: VxaExtension, encoded: bytes) -> bytes:
-        limits = None
-        fault_syscall = None
-        plan = self.options.fault_plan
-        if plan is not None:
-            fuel = plan.fuel_limit(entry.name)
-            if fuel is not None:
-                limits = replace(self._limits, max_instructions=fuel)
-            fault_syscall = plan.syscall_fault_at(entry.name)
-        result = session.decode(
-            extension.decoder_offset,
-            encoded,
-            attributes=self._attributes_for(entry),
-            limits=limits,
-            fault_syscall=fault_syscall,
-        )
-        if result.exit_code != 0:
-            raise IntegrityError(
-                f"archived decoder exited with status {result.exit_code}: "
-                f"{result.stderr.decode('latin-1', 'replace')!r}"
-            )
-        return result.output
-
-    def _member_pipeline(self, entry: ZipEntry, mode: str | None,
-                         force_decode: bool | None):
-        """Plan the chunk stream for one member.
-
-        Returns ``(chunks, (used_vxa, decoded, codec_name, precompressed))``.
-        Plain and redec members stream lazily off the archive file; decoder
-        output is produced in full (it is one member, never the archive) and
-        then chunked.
-        """
-        mode = self.options.mode if mode is None else mode
-        if mode not in (MODE_AUTO, MODE_NATIVE, MODE_VXA):
-            raise ArchiveError(f"unknown extraction mode {mode!r}")
-        force = self.options.force_decode if force_decode is None else force_decode
-        chunk_size = self.options.chunk_size
-        plan = self.options.fault_plan
-        if plan is not None:
-            # Chaos hooks that fire *before* the member is read: IO delay
-            # and worker kill (process workers exit hard here).
-            plan.io_delay(entry.name)
-            plan.kill_worker(entry.name)
-        extension = parse_extension(entry.extra)
-
-        if extension is None:
-            # Plain ZIP member: no VXA decoder involved.
-            chunks = self._zip.iter_member_chunks(entry, chunk_size=chunk_size)
-            return chunks, (False, True, None, False)
-
-        if entry.method == METHOD_STORE and extension.precompressed and not force:
-            # iter_member_chunks on a stored member streams the same bytes as
-            # iter_stored_chunks but verifies the member CRC as it goes.
-            chunks = self._zip.iter_member_chunks(entry, chunk_size=chunk_size)
-            return chunks, (False, False, extension.codec_name, True)
-
-        data, used_vxa = self._decode_member(entry, extension, mode)
-        chunks = (data[offset:offset + chunk_size]
-                  for offset in range(0, len(data), chunk_size))
-        if not data:
-            chunks = iter(())
-        return chunks, (used_vxa, True, extension.codec_name,
-                        extension.precompressed)
-
-    def _decode_member(self, entry: ZipEntry, extension: VxaExtension,
-                       mode: str) -> tuple[bytes, bool]:
-        encoded = self._encoded_bytes(entry, extension)
-        codec = None
-        if (mode != MODE_VXA and extension.codec_name
-                and extension.codec_name in self._registry):
-            # Resolving the native codec imports it; vxa mode never calls it.
-            codec = self._registry.get(extension.codec_name)
-        if mode == MODE_NATIVE:
-            if codec is None:
+        if route.kind == _ROUTE_NATIVE:
+            if extension.codec_name not in self._registry:
                 raise DecoderMissingError(
                     f"no native decoder available for codec {extension.codec_name!r}"
                 )
-            data, used_vxa = codec.decode(encoded), False
-        elif mode == MODE_AUTO and codec is not None:
-            data, used_vxa = codec.decode(encoded), False
+            # Resolving the native codec imports it; vxa mode never calls it.
+            data = self._registry.get(extension.codec_name).decode(encoded)
         else:
-            # MODE_VXA, or AUTO with no native decoder: run the archived decoder.
-            data = self._run_archived_decoder(self._session, entry, extension,
-                                              encoded)
-            used_vxa = True
+            limits = fault_syscall = None
+            if plan is not None:
+                fuel = plan.fuel_limit(entry.name)
+                if fuel is not None:
+                    limits = replace(self._limits, max_instructions=fuel)
+                fault_syscall = plan.syscall_fault_at(entry.name)
+            result = session.decode(extension.decoder_offset, encoded,
+                                    attributes=self._attributes_for(entry),
+                                    limits=limits, fault_syscall=fault_syscall)
+            if result.exit_code != 0:
+                raise IntegrityError(
+                    f"archived decoder exited with status {result.exit_code}: "
+                    f"{result.stderr.decode('latin-1', 'replace')!r}"
+                )
+            data = result.output
         if (len(data) != extension.original_size
                 or crc32(data) != extension.original_crc32):
             raise IntegrityError(
                 f"member {entry.name!r} decoded to unexpected contents "
                 f"({len(data)} bytes vs {extension.original_size} expected)"
             )
-        return data, used_vxa
+        return (data[offset:offset + DEFAULT_CHUNK_SIZE]
+                for offset in range(0, len(data), DEFAULT_CHUNK_SIZE))

@@ -73,7 +73,6 @@ class ReadOptions:
             sandbox is re-initialised, never whether translated code is kept:
             that belongs to the decoder image under every policy.
         registry: codec registry for native fast paths (``None`` -> default).
-        chunk_size: unit for streamed member reads and writes.
         jobs: default worker count for :meth:`Archive.extract_into` and
             :meth:`Archive.check` (``1`` keeps the serial path; ``N > 1``
             shards members by decoder image across the
@@ -132,7 +131,6 @@ class ReadOptions:
     limits: ExecutionLimits | None = None
     reuse: VmReusePolicy = VmReusePolicy.ALWAYS_FRESH
     registry: CodecRegistry | None = None
-    chunk_size: int = 1 << 16
     jobs: int = 1
     executor: str = EXECUTOR_AUTO
     verify_images: str = "off"
@@ -149,8 +147,6 @@ class ReadOptions:
             raise ValueError(f"unknown extraction mode {self.mode!r}")
         if self.engine not in _ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
         if not isinstance(self.reuse, VmReusePolicy):
             raise TypeError("reuse must be a VmReusePolicy")
         if self.jobs < 1:

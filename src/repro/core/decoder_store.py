@@ -54,7 +54,3 @@ class DecoderStore:
     def stored(self) -> list[StoredDecoder]:
         return list(self._by_digest.values())
 
-    @property
-    def total_compressed_size(self) -> int:
-        """Bytes of archive space consumed by all stored decoders."""
-        return sum(item.compressed_size for item in self._by_digest.values())

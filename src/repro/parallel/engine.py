@@ -1,21 +1,24 @@
 """Orchestration: plan, shard, dispatch, recover, and merge for parallel reads.
 
 The facade (:meth:`Archive.extract_into` / :meth:`Archive.check` with
-``jobs > 1``) calls in here.  The flow is always the same four steps:
+``jobs > 1``) calls in here, and both land in one driver,
+:func:`_run_sharded`.  Each caller brings only what differs: its
+:class:`~repro.api.archive.MemberPlan`s (extraction's plan, or the check's
+plan of decoder-bearing members -- both read off the archive's one route
+decision), its shard runner, and how to absorb a shard's result.  The driver
 
-1. ask the archive for its :class:`~repro.api.archive.MemberPlan`s,
-2. shard them with the cache-affine :class:`~repro.parallel.scheduler.Scheduler`,
-3. run the shards on a :class:`~repro.parallel.pool.WorkerPool` (an
+1. shards the plan with the cache-affine :class:`~repro.parallel.scheduler.Scheduler`,
+2. runs the shards on a :class:`~repro.parallel.pool.WorkerPool` (an
    ephemeral one for facade calls; ``vxserve`` passes its own long-lived
    pool so worker caches stay hot across requests),
-4. merge results deterministically: extraction records return in the
-   caller's requested order, check failures in archive order, and every
-   worker session's counters are summed.
+3. hands each result to the caller, which merges deterministically:
+   extraction records return in the caller's requested order, check
+   failures in archive order, and every worker session's counters are
+   summed.
 
 Output equality with the serial path is structural, not incidental: each
-worker executes the *serial* extraction/check code over its shard, and every
-decode is verified against the member's recorded CRC before anything is
-surfaced.
+worker executes the *serial* extraction/check code over its shard, and that
+code reads every member through the archive's one checked read step.
 
 This module also owns worker crash recovery.  A shard whose worker died
 (``BrokenProcessPool`` in process mode, a simulated
@@ -35,7 +38,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import pathlib
 import tempfile
 
 from repro.core.types import IntegrityReport, SessionStats
@@ -67,29 +69,27 @@ def _shippable_source(archive):
         os.unlink(spooled)
 
 
-@contextlib.contextmanager
-def _pool_for(archive, shards, payloads, jobs, pool):
-    """The worker pool to run on: the caller's, or an ephemeral one."""
-    if pool is not None:
-        yield pool
-        return
-    total_cost = sum(shard.cost for shard in shards)
-    with WorkerPool(min(jobs, len(shards)), archive.options.executor,
-                    total_cost=total_cost, payload=payloads[0]) as ephemeral:
-        yield ephemeral
+def _run_sharded(archive, plan, jobs, pool, runner, base, *, absorb,
+                 exhausted, recover=True) -> bool:
+    """The one sharded driver; both parallel entry points call it.
 
+    It shards ``plan``, spools the source, builds every payload from
+    ``base``, runs the shards on ``pool`` (or an ephemeral pool) and hands
+    each shard's result to ``absorb``.  Returns False, having run nothing,
+    when the plan makes at most one shard: the caller's serial path is then
+    the whole job.
 
-def _run_recovering(pool, runner, payloads, single, *, retries, absorb,
-                    exhausted, recover=True):
-    """Run ``payloads`` on ``pool``; see the module docstring for recovery.
-
-    Each member of a crashed shard is charged one attempt and re-run on the
-    payload ``single(name)`` builds, until it completes or has cost more than
-    ``retries`` attempts and goes to ``exhausted(name, attempts)``.  Reruns
-    go one member at a time: a process-pool break fails every in-flight
-    future, so batching them would charge innocent members for the culprit's
-    crash.  With ``recover`` false a crash is raised like any shard error.
+    Crash recovery (see the module docstring): each member of a crashed shard
+    is charged one attempt and re-run alone on a ``fresh`` payload, until it
+    completes or has cost more than ``ReadOptions.retries`` attempts and goes
+    to ``exhausted(name, attempts)``.  Reruns go one member at a time: a
+    process-pool break fails every in-flight future, so batching them would
+    charge innocent members for the culprit's crash.  With ``recover`` false
+    a crash is raised like any shard error.
     """
+    shards = Scheduler(jobs).plan(plan)
+    if len(shards) <= 1:
+        return False
     attempts: dict[str, int] = {}
     retry: list[str] = []
 
@@ -103,17 +103,29 @@ def _run_recovering(pool, runner, payloads, single, *, retries, absorb,
         else:
             absorb(outcome.result)
 
-    for outcome in pool.run_all(runner, payloads):
-        settle(outcome, outcome.payload["names"])
-    while retry:
-        rerun = list(retry)
-        retry.clear()
-        for name in rerun:
-            if attempts[name] > retries:
-                exhausted(name, attempts[name])
-            else:
-                [outcome] = pool.run_all(runner, [single(name)])
-                settle(outcome, [name])
+    with contextlib.ExitStack() as stack:
+        base = dict(base, source=stack.enter_context(_shippable_source(archive)),
+                    options=archive.options)
+        payloads = [dict(base, names=shard.names, worker=shard.worker)
+                    for shard in shards]
+        if pool is None:
+            pool = stack.enter_context(WorkerPool(
+                min(jobs, len(shards)), archive.options.executor,
+                total_cost=sum(shard.cost for shard in shards),
+                payload=payloads[0]))
+        for outcome in pool.run_all(runner, payloads):
+            settle(outcome, outcome.payload["names"])
+        while retry:
+            rerun = list(retry)
+            retry.clear()
+            for name in rerun:
+                if attempts[name] > archive.options.retries:
+                    exhausted(name, attempts[name])
+                else:
+                    [outcome] = pool.run_all(runner, [dict(
+                        base, names=[name], worker=None, fresh=True)])
+                    settle(outcome, [name])
+    return True
 
 
 def parallel_extract_into(archive, directory, names, jobs, *,
@@ -124,27 +136,14 @@ def parallel_extract_into(archive, directory, names, jobs, *,
     from repro.api.options import ON_ERROR_ABORT, ON_ERROR_QUARANTINE
 
     options = archive.options
-    plan = archive.extraction_plan(names, mode=mode, force_decode=force_decode)
-    shards = Scheduler(jobs).plan(plan)
-    if len(shards) <= 1:
-        return archive.extract_into(directory, names, mode=mode,
-                                    force_decode=force_decode, jobs=1)
     by_name: dict[str, ExtractionRecord] = {}
     failures: list[MemberFailure] = []
 
     def absorb(result):
         archive.session.stats.merge(SessionStats.from_dict(result["stats"]))
         for record in result["records"]:
-            by_name[record["name"]] = ExtractionRecord(
-                name=record["name"],
-                path=pathlib.Path(record["path"]),
-                size=record["size"],
-                used_vxa_decoder=record["used_vxa_decoder"],
-                decoded=record["decoded"],
-                codec_name=record["codec_name"],
-            )
-        for failure in result["failures"]:
-            failures.append(MemberFailure.from_dict(failure))
+            by_name[record["name"]] = ExtractionRecord.from_dict(record)
+        failures.extend(map(MemberFailure.from_dict, result["failures"]))
 
     def exhausted(name, attempts):
         failures.append(MemberFailure(
@@ -156,23 +155,14 @@ def parallel_extract_into(archive, directory, names, jobs, *,
             quarantined=options.on_error == ON_ERROR_QUARANTINE,
         ))
 
-    with _shippable_source(archive) as source:
-        base = {
-            "source": source,
-            "options": options,
-            "directory": str(directory),
-            "mode": mode,
-            "force_decode": force_decode,
-        }
-        payloads = [dict(base, names=shard.names, worker=shard.worker)
-                    for shard in shards]
-        with _pool_for(archive, shards, payloads, jobs, pool) as active:
-            _run_recovering(
-                active, run_extract_shard, payloads,
-                lambda name: dict(base, names=[name], worker=None, fresh=True),
-                retries=options.retries, absorb=absorb, exhausted=exhausted,
-                recover=options.on_error != ON_ERROR_ABORT)
-
+    plan = archive.extraction_plan(names, mode=mode, force_decode=force_decode)
+    base = {"directory": str(directory), "mode": mode,
+            "force_decode": force_decode}
+    if not _run_sharded(archive, plan, jobs, pool, run_extract_shard, base,
+                        absorb=absorb, exhausted=exhausted,
+                        recover=options.on_error != ON_ERROR_ABORT):
+        return archive.extract_into(directory, names, mode=mode,
+                                    force_decode=force_decode, jobs=1)
     order = {name: index for index, name in enumerate(names)}
     failures.sort(key=lambda failure: order.get(failure.name, len(order)))
     return ExtractionReport(
@@ -183,18 +173,8 @@ def parallel_extract_into(archive, directory, names, jobs, *,
 
 def parallel_check(archive, jobs, *, reuse=None, names=None, pool=None):
     """Sharded :meth:`Archive.check`; see that method for semantics."""
-    from repro.api import MODE_VXA
-
-    wanted = names if names is not None else archive.names()
-    # Mode VXA + force_decode mirrors the check's contract: every
-    # decoder-bearing member runs its archived decoder, nothing else runs.
-    plan = [item for item in archive.extraction_plan(
-                wanted, mode=MODE_VXA, force_decode=True)
-            if item.decoder_offset is not None]
+    plan = archive._check_plan(names if names is not None else archive.names())
     order = {item.name: item.index for item in plan}
-    shards = Scheduler(jobs).plan(plan)
-    if len(shards) <= 1:
-        return archive.check(reuse=reuse, names=names, jobs=1)
     report = IntegrityReport()
     failures: list[tuple[int, str]] = []
 
@@ -211,22 +191,12 @@ def parallel_check(archive, jobs, *, reuse=None, names=None, pool=None):
                          f"{name}: worker crashed {attempts} time(s); "
                          f"retry budget exhausted"))
 
-    with _shippable_source(archive) as source:
-        base = {
-            "source": source,
-            "options": archive.options,
-            "reuse": reuse.value if reuse is not None else None,
-        }
-        payloads = [dict(base, names=shard.names) for shard in shards]
-        with _pool_for(archive, shards, payloads, jobs, pool) as active:
-            # The check's contract is record-everything-raise-nothing, so
-            # crash recovery applies regardless of the on_error policy.
-            _run_recovering(
-                active, run_check_shard, payloads,
-                lambda name: dict(base, names=[name], fresh=True),
-                retries=archive.options.retries, absorb=absorb,
-                exhausted=exhausted)
-
+    # The check's contract is record-everything-raise-nothing, so crash
+    # recovery applies regardless of the on_error policy.
+    base = {"reuse": reuse.value if reuse is not None else None}
+    if not _run_sharded(archive, plan, jobs, pool, run_check_shard, base,
+                        absorb=absorb, exhausted=exhausted):
+        return archive.check(reuse=reuse, names=names, jobs=1)
     report.failures.extend(failure for _, failure in sorted(failures))
     return report
 

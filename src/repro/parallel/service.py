@@ -104,8 +104,8 @@ DEFAULT_BREAKER_RESET = 30.0
 DEFAULT_MAX_REQUEST_BYTES = 1 << 20
 
 #: ReadOptions fields a request may override per call.
-_OPTION_FIELDS = ("mode", "force_decode", "engine", "chunk_size",
-                  "verify_images", "analysis_elision", "on_error", "retries",
+_OPTION_FIELDS = ("mode", "force_decode", "engine", "verify_images",
+                  "analysis_elision", "on_error", "retries",
                   "member_deadline", "on_damage", "durable_output")
 
 #: Ops that are bookkeeping, not archive work: always allowed, even while
@@ -438,11 +438,10 @@ class BatchService:
             self._absorb(stats)
             return {
                 "archive": request["archive"],
+                # The wire has always called the codec ``codec``.
                 "records": [
-                    {"name": record.name, "path": str(record.path),
-                     "size": record.size, "decoded": record.decoded,
-                     "used_vxa_decoder": record.used_vxa_decoder,
-                     "codec": record.codec_name}
+                    {("codec" if key == "codec_name" else key): value
+                     for key, value in record.as_dict().items()}
                     for record in report
                 ],
                 "failures": [failure.as_dict()

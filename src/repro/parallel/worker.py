@@ -59,12 +59,19 @@ def in_process_worker() -> bool:
 
 
 @contextlib.contextmanager
-def _worker_scope():
-    """Mark the current thread as running a pool shard."""
+def _shard_archive(payload: dict):
+    """The prologue every shard runner shares: yields the shard's archive.
+
+    Marks the current thread as running a pool shard, evicts the cached
+    archive first when the payload is a ``fresh`` crash retry, and acquires
+    the worker's archive for the payload's source and options.
+    """
     previous = getattr(_STATE, "in_worker", False)
     _STATE.in_worker = True
     try:
-        yield
+        if payload.get("fresh"):
+            _evict_archive(payload["source"], payload["options"])
+        yield _acquire_archive(payload["source"], payload["options"])
     finally:
         _STATE.in_worker = previous
 
@@ -187,10 +194,7 @@ def run_extract_shard(payload: dict) -> dict:
     ``fresh`` (crash retry: reopen the archive so the member runs against
     a pristine VM and session).
     """
-    with _worker_scope():
-        if payload.get("fresh"):
-            _evict_archive(payload["source"], payload["options"])
-        archive = _acquire_archive(payload["source"], payload["options"])
+    with _shard_archive(payload) as archive:
         before = archive.session.stats.as_dict()
         report = archive.extract_into(
             payload["directory"],
@@ -204,24 +208,10 @@ def run_extract_shard(payload: dict) -> dict:
         # it dies: hand what this shard translated to the store now.
         archive.session.save()
     worker = payload.get("worker")
-    failures = []
-    for failure in report.failures:
-        record = failure.as_dict()
-        record["worker"] = worker
-        failures.append(record)
     return {
-        "records": [
-            {
-                "name": record.name,
-                "path": str(record.path),
-                "size": record.size,
-                "used_vxa_decoder": record.used_vxa_decoder,
-                "decoded": record.decoded,
-                "codec_name": record.codec_name,
-            }
-            for record in report
-        ],
-        "failures": failures,
+        "records": [record.as_dict() for record in report],
+        "failures": [dict(failure.as_dict(), worker=worker)
+                     for failure in report.failures],
         "stats": _stats_delta(before, after),
     }
 
@@ -235,10 +225,7 @@ def run_check_shard(payload: dict) -> dict:
     """
     from repro.core.policy import VmReusePolicy
 
-    with _worker_scope():
-        if payload.get("fresh"):
-            _evict_archive(payload["source"], payload["options"])
-        archive = _acquire_archive(payload["source"], payload["options"])
+    with _shard_archive(payload) as archive:
         reuse = payload.get("reuse")
         report = archive.check(
             reuse=VmReusePolicy(reuse) if reuse is not None else None,

@@ -67,11 +67,6 @@ class ZipEntry:
     flags: int = 0
     in_central_directory: bool = True
 
-    @property
-    def is_pseudo_file(self) -> bool:
-        """Decoder pseudo-files have empty names and stay out of the directory."""
-        return not self.name and not self.in_central_directory
-
     def version_needed(self) -> int:
         if self.method == METHOD_VXA:
             return VERSION_VXA
@@ -235,42 +230,6 @@ def parse_eocd(buffer: bytes, position: int):
         )
     comment = buffer[position + _EOCD.size : comment_end]
     return entry_count, directory_size, directory_offset, comment
-
-
-def find_eocd(data: bytes):
-    """Locate and parse the end-of-central-directory record.
-
-    Scans backwards through *every* candidate signature in the tail window
-    rather than trusting the last one: a ``PK\\x05\\x06`` byte pattern inside
-    an archive comment (or in trailing junk appended after the archive) must
-    not shadow the real record.  A candidate only wins if it parses cleanly
-    and its directory offset/size fit inside the file.
-
-    Returns ``(entry_count, directory_size, directory_offset, comment)``.
-    """
-    from repro.errors import ZipFormatError
-
-    search_start = max(0, len(data) - EOCD_MAX_SCAN)
-    position = data.rfind(EOCD_SIGNATURE, search_start)
-    first_error: ZipFormatError | None = None
-    while position >= 0:
-        try:
-            parsed = parse_eocd(data, position)
-        except ZipFormatError as error:
-            if first_error is None:
-                first_error = error
-        else:
-            _, directory_size, directory_offset, _ = parsed
-            if directory_offset + directory_size <= position <= len(data):
-                return parsed
-            if first_error is None:
-                first_error = ZipFormatError(
-                    "end of central directory record points outside the archive"
-                )
-        position = data.rfind(EOCD_SIGNATURE, search_start, position)
-    if first_error is not None:
-        raise first_error
-    raise ZipFormatError("end of central directory record not found")
 
 
 @dataclass

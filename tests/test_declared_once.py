@@ -32,7 +32,6 @@ ALTERNATE_OPTIONS = {
     "limits": ExecutionLimits(max_instructions=12345),
     "reuse": VmReusePolicy.ALWAYS_REUSE,
     "registry": CodecRegistry([VxzCodec()], default="vxz"),
-    "chunk_size": 4096,
     "verify_images": "reject",
     "analysis_elision": False,
     "on_error": vxa.ON_ERROR_SKIP,

@@ -300,7 +300,7 @@ def test_an_explicit_code_cache_is_used_as_given(echo_decoder_image, work):
 
 
 #: Values swept per request field: every field vxserve reads into
-#: ``ReadOptions``, the reuse policy, and three names it used to read and now
+#: ``ReadOptions``, the reuse policy, and four names it used to read and now
 #: ignores like any unknown field.
 _WIRE_SWEEP = {
     "mode": ["auto", "native", "vxa"],
@@ -319,7 +319,8 @@ _WIRE_SWEEP = {
     "superblock_limit": [1, 2, 5, 40],
     "chain_fragments": [False, True],
 }
-_IGNORED_ON_THE_WIRE = {"code_cache_limit", "superblock_limit", "chain_fragments"}
+_IGNORED_ON_THE_WIRE = {"code_cache_limit", "superblock_limit", "chain_fragments",
+                        "chunk_size"}
 
 
 def test_no_request_sequence_gives_an_image_more_than_two_caches(tmp_path):
