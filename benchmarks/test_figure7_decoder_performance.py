@@ -12,7 +12,8 @@ interpreter shown as the portable-emulation bound of section 5.4.  Absolute
 ratios are far larger than the paper's (the VM is hosted on CPython, not on
 hardware-assisted x86 sandboxing); the *shape* being reproduced is the
 per-decoder ordering, the translator-vs-interpreter gap, and the inlining
-anecdote.  See EXPERIMENTS.md.
+anecdote.  ``benchmarks/vxabench/README.md`` describes how the whole-archive
+and per-decoder VM/native ratios are measured and what they cost today.
 """
 
 import pathlib

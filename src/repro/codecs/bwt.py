@@ -3,9 +3,11 @@
 The forward transform uses a prefix-doubling suffix array built with numpy
 (the encoder runs natively inside the archiver, exactly as the paper's
 encoders do).  The inverse transform -- the part the archived guest decoder
-must perform -- uses the standard counting / LF-mapping reconstruction, and
-the Python implementation here mirrors the vxc implementation used in the
-guest decoder.
+must perform -- uses the standard counting / LF-mapping reconstruction.  The
+guest decoder (``repro.codecs.guest.general``) computes the same values by
+other means: a counting sort where this module sorts with numpy, and an
+inverse move-to-front that leaves the alphabet alone at rank 0 and otherwise
+shifts the entries before the rank up by one, four words per step, in place.
 """
 
 from __future__ import annotations

@@ -79,8 +79,11 @@ def forward_dct(block: np.ndarray) -> np.ndarray:
 def inverse_dct_integer(coefficients: np.ndarray) -> np.ndarray:
     """Fixed-point inverse DCT, bit-exact with the guest implementation.
 
-    Row pass then column pass, each with a rounding shift by ``FIX_BITS``;
-    finally the +128 level shift and clamp to 0..255.
+    Column pass then row pass, each with a rounding shift by ``FIX_BITS``;
+    finally the +128 level shift and clamp to 0..255.  The guest decoder
+    (``repro.codecs.guest.image``) computes the same two products but only
+    over the rows and columns of the block that hold a non-zero coefficient:
+    every term it skips is zero, so on a valid stream the pixels are these.
     """
     coefficients = coefficients.astype(np.int64)
     # temp[x, y] = sum_u IDCT[u, x] * C[u, y]   (column pass)

@@ -168,6 +168,7 @@ int decode_stream() {
     int bin;
     int position;
     int count;
+    int end;
 
     src = in_read_all();
     src_len = in_len;
@@ -202,16 +203,31 @@ int decode_stream() {
         br_align();
         offset = br_pos() - src;
 
-        // 2. Inverse move-to-front, in place.
+        // 2. Inverse move-to-front, in place: rank 0 leaves the alphabet as
+        //    it is; otherwise the entries before the rank shift up by one.
         for (i = 0; i < 256; i = i + 1) { bw_alphabet[i] = i; }
-        for (i = 0; i < transformed_length; i = i + 1) {
-            rank = peek8(ranks + i);
-            value = bw_alphabet[rank];
-            poke8(ranks + i, value);
-            for (j = rank; j > 0; j = j - 1) {
-                bw_alphabet[j] = bw_alphabet[j - 1];
+        end = ranks + transformed_length;
+        for (i = ranks; i < end; i = i + 1) {
+            rank = peek8(i);
+            if (rank == 0) {
+                poke8(i, bw_alphabet[0]);
+            } else {
+                j = bw_alphabet + rank * 4;
+                value = peek32(j);
+                poke8(i, value);
+                while (j - bw_alphabet >= 16) {
+                    poke32(j, peek32(j - 4));
+                    poke32(j - 4, peek32(j - 8));
+                    poke32(j - 8, peek32(j - 12));
+                    poke32(j - 12, peek32(j - 16));
+                    j = j - 16;
+                }
+                while (j != bw_alphabet) {
+                    poke32(j, peek32(j - 4));
+                    j = j - 4;
+                }
+                bw_alphabet[0] = value;
             }
-            bw_alphabet[0] = value;
         }
 
         // 3. Inverse BWT via a stable counting sort over the last column,

@@ -49,21 +49,30 @@ def vximg_source() -> str:
         + r"""
 
 int vi_quant[64];      // quantisation steps, zig-zag order (as stored in the header)
-int vi_zig[64];        // decoded coefficients, zig-zag order
-int vi_blk[64];        // dequantised coefficients / pixels, row-major
-int vi_tmp[64];
+int vi_coef[64];       // dequantised coefficients, row-major; zero between blocks
+int vi_tmp[64];        // the column pass's output, row-major
 
-// Fixed-point inverse DCT of vi_blk in place (row-major 8x8).
-int vi_idct_block() {
+// Fixed-point inverse DCT of vi_coef, written as pixels to `dst` (8 rows of
+// 8 bytes, `stride` bytes apart).  Only the first `rows` rows and `cols`
+// columns of vi_coef can hold a non-zero coefficient: every term skipped is
+// exactly zero and 32-bit sums do not depend on order, so this is the full
+// 8x8 product.  A column of vi_tmp at or past `cols` would round to zero, so
+// it is neither computed nor read; the coefficients read are zeroed behind.
+int vi_idct_block(int rows, int cols, int dst, int stride) {
     int x;
     int y;
-    int u;
     int acc;
-    for (x = 0; x < 8; x = x + 1) {
-        for (y = 0; y < 8; y = y + 1) {
+    int p;
+    int q;
+    int end;
+    for (y = 0; y < cols; y = y + 1) {
+        end = vi_coef + y * 4 + rows * 32;
+        for (x = 0; x < 8; x = x + 1) {
             acc = 0;
-            for (u = 0; u < 8; u = u + 1) {
-                acc = acc + vi_idct[u * 8 + x] * vi_blk[u * 8 + y];
+            q = vi_idct + x * 4;
+            for (p = vi_coef + y * 4; p < end; p = p + 32) {
+                acc = acc + peek32(q) * peek32(p);
+                q = q + 32;
             }
             vi_tmp[x * 8 + y] = asr(acc + """
         + str(round_half)
@@ -71,19 +80,24 @@ int vi_idct_block() {
         + str(FIX_BITS)
         + r""");
         }
+        for (p = vi_coef + y * 4; p < end; p = p + 32) { poke32(p, 0); }
     }
     for (x = 0; x < 8; x = x + 1) {
+        end = vi_tmp + x * 32 + cols * 4;
         for (y = 0; y < 8; y = y + 1) {
             acc = 0;
-            for (u = 0; u < 8; u = u + 1) {
-                acc = acc + vi_tmp[x * 8 + u] * vi_idct[u * 8 + y];
+            q = vi_idct + y * 4;
+            for (p = vi_tmp + x * 32; p < end; p = p + 4) {
+                acc = acc + peek32(p) * peek32(q);
+                q = q + 32;
             }
-            vi_blk[x * 8 + y] = clamp255(asr(acc + """
+            poke8(dst + y, clamp255(asr(acc + """
         + str(round_half)
         + r""", """
         + str(FIX_BITS)
-        + r""") + 128);
+        + r""") + 128));
         }
+        dst = dst + stride;
     }
     return 0;
 }
@@ -106,6 +120,8 @@ int decode_stream() {
     int delta;
     int run;
     int position;
+    int rows;
+    int cols;
     int i;
     int row;
     int col;
@@ -138,36 +154,34 @@ int decode_stream() {
     plane_size = padded_width * padded_height;
     planes = alloc(plane_size * 3);
     memfill(planes, 128, plane_size * 3);
+    // A stream that stopped mid-block left coefficients behind.
+    for (i = 0; i < 64; i = i + 1) { vi_coef[i] = 0; }
 
     for (channel = 0; channel < channels; channel = channel + 1) {
         previous_dc = 0;
         for (block_row = 0; block_row < padded_height; block_row = block_row + 8) {
             for (block_col = 0; block_col < padded_width; block_col = block_col + 8) {
-                // DC delta, then (run, value) AC pairs in zig-zag order.
+                // DC delta, then (run, value) AC pairs in zig-zag order, each
+                // dequantised into its row-major place as it arrives.
                 delta = zz_decode(tk_varint());
                 previous_dc = previous_dc + delta;
-                for (i = 0; i < 64; i = i + 1) { vi_zig[i] = 0; }
-                vi_zig[0] = previous_dc;
+                vi_coef[0] = previous_dc * vi_quant[0];
+                rows = 1;
+                cols = 1;
                 position = 1;
                 while (1) {
                     run = tk_byte();
                     if (run == 255) { break; }
                     position = position + run;
                     if (position >= 64) { exit(63); }
-                    vi_zig[position] = zz_decode(tk_varint());
+                    index = vi_zigzag[position];
+                    vi_coef[index] = zz_decode(tk_varint()) * vi_quant[position];
+                    if (index >= rows * 8) { rows = (index >> 3) + 1; }
+                    if ((index & 7) >= cols) { cols = (index & 7) + 1; }
                     position = position + 1;
                 }
-                // De-zig-zag and dequantise into the row-major block.
-                for (i = 0; i < 64; i = i + 1) {
-                    vi_blk[vi_zigzag[i]] = vi_zig[i] * vi_quant[i];
-                }
-                vi_idct_block();
-                for (row = 0; row < 8; row = row + 1) {
-                    for (col = 0; col < 8; col = col + 1) {
-                        index = (block_row + row) * padded_width + block_col + col;
-                        poke8(planes + channel * plane_size + index, vi_blk[row * 8 + col]);
-                    }
-                }
+                vi_idct_block(rows, cols, planes + channel * plane_size
+                              + block_row * padded_width + block_col, padded_width);
             }
         }
     }
@@ -263,43 +277,45 @@ int wj_decode_band(int plane, int row0, int col0, int band_height, int band_widt
 
 // Inverse 5/3 lifting along `count` elements with `stride` words between them.
 int wj_inverse_1d(int base, int count, int stride) {
+    int step;
     int half;
-    int i;
-    int smooth;
+    int end;
+    int p;
+    int t;
+    int out;
     int detail;
     int detail_prev;
     int even_value;
     int even_next;
-    int byte_stride;
-    half = count / 2;
-    byte_stride = stride * 4;
-    // Undo the update step: even[i] = s[i] - ((d[i-1] + d[i] + 2) >> 2)
-    for (i = 0; i < half; i = i + 1) {
-        smooth = peek32(base + i * byte_stride);
-        detail = peek32(base + (half + i) * byte_stride);
-        if (i == 0) {
-            detail_prev = detail;
-        } else {
-            detail_prev = peek32(base + (half + i - 1) * byte_stride);
-        }
-        poke32(wj_tmp + i * 4, smooth - asr(detail_prev + detail + 2, 2));
+    step = stride * 4;
+    half = (count / 2) * step;      // bytes from s[i] to d[i]
+    // Undo the update step into wj_tmp: even[i] = s[i] - ((d[i-1] + d[i] + 2) >> 2),
+    // with d[-1] = d[0].
+    end = base + half;
+    detail_prev = peek32(end);
+    t = wj_tmp;
+    for (p = base; p < end; p = p + step) {
+        detail = peek32(p + half);
+        poke32(t, peek32(p) - asr(detail_prev + detail + 2, 2));
+        detail_prev = detail;
+        t = t + 4;
     }
-    // Undo the predict step: odd[i] = d[i] + ((even[i] + even[i+1]) >> 1)
-    for (i = 0; i < half; i = i + 1) {
-        detail = peek32(base + (half + i) * byte_stride);
-        even_value = peek32(wj_tmp + i * 4);
-        if (i + 1 < half) {
-            even_next = peek32(wj_tmp + (i + 1) * 4);
-        } else {
-            even_next = even_value;
-        }
-        poke32(wj_tmp + (half + i) * 4, detail + asr(even_value + even_next, 1));
+    // Undo the predict step and interleave in place: x[2i] = even[i],
+    // x[2i+1] = d[i] + ((even[i] + even[i+1]) >> 1), with even[half] =
+    // even[half-1].  The writes at 2i and 2i+1 never reach a d[j], j > i.
+    end = t - 4;
+    even_value = peek32(wj_tmp);
+    out = base;
+    for (t = wj_tmp; t < end; t = t + 4) {
+        even_next = peek32(t + 4);
+        poke32(out, even_value);
+        poke32(out + step, peek32(p) + asr(even_value + even_next, 1));
+        even_value = even_next;
+        p = p + step;
+        out = out + step + step;
     }
-    // Interleave back: x[2i] = even[i], x[2i+1] = odd[i].
-    for (i = 0; i < half; i = i + 1) {
-        poke32(base + (2 * i) * byte_stride, peek32(wj_tmp + i * 4));
-        poke32(base + (2 * i + 1) * byte_stride, peek32(wj_tmp + (half + i) * 4));
-    }
+    poke32(out, even_value);
+    poke32(out + step, peek32(p) + asr(even_value + even_value, 1));
     return 0;
 }
 

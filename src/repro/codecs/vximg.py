@@ -188,12 +188,17 @@ class VximgCodec(Codec):
             raise CodecError("vximg channel count must be 1 or 3")
         if not width or not height:
             raise CodecError("vximg image has zero dimensions")
+        if width > MAX_DIMENSION or height > MAX_DIMENSION:
+            raise CodecError("vximg image is larger than the codec allows")
         quant_zigzag = data[_HEADER.size : _HEADER.size + 64]
         table = zigzag_unscan(list(quant_zigzag))
         tokens = _huffman_unpack(data, _HEADER.size + 64)
 
         padded_height = (height + BLOCK - 1) // BLOCK * BLOCK
         padded_width = (width + BLOCK - 1) // BLOCK * BLOCK
+        # Every block takes at least a DC byte and an end-of-block byte.
+        if len(tokens) < 2 * channels * (padded_height // BLOCK) * (padded_width // BLOCK):
+            raise CodecError("truncated vximg token stream")
         planes = np.zeros((padded_height, padded_width, 3), dtype=np.int64)
 
         offset = 0

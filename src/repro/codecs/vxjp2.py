@@ -151,6 +151,8 @@ class Vxjp2Codec(Codec):
             raise CodecError("vxjp2 supports 3-channel images only")
         if not 1 <= levels <= 6 or not width or not height:
             raise CodecError("vxjp2 header is malformed")
+        if width > MAX_DIMENSION or height > MAX_DIMENSION:
+            raise CodecError("vxjp2 image is larger than the codec allows")
         padded_height = padded_size(height, levels)
         padded_width = padded_size(width, levels)
         bands = subband_shapes(padded_height, padded_width, levels)

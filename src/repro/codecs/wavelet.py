@@ -15,6 +15,11 @@ steps need boundary clamping only at the final sample:
   ``even[i+1]`` clamped to the final even sample,
 * update:  ``s[i] = even[i] + floor((d[i-1] + d[i] + 2) / 4)`` with the first
   ``d[i-1]`` clamped to ``d[0]``.
+
+:func:`_inverse_1d` undoes the two steps on whole arrays.  The guest decoder
+(``repro.codecs.guest.image``) computes the same values one line at a time in
+two loops: the evens into a scratch line, then the odds, interleaved back in
+place -- a write at ``2i`` or ``2i + 1`` never reaches a detail not yet read.
 """
 
 from __future__ import annotations
