@@ -4,10 +4,14 @@ The forward transform uses a prefix-doubling suffix array built with numpy
 (the encoder runs natively inside the archiver, exactly as the paper's
 encoders do).  The inverse transform -- the part the archived guest decoder
 must perform -- uses the standard counting / LF-mapping reconstruction.  The
-guest decoder (``repro.codecs.guest.general``) computes the same values by
-other means: a counting sort where this module sorts with numpy, and an
-inverse move-to-front that leaves the alphabet alone at rank 0 and otherwise
-shifts the entries before the rank up by one, four words per step, in place.
+guest decoder (``repro.codecs.guest.general``) computes the same values the
+way bzip2's decoder does.  Its inverse move-to-front leaves the alphabet alone
+at rank 0 and otherwise shifts the entries before the rank up by one, four
+words per step.  It writes the last column in place with a hole at the
+primary row, where the sentinel sorts, and counts each byte as it writes it,
+so no separate histogram pass is needed.  A counting sort then places the
+rows, and one walk of the LF mapping undoes the run-length layer as the bytes
+come out.
 """
 
 from __future__ import annotations

@@ -108,44 +108,57 @@ def vxbwt_source() -> str:
 int bw_alphabet[256];
 int bw_bins[258];
 
-// RLE post-pass state (bzip2-style run-length layer undone while emitting).
-int rle_run;
-int rle_prev;
-int rle_expect;
-int rle_emitted;
-
-int rle_reset() {
-    rle_run = 0;
-    rle_prev = 0 - 1;
-    rle_expect = 0;
-    rle_emitted = 0;
-    return 0;
-}
-
-int rle_emit(int value) {
-    int k;
-    if (rle_expect) {
-        for (k = 0; k < value; k = k + 1) {
-            out_byte(rle_prev);
-            rle_emitted = rle_emitted + 1;
+// Walk the LF mapping `count` steps from row `primary`, undoing the RLE layer
+// as bytes appear: after four equal bytes the next one is how many more
+// follow.  The bytes go through a local cursor into out_buf, flushed where
+// out_byte flushes, when a byte meets a full buffer.  Returns the bytes
+// emitted.
+int bw_walk(int column, int order, int primary, int count) {
+    int row;
+    int value;
+    int cursor;
+    int limit;
+    int prev;
+    int run;
+    int emitted;
+    row = primary;
+    cursor = out_buf + out_pos;
+    limit = out_buf + out_cap;
+    emitted = count;
+    prev = 0 - 1;
+    run = 0;
+    while (count > 0) {
+        count = count - 1;
+        row = peek32(order + row * 4);
+        if (row == primary) { exit(54); }
+        value = peek8(column + row);
+        if (cursor == limit) { cursor = out_spill(cursor); }
+        poke8(cursor, value);
+        cursor = cursor + 1;
+        if (value == prev) {
+            run = run + 1;
+            if (run == 4) {
+                if (count == 0) { break; }
+                count = count - 1;
+                row = peek32(order + row * 4);
+                if (row == primary) { exit(54); }
+                value = peek8(column + row);
+                emitted = emitted + value - 1;
+                while (value > 0) {
+                    if (cursor == limit) { cursor = out_spill(cursor); }
+                    poke8(cursor, prev);
+                    cursor = cursor + 1;
+                    value = value - 1;
+                }
+                prev = 0 - 1;
+            }
+        } else {
+            prev = value;
+            run = 1;
         }
-        rle_expect = 0;
-        rle_run = 0;
-        rle_prev = 0 - 1;
-        return 0;
     }
-    out_byte(value);
-    rle_emitted = rle_emitted + 1;
-    if (value == rle_prev) {
-        rle_run = rle_run + 1;
-    } else {
-        rle_run = 1;
-        rle_prev = value;
-    }
-    if (rle_run == 4) {
-        rle_expect = 1;
-    }
-    return 0;
+    out_pos = cursor - out_buf;
+    return emitted;
 }
 
 int decode_stream() {
@@ -158,17 +171,18 @@ int decode_stream() {
     int transformed_length;
     int primary;
     int lengths_addr;
-    int ranks;
+    int column;
+    int hole;
+    int end;
+    int stop;
+    int gap;
     int order;
     int i;
     int j;
     int rank;
     int value;
-    int row;
-    int bin;
     int position;
     int count;
-    int end;
 
     src = in_read_all();
     src_len = in_len;
@@ -195,96 +209,83 @@ int decode_stream() {
         br_init(src + offset, src_len - offset);
         if (primary > transformed_length) { exit(53); }
 
-        // 1. Huffman-decode the MTF ranks.
-        ranks = alloc(transformed_length + 4);
-        for (i = 0; i < transformed_length; i = i + 1) {
-            poke8(ranks + i, hd_decode(0));
-        }
+        // 1. Huffman-decode the MTF ranks, one byte into the buffer.
+        column = alloc(transformed_length + 4);
+        end = column + transformed_length + 1;
+        hd_fill(0, column + 1, end);
         br_align();
         offset = br_pos() - src;
 
-        // 2. Inverse move-to-front, in place: rank 0 leaves the alphabet as
-        //    it is; otherwise the entries before the rank shift up by one.
+        // 2. Inverse move-to-front, in place, into the last column with a
+        //    hole at row `primary` for the sentinel: rank 0 leaves the
+        //    alphabet as it is; otherwise the entries before the rank shift
+        //    up by one.  Each byte is counted into bw_bins[byte + 1].
         for (i = 0; i < 256; i = i + 1) { bw_alphabet[i] = i; }
-        end = ranks + transformed_length;
-        for (i = ranks; i < end; i = i + 1) {
-            rank = peek8(i);
-            if (rank == 0) {
-                poke8(i, bw_alphabet[0]);
-            } else {
-                j = bw_alphabet + rank * 4;
-                value = peek32(j);
-                poke8(i, value);
-                while (j - bw_alphabet >= 16) {
-                    poke32(j, peek32(j - 4));
-                    poke32(j - 4, peek32(j - 8));
-                    poke32(j - 8, peek32(j - 12));
-                    poke32(j - 12, peek32(j - 16));
-                    j = j - 16;
+        for (i = 0; i < 258; i = i + 1) { bw_bins[i] = 0; }
+        hole = column + primary;
+        stop = hole + 1;
+        gap = 1;
+        i = column + 1;
+        while (1) {
+            while (i < stop) {
+                rank = peek8(i);
+                if (rank == 0) {
+                    value = bw_alphabet[0];
+                } else {
+                    j = bw_alphabet + rank * 4;
+                    value = peek32(j);
+                    while (j - bw_alphabet >= 16) {
+                        poke32(j, peek32(j - 4));
+                        poke32(j - 4, peek32(j - 8));
+                        poke32(j - 8, peek32(j - 12));
+                        poke32(j - 12, peek32(j - 16));
+                        j = j - 16;
+                    }
+                    while (j != bw_alphabet) {
+                        poke32(j, peek32(j - 4));
+                        j = j - 4;
+                    }
+                    bw_alphabet[0] = value;
                 }
-                while (j != bw_alphabet) {
-                    poke32(j, peek32(j - 4));
-                    j = j - 4;
-                }
-                bw_alphabet[0] = value;
+                poke8(i - gap, value);
+                j = bw_bins + value * 4 + 4;
+                poke32(j, peek32(j) + 1);
+                i = i + 1;
             }
+            if (stop == end) { break; }
+            stop = end;
+            gap = 0;
         }
 
-        // 3. Inverse BWT via a stable counting sort over the last column,
-        //    treating the virtual sentinel (bin 0) as the smallest symbol.
+        // 3. Inverse BWT by a stable counting sort of the rows by their last
+        //    byte: each bin becomes the address its first row goes to, after
+        //    the sentinel, which sorts first.
         order = alloc((transformed_length + 1) * 4);
-        for (i = 0; i < 258; i = i + 1) { bw_bins[i] = 0; }
-        for (i = 0; i <= transformed_length; i = i + 1) {
-            if (i == primary) {
-                bin = 0;
-            } else {
-                if (i < primary) {
-                    bin = peek8(ranks + i) + 1;
-                } else {
-                    bin = peek8(ranks + i - 1) + 1;
-                }
-            }
-            bw_bins[bin] = bw_bins[bin] + 1;
-        }
-        position = 0;
-        for (i = 0; i < 258; i = i + 1) {
+        poke32(order, primary);
+        position = order + 4;
+        for (i = 1; i < 257; i = i + 1) {
             count = bw_bins[i];
             bw_bins[i] = position;
-            position = position + count;
+            position = position + count * 4;
         }
-        for (i = 0; i <= transformed_length; i = i + 1) {
-            if (i == primary) {
-                bin = 0;
-            } else {
-                if (i < primary) {
-                    bin = peek8(ranks + i) + 1;
-                } else {
-                    bin = peek8(ranks + i - 1) + 1;
-                }
-            }
-            poke32(order + bw_bins[bin] * 4, i);
-            bw_bins[bin] = bw_bins[bin] + 1;
+        for (i = column; i < hole; i = i + 1) {
+            j = bw_bins + peek8(i) * 4 + 4;
+            position = peek32(j);
+            poke32(position, i - column);
+            poke32(j, position + 4);
+        }
+        for (i = hole + 1; i < end; i = i + 1) {
+            j = bw_bins + peek8(i) * 4 + 4;
+            position = peek32(j);
+            poke32(position, i - column);
+            poke32(j, position + 4);
         }
 
         // 4. Walk the LF mapping, undoing the RLE layer as bytes appear.
-        rle_reset();
-        row = primary;
-        for (i = 0; i < transformed_length; i = i + 1) {
-            row = peek32(order + row * 4);
-            if (row == primary) {
-                value = 0 - 1;
-            } else {
-                if (row < primary) {
-                    value = peek8(ranks + row);
-                } else {
-                    value = peek8(ranks + row - 1);
-                }
-            }
-            if (value < 0) { exit(54); }
-            rle_emit(value);
+        if (bw_walk(column, order, primary, transformed_length) != raw_length) {
+            exit(55);
         }
-        if (rle_emitted != raw_length) { exit(55); }
-        produced = produced + rle_emitted;
+        produced = produced + raw_length;
         if (original == 0) { break; }
     }
     out_flush();

@@ -124,7 +124,6 @@ int decode_stream() {
     int cols;
     int i;
     int row;
-    int col;
     int stride_pad;
     int y_value;
     int cb_value;
@@ -133,6 +132,11 @@ int decode_stream() {
     int green;
     int blue;
     int index;
+    int cr_plane;
+    int pixel;
+    int end;
+    int cursor;
+    int limit;
 
     src = in_read_all();
     src_len = in_len;
@@ -186,30 +190,38 @@ int decode_stream() {
         }
     }
 
-    // Emit the BMP: bottom-up rows, BGR, rows padded to 4 bytes.
+    // Emit the BMP: bottom-up rows, BGR, rows padded to 4 bytes.  Pixels
+    // are stored through a local cursor, flushed when fewer than three bytes
+    // of out_buf are left; the padding goes through out_byte.
     out_init();
     bmp_begin(width, height);
     stride_pad = bmp_stride(width) - width * 3;
+    cr_plane = plane_size * 2;
     row = height - 1;
     while (row >= 0) {
-        for (col = 0; col < width; col = col + 1) {
-            index = row * padded_width + col;
-            y_value = peek8(planes + index);
+        cursor = out_buf + out_pos;
+        limit = out_buf + out_cap - 3;
+        end = planes + row * padded_width + width;
+        for (pixel = end - width; pixel < end; pixel = pixel + 1) {
+            y_value = peek8(pixel);
             if (channels == 1) {
                 red = y_value;
                 green = y_value;
                 blue = y_value;
             } else {
-                cb_value = peek8(planes + plane_size + index) - 128;
-                cr_value = peek8(planes + plane_size * 2 + index) - 128;
+                cb_value = peek8(pixel + plane_size) - 128;
+                cr_value = peek8(pixel + cr_plane) - 128;
                 red = clamp255(y_value + asr(359 * cr_value, 8));
                 green = clamp255(y_value - asr(88 * cb_value + 183 * cr_value, 8));
                 blue = clamp255(y_value + asr(454 * cb_value, 8));
             }
-            out_byte(blue);
-            out_byte(green);
-            out_byte(red);
+            if (cursor > limit) { cursor = out_spill(cursor); }
+            poke8(cursor, blue);
+            poke8(cursor + 1, green);
+            poke8(cursor + 2, red);
+            cursor = cursor + 3;
         }
+        out_pos = cursor - out_buf;
         for (i = 0; i < stride_pad; i = i + 1) { out_byte(0); }
         row = row - 1;
     }
@@ -349,7 +361,12 @@ int decode_stream() {
     int red;
     int green;
     int blue;
-    int index;
+    int u_plane;
+    int v_plane;
+    int pixel;
+    int end;
+    int cursor;
+    int limit;
 
     src = in_read_all();
     src_len = in_len;
@@ -410,25 +427,33 @@ int decode_stream() {
         }
     }
 
-    // Inverse reversible colour transform and BMP output (cropping the padding).
+    // Inverse reversible colour transform and BMP output (cropping the
+    // padding), stored as in vximg.
     out_init();
     bmp_begin(width, height);
     stride_pad = bmp_stride(width) - width * 3;
+    u_plane = plane_words * 4;
+    v_plane = plane_words * 8;
     row = height - 1;
     while (row >= 0) {
-        for (col = 0; col < width; col = col + 1) {
-            index = (row * wj_padded_width + col) * 4;
-            y_value = peek32(planes + index);
-            u_value = peek32(planes + plane_words * 4 + index);
-            v_value = peek32(planes + plane_words * 8 + index);
+        cursor = out_buf + out_pos;
+        limit = out_buf + out_cap - 3;
+        end = planes + (row * wj_padded_width + width) * 4;
+        for (pixel = end - width * 4; pixel < end; pixel = pixel + 4) {
+            y_value = peek32(pixel);
+            u_value = peek32(pixel + u_plane);
+            v_value = peek32(pixel + v_plane);
             green = y_value - asr(u_value + v_value, 2);
             red = clamp255(v_value + green);
             blue = clamp255(u_value + green);
             green = clamp255(green);
-            out_byte(blue);
-            out_byte(green);
-            out_byte(red);
+            if (cursor > limit) { cursor = out_spill(cursor); }
+            poke8(cursor, blue);
+            poke8(cursor + 1, green);
+            poke8(cursor + 2, red);
+            cursor = cursor + 3;
         }
+        out_pos = cursor - out_buf;
         for (i = 0; i < stride_pad; i = i + 1) { out_byte(0); }
         row = row - 1;
     }

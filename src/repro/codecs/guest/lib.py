@@ -75,6 +75,14 @@ int out_byte(int value) {
     return 0;
 }
 
+// Flush out_buf once a caller's own cursor has filled it up to `cursor`;
+// returns where the next byte goes.
+int out_spill(int cursor) {
+    out_pos = cursor - out_buf;
+    out_flush();
+    return out_buf;
+}
+
 int out_bytes(int addr, int count) {
     if (count >= out_cap) {
         out_flush();
@@ -291,6 +299,43 @@ int hd_decode(int table) {
         }
     }
     return hd_slow(table);
+}
+
+// hd_decode for every byte of [at, end), the reader's position in locals:
+// the same symbols, bits and exits as one hd_decode per byte.
+int hd_fill(int table, int at, int end) {
+    int addr;
+    int bitpos;
+    int entry;
+    int fast;
+    int last;
+    addr = br_addr;
+    bitpos = br_bitpos;
+    fast = hd_fast + (table << $fast_bits) * 4;
+    last = br_end - 2;
+    while (at < end) {
+        if (addr <= last) {
+            entry = peek32(fast + ((((peek8(addr) | (peek8(addr + 1) << 8)) >> bitpos)
+                                    & $fast_mask) << 2));
+            if (entry != 0) {
+                bitpos = bitpos + (entry & 15);
+                addr = addr + (bitpos >> 3);
+                bitpos = bitpos & 7;
+                poke8(at, entry >> 4);
+                at = at + 1;
+                continue;
+            }
+        }
+        br_addr = addr;
+        br_bitpos = bitpos;
+        poke8(at, hd_slow(table));
+        addr = br_addr;
+        bitpos = br_bitpos;
+        at = at + 1;
+    }
+    br_addr = addr;
+    br_bitpos = bitpos;
+    return 0;
 }
 
 int hd_slow(int table) {

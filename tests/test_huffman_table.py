@@ -159,6 +159,14 @@ int hd_decode(int table) {
     exit(34);                                    // invalid Huffman code
     return 0;
 }
+
+int hd_fill(int table, int at, int end) {
+    while (at < end) {
+        poke8(at, hd_decode(table));
+        at = at + 1;
+    }
+    return 0;
+}
 """
 
 #: The library units the oracle builds replace, by unit name.
@@ -215,6 +223,8 @@ class _WalkDecoder:
 #: An op is a symbol from table 0 (``_SYMBOL_0``), from table 1 (``_SYMBOL_1``)
 #: or ``br_bits(op)``: counts up to 17 take the window, above it the loop.
 _SYMBOL_0, _SYMBOL_1 = 255, 254
+#: The guest harness's op ``_FILL + k - 1`` is ``hd_fill`` of k symbols.
+_FILL = 200
 
 
 @st.composite
@@ -324,8 +334,9 @@ def test_fast_bits_fit_the_two_byte_window():
 
 _HARNESS = r"""
 // Input: u16 n0, u16 n1, u16 ops, n0 + n1 code lengths, ops, bit stream.
-// Writes each value read as a u32, then br_addr (from the stream's start)
-// and br_bitpos.
+// Writes each value read as a u32 -- op 200 + k - 1 writes the k bytes
+// hd_fill stores from table 0 instead -- then br_addr (from the stream's
+// start) and br_bitpos.
 int main() {
     int src;
     int n0;
@@ -336,8 +347,10 @@ int main() {
     int op;
     int value;
     int cell;
+    int fill;
     src = in_read_all();
     cell = alloc(8);
+    fill = alloc(64);
     n0 = load_u16le(src);
     n1 = load_u16le(src + 2);
     ops = load_u16le(src + 4);
@@ -347,6 +360,11 @@ int main() {
     br_init(stream, src + in_len - stream);
     for (i = 0; i < ops; i = i + 1) {
         op = peek8(src + 6 + n0 + n1 + i);
+        if (op >= 200 && op < 254) {
+            hd_fill(0, fill, fill + op - 199);
+            write(1, fill, op - 199);
+            continue;
+        }
         if (op == 255) {
             value = hd_decode(0);
         } else {
@@ -393,6 +411,35 @@ def test_guest_library_reads_what_the_walk_reads(harness_vms, case, corrupt):
     outcome = _run_guest(table_vm, tables, ops, stream)
     assert outcome == _run_guest(walk_vm, tables, ops, stream)
     assert outcome[0] in (0, 33, 34, 35)
+
+
+@settings(_EXAMPLES, max_examples=100)
+@given(case=_cases(), runs=st.lists(st.integers(1, 54), min_size=1, max_size=12))
+def test_guest_fill_reads_what_the_walk_reads(harness_vms, case, runs):
+    # Reads of table 0 become hd_fill runs of 1 to 54 symbols.
+    tables, ops, stream = case
+    fills = [_FILL + length - 1 for length in runs]
+    ops = [fills.pop() if op == _SYMBOL_0 and fills else op for op in ops] + fills
+    table_vm, walk_vm = harness_vms
+    outcome = _run_guest(table_vm, tables, ops, stream)
+    assert outcome == _run_guest(walk_vm, tables, ops, stream)
+    assert outcome[0] in (0, 33, 34)
+
+
+def test_fill_stops_where_the_stream_ends(harness_vms):
+    # One-byte streams (every third value) read by runs of 1 to 9 codes of 1
+    # to 3 bits: a run's last code may lie past the stream, where the walk
+    # exits 33.
+    table_vm, walk_vm = harness_vms
+    exits = set()
+    for lengths in ([1, 2, 2], [3] * 8):
+        for byte in range(0, 256, 3):
+            for run in range(1, 10):
+                case = ([lengths, [1]], [_FILL + run - 1], bytes([byte]))
+                outcome = _run_guest(table_vm, *case)
+                assert outcome == _run_guest(walk_vm, *case), (lengths, byte, run)
+                exits.add(outcome[0])
+    assert exits == {0, 33}
 
 
 def test_codes_of_every_length_decode_as_sent(harness_vms):
@@ -470,6 +517,7 @@ def test_fast_paths_are_small_enough_to_expand():
     ("vximg", "hb_unpack", ("hd_decode",)),
     ("vxjp2", "hb_unpack", ("hd_decode",)),
     ("vxflac", "decode_stream", ("br_bits",)),
+    ("vxbwt", "hd_fill", ("hd_decode",)),
 ])
 def test_hot_loops_call_no_bit_reader(codec, function, helpers):
     assembly = default_registry().get(codec).build_guest_decoder().assembly
