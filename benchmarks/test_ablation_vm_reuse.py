@@ -91,23 +91,17 @@ def test_ablation_vm_reuse(benchmark, registry, monkeypatch):
         title="Ablation: VM reuse vs re-initialisation (paper section 2.4)",
     )
 
-    # Also show how the attribute-aware policy groups a mixed archive.
-    mixed = [(f"file{i}", SecurityAttributes(mode=0o644 if i % 4 else 0o600))
-             for i in range(8)]
-    groups = reuse_groups(mixed, VmReusePolicy.REUSE_SAME_ATTRIBUTES)
-    table += (
-        "\n\nreuse-same-attributes grouping of a mixed archive "
-        f"(8 files, every 4th private): {len(groups)} VM initialisations"
-    )
-
     # End-to-end through the facade: the DecoderSession enforces the policy
     # against each member's recorded security attributes during a whole-
-    # archive integrity check, and counts reuse vs re-initialisation.
+    # archive integrity check, and counts reuse vs re-initialisation.  The
+    # members are ``mixed`` in order, 8 files with every 4th private.
+    mixed = [(f"batch/file{i}.txt",
+              SecurityAttributes(mode=0o644 if i % 4 else 0o600))
+             for i in range(8)]
     buffer = io.BytesIO()
     with vxa.create(buffer) as builder:
-        for index in range(8):
-            attributes = SecurityAttributes(mode=0o644 if index % 4 else 0o600)
-            builder.add(f"batch/file{index}.txt",
+        for index, (name, attributes) in enumerate(mixed):
+            builder.add(name,
                         synthetic_source_file(FILE_SIZE, seed=300 + index).encode(),
                         attributes=attributes)
     session_rows = []
@@ -116,24 +110,22 @@ def test_ablation_vm_reuse(benchmark, registry, monkeypatch):
         with vxa.open(buffer) as archive:
             report = archive.check(reuse=policy)
         assert report.ok
-        session_rows.append([policy.value, report.vm_initialisations,
-                             report.vm_reuses])
+        session_rows.append([policy.value, len(reuse_groups(mixed, policy)),
+                             report.vm_initialisations, report.vm_reuses])
     table += "\n\n" + format_table(
-        ["DecoderSession policy", "VM initialisations", "VM state reuses"],
+        ["DecoderSession policy", "reuse_groups", "VM initialisations",
+         "VM state reuses"],
         session_rows,
         title="Facade integrity check over 8 mixed-attribute files, one shared decoder",
     )
     emit_report("ablation_vm_reuse", table)
 
-    assert 1 < len(groups) < 8
-
-    by_policy = {row[0]: row for row in session_rows}
-    # Safe default: a pristine image per file, nothing reused.
-    assert by_policy["always-fresh"][1:] == [8, 0]
-    # Full reuse: one initialisation, every other decode rides the warm VM.
-    assert by_policy["always-reuse"][1:] == [1, 7]
-    # Attribute-aware: re-initialise exactly when the protection domain flips
-    # (every 4th file is 0o600), reuse inside each run of equal attributes.
-    fresh, reused = by_policy["reuse-same-attributes"][1:]
-    assert fresh + reused == 8
-    assert 1 < fresh < 8
+    # reuse_groups is the oracle: the session initialises a VM once per
+    # group and reuses it for every other member.  Safe default: a pristine
+    # image per file.  Full reuse: one initialisation.  Attribute-aware:
+    # re-initialise exactly when the protection domain flips, at files 0, 1,
+    # 4 and 5.
+    assert {row[0]: row[1] for row in session_rows} == {
+        "always-fresh": 8, "always-reuse": 1, "reuse-same-attributes": 4}
+    for _, groups, initialisations, reuses in session_rows:
+        assert (initialisations, reuses) == (groups, 8 - groups)

@@ -574,26 +574,26 @@ class Archive:
             return parallel_check(self, jobs, reuse=reuse, names=names)
         options = (self.options if reuse is None
                    else self.options.with_changes(reuse=reuse))
-        session = DecoderSession(self._load_decoder, options, self._limits)
         entries = (self._zip.entries if names is None
                    else [self._zip.find(name) for name in names])
         report = IntegrityReport()
-        for entry in entries:
-            route = self._route(entry, MODE_VXA, True)
-            if route.kind != _ROUTE_VXA:
-                continue
-            report.checked += 1
-            try:
-                for _ in self._member_chunks(session, entry, route):
-                    pass
-            except VxaError as error:
-                if _crashes_worker(error):
-                    raise
-                report.failures.append(f"{entry.name}: {error}")
-            else:
-                report.passed += 1
-        report.merge(session.stats)
-        session.close()
+        with DecoderSession(self._load_decoder, options,
+                            self._limits) as session:
+            for entry in entries:
+                route = self._route(entry, MODE_VXA, True)
+                if route.kind != _ROUTE_VXA:
+                    continue
+                report.checked += 1
+                try:
+                    for _ in self._member_chunks(session, entry, route):
+                        pass
+                except VxaError as error:
+                    if _crashes_worker(error):
+                        raise
+                    report.failures.append(f"{entry.name}: {error}")
+                else:
+                    report.passed += 1
+            report.merge(session.stats)
         return report
 
     # -- parallel scheduling support ------------------------------------------

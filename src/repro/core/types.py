@@ -132,10 +132,6 @@ class IntegrityReport(SessionStats):
     def ok(self) -> bool:
         return not self.failures and self.checked == self.passed
 
-    def counters(self) -> dict:
-        """The session counters as a plain dict (JSON/worker transport)."""
-        return self.as_dict()
-
 
 @dataclass
 class ArchivedFileInfo:

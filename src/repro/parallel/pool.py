@@ -3,12 +3,14 @@
 ``ProcessPoolExecutor`` is the default for real work -- guest decoders are
 CPU-bound pure Python, so only separate interpreters scale across cores.
 The in-process ``ThreadPoolExecutor`` flavour exists for small archives
-(process startup would dominate), for archives only reachable through a
-live file object, and for tests; it exercises exactly the same scheduler,
-worker bootstrap and stats plumbing, just without the serialization
-boundary.  The thread flavour is also why the translator's compiled-source
-memo, the image registry and every ``CodeCache`` mutation path take locks:
-its workers share one cache per decoder image.
+(process startup would dominate), for payloads that do not pickle, and for
+tests; it exercises exactly the same scheduler, worker bootstrap and stats
+plumbing, just without the serialization boundary.  An archive opened from
+a file object needs no threads: the sharded driver spools its bytes to a
+temp file that process workers reopen by path.  The thread flavour is also
+why the translator's compiled-source memo, the image registry and every
+``CodeCache`` mutation path take locks: its workers share one cache per
+decoder image.
 
 ``resolve_executor`` centralises the ``"auto"`` policy so the facade, the
 CLI and ``vxserve`` agree on it.

@@ -468,7 +468,7 @@ class BatchService:
             "checked": report.checked,
             "passed": report.passed,
             "failures": list(report.failures),
-            **report.counters(),
+            **report.as_dict(),
             "elapsed_seconds": time.perf_counter() - start,
         }
 

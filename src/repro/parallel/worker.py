@@ -236,5 +236,5 @@ def run_check_shard(payload: dict) -> dict:
         "checked": report.checked,
         "passed": report.passed,
         "failures": list(report.failures),
-        **report.counters(),
+        **report.as_dict(),
     }

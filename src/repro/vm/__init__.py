@@ -7,7 +7,6 @@ from repro.vm.machine import (
     ENGINE_INTERPRETER,
     ENGINE_TRANSLATOR,
     VirtualMachine,
-    decode_with_image,
 )
 from repro.vm.memory import (
     CHECK_FULL,
@@ -27,7 +26,6 @@ __all__ = [
     "ENGINE_INTERPRETER",
     "ENGINE_TRANSLATOR",
     "VirtualMachine",
-    "decode_with_image",
     "CHECK_FULL",
     "CHECK_NONE",
     "CHECK_WRITE_ONLY",

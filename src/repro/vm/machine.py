@@ -351,9 +351,3 @@ class VirtualMachine:
             )
         return results
 
-
-def decode_with_image(image: bytes, encoded: bytes, *, engine: str = ENGINE_TRANSLATOR,
-                      limits: ExecutionLimits | None = None) -> DecodeResult:
-    """One-shot helper: load ``image``, decode ``encoded``, return the result."""
-    vm = VirtualMachine(image, engine=engine, limits=limits or ExecutionLimits())
-    return vm.decode(encoded)

@@ -11,7 +11,7 @@ from repro.codecs.registry import CodecRegistry, default_registry
 from repro.codecs.vxz import VxzCodec
 from repro.core.extension import VxaExtension, parse_extension
 from repro.core.policy import SecurityAttributes, VmReusePolicy, reuse_groups
-from repro.core.integrity import check_archive, format_report, is_archive_intact
+from repro.core.integrity import format_report
 from repro.elf.reader import is_vxa_executable
 from repro.errors import ArchiveError, DecoderMissingError, GuestFault, IntegrityError
 from repro.formats.bmp import is_bmp
@@ -250,13 +250,19 @@ def test_corrupted_member_fails_integrity(archive_and_manifest):
 # -- integrity checking ----------------------------------------------------------------------
 
 
+def _check(archive: bytes, **kwargs):
+    with vxa.open(io.BytesIO(archive)) as opened:
+        return opened.check(**kwargs)
+
+
 def test_integrity_check_passes_for_good_archive(archive_and_manifest):
     archive, _ = archive_and_manifest
-    report = check_archive(archive)
+    report = _check(archive)
     assert report.ok
     assert report.checked == report.passed == 4
     assert "OK" in format_report(report)
-    assert is_archive_intact(archive)
+    with _open(archive) as opened:
+        assert opened.check().ok
 
 
 def test_integrity_check_detects_corruption(archive_and_manifest):
@@ -265,10 +271,11 @@ def test_integrity_check_detects_corruption(archive_and_manifest):
     entry = reader.entries()[0]
     corrupted = bytearray(archive)
     corrupted[entry.local_header_offset + 64] ^= 0x55
-    report = check_archive(bytes(corrupted))
+    report = _check(bytes(corrupted))
     assert not report.ok
     assert report.failures
-    assert not is_archive_intact(bytes(corrupted))
+    with _open(bytes(corrupted)) as opened:
+        assert not opened.check().ok
 
 
 # -- VM reuse policy ---------------------------------------------------------------------------
@@ -291,7 +298,7 @@ def test_reuse_groups_policies():
 
 def test_integrity_check_with_reuse_policy(archive_and_manifest):
     archive, _ = archive_and_manifest
-    report = check_archive(archive, reuse_policy=VmReusePolicy.ALWAYS_REUSE)
+    report = _check(archive, reuse=VmReusePolicy.ALWAYS_REUSE)
     assert report.ok
 
 

@@ -139,7 +139,7 @@ def test_every_counter_survives_the_parallel_check_merge(
                   vxa.ReadOptions(executor=EXECUTOR_THREAD)) as archive:
         report = archive.check(jobs=2)
     assert report.ok and report.checked == 6 and len(numbered_shards) == 2
-    assert report.counters() == {name: 2 * (index + 1)
+    assert report.as_dict() == {name: 2 * (index + 1)
                                  for index, name in enumerate(COUNTERS)}
 
 

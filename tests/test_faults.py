@@ -331,6 +331,38 @@ def test_check_recovers_from_worker_crash(archive_bytes, tmp_path):
     assert report.failures == []
 
 
+def test_check_closes_its_session_when_a_worker_crashes(
+        archive_bytes, tmp_path, monkeypatch):
+    # A thread shard's check re-raises the injected crash to its pool; the
+    # dedicated session it built must still be closed (VMs reset, store
+    # saved), like every other session the check and its workers build.
+    from repro.api.session import DecoderSession
+
+    built, closed = [], []
+    real_init, real_close = DecoderSession.__init__, DecoderSession.close
+
+    def spy_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    def spy_close(self):
+        closed.append(self)
+        real_close(self)
+
+    monkeypatch.setattr(DecoderSession, "__init__", spy_init)
+    monkeypatch.setattr(DecoderSession, "close", spy_close)
+    plan = FaultPlan(specs=(
+        FaultSpec(member="file2.txt", kind=KIND_KILL_WORKER, times=1),),
+        ledger=str(tmp_path / "ledger"))
+    options = vxa.ReadOptions(mode=vxa.MODE_VXA, jobs=2, executor="thread",
+                              fault_plan=plan)
+    with vxa.open(io.BytesIO(archive_bytes), options) as archive:
+        report = archive.check()
+    assert report.ok and report.checked == MEMBERS
+    assert built
+    assert [session for session in built if session not in closed] == []
+
+
 def test_check_quarantines_repeat_killer(archive_bytes, tmp_path):
     plan = FaultPlan(specs=(
         FaultSpec(member="file2.txt", kind=KIND_KILL_WORKER, times=5),),
