@@ -20,12 +20,14 @@ archive file itself.  This package exploits that:
   per process,
 * :mod:`~repro.parallel.service` is ``vxserve``: a long-running batch
   service (JSON-lines over stdio or a unix socket) multiplexing
-  extract/check requests for many archives onto one shared worker pool,
-* :mod:`~repro.parallel.admission` keeps ``vxserve`` overload-safe: a
-  bounded admission gate with brief queueing and structured load shedding,
-  per-client quotas, interactive/batch priorities, and per-archive circuit
-  breakers (protocol spec: ``docs/vxserve-protocol.md``; the matching
-  retrying client is :mod:`repro.client` / the ``vxquery`` script).
+  extract/check requests for many archives onto one shared worker pool;
+  one request table, under one lock, feeds its per-client quotas,
+  per-archive circuit breakers, drain and watchdog,
+* :mod:`~repro.parallel.admission` holds its bounded admission gate
+  (interactive/batch priorities, brief queueing, structured load shedding),
+  one breaker's state machine and the structured refusals (protocol spec:
+  ``docs/vxserve-protocol.md``; the matching retrying client is
+  :mod:`repro.client` / the ``vxquery`` script).
 
 The facade surfaces all of this as ``Archive.extract_into(..., jobs=N)``,
 ``Archive.check(jobs=N)`` and ``ReadOptions.jobs`` -- output bytes and check
@@ -38,8 +40,6 @@ exactly as a serial session takes them.
 from repro.parallel.admission import (
     AdmissionGate,
     CircuitBreaker,
-    CircuitBreakerBoard,
-    ClientQuotas,
     ServiceRejection,
 )
 from repro.parallel.engine import parallel_check, parallel_extract_into
@@ -49,8 +49,6 @@ from repro.parallel.scheduler import Scheduler, Shard
 __all__ = [
     "AdmissionGate",
     "CircuitBreaker",
-    "CircuitBreakerBoard",
-    "ClientQuotas",
     "Scheduler",
     "ServiceRejection",
     "Shard",

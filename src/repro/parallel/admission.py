@@ -1,9 +1,8 @@
-"""Admission control for ``vxserve``: backpressure, quotas, circuit breakers.
+"""Admission control for ``vxserve``: the gate, the breaker and the refusals.
 
-PR 7 made one member's failure survivable; this module makes a *flood of
-requests* survivable -- the same graceful-degradation discipline moved up to
-the service boundary.  Three independent mechanisms compose in front of the
-shared :class:`~repro.parallel.pool.WorkerPool`:
+A flood of requests must degrade a service gracefully, the way a damaged
+member degrades one extraction.  This module holds the parts of that
+discipline that keep their own state:
 
 * :class:`AdmissionGate` -- a bounded concurrency gate.  At most
   ``max_inflight`` archive-work requests execute at once; up to
@@ -16,28 +15,24 @@ shared :class:`~repro.parallel.pool.WorkerPool`:
   request evicts the newest queued ``batch`` waiter rather than being shed
   itself -- batch work yields, it is never wedged ahead of a person.
 
-* :class:`ClientQuotas` -- a per-client in-flight cap keyed by the
-  client-supplied ``client`` id, so one greedy client cannot occupy every
-  slot of the gate.  Requests without an id share the ``"anonymous"``
-  bucket.
-
-* :class:`CircuitBreaker` (per archive, managed by
-  :class:`CircuitBreakerBoard`) -- repeated request failures against one
-  archive open its breaker; while open, requests for that archive are
-  refused immediately with :class:`CircuitOpenError` (``retry_after_seconds``
-  = remaining cool-down) instead of occupying pool workers; after
+* :class:`CircuitBreaker` -- the state machine of one archive's breaker:
+  repeated request failures open it; while open, requests for that archive
+  are refused with :class:`CircuitOpenError` (``retry_after_seconds`` =
+  remaining cool-down) instead of occupying pool workers; after
   ``reset_timeout`` a single half-open probe is let through, and its
-  success closes the breaker again.  One hostile archive therefore cannot
-  monopolise the pool that PR 7's quarantine protects per-member.
+  success closes the breaker again.
+
+The per-client quota (a count of request-table rows) and the per-archive
+breakers live in :class:`~repro.parallel.service.BatchService`, under the
+one lock of its request table; a request meets quota, then gate, then breaker.
 
 Every refusal is a :class:`ServiceRejection`: a structured error with a
 stable wire ``code`` (the protocol's ``error_code`` field -- see
 ``docs/vxserve-protocol.md``) and an optional retry hint, never a dropped
 connection.  Shed or rejected requests run no guest work at all, so every
-*admitted* extraction remains byte-identical to a serial run -- extra
-concurrency only counts if results stay consistent.
+*admitted* extraction remains byte-identical to a serial run.
 
-All classes take an injectable ``clock`` (defaulting to
+Both classes take an injectable ``clock`` (defaulting to
 :func:`time.monotonic`) so tests can drive breaker cool-downs and retry
 hints deterministically.
 """
@@ -321,53 +316,6 @@ class AdmissionGate:
 
 
 # --------------------------------------------------------------------------
-# Per-client quotas
-# --------------------------------------------------------------------------
-
-class ClientQuotas:
-    """Per-client in-flight request cap, keyed by the ``client`` id.
-
-    ``per_client=None`` disables enforcement but keeps the per-client
-    gauge, so ``stats``/``health`` can still show who is using the pool.
-    """
-
-    def __init__(self, per_client: int | None = None):
-        if per_client is not None and per_client < 1:
-            raise ValueError("per_client must be at least 1 (or None)")
-        self.per_client = per_client
-        self._lock = threading.Lock()
-        self._inflight: dict[str, int] = {}
-        self.rejections = 0
-
-    def acquire(self, client: str) -> None:
-        with self._lock:
-            count = self._inflight.get(client, 0)
-            if self.per_client is not None and count >= self.per_client:
-                self.rejections += 1
-                raise QuotaExceededError(
-                    f"client {client!r} already has {count} request(s) in "
-                    f"flight (quota {self.per_client})",
-                    retry_after_seconds=0.1)
-            self._inflight[client] = count + 1
-
-    def release(self, client: str) -> None:
-        with self._lock:
-            count = self._inflight.get(client, 0) - 1
-            if count > 0:
-                self._inflight[client] = count
-            else:
-                self._inflight.pop(client, None)
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "per_client": self.per_client,
-                "inflight_by_client": dict(self._inflight),
-                "rejections_total": self.rejections,
-            }
-
-
-# --------------------------------------------------------------------------
 # Circuit breakers
 # --------------------------------------------------------------------------
 
@@ -379,8 +327,8 @@ STATE_HALF_OPEN = "half-open"
 class CircuitBreaker:
     """Failure breaker for one archive: closed -> open -> half-open -> closed.
 
-    Not itself thread-safe -- :class:`CircuitBreakerBoard` serialises all
-    access under its lock.  ``threshold`` consecutive failures trip it;
+    Not itself thread-safe -- :class:`~repro.parallel.service.BatchService`
+    calls it under its lock.  ``threshold`` consecutive failures trip it;
     after ``reset_timeout`` seconds one probe request is admitted, and its
     outcome decides between closing and re-opening.
     """
@@ -456,78 +404,11 @@ class CircuitBreaker:
         return entry
 
 
-class CircuitBreakerBoard:
-    """All per-archive breakers, keyed by the requested archive path.
-
-    ``threshold=0`` (or ``None``) disables breakers entirely -- every
-    check passes and nothing is recorded.  Thread-safe.
-    """
-
-    def __init__(self, threshold: int | None = 5,
-                 reset_timeout: float = 30.0, *, clock=time.monotonic):
-        self.threshold = threshold or 0
-        self.reset_timeout = reset_timeout
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._breakers: dict[str, CircuitBreaker] = {}
-
-    @property
-    def enabled(self) -> bool:
-        return self.threshold > 0
-
-    def check(self, archive: str | None) -> str | None:
-        """Gate a request against ``archive``; returns the breaker key the
-        caller must later :meth:`record` an outcome for (``None`` when
-        breakers are disabled or the request names no archive)."""
-        if not self.enabled or archive is None:
-            return None
-        key = str(archive)
-        with self._lock:
-            breaker = self._breakers.get(key)
-            if breaker is None:
-                breaker = self._breakers[key] = CircuitBreaker(
-                    self.threshold, self.reset_timeout, clock=self._clock)
-            breaker.check()
-        return key
-
-    def record(self, key: str | None, *, ok: bool) -> None:
-        if key is None or not self.enabled:
-            return
-        with self._lock:
-            breaker = self._breakers.get(key)
-            if breaker is None:
-                return
-            if ok:
-                breaker.record_success()
-            else:
-                breaker.record_failure()
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {key: breaker.snapshot()
-                    for key, breaker in self._breakers.items()}
-
-    def totals(self) -> dict:
-        with self._lock:
-            return {
-                "breaker_trips_total": sum(
-                    breaker.trips for breaker in self._breakers.values()),
-                "breaker_rejections_total": sum(
-                    breaker.rejections
-                    for breaker in self._breakers.values()),
-                "breakers_open": sum(
-                    1 for breaker in self._breakers.values()
-                    if breaker.state != STATE_CLOSED),
-            }
-
-
 __all__ = [
     "ANONYMOUS_CLIENT",
     "AdmissionGate",
     "CircuitBreaker",
-    "CircuitBreakerBoard",
     "CircuitOpenError",
-    "ClientQuotas",
     "DrainingError",
     "OverloadedError",
     "PRIORITIES",

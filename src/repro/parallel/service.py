@@ -14,17 +14,17 @@ request stream: the registry bounds the images it remembers, and no request
 field reaches a translator switch, so an image has at most two fragment
 tables (guards elided or kept), each bounded by ``max_fragments``.
 
-The service is overload-safe (see :mod:`repro.parallel.admission`): a
-bounded admission gate (``--max-inflight``/``--queue-depth``) queues
-briefly under pressure and then *sheds* load with a structured
-``overloaded`` error carrying a ``retry_after_seconds`` hint; per-client
-quotas (``--client-quota``) and two request priorities
-(``interactive``/``batch``) keep any one client or bulk job from starving
-the rest; and a per-archive circuit breaker (``--breaker-threshold``/
-``--breaker-reset``) refuses requests for an archive that keeps failing
-until a half-open probe proves it healthy again.  Rejections are always
-structured responses, never dropped connections, and shed requests run no
-guest work -- admitted extractions stay byte-identical to a serial run.
+The service is overload-safe.  Each unit of archive work is one row of the
+request table from the draining check to its response; one lock guards the
+table and the per-archive circuit breakers, and the per-client quota
+(``--client-quota``), ``health``, ``stats``, drain and the request watchdog
+all read those rows.  A request passes the quota, then the bounded
+admission gate of :mod:`repro.parallel.admission` (``--max-inflight``/
+``--queue-depth``: a brief ``interactive``-first queue, then a structured
+``overloaded`` shed with a ``retry_after_seconds`` hint), then its
+archive's breaker (``--breaker-threshold``/``--breaker-reset``).  Refusals
+are structured responses, never dropped connections, and run no guest work
+-- admitted extractions stay byte-identical to a serial run.
 
 Protocol: JSON lines (full specification: ``docs/vxserve-protocol.md``).
 One request object per line on stdin (or a unix socket connection with
@@ -65,7 +65,9 @@ import signal
 import sys
 import threading
 import time
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import partial
 
 import repro.api as vxa
 from repro.api.options import EXECUTOR_AUTO
@@ -81,12 +83,13 @@ from repro.faults import FaultPlan
 from repro.parallel.admission import (
     ANONYMOUS_CLIENT,
     AdmissionGate,
-    CircuitBreakerBoard,
-    ClientQuotas,
+    CircuitBreaker,
     DrainingError,
     PRIORITIES,
     PRIORITY_INTERACTIVE,
+    QuotaExceededError,
     RequestTooLargeError,
+    STATE_CLOSED,
     ServiceRejection,
 )
 from repro.parallel.engine import parallel_check, parallel_extract_into
@@ -118,15 +121,22 @@ _CONTROL_OPS = frozenset({"ping", "health", "stats", "drain", "shutdown"})
 _BREAKER_OPS = frozenset({"extract", "check"})
 
 
-@dataclass
-class _Admission:
-    """Everything :meth:`BatchService.handle` must undo after one request."""
+@dataclass(eq=False)
+class _Request:
+    """One row of the request table: archive work past the draining check.
 
-    token: int
+    ``registered`` is where the watchdog and ``oldest_request_seconds``
+    start counting.  ``admitted`` is set once the gate and the breaker let
+    the request through; the gate's duration estimate counts from it.
+    ``overrun`` marks a row the watchdog has reported.
+    """
+
+    op: str
     client: str
-    priority: str
-    breaker_key: str | None
-    started: float
+    registered: float
+    admitted: float | None = None
+    breaker_key: str | None = None
+    overrun: bool = False
 
 
 class BatchService:
@@ -150,6 +160,9 @@ class BatchService:
         breaker_reset: seconds an open breaker waits before its half-open
             probe.
         max_request_bytes: cap on one JSON request line (transport layer).
+
+    A ``request_timeout`` that is not positive, or a ``max_request_bytes``
+    or ``client_quota`` below 1, raises ``ValueError``.
     """
 
     def __init__(self, *, jobs: int | None = None,
@@ -163,6 +176,13 @@ class BatchService:
                  breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
                  breaker_reset: float = DEFAULT_BREAKER_RESET,
                  max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES):
+        if request_timeout is not None and not request_timeout > 0:
+            raise ValueError("request_timeout must be positive (or None)")
+        if max_request_bytes < 1:
+            raise ValueError("max_request_bytes must be at least 1")
+        if client_quota is not None and client_quota < 1:
+            raise ValueError("client_quota must be at least 1 (or None)")
+        self.gate = AdmissionGate(max_inflight, queue_depth, queue_timeout)
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.options = options or vxa.ReadOptions(
             reuse=VmReusePolicy.REUSE_SAME_ATTRIBUTES)
@@ -179,29 +199,29 @@ class BatchService:
         # safe (see WorkerPool).
         self.pool = WorkerPool(self.jobs, executor,
                                start_method=thread_safe_start_method())
-        self.gate = AdmissionGate(max_inflight, queue_depth, queue_timeout)
-        self.quotas = ClientQuotas(client_quota)
-        self.breakers = CircuitBreakerBoard(breaker_threshold, breaker_reset)
+        self.client_quota = client_quota
+        self.breaker_threshold = breaker_threshold or 0
         self.max_request_bytes = max_request_bytes
         self.stats = SessionStats()
         self.requests = 0
         self.rejected_draining = 0
+        self.quota_rejections = 0
         self.oversized_requests = 0
         self.watchdog_overruns = 0
         # Monotonic clock: NTP steps must not corrupt uptime or rate math.
         self.started = time.monotonic()
+        # One lock for the request table and the breakers; `_idle` is the
+        # same lock, notified when the table empties.
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
-        self._inflight: dict[int, tuple[str, float]] = {}
-        self._next_token = 0
+        self._requests: list[_Request] = []
+        self._breakers: dict[str, CircuitBreaker] = defaultdict(
+            partial(CircuitBreaker, self.breaker_threshold, breaker_reset))
         self._stopping = threading.Event()
         self._draining = threading.Event()
-        self._watchdog: threading.Thread | None = None
         if request_timeout is not None:
-            self._watchdog = threading.Thread(
-                target=self._watch_requests, name="vxserve-watchdog",
-                daemon=True)
-            self._watchdog.start()
+            threading.Thread(target=self._watch_requests,
+                             name="vxserve-watchdog", daemon=True).start()
 
     # -- request handling ------------------------------------------------------
 
@@ -212,7 +232,7 @@ class BatchService:
             response["id"] = request["id"]
         with self._lock:
             self.requests += 1
-        admission: _Admission | None = None
+        row: _Request | None = None
         try:
             if not isinstance(request, dict):
                 raise ValueError("request must be a JSON object")
@@ -221,11 +241,18 @@ class BatchService:
             if op is None or handler is None:
                 raise ValueError(f"unknown op {op!r}")
             if op not in _CONTROL_OPS:
-                admission = self._admit(request, op)
+                priority = request.get("priority") or PRIORITY_INTERACTIVE
+                if priority not in PRIORITIES:
+                    raise ValueError(
+                        f"unknown priority {priority!r} (expected one of "
+                        f"{', '.join(PRIORITIES)})")
+                row = self._register(
+                    op, str(request.get("client") or ANONYMOUS_CLIENT))
+                self._admit(row, priority, request.get("archive"))
             response["ok"] = True
             response["result"] = handler(request)
-            if admission is not None:
-                self.breakers.record(admission.breaker_key, ok=True)
+            if row is not None:
+                self._record(row, ok=True)
         except (KeyboardInterrupt, SystemExit):
             raise
         except ServiceRejection as error:
@@ -237,8 +264,8 @@ class BatchService:
             if error.retry_after_seconds is not None:
                 response["retry_after_seconds"] = error.retry_after_seconds
         except Exception as error:
-            if admission is not None:
-                self.breakers.record(admission.breaker_key, ok=False)
+            if row is not None:
+                self._record(row, ok=False)
             response.pop("result", None)
             response["ok"] = False
             response["error"] = str(error)
@@ -250,62 +277,68 @@ class BatchService:
                 # like a transient refusal.
                 response["error_code"] = "archive_damaged"
         finally:
-            if admission is not None:
-                self._retire(admission)
+            if row is not None:
+                self._retire(row)
         return response
 
-    def _admit(self, request: dict, op: str) -> _Admission:
-        """Run one unit of archive work through quota, gate and breaker.
+    def _register(self, op: str, client: str) -> _Request:
+        """Add a row to the request table, unless draining or over quota.
 
-        Returns the :class:`_Admission` ticket the ``finally`` arm of
-        :meth:`handle` retires, or raises a structured
-        :class:`~repro.parallel.admission.ServiceRejection` -- in which
-        case every partially-acquired resource has been released.
+        Registered before the gate, so a concurrent drain waits for queued
+        work too, and the client's quota counts it.
         """
-        client = str(request.get("client") or ANONYMOUS_CLIENT)
-        priority = request.get("priority") or PRIORITY_INTERACTIVE
-        if priority not in PRIORITIES:
-            raise ValueError(
-                f"unknown priority {priority!r} (expected one of "
-                f"{', '.join(PRIORITIES)})")
-        with self._idle:
+        with self._lock:
             if self._draining.is_set():
                 self.rejected_draining += 1
                 raise DrainingError(
                     "service is draining and no longer accepts work")
-            token = self._next_token
-            self._next_token += 1
-            # Registered before the gate so a concurrent drain waits for
-            # queued-but-not-yet-admitted work instead of racing past it.
-            self._inflight[token] = (op, time.monotonic())
-        quota_held = gate_held = False
+            if self.client_quota is not None:
+                held = sum(row.client == client for row in self._requests)
+                if held >= self.client_quota:
+                    self.quota_rejections += 1
+                    raise QuotaExceededError(
+                        f"client {client!r} already has {held} request(s) "
+                        f"in flight (quota {self.client_quota})",
+                        retry_after_seconds=0.1)
+            row = _Request(op, client, time.monotonic())
+            self._requests.append(row)
+        return row
+
+    def _admit(self, row: _Request, priority: str,
+               archive: str | None) -> None:
+        """Take a gate slot, then pass the archive's breaker.
+
+        A breaker refusal gives the slot back unmeasured; every other exit
+        is undone by :meth:`_retire`.
+        """
+        self.gate.admit(priority)
         try:
-            self.quotas.acquire(client)
-            quota_held = True
-            self.gate.admit(priority)
-            gate_held = True
-            breaker_key = None
-            if op in _BREAKER_OPS:
-                breaker_key = self.breakers.check(request.get("archive"))
+            if (row.op in _BREAKER_OPS and self.breaker_threshold
+                    and archive is not None):
+                with self._lock:
+                    self._breakers[str(archive)].check()
+                row.breaker_key = str(archive)
         except BaseException:
-            if gate_held:
-                self.gate.release()
-            if quota_held:
-                self.quotas.release(client)
-            self._retire_token(token)
+            self.gate.release()
             raise
-        return _Admission(token=token, client=client, priority=priority,
-                          breaker_key=breaker_key, started=time.monotonic())
+        row.admitted = time.monotonic()
 
-    def _retire(self, admission: _Admission) -> None:
-        self.gate.release(time.monotonic() - admission.started)
-        self.quotas.release(admission.client)
-        self._retire_token(admission.token)
+    def _record(self, row: _Request, *, ok: bool) -> None:
+        if row.breaker_key is None:
+            return
+        with self._lock:
+            breaker = self._breakers[row.breaker_key]
+            if ok:
+                breaker.record_success()
+            else:
+                breaker.record_failure()
 
-    def _retire_token(self, token: int) -> None:
+    def _retire(self, row: _Request) -> None:
+        if row.admitted is not None:
+            self.gate.release(time.monotonic() - row.admitted)
         with self._idle:
-            self._inflight.pop(token, None)
-            if not self._inflight:
+            self._requests.remove(row)
+            if not self._requests:
                 self._idle.notify_all()
 
     def _watch_requests(self) -> None:
@@ -317,20 +350,16 @@ class BatchService:
         the timeout, so an operator can see a misbehaving workload even
         when each individual member stays within its deadline.
         """
-        flagged: set[int] = set()
         while not self._stopping.wait(min(1.0, self.request_timeout / 4)):
             now = time.monotonic()
             with self._lock:
-                live = set(self._inflight)
-                flagged &= live
-                for token, (op, started) in self._inflight.items():
-                    if token in flagged:
-                        continue
-                    if now - started > self.request_timeout:
-                        flagged.add(token)
+                for row in self._requests:
+                    if (not row.overrun
+                            and now - row.registered > self.request_timeout):
+                        row.overrun = True
                         self.watchdog_overruns += 1
-                        print(f"vxserve watchdog: {op!r} request has run "
-                              f"{now - started:.1f}s "
+                        print(f"vxserve watchdog: {row.op!r} request has run "
+                              f"{now - row.registered:.1f}s "
                               f"(timeout {self.request_timeout}s)",
                               file=sys.stderr, flush=True)
 
@@ -380,22 +409,29 @@ class BatchService:
         now = time.monotonic()
         admission = self.gate.snapshot()
         with self._lock:
-            inflight = dict(self._inflight)
-        oldest = min((started for _, started in inflight.values()),
-                     default=None)
+            rows = list(self._requests)
+            rejections = self.quota_rejections
+            breakers = {key: breaker.snapshot()
+                        for key, breaker in self._breakers.items()}
+        oldest = min((row.registered for row in rows), default=None)
         return {
             "ok": True,
             "accepting": not self._draining.is_set(),
             "draining": self._draining.is_set(),
             "stopping": self._stopping.is_set(),
             "uptime_seconds": now - self.started,
-            "inflight": len(inflight),
+            "inflight": len(rows),
             "oldest_request_seconds": (round(now - oldest, 4)
                                        if oldest is not None else 0.0),
             "queue_depth": admission["queued_now"],
             "admission": admission,
-            "quotas": self.quotas.snapshot(),
-            "breakers": self.breakers.snapshot(),
+            "quotas": {
+                "per_client": self.client_quota,
+                "inflight_by_client": dict(
+                    Counter(row.client for row in rows)),
+                "rejections_total": rejections,
+            },
+            "breakers": breakers,
             "pool": {
                 "jobs": self.jobs,
                 "executor": self.pool.kind,
@@ -479,12 +515,11 @@ class BatchService:
         the process, so an external scraper can treat the dict as a set of
         Prometheus-style counter series and derive rates by differencing.
         """
-        admission = self.gate.snapshot()
-        quotas = self.quotas.snapshot()
-        breaker_totals = self.breakers.totals()
+        health = self._op_health(request)
+        admission = health["admission"]
+        breakers = health["breakers"].values()
         with self._lock:
             requests = self.requests
-            inflight = len(self._inflight)
             rejected_draining = self.rejected_draining
             oversized = self.oversized_requests
             overruns = self.watchdog_overruns
@@ -496,12 +531,17 @@ class BatchService:
             "queued_total": admission["queued_total"],
             "shed_overloaded_total": admission["shed_total"],
             "batch_evictions_total": admission["batch_evictions_total"],
-            "quota_rejections_total": quotas["rejections_total"],
+            "quota_rejections_total": health["quotas"]["rejections_total"],
             "rejected_draining_total": rejected_draining,
             "oversized_requests_total": oversized,
             "watchdog_overruns_total": overruns,
             "pool_respawns_total": self.pool.respawns,
-            **breaker_totals,
+            "breaker_trips_total": sum(entry["trips_total"]
+                                       for entry in breakers),
+            "breaker_rejections_total": sum(entry["rejections_total"]
+                                            for entry in breakers),
+            "breakers_open": sum(entry["state"] != STATE_CLOSED
+                                 for entry in breakers),
             **{f"session_{name}_total": value
                for name, value in session.items()},
         }
@@ -509,14 +549,14 @@ class BatchService:
             "requests": requests,
             "jobs": self.jobs,
             "executor": self.pool.kind,
-            "uptime_seconds": time.monotonic() - self.started,
-            "inflight": inflight,
-            "draining": self._draining.is_set(),
+            "uptime_seconds": health["uptime_seconds"],
+            "inflight": health["inflight"],
+            "draining": health["draining"],
             "rejected_draining": rejected_draining,
             "watchdog_overruns": overruns,
             "pool_respawns": self.pool.respawns,
             "admission": admission,
-            "quotas": quotas,
+            "quotas": health["quotas"],
             "counters": counters,
             "session": session,
         }
@@ -549,8 +589,8 @@ class BatchService:
         """
         self._draining.set()
         with self._idle:
-            self._idle.wait_for(lambda: not self._inflight, timeout=timeout)
-            pending = len(self._inflight)
+            self._idle.wait_for(lambda: not self._requests, timeout=timeout)
+            pending = len(self._requests)
         snapshot = self._op_stats({})
         snapshot["drained"] = pending == 0
         return snapshot
@@ -673,9 +713,9 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=[policy.value for policy in VmReusePolicy],
                         help="default VM reuse policy (requests may override)")
     parser.add_argument("--request-timeout", type=float, default=None,
-                        help="wall-clock seconds of guest work one request "
-                             "may use; enforced per member decode via the "
-                             "VM deadline and audited by a watchdog thread")
+                        help="wall-clock seconds (> 0) of guest work one "
+                             "request may use; enforced per member decode via "
+                             "the VM deadline and audited by a watchdog thread")
     parser.add_argument("--on-error", default=None,
                         choices=("abort", "skip", "quarantine"),
                         help="default per-member failure policy for "
@@ -705,13 +745,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "half-open probe")
     parser.add_argument("--max-request-bytes", type=int,
                         default=DEFAULT_MAX_REQUEST_BYTES,
-                        help="cap on one JSON request line; longer lines "
-                             "get a structured request_too_large error")
+                        help="cap on one JSON request line (>= 1); longer "
+                             "lines get a structured request_too_large error")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     options = vxa.ReadOptions(reuse=VmReusePolicy(args.reuse))
     if args.on_error is not None:
         options = options.with_changes(on_error=args.on_error)
@@ -724,16 +765,19 @@ def main(argv: list[str] | None = None) -> int:
         max_inflight = args.max_inflight
     client_quota = (args.client_quota
                     if args.client_quota and args.client_quota > 0 else None)
-    service = BatchService(jobs=jobs, executor=args.executor,
-                           options=options,
-                           request_timeout=args.request_timeout,
-                           max_inflight=max_inflight,
-                           queue_depth=args.queue_depth,
-                           queue_timeout=args.queue_timeout,
-                           client_quota=client_quota,
-                           breaker_threshold=args.breaker_threshold,
-                           breaker_reset=args.breaker_reset,
-                           max_request_bytes=args.max_request_bytes)
+    try:
+        service = BatchService(jobs=jobs, executor=args.executor,
+                               options=options,
+                               request_timeout=args.request_timeout,
+                               max_inflight=max_inflight,
+                               queue_depth=args.queue_depth,
+                               queue_timeout=args.queue_timeout,
+                               client_quota=client_quota,
+                               breaker_threshold=args.breaker_threshold,
+                               breaker_reset=args.breaker_reset,
+                               max_request_bytes=args.max_request_bytes)
+    except ValueError as error:
+        parser.error(str(error))
 
     def _graceful_exit(signum, frame):
         # SIGTERM: refuse new work immediately; the SystemExit unwinds to

@@ -1,32 +1,37 @@
-"""Unit tests for :mod:`repro.parallel.admission`.
+"""Tests for admission control: the gate, the breaker and the service's table.
 
-The gate, quota and breaker mechanics are exercised in isolation here (the
+The gate and one breaker's state machine are exercised in isolation (the
 breaker against an injected fake clock, the gate against real-but-short
-waits); ``tests/test_serve_chaos.py`` drives the same machinery end-to-end
-through the ``vxserve`` socket under concurrent load.
+waits).  Quotas and the per-archive breakers live in
+:class:`~repro.parallel.service.BatchService`, beside its request table, so
+they are driven through a real service whose archive work is a stub, and read back
+through ``health`` and ``stats``; ``tests/test_serve_chaos.py`` drives the
+same machinery end-to-end through the ``vxserve`` socket under load.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.api.options import EXECUTOR_THREAD
+from repro.client import RETRYABLE_CODES
 from repro.parallel.admission import (
     AdmissionGate,
     CircuitBreaker,
-    CircuitBreakerBoard,
     CircuitOpenError,
-    ClientQuotas,
     OverloadedError,
     PRIORITY_BATCH,
     PRIORITY_INTERACTIVE,
-    QuotaExceededError,
     STATE_CLOSED,
     STATE_HALF_OPEN,
     STATE_OPEN,
+    ServiceRejection,
 )
+from repro.parallel.service import BatchService
 
 
 def wait_until(predicate, timeout: float = 5.0, interval: float = 0.005):
@@ -200,41 +205,6 @@ def test_snapshot_reports_monotonic_counters_and_gauges():
     assert after["mean_request_seconds"] > 0
 
 
-# -- ClientQuotas --------------------------------------------------------------
-
-
-def test_quota_caps_one_client_but_not_others():
-    quotas = ClientQuotas(2)
-    quotas.acquire("alice")
-    quotas.acquire("alice")
-    with pytest.raises(QuotaExceededError) as caught:
-        quotas.acquire("alice")
-    assert caught.value.code == "quota_exceeded"
-    quotas.acquire("bob")  # other clients unaffected
-    quotas.release("alice")
-    quotas.acquire("alice")  # freed capacity is reusable
-    assert quotas.snapshot()["inflight_by_client"] == {"alice": 2, "bob": 1}
-    assert quotas.snapshot()["rejections_total"] == 1
-
-
-def test_quota_disabled_still_tracks_gauges():
-    quotas = ClientQuotas(None)
-    for _ in range(10):
-        quotas.acquire("greedy")
-    assert quotas.snapshot()["inflight_by_client"] == {"greedy": 10}
-    for _ in range(10):
-        quotas.release("greedy")
-    assert quotas.snapshot()["inflight_by_client"] == {}
-
-
-def test_quota_release_is_safe_when_overdrawn():
-    quotas = ClientQuotas(1)
-    quotas.release("ghost")  # never acquired: must not wedge the table
-    quotas.acquire("ghost")
-    with pytest.raises(QuotaExceededError):
-        quotas.acquire("ghost")
-
-
 # -- CircuitBreaker ------------------------------------------------------------
 
 
@@ -304,36 +274,216 @@ def test_breaker_half_open_probe_failure_reopens():
     assert breaker.state == STATE_CLOSED
 
 
-def test_board_keys_breakers_by_archive_and_sums_totals():
-    clock = FakeClock()
-    board = CircuitBreakerBoard(threshold=1, reset_timeout=9.0, clock=clock)
-    key = board.check("/tmp/poisoned.zip")
-    assert key == "/tmp/poisoned.zip"
-    board.record(key, ok=False)
-    with pytest.raises(CircuitOpenError):
-        board.check("/tmp/poisoned.zip")
-    board.check("/tmp/healthy.zip")   # other archives unaffected
-    board.record("/tmp/healthy.zip", ok=True)
-    snapshot = board.snapshot()
-    assert snapshot["/tmp/poisoned.zip"]["state"] == STATE_OPEN
-    assert snapshot["/tmp/poisoned.zip"]["retry_after_seconds"] > 0
-    assert snapshot["/tmp/healthy.zip"]["state"] == STATE_CLOSED
-    totals = board.totals()
+
+
+# -- The service's request table: quotas and per-archive breakers -------------
+
+
+@pytest.fixture()
+def make_service(monkeypatch):
+    """Build thread-pool services whose ``check`` is a stub.
+
+    The stub stands in for archive work: it waits on the request's ``hold``
+    event when there is one, then raises if the request says ``fail``.
+    """
+    services: list[BatchService] = []
+
+    def stub_check(request: dict) -> dict:
+        if "hold" in request:
+            assert request["hold"].wait(10), "held request never released"
+        if request.get("fail"):
+            raise RuntimeError("archive work failed")
+        return {"checked": True}
+
+    def make(**kwargs) -> BatchService:
+        service = BatchService(jobs=1, executor=EXECUTOR_THREAD, **kwargs)
+        services.append(service)
+        monkeypatch.setattr(service, "_op_check", stub_check)
+        return service
+
+    yield make
+    for service in services:
+        service.close()
+
+
+def health(service: BatchService) -> dict:
+    return service.handle({"op": "health"})["result"]
+
+
+def counters(service: BatchService) -> dict:
+    return service.handle({"op": "stats"})["result"]["counters"]
+
+
+def by_client(service: BatchService) -> dict:
+    return health(service)["quotas"]["inflight_by_client"]
+
+
+class Held:
+    """One ``check`` request held in flight on its own thread."""
+
+    def __init__(self, service: BatchService, client: str):
+        self.release = threading.Event()
+        self.response: dict | None = None
+        request = {"op": "check", "archive": "held.zip", "client": client,
+                   "hold": self.release}
+        self.thread = threading.Thread(target=self._run,
+                                       args=(service, request))
+        self.thread.start()
+
+    def _run(self, service: BatchService, request: dict) -> None:
+        self.response = service.handle(request)
+
+    def finish(self) -> dict:
+        self.release.set()
+        self.thread.join(timeout=10)
+        assert not self.thread.is_alive()
+        return self.response
+
+
+def test_quota_caps_one_client_but_not_others(make_service):
+    service = make_service(client_quota=2)
+    alice = [Held(service, "alice") for _ in range(2)]
+    wait_until(lambda: by_client(service) == {"alice": 2})
+    refused = service.handle({"op": "check", "archive": "a.zip",
+                              "client": "alice"})
+    assert refused["error_code"] == "quota_exceeded"
+    bob = Held(service, "bob")  # other clients unaffected
+    wait_until(lambda: by_client(service) == {"alice": 2, "bob": 1})
+    assert alice.pop(0).finish()["ok"]
+    alice.append(Held(service, "alice"))  # freed capacity is reusable
+    wait_until(lambda: by_client(service) == {"alice": 2, "bob": 1})
+    assert health(service)["quotas"]["rejections_total"] == 1
+    assert counters(service)["quota_rejections_total"] == 1
+    for held in alice + [bob]:
+        assert held.finish()["ok"]
+    assert by_client(service) == {}
+
+
+def test_quota_disabled_still_tracks_gauges(make_service):
+    service = make_service(client_quota=None)
+    greedy = [Held(service, "greedy") for _ in range(10)]
+    wait_until(lambda: by_client(service) == {"greedy": 10})
+    for held in greedy:
+        assert held.finish()["ok"]
+    assert health(service)["quotas"] == {
+        "per_client": None, "inflight_by_client": {}, "rejections_total": 0}
+
+
+def test_quota_and_table_stay_consistent_under_concurrent_clients(
+        make_service, monkeypatch):
+    """16 threads, 4 clients, quota 2: no client ever runs more than its
+    quota, and every counter adds up once the table is empty again."""
+    service = make_service(client_quota=2, max_inflight=4, queue_depth=64,
+                           queue_timeout=10.0)
+    running: dict[str, int] = {}
+    peak: dict[str, int] = {}
+    lock = threading.Lock()
+
+    def counting_check(request: dict) -> dict:
+        client = request["client"]
+        with lock:
+            running[client] = running.get(client, 0) + 1
+            peak[client] = max(peak.get(client, 0), running[client])
+        time.sleep(0.0005)
+        with lock:
+            running[client] -= 1
+        return {"checked": True}
+
+    monkeypatch.setattr(service, "_op_check", counting_check)
+    codes: list[str] = []
+
+    def client_loop(client: str) -> None:
+        for _ in range(25):
+            response = service.handle({"op": "check", "archive": "a.zip",
+                                       "client": client})
+            with lock:
+                codes.append("ok" if response["ok"]
+                             else response["error_code"])
+
+    threads = [threading.Thread(target=client_loop, args=(f"c{index % 4}",))
+               for index in range(16)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(codes) == 16 * 25
+    assert set(codes) <= {"ok", "quota_exceeded"}
+    assert max(peak.values()) <= 2
+    after = counters(service)
+    assert after["admitted_total"] == after["completed_total"] \
+        == codes.count("ok")
+    assert after["quota_rejections_total"] == codes.count("quota_exceeded")
+    scrape = health(service)
+    assert scrape["inflight"] == 0 and scrape["admission"]["inflight"] == 0
+    assert scrape["quotas"]["inflight_by_client"] == {}
+
+
+def test_board_keys_breakers_by_archive_and_sums_totals(make_service):
+    """One breaker per archive path, and ``stats`` sums them."""
+    service = make_service(breaker_threshold=1, breaker_reset=9.0)
+    poisoned = {"op": "check", "archive": "/tmp/poisoned.zip", "fail": True}
+    failed = service.handle(poisoned)
+    assert failed["ok"] is False and "error_code" not in failed
+    refused = service.handle(poisoned)
+    assert refused["error_code"] == "circuit_open"
+    # Other archives unaffected.
+    assert service.handle({"op": "check", "archive": "/tmp/healthy.zip"})["ok"]
+    breakers = health(service)["breakers"]
+    assert breakers["/tmp/poisoned.zip"]["state"] == STATE_OPEN
+    assert 0 < breakers["/tmp/poisoned.zip"]["retry_after_seconds"] <= 9.0
+    assert breakers["/tmp/healthy.zip"]["state"] == STATE_CLOSED
+    totals = counters(service)
     assert totals["breaker_trips_total"] == 1
     assert totals["breakers_open"] == 1
     assert totals["breaker_rejections_total"] == 1
 
 
-def test_board_disabled_passes_everything():
-    board = CircuitBreakerBoard(threshold=0)
-    assert not board.enabled
-    assert board.check("/tmp/anything.zip") is None
-    board.record("/tmp/anything.zip", ok=False)
-    assert board.snapshot() == {}
+def test_board_disabled_passes_everything(make_service):
+    service = make_service(breaker_threshold=0)
+    for _ in range(3):
+        failed = service.handle({"op": "check", "archive": "/tmp/any.zip",
+                                 "fail": True})
+        assert failed["ok"] is False and "error_code" not in failed
+    assert health(service)["breakers"] == {}
 
 
-def test_board_check_without_archive_is_a_no_op():
-    board = CircuitBreakerBoard(threshold=1)
-    assert board.check(None) is None
-    board.record(None, ok=False)
-    assert board.snapshot() == {}
+def test_board_check_without_archive_is_a_no_op(make_service):
+    service = make_service(breaker_threshold=1)
+    for _ in range(2):
+        failed = service.handle({"op": "check", "fail": True})
+        assert failed["ok"] is False and "error_code" not in failed
+    assert health(service)["breakers"] == {}
+
+
+# -- Arguments and the two retryability declarations --------------------------
+
+
+@pytest.mark.parametrize("arguments", [
+    {"request_timeout": 0}, {"request_timeout": -1.0},
+    {"max_request_bytes": 0}, {"max_request_bytes": -1},
+    {"max_request_bytes": -5}, {"client_quota": 0},
+], ids=lambda arguments: "=".join(map(str, *arguments.items())))
+def test_service_refuses_arguments_that_would_break_it(arguments):
+    """A zero timeout failed every extract (and tripped breakers); a
+    request-line cap below 1 answered nothing, refused everything or
+    silently lifted the cap."""
+    with pytest.raises(ValueError):
+        BatchService(jobs=1, executor=EXECUTOR_THREAD, **arguments)
+
+
+def test_client_retries_exactly_the_refusals_the_server_marks_retryable():
+    """``repro.client`` imports no server code, so it declares its own set."""
+    def refusals(cls):
+        for subclass in cls.__subclasses__():
+            yield subclass
+            yield from refusals(subclass)
+
+    assert RETRYABLE_CODES == {refusal.code
+                               for refusal in refusals(ServiceRejection)
+                               if refusal.retryable}

@@ -1,9 +1,10 @@
 """The AST lock-linter: the repo is clean, and violations are detected.
 
-``tools/lint_locks.py`` guards three concurrency invariants (CodeCache state
+``tools/lint_locks.py`` guards four concurrency invariants (CodeCache state
 mutations under ``self.lock``; ``_CODE_MEMO`` accesses under
 ``_CODE_MEMO_LOCK``; the image registry's table and record slots under
-``_LOCK``, with nothing slow called while it is held).  These tests pin both
+``_LOCK``, with nothing slow called while it is held; ``vxserve``'s request
+table and breakers under its one lock).  These tests pin both
 directions: the shipped sources pass, and deliberately broken synthetic
 sources fail with pointed messages.
 """
@@ -176,6 +177,48 @@ def test_image_registry_rules(tmp_path, change, message):
     path = tmp_path / "images.py"
     path.write_text(_REGISTRY.format(**{**_CLEAN, **change}))
     violations = lint_locks.check_image_registry(path)
+    if message is None:
+        assert violations == []
+    else:
+        assert len(violations) == 1 and message in violations[0][2]
+
+
+_SERVICE = """
+class BatchService:
+    def __init__(self):
+        self._requests = []
+        self._breakers = {{}}
+
+    def _register(self, row):
+        {register}
+
+    def drain(self):
+        with self._idle:
+            self._idle.wait_for(lambda: not self._requests)
+
+    def _health(self):
+        {health}
+"""
+
+_SERVICE_CLEAN = dict(
+    register="with self._lock:\n            self._requests.append(row)",
+    health="with self._lock:\n            return dict(self._breakers)")
+
+
+@pytest.mark.parametrize("change,message", [
+    ({}, None),
+    ({"register": "self._requests.append(row)"},
+     "BatchService._register accesses self._requests outside"),
+    ({"health": "return dict(self._breakers)"},
+     "BatchService._health accesses self._breakers outside"),
+    ({"health": "with self.gate:\n            return len(self._requests)"},
+     "BatchService._health accesses self._requests outside"),
+], ids=["clean", "unlocked-table-write", "unlocked-breaker-read",
+        "wrong-lock"])
+def test_service_table_rules(tmp_path, change, message):
+    path = tmp_path / "service.py"
+    path.write_text(_SERVICE.format(**{**_SERVICE_CLEAN, **change}))
+    violations = lint_locks.check_service(path)
     if message is None:
         assert violations == []
     else:

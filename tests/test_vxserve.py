@@ -17,6 +17,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -166,6 +167,96 @@ def test_stats_counters_are_monotonic(tmp_path, service, archive_path):
     assert after["admitted_total"] == before["admitted_total"] + 2
     assert after["completed_total"] == before["completed_total"] + 2
     assert after["session_decodes_total"] > before["session_decodes_total"]
+
+
+def test_wire_shape_of_health_and_stats(tmp_path, archive_path, members):
+    """Every key ``health`` and ``stats`` put on the wire, pinned after one
+    extract, one check, one quota refusal and one breaker trip."""
+    service = BatchService(jobs=2, executor=EXECUTOR_THREAD, client_quota=1,
+                           breaker_threshold=1)
+    try:
+        def health() -> dict:
+            return service.handle({"op": "health"})["result"]
+
+        assert service.handle({
+            "op": "extract", "archive": str(archive_path), "mode": "vxa",
+            "dest": str(tmp_path / "shape")})["ok"]
+        assert service.handle({"op": "check",
+                               "archive": str(archive_path)})["ok"]
+        # The quota refusal: "greedy" holds its one slot with a slow check.
+        slow = {"op": "check", "archive": str(archive_path), "client": "greedy",
+                "fault_plan": {"specs": [
+                    {"member": name, "kind": "delay-io", "delay": 0.2}
+                    for name in members]}}
+        holder = threading.Thread(target=service.handle, args=(slow,))
+        holder.start()
+        deadline = time.monotonic() + 30
+        while health()["quotas"]["inflight_by_client"] != {"greedy": 1}:
+            assert time.monotonic() < deadline, "slow check never registered"
+            time.sleep(0.005)
+        refused = service.handle({"op": "check", "archive": str(archive_path),
+                                  "client": "greedy"})
+        assert refused["error_code"] == "quota_exceeded"
+        holder.join(timeout=60)
+        assert not holder.is_alive()
+        # The breaker trip: one failure opens it (threshold 1), the next
+        # request for that archive is refused.
+        missing = str(tmp_path / "missing.zip")
+        failed = service.handle({"op": "check", "archive": missing})
+        assert failed["ok"] is False and "error_code" not in failed
+        tripped = service.handle({"op": "check", "archive": missing})
+        assert tripped["error_code"] == "circuit_open"
+        scrape = health()
+        stats = service.handle({"op": "stats"})["result"]
+    finally:
+        service.close()
+
+    admission_keys = {
+        "max_inflight", "queue_depth", "queue_timeout", "inflight",
+        "queued_now", "mean_request_seconds", "admitted_total",
+        "completed_total", "queued_total", "shed_total",
+        "batch_evictions_total", "peak_inflight", "peak_queue"}
+    assert set(scrape) == {
+        "ok", "accepting", "draining", "stopping", "uptime_seconds",
+        "inflight", "oldest_request_seconds", "queue_depth", "admission",
+        "quotas", "breakers", "pool"}
+    assert set(scrape["pool"]) == {"jobs", "executor", "respawns",
+                                   "workers_alive"}
+    assert set(scrape["admission"]) == set(stats["admission"]) == admission_keys
+    assert set(stats) == {
+        "requests", "jobs", "executor", "uptime_seconds", "inflight",
+        "draining", "rejected_draining", "watchdog_overruns",
+        "pool_respawns", "admission", "quotas", "counters", "session"}
+    quotas = {"per_client": 1, "inflight_by_client": {}, "rejections_total": 1}
+    assert scrape["quotas"] == stats["quotas"] == quotas
+    assert scrape["inflight"] == stats["inflight"] == 0
+    assert scrape["oldest_request_seconds"] == 0.0
+    assert set(scrape["breakers"]) == {str(archive_path), missing}
+    assert scrape["breakers"][str(archive_path)] == {
+        "state": "closed", "failures": 0, "trips_total": 0,
+        "rejections_total": 0}
+    opened = scrape["breakers"][missing]
+    assert set(opened) == {"state", "failures", "trips_total",
+                           "rejections_total", "retry_after_seconds"}
+    assert (opened["state"], opened["failures"], opened["trips_total"],
+            opened["rejections_total"]) == ("open", 1, 1, 1)
+    assert opened["retry_after_seconds"] > 0
+    counters = stats["counters"]
+    assert set(counters) == {
+        "requests_total", "admitted_total", "completed_total",
+        "queued_total", "shed_overloaded_total", "batch_evictions_total",
+        "quota_rejections_total", "rejected_draining_total",
+        "oversized_requests_total", "watchdog_overruns_total",
+        "pool_respawns_total", "breaker_trips_total",
+        "breaker_rejections_total", "breakers_open"} | {
+        f"session_{name}_total" for name in vxa.SessionStats().as_dict()}
+    # The circuit_open refusal passed the gate, so it counts as admitted and
+    # completed; the quota refusal never reached the gate.
+    assert counters["admitted_total"] == counters["completed_total"] == 5
+    assert (counters["quota_rejections_total"],
+            counters["breaker_trips_total"],
+            counters["breaker_rejections_total"],
+            counters["breakers_open"]) == (1, 1, 1, 1)
 
 
 def test_uptime_uses_monotonic_clock(service, monkeypatch):

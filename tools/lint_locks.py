@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""AST lint: translated-code caches are only mutated under their locks.
+"""AST lint: shared caches and the service's request table stay under their locks.
 
-Three concurrency invariants keep the in-process worker pool sound, and all
-are easy to break silently when refactoring:
+Four concurrency invariants keep the in-process worker pool and ``vxserve``
+sound, and all are easy to break silently when refactoring:
 
 1. every mutation of :class:`repro.vm.code_cache.CodeCache` state
    (``fragments``/``instructions``) happens inside a ``with self.lock:``
@@ -17,7 +17,11 @@ are easy to break silently when refactoring:
    parsing, analysing, translating, compiling, reading or writing the
    per-user store (file I/O, ``marshal``) -- is called while it is held
    (this is where thread workers really share caches, and a lock held over
-   a long call would also be held across a ``fork``).
+   a long call would also be held across a ``fork``);
+4. in :mod:`repro.parallel.service`, every access to the request table
+   ``self._requests`` and to the breaker dict ``self._breakers`` outside
+   ``__init__`` happens inside ``with self._lock:`` or ``with self._idle:``
+   (the one lock every quota, breaker, drain and watchdog decision reads).
 
 This checker parses the source with :mod:`ast` -- no imports, no runtime
 monkey-patching -- so it runs anywhere Python runs and is wired into CI and
@@ -51,6 +55,9 @@ MUTATING_METHODS = {
     "append", "extend", "remove", "discard", "insert",
 }
 
+#: BatchService attributes guarded by its one lock.
+SERVICE_STATE = {"_requests", "_breakers"}
+
 #: Methods that may touch cache state without the lock (run before the
 #: object can be shared).
 EXEMPT_METHODS = {"__init__"}
@@ -62,10 +69,16 @@ class _LockTracker(ast.NodeVisitor):
     def __init__(self, path: pathlib.Path):
         self.path = path
         self.lock_depth = 0
+        self.function = ""
         self.violations: list[tuple[pathlib.Path, int, str]] = []
 
     def _is_lock_expr(self, node: ast.expr) -> bool:
         raise NotImplementedError
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        outer, self.function = self.function, node.name
+        self.generic_visit(node)
+        self.function = outer
 
     def visit_With(self, node: ast.With) -> None:
         held = any(self._is_lock_expr(item.context_expr)
@@ -167,17 +180,8 @@ class _MemoChecker(_LockTracker):
 class _RegistryChecker(_LockTracker):
     """Checks :mod:`repro.vm.images` against invariant 3."""
 
-    def __init__(self, path: pathlib.Path):
-        super().__init__(path)
-        self.function = ""
-
     def _is_lock_expr(self, node: ast.expr) -> bool:
         return isinstance(node, ast.Name) and node.id == "_LOCK"
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        outer, self.function = self.function, node.name
-        self.generic_visit(node)
-        self.function = outer
 
     def visit_Name(self, node: ast.Name) -> None:
         unlocked_definition = node.col_offset == 0 and isinstance(node.ctx, ast.Store)
@@ -213,6 +217,23 @@ class _RegistryChecker(_LockTracker):
         self.generic_visit(node)
 
 
+class _ServiceChecker(_LockTracker):
+    """Checks :mod:`repro.parallel.service` against invariant 4."""
+
+    def _is_lock_expr(self, node: ast.expr) -> bool:
+        return (isinstance(node, ast.Attribute)
+                and node.attr in ("_lock", "_idle")
+                and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if (node.attr in SERVICE_STATE and isinstance(node.value, ast.Name)
+                and node.value.id == "self" and not self.lock_depth
+                and self.function not in EXEMPT_METHODS):
+            self._report(node, f"BatchService.{self.function} accesses "
+                               f"self.{node.attr} outside `with self._lock`")
+        self.generic_visit(node)
+
+
 def _parse(path: pathlib.Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -245,10 +266,17 @@ def check_image_registry(path: pathlib.Path) -> list[tuple[pathlib.Path, int, st
     return checker.violations
 
 
+def check_service(path: pathlib.Path) -> list[tuple[pathlib.Path, int, str]]:
+    checker = _ServiceChecker(path)
+    checker.visit(_parse(path))
+    return checker.violations
+
+
 def run(root: pathlib.Path = REPO_ROOT) -> list[tuple[pathlib.Path, int, str]]:
     violations = []
     violations += check_code_cache(root / "src" / "repro" / "vm" / "code_cache.py")
     violations += check_image_registry(root / "src" / "repro" / "vm" / "images.py")
+    violations += check_service(root / "src" / "repro" / "parallel" / "service.py")
     for path in sorted((root / "src" / "repro").rglob("*.py")):
         violations += check_code_memo(path)
     return violations
