@@ -1,5 +1,11 @@
 """Guest decoder sources for the audio codecs (vxflac, vxsnd).
 
+Both decode a block one channel per call -- ``fl_channel``, ``ad_channel``
+-- with the decoder state in locals: vxflac's bit reader and four predictor
+taps, vxsnd's predictor and step index.  Samples go out with ``poke16`` at a
+pointer that steps by the interleaved frame's size, so no sample costs a
+call, a division or a byte-by-byte store.
+
 The IMA ADPCM step tables are interpolated from the same Python constants the
 native codec uses (:mod:`repro.codecs.vxsnd`), keeping both decoders
 bit-identical.
@@ -23,52 +29,96 @@ int main() {
 """
 
 
+#: For each byte, how many of its low bits are ones before the first zero;
+#: 32 -- more than any window holds -- for a byte of eight ones.
+_UNARY_PREFIXES = [(value ^ (value + 1)).bit_length() - 1 for value in range(255)] + [32]
+
+
 def vxflac_source() -> str:
     """vxc source of the vxflac (FLAC-class) guest decoder."""
     return (
-        r"""
+        "byte fl_ones[256] = { " + ", ".join(map(str, _UNARY_PREFIXES)) + " };"
+        + r"""
+
 // Per-channel predictor history (up to 8 channels x 4 taps, most recent first).
 int fl_history[32];
 
-// Rice-decode one signed residual with parameter k.
-int fl_rice(int k) {
+// Decode one channel of a block: Rice residuals with parameter k, predicted
+// with the given order from the four taps at `history`, stored as 16-bit
+// samples `stride` bytes apart from `cursor` up to `stop`.  The reader and
+// the taps live in locals.  A residual is a unary quotient, its stop bit
+// and k low bits.  With four bytes ahead, one word holds the residual's
+// bits from bitpos on: fl_ones counts its unary prefix, and when the
+// prefix, the stop bit and the k bits all lie inside the word the residual
+// comes from the word alone.  Otherwise it is read a bit at a time, exiting
+// 33 at the end of the stream and 80 on a runaway unary code, where the
+// bit-by-bit reader always did.
+int fl_channel(int history, int order, int k, int cursor, int stop, int stride) {
+    int addr = br_addr;
+    int bitpos = br_bitpos;
+    int end = br_end;
+    int last = end - 4;
+    int window;
     int quotient;
     int value;
-    quotient = 0;
-    while (br_bit()) {
-        quotient = quotient + 1;
-        if (quotient > 1048576) { exit(80); }    // runaway unary code
+    int room = 32 - k;          // the word holds the residual if bitpos + quotient < room
+    int mask = (1 << k) - 1;
+    int p1 = peek32(history);
+    int p2 = peek32(history + 4);
+    int p3 = peek32(history + 8);
+    int p4 = peek32(history + 12);
+    while (cursor < stop) {
+        quotient = 32;
+        if (addr <= last) {
+            window = peek32(addr) >> bitpos;
+            quotient = fl_ones[window & 255];
+        }
+        if (bitpos + quotient < room) {
+            value = (quotient << k) | ((window >> (quotient + 1)) & mask);
+            bitpos = bitpos + quotient + 1 + k;
+            addr = addr + (bitpos >> 3);
+            bitpos = bitpos & 7;
+        } else {
+            quotient = 0;
+            for (;;) {
+                if (addr >= end) { exit(33); }           // stream exhausted
+                window = (peek8(addr) >> bitpos) & 1;
+                bitpos = bitpos + 1;
+                if (bitpos == 8) { bitpos = 0; addr = addr + 1; }
+                if (window == 0) { break; }
+                quotient = quotient + 1;
+                if (quotient > 1048576) { exit(80); }    // runaway unary code
+            }
+            value = 0;
+            for (window = 0; window < k; window = window + 1) {
+                if (addr >= end) { exit(33); }
+                value = value | (((peek8(addr) >> bitpos) & 1) << window);
+                bitpos = bitpos + 1;
+                if (bitpos == 8) { bitpos = 0; addr = addr + 1; }
+            }
+            value = (quotient << k) | value;
+        }
+        value = (value >> 1) ^ (0 - (value & 1));         // zig-zag decode
+        // The fixed predictor of the block's order.
+        if (order == 1) { value = value + p1; }
+        else if (order == 2) { value = value + (2 * p1 - p2); }
+        else if (order == 3) { value = value + (3 * p1 - 3 * p2 + p3); }
+        else if (order == 4) { value = value + (4 * p1 - 6 * p2 + 4 * p3 - p4); }
+        p4 = p3;
+        p3 = p2;
+        p2 = p1;
+        p1 = value;
+        if (value > 32767) { value = 32767; }
+        if (value < 0 - 32768) { value = 0 - 32768; }
+        poke16(cursor, value);
+        cursor = cursor + stride;
     }
-    value = (quotient << k) | br_bits(k);
-    return (value >> 1) ^ (0 - (value & 1));     // zig-zag decode
-}
-
-// Fixed predictor of the given order using the channel's history.
-int fl_predict(int channel, int order) {
-    int base;
-    int p1;
-    int p2;
-    int p3;
-    int p4;
-    base = channel * 4;
-    p1 = fl_history[base];
-    p2 = fl_history[base + 1];
-    p3 = fl_history[base + 2];
-    p4 = fl_history[base + 3];
-    if (order == 0) { return 0; }
-    if (order == 1) { return p1; }
-    if (order == 2) { return 2 * p1 - p2; }
-    if (order == 3) { return 3 * p1 - 3 * p2 + p3; }
-    return 4 * p1 - 6 * p2 + 4 * p3 - p4;
-}
-
-int fl_push_history(int channel, int value) {
-    int base;
-    base = channel * 4;
-    fl_history[base + 3] = fl_history[base + 2];
-    fl_history[base + 2] = fl_history[base + 1];
-    fl_history[base + 1] = fl_history[base];
-    fl_history[base] = value;
+    br_addr = addr;
+    br_bitpos = bitpos;
+    poke32(history, p1);
+    poke32(history + 4, p2);
+    poke32(history + 8, p3);
+    poke32(history + 12, p4);
     return 0;
 }
 
@@ -84,8 +134,7 @@ int decode_stream() {
     int channel;
     int order;
     int parameter;
-    int frame;
-    int value;
+    int stride;
     int block_samples;
     int i;
 
@@ -109,7 +158,8 @@ int decode_stream() {
     wav_begin(sample_rate, channels, num_frames);
 
     // Interleaved 16-bit output for one block at a time.
-    block_samples = alloc(block_size * channels * 2);
+    stride = channels * 2;
+    block_samples = alloc(block_size * stride);
 
     position = 0;
     while (position < num_frames) {
@@ -120,16 +170,11 @@ int decode_stream() {
             order = br_bits(8);
             parameter = br_bits(8);
             if (order > 4) { exit(84); }
-            for (frame = 0; frame < frames; frame = frame + 1) {
-                value = fl_rice(parameter) + fl_predict(channel, order);
-                fl_push_history(channel, value);
-                if (value > 32767) { value = 32767; }
-                if (value < 0 - 32768) { value = 0 - 32768; }
-                store_u16le(block_samples + (frame * channels + channel) * 2, value & 65535);
-            }
+            fl_channel(fl_history + channel * 16, order, parameter, block_samples + channel * 2,
+                       block_samples + frames * stride + channel * 2, stride);
         }
         br_align();
-        out_bytes(block_samples, frames * channels * 2);
+        out_bytes(block_samples, frames * stride);
         position = position + frames;
     }
     out_flush();
@@ -154,29 +199,44 @@ def vxsnd_source() -> str:
         tables
         + r"""
 
-int ad_predictor;
-int ad_index;
-
-// Decode one 4-bit IMA ADPCM code, updating the predictor state.
-int ad_decode(int code) {
+// Decode one channel of a block: 4-bit IMA ADPCM codes from `codes`, low
+// nibble first, from the block's predictor and step index, stored as 16-bit
+// samples `stride` bytes apart from `cursor` up to `stop`.  The decoder
+// state lives in locals; `high` says which nibble of byte_value is next.
+int ad_channel(int codes, int predictor, int index, int cursor, int stop, int stride) {
+    int byte_value;
+    int high = 0;
+    int code;
     int step;
     int difference;
-    step = ad_steps[ad_index];
-    difference = step >> 3;
-    if (code & 4) { difference = difference + step; }
-    if (code & 2) { difference = difference + (step >> 1); }
-    if (code & 1) { difference = difference + (step >> 2); }
-    if (code & 8) {
-        ad_predictor = ad_predictor - difference;
-    } else {
-        ad_predictor = ad_predictor + difference;
+    while (cursor < stop) {
+        if (high == 0) {
+            byte_value = peek8(codes);
+            code = byte_value & 15;
+        } else {
+            code = byte_value >> 4;
+            codes = codes + 1;
+        }
+        high = high ^ 1;
+        step = ad_steps[index];
+        difference = step >> 3;
+        if (code & 4) { difference = difference + step; }
+        if (code & 2) { difference = difference + (step >> 1); }
+        if (code & 1) { difference = difference + (step >> 2); }
+        if (code & 8) {
+            predictor = predictor - difference;
+        } else {
+            predictor = predictor + difference;
+        }
+        if (predictor > 32767) { predictor = 32767; }
+        if (predictor < 0 - 32768) { predictor = 0 - 32768; }
+        index = index + ad_index_adjust[code];
+        if (index < 0) { index = 0; }
+        if (index > 88) { index = 88; }
+        poke16(cursor, predictor);
+        cursor = cursor + stride;
     }
-    if (ad_predictor > 32767) { ad_predictor = 32767; }
-    if (ad_predictor < 0 - 32768) { ad_predictor = 0 - 32768; }
-    ad_index = ad_index + ad_index_adjust[code];
-    if (ad_index < 0) { ad_index = 0; }
-    if (ad_index > 88) { ad_index = 88; }
-    return ad_predictor;
+    return 0;
 }
 
 int decode_stream() {
@@ -190,11 +250,9 @@ int decode_stream() {
     int position;
     int frames;
     int channel;
-    int frame;
-    int value;
-    int byte_value;
-    int code;
+    int index;
     int nibble_bytes;
+    int stride;
     int block_samples;
 
     src = in_read_all();
@@ -212,34 +270,27 @@ int decode_stream() {
     offset = 15;
     out_init();
     wav_begin(sample_rate, channels, num_frames);
-    block_samples = alloc(block_size * channels * 2);
+    stride = channels * 2;
+    block_samples = alloc(block_size * stride);
 
     position = 0;
     while (position < num_frames) {
         frames = num_frames - position;
         if (frames > block_size) { frames = block_size; }
+        nibble_bytes = (frames + 1) >> 1;
         for (channel = 0; channel < channels; channel = channel + 1) {
             if (offset + 4 > src_len) { exit(93); }
-            ad_predictor = peek16s(src + offset);
-            ad_index = peek8(src + offset + 2);
-            if (ad_index > 88) { exit(94); }
+            index = peek8(src + offset + 2);
+            if (index > 88) { exit(94); }
             offset = offset + 4;
-            nibble_bytes = (frames + 1) / 2;
             if (offset + nibble_bytes > src_len) { exit(93); }
-            for (frame = 0; frame < frames; frame = frame + 1) {
-                byte_value = peek8(src + offset + frame / 2);
-                if (frame % 2) {
-                    code = (byte_value >> 4) & 15;
-                } else {
-                    code = byte_value & 15;
-                }
-                value = ad_decode(code);
-                store_u16le(block_samples + (frame * channels + channel) * 2, value & 65535);
-            }
+            ad_channel(src + offset, peek16s(src + offset - 4), index,
+                       block_samples + channel * 2,
+                       block_samples + frames * stride + channel * 2, stride);
             offset = offset + nibble_bytes;
         }
         position = position + frames;
-        out_bytes(block_samples, frames * channels * 2);
+        out_bytes(block_samples, frames * stride);
     }
     out_flush();
     return 0;

@@ -1,10 +1,19 @@
 """Guest decoder sources for the general-purpose codecs (vxz, vxbwt).
 
+vxz decodes its symbols in one function, ``lz_symbols``, with the bit
+reader's position in locals, literals stored through a cursor and matches
+copied a word at a time when their distance allows it.  vxbwt's inverse
+move-to-front keeps its alphabet as 256 bytes and moves four ranks per
+word.
+
 The LZ77 slot tables are interpolated from the same Python constants the
 native encoder uses (:mod:`repro.codecs.lz77`), so the two sides can never
 drift apart.
 """
 
+from string import Template
+
+from repro.codecs.guest.lib import NEXT_SYMBOL
 from repro.codecs.lz77 import DISTANCE_SLOTS, LENGTH_SLOTS
 
 
@@ -37,9 +46,65 @@ def vxz_source() -> str:
     )
     return (
         tables
-        + r"""
+        + Template(r"""
 
 // vxz stream: "VXZ1", u32 original length, 286 + 30 code lengths, bit stream.
+
+// Decode the symbols into [output, limit) and return where they end.  The
+// reader's position is in locals, written back for the library calls that
+// read the stream; a literal is stored through the cursor; a match of
+// distance 4 or more is copied a word at a time -- each word read then lies
+// wholly behind the cursor -- and a shorter one byte by byte.  A word copy
+// may write up to three bytes past the match: the output buffer has 16
+// spare bytes, and the next symbol writes over them.
+int lz_symbols(int output, int limit) {
+    int addr = br_addr;
+    int bitpos = br_bitpos;
+    int last = br_end - 2;
+    int cursor = output;
+    int entry;
+    int symbol;
+    int length;
+    int distance;
+    int stop;
+    for (;;) {
+        for (;;) {
+$next_symbol
+            if (symbol >= 256) { break; }
+            if (cursor == limit) { exit(44); }            // past the original length
+            poke8(cursor, symbol);
+            cursor = cursor + 1;
+        }
+        if (symbol == 256) { break; }
+        br_addr = addr;
+        br_bitpos = bitpos;
+        symbol = symbol - 257;
+        if (symbol >= 29) { exit(42); }
+        length = lz_len_base[symbol] + br_bits(lz_len_extra[symbol]);
+        symbol = hd_decode(1);
+        if (symbol >= 30) { exit(42); }
+        distance = lz_dist_base[symbol] + br_bits(lz_dist_extra[symbol]);
+        addr = br_addr;
+        bitpos = br_bitpos;
+        if (distance > cursor - output) { exit(43); }    // reaches before start
+        stop = cursor + length;
+        if (stop > limit) { exit(44); }
+        if (distance >= 4) {
+            while (cursor < stop) {
+                poke32(cursor, peek32(cursor - distance));
+                cursor = cursor + 4;
+            }
+        } else {
+            while (cursor < stop) {
+                poke8(cursor, peek8(cursor - distance));
+                cursor = cursor + 1;
+            }
+        }
+        cursor = stop;
+    }
+    return cursor;
+}
+
 int decode_stream() {
     int src;
     int src_len;
@@ -47,13 +112,7 @@ int decode_stream() {
     int litlen_addr;
     int dist_addr;
     int output;
-    int out_position;
-    int symbol;
-    int slot;
-    int match_length;
-    int distance;
-    int copy_from;
-    int i;
+    int limit;
 
     src = in_read_all();
     src_len = in_len;
@@ -67,35 +126,15 @@ int decode_stream() {
     br_init(dist_addr + 30, src_len - 324);
 
     output = alloc(original + 16);
-    out_position = 0;
-    while (1) {
-        symbol = hd_decode(0);
-        if (symbol < 256) {
-            poke8(output + out_position, symbol);
-            out_position = out_position + 1;
-        } else {
-            if (symbol == 256) { break; }
-            slot = symbol - 257;
-            if (slot >= 29) { exit(42); }
-            match_length = lz_len_base[slot] + br_bits(lz_len_extra[slot]);
-            slot = hd_decode(1);
-            if (slot >= 30) { exit(42); }
-            distance = lz_dist_base[slot] + br_bits(lz_dist_extra[slot]);
-            if (distance > out_position) { exit(43); }    // reaches before start
-            if (out_position + match_length > original) { exit(44); }
-            copy_from = output + out_position - distance;
-            for (i = 0; i < match_length; i = i + 1) {
-                poke8(output + out_position, peek8(copy_from + i));
-                out_position = out_position + 1;
-            }
-        }
-        if (out_position > original) { exit(44); }
-    }
-    if (out_position != original) { exit(45); }
-    write_full(1, output, out_position);
+    // A length of 2^31 or more, which only a wrapped alloc survives, is
+    // overrun by every literal and match.
+    limit = output + original;
+    if (original < 0) { limit = output; }
+    if (lz_symbols(output, limit) - output != original) { exit(45); }
+    write_full(1, output, original);
     return 0;
 }
-"""
+""").substitute(next_symbol=NEXT_SYMBOL)
         + _MAIN_LOOP
     )
 
@@ -105,7 +144,8 @@ def vxbwt_source() -> str:
     return (
         r"""
 // vxbwt stream: "VXB1", u32 original length, u32 block size, then blocks.
-int bw_alphabet[256];
+// The move-to-front alphabet: rank r at byte 4 + r, above four scratch bytes.
+byte bw_alphabet[260];
 int bw_bins[258];
 
 // Walk the LF mapping `count` steps from row `primary`, undoing the RLE layer
@@ -218,9 +258,16 @@ int decode_stream() {
 
         // 2. Inverse move-to-front, in place, into the last column with a
         //    hole at row `primary` for the sentinel: rank 0 leaves the
-        //    alphabet as it is; otherwise the entries before the rank shift
-        //    up by one.  Each byte is counted into bw_bins[byte + 1].
-        for (i = 0; i < 256; i = i + 1) { bw_alphabet[i] = i; }
+        //    alphabet as it is; otherwise ranks 0 .. rank - 1 move up one and
+        //    the byte at `rank` goes to rank 0.  Four ranks move at a time,
+        //    from the top down: the word at rank k - 3 takes the four bytes
+        //    from rank k - 4, which no move has written yet.  The byte itself
+        //    waits below rank 0, where the last word, reaching down to rank
+        //    0 and at most three scratch bytes, picks it up.  Each byte is
+        //    counted into bw_bins[byte + 1].
+        for (i = 0; i < 64; i = i + 1) {
+            poke32(bw_alphabet + 4 + i * 4, 0x03020100 + i * 0x04040404);
+        }
         for (i = 0; i < 258; i = i + 1) { bw_bins[i] = 0; }
         hole = column + primary;
         stop = hole + 1;
@@ -229,23 +276,15 @@ int decode_stream() {
         while (1) {
             while (i < stop) {
                 rank = peek8(i);
-                if (rank == 0) {
-                    value = bw_alphabet[0];
-                } else {
-                    j = bw_alphabet + rank * 4;
-                    value = peek32(j);
-                    while (j - bw_alphabet >= 16) {
-                        poke32(j, peek32(j - 4));
-                        poke32(j - 4, peek32(j - 8));
-                        poke32(j - 8, peek32(j - 12));
-                        poke32(j - 12, peek32(j - 16));
-                        j = j - 16;
-                    }
-                    while (j != bw_alphabet) {
-                        poke32(j, peek32(j - 4));
+                j = bw_alphabet + 4 + rank;
+                value = peek8(j);
+                if (rank != 0) {
+                    poke8(bw_alphabet + 3, value);
+                    j = j - 3;
+                    do {
+                        poke32(j, peek32(j - 1));
                         j = j - 4;
-                    }
-                    bw_alphabet[0] = value;
+                    } while (j > bw_alphabet);
                 }
                 poke8(i - gap, value);
                 j = bw_bins + value * 4 + 4;

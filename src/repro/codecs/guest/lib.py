@@ -159,12 +159,13 @@ int br_bits_slow(int count) {
 // Whatever br_bitpos is, the three bytes at br_addr hold the next 17 bits:
 // when all three lie before br_end one shifted window is the value the
 // per-bit loop would assemble, and otherwise the loop runs, stopping
-// (exit 33) exactly where it always stopped.
+// (exit 33) exactly where it always stopped.  The window is a word load: its
+// fourth byte, masked off, is at worst the first one past the stream, and
+// in_read_all always leaves one.
 int br_bits(int count) {
     int value;
     if (count <= 17 && br_end - br_addr >= 3) {
-        value = (peek8(br_addr) | (peek8(br_addr + 1) << 8)
-                 | (peek8(br_addr + 2) << 16)) >> br_bitpos;
+        value = peek32(br_addr) >> br_bitpos;
         br_skip(count);
         return value & ((1 << count) - 1);
     }
@@ -188,19 +189,29 @@ int br_pos() {
 # Canonical Huffman decoder, up to two tables: one lookup in a primary table
 # of 2^FAST_BITS entries per symbol, the count / first-code walk behind it.
 #
-# The walk (hd_slow) reads bits MSB-first into `code` and returns at the first
-# length whose canonical range [first, first + count) holds it.  Only the
-# codes below 2^length can ever be held -- the rest are what an
-# over-subscribed table assigns -- and no code that fits is a prefix of
-# another: each length's first code lies past every extension of the shorter
-# lengths' codes.  So the walk returns symbol s after L <= FAST_BITS bits
-# exactly when those bits are s's code, and hd_build puts (s << 4) | L at
-# every index of the table whose low L bits are that code reversed (the
-# stream is read LSB-first).  Entry 0 means the walk needs more bits, or
-# fails; hd_decode then runs it from the same position.  Every symbol, every
-# stopping point and every exit code (33 exhausted, 34 invalid, 35 corrupt
-# lengths) is the walk's, on every input; repro.codecs.huffman.HuffmanDecoder
-# is the same algorithm natively.
+# The walk reads bits MSB-first into `code` and returns at the first length
+# whose canonical range [first, first + count) holds it.  Only the codes
+# below 2^length can ever be held -- the rest are what an over-subscribed
+# table assigns -- and no code that fits is a prefix of another: each
+# length's first code lies past every extension of the shorter lengths'
+# codes.  So the walk returns symbol s after L <= FAST_BITS bits exactly when
+# those bits are s's code, and hd_build puts (s << 4) | L at every index of
+# the table whose low L bits are that code reversed (the stream is read
+# LSB-first).  Those codes cover the FAST_BITS-bit prefixes below the final
+# code counter, each once; every prefix p from there on gets the entry -p.
+#
+# An entry of 0 or less means the walk reads more than FAST_BITS bits, or
+# fails.  What it has computed by then does not depend on the bits: `first`
+# and the symbol index are sums of the counts, recorded in hd_resume by
+# hd_build, and `code` is the FAST_BITS bits, which are -entry.  So hd_slow,
+# entered after a miss with the two bytes the lookup read still ahead,
+# takes those bits at once and resumes the walk at length FAST_BITS + 1 (or
+# exits 34 at once, as the walk does past a table no longer than that);
+# with fewer bytes left it walks from the first bit, so exhaustion (exit
+# 33) comes where it always came.  Every symbol, every stopping point and
+# every exit code (33 exhausted, 34 invalid, 35 corrupt lengths) is the
+# walk's, on every input; repro.codecs.huffman.HuffmanDecoder is the same
+# algorithm natively.
 # --------------------------------------------------------------------------
 
 LIB_HUFF = Template(r"""
@@ -208,6 +219,7 @@ int hd_counts[32];       // two tables x 16 length counts
 int hd_symbols[640];     // two tables x up to 320 symbols in canonical order
 int hd_maxlen[2];
 int hd_next[16];         // canonical position of the next symbol of each length
+int hd_resume[4];        // two tables x the walk's (first, index) at length $fast_bits + 1
 int hd_fast[$fast_tables];     // two tables x $fast_size entries: (symbol << 4) | length
 
 int hd_build(int table, int lengths_addr, int num_symbols) {
@@ -221,6 +233,7 @@ int hd_build(int table, int lengths_addr, int num_symbols) {
     int position;
     int count;
     int code;
+    int first;
     int reversed;
     int step;
     int bit;
@@ -228,7 +241,6 @@ int hd_build(int table, int lengths_addr, int num_symbols) {
     int slot;
     counts_base = table * 16;
     symbols_base = table * 320;
-    fast_base = table << $fast_bits;
     for (i = 0; i < 16; i = i + 1) { hd_counts[counts_base + i] = 0; }
     max_length = 0;
     for (i = 0; i < num_symbols; i = i + 1) {
@@ -257,10 +269,11 @@ int hd_build(int table, int lengths_addr, int num_symbols) {
     // length, at its bit-reversed index and every 2^length entries after it.
     // `reversed` follows `code` LSB-first: a carry added at the top bit, and
     // unchanged by the shift to the next length (a 0 appended below the code
-    // is a 0 above the reversed one).
+    // is a 0 above the reversed one).  `first` is the walk's.
+    fast_base = table << $fast_bits;
     fast_end = fast_base + $fast_size;
-    for (slot = fast_base; slot < fast_end; slot = slot + 1) { hd_fast[slot] = 0; }
     code = 0;
+    first = 0;
     reversed = 0;
     position = symbols_base;
     for (length = 1; length <= $fast_bits; length = length + 1) {
@@ -280,7 +293,20 @@ int hd_build(int table, int lengths_addr, int num_symbols) {
             reversed = reversed | bit;
         }
         position = position + count;
+        first = (first + count) << 1;
         code = code << 1;
+    }
+    hd_resume[table * 2] = first;
+    hd_resume[table * 2 + 1] = position - symbols_base;
+    // The prefixes no code of up to $fast_bits bits covers: walk instead.
+    for (code = code >> 1; code < $fast_size; code = code + 1) {
+        hd_fast[fast_base + reversed] = 0 - code;
+        bit = $fast_top;
+        while (reversed & bit) {
+            reversed = reversed ^ bit;
+            bit = bit >> 1;
+        }
+        reversed = reversed | bit;
     }
     return 0;
 }
@@ -290,10 +316,8 @@ int hd_build(int table, int lengths_addr, int num_symbols) {
 int hd_decode(int table) {
     int entry;
     if (br_end - br_addr >= 2) {
-        entry = hd_fast[(table << $fast_bits)
-                        + (((peek8(br_addr) | (peek8(br_addr + 1) << 8)) >> br_bitpos)
-                           & $fast_mask)];
-        if (entry != 0) {
+        entry = hd_fast[(table << $fast_bits) + ((peek16(br_addr) >> br_bitpos) & $fast_mask)];
+        if (entry > 0) {
             br_skip(entry & 15);
             return entry >> 4;
         }
@@ -315,9 +339,8 @@ int hd_fill(int table, int at, int end) {
     last = br_end - 2;
     while (at < end) {
         if (addr <= last) {
-            entry = peek32(fast + ((((peek8(addr) | (peek8(addr + 1) << 8)) >> bitpos)
-                                    & $fast_mask) << 2));
-            if (entry != 0) {
+            entry = peek32(fast + (((peek16(addr) >> bitpos) & $fast_mask) << 2));
+            if (entry > 0) {
                 bitpos = bitpos + (entry & 15);
                 addr = addr + (bitpos >> 3);
                 bitpos = bitpos & 7;
@@ -338,6 +361,8 @@ int hd_fill(int table, int at, int end) {
     return 0;
 }
 
+// The walk, for a symbol the primary table did not give: entered with two
+// bytes left only after a miss.
 int hd_slow(int table) {
     int code;
     int first;
@@ -346,12 +371,24 @@ int hd_slow(int table) {
     int count;
     int counts_base;
     int symbols_base;
+    int max_length;
     counts_base = table * 16;
     symbols_base = table * 320;
+    max_length = hd_maxlen[table];
     code = 0;
     first = 0;
     index = 0;
-    for (length = 1; length <= hd_maxlen[table]; length = length + 1) {
+    length = 1;
+    if (br_end - br_addr >= 2) {
+        if (max_length <= $fast_bits) { exit(34); }      // invalid Huffman code
+        code = hd_fast[(table << $fast_bits) + ((peek16(br_addr) >> br_bitpos) & $fast_mask)];
+        code = (0 - code) << 1;
+        br_skip($fast_bits);
+        first = hd_resume[table * 2];
+        index = hd_resume[table * 2 + 1];
+        length = $fast_bits + 1;
+    }
+    while (length <= max_length) {
         code = code | br_bit();
         count = hd_counts[counts_base + length];
         if (code - first < count) {
@@ -360,6 +397,7 @@ int hd_slow(int table) {
         index = index + count;
         first = (first + count) << 1;
         code = code << 1;
+        length = length + 1;
     }
     exit(34);                                    // invalid Huffman code
     return 0;
@@ -368,45 +406,77 @@ int hd_slow(int table) {
     fast_bits=FAST_BITS,
     fast_size=1 << FAST_BITS,
     fast_mask=(1 << FAST_BITS) - 1,
+    fast_top=1 << (FAST_BITS - 1),
     fast_tables=2 << FAST_BITS,
 )
+
+#: hd_decode(0) for a symbol loop that keeps the reader's position in its
+#: locals `addr` and `bitpos`, with `last` = br_end - 2: the symbol in
+#: `symbol`, through `entry`.  The position is written back for hd_slow and
+#: read again after it.
+NEXT_SYMBOL = Template(r"""
+            entry = 0;
+            if (addr <= last) {
+                entry = peek32(hd_fast + (((peek16(addr) >> bitpos) & $fast_mask) << 2));
+            }
+            if (entry > 0) {
+                bitpos = bitpos + (entry & 15);
+                addr = addr + (bitpos >> 3);
+                bitpos = bitpos & 7;
+                symbol = entry >> 4;
+            } else {
+                br_addr = addr;
+                br_bitpos = bitpos;
+                symbol = hd_slow(0);
+                addr = br_addr;
+                bitpos = br_bitpos;
+            }""").substitute(fast_mask=(1 << FAST_BITS) - 1).lstrip("\n")
 
 # --------------------------------------------------------------------------
 # Huffman byte-stream layer (entropy coding used by the image codecs):
 # a 257-symbol alphabet (byte values plus end-of-stream).
 # --------------------------------------------------------------------------
 
-LIB_HBYTES = r"""
+LIB_HBYTES = Template(r"""
 // Decode an entropy-coded byte stream (257 code lengths + bit stream) into a
 // heap buffer.  Returns the buffer address and stores the length in hb_len.
+// The reader's position lives in locals, as in hd_fill, and the bytes go
+// through a cursor; the buffer doubles when a decoded byte meets it full.
 int hb_len;
 
 int hb_unpack(int addr, int end) {
-    int buffer;
-    int capacity;
-    int length;
+    int bitpos = 0;
+    int last = end - 2;
+    int entry;
     int symbol;
+    int buffer;
+    int cursor;
+    int limit;
+    int grown;
     hd_build(0, addr, 257);
     br_init(addr + 257, end - (addr + 257));
-    capacity = 65536;
-    buffer = alloc(capacity);
-    length = 0;
-    while (1) {
-        symbol = hd_decode(0);
-        if (symbol == 256) { break; }
-        if (length == capacity) {
-            int new_capacity;
-            int new_buffer;
-            new_capacity = capacity * 2;
-            new_buffer = alloc(new_capacity);
-            memcopy(new_buffer, buffer, length);
-            buffer = new_buffer;
-            capacity = new_capacity;
+    addr = br_addr;
+    buffer = alloc(65536);
+    cursor = buffer;
+    limit = buffer + 65536;
+    for (;;) {
+        for (;;) {
+$next_symbol
+            if (symbol == 256) { break; }
+            if (cursor == limit) { break; }
+            poke8(cursor, symbol);
+            cursor = cursor + 1;
         }
-        poke8(buffer + length, symbol);
-        length = length + 1;
+        if (symbol == 256) { break; }
+        grown = alloc((limit - buffer) * 2);
+        memcopy(grown, buffer, cursor - buffer);
+        limit = grown + (limit - buffer) * 2;
+        cursor = grown + (cursor - buffer);
+        buffer = grown;
+        poke8(cursor, symbol);
+        cursor = cursor + 1;
     }
-    hb_len = length;
+    hb_len = cursor - buffer;
     return buffer;
 }
 
@@ -453,7 +523,7 @@ int tk_done() {
 int zz_decode(int value) {
     return (value >> 1) ^ (0 - (value & 1));
 }
-"""
+""").substitute(next_symbol=NEXT_SYMBOL)
 
 # --------------------------------------------------------------------------
 # BMP writer: 24-bit uncompressed, bottom-up, BGR, rows padded to 4 bytes.

@@ -679,10 +679,14 @@ class BatchService:
             def handle(self) -> None:
                 writer = io.TextIOWrapper(self.wfile, encoding="utf-8",
                                           write_through=True)
-                service.serve_stream(self.rfile, writer)
-                if service.stopping:
-                    threading.Thread(target=self.server.shutdown,
-                                     daemon=True).start()
+                try:
+                    service.serve_stream(self.rfile, writer)
+                finally:
+                    # A peer that hung up before reading the reply to its
+                    # shutdown still stops the server.
+                    if service.stopping:
+                        threading.Thread(target=self.server.shutdown,
+                                         daemon=True).start()
 
         class Server(socketserver.ThreadingMixIn,
                      socketserver.UnixStreamServer):

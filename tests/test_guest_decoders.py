@@ -17,6 +17,7 @@ from repro.codecs.vxjp2 import Vxjp2Codec
 from repro.codecs.vxsnd import VxsndCodec
 from repro.codecs.vxz import VxzCodec
 from repro.elf.reader import is_vxa_executable, read_note
+from repro.errors import GuestFault
 from repro.formats.bmp import read_bmp
 from repro.formats.wav import read_wav, write_wav
 from repro.vm.machine import ENGINE_INTERPRETER, ENGINE_TRANSLATOR, VirtualMachine
@@ -126,6 +127,19 @@ def test_vxjp2_guest_lossless_mode_recovers_pixels():
     encoded = codec.encode_pixels(pixels)
     decoded = read_bmp(run_guest(codec, encoded).output)
     assert np.array_equal(decoded, pixels)
+
+
+@pytest.mark.xfail(strict=True, raises=GuestFault,
+                   reason="the runtime's bump allocator hands out heap through the "
+                          "loader's stack once a decode needs about 3.7 MiB")
+def test_vxjp2_guest_decodes_a_512_square_photo():
+    # Native decodes it.  The archived decoder's three coefficient planes
+    # take 3 MiB; memfill zeroes them through the live stack, its own return
+    # address included, and returns to 0x0.
+    codec = Vxjp2Codec(quality=50, levels=5)
+    encoded = codec.encode_pixels(synthetic_photo(512, 512, seed=1))
+    result = VirtualMachine(codec.guest_decoder_image()).decode(encoded)
+    assert (result.exit_code, result.output) == (0, codec.decode(encoded))
 
 
 # -- audio codecs ----------------------------------------------------------------

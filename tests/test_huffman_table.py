@@ -100,6 +100,9 @@ _BIT_BY_BIT_HUFF = r"""
 int hd_counts[32];       // two tables x 16 length counts
 int hd_symbols[640];     // two tables x up to 320 symbols in canonical order
 int hd_maxlen[2];
+// A decoder that reads the primary table itself finds it all zero and walks
+// every symbol through hd_slow.
+int hd_fast[""" + str(2 << FAST_BITS) + r"""];
 
 int hd_build(int table, int lengths_addr, int num_symbols) {
     int i;
@@ -134,6 +137,10 @@ int hd_build(int table, int lengths_addr, int num_symbols) {
 }
 
 int hd_decode(int table) {
+    return hd_slow(table);
+}
+
+int hd_slow(int table) {
     int code;
     int first;
     int index;
@@ -426,6 +433,60 @@ def test_guest_fill_reads_what_the_walk_reads(harness_vms, case, runs):
     assert outcome[0] in (0, 33, 34)
 
 
+@st.composite
+def _misses(draw):
+    """Tables the primary table misses on -- codes of 10 to 15 bits in
+    complete, incomplete and over-subscribed tables, or no code past
+    FAST_BITS and holes -- with their real codes, then 0 to 3 bytes of
+    anything: the walk resumes after a miss with two bytes or more left, and
+    starts from the first bit with fewer."""
+    kind = draw(st.sampled_from(["complete", "incomplete", "over", "short"]))
+    size = draw(st.integers(2, 300))
+    if kind in ("over", "short"):
+        top = MAX_CODE_LENGTH if kind == "over" else FAST_BITS
+        lengths = draw(st.lists(st.integers(0, top), min_size=size, max_size=size))
+    else:
+        frequencies = draw(st.lists(st.integers(0, 24), min_size=size, max_size=size))
+        lengths = build_code_lengths([1 << exponent for exponent in frequencies])
+        if kind == "incomplete":
+            dropped = draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=size))
+            lengths = [0 if symbol in dropped else length
+                       for symbol, length in enumerate(lengths)]
+    writer = BitWriter()
+    coded = [symbol for symbol, length in enumerate(lengths) if length]
+    try:
+        codes = canonical_codes(lengths)
+    except CodecError:              # over-subscribed: random bits only
+        coded = []
+    if coded:
+        for symbol in draw(st.lists(st.sampled_from(coded), max_size=24)):
+            writer.write_code(codes[symbol], lengths[symbol])
+    else:
+        writer.write_bits(draw(st.integers(0, (1 << 48) - 1)), 48)
+    stream = writer.getvalue() + draw(st.binary(max_size=3))
+    return [lengths, [1]], [_SYMBOL_0] * 28, stream
+
+
+@settings(_EXAMPLES, max_examples=200)
+@given(case=_misses())
+def test_walk_resumed_past_the_table_reads_what_the_walk_reads(harness_vms, case):
+    table_vm, walk_vm = harness_vms
+    outcome = _run_guest(table_vm, *case)
+    assert outcome == _run_guest(walk_vm, *case)
+    assert outcome[0] in (0, 33, 34)
+
+
+def test_a_miss_in_a_table_no_longer_than_the_index_is_invalid_at_once(harness_vms):
+    # Codes 0 and 10 (lengths 1, 2) leave index bits ...11 to no code: with
+    # two bytes left hd_slow exits 34 without walking; with one, it walks
+    # the two bits to the same exit.
+    table_vm, walk_vm = harness_vms
+    for stream in (b"\xff\xff", b"\xff\xff\xff", b"\x03\x00", b"\xff", b"\x03"):
+        case = ([[1, 2], [1]], [_SYMBOL_0], stream)
+        outcome = _run_guest(table_vm, *case)
+        assert outcome == _run_guest(walk_vm, *case) and outcome[0] == 34
+
+
 def test_fill_stops_where_the_stream_ends(harness_vms):
     # One-byte streams (every third value) read by runs of 1 to 9 codes of 1
     # to 3 bits: a run's last code may lie past the stream, where the walk
@@ -518,6 +579,9 @@ def test_fast_paths_are_small_enough_to_expand():
     ("vxjp2", "hb_unpack", ("hd_decode",)),
     ("vxflac", "decode_stream", ("br_bits",)),
     ("vxbwt", "hd_fill", ("hd_decode",)),
+    ("vxz", "lz_symbols", ("hd_decode", "br_bits", "br_bit")),
+    ("vxflac", "fl_channel", ("br_bits", "br_bit")),
+    ("vximg", "hb_unpack", ("br_bit", "br_skip")),
 ])
 def test_hot_loops_call_no_bit_reader(codec, function, helpers):
     assembly = default_registry().get(codec).build_guest_decoder().assembly

@@ -395,6 +395,25 @@ def test_unix_socket_serves_concurrent_clients(tmp_path, service, archive_path,
     assert not server.is_alive()
 
 
+def test_shutdown_from_a_peer_that_hangs_up_unread_stops_the_server(tmp_path, service):
+    # The peer closes before the reply to its shutdown is written, so writing
+    # it fails; the server stops all the same.
+    socket_path = str(tmp_path / "vxserve.sock")
+    server = threading.Thread(target=service.serve_socket, args=(socket_path,),
+                              daemon=True)
+    server.start()
+    deadline = 100
+    while not os.path.exists(socket_path) and deadline:
+        deadline -= 1
+        threading.Event().wait(0.05)
+    assert os.path.exists(socket_path), "socket never appeared"
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as client:
+        client.connect(socket_path)
+        client.sendall(b'{"op": "shutdown"}\n')
+    server.join(timeout=2)
+    assert not server.is_alive()
+
+
 # -- subprocess round trip -----------------------------------------------------
 
 
