@@ -6,15 +6,17 @@ decoder, members are independent decode jobs -- embarrassingly parallel
 work.  This example shows the three ways to exploit that:
 
 1. ``Archive.extract_into(..., jobs=N)`` -- the facade shards members by
-   decoder image across a worker pool (`repro.parallel.Scheduler`), so each
-   worker translates a decoder once and reuses the warm code cache for all
-   of that decoder's members; output is byte-identical to the serial path;
+   decoder image across a worker pool (`repro.parallel.Scheduler`); each
+   shard opens the archive afresh, and a decoder's translated code is kept
+   once per process, so all of that decoder's members reuse it; output is
+   byte-identical to the serial path;
 2. ``Archive.check(jobs=N)`` -- the always-run-the-archived-decoder
    integrity check, sharded the same way, with identical verdicts;
 3. ``BatchService`` -- the engine behind the ``vxserve`` console script: a
    long-running JSON-lines service multiplexing extract/check requests for
-   many archives onto one shared pool, keeping per-decoder-image caches hot
-   across requests.
+   many archives onto one shared pool.  Workers keep no session between
+   requests; each decoder image's analysis report and translations stay
+   warm per process.
 
 Run with:  python examples/parallel_extract.py
 """

@@ -142,8 +142,7 @@ class DecoderSession:
     def save(self) -> None:
         """Write back the report and the translations of every image this
         session ran, where its decodes added any (an integer test per VM
-        where they did not).  A session that outlives its requests -- a pool
-        worker's -- calls this when a shard ends."""
+        where they did not).  :meth:`close` calls it."""
         for vm in self._vms.values():
             vm._record.save()
 

@@ -113,10 +113,10 @@ class FaultSpec:
 class FaultPlan:
     """A seeded, serialisable set of :class:`FaultSpec` injections.
 
-    Frozen so it can ride inside a frozen ``ReadOptions``, cross the
-    process-pool pickle boundary, and key worker archive caches by its
-    ``repr``.  All mutable firing state lives in the ledger directory (or
-    the module-local counter table), never on the plan.
+    Frozen so it can ride inside a frozen ``ReadOptions`` and cross the
+    process-pool pickle boundary.  All mutable firing state lives in the
+    ledger directory (or the module-local counter table), never on the
+    plan.
     """
 
     specs: tuple = field(default_factory=tuple)

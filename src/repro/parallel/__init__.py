@@ -14,10 +14,11 @@ archive file itself.  This package exploits that:
 * :class:`~repro.parallel.pool.WorkerPool` runs the shards on a
   ``ProcessPoolExecutor`` (true multi-core scaling) or an in-process thread
   pool (cheap startup for small archives and tests),
-* :mod:`~repro.parallel.worker` is the worker-side bootstrap: each worker
-  owns long-lived archives and decoder sessions, reused across shards and
-  -- under ``vxserve`` -- across requests, so translations are paid once
-  per process,
+* :mod:`~repro.parallel.worker` is the worker-side bootstrap: a worker
+  keeps nothing between shards -- each shard opens its archive, runs the
+  serial path and closes it -- while decoder-image reports and
+  translations stay warm once per process, so they are paid once per
+  process, not per shard or request,
 * :mod:`~repro.parallel.service` is ``vxserve``: a long-running batch
   service (JSON-lines over stdio or a unix socket) multiplexing
   extract/check requests for many archives onto one shared worker pool;

@@ -116,6 +116,13 @@ class RequestTooLargeError(ServiceRejection):
     retryable = False
 
 
+class FaultPlanRefusedError(ServiceRejection):
+    """A request carried a fault plan; faults are installed, never sent."""
+
+    code = "fault_plan_refused"
+    retryable = False
+
+
 # --------------------------------------------------------------------------
 # Admission gate
 # --------------------------------------------------------------------------
@@ -410,6 +417,7 @@ __all__ = [
     "CircuitBreaker",
     "CircuitOpenError",
     "DrainingError",
+    "FaultPlanRefusedError",
     "OverloadedError",
     "PRIORITIES",
     "PRIORITY_BATCH",

@@ -10,7 +10,7 @@ decision), its shard runner, and how to absorb a shard's result.  The driver
 1. shards the plan with the cache-affine :class:`~repro.parallel.scheduler.Scheduler`,
 2. runs the shards on a :class:`~repro.parallel.pool.WorkerPool` (an
    ephemeral one for facade calls; ``vxserve`` passes its own long-lived
-   pool so worker caches stay hot across requests),
+   pool), each shard on an archive and session of its own,
 3. hands each result to the caller, which merges deterministically:
    extraction records return in the caller's requested order, check
    failures in archive order, and every worker session's counters are
@@ -27,8 +27,8 @@ wholesale; under a salvage policy its members are rescheduled one at a
 time against a respawned pool -- extraction is idempotent (each member
 streams through a temp-and-rename), so re-running members the crashed
 shard had already finished is safe.  Each reschedule counts against the
-member's ``ReadOptions.retries`` budget and runs with a pristine VM and
-session (``fresh`` payload flag); a member that keeps killing workers is
+member's ``ReadOptions.retries`` budget and, like every shard, runs on a
+pristine VM and session; a member that keeps killing workers is
 quarantined instead of retried forever.  Re-running culprit and
 collateral members individually is also how the culprit is *identified*:
 only it crashes again.
@@ -80,7 +80,7 @@ def _run_sharded(archive, plan, jobs, pool, runner, base, *, absorb,
     the whole job.
 
     Crash recovery (see the module docstring): each member of a crashed shard
-    is charged one attempt and re-run alone on a ``fresh`` payload, until it
+    is charged one attempt and re-run alone as a shard of its own, until it
     completes or has cost more than ``ReadOptions.retries`` attempts and goes
     to ``exhausted(name, attempts)``.  Reruns go one member at a time: a
     process-pool break fails every in-flight future, so batching them would
@@ -122,8 +122,8 @@ def _run_sharded(archive, plan, jobs, pool, runner, base, *, absorb,
                 if attempts[name] > archive.options.retries:
                     exhausted(name, attempts[name])
                 else:
-                    [outcome] = pool.run_all(runner, [dict(
-                        base, names=[name], worker=None, fresh=True)])
+                    [outcome] = pool.run_all(
+                        runner, [dict(base, names=[name], worker=None)])
                     settle(outcome, [name])
     return True
 

@@ -32,7 +32,7 @@ from concurrent.futures import (
 from dataclasses import dataclass
 
 from repro.api.options import EXECUTOR_AUTO, EXECUTOR_PROCESS, EXECUTOR_THREAD
-from repro.errors import VxaError, WorkerCrashed
+from repro.errors import WorkerCrashed
 
 #: Below this much total stored work (bytes), process startup and payload
 #: pickling cost more than multi-core buys; ``auto`` stays in-process.
@@ -105,8 +105,9 @@ class WorkerPool:
             picklability probe.
 
     The pool is long-lived by design: ``vxserve`` keeps one across requests
-    so worker-side sessions (and their per-decoder-image code caches) stay
-    warm.  It is also a context manager for the one-shot facade path.
+    so its workers (and, in process mode, their per-process decoder-image
+    reports and translations) are not started again per request.  It is
+    also a context manager for the one-shot facade path.
 
     ``start_method`` picks the multiprocessing start method.  The default
     (``None``) forks when the creating process is still single-threaded --
@@ -136,7 +137,6 @@ class WorkerPool:
                               if self.kind == EXECUTOR_PROCESS else None)
         self._executor = self._make_executor()
         self.respawns = 0
-        self._closed = False
 
     def _make_executor(self):
         if self.kind == EXECUTOR_PROCESS:
@@ -229,47 +229,7 @@ class WorkerPool:
         return outcomes
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            if self.kind == EXECUTOR_THREAD:
-                self._drain_thread_workers()
-        finally:
-            self._executor.shutdown(wait=True)
-
-    def _drain_thread_workers(self) -> None:
-        """Close every thread worker's cached archives before shutdown.
-
-        Worker state lives in ``threading.local``, so each pool thread must
-        run the cleanup itself; the barrier forces the executor to fan the
-        tasks out one-per-thread (it spawns threads up to ``jobs`` while
-        tasks are queued and every task blocks until all have started).
-        Process workers need no equivalent -- their handles die with them.
-
-        A broken barrier (a worker thread failed to reach it within the
-        timeout -- a wedged or leaked worker) is a real pool failure: some
-        worker's cached archives were *not* closed, so their file handles
-        outlive the pool.  It used to be swallowed here; now it surfaces.
-        """
-        from repro.parallel.worker import shutdown_worker
-
-        barrier = threading.Barrier(self.jobs)
-
-        def drain() -> None:
-            barrier.wait(timeout=10)
-            shutdown_worker()
-
-        futures = [self._executor.submit(drain) for _ in range(self.jobs)]
-        wait(futures)
-        broken = [future for future in futures
-                  if isinstance(future.exception(), threading.BrokenBarrierError)]
-        if broken:
-            raise VxaError(
-                f"thread pool drain failed: {len(broken)} of {self.jobs} "
-                "workers never reached the shutdown barrier; their cached "
-                "archive handles may have leaked"
-            )
+        self._executor.shutdown(wait=True)
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -2,17 +2,17 @@
 
 The ROADMAP's "archive server" workload: one resident process that accepts
 extract/check requests against many archives and multiplexes them onto a
-single shared :class:`~repro.parallel.pool.WorkerPool`.  Because the pool
-(and therefore each worker's :mod:`~repro.parallel.worker` state) outlives
-any one request, a worker that has already served an archive keeps its
-:class:`~repro.api.session.DecoderSession` for the next request, and every
-decoder image's analysis report and translated code are kept once per process
-by image digest (:mod:`repro.vm.images`): warm for every worker thread, every
-archive carrying that decoder and every fresh ``check`` session, under every
-reuse policy.  No knob is needed to keep that state bounded over an unbounded
-request stream: the registry bounds the images it remembers, and no request
-field reaches a translator switch, so an image has at most two fragment
-tables (guards elided or kept), each bounded by ``max_fragments``.
+single shared :class:`~repro.parallel.pool.WorkerPool`.  A worker keeps no
+archive or :class:`~repro.api.session.DecoderSession` from one shard to the
+next (:mod:`~repro.parallel.worker`), but the pool outlives any one request,
+and every decoder image's analysis report and translated code are kept once
+per process by image digest (:mod:`repro.vm.images`): warm for every worker
+thread, every archive carrying that decoder and every shard's fresh session,
+under every reuse policy.  No knob is needed to keep that state bounded
+over an unbounded request stream: the registry bounds the images it
+remembers, and no request field reaches a translator switch, so an image has
+at most two fragment tables (guards elided or kept), each bounded by
+``max_fragments``.
 
 The service is overload-safe.  Each unit of archive work is one row of the
 request table from the draining check to its response; one lock guards the
@@ -45,8 +45,8 @@ Responses echo the ``id``: ``{"id": 3, "ok": true, "result": {...}}`` on
 success, ``{"id": 3, "ok": false, "error": "...", "error_type": "..."}`` on
 failure; structured refusals additionally carry ``error_code`` (one of
 ``overloaded``/``quota_exceeded``/``circuit_open``/``draining``/
-``request_too_large``/``bad_json``/``archive_damaged``) and, where retrying
-makes sense, a
+``request_too_large``/``bad_json``/``fault_plan_refused``/
+``archive_damaged``) and, where retrying makes sense, a
 ``retry_after_seconds`` hint that :class:`repro.client.VxServeClient`
 honours.  A malformed line yields an error response rather than killing the
 service.  Entry point: the ``vxserve`` console script (or ``python -m
@@ -61,6 +61,7 @@ import io
 import json
 import os
 import pathlib
+import secrets
 import signal
 import sys
 import threading
@@ -79,12 +80,12 @@ from repro.errors import (
     IntegrityError,
     ZipFormatError,
 )
-from repro.faults import FaultPlan
 from repro.parallel.admission import (
     ANONYMOUS_CLIENT,
     AdmissionGate,
     CircuitBreaker,
     DrainingError,
+    FaultPlanRefusedError,
     PRIORITIES,
     PRIORITY_INTERACTIVE,
     QuotaExceededError,
@@ -141,6 +142,9 @@ class _Request:
 
 class BatchService:
     """Dispatches JSON requests onto one shared worker pool.
+
+    Every shard opens its archive and session afresh; what a request finds
+    warm is the process's per-image reports and translations.
 
     Args:
         jobs: worker count for the shared pool (default: the machine's CPU
@@ -246,6 +250,11 @@ class BatchService:
                     raise ValueError(
                         f"unknown priority {priority!r} (expected one of "
                         f"{', '.join(PRIORITIES)})")
+                if request.get("fault_plan") is not None:
+                    # Faults are for the process that owns the service:
+                    # installed on its default ReadOptions, never sent.
+                    raise FaultPlanRefusedError(
+                        "fault plans are not accepted over the wire")
                 row = self._register(
                     op, str(request.get("client") or ANONYMOUS_CLIENT))
                 self._admit(row, priority, request.get("archive"))
@@ -368,8 +377,6 @@ class BatchService:
                    if field in request}
         if "reuse" in request and request["reuse"] is not None:
             changes["reuse"] = VmReusePolicy(request["reuse"])
-        if request.get("fault_plan") is not None:
-            changes["fault_plan"] = FaultPlan.from_dict(request["fault_plan"])
         if self.request_timeout is not None:
             # The watchdog's enforcement arm: every member decode of this
             # request gets a wall-clock deadline no laxer than the
@@ -672,8 +679,11 @@ class BatchService:
 
         service = self
         socket_path = str(socket_path)
-        if os.path.exists(socket_path):
-            os.unlink(socket_path)
+        # Bound under a short temporary name beside the requested path and
+        # renamed onto it once listening: the path appears only when a
+        # client can connect to it.
+        bound = os.path.join(os.path.dirname(socket_path),
+                             f".vx{secrets.token_hex(4)}")
 
         class Handler(socketserver.StreamRequestHandler):
             def handle(self) -> None:
@@ -693,12 +703,14 @@ class BatchService:
             daemon_threads = True
             allow_reuse_address = True
 
-        with Server(socket_path, Handler) as server:
+        with Server(bound, Handler) as server:
             try:
+                os.rename(bound, socket_path)
                 server.serve_forever(poll_interval=0.1)
             finally:
-                if os.path.exists(socket_path):
-                    os.unlink(socket_path)
+                for path in (bound, socket_path):
+                    if os.path.exists(path):
+                        os.unlink(path)
 
 
 def build_parser() -> argparse.ArgumentParser:

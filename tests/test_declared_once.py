@@ -1,8 +1,8 @@
-"""A knob or counter is declared once and every consumer derives from it.
+"""A counter is declared once and every consumer derives from it.
 
-These tests walk ``dataclasses.fields`` of :class:`ReadOptions`,
-:class:`SessionStats` and :class:`ExecutionStats` instead of naming today's
-members, so adding a field without its consumers picking it up fails here.
+These tests walk ``dataclasses.fields`` of :class:`SessionStats` and
+:class:`ExecutionStats` instead of naming today's members, so adding a
+counter without its consumers picking it up fails here.
 """
 
 from __future__ import annotations
@@ -13,48 +13,11 @@ import pytest
 
 import repro.api as vxa
 from repro.api.options import EXECUTOR_THREAD
-from repro.codecs.registry import CodecRegistry
-from repro.codecs.vxz import VxzCodec
-from repro.core.policy import VmReusePolicy
 from repro.parallel.service import BatchService
-from repro.parallel.worker import _options_key
-from repro.vm.limits import ExecutionLimits, ExecutionStats
+from repro.vm.limits import ExecutionStats
 from repro.workloads import synthetic_log_bytes
 
 COUNTERS = [field.name for field in dataclasses.fields(vxa.SessionStats)]
-
-#: A valid non-default value for every ReadOptions field a worker's
-#: behaviour depends on (``jobs``/``executor`` only steer the parent).
-ALTERNATE_OPTIONS = {
-    "mode": vxa.MODE_VXA,
-    "force_decode": True,
-    "engine": "interpreter",
-    "limits": ExecutionLimits(max_instructions=12345),
-    "reuse": VmReusePolicy.ALWAYS_REUSE,
-    "registry": CodecRegistry([VxzCodec()], default="vxz"),
-    "verify_images": "reject",
-    "analysis_elision": False,
-    "on_error": vxa.ON_ERROR_SKIP,
-    "retries": 3,
-    "member_deadline": 2.5,
-    "fault_plan": vxa.FaultPlan([vxa.FaultSpec("a.txt", "exhaust-fuel")]),
-    "on_damage": vxa.ON_DAMAGE_SALVAGE,
-    "durable_output": False,
-}
-
-
-def test_worker_cache_key_separates_every_read_option():
-    names = {field.name for field in dataclasses.fields(vxa.ReadOptions)}
-    assert set(ALTERNATE_OPTIONS) == names - {"jobs", "executor"}
-    base = vxa.ReadOptions()
-    for name, value in ALTERNATE_OPTIONS.items():
-        assert getattr(base, name) != value
-        changed = base.with_changes(**{name: value})
-        assert _options_key(changed) != _options_key(base), name
-    # Workers run the serial path whatever the parent's parallelism was, so
-    # one cached archive serves every jobs/executor setting.
-    assert _options_key(base.with_changes(jobs=4, executor=EXECUTOR_THREAD)) \
-        == _options_key(base)
 
 
 def test_execution_stats_merge_sums_every_field():

@@ -44,13 +44,11 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 #: Makes ``import numpy`` and ``import repro.vxc`` raise ImportError.
 PLANT = 'import sys; sys.modules["numpy"] = sys.modules["repro.vxc"] = None\n'
 
-#: Keys a default and a custom registry the way a worker does.
-OPTIONS_KEY = """
+#: Builds a default and a custom registry and reads their codec names.
+REGISTRY_NAMES = """
 import json, sys
-from repro.api.options import ReadOptions
 from repro.codecs.base import Codec, CodecInfo
 from repro.codecs.registry import CodecRegistry, default_registry
-from repro.parallel.worker import _options_key
 
 class Identity(Codec):
     info = CodecInfo("identity", "stores bytes as they are", "this script",
@@ -62,11 +60,9 @@ class Identity(Codec):
     def guest_units(self): return []
 
 custom = CodecRegistry([Identity()], default="identity")
-keys = [_options_key(ReadOptions()),
-        _options_key(ReadOptions(registry=default_registry())),
-        _options_key(ReadOptions(registry=CodecRegistry())),
-        _options_key(ReadOptions(registry=custom))]
-assert keys[1] == keys[2] != keys[3], keys
+names = [sorted(registry.names)
+         for registry in (default_registry(), CodecRegistry(), custom)]
+assert names[0] == names[1] != names[2], names
 assert "vxsnd" in default_registry() and len(default_registry()) == 6
 print(json.dumps({"code": 0, "modules": sorted(sys.modules)}))
 """
@@ -169,6 +165,6 @@ def test_native_extract_imports_only_the_codec_it_met(six_decoders, tmp_path):
     assert (tmp_path / "out" / "a.txt").read_bytes() == sources["a.txt"]
 
 
-def test_worker_options_key_imports_no_codec():
-    modules = _fresh_interpreter(OPTIONS_KEY)
+def test_registry_names_import_no_codec():
+    modules = _fresh_interpreter(REGISTRY_NAMES)
     assert _imported(modules, ("repro.codecs.vx", "numpy")) == []

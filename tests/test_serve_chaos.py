@@ -2,12 +2,13 @@
 
 The acceptance drills for the admission layer: exact load shedding under a
 full gate, retrying clients riding out the overload, kill-worker/delay-io
-faults injected *through the socket* while concurrent clients hammer the
-service, circuit breakers opening for a poisoned archive and half-open
-probes closing them again, drain/shutdown races, and the bounded
-request-line buffer.  Everything runs over the real unix-socket transport
-against a real :class:`BatchService` (thread executor: CI-safe, and the
-fault hooks simulate worker death in-process).
+faults firing while concurrent clients hammer the service, circuit breakers
+opening for a poisoned archive and half-open probes closing them again,
+drain/shutdown races, and the bounded request-line buffer.  Everything runs
+over the real unix-socket transport against a real :class:`BatchService`
+(thread executor: CI-safe, and the fault hooks simulate worker death
+in-process).  The wire refuses fault plans, so each drill installs its plan
+on the service's default ``ReadOptions``, one service per plan.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import pytest
 import repro.api as vxa
 from repro.api.options import EXECUTOR_THREAD
 from repro.client import VxServeClient
+from repro.core.policy import VmReusePolicy
 from repro.parallel.service import BatchService
 from repro.workloads import synthetic_log_bytes
 
@@ -38,15 +40,15 @@ def wait_until(predicate, timeout: float = 20.0, interval: float = 0.01):
     raise AssertionError("condition never became true")
 
 
-def delay_plan(members, delay: float) -> dict:
-    """A wire-format fault plan sleeping ``delay`` before each member."""
-    return {"specs": [{"member": name, "kind": "delay-io", "delay": delay}
-                      for name in members]}
+def delays(members, delay: float) -> list[vxa.FaultSpec]:
+    """Fault specs sleeping ``delay`` before each member is read."""
+    return [vxa.FaultSpec(name, "delay-io", delay=delay) for name in members]
 
 
-def kill_plan(member: str) -> dict:
-    """A wire-format fault plan killing the worker on ``member``."""
-    return {"specs": [{"member": member, "kind": "kill-worker"}]}
+def faulty(specs) -> vxa.ReadOptions:
+    """The service's default ReadOptions with ``specs`` installed."""
+    return vxa.ReadOptions(reuse=VmReusePolicy.REUSE_SAME_ATTRIBUTES,
+                           fault_plan=vxa.FaultPlan(specs))
 
 
 class RawConnection:
@@ -144,7 +146,8 @@ def test_overload_sheds_exactly_k_and_admits_n(tmp_path, serve, archive_path,
     exactly K structured ``overloaded`` rejections, zero dropped
     connections, and the N admitted extractions stay byte-identical."""
     capacity, extra = 2, 3
-    service, socket_path = serve(max_inflight=capacity, queue_depth=0)
+    service, socket_path = serve(max_inflight=capacity, queue_depth=0,
+                                 options=faulty(delays(members, 0.5)))
 
     holder_responses: dict[int, dict] = {}
 
@@ -152,7 +155,6 @@ def test_overload_sheds_exactly_k_and_admits_n(tmp_path, serve, archive_path,
         holder_responses[index] = one_shot(socket_path, {
             "id": index, "op": "extract", "archive": str(archive_path),
             "dest": str(tmp_path / f"holder{index}"), "mode": "vxa",
-            "fault_plan": delay_plan(members, 0.5),
         })
 
     holders = [threading.Thread(target=holder, args=(index,))
@@ -186,8 +188,11 @@ def test_overload_sheds_exactly_k_and_admits_n(tmp_path, serve, archive_path,
     assert stats["counters"]["admitted_total"] == capacity
     assert stats["counters"]["completed_total"] == capacity
 
-    # Phase two: the retrying client rides out the same overload -- all
-    # N+K extracts complete even though the gate still holds 2 slots.
+    # Phase two: the retrying client rides out the same overload, on a
+    # service with shorter delays -- all N+K extracts complete even though
+    # the gate still holds 2 slots.
+    _, socket_path = serve(max_inflight=capacity, queue_depth=0,
+                           options=faulty(delays(members, 0.05)))
     outcomes: dict[int, dict] = {}
 
     def retrying(index: int) -> None:
@@ -196,7 +201,7 @@ def test_overload_sheds_exactly_k_and_admits_n(tmp_path, serve, archive_path,
                            timeout=60) as client:
             outcomes[index] = client.extract(
                 str(archive_path), str(tmp_path / f"retry{index}"),
-                mode="vxa", fault_plan=delay_plan(members, 0.05))
+                mode="vxa")
 
     swarm = [threading.Thread(target=retrying, args=(index,))
              for index in range(capacity + extra)]
@@ -211,12 +216,12 @@ def test_overload_sheds_exactly_k_and_admits_n(tmp_path, serve, archive_path,
 
 def test_quota_sheds_per_client_over_socket(tmp_path, serve, archive_path,
                                             members):
-    service, socket_path = serve(client_quota=1, max_inflight=8)
+    service, socket_path = serve(client_quota=1, max_inflight=8,
+                                 options=faulty(delays(members, 0.4)))
     with RawConnection(socket_path) as holder:
         holder.send_bytes((json.dumps({
             "id": 1, "op": "extract", "archive": str(archive_path),
             "dest": str(tmp_path / "greedy1"), "client": "greedy",
-            "fault_plan": delay_plan(members, 0.4),
         }) + "\n").encode())
         wait_until(lambda: one_shot(
             socket_path, {"op": "health"})["result"]["inflight"] >= 1)
@@ -239,14 +244,19 @@ def test_quota_sheds_per_client_over_socket(tmp_path, serve, archive_path,
 
 def test_chaos_under_load_breaker_opens_and_recovers(tmp_path, serve,
                                                      archive_path, members):
-    """kill-worker + delay-io through the socket while 4 clients hammer:
-    the service stays responsive, the poisoned archive's breaker opens,
-    and a half-open probe closes it once the fault is healed."""
-    service, socket_path = serve(max_inflight=8, breaker_threshold=2,
-                                 breaker_reset=0.5)
+    """kill-worker + delay-io while 4 clients hammer: the service stays
+    responsive, the poisoned archive's breaker opens, and a half-open probe
+    closes it once the archive is healed (rewritten without the member that
+    kills its worker)."""
+    poison_member = "poison.txt"
     poison_path = tmp_path / "poison.zip"
-    shutil.copyfile(archive_path, poison_path)
-    poison_member = next(iter(members))
+    with vxa.create(poison_path) as builder:
+        for name, data in {**members, poison_member: b"lethal\n" * 90}.items():
+            builder.add(name, data, codec="vxz")
+    service, socket_path = serve(
+        max_inflight=8, breaker_threshold=2, breaker_reset=0.5,
+        options=faulty([*delays(list(members)[:2], 0.05),
+                        vxa.FaultSpec(poison_member, "kill-worker")]))
 
     stop = threading.Event()
     load_errors: list[str] = []
@@ -258,9 +268,7 @@ def test_chaos_under_load_breaker_opens_and_recovers(tmp_path, serve,
                            timeout=60) as client:
             while not stop.is_set():
                 try:
-                    result = client.check(
-                        str(archive_path),
-                        fault_plan=delay_plan(list(members)[:2], 0.05))
+                    result = client.check(str(archive_path))
                 except Exception as error:  # noqa: BLE001 - recorded, asserted
                     load_errors.append(f"load{index}: {error!r}")
                     return
@@ -280,7 +288,6 @@ def test_chaos_under_load_breaker_opens_and_recovers(tmp_path, serve,
             response = one_shot(socket_path, {
                 "op": "extract", "archive": str(poison_path),
                 "dest": str(tmp_path / f"poison{attempt}"),
-                "fault_plan": kill_plan(poison_member),
             })
             assert response["ok"] is False
             assert "error_code" not in response  # a real failure, not a shed
@@ -300,8 +307,10 @@ def test_chaos_under_load_breaker_opens_and_recovers(tmp_path, serve,
         assert health["ok"] is True and health["accepting"] is True
         assert health["breakers"][str(poison_path)]["state"] == "open"
 
-        # Heal: after the cool-down a clean request is let through as the
-        # half-open probe, succeeds, and closes the breaker.
+        # Heal: rewrite the archive without its poisonous member; after the
+        # cool-down a request is let through as the half-open probe,
+        # succeeds, and closes the breaker.
+        shutil.copyfile(archive_path, poison_path)
         time.sleep(0.7)
         probe = one_shot(socket_path, {
             "op": "extract", "archive": str(poison_path),
@@ -332,7 +341,8 @@ def test_concurrent_drain_inflight_and_new_submissions(tmp_path, archive_path,
     finishes intact, both drains complete (idempotent), and every late
     submission gets a structured ``draining`` rejection -- zero responses
     lost, zero crashes."""
-    service = BatchService(jobs=2, executor=EXECUTOR_THREAD)
+    service = BatchService(jobs=2, executor=EXECUTOR_THREAD,
+                           options=faulty(delays(members, 0.3)))
     try:
         responses: dict[str, dict] = {}
 
@@ -340,7 +350,6 @@ def test_concurrent_drain_inflight_and_new_submissions(tmp_path, archive_path,
             responses["extract"] = service.handle({
                 "op": "extract", "archive": str(archive_path),
                 "dest": str(tmp_path / "inflight"), "mode": "vxa",
-                "fault_plan": delay_plan(members, 0.3),
             })
 
         def drainer(tag: str) -> None:
@@ -393,21 +402,21 @@ def test_drain_waits_for_queued_but_unadmitted_work(tmp_path, serve,
     """A request waiting in the admission queue is in-flight for drain
     purposes: drain must wait for it, not strand it."""
     service, socket_path = serve(max_inflight=1, queue_depth=2,
-                                 queue_timeout=30.0)
+                                 queue_timeout=30.0,
+                                 options=faulty(delays(members, 0.3)))
     responses: dict[str, dict] = {}
 
-    def submit(tag: str, delay: float) -> None:
+    def submit(tag: str) -> None:
         responses[tag] = one_shot(socket_path, {
             "op": "extract", "archive": str(archive_path),
             "dest": str(tmp_path / tag), "mode": "vxa",
-            "fault_plan": delay_plan(members, delay),
         })
 
-    first = threading.Thread(target=submit, args=("first", 0.3))
+    first = threading.Thread(target=submit, args=("first",))
     first.start()
     wait_until(lambda: one_shot(
         socket_path, {"op": "health"})["result"]["admission"]["inflight"] == 1)
-    queued = threading.Thread(target=submit, args=("queued", 0.0))
+    queued = threading.Thread(target=submit, args=("queued",))
     queued.start()
     wait_until(lambda: one_shot(
         socket_path, {"op": "health"})["result"]["admission"]["queued_now"] == 1)

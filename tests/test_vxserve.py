@@ -172,8 +172,14 @@ def test_stats_counters_are_monotonic(tmp_path, service, archive_path):
 def test_wire_shape_of_health_and_stats(tmp_path, archive_path, members):
     """Every key ``health`` and ``stats`` put on the wire, pinned after one
     extract, one check, one quota refusal and one breaker trip."""
+    # Every member read sleeps 0.2 s, so a check holds its quota slot long
+    # enough to be refused a second one.
+    slow_reads = vxa.FaultPlan([vxa.FaultSpec(name, "delay-io", delay=0.2)
+                                for name in members])
     service = BatchService(jobs=2, executor=EXECUTOR_THREAD, client_quota=1,
-                           breaker_threshold=1)
+                           breaker_threshold=1, options=vxa.ReadOptions(
+                               reuse=VmReusePolicy.REUSE_SAME_ATTRIBUTES,
+                               fault_plan=slow_reads))
     try:
         def health() -> dict:
             return service.handle({"op": "health"})["result"]
@@ -184,10 +190,7 @@ def test_wire_shape_of_health_and_stats(tmp_path, archive_path, members):
         assert service.handle({"op": "check",
                                "archive": str(archive_path)})["ok"]
         # The quota refusal: "greedy" holds its one slot with a slow check.
-        slow = {"op": "check", "archive": str(archive_path), "client": "greedy",
-                "fault_plan": {"specs": [
-                    {"member": name, "kind": "delay-io", "delay": 0.2}
-                    for name in members]}}
+        slow = {"op": "check", "archive": str(archive_path), "client": "greedy"}
         holder = threading.Thread(target=service.handle, args=(slow,))
         holder.start()
         deadline = time.monotonic() + 30
@@ -287,6 +290,54 @@ def test_rewritten_archive_is_not_served_stale(tmp_path, service):
             assert extracted == payload, "worker served a stale cached archive"
 
 
+def test_no_archive_handle_outlives_its_request(tmp_path, members):
+    """Workers keep no archive open between shards, so once a request has
+    been answered nothing in the process holds its archive."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd")
+    path = tmp_path / "held.zip"
+    with vxa.create(path) as builder:
+        for name, data in members.items():
+            builder.add(name, data, codec="vxz")
+    service = BatchService(jobs=2, executor=EXECUTOR_THREAD)
+    try:
+        assert service.handle({
+            "op": "extract", "archive": str(path), "jobs": 2, "mode": "vxa",
+            "dest": str(tmp_path / "out")})["ok"]
+        assert service.handle({"op": "check", "archive": str(path)})["ok"]
+        held = []
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                target = os.readlink(f"/proc/self/fd/{fd}")
+            except OSError:
+                continue
+            if target == os.path.realpath(path):
+                held.append(fd)
+        assert held == []
+    finally:
+        service.close()
+
+
+def test_a_fault_plan_on_the_wire_is_refused(tmp_path, service, archive_path,
+                                             members):
+    kill = {"specs": [{"member": name, "kind": "kill-worker"}
+                      for name in members]}
+    for op in ("extract", "check"):
+        response = service.handle({
+            "op": op, "archive": str(archive_path), "fault_plan": kill,
+            "dest": str(tmp_path / "refused")})
+        assert response["ok"] is False
+        assert response["error_code"] == "fault_plan_refused"
+        assert response["error_type"] == "FaultPlanRefusedError"
+        assert "retry_after_seconds" not in response
+    assert not (tmp_path / "refused").exists()
+    counters = service.handle({"op": "stats"})["result"]["counters"]
+    assert counters["admitted_total"] == 0
+    assert counters["session_decodes_total"] == 0
+    # A refusal is not an archive failure: the breaker did not count it.
+    assert service.handle({"op": "health"})["result"]["breakers"] == {}
+
+
 def test_errors_are_responses_not_crashes(service):
     missing = service.handle({"op": "extract", "archive": "/nonexistent.zip",
                               "dest": "/tmp/x"})
@@ -317,8 +368,7 @@ def test_protocol_document_lists_exactly_the_fields_a_request_may_set():
             / "docs" / "vxserve-protocol.md").read_text(encoding="utf-8")
     section = text.split("### Per-request options", 1)[1].split("\n#", 1)[0]
     documented = set(re.findall(r"^\| `(\w+)`", section, flags=re.M))
-    assert documented == set(_OPTION_FIELDS) | {"jobs", "reuse", "members",
-                                                "fault_plan"}
+    assert documented == set(_OPTION_FIELDS) | {"jobs", "reuse", "members"}
 
 
 # -- stream transport ----------------------------------------------------------
@@ -393,6 +443,35 @@ def test_unix_socket_serves_concurrent_clients(tmp_path, service, archive_path,
     _socket_request(socket_path, {"op": "shutdown"})
     server.join(timeout=10)
     assert not server.is_alive()
+
+
+def test_socket_path_appears_only_once_listening(tmp_path, service,
+                                               monkeypatch):
+    # A slow listen() widens the window between bind() and listen(): a
+    # client that connects as soon as the path exists must still be served.
+    import socketserver
+
+    listen = socketserver.UnixStreamServer.server_activate
+
+    def slow_listen(self):
+        time.sleep(0.3)
+        listen(self)
+
+    monkeypatch.setattr(socketserver.UnixStreamServer, "server_activate",
+                        slow_listen)
+    socket_path = str(tmp_path / "vxserve.sock")
+    server = threading.Thread(target=service.serve_socket, args=(socket_path,),
+                              daemon=True)
+    server.start()
+    deadline = time.monotonic() + 10
+    while not os.path.exists(socket_path):
+        assert time.monotonic() < deadline, "socket never appeared"
+        time.sleep(0.001)
+    assert _socket_request(socket_path, {"op": "ping"})["result"]["pong"]
+    _socket_request(socket_path, {"op": "shutdown"})
+    server.join(timeout=10)
+    assert not server.is_alive()
+    assert os.listdir(tmp_path) == []
 
 
 def test_shutdown_from_a_peer_that_hangs_up_unread_stops_the_server(tmp_path, service):
