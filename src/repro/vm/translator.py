@@ -68,10 +68,10 @@ what is known of the frame, and a frame store what is known of the stack,
 unless one pointer was copied from the other inside the trace; telling them
 apart takes the static analysis's stack-zone facts and is not done here.)
 Address computations, bounds checks (a wider one subsumes a narrower one at
-the same address value) and ``& 0xffffffff`` elision (per-local upper
-bounds) key on the same immutable values, so a register write invalidates
-nothing.  Each pass over the trace starts from no knowledge at all, which
-is what makes a back-edge to the trace head sound.
+the same address value) and wrap elision (per-local upper bounds) key on the
+same immutable values, so a register write invalidates nothing.  Each pass
+over the trace starts from no knowledge at all, which is what makes a
+back-edge to the trace head sound.
 
 A word goes through ``struct`` only where nothing is known of its address.
 Where that is a multiple of four *by construction or by an entry guard* --
@@ -79,10 +79,26 @@ never by an analysis fact -- it is ``w[i]`` in ``mem.words``, the sandbox's
 aligned word view: a literal index for a constant, ``w[a >> 2]`` for a root
 the trace shifted left by two or more, ``w[q7 - 1]`` (``q7 = r7 >> 2`` hoisted,
 no address statement) for ``[r6|r7 + 4k]`` under one entry test per pointer,
-``if r7 - LOW & 0xC0000003: return BAIL``, whose one ``&`` proves alignment
-and both ends of the range (:meth:`_Trace.word`).  A fragment that bails has
-changed nothing; the dispatcher replaces it by a translation with the view
-off, so a misaligned ``sp`` stays legal ISA and the engines agree.
+``if r7 & 3 or not LOW <= r7 < LOW + 2**30: return BAIL``, which proves
+alignment and both ends of the range (:meth:`_Trace.word`).  A fragment that
+bails has changed nothing; the dispatcher replaces it by a translation with
+the view off, so a misaligned ``sp`` stays legal ISA and the engines agree.
+
+What a statement costs is CPython's, not the guest's.  An ``int`` is stored
+in 30-bit digits, and ``&`` or ``^`` with a constant of 2**30 or more
+(``0xFFFFFFFF``, ``0x80000000``) takes the multi-digit path, which allocates
+its result every time; a comparison with the same constant allocates
+nothing.  Timed alone (CPython 3.11 on an x86-64 Xeon), ``v = a + b`` costs
+18 ns, ``v = a + b & 0xFFFFFFFF`` 52 ns and ``v = u if (u := a + b) <=
+0xFFFFFFFF else u - 2**32`` 38 ns.  So a value pays for a wrap only when it
+is out of range: a sum is ``(x + k if x < m else x - m)`` or the ``u :=``
+form above, NOT is ``0xFFFFFFFF - x``, a signed compare compares each side's
+signed value (picked by ``x > 0x7FFFFFFF``) rather than XOR both with 2**31,
+an entry guard compares the pointer with its range, and a write-back assigns
+``r[i]`` per dirty register rather than build a tuple for ``r[:]``.  Only a
+product, a left shift and the signed shift, whose results really exceed 32
+bits, keep the mask.  ``tools/fragment_mix.py --costs`` times each class of
+statement.
 
 The memory-check policies of :mod:`repro.vm.memory` are honoured: under
 ``full`` every load and store carries an explicit bounds check against the
@@ -223,6 +239,8 @@ _BYTEORDER = sys.byteorder
 #: fragment whose entry guard fails returns (exit slots count down from -1).
 _REACH = 1 << 20
 _BAIL = -1 << 30
+#: The range ``[LOW, LOW + _SPAN)`` an entry guard admits a pointer from.
+_SPAN = 1 << 30
 
 #: Globals made available to generated fragment code.
 _FRAGMENT_GLOBALS = {
@@ -270,6 +288,11 @@ _SIGNED_JUMPS = frozenset({Op.JLTS, Op.JLES, Op.JGTS, Op.JGES})
 #: two operands of the last compare each *are* the entry local of that name.
 _ENTRY = tuple((name, 0) for name in (
     "r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7", "cca", "ccb"))
+
+
+def _negated(x: str) -> str:
+    """``-x`` (mod 2**32) of a local or literal ``x``, with no mask."""
+    return f"{_MASK + 1} - {x} if {x} else 0"
 
 
 def _plus(value, k: int):
@@ -352,7 +375,15 @@ class _Trace:
         return min(self.bounds.get(local, _MASK) + k, _MASK)
 
     def expr(self, value) -> str:
-        """Python expression for ``value`` (lowest precedence: ``&``)."""
+        """Python expression for ``value`` (lowest precedence: ``+``).
+
+        A sum that may wrap is a parenthesised conditional that subtracts
+        2**32 only when the sum is out of range: ``(x + k if x < m else x -
+        m)``, ``m = 2**32 - k``, or for ``k >= 2**31`` its mirror image
+        ``(x - d if x >= d else x + k)``, ``d = 2**32 - k``.  Either is a
+        comparison against a constant, which costs no allocation where ``&
+        0xFFFFFFFF`` does (see the module docstring).
+        """
         local, k = value
         if local is None:
             return str(k)
@@ -362,9 +393,10 @@ class _Trace:
             return self.held[value]
         if self.bounds.get(local, _MASK) + k <= _MASK:
             return f"{local} + {k}"               # provably no wrap-around
+        m = _MASK + 1 - k
         if k < _SIGN:
-            return f"{local} + {k} & {_MASK}"
-        return f"{local} - {_MASK + 1 - k} & {_MASK}"
+            return f"({local} + {k} if {local} < {m} else {local} - {m})"
+        return f"({local} - {m} if {local} >= {m} else {local} + {k})"
 
     def atom(self, value) -> str:
         """A local or literal holding ``value``, computed on the main line."""
@@ -376,7 +408,12 @@ class _Trace:
         return self.expr(value)
 
     def root(self, text: str, bound: int):
-        """Emit ``v<n> = text`` (masked unless ``bound`` fits) as a new root."""
+        """Emit ``v<n> = text`` (masked unless ``bound`` fits) as a new root.
+
+        Only a product, a left shift and the signed shift still take the
+        ``& 0xFFFFFFFF``; sums, differences, NOT and NEG are spelled so they
+        never exceed 32 bits (:meth:`alu`, :meth:`step`).
+        """
         name = f"v{self.roots}"
         self.roots += 1
         if bound > _MASK:
@@ -427,12 +464,13 @@ class _Trace:
         (b) a root ``x << c``, ``c >= 2``, plus such a constant: the address
             is masked as ever, so ``>> 2`` is exact;
         (c) an entry ``r6``/``r7`` plus ``s``, ``s % 4 == 0``, ``|s| <=
-            _REACH``, under the entry guard ``if r7 - LOW & 0xC0000003:
-            return BAIL`` (:meth:`render`; ``LOW``: the largest ``-s`` of the
-            trace).  It passes iff ``r7 - LOW`` -- the unbounded integer: a
-            negative one above ``-2**30`` has bits 30 and 31 set -- is a
-            multiple of four in ``[0, 2**30)``.  Alignment: so is ``r7``, as
-            ``LOW`` is.  Lower bound: ``r7 + s >= 0``, so nothing wraps below
+            _REACH``, under the entry guard ``if r7 & 3 or not LOW <= r7 <
+            LOW + 2**30: return BAIL`` (:meth:`render`; ``LOW``: the largest
+            ``-s`` of the trace, a multiple of four; ``r7 >= 2**30`` when it
+            is 0).  It passes iff ``r7 - LOW`` is a multiple of four in
+            ``[0, 2**30)``, which is what the one-``&`` test ``r7 - LOW &
+            0xC0000003`` said at a multi-digit price.  Alignment: ``r7 & 3 ==
+            0``.  Lower bound: ``r7 + s >= 0``, so nothing wraps below
             zero and no index is negative (Python would count it from the
             end).  Upper bound: ``r7 + s < 2**30 + 2 * _REACH``, so no sum
             wraps past 2**32.  Hence ``r7 + s`` *is* the byte address,
@@ -549,9 +587,10 @@ class _Trace:
             value = self.pop(pc)
             if rd != 7:           # rd is written before sp: ``pop r7`` = sp + 4
                 regs[rd] = value
-        elif op is Op.NOT or op is Op.NEG:
-            sign = "~" if op is Op.NOT else "-"
-            regs[rd] = self.root(f"{sign}{self.atom(regs[rs])}", _MASK + 1)
+        elif op is Op.NOT:
+            regs[rd] = self.root(f"{_MASK} - {self.atom(regs[rs])}", _MASK)
+        elif op is Op.NEG:
+            regs[rd] = self.root(_negated(self.atom(regs[rs])), _MASK)
         elif op is not Op.NOP:
             other = regs[rs]
             if op in _IMMEDIATE_FORMS:
@@ -570,10 +609,17 @@ class _Trace:
             if a[0] is None and op is Op.ADD:
                 return (b[0], k)
             # Only the two locals are combined; the constants fold into k.
-            top = (self.bounds.get(a[0], _MASK) + self.bounds.get(b[0], _MASK)
-                   if op is Op.ADD else _MASK + 1)
-            sign = "+" if op is Op.ADD else "-"
-            return (self.root(f"{a[0] or 0} {sign} {b[0]}", top)[0], k)
+            if a[0] is None:                        # 0 - b
+                return (self.root(_negated(b[0]), _MASK)[0], k)
+            if op is Op.SUB:
+                text = (f"u if (u := {a[0]} - {b[0]}) >= 0 "
+                        f"else u + {_MASK + 1}")
+                return (self.root(text, _MASK)[0], k)
+            top = self.bounds.get(a[0], _MASK) + self.bounds.get(b[0], _MASK)
+            text = f"{a[0]} + {b[0]}"
+            if top > _MASK:
+                text = f"u if (u := {text}) <= {_MASK} else u - {_MASK + 1}"
+            return (self.root(text, min(top, _MASK))[0], k)
         x, y = self.atom(a), self.atom(b)
         top_a, top_b = self.limit(a), self.limit(b)
         if op is Op.MUL:
@@ -609,14 +655,19 @@ class _Trace:
         if left == _ENTRY[8]:
             self.reads_entry_cc = True
         if op in _SIGNED_JUMPS:
-            # Sign-bias trick: for 32-bit unsigned a, b it holds that
-            # signed(a) < signed(b)  iff  (a ^ 2**31) < (b ^ 2**31).
-            left, right = (
-                str(side[1] ^ _SIGN) if side[0] is None
-                else f"({self.atom(side)} ^ {_SIGN})" for side in (left, right))
+            left, right = self.signed(left), self.signed(right)
         else:
             left, right = self.atom(left), self.atom(right)
         return f"{left} {_COMPARISONS[op]} {right}"
+
+    def signed(self, value) -> str:
+        """``value`` as a signed number: a constant's is found now, a local's
+        is picked by a comparison."""
+        local, k = value
+        if local is None:
+            return str(_signed(k))
+        x = self.atom(value)
+        return f"({x} - {_MASK + 1} if {x} > {_SIGN - 1} else {x})"
 
     # -- leaving the main line ----------------------------------------------------
 
@@ -669,8 +720,9 @@ class _Trace:
         for pointer, low in sorted(self.low.items()):
             if int(pointer[1]) in self.loop_carried:
                 return None
-            test = f"{pointer} - {low}" if low else pointer
-            prologue += [f"if {test} & {0xC0000003}: return {_BAIL}",
+            outside = (f"not {low} <= {pointer} < {low + _SPAN}" if low
+                       else f"{pointer} >= {_SPAN}")
+            prologue += [f"if {pointer} & 3 or {outside}: return {_BAIL}",
                          f"q{pointer[1]} = {pointer} >> 2"]
         if self.uses_view:
             prologue.append("w = mem.words")
@@ -691,10 +743,7 @@ class _Trace:
             for i in self.loop_carried:
                 writes[i] = writes[i] or _ENTRY[i][0]
             dirty = [i for i in range(8) if writes[i]]
-            if len(dirty) >= 4:
-                body.append(f"{indent}r[:] = " + ", ".join(
-                    writes[i] or f"r{i}" for i in range(8)))
-            elif dirty:
+            if dirty:
                 body.append(indent + "; ".join(
                     f"r[{i}] = {writes[i]}" for i in dirty))
             if writes[8]:                  # ``cmp`` sets both operands

@@ -8,6 +8,7 @@ that every executed line finds a class and that the classes add up.
 import pathlib
 import sys
 from collections import Counter
+from functools import partial
 
 from repro.vm.machine import VirtualMachine
 from repro.vm.translator import Translator
@@ -49,13 +50,44 @@ def test_every_kind_of_statement_gets_its_class():
     assert by_line["v1 = _u32(buf, r5)[0]"] == "word load struct computed"
     assert by_line["v3 = w[a0 >> 2]"] == "word load view computed"
     assert by_line["if r5 > s4: _flt(r5, 4, 'read')"] == "bounds guard"
-    assert by_line["a2 = r7 - 3 & 4294967295"] == "address r6|r7 +- k"
+    assert by_line["a2 = (r7 - 3 if r7 >= 3 else r7 + 4294967293)"] == "address r6|r7 +- k"
+    assert by_line["v2 = v1 << 2 & 4294967295"] == "alu masked"
+    assert by_line["a1 = (v0 + 1 if v0 < 4294967295 else v0 - 4294967295)"] == "alu wrapped"
+    assert by_line["if r7 & 3 or not 4 <= r7 < 1073741828: return -1073741824"] == "entry guard"
     assert by_line["v4 = buf[a2]"] == "narrow load"
     assert by_line["if v3 == 7:"] == "compare"
     assert by_line["continue"] == "exit loop"
     assert by_line["return v6"] == "exit return"
     guards = [name for name in classes if name == "entry guard"]
     assert len(guards) == 2 and len(classes) == source.count("\n") + 1
+
+
+def test_wraps_and_signed_compares_get_their_classes():
+    vm = VirtualMachine(build_asm("""
+    _start:
+        add  r1, r2
+        sub  r3, r4
+        neg  r5, r5
+        not  r0, r0
+        mul  r1, r3
+        cmp  r1, r2
+        jlts _start
+        cmpi r0, -2
+        jges _start
+        halt
+    """))
+    translator = Translator(vm.memory, vm.text_start, vm.text_end, text=vm.text)
+    source = translator.translate(vm.pc).source
+    lines = [line.strip() for line in source.split("\n")]
+    by_line = dict(zip(lines, fragment_mix.classify(source)))
+    assert by_line["v0 = u if (u := r1 + r2) <= 4294967295 else u - 4294967296"] == "alu wrapped"
+    assert by_line["v1 = u if (u := r3 - r4) >= 0 else u + 4294967296"] == "alu wrapped"
+    assert by_line["v2 = 4294967296 - r5 if r5 else 0"] == "alu wrapped"
+    assert by_line["v3 = 4294967295 - r0"] == "alu wrapped"
+    assert by_line["v4 = v0 * v1 & 4294967295"] == "alu masked"
+    assert by_line["if (v4 - 4294967296 if v4 > 2147483647 else v4) < "
+                   "(r2 - 4294967296 if r2 > 2147483647 else r2):"] == "signed compare"
+    assert by_line["if (v3 - 4294967296 if v3 > 2147483647 else v3) >= -2:"] == "signed compare"
 
 
 def test_the_members_are_the_benchmarks_own():
@@ -88,3 +120,22 @@ def test_one_decode_is_classed_completely_and_adds_up(monkeypatch, capsys):
     total = sum(count for key, count in mix.items() if key != "total")
     assert mix["total"] == total                   # nothing counted twice or dropped
     assert table[-1].split() == ["total", str(total), str(8 * total)]
+
+
+def test_costs_print_one_row_per_class(monkeypatch, capsys):
+    """``--costs`` times every class that ran and sets the sum beside a warm
+    decode; what the numbers are is the box's, so none is asserted."""
+    small = b"a small member, mostly repeats " * 12
+    monkeypatch.setattr(fragment_mix, "members", lambda: ({"vxz": small}, Counter(vxz=8)))
+    monkeypatch.setattr(fragment_mix, "costs", partial(fragment_mix.costs, number=100, repeat=3))
+    fragment_mix.main(["--costs"])
+    mix_table, cost_table = capsys.readouterr().out.split("\n\n")
+    classes = [line.rsplit(None, 2)[0] for line in mix_table.splitlines()[1:]]
+    classes.remove("total")
+    classes.remove("entry-guard bails")
+    rows = [line[:28].strip() for line in cost_table.splitlines()]
+    assert rows[0] == "statement cost"
+    assert rows[1:-3] == classes
+    assert rows[-3:] == ["sum of class x count", "measured warm decode", "residual"]
+    for line in cost_table.splitlines()[1:]:
+        [float(cell) for cell in line.split()[-2:]]        # a cell per column

@@ -189,16 +189,19 @@ def test_bundled_decoder_memory_sites(name, monkeypatch):
 
 
 #: Per archived image: ``guards_elided`` of that decode and the SHA-256 of its
-#: output and of every ``Fragment.source`` in entry order, all three as
-#: computed at the commit before the word view existed (PR 17).  The view must
-#: leave the first two alone; the third is what a host of the other byte order
-#: still generates -- the ``struct`` path, text unchanged.  The 0.2 row is the
-#: one ``vxz`` had until vxc 0.3 (same image bytes, same input).
+#: output and of every ``Fragment.source`` in entry order.  The first two are
+#: as computed at the commit before the word view existed (PR 17), and the
+#: view must leave them alone.  The third is what a host of the other byte
+#: order generates -- the ``struct`` path -- pinned to the generator that
+#: spells wraps and signed compares as comparisons (whose text differs from
+#: PR 17's by construction: no ``& 0xFFFFFFFF`` on a sum, no sign-bias
+#: ``^``, a write-back by index), so any other change to it shows.  The 0.2
+#: row is the one ``vxz`` had until vxc 0.3 (same image bytes, same input).
 _BEFORE_THE_VIEW = {
     "vxz-vxc-0.1": (428, "dd8add34c82cd720",
-                    "402cb55246d9f5e8200da876167769fd961f355a872f2fa2128ab1660eee69a0"),
+                    "c5e6e00c1fdfab8d3768338768e5622dbfade8d46128a844c1858271b3303874"),
     "vxz-vxc-0.2": (308, "e4871d5b6ded4275",
-                    "61858250a2590554f0742af16ff4f8a48f67c03894e35e9fbadc6e56f3e7dbe8"),
+                    "8562071af3a5c24f96e903b8bddc54055c6d3c46a2b54441bc1d4b3bf84b50a4"),
 }
 
 
@@ -226,7 +229,7 @@ def test_the_word_view_serves_nearly_every_word_site(name):
 def test_the_struct_path_is_what_it_was(name, monkeypatch):
     """On a big-endian host no word goes through the (native-order) view, the
     same guards are elided and the same bytes come out; for the archived
-    images what is generated instead is, byte for byte, what PR 17 generated."""
+    images what is generated instead is, byte for byte, the pinned text."""
     through_the_view = _decode(name)[1]
     monkeypatch.setattr(translator, "_BYTEORDER", "big")
     vm, result, expected = _decode(name)
@@ -237,3 +240,30 @@ def test_the_struct_path_is_what_it_was(name, monkeypatch):
         guards_elided, _, sources = _BEFORE_THE_VIEW[name]
         assert _sources_digest(vm) == sources
         assert result.stats.guards_elided == guards_elided
+
+
+#: The lines that may still mask with ``& 0xFFFFFFFF``: a product, a left
+#: shift and the signed shift (their values really do exceed 32 bits), and a
+#: system call's result (a host value, negative for an error).
+_MASKED = re.compile(
+    r"^v\d+ = (\w+ \* \w+|\w+ << (\d+|\(\w+ & 31\))"
+    r"|\(\(\w+ \^ 2147483648\) - 2147483648\) >> (\d+|\(\w+ & 31\)))"
+    r" & 4294967295$|^r\[0\] = t & 4294967295$")
+
+
+def test_a_value_pays_for_a_wrap_only_when_it_is_out_of_range():
+    """CPython's ``&`` and ``^`` with a constant of 2**30 or more take the
+    multi-digit path and allocate, a comparison with it does not: sums,
+    differences, NOT, NEG, signed compares and entry guards compare, and a
+    write-back assigns by index instead of building a tuple for a slice."""
+    masked = 0
+    for name in _BUNDLED:
+        for fragment in _decode(name)[0].code_cache.fragments.values():
+            for line in fragment.source.split("\n"):
+                line = line.strip()
+                assert "& 3221225475" not in line and "r[:] =" not in line, line
+                assert not (line.startswith("if ") and "^ 2147483648" in line), line
+                if "& 4294967295" in line:
+                    assert _MASKED.match(line), line
+                    masked += 1
+    assert masked                       # the gate sees the lines it lets through

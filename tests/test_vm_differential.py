@@ -248,6 +248,77 @@ def test_random_programs_agree_across_engines(seed):
     _assert_engines_agree(build_asm(_random_program(seed)), seed)
 
 
+#: Operands at every edge the translator's wrap and sign tests compare
+#: against: CPython's one-digit limit (2**30), the sign bit and 2**32.
+_BOUNDARIES = (0, 1, (1 << 30) - 1, 1 << 30, (1 << 31) - 1, 1 << 31,
+               (1 << 31) + 1, (1 << 32) - 2, (1 << 32) - 1)
+_BOUNDARY_OPS = {
+    "add": "add r1, r2", "sub": "sub r1, r2", "addi": "addi r1, {b}",
+    "subi": "subi r1, {b}", "lea": "lea r1, [r1+{b}]",
+    "neg": "neg r1, r1", "not": "not r1, r1",
+    "sub-from-const": "movi r1, {a}\n    sub r1, r2",       # a - b, a known
+    # Both operands below 2**31: the sum cannot wrap and is not tested.
+    "add-bounded": "andi r1, 0x7FFFFFFF\n    andi r2, 0x7FFFFFFF\n    add r1, r2",
+}
+_BOUNDARY_COMPARES = {
+    "reg": "cmp r1, r2", "imm": "cmpi r1, {b}", "const": "movi r1, {a}\n    cmp r1, r2",
+}
+
+
+def _boundary_program(operation: str) -> str:
+    """Every ordered pair of :data:`_BOUNDARIES` through ``operation``.
+
+    The operands are loaded, so the translator knows nothing of them.  Each
+    result is stored; then ``call sink`` ends the trace, so the register is
+    also written back as the translator spells it (wrapped, not yet held)
+    and stored again by a fragment that meets it as an entry local.  A
+    compare records the branch each signed jump takes.
+    """
+    lines = ["_start:", "    movi r6, values", "    movi r5, results"]
+    for i, a in enumerate(_BOUNDARIES):
+        for j, b in enumerate(_BOUNDARIES):
+            lines += [f"    ld32 r1, [r6+{4 * i}]", f"    ld32 r2, [r6+{4 * j}]"]
+            if operation in _BOUNDARY_OPS:
+                lines += ["    " + _BOUNDARY_OPS[operation].format(a=a, b=b), "    call sink"]
+                continue
+            jump, form = operation.split("-")
+            lines.append("    " + _BOUNDARY_COMPARES[form].format(a=a, b=b))
+            n = len(lines)
+            lines += [f"    {jump} taken{n}", "    movi r1, 0", f"    jmp done{n}",
+                      f"taken{n}:", "    movi r1, 1", f"done{n}:", "    call sink"]
+    lines += ["    movi r0, 0", "    halt",
+              "sink:", "    st32 [r5], r1", "    st32 [r5+4], r2", "    addi r5, 8", "    ret",
+              ".data", "values:"] + [f"    .word {value}" for value in _BOUNDARIES]
+    return "\n".join(lines + ["results:", f"    .space {8 * len(_BOUNDARIES) ** 2}"])
+
+
+@pytest.mark.parametrize("operation", [*_BOUNDARY_OPS] + [
+    f"{jump}-{form}" for jump in ("jlts", "jles", "jgts", "jges")
+    for form in _BOUNDARY_COMPARES])
+def test_wraps_and_signed_compares_agree_at_every_boundary(operation):
+    _assert_engines_agree(build_asm(_boundary_program(operation)), operation)
+
+
+def test_the_entry_guard_admits_what_the_masked_test_did():
+    """``p & 3 or not LOW <= p < LOW + 2**30`` is ``p - LOW & 0xC0000003``
+    for any 32-bit ``p`` when ``LOW`` is a multiple of four."""
+    def masked(p, low):
+        return bool(p - low & 0xC0000003)
+
+    def compared(p, low):
+        return bool(p & 3 or not low <= p < low + (1 << 30))
+
+    rng = random.Random(20261017)
+    for low in (0, 4, 8, 1 << 20):
+        edges = [low - 4, low, low + (1 << 30) - 4, low + (1 << 30)]
+        pointers = [p + odd & 0xFFFFFFFF for p in edges for odd in range(4)]
+        pointers += [rng.randrange(1 << 32) for _ in range(10_000)]
+        for p in pointers:
+            assert compared(p, low) == masked(p, low), (p, low)
+        # The aligned edges: one word below, first, last, one word past.
+        assert [compared(p, low) for p in pointers[:16:4]] == [True, False, False, True]
+
+
 #: Hand-written programs aimed at the translator's value forwarding: each
 #: one is wrong under a plausible shortcut (forwarding across an aliasing
 #: store, keeping a stale word, moving sp in the wrong order).  ``r6``
@@ -619,7 +690,7 @@ def test_a_guarded_fragment_is_what_those_programs_start_from():
     image = build_asm("_start:\n    movi r5, use\n" + body + "    halt\n")
     vm = _observe(image, ENGINE_TRANSLATOR, False)[1]
     source = vm.code_cache.fragments[vm.regs[5]].source
-    assert f"if r7 - 8 & {0xC0000003}: return {_BAIL}" in source
+    assert f"if r7 & 3 or not 8 <= r7 < {8 + (1 << 30)}: return {_BAIL}" in source
     assert "w[q7 - 1] = " in source and "_p32(" not in source
     assert vm.stats.retranslations == 0
 

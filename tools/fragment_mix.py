@@ -9,7 +9,15 @@ that only feed it, arithmetic, guards, compares, and what a fragment pays on
 entry and exit.  The counts are exact and repeat; they say where statements
 go inside ``vm.execute``, not how long each takes.
 
-    PYTHONPATH=src python tools/fragment_mix.py
+    PYTHONPATH=src python tools/fragment_mix.py [--costs]
+
+``--costs`` adds how long they take: each class's cost per statement, timed
+alone (``timeit``) on one statement shaped like the generated code, with the
+interquartile range of its repeats; class x count per decoder; their sum; and
+next to it a measured warm decode of the same member, untraced.  The sum
+leaves out what is no statement -- the fragment call and return, the
+dispatcher, the virtual system calls -- so the residual is theirs, plus the
+error of taking one shape for a class.  The costs are reported, never gated.
 
 The members are built by vxabench's own ``inputs.mixed_members`` (seed 7, the
 ``bench`` shape): the first member of each decoder, and the ``pass`` column
@@ -18,14 +26,18 @@ weights each by the number of members that decoder has in that archive.
 
 from __future__ import annotations
 
+import argparse
 import pathlib
 import re
+import statistics
 import sys
+import time
+import timeit
 from collections import Counter
 
 from repro.codecs.registry import default_registry
 from repro.vm.machine import VirtualMachine
-from repro.vm.translator import _BAIL
+from repro.vm.translator import _BAIL, _FRAGMENT_GLOBALS
 
 sys.path.append(str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "vxabench"))
 
@@ -38,7 +50,7 @@ SEED = 7
 _BASE = re.compile(r"(?P<sp>[rq]7\b)|(?P<fp>[rq]6\b)|(?P<const>\d+$)")
 #: First match wins; ``{base}`` is the base of the address in group 1.
 _CLASSES = [(name, re.compile(pattern)) for name, pattern in (
-    ("entry unpack", r"r0, r1, .* = r$"), ("entry guard", r"if .* & 3221225475: return"),
+    ("entry unpack", r"r0, r1, .* = r$"), ("entry guard", r"^if r[67] & 3 or .*: return"),
     ("entry q", r"q[67] = "), ("entry view", r"w = mem\.words"),
     ("entry size", r"^(size|s\d) = "), ("entry cc", r"cca, ccb = vm\.cc"),
     ("exit loop", r"^(r\d|cc[ab])(, (r\d|cc[ab]))* = |continue|while True:"),
@@ -51,8 +63,10 @@ _CLASSES = [(name, re.compile(pattern)) for name, pattern in (
     ("word load view {base}", r"= w\[(.*)\]$"),
     ("word store struct {base}", r"_p32\(buf, (\w+), "), ("word store view {base}", r"^w\[(.*)\] = "),
     ("narrow load", r"= (t \+|buf\[|_u16\()"), ("narrow store", r"^(buf\[|_p16\()"),
-    ("compare", r"if "), ("address r6|r7 +- k", r"^a\d+ = r[67] [+-] \d+( & 4294967295)?$"),
-    ("alu masked", r" & 4294967295$"), ("alu plain", r"= "))]
+    ("signed compare", r"^if .* - 4294967296 if "), ("compare", r"^if "),
+    ("address r6|r7 +- k", r"^a\d+ = \(r([67]) [+-] \d+ if r\1 [<>]=? \d+ else r\1 [+-] \d+\)$"),
+    ("alu masked", r" & 4294967295$"), ("alu wrapped", r" if .* else |^\w+ = 4294967295 - "),
+    ("alu plain", r"= "))]
 
 
 def members() -> tuple[dict[str, bytes], Counter]:
@@ -69,7 +83,7 @@ def _base(address: str, definitions: dict[str, str]) -> str:
     """Base of an address: a local (looked up where the fragment defines it),
     a literal, or a word-view index such as ``q7 - 1`` or ``a3 >> 2``."""
     local = address.split(" ")[0]
-    found = _BASE.match(definitions.get(local, local))
+    found = _BASE.match(definitions.get(local, local).lstrip("("))
     return found.lastgroup if found else "computed"
 
 
@@ -121,21 +135,146 @@ def measure(name: str, data: bytes) -> Counter:
     return mix
 
 
-def report(mixes: dict[str, Counter], weights: Counter) -> str:
+def weighted(mixes: dict[str, Counter], weights: Counter) -> dict[str, Counter]:
+    """The decoders' mixes plus ``pass``, each weighted by its member count."""
     whole: Counter = Counter()
     for name, mix in mixes.items():
         whole.update({key: count * weights[name] for key, count in mix.items()})
-    columns = {**mixes, "pass": whole}
+    return {**mixes, "pass": whole}
+
+
+def report(mixes: dict[str, Counter], weights: Counter) -> str:
+    columns = weighted(mixes, weights)
     rows = [f"{'statements executed':32}" + "".join(f"{name:>12}" for name in columns)]
-    for key in sorted(whole, key=lambda key: (key == "total", key)):
+    for key in sorted(columns["pass"], key=lambda key: (key == "total", key)):
         rows.append(f"{key:32}" + "".join(f"{mix[key]:12d}" for mix in columns.values()))
     return "\n".join(rows)
 
 
-def main() -> None:
+#: One statement per class, shaped like what the translator generates, for
+#: ``--costs``; ``{view}``/``{struct}`` is a word-view index/``struct`` address
+#: on that class's base.  A guard's or compare's exit is never taken.  A
+#: ``return`` is timed as its value, the return itself being the call's.
+_SNIPPETS = {
+    "entry unpack": "r0, r1, r2, r3, r4, r5, r6, r7 = r",
+    "entry guard": "if r7 & 3 or not 8 <= r7 < 1073741832: _flt(r7, 4, 'read')",
+    "entry q": "q7 = r7 >> 2", "entry view": "w = mem.words",
+    "entry size": "s4 = mem.size - 4", "entry cc": "cca, ccb = vm.cc",
+    "exit loop": "r1, r2 = v1, v2", "exit icount": "vm.icount += 9",
+    "exit budget": "if vm.icount > vm.budget: _over(vm)",
+    "exit write-back": "r[2] = v1; r[3] = v2", "exit cc": "vm.cc = (v1, 7)",
+    "exit return": "X0 or -1", "exit syscall": "if act == ACTION_EXIT: vm.halted = True",
+    "bounds guard": "if a1 > s4: _flt(a1, 4, 'read')",
+    "word load struct": "v4 = _u32(buf, {struct})[0]", "word load view": "v4 = w[{view}]",
+    "word store struct": "_p32(buf, {struct}, v1)", "word store view": "w[{view}] = v1",
+    "narrow load": "v4 = buf[a1]", "narrow store": "buf[a1] = v2 & 255",
+    "signed compare": "if (v1 - 4294967296 if v1 > 2147483647 else v1) < -5: _flt(v1, 4, 'read')",
+    "compare": "if v1 == v2: _flt(v1, 4, 'read')",
+    "address r6|r7 +- k": "a2 = (r7 - 3 if r7 >= 3 else r7 + 4294967293)",
+    "alu masked": "v4 = v1 * v3 & 4294967295",
+    "alu wrapped": "v4 = u if (u := v1 + v2) <= 4294967295 else u - 4294967296",
+    "alu plain": "v4 = v1 >> 3",
+}
+#: Per address base: the index and the ``struct`` address a snippet uses.
+_ADDRESSES = {"sp": ("q7 - 1", "a7"), "fp": ("q6 + 2", "a6"),
+              "const": ("2048", "8192"), "computed": ("a1 >> 2", "a1")}
+#: The fragment's arguments and entry state, as locals (a fragment's are).
+_SETUP = """\
+vm = _vm; r = list(vm.regs); mem = vm.memory; buf = mem.buffer; w = mem.words
+r0, r1, r2, r3, r4, r5, r6, r7 = r
+q6 = r6 >> 2; q7 = r7 >> 2; s4 = mem.size - 4
+a1 = 8192; a6 = r6 + 8; a7 = r7 - 4
+v1, v2, v3 = 123456, 7890, 40503
+u = 0; act = 0; X0 = None
+"""
+
+
+def snippet(key: str) -> str | None:
+    """The statement ``--costs`` times for class ``key``."""
+    family, _, base = key.rpartition(" ")
+    if key.startswith("word ") and base in _ADDRESSES:
+        view, struct = _ADDRESSES[base]
+        return _SNIPPETS[family].format(view=view, struct=struct)
+    return _SNIPPETS.get(key)
+
+
+def costs(keys, number: int = 5000, copies: int = 10, repeat: int = 7) -> dict:
+    """``key -> (median, interquartile range)`` in ns per statement, of the
+    ``repeat`` timings of ``number`` runs of ``copies`` copies of its snippet,
+    less the loop's own cost."""
+    vm = VirtualMachine(default_registry().get("vxz").guest_decoder_image())
+    vm.regs[6:8] = [0x7F000, 0x7EF00]
+    vm.icount, vm.budget = 0, 1 << 62
+    namespace = {**_FRAGMENT_GLOBALS, "_vm": vm}
+
+    def timed(statement: str) -> list[float]:
+        timer = timeit.Timer("\n".join([statement] * copies), _SETUP, globals=namespace)
+        return [seconds * 1e9 / (number * copies)
+                for seconds in timer.repeat(repeat, number)]
+
+    loop = statistics.median(timed("pass"))
+    result = {}
+    for key in keys:
+        if (statement := snippet(key)) is not None:
+            ns = [value - loop for value in timed(statement)]
+            quartiles = statistics.quantiles(ns, n=4)
+            result[key] = (statistics.median(ns), quartiles[2] - quartiles[0])
+    return result
+
+
+def warm_seconds(name: str, data: bytes, repeat: int = 5) -> float:
+    """Median untraced decode of ``data`` by decoder ``name``, translated first."""
+    codec = default_registry().get(name)
+    vm = VirtualMachine(codec.guest_decoder_image())
+    encoded = codec.encode(data)
+    vm.decode(encoded)
+    runs = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        vm.decode(encoded)
+        runs.append(time.perf_counter() - start)
+    return statistics.median(runs)
+
+
+def cost_report(mixes: dict[str, Counter], weights: Counter, warm: dict[str, float]) -> str:
+    """Per class: ns per statement and class x count in ms, per decoder and pass."""
+    columns = weighted(mixes, weights)
+    keys = sorted(key for key in columns["pass"]
+                  if key not in ("total", "entry-guard bails", "replaced fragment"))
+    cost = costs(keys)
+    rows = [f"{'statement cost':28}{'ns':>8}{'IQR':>7}" + "".join(f"{name:>10}" for name in columns)
+            + "  (ms)"]
+    predicted = dict.fromkeys(columns, 0.0)
+    for key in keys:
+        ns, spread = cost.get(key, (0.0, 0.0))
+        cells = ""
+        for name, mix in columns.items():
+            ms = mix[key] * ns / 1e6
+            predicted[name] += ms
+            cells += f"{ms:10.2f}"
+        rows.append(f"{key:28}" + (f"{ns:8.1f}{spread:7.1f}" if key in cost else f"{'-':>15}")
+                    + cells)
+    measured = {**warm, "pass": sum(warm[name] * weights[name] for name in warm)}
+    measured = {name: seconds * 1e3 for name, seconds in measured.items()}
+    for label, row in (("sum of class x count", predicted), ("measured warm decode", measured),
+                       ("residual", {name: measured[name] - predicted[name] for name in columns})):
+        rows.append(f"{label:43}" + "".join(f"{row[name]:10.2f}" for name in columns))
+    return "\n".join(rows)
+
+
+def main(argv=()) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--costs", action="store_true",
+                        help="also time each class and set class x count beside a warm decode")
+    args = parser.parse_args(argv)
     first, weights = members()
-    print(report({name: measure(name, data) for name, data in first.items()}, weights))
+    mixes = {name: measure(name, data) for name, data in first.items()}
+    print(report(mixes, weights))
+    if args.costs:
+        warm = {name: warm_seconds(name, data) for name, data in first.items()}
+        print()
+        print(cost_report(mixes, weights, warm))
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
