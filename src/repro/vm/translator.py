@@ -410,9 +410,9 @@ class _Trace:
     def root(self, text: str, bound: int):
         """Emit ``v<n> = text`` (masked unless ``bound`` fits) as a new root.
 
-        Only a product, a left shift and the signed shift still take the
-        ``& 0xFFFFFFFF``; sums, differences, NOT and NEG are spelled so they
-        never exceed 32 bits (:meth:`alu`, :meth:`step`).
+        Only a product, a left shift and the signed shift reach the mask;
+        sums, differences, NOT and NEG are spelled so that they never leave
+        32 bits (:meth:`alu`, :meth:`step`).
         """
         name = f"v{self.roots}"
         self.roots += 1
@@ -468,11 +468,10 @@ class _Trace:
             LOW + 2**30: return BAIL`` (:meth:`render`; ``LOW``: the largest
             ``-s`` of the trace, a multiple of four; ``r7 >= 2**30`` when it
             is 0).  It passes iff ``r7 - LOW`` is a multiple of four in
-            ``[0, 2**30)``, which is what the one-``&`` test ``r7 - LOW &
-            0xC0000003`` said at a multi-digit price.  Alignment: ``r7 & 3 ==
-            0``.  Lower bound: ``r7 + s >= 0``, so nothing wraps below
-            zero and no index is negative (Python would count it from the
-            end).  Upper bound: ``r7 + s < 2**30 + 2 * _REACH``, so no sum
+            ``[0, 2**30)``, and compares where a mask would allocate.
+            Alignment: ``r7 & 3 == 0``.  Lower bound: ``r7 + s >= 0``, so
+            nothing wraps below zero and no index is negative (Python would
+            count it from the end).  Upper bound: ``r7 + s < 2**30 + 2 * _REACH``, so no sum
             wraps past 2**32.  Hence ``r7 + s`` *is* the byte address,
             unmasked, and ``q7 + s // 4``, ``q7 = r7 >> 2``, its index; a
             site that needs its bounds check keeps it on that byte address

@@ -138,4 +138,5 @@ def test_costs_print_one_row_per_class(monkeypatch, capsys):
     assert rows[1:-3] == classes
     assert rows[-3:] == ["sum of class x count", "measured warm decode", "residual"]
     for line in cost_table.splitlines()[1:]:
-        [float(cell) for cell in line.split()[-2:]]        # a cell per column
+        for cell in line.split()[-2:]:                      # a number per column
+            float(cell)

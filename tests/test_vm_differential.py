@@ -259,6 +259,8 @@ _BOUNDARY_OPS = {
     "sub-from-const": "movi r1, {a}\n    sub r1, r2",       # a - b, a known
     # Both operands below 2**31: the sum cannot wrap and is not tested.
     "add-bounded": "andi r1, 0x7FFFFFFF\n    andi r2, 0x7FFFFFFF\n    add r1, r2",
+    # Bounds that sum to 2**32 exactly: the sum can still wrap.
+    "add-one-bit": "andi r2, 1\n    add r1, r2",
 }
 _BOUNDARY_COMPARES = {
     "reg": "cmp r1, r2", "imm": "cmpi r1, {b}", "const": "movi r1, {a}\n    cmp r1, r2",
