@@ -190,13 +190,12 @@ def test_bundled_decoder_memory_sites(name, monkeypatch):
 
 #: Per archived image: ``guards_elided`` of that decode and the SHA-256 of its
 #: output and of every ``Fragment.source`` in entry order.  The first two are
-#: as computed at the commit before the word view existed (PR 17), and the
-#: view must leave them alone.  The third is what a host of the other byte
-#: order generates -- the ``struct`` path -- pinned to the generator that
-#: spells wraps and signed compares as comparisons (whose text differs from
-#: PR 17's by construction: no ``& 0xFFFFFFFF`` on a sum, no sign-bias
-#: ``^``, a write-back by index), so any other change to it shows.  The 0.2
-#: row is the one ``vxz`` had until vxc 0.3 (same image bytes, same input).
+#: as computed at the commit before the word view existed, and the view must
+#: leave them alone.  The third is what a host of the other byte order
+#: generates -- the ``struct`` path -- pinned to the generator that spells
+#: wraps, signed compares and entry guards as comparisons and writes back by
+#: index, so any other change to that text shows.  The 0.2 row is the one
+#: ``vxz`` had until vxc 0.3 (same image bytes, same input).
 _BEFORE_THE_VIEW = {
     "vxz-vxc-0.1": (428, "dd8add34c82cd720",
                     "c5e6e00c1fdfab8d3768338768e5622dbfade8d46128a844c1858271b3303874"),
