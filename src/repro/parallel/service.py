@@ -691,6 +691,8 @@ class BatchService:
                                           write_through=True)
                 try:
                     service.serve_stream(self.rfile, writer)
+                except (BrokenPipeError, ConnectionResetError):
+                    pass            # the peer hung up before its reply: done
                 finally:
                     # A peer that hung up before reading the reply to its
                     # shutdown still stops the server.

@@ -19,14 +19,21 @@ mirroring the optimisations that make vx32 fast:
 
 *Superblocks.*  The translator follows fall-throughs and direct ``jmp``
 branches across basic-block boundaries, building one single-entry multi-exit
-trace per fragment (bounded by ``superblock_limit`` instructions and by
-revisiting an address already in the trace).  Conditional branches do not end
-a trace: the taken edge becomes a side exit and translation continues down
-the fall-through path, so hot loops compile into one fragment instead of a
-chain of tiny blocks.  ``call`` ends the trace (following it would duplicate
-the callee body into every call site's trace, which costs more in
-translation time than the saved dispatch is worth) but its edge is still
-chainable.
+trace per fragment (bounded by ``superblock_limit`` instructions, arms
+included, and by revisiting an address already in the trace).  Conditional
+branches do not end a trace.  A forward ``if`` -- ``jcc T; jmp E; T: A; E:``,
+or an ``if``/``else`` whose ``A`` ends in ``jmp X`` before ``E: B; X:`` --
+becomes a Python ``if``/``else`` whose arms rejoin: each register whose value
+differs between the arms gets one new local, assigned at the end of both, and
+the then-path adds what it executed beyond the else-path to the instruction
+count.  An arm holds no call, return, indirect jump, system call or halt,
+jumps only forward within itself, and its conditional jumps are side exits
+(:meth:`Translator._arms`).  Every other taken edge is a side exit and
+translation continues down the fall-through path, so hot loops compile into
+one fragment instead of a chain of tiny blocks.  ``call`` ends the trace
+(following it would duplicate the callee body into every call site's trace,
+which costs more in translation time than the saved dispatch is worth) but
+its edge is still chainable.
 
 *Fragment chaining.*  Every exit whose successor address is statically known
 (direct branches, fall-throughs, the continuation after a virtual system
@@ -153,7 +160,7 @@ class Fragment:
 
     entry: int                    # guest address of the first instruction
     func: Callable                # compiled fragment: (vm, regs, mem, buf, *exits)
-    instruction_count: int        # guest instructions along the full trace
+    instruction_count: int        # guest instructions translated, arms included
     end: int                      # guest address where the trace stopped
     source: str                   # generated Python source (for inspection/tests)
     exit_targets: tuple[int, ...] = ()   # static successor pc per chainable exit
@@ -283,6 +290,8 @@ _COMPARISONS = {
     Op.JLTS: "<", Op.JLES: "<=", Op.JGTS: ">", Op.JGES: ">=",
 }
 _SIGNED_JUMPS = frozenset({Op.JLTS, Op.JLES, Op.JGTS, Op.JGES})
+#: What an inlined if-arm may not hold: anything that leaves for good.
+_ARM_STOPS = frozenset({Op.CALL, Op.CALLR, Op.RET, Op.JMPR, Op.VXCALL, Op.HALT})
 
 #: What a pass over a trace starts from: the guest registers r0..r7 and the
 #: two operands of the last compare each *are* the entry local of that name.
@@ -295,6 +304,12 @@ def _negated(x: str) -> str:
     return f"{_MASK + 1} - {x} if {x} else 0"
 
 
+def _indented(lines: list) -> list:
+    """``lines`` one level deeper, write-back records too (:meth:`_Trace.leave`)."""
+    return ["    " + line if line.__class__ is str else ("    " + line[0], line[1])
+            for line in lines]
+
+
 def _plus(value, k: int):
     """``value + k`` (mod 2**32) of a symbolic value: no code, new constant."""
     return (value[0], value[1] + k & _MASK)
@@ -305,8 +320,8 @@ def _plus(value, k: int):
 #: Python code object is immutable, so a *compilation* can be shared where a
 #: fragment table cannot: across different images and configurations.  The
 #: bundled decoders emit identical source for the runtime code they link at
-#: equal addresses: extracting one member of each in one process, 141 of 592
-#: compilations are served from here (per decoder 0/12/13/54/39/23), and
+#: equal addresses: decoding vxabench's tiny seed-7 members in one process, 71
+#: of 509 compilations are served from here (per decoder 0/9/10/19/13/20), and
 #: ``compile`` is by far the most expensive step of translation.
 _CODE_MEMO: dict[str, object] = {}
 _CODE_MEMO_LIMIT = 4096
@@ -352,6 +367,7 @@ class _Trace:
         #: is assumed of every entry local, so bounds hold on every pass).
         self.bounds: dict[str, int] = {}
         self.roots = 0
+        self.atoms = 0
         #: value -> main-line local computed to hold it (addresses mostly).
         self.held: dict[tuple, str] = {}
         #: address value -> widest access already bounds-checked there.
@@ -403,7 +419,8 @@ class _Trace:
         local, k = value
         if local is not None and k and value not in self.held:
             text = self.expr(value)
-            self.held[value] = name = f"a{len(self.held)}"
+            self.held[value] = name = f"a{self.atoms}"
+            self.atoms += 1
             self.lines.append(f"{name} = {text}")
         return self.expr(value)
 
@@ -713,6 +730,56 @@ class _Trace:
                 + ", ".join(self.expr(self.regs[i]) for i in changed))
         self.lines += [indent + line for line in lines + ["continue"]]
 
+    # -- inlined if-arms ----------------------------------------------------------
+
+    def fork(self) -> tuple:
+        """The state both arms of an inlined ``if`` start from."""
+        return list(self.regs), self.held, self.guarded, self.words, self.lines
+
+    def arm(self, fork: tuple) -> None:
+        """Translate an arm next: from ``fork``, into lines of its own."""
+        self.regs[:] = fork[0]
+        self.held, self.guarded, self.words = map(dict, fork[1:4])
+        self.lines = []
+
+    def join(self, fork: tuple, test: str, arms: list, delta: int) -> None:
+        """Emit ``if test:`` over the two arms and go on from the join.
+
+        ``arms`` holds the then-arm's and the else-arm's ``(lines, regs,
+        held, words)`` at their ends.  Each index of ``regs`` whose value
+        differs between them gets a new root, assigned at the end of both
+        arms (a local assigned once per path); ``delta``, the then-path's
+        instructions less the else-path's, which the main line goes on
+        counting, is added on the then-path.  Nothing an arm computed is
+        ``held`` after the join and no check it made is ``guarded``; a word
+        stays remembered if both paths remember the same value for it.
+        """
+        (then, then_regs, _, then_words), (_, else_regs, _, else_words) = arms
+        differ = [i for i in range(10) if then_regs[i] != else_regs[i]]
+        roots = []
+        for i in differ:
+            roots.append(name := f"v{self.roots}")
+            self.roots += 1
+            if (bound := max(self.limit(then_regs[i]), self.limit(else_regs[i]))) < _MASK:
+                self.bounds[name] = bound
+        for lines, regs, held, _ in arms:
+            self.held = held
+            lines += [f"{root} = {self.expr(regs[i])}"
+                      for root, i in zip(roots, differ)]
+        if delta:
+            then.append(f"vm.icount += {delta}")
+        lines = fork[4]
+        lines.append(f"if {test}:")
+        lines += _indented(then or ["pass"])
+        if arms[1][0]:
+            lines += ["else:"] + _indented(arms[1][0])
+        for root, i in zip(roots, differ):
+            then_regs[i] = (root, 0)
+        self.regs[:] = then_regs
+        self.held, self.guarded, self.lines = fork[1], fork[2], lines
+        self.words = {address: word for address, word in then_words.items()
+                      if else_words.get(address) == word}
+
     def render(self, params: str):
         """The fragment's source; ``None``: a back-edge moves a guarded pointer."""
         prologue = ["r0, r1, r2, r3, r4, r5, r6, r7 = r"]
@@ -804,6 +871,70 @@ class Translator:
         #: an entry guard bails); a forwarded load has no guard to drop.
         self.guards_elided = 0
 
+    def _arms(self, target: int, next_pc: int, room: int, visited: set):
+        """``(then, else, join)`` of the forward ``if`` a conditional jump
+        opens, each arm ``[(pc, instruction)]``; ``None`` where it opens none.
+
+        vxc compiles ``if (c) A`` to ``jcc T; jmp E; T: A; E:`` and ``if (c)
+        A else B`` to ``jcc T; jmp E; T: A; jmp X; E: B; X:``.  So: the jump
+        falls through to a ``jmp E``, ``E > T``, right before ``T``; the
+        else-path is that ``jmp``, then ``B`` if ``A`` ends in a ``jmp X``
+        (``X > E``) that ``E`` follows.  Both arms, then and else together,
+        fit in ``room`` instructions (:meth:`_path`).
+        """
+        if next_pc in visited:
+            return None
+        try:
+            skip = decode(self._text, next_pc)
+        except InvalidInstructionError:
+            return None
+        after = next_pc + skip.length
+        orelse = after + skip.imm & _MASK
+        if skip.op is not Op.JMP or not target == after < orelse:
+            return None
+        arm = self._path(target, orelse, room - 1, visited, True)
+        if arm is None:
+            return None
+        then, join = arm
+        rest = self._path(orelse, join, room - 1 - len(then), visited, False)
+        if rest is None:
+            return None
+        return then, [(next_pc, skip)] + rest[0], join
+
+    def _path(self, pc: int, end: int, room: int, visited: set, split: bool):
+        """``(instructions, end)`` along the path from ``pc`` to ``end``, or
+        ``None`` where it is no arm.
+
+        The path is the one translation follows, decoded where it goes and
+        never swept, so a jump into the middle of an instruction cannot set
+        the two apart.  It has at most ``room`` instructions, every
+        one decodes, none is ``call``, ``callr``, ``ret``, ``jmpr``,
+        ``vxcall`` or ``halt``, none is in ``visited``, and every ``jmp``
+        goes forward but not past ``end`` -- except, with ``split``, a final
+        ``jmp X`` past ``end`` that ``end`` follows: then ``X`` is returned.
+        """
+        path = []
+        while pc != end:
+            if pc > end or pc in visited or len(path) >= room:
+                return None
+            try:
+                insn = decode(self._text, pc)
+            except InvalidInstructionError:
+                return None
+            if insn.op in _ARM_STOPS:
+                return None
+            path.append((pc, insn))
+            next_pc = pc + insn.length
+            if insn.op is Op.JMP:
+                target = next_pc + insn.imm & _MASK
+                if split and next_pc == end and target > end:
+                    return path, target
+                if target <= pc:
+                    return None
+                next_pc = target
+            pc = next_pc
+        return path, end
+
     def translate(self, entry: int) -> Fragment:
         """Translate the superblock starting at guest address ``entry``."""
         return self._translate(entry, True)
@@ -829,8 +960,17 @@ class Translator:
             exits.append(target)                       # back-patchable slot
             return f"return X{len(exits) - 1} or {-len(exits)}"
 
+        def branch(op, target: int, executed: int) -> None:
+            """A conditional jump as a side exit, or a back-edge to the head."""
+            trace.lines.append(f"if {trace.condition(op)}:")
+            if target == entry:
+                trace.back_edge("    ", executed)
+            else:
+                trace.leave("    ", executed, chained(target))
+
         pc = entry
-        count = 0
+        count = 0                       # instructions along the main line
+        size = 0                        # ... and in its inlined arms
         limit = self._limit
         while True:
             if pc == entry and count:
@@ -839,7 +979,7 @@ class Translator:
                 # register write-back/reload and no fragment call at all.
                 trace.back_edge("", count)
                 break
-            if (count >= limit or pc in visited
+            if (size >= limit or pc in visited
                     or (count and pc in self._known_entries)):
                 # Trace budget exhausted, the trace rejoined itself, or we
                 # ran into code that already has its own fragment: leave
@@ -857,6 +997,7 @@ class Translator:
                 trace.leave("", count, chained(pc))
                 break
             count += 1
+            size += 1
             op = insn.op
             rd = insn.rd
             imm = insn.imm
@@ -872,12 +1013,32 @@ class Translator:
                 continue
             if op in CONDITIONAL_JUMPS:
                 target = (next_pc + imm) & _MASK
-                trace.lines.append(f"if {trace.condition(op)}:")
-                if target == entry:
-                    trace.back_edge("    ", count)
-                else:
-                    trace.leave("    ", count, chained(target))
-                pc = next_pc              # keep translating the fall-through
+                arms = self._arms(target, next_pc, limit - size, visited)
+                if arms is None:
+                    branch(op, target, count)
+                    pc = next_pc          # keep translating the fall-through
+                    continue
+                # A forward if: both arms inline, rejoining at ``pc``.
+                test = trace.condition(op)
+                fork = trace.fork()
+                counts, ends = [], []
+                for path in arms[:2]:
+                    trace.arm(fork)
+                    executed = count
+                    for arm_pc, arm in path:
+                        visited.add(arm_pc)
+                        executed += 1
+                        if arm.op in CONDITIONAL_JUMPS:
+                            branch(arm.op, arm_pc + arm.length + arm.imm & _MASK,
+                                   executed)
+                        elif arm.op is not Op.JMP:
+                            trace.step(arm.op, arm.rd, arm.rs, arm.imm, arm_pc)
+                    counts.append(executed)
+                    ends.append((trace.lines, list(regs), trace.held, trace.words))
+                trace.join(fork, test, ends, counts[0] - counts[1])
+                count = counts[1]
+                size += len(arms[0]) + len(arms[1])
+                pc = arms[2]
                 continue
             if op is Op.CALL or op is Op.CALLR:
                 # ``call`` ends the trace; the return address is one more
@@ -934,7 +1095,7 @@ class Translator:
         return Fragment(
             entry=entry,
             func=bind_fragment(code_object),
-            instruction_count=count,
+            instruction_count=size,
             end=pc,
             source=source,
             exit_targets=tuple(exits),

@@ -15,6 +15,32 @@ def build_asm(source: str, *, note: dict | None = None) -> bytes:
     return build_executable(assemble(source), note=note)
 
 
+def inlined_ifs(source: str) -> int:
+    """How many ``if`` blocks of a fragment's source are inlined if-arms.
+
+    A side exit's block ends in ``return`` or ``continue`` (and a system
+    call's exit test in ``vm.halted = True``); an arm's ends in what the arm
+    computed, its join assignments, its instruction delta or ``pass``.
+    """
+    lines = source.split("\n")
+
+    def depth(line: str) -> int:
+        return len(line) - len(line.lstrip())
+
+    arms = 0
+    for number, line in enumerate(lines):
+        if line.lstrip().startswith("if ") and line.endswith(":"):
+            inner = depth(line) + 4
+            last = None
+            for following in lines[number + 1:]:
+                if depth(following) < inner:
+                    break
+                if depth(following) == inner:
+                    last = following.strip()
+            arms += not last.startswith(("return ", "continue", "vm.halted"))
+    return arms
+
+
 @pytest.fixture(autouse=True)
 def cold_process(monkeypatch):
     """Every test, and every archive opened in it, meets a cold process.

@@ -90,6 +90,41 @@ def test_wraps_and_signed_compares_get_their_classes():
     assert by_line["if (v3 - 4294967296 if v3 > 2147483647 else v3) >= -2:"] == "signed compare"
 
 
+def test_an_inlined_if_gets_its_classes():
+    vm = VirtualMachine(build_asm("""
+    _start:
+        cmpi r1, 3
+        jltu then
+        jmp  else
+    then:
+        movi r2, 5
+        addi r3, 1
+        jmp  join
+    else:
+        movi r2, 6
+    join:
+        cmpi r2, 9
+        je   skip
+        jmp  over
+    skip:
+        nop
+    over:
+        halt
+    """))
+    translator = Translator(vm.memory, vm.text_start, vm.text_end, text=vm.text)
+    source = translator.translate(vm.pc).source
+    lines = [line.strip() for line in source.split("\n")]
+    classes = fragment_mix.classify(source)
+    by_line = dict(zip(lines, classes))
+    assert [line for line, name in zip(lines, classes) if name == "join"] == [
+        "v0 = 5", "v1 = (r3 + 1 if r3 < 4294967295 else r3 - 4294967295)",
+        "v0 = 6", "v1 = r3"]
+    assert by_line["vm.icount += 1"] == "join icount"      # 3 instructions against 2
+    assert by_line["else:"] == "join else"
+    assert by_line["pass"] == "join pass"                  # a nop against a jmp
+    assert by_line["if r1 < 3:"] == by_line["if v0 == 9:"] == "compare"
+
+
 def test_the_members_are_the_benchmarks_own():
     first, weights = fragment_mix.members()
     assert weights == {"vxz": 8, "vxbwt": 8, "vximg": 4, "vxjp2": 4, "vxflac": 4, "vxsnd": 4}
@@ -113,10 +148,13 @@ def test_one_decode_is_classed_completely_and_adds_up(monkeypatch, capsys):
     through_view = sum(count for key, count in words.items() if " view " in key)
     assert through_view >= 0.95 * sum(words.values()) > 0
     assert mix["address r6|r7 +- k"] == 0
+    assert mix["join"] > 0                         # an inlined if ran
     monkeypatch.setattr(fragment_mix, "members", lambda: ({"vxz": small}, Counter(vxz=8)))
     fragment_mix.main()
     table = capsys.readouterr().out.splitlines()
     assert table[0].split() == ["statements", "executed", "vxz", "pass"]
+    executions = mix["entry unpack"]
+    assert table[1].split() == ["fragment", "executions", str(executions), str(8 * executions)]
     total = sum(count for key, count in mix.items() if key != "total")
     assert mix["total"] == total                   # nothing counted twice or dropped
     assert table[-1].split() == ["total", str(total), str(8 * total)]
@@ -131,8 +169,8 @@ def test_costs_print_one_row_per_class(monkeypatch, capsys):
     fragment_mix.main(["--costs"])
     mix_table, cost_table = capsys.readouterr().out.split("\n\n")
     classes = [line.rsplit(None, 2)[0] for line in mix_table.splitlines()[1:]]
-    classes.remove("total")
-    classes.remove("entry-guard bails")
+    for row in ("fragment executions", "total", "entry-guard bails"):
+        classes.remove(row)
     rows = [line[:28].strip() for line in cost_table.splitlines()]
     assert rows[0] == "statement cost"
     assert rows[1:-3] == classes

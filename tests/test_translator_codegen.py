@@ -33,7 +33,7 @@ from repro.workloads import (
     synthetic_source_tree_bytes,
 )
 
-from tests.conftest import build_asm
+from tests.conftest import build_asm, inlined_ifs
 
 
 def _source(body: str) -> str:
@@ -125,8 +125,8 @@ _BUNDLED = ("vxz", "vxbwt", "vximg", "vxjp2", "vxflac", "vxsnd")
 _ARCHIVED = ("vxz-vxc-0.1", "vxz-vxc-0.2")
 
 
-def _decode(name: str):
-    """``(vm, result, expected output)`` of one decode.
+def _decode(name: str, **config):
+    """``(vm, result, expected output)`` of one decode, by a VM of ``config``.
 
     A bundled decoder runs over its input above, the archived vxc 0.2 image
     -- the vxz decoder as the parent of vxc 0.3 built it -- over the same vxz
@@ -141,7 +141,7 @@ def _decode(name: str):
         encoded = codec.encode(_bench_inputs()[codec.name])
     image = ((data / f"{name}.elf").read_bytes() if name in _ARCHIVED
              else codec.guest_decoder_image())
-    vm = VirtualMachine(image)
+    vm = VirtualMachine(image, **config)
     result = vm.decode(encoded)
     assert result.exit_code == 0
     return vm, result, codec.decode(encoded)
@@ -152,18 +152,17 @@ def _cache_source(vm) -> str:
                      for _, fragment in sorted(vm.code_cache.fragments.items()))
 
 
-#: ``(word load sites, word store sites)`` in the whole code cache after that
-#: decode, with the statement-for-statement generator this one replaced (PR
-#: 13's ``vm/translator.py`` in a scratch copy).  That generator emitted one
-#: site per guest word access it translated, which is what today's evaluator
-#: counts as calls of ``_Trace.load32`` and of ``_Trace.store`` at width 4:
-#: on the archived images the two counts are checked against each other, and
-#: on the bundled ones the evaluator's count is the baseline.  (244, 148) is
-#: the pin ``vxz`` carried while vxc 0.2 built it, (368, 243) the one recorded
-#: for the 0.1 vxz image; forwarding left 59% of the word loads of 0.1 code,
-#: leaves 68-77% of 0.2's (hot scalars in registers: most of the frame
-#: re-reads it used to remove are never emitted) and 60-74% of 0.3's.
-_STATEMENT_FOR_STATEMENT = {"vxz-vxc-0.1": (368, 243), "vxz-vxc-0.2": (244, 148)}
+#: ``(word loads, word stores)`` the evaluator translates on the archived
+#: images -- calls of ``_Trace.load32`` and of ``_Trace.store`` at width 4,
+#: one per guest word access on a translated path, which is the number of
+#: sites a statement-for-statement generator would emit -- pinned to the
+#: generator that inlines forward if-arms (a taken ``if`` stays in its
+#: fragment, so the code after its join is translated once).  On every
+#: decoder that count is the baseline of the forwarding gate below:
+#: forwarding leaves 59% of the word loads of 0.1 code, 68-77% of 0.2's (hot
+#: scalars in registers: most of the frame re-reads it used to remove are
+#: never emitted) and 60-74% of 0.3's.
+_STATEMENT_FOR_STATEMENT = {"vxz-vxc-0.1": (343, 232), "vxz-vxc-0.2": (225, 147)}
 
 
 @pytest.mark.parametrize("name", _BUNDLED + _ARCHIVED)
@@ -189,18 +188,20 @@ def test_bundled_decoder_memory_sites(name, monkeypatch):
 
 
 #: Per archived image: ``guards_elided`` of that decode and the SHA-256 of its
-#: output and of every ``Fragment.source`` in entry order.  The first two are
-#: as computed at the commit before the word view existed, and the view must
-#: leave them alone.  The third is what a host of the other byte order
-#: generates -- the ``struct`` path -- pinned to the generator that spells
-#: wraps, signed compares and entry guards as comparisons and writes back by
-#: index, so any other change to that text shows.  The 0.2 row is the one
-#: ``vxz`` had until vxc 0.3 (same image bytes, same input).
+#: output and of every ``Fragment.source`` in entry order.  The output is as
+#: computed at the commit before the word view existed, and the view must
+#: leave it and the elided count alone.  The elided count and the sources are
+#: pinned to the generator that inlines forward if-arms (a site after a join
+#: is translated, and its guard elided, once) and spells wraps, signed
+#: compares and entry guards as comparisons and writes back by index; the
+#: sources are what a host of the other byte order generates -- the
+#: ``struct`` path -- so any other change to that text shows.  The 0.2 row is
+#: the one ``vxz`` had until vxc 0.3 (same image bytes, same input).
 _BEFORE_THE_VIEW = {
-    "vxz-vxc-0.1": (428, "dd8add34c82cd720",
-                    "c5e6e00c1fdfab8d3768338768e5622dbfade8d46128a844c1858271b3303874"),
-    "vxz-vxc-0.2": (308, "e4871d5b6ded4275",
-                    "8562071af3a5c24f96e903b8bddc54055c6d3c46a2b54441bc1d4b3bf84b50a4"),
+    "vxz-vxc-0.1": (403, "dd8add34c82cd720",
+                    "5fee5e7e4b9dd21c44a156aefb9a845b04fadaada4f6f709288b949a4aaa48a7"),
+    "vxz-vxc-0.2": (290, "e4871d5b6ded4275",
+                    "805dfe198e86e1425e21348cdfe39475f415f26261c064046ddfda71fc40eb79"),
 }
 
 
@@ -239,6 +240,19 @@ def test_the_struct_path_is_what_it_was(name, monkeypatch):
         guards_elided, _, sources = _BEFORE_THE_VIEW[name]
         assert _sources_digest(vm) == sources
         assert result.stats.guards_elided == guards_elided
+
+
+@pytest.mark.parametrize("name", _BUNDLED)
+def test_every_bundled_decoder_inlines_if_arms(name):
+    """A forward ``if`` stays inside its fragment: some fragment of every
+    decoder holds an inlined arm, and one instruction per fragment leaves
+    no room for one."""
+    for config, inlined in (({}, True), ({"superblock_limit": 1}, False)):
+        vm, result, expected = _decode(name, **config)
+        assert result.output == expected
+        arms = [inlined_ifs(fragment.source)
+                for fragment in vm.code_cache.fragments.values()]
+        assert any(arms) == inlined, config
 
 
 #: The lines that may still mask with ``& 0xFFFFFFFF``: a product, a left

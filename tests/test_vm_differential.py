@@ -1,13 +1,13 @@
 """Differential fuzzing of the VM execution engines.
 
 The superblock translator performs aggressive transformations -- trace
-formation across basic blocks, fragment chaining, in-fragment loop
-compilation, symbolic register/condition-code values, store-to-load
-forwarding, bounds-based mask elision -- so this suite is its safety net:
-randomized guest programs (generated straight into assembler source) must
-behave *identically* on the reference interpreter and on the translator in
-every configuration worth shipping: default superblocks, single-instruction
-fragments and chaining disabled.
+formation across basic blocks, inlined if-arms that rejoin, fragment
+chaining, in-fragment loop compilation, symbolic register/condition-code
+values, store-to-load forwarding, bounds-based mask elision -- so this suite
+is its safety net: randomized guest programs (generated straight into
+assembler source) must behave *identically* on the reference interpreter and
+on the translator in every configuration worth shipping: default superblocks,
+single-instruction fragments and chaining disabled.
 
 "Identically" covers exit code, stdout, stderr, the final register file, the
 final condition codes, the entire guest memory image and the executed
@@ -29,7 +29,7 @@ from repro.errors import DivisionFault, GuestFault, MemoryFault
 from repro.vm.machine import ENGINE_INTERPRETER, ENGINE_TRANSLATOR, VirtualMachine
 from repro.vm.translator import _BAIL
 
-from tests.conftest import build_asm
+from tests.conftest import build_asm, inlined_ifs
 
 #: Registers the generator may freely clobber (r0 is the syscall register,
 #: r6 holds the data-buffer base, r7 is the stack pointer).
@@ -723,6 +723,328 @@ def test_a_bail_counts_the_elisions_of_both_translations():
         counted[n] = (stats.guards_elided, stats.fragments_translated,
                       stats.retranslations)
     assert counted == {4: (3, 2, 0), 1: (6, 3, 1)}
+
+
+#: Forward ifs as vxc compiles them (``jcc T; jmp E; T: ...``), which the
+#: translator inlines as Python ``if``/``else`` arms that rejoin.  The driver
+#: calls ``shape`` for r1 = 0..7 (``call`` ends the trace, so the shape's code
+#: is a fragment of its own), with r3 = r1 & 1 compared with 0 before the
+#: call, so both arms run and a fragment may enter with a live ``cc``; after
+#: each call it logs r2, r4 and r5 above the 64 bytes ``r6`` points at, so a
+#: wrong value shows even where a later call overwrites it.  A shape keeps r1.
+_ARM_DRIVER = """
+_start:
+    movi r6, buffer
+    movi r1, 0
+again:
+    mov  r3, r1
+    andi r3, 1
+    cmpi r3, 0
+    call shape
+    mov  r0, r1
+    shli r0, 4
+    add  r0, r6
+    st32 [r0+64], r2
+    st32 [r0+68], r4
+    st32 [r0+72], r5
+    addi r1, 1
+    cmpi r1, 8
+    jltu again
+    halt
+shape:
+{body}
+    ret
+.data
+buffer:
+    .space 192
+"""
+_ARM_SHAPES = {
+    "if_then": """
+        movi r2, 7
+        cmpi r3, 0
+        je   then
+        jmp  join
+    then:
+        addi r2, 5
+        st32 [r6+4], r2
+        movi r4, 99
+    join:
+        add  r5, r2
+        st32 [r6], r5
+    """,
+    "if_else": """
+        cmpi r1, 3
+        jgtu then
+        jmp  else
+    then:
+        movi r2, 11
+        shli r4, 1
+        jmp  join
+    else:
+        movi r2, 22
+        ld32 r4, [r6+8]
+        addi r4, 3
+        st32 [r6+8], r4
+    join:
+        add  r5, r2
+        add  r5, r4
+        st32 [r6], r5
+    """,
+    # ``je out`` inside the arm leaves the fragment from the middle of it.
+    "side_exit_in_arm": """
+        cmpi r1, 2
+        jgeu then
+        jmp  join
+    then:
+        addi r5, 1
+        cmpi r1, 5
+        je   out
+        addi r5, 10
+    join:
+        addi r5, 100
+        ret
+    out:
+        addi r5, 1000
+    """,
+    # The main line remembers [r6+12], [r6+16] and [r6+24]; the arm
+    # overwrites a byte of the first and all of the second (with what only
+    # the then-path knows), so after the join both are reloaded, while the
+    # third is still forwarded.
+    "arm_stores_over_a_remembered_word": """
+        movi r2, 0x11111111
+        st32 [r6+12], r2
+        ld32 r3, [r6+16]
+        st32 [r6+24], r1
+        cmpi r1, 3
+        jltu then
+        jmp  join
+    then:
+        st8  [r6+13], r1
+        st32 [r6+16], r1
+    join:
+        ld32 r4, [r6+12]
+        ld32 r5, [r6+16]
+        add  r4, r5
+        ld32 r2, [r6+24]
+        add  r4, r2
+        st32 [r6+20], r4
+    """,
+    # The arm compares; the jump after the join tests whichever compare ran
+    # last: the arm's, or the caller's ``cmpi r3, 0`` the fragment entered with.
+    "arm_sets_cc": """
+        je   then
+        jmp  join
+    then:
+        cmpi r1, 4
+    join:
+        jltu low
+        addi r5, 1
+    low:
+        addi r5, 2
+    """,
+    # Then-arm one instruction, else-arm five, and the other way round: the
+    # instruction count is corrected in both directions.
+    "unequal_arms": """
+        cmpi r3, 0
+        jne  then
+        jmp  else
+    then:
+        jmp  join
+    else:
+        addi r5, 1
+        addi r5, 2
+        xori r5, 3
+        st32 [r6+32], r5
+    join:
+        cmpi r1, 5
+        jleu long
+        jmp  done
+    long:
+        muli r5, 3
+        addi r5, 1
+        st32 [r6+36], r5
+        ld16u r2, [r6+36]
+        add  r5, r2
+    done:
+        st32 [r6+40], r5
+    """,
+    # The arm sets r0, r2, r4 and the compare pair.  After the join r0 and
+    # the pair are overwritten before anything reads them, r2 is read first,
+    # and r4 is still needed at the side exit that comes before its overwrite.
+    "arm_results_overwritten_after_the_join": """
+        movi r2, 5
+        cmpi r1, 2
+        jgeu then
+        jmp  join
+    then:
+        movi r0, 0x50
+        mov  r2, r1
+        lea  r4, [r2+9]
+        cmp  r0, r4
+    join:
+        movi r0, 3
+        add  r5, r2
+        cmp  r0, r5
+        jleu skip
+        movi r4, 1
+    skip:
+        add  r5, r4
+    """,
+    # After the join an addition reads r3, a store r2 and a compare r4, each
+    # just before it is overwritten.
+    "arm_results_read_then_overwritten": """
+        movi r2, 5
+        movi r4, 6
+        cmpi r1, 2
+        jgeu then
+        jmp  join
+    then:
+        mov  r2, r1
+        addi r4, 7
+        addi r3, 40
+    join:
+        add  r3, r5
+        mov  r5, r3
+        st32 [r6+48], r2
+        movi r2, 11
+        cmp  r4, r2
+        movi r4, 12
+        jgtu skip
+        addi r5, 1
+    skip:
+        addi r5, 2
+    """,
+    # ``head`` loops within one fragment: an arm, a back-edge from inside
+    # the arm, then the loop's own back-edge after the join.
+    "arm_in_a_looping_fragment": """
+        movi r2, 9
+    head:
+        mov  r4, r2
+        andi r4, 3
+        cmpi r4, 1
+        jleu then
+        jmp  join
+    then:
+        add  r5, r2
+        push r5
+        subi r2, 1
+        pop  r4
+        cmpi r2, 4
+        je   head
+    join:
+        st32 [r6+28], r5
+        subi r2, 1
+        cmpi r2, 0
+        jgts head
+    """,
+}
+
+
+def _arm_image(name: str) -> bytes:
+    body = "\n".join(line.strip() for line in _ARM_SHAPES[name].split("\n"))
+    return build_asm(_ARM_DRIVER.format(body=body))
+
+
+def _arms_translated(image: bytes, **config) -> int:
+    vm = VirtualMachine(image, engine=ENGINE_TRANSLATOR, **config)
+    vm.decode(b"")
+    return sum(inlined_ifs(fragment.source)
+               for fragment in vm.code_cache.fragments.values())
+
+
+@pytest.mark.parametrize("name", _ARM_SHAPES)
+def test_inlined_if_arms_agree_across_engines(name):
+    image = _arm_image(name)
+    _assert_engines_agree(image, name)
+    assert _arms_translated(image) > 0              # the shape is inlined ...
+    assert _arms_translated(image, superblock_limit=1) == 0   # ... where it fits
+
+
+#: Shapes whose fifth call faults: in the then-arm, in the else-arm, and
+#: after the join at an address only the then-path checked (so the else-path
+#: must check it again).
+_FAULTING_ARMS = {
+    "then": """
+        movi r2, 0x7000000
+        cmpi r1, 4
+        je   then
+        jmp  join
+    then:
+        st32 [r2], r1
+    join:
+        st32 [r6+44], r1
+    """,
+    "else": """
+        movi r2, 0x7fffff0
+        cmpi r1, 4
+        jne  then
+        jmp  else
+    then:
+        addi r5, 1
+        jmp  join
+    else:
+        ld32 r4, [r2+8]
+    join:
+        st32 [r6+44], r1
+    """,
+    "after_the_join": """
+        mov  r2, r1
+        andi r2, 4
+        shli r2, 24
+        add  r2, r6
+        cmpi r1, 4
+        jne  then
+        jmp  join
+    then:
+        ld32 r4, [r2+8]
+    join:
+        st32 [r2+8], r1
+    """,
+}
+
+
+@pytest.mark.parametrize("name", _FAULTING_ARMS)
+def test_an_arm_that_faults_faults_at_the_same_address(name):
+    """Each engine faults where the interpreter does, with memory as it was."""
+    body = "\n".join(line.strip() for line in _FAULTING_ARMS[name].split("\n"))
+    image = build_asm(_ARM_DRIVER.format(body=body))
+    faults, arms = [], []
+    for engine, config in [(ENGINE_INTERPRETER, {})] + [
+            (ENGINE_TRANSLATOR, config) for config in _TRANSLATOR_CONFIGS]:
+        vm = VirtualMachine(image, engine=engine, **config)
+        with pytest.raises(MemoryFault) as caught:
+            vm.decode(b"")
+        faults.append((caught.value.address, bytes(vm.memory.buffer)))
+        arms.append(sum(inlined_ifs(fragment.source)
+                        for fragment in vm.code_cache.fragments.values()))
+    assert faults[1:] == faults[:1] * len(_TRANSLATOR_CONFIGS), name
+    assert faults[0][0] >= 0x400000                 # outside the 4 MiB sandbox
+    assert arms[1] > 0, name                        # the default translator inlined it
+
+
+def test_a_jump_into_the_middle_of_an_instruction_stays_a_side_exit():
+    """``jmp mid+2`` lands in the immediate of a ``movi``, whose bytes are
+    three ``nop``s and the opcode of a ``mov`` that swallows the first byte
+    of ``join``: the path the arm would take steps over the join, so it is
+    not inlined -- and runs, decoded where it goes, the same on both engines."""
+    body = """
+        cmpi r1, 2
+        jgeu then
+        jmp  join
+    then:
+        jmp  mid+2
+    mid:
+        movi r2, 0x11010101
+    join:
+        nop
+        addi r5, 1
+        mov  r2, r0
+    """
+    image = build_asm(_ARM_DRIVER.format(body=body))
+    _assert_engines_agree(image, "mid-instruction")
+    assert _arms_translated(image) == 0
+    regs = _run(image, ENGINE_INTERPRETER)[1]
+    assert regs[2] == 7                     # ``mov r0, r1`` ran: r1 was 7 last
 
 
 _FAULT_PROGRAMS = [

@@ -493,6 +493,48 @@ def test_shutdown_from_a_peer_that_hangs_up_unread_stops_the_server(tmp_path, se
     assert not server.is_alive()
 
 
+def test_a_peer_that_hangs_up_before_its_reply_leaves_no_traceback(
+        tmp_path, archive_path, members, capfd):
+    # Every member read sleeps 0.1 s, so the peer is long gone when the
+    # reply to its check is written: the write fails, and that is the end of
+    # the connection, not a traceback on the server's stderr.
+    slow_reads = vxa.FaultPlan([vxa.FaultSpec(name, "delay-io", delay=0.1)
+                                for name in members])
+    service = BatchService(jobs=2, executor=EXECUTOR_THREAD,
+                           options=vxa.ReadOptions(fault_plan=slow_reads))
+    socket_path = str(tmp_path / "vxserve.sock")
+    server = threading.Thread(target=service.serve_socket, args=(socket_path,),
+                              daemon=True)
+
+    def handlers() -> list:
+        return [thread for thread in threading.enumerate()
+                if "process_request" in thread.name]
+
+    try:
+        server.start()
+        deadline = time.monotonic() + 10
+        while not os.path.exists(socket_path):
+            assert time.monotonic() < deadline, "socket never appeared"
+            time.sleep(0.01)
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as client:
+            client.connect(socket_path)
+            client.sendall(json.dumps({"op": "check",
+                                       "archive": str(archive_path)}).encode() + b"\n")
+        deadline = time.monotonic() + 30
+        while service.handle({"op": "stats"})["result"]["counters"]["completed_total"] < 1:
+            assert time.monotonic() < deadline, "the check never completed"
+            time.sleep(0.01)
+        while handlers():
+            assert time.monotonic() < deadline, "the connection never ended"
+            time.sleep(0.01)
+        assert _socket_request(socket_path, {"op": "shutdown"})["ok"]
+        server.join(timeout=10)
+        assert not server.is_alive()
+    finally:
+        service.close()
+    assert "Traceback" not in capfd.readouterr().err
+
+
 # -- subprocess round trip -----------------------------------------------------
 
 

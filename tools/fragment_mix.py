@@ -7,7 +7,8 @@ what the statement is for: guest memory traffic (by width, by path --
 ``struct`` or the word view -- and by address base), the address statements
 that only feed it, arithmetic, guards, compares, and what a fragment pays on
 entry and exit.  The counts are exact and repeat; they say where statements
-go inside ``vm.execute``, not how long each takes.
+go inside ``vm.execute``, not how long each takes.  The first row counts
+fragment executions, the lines of an inlined if's join are classed ``join``.
 
     PYTHONPATH=src python tools/fragment_mix.py [--costs]
 
@@ -88,15 +89,32 @@ def _base(address: str, definitions: dict[str, str]) -> str:
 
 
 def classify(source: str) -> list[str]:
-    """Class of every line of one fragment's source (index 0 = line 1)."""
-    lines = [line.strip() for line in source.split("\n")]
+    """Class of every line of one fragment's source (index 0 = line 1).
+
+    An inlined if's lines are told by their place: a join root is the one
+    root assigned twice (at the end of either arm), the then-arm's
+    instruction delta is the ``vm.icount +=`` that ends a block (an exit's
+    is followed by its write-back or return), and ``pass``/``else:`` are the
+    if's own.
+    """
+    raw = source.split("\n")
+    lines = [line.strip() for line in raw]
+    depth = [len(line) - len(line.lstrip()) for line in raw] + [0]
     definitions = dict(line.split(" = ", 1) for line in lines if re.match(r"a\d+ = ", line))
+    roots = Counter(line.split(" = ")[0] for line in lines if re.match(r"v\d+ = ", line))
     classes = ["entry def"]
-    for line in lines[1:]:
-        name, pattern = next(entry for entry in _CLASSES if entry[1].search(line))
-        if "{base}" in name:
-            name = name.format(base=_base(pattern.search(line).group(1), definitions))
-        classes.append(name)
+    for number, line in enumerate(lines[1:], 1):
+        if roots[line.split(" = ")[0]] > 1:
+            classes.append("join")
+        elif line.startswith("vm.icount += ") and depth[number + 1] < depth[number]:
+            classes.append("join icount")
+        elif line in ("pass", "else:"):
+            classes.append(f"join {line.rstrip(':')}")
+        else:
+            name, pattern = next(entry for entry in _CLASSES if entry[1].search(line))
+            if "{base}" in name:
+                name = name.format(base=_base(pattern.search(line).group(1), definitions))
+            classes.append(name)
     return classes
 
 
@@ -145,7 +163,9 @@ def weighted(mixes: dict[str, Counter], weights: Counter) -> dict[str, Counter]:
 
 def report(mixes: dict[str, Counter], weights: Counter) -> str:
     columns = weighted(mixes, weights)
-    rows = [f"{'statements executed':32}" + "".join(f"{name:>12}" for name in columns)]
+    rows = [f"{'statements executed':32}" + "".join(f"{name:>12}" for name in columns),
+            f"{'fragment executions':32}"       # one register unpack each
+            + "".join(f"{mix['entry unpack']:12d}" for mix in columns.values())]
     for key in sorted(columns["pass"], key=lambda key: (key == "total", key)):
         rows.append(f"{key:32}" + "".join(f"{mix[key]:12d}" for mix in columns.values()))
     return "\n".join(rows)
@@ -174,6 +194,7 @@ _SNIPPETS = {
     "alu masked": "v4 = v1 * v3 & 4294967295",
     "alu wrapped": "v4 = u if (u := v1 + v2) <= 4294967295 else u - 4294967296",
     "alu plain": "v4 = v1 >> 3",
+    "join": "v4 = v1", "join icount": "vm.icount += -2", "join pass": "pass",
 }
 #: Per address base: the index and the ``struct`` address a snippet uses.
 _ADDRESSES = {"sp": ("q7 - 1", "a7"), "fp": ("q6 + 2", "a6"),
