@@ -97,7 +97,7 @@ def test_figure7_summary(benchmark, workloads):
                 format_ratio(timing.translator_slowdown),
                 interp,
                 f"{PAPER_FIGURE7_X86_32[timing.decoder]:.2f}x",
-                f"{timing.guest_instructions:,}",
+                f"{timing.translator_stats.instructions:,}",
             ]
         )
     table = format_table(
@@ -115,12 +115,23 @@ def test_figure7_summary(benchmark, workloads):
     )
     emit_report("figure7_decoder_performance", table)
 
-    # Shape assertions: every decoder works under the VM, virtualisation has a
-    # cost, and the translator beats the pure interpreter wherever measured.
+    # Shape, gated on what the VM counts (exact and repeatable; the timings
+    # are in the table and gate nothing).  Virtualisation has a cost: every
+    # output byte takes guest instructions.  Where the interpreter ran, it
+    # executed the very same instructions and decoded and dispatched each
+    # one; the translator executed a tenth as many fragments, and translated
+    # and looked up in its dispatcher a hundredth as many.
     for timing in timings:
-        assert timing.translator_slowdown > 1.0
-        if timing.interpreter_slowdown is not None:
-            assert timing.interpreter_slowdown > timing.translator_slowdown
+        translated = timing.translator_stats
+        assert translated.instructions > translated.bytes_written > 0
+        interpreted = timing.interpreter_stats
+        if interpreted is not None:
+            assert interpreted.instructions == translated.instructions
+            assert interpreted.blocks_executed == interpreted.instructions
+            assert 10 * translated.blocks_executed < interpreted.blocks_executed
+            assert 100 * translated.fragments_translated < interpreted.blocks_executed
+            lookups = translated.blocks_executed - translated.chained_branches
+            assert 100 * lookups < interpreted.blocks_executed
 
 
 # -- the vorbis inlining anecdote -----------------------------------------------------

@@ -16,7 +16,7 @@ import pathlib
 
 from repro.codecs.base import Codec
 from repro.codecs.registry import default_registry
-from repro.core.decoder_store import DecoderStore, StoredDecoder
+from repro.core.decoder_store import DecoderStore
 from repro.core.extension import VxaExtension, pack_unix_extra
 from repro.core.fsutil import fsync_directory, fsync_file
 from repro.core.policy import SecurityAttributes
@@ -135,26 +135,19 @@ class ArchiveBuilder:
         path = pathlib.Path(path)
         return self.add(name or path.name, path.read_bytes(), **kwargs)
 
-    def _attach(self, codec: Codec) -> StoredDecoder | None:
-        if not self.options.attach_decoders:
-            return None
-        return self._decoders.store(codec.name, codec.guest_decoder_image())
-
     def _add_precompressed(self, name: str, data: bytes, codec: Codec,
                            external: int, unix_extra: bytes) -> ArchivedFileInfo:
         """The redec path: store already-compressed data untouched (method 0)."""
-        decoder = self._attach(codec)
+        decoder = self._decoders.store(codec.name, codec.guest_decoder_image())
         decoded = codec.decode(data)
-        extra = unix_extra
-        if decoder is not None:
-            extra += VxaExtension(
-                decoder_offset=decoder.offset,
-                original_size=len(decoded),
-                original_crc32=crc32(decoded),
-                codec_name=codec.name,
-                precompressed=True,
-                lossy=codec.info.lossy,
-            ).pack()
+        extra = unix_extra + VxaExtension(
+            decoder_offset=decoder.offset,
+            original_size=len(decoded),
+            original_crc32=crc32(decoded),
+            codec_name=codec.name,
+            precompressed=True,
+            lossy=codec.info.lossy,
+        ).pack()
         self._zip.add_member(name, data, method=METHOD_STORE, extra=extra,
                              external_attributes=external)
         info = ArchivedFileInfo(name, codec.name, len(data), len(data), True,
@@ -167,7 +160,7 @@ class ArchiveBuilder:
                      encode_options: dict | None) -> ArchivedFileInfo:
         """Compress with a codec's native encoder and tag with the VXA method."""
         encoded = codec.encode(data, **(encode_options or {}))
-        decoder = self._attach(codec)
+        decoder = self._decoders.store(codec.name, codec.guest_decoder_image())
         # For lossy codecs the "original" the decoder reproduces is the decoded
         # output, not the input bytes; record the decoder's actual product so
         # integrity checks are meaningful (paper section 2.3).
@@ -176,16 +169,14 @@ class ArchiveBuilder:
         else:
             reference = data
         reference_crc = crc32(reference)
-        extra = unix_extra
-        if decoder is not None:
-            extra += VxaExtension(
-                decoder_offset=decoder.offset,
-                original_size=len(reference),
-                original_crc32=reference_crc,
-                codec_name=codec.name,
-                precompressed=False,
-                lossy=codec.info.lossy,
-            ).pack()
+        extra = unix_extra + VxaExtension(
+            decoder_offset=decoder.offset,
+            original_size=len(reference),
+            original_crc32=reference_crc,
+            codec_name=codec.name,
+            precompressed=False,
+            lossy=codec.info.lossy,
+        ).pack()
         self._zip.add_member(
             name,
             encoded,

@@ -86,9 +86,6 @@ class ReadOptions:
             decoder images -- ``"off"`` (default), ``"warn"`` (analyse and
             warn on unsafe images) or ``"reject"`` (refuse to run an image
             the verifier cannot prove safe; see :mod:`repro.analysis`).
-        analysis_elision: let the translator drop bounds guards at sites
-            the static verifier proved safe (disable only for the elision
-            ablation; ignored by the interpreter engine).
         on_error: what a failing member does to the rest of the run --
             ``"abort"`` (default: first failure raises, matching the old
             behaviour), ``"skip"`` (record the failure in the
@@ -134,7 +131,6 @@ class ReadOptions:
     jobs: int = 1
     executor: str = EXECUTOR_AUTO
     verify_images: str = "off"
-    analysis_elision: bool = True
     on_error: str = ON_ERROR_ABORT
     retries: int = 1
     member_deadline: float | None = None
@@ -180,9 +176,6 @@ class WriteOptions:
         registry: codec registry used for recognition/selection/encoding
             (``None`` -> default).
         allow_lossy: permit lossy media codecs during codec selection.
-        attach_decoders: embed VXA decoder pseudo-files (disable only for
-            the storage-overhead ablation; archives become undecodable by
-            codec-ignorant readers).
         comment: ZIP end-of-central-directory comment.
         durable: crash-consistent finalize for path-backed builds -- the
             archive is written to a temp file next to its destination, the
@@ -205,7 +198,6 @@ class WriteOptions:
 
     registry: CodecRegistry | None = None
     allow_lossy: bool = False
-    attach_decoders: bool = True
     comment: bytes = b"vxZIP archive"
     durable: bool = True
     commit_record: bool = True

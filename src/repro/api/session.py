@@ -105,7 +105,6 @@ class DecoderSession:
                 engine=options.engine,
                 limits=self._limits,
                 verify_images=options.verify_images,
-                analysis_elision=options.analysis_elision,
             )
             vm.share_code_cache()
             self.stats.fragments_restored += vm.code_cache.restored

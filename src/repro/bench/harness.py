@@ -10,12 +10,13 @@ focused on reporting.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.codecs.base import Codec
 from repro.codecs.registry import default_registry
 from repro.formats.wav import write_wav
 from repro.formats.ppm import write_ppm
+from repro.vm.limits import ExecutionStats
 from repro.vm.machine import ENGINE_INTERPRETER, ENGINE_TRANSLATOR, VirtualMachine
 from repro.workloads.audio import synthetic_music
 from repro.workloads.images import synthetic_photo
@@ -43,15 +44,15 @@ class DecoderWorkload:
 
 @dataclass
 class EngineTiming:
-    """Decode timings for one decoder under the different execution modes."""
+    """Decode timings for one decoder under the different execution modes,
+    with what each engine counted."""
 
     decoder: str
     native_seconds: float
     translator_seconds: float
+    translator_stats: ExecutionStats
     interpreter_seconds: float | None = None
-    guest_instructions: int = 0
-    output_bytes: int = 0
-    extra: dict = field(default_factory=dict)
+    interpreter_stats: ExecutionStats | None = None
 
     @property
     def translator_slowdown(self) -> float:
@@ -139,24 +140,21 @@ def measure_workload(
     if result.exit_code != 0:
         raise RuntimeError(f"guest decoder {codec.name} failed: {result.stderr!r}")
 
-    interpreter_seconds = None
+    timing = EngineTiming(
+        decoder=codec.name,
+        native_seconds=native_seconds,
+        translator_seconds=translator_seconds,
+        translator_stats=result.stats,
+    )
     if include_interpreter:
         vm_interp = VirtualMachine(image, engine=ENGINE_INTERPRETER)
         start = time.perf_counter()
         interp_result = vm_interp.decode(encoded)
-        interpreter_seconds = time.perf_counter() - start
+        timing.interpreter_seconds = time.perf_counter() - start
         if interp_result.output != result.output:
             raise RuntimeError(f"engines disagree for {codec.name}")
-
-    return EngineTiming(
-        decoder=codec.name,
-        native_seconds=native_seconds,
-        translator_seconds=translator_seconds,
-        interpreter_seconds=interpreter_seconds,
-        guest_instructions=result.stats.instructions,
-        output_bytes=result.stats.bytes_written,
-        extra={"encoded_bytes": len(encoded), "workload": workload.description},
-    )
+        timing.interpreter_stats = interp_result.stats
+    return timing
 
 
 def decoder_size_rows(*, registry=None) -> list[dict]:

@@ -44,7 +44,6 @@ def _read_options(args) -> vxa.ReadOptions:
         reuse=reuse,
         jobs=max(1, getattr(args, "jobs", 1) or 1),
         verify_images=getattr(args, "verify_images", "off"),
-        analysis_elision=not getattr(args, "no_guard_elision", False),
         on_error=on_error,
         retries=getattr(args, "retries", 1),
         member_deadline=getattr(args, "member_deadline", None),
@@ -217,6 +216,20 @@ def _cmd_repair(args) -> int:
     return result.exit_code
 
 
+def _add_decoder_flags(parser) -> None:
+    """How ``extract`` and ``check`` run the archived decoders."""
+    parser.add_argument("--reuse", default=VmReusePolicy.ALWAYS_FRESH.value,
+                        choices=[policy.value for policy in VmReusePolicy],
+                        help=_REUSE_HELP)
+    parser.add_argument("-j", "--jobs", type=int, default=1,
+                        help="run N parallel workers, sharding members by "
+                             "decoder image (default: 1, serial)")
+    parser.add_argument("--verify-images", default="off",
+                        choices=["off", "warn", "reject"],
+                        help="statically verify archived decoder images "
+                             "before running them")
+
+
 def _add_containment_flags(parser) -> None:
     """Fault-containment knobs shared by ``extract`` and ``check``."""
     parser.add_argument("-k", "--keep-going", action="store_true",
@@ -254,19 +267,7 @@ def _add_reading_commands(commands) -> None:
                          help="decode pre-compressed members to their uncompressed form")
     extract.add_argument("--stats", action="store_true",
                          help="print translation code-cache counters after extraction")
-    extract.add_argument("--reuse", default=VmReusePolicy.ALWAYS_FRESH.value,
-                         choices=[policy.value for policy in VmReusePolicy],
-                         help=_REUSE_HELP)
-    extract.add_argument("-j", "--jobs", type=int, default=1,
-                         help="extract with N parallel workers, sharding "
-                              "members by decoder image (default: 1, serial)")
-    extract.add_argument("--verify-images", default="off",
-                         choices=["off", "warn", "reject"],
-                         help="statically verify archived decoder images "
-                              "before running them")
-    extract.add_argument("--no-guard-elision", action="store_true",
-                         help="keep every dynamic bounds guard even at "
-                              "statically proved sites (ablation)")
+    _add_decoder_flags(extract)
     _add_containment_flags(extract)
     extract.set_defaults(handler=_cmd_extract)
 
@@ -276,19 +277,7 @@ def _add_reading_commands(commands) -> None:
                        help="media-level verdict instead of decoder runs: "
                             "classify the bytes clean (exit 0) / salvageable "
                             "(exit 1) / unrecoverable (exit 2)")
-    check.add_argument("--reuse", default=VmReusePolicy.ALWAYS_FRESH.value,
-                       choices=[policy.value for policy in VmReusePolicy],
-                       help=_REUSE_HELP)
-    check.add_argument("-j", "--jobs", type=int, default=1,
-                       help="check with N parallel workers, sharding "
-                            "members by decoder image (default: 1, serial)")
-    check.add_argument("--verify-images", default="off",
-                       choices=["off", "warn", "reject"],
-                       help="statically verify archived decoder images "
-                            "before running them")
-    check.add_argument("--no-guard-elision", action="store_true",
-                       help="keep every dynamic bounds guard even at "
-                            "statically proved sites (ablation)")
+    _add_decoder_flags(check)
     _add_containment_flags(check)
     check.set_defaults(handler=_cmd_check)
 

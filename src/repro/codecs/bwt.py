@@ -135,24 +135,31 @@ def mtf_decode(data: bytes) -> bytes:
     return bytes(output)
 
 
-def rle_encode(data: bytes, *, trigger: int = 4, max_run: int = 255) -> bytes:
+#: Identical bytes that make a run, and the most extra repeats one count byte
+#: holds: the stream format the archived vxbwt decoder reads.
+RLE_TRIGGER = 4
+RLE_MAX_RUN = 255
+
+
+def rle_encode(data: bytes) -> bytes:
     """bzip2-style initial run-length encoding.
 
     Runs of four identical bytes are followed by a count byte giving how many
-    *additional* repeats (0..``max_run``) follow.  This protects the BWT
-    sorter from degenerate inputs and is exactly what the guest decoder undoes.
+    *additional* repeats (0..255) follow.  This protects the BWT sorter from
+    degenerate inputs and is exactly what the guest decoder undoes.
     """
     output = bytearray()
     index = 0
     length = len(data)
+    longest = RLE_TRIGGER + RLE_MAX_RUN
     while index < length:
         byte = data[index]
         run = 1
-        while index + run < length and data[index + run] == byte and run < trigger + max_run:
+        while index + run < length and data[index + run] == byte and run < longest:
             run += 1
-        if run >= trigger:
-            output.extend(bytes([byte]) * trigger)
-            output.append(run - trigger)
+        if run >= RLE_TRIGGER:
+            output.extend(bytes([byte]) * RLE_TRIGGER)
+            output.append(run - RLE_TRIGGER)
             index += run
         else:
             output.extend(bytes([byte]) * run)
@@ -160,7 +167,7 @@ def rle_encode(data: bytes, *, trigger: int = 4, max_run: int = 255) -> bytes:
     return bytes(output)
 
 
-def rle_decode(data: bytes, *, trigger: int = 4) -> bytes:
+def rle_decode(data: bytes) -> bytes:
     """Inverse of :func:`rle_encode`."""
     output = bytearray()
     index = 0
@@ -176,7 +183,7 @@ def rle_decode(data: bytes, *, trigger: int = 4) -> bytes:
         else:
             run = 1
             previous = byte
-        if run == trigger:
+        if run == RLE_TRIGGER:
             if index >= length:
                 raise CodecError("truncated RLE run count")
             extra = data[index]

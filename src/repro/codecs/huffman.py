@@ -140,8 +140,8 @@ class HuffmanEncoder:
         return cls(lengths=lengths, codes=canonical_codes(lengths))
 
     @classmethod
-    def from_data(cls, data: bytes, alphabet_size: int = 256) -> "HuffmanEncoder":
-        frequencies = [0] * alphabet_size
+    def from_data(cls, data: bytes) -> "HuffmanEncoder":
+        frequencies = [0] * 256
         for symbol, count in Counter(data).items():
             frequencies[symbol] = count
         return cls.from_frequencies(frequencies)

@@ -248,21 +248,13 @@ class FaultPlanError(VxaError):
 
 
 from repro.faults.media import (  # noqa: E402  -- re-export after FaultPlanError
-    FAULT_FLIP_BYTES,
-    FAULT_TORN_FINALIZE,
-    FAULT_TRUNCATE_TAIL,
-    MEDIA_FAULT_KINDS,
     TornFinalize,
-    apply_fault_to_file,
     flip_bytes,
     truncate_tail,
 )
 
 __all__ = [
     "DEFAULT_FUEL",
-    "FAULT_FLIP_BYTES",
-    "FAULT_TORN_FINALIZE",
-    "FAULT_TRUNCATE_TAIL",
     "FaultPlan",
     "FaultPlanError",
     "FaultSpec",
@@ -272,9 +264,7 @@ __all__ = [
     "KIND_EXHAUST_FUEL",
     "KIND_KILL_WORKER",
     "KIND_SYSCALL_ERROR",
-    "MEDIA_FAULT_KINDS",
     "TornFinalize",
-    "apply_fault_to_file",
     "flip_bytes",
     "truncate_tail",
 ]

@@ -23,7 +23,6 @@ Faults:
 from __future__ import annotations
 
 import hashlib
-import os
 
 from repro.errors import VxaError
 
@@ -36,13 +35,6 @@ class TornFinalize(VxaError):
     left exactly as the crash would have left it.  Pickle-safe by
     construction (message-only), so process pools propagate it intact.
     """
-
-
-#: Media fault kind names, as used by the CLI/corpus tools and the chaos suite.
-FAULT_TRUNCATE_TAIL = "truncate-tail"
-FAULT_FLIP_BYTES = "flip-bytes"
-FAULT_TORN_FINALIZE = "torn-finalize"
-MEDIA_FAULT_KINDS = (FAULT_TRUNCATE_TAIL, FAULT_FLIP_BYTES, FAULT_TORN_FINALIZE)
 
 
 def truncate_tail(data: bytes, drop: int) -> bytes:
@@ -78,29 +70,8 @@ def flip_bytes(data: bytes, offset: int, count: int, seed: int = 0) -> bytes:
     return bytes(damaged)
 
 
-def apply_fault_to_file(path, kind: str, *, offset: int = 0, count: int = 1,
-                        drop: int = 1, seed: int = 0) -> None:
-    """Apply a byte-level media fault to a file in place (corpus generation)."""
-    data = open(path, "rb").read()
-    if kind == FAULT_TRUNCATE_TAIL:
-        damaged = truncate_tail(data, drop)
-    elif kind == FAULT_FLIP_BYTES:
-        damaged = flip_bytes(data, offset, count, seed)
-    else:
-        raise ValueError(f"unknown byte-level media fault {kind!r}")
-    with open(path, "wb") as handle:
-        handle.write(damaged)
-        handle.flush()
-        os.fsync(handle.fileno())
-
-
 __all__ = [
-    "FAULT_FLIP_BYTES",
-    "FAULT_TORN_FINALIZE",
-    "FAULT_TRUNCATE_TAIL",
-    "MEDIA_FAULT_KINDS",
     "TornFinalize",
-    "apply_fault_to_file",
     "flip_bytes",
     "truncate_tail",
 ]

@@ -2,15 +2,6 @@
 
 from repro.formats.bmp import is_bmp, read_bmp, write_bmp
 from repro.formats.ppm import is_ppm, read_ppm, write_ppm
-from repro.formats.sniff import (
-    KIND_COMPRESSED,
-    KIND_RAW_AUDIO,
-    KIND_RAW_IMAGE,
-    KIND_RAW_TEXT,
-    SniffResult,
-    looks_compressed,
-    sniff,
-)
 from repro.formats.wav import WavAudio, is_wav, read_wav, write_wav
 
 __all__ = [
@@ -20,13 +11,6 @@ __all__ = [
     "is_ppm",
     "read_ppm",
     "write_ppm",
-    "KIND_COMPRESSED",
-    "KIND_RAW_AUDIO",
-    "KIND_RAW_IMAGE",
-    "KIND_RAW_TEXT",
-    "SniffResult",
-    "looks_compressed",
-    "sniff",
     "WavAudio",
     "is_wav",
     "read_wav",

@@ -35,6 +35,9 @@ from repro.isa.opcodes import Fmt, MNEMONICS, REGISTER_ALIASES
 
 _LABEL_RE = re.compile(r"^[A-Za-z_.$][A-Za-z0-9_.$]*$")
 
+#: The data section starts on the first page boundary after the text.
+_DATA_ALIGN = 0x1000
+
 
 @dataclass
 class Section:
@@ -135,9 +138,8 @@ _MEM_RE = re.compile(
 class Assembler:
     """Two-pass assembler producing an :class:`AssembledProgram`."""
 
-    def __init__(self, text_base: int = 0x1000, data_align: int = 0x1000):
+    def __init__(self, text_base: int = 0x1000):
         self._text_base = text_base
-        self._data_align = data_align
 
     # -- public API --------------------------------------------------------
 
@@ -296,7 +298,7 @@ class Assembler:
             offsets[statement.section] = offset + statement.size
         text_size = offsets[".text"]
         data_base = self._text_base + text_size
-        data_base = (data_base + self._data_align - 1) & ~(self._data_align - 1)
+        data_base = (data_base + _DATA_ALIGN - 1) & ~(_DATA_ALIGN - 1)
         self._data_base = data_base
 
         bases = {".text": self._text_base, ".data": data_base}

@@ -114,10 +114,10 @@ def format_instruction(insn: Instruction, address: int | None = None) -> str:
     return f"{mnemonic} {_reg(insn.rd)}, {mem}"
 
 
-def disassemble(code: bytes, base: int = 0, *, stop_on_error: bool = False) -> list[str]:
+def disassemble(code: bytes, base: int = 0) -> list[str]:
     """Disassemble ``code`` linearly, returning one formatted line per instruction.
 
-    Unknown bytes are rendered as ``.byte`` lines unless ``stop_on_error``.
+    Unknown bytes are rendered as ``.byte`` lines.
     """
     lines: list[str] = []
     offset = 0
@@ -126,8 +126,6 @@ def disassemble(code: bytes, base: int = 0, *, stop_on_error: bool = False) -> l
         try:
             insn = decode(code, offset)
         except InvalidInstructionError:
-            if stop_on_error:
-                raise
             lines.append(f"{address:08x}:  .byte {code[offset]:#04x}")
             offset += 1
             continue

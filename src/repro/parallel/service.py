@@ -10,9 +10,9 @@ per process by image digest (:mod:`repro.vm.images`): warm for every worker
 thread, every archive carrying that decoder and every shard's fresh session,
 under every reuse policy.  No knob is needed to keep that state bounded
 over an unbounded request stream: the registry bounds the images it
-remembers, and no request field reaches a translator switch, so an image has
-at most two fragment tables (guards elided or kept), each bounded by
-``max_fragments``.
+remembers, and no request field reaches a translator switch -- whether a
+guard is elided follows from the image's own analysis -- so an image's
+translated code lives in one fragment table, bounded by ``max_fragments``.
 
 The service is overload-safe.  Each unit of archive work is one row of the
 request table from the draining check to its response; one lock guards the
@@ -109,8 +109,8 @@ DEFAULT_MAX_REQUEST_BYTES = 1 << 20
 
 #: ReadOptions fields a request may override per call.
 _OPTION_FIELDS = ("mode", "force_decode", "engine", "verify_images",
-                  "analysis_elision", "on_error", "retries",
-                  "member_deadline", "on_damage", "durable_output")
+                  "on_error", "retries", "member_deadline", "on_damage",
+                  "durable_output")
 
 #: Ops that are bookkeeping, not archive work: always allowed, even while
 #: the service is draining, never counted as in-flight work, and never

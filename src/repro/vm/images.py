@@ -57,7 +57,8 @@ if TYPE_CHECKING:
 
 #: Images remembered per process; past it the least recently used record is
 #: forgotten (a VM holding it keeps running on it).  A record's caches are
-#: bounded in turn: a session can ask for two (guards elided or kept), each
+#: bounded in turn: sessions ask for at most two (guards elided where the
+#: analysis proves them, or kept where an interpreter session ran none), each
 #: holds at most ``max_fragments`` and at most one per text address.
 IMAGE_LIMIT = 64
 

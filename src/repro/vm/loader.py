@@ -75,18 +75,13 @@ def admit_image(image: ElfImage | bytes, mode: str = "off", *, report=None):
     return report
 
 
-def load_image(
-    image: ElfImage | bytes,
-    memory: GuestMemory,
-    *,
-    stack_size: int = DEFAULT_STACK_SIZE,
-) -> LoadedProgram:
+def load_image(image: ElfImage | bytes, memory: GuestMemory) -> LoadedProgram:
     """Copy ``image`` into ``memory`` and return the initial machine state.
 
     Args:
         image: a parsed :class:`ElfImage` or raw ELF bytes.
-        memory: the sandbox to populate; grown if the image needs more room.
-        stack_size: bytes to reserve for the guest stack at the top of memory.
+        memory: the sandbox to populate; grown if the image needs more room
+            for itself, ``HEAP_HEADROOM`` and ``DEFAULT_STACK_SIZE``.
 
     Raises:
         ElfFormatError: if the image does not fit its declared constraints.
@@ -95,10 +90,10 @@ def load_image(
         image = parse_executable(bytes(image))
 
     load_size = image.load_size
-    needed = load_size + HEAP_HEADROOM + stack_size
+    needed = load_size + HEAP_HEADROOM + DEFAULT_STACK_SIZE
     if needed > memory.size:
         memory.grow(max(needed, min(memory.limit, DEFAULT_MEMORY_SIZE)))
-    if load_size + stack_size > memory.size:
+    if load_size + DEFAULT_STACK_SIZE > memory.size:
         raise ElfFormatError(
             f"decoder image needs {load_size} bytes plus stack, sandbox is {memory.size}"
         )

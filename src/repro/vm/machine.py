@@ -58,7 +58,6 @@ class VirtualMachine:
     Args:
         image: ELF bytes (or a parsed image) of the decoder to run.
         engine: ``"translator"`` (default) or ``"interpreter"``.
-        memory_size: initial sandbox size in bytes.
         limits: resource ceilings; defaults to :class:`ExecutionLimits`.
         check_policy: memory sandbox policy (``full``, ``write-only``,
             ``none``) -- see :mod:`repro.vm.memory`.
@@ -79,8 +78,10 @@ class VirtualMachine:
             :class:`~repro.errors.ImageVerificationError` from the
             constructor, before the image ever executes.
         analysis_elision: let the translator drop bounds guards at sites
-            the static verifier proved safe (see
-            :mod:`repro.analysis`); disable only for the elision ablation.
+            the static verifier proved safe (see :mod:`repro.analysis`).
+            No read option reaches it: an archive session always elides
+            what the analysis proves.  ``False`` keeps every guard, for the
+            elision ablation and the tests that run both translations.
     """
 
     def __init__(
@@ -88,7 +89,6 @@ class VirtualMachine:
         image,
         *,
         engine: str = ENGINE_TRANSLATOR,
-        memory_size: int = DEFAULT_MEMORY_SIZE,
         limits: ExecutionLimits | None = None,
         check_policy: str = CHECK_FULL,
         use_fragment_cache: bool = True,
@@ -106,7 +106,6 @@ class VirtualMachine:
             self._record = ImageRecord("", image)
         self._image = self._record.image
         self.engine = engine
-        self._memory_size = memory_size
         self.limits = limits or ExecutionLimits()
         self._check_policy = check_policy
         self.use_fragment_cache = use_fragment_cache
@@ -183,11 +182,11 @@ class VirtualMachine:
         # instead of paying a multi-megabyte reallocation per member.  A
         # sandbox the guest grew beyond its initial size is discarded so a
         # fresh decode never inherits a larger address space.
-        if self.memory is not None and self.memory.size == self._memory_size:
+        if self.memory is not None and self.memory.size == DEFAULT_MEMORY_SIZE:
             self.memory.reset()
         else:
             self.memory = GuestMemory(
-                self._memory_size,
+                DEFAULT_MEMORY_SIZE,
                 limit=self.limits.max_memory_bytes,
                 check_policy=self._check_policy,
             )

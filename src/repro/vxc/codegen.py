@@ -177,7 +177,29 @@ class CodeGenerator:
         self._lines.append("    " + line)
 
     def _emit_label(self, label: str) -> None:
-        self._lines.append(f"{label}:")
+        """Emit ``label:``, first dropping the jumps that would land on it.
+
+        A ``return`` is a ``jmp`` to the end label of its function, or of the
+        copy generated in place of a call, and nothing is emitted between a
+        body's last ``return`` and that label; a ``continue`` that ends a
+        loop body, or an empty ``else``, leaves the same jump to the next
+        label.  A jump followed by nothing but labels is dropped when it
+        goes to this label or to one of those emitted directly before it,
+        and dropping one such jump can leave another followed by labels.
+        """
+        lines = self._lines
+        landing = {label}
+        end = len(lines)
+        while end:
+            line = lines[end - 1]
+            if line.endswith(":"):
+                landing.add(line[:-1])
+            elif line.startswith("    jmp ") and line[8:] in landing:
+                del lines[end - 1]
+            else:
+                break
+            end -= 1
+        lines.append(f"{label}:")
 
     def _new_label(self, hint: str = "L") -> str:
         self._label_counter += 1

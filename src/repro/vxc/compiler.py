@@ -1,12 +1,11 @@
 """The vxc compiler driver: source text -> VXA-32 ELF executable.
 
 Pipeline: lex/parse each source unit, merge them, semantic analysis, code
-generation, peephole optimisation, assembly, ELF packaging.  The driver
-tracks which functions came from which *category* of source (``decoder``,
-``library`` or ``runtime``) so the resulting executable carries the same
-code-size provenance split the paper reports in Table 2 -- by emitted
-function: library code generated in place of a call is counted under the
-function it was generated into.
+generation, assembly, ELF packaging.  The driver tracks which functions came
+from which *category* of source (``decoder``, ``library`` or ``runtime``) so
+the resulting executable carries the same code-size provenance split the
+paper reports in Table 2 -- by emitted function: library code generated in
+place of a call is counted under the function it was generated into.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from repro.errors import VxcSemanticError
 from repro.isa.assembler import Assembler
 from repro.vxc import ast_nodes as ast
 from repro.vxc.codegen import CodeGenerator
-from repro.vxc.optimizer import optimize
 from repro.vxc.parser import parse
 from repro.vxc.runtime import RUNTIME_SOURCE
 from repro.vxc.semantics import analyze
@@ -75,7 +73,6 @@ def compile_units(
     *,
     codec_name: str | None = None,
     include_runtime: bool = True,
-    optimize_output: bool = True,
     extra_note: dict | None = None,
 ) -> CompileResult:
     """Compile and link several source units into one decoder executable.
@@ -84,7 +81,6 @@ def compile_units(
         units: decoder and library source units.
         codec_name: recorded in the ELF provenance note.
         include_runtime: prepend the vxc runtime library (almost always wanted).
-        optimize_output: run the peephole optimiser.
         extra_note: extra key/value pairs merged into the provenance note.
 
     Raises:
@@ -110,8 +106,6 @@ def compile_units(
 
     info = analyze(merged)
     assembly = CodeGenerator(merged, info).generate()
-    if optimize_output:
-        assembly = optimize(assembly)
 
     program = Assembler().assemble(assembly)
     function_sizes = _function_sizes(program)
@@ -158,15 +152,10 @@ def compile_source(
     source: str,
     *,
     codec_name: str | None = None,
-    library_sources: dict[str, str] | None = None,
     **kwargs,
 ) -> CompileResult:
-    """Compile one decoder source string (plus optional shared library sources)."""
-    units = [
-        SourceUnit(name, text, CATEGORY_LIBRARY)
-        for name, text in (library_sources or {}).items()
-    ]
-    units.append(SourceUnit(codec_name or "decoder", source, CATEGORY_DECODER))
+    """Compile one decoder source string."""
+    units = [SourceUnit(codec_name or "decoder", source, CATEGORY_DECODER)]
     return compile_units(units, codec_name=codec_name, **kwargs)
 
 

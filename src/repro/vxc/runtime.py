@@ -144,21 +144,3 @@ int write_cstr(int fd, int addr) {
     return write(fd, addr, n);
 }
 """
-
-#: Function names provided by the runtime (used for Table 2 provenance splits).
-RUNTIME_FUNCTIONS = (
-    "alloc",
-    "heap_reset",
-    "memcopy",
-    "memfill",
-    "read_full",
-    "write_full",
-    "min",
-    "max",
-    "abs32",
-    "load_u16le",
-    "load_u32le",
-    "store_u16le",
-    "store_u32le",
-    "write_cstr",
-)

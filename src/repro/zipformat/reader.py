@@ -358,22 +358,31 @@ class ZipReader:
 
     def _iter_inflated_chunks(self, entry: ZipEntry,
                               chunk_size: int) -> Iterator[bytes]:
-        """Inflate a deflate member, holding it to its declared size."""
+        """Inflate a deflate member, holding it to its declared size.
+
+        No call inflates more than ``chunk_size`` bytes, nor more than one
+        byte past what the member declares: a stored chunk expands up to a
+        thousandfold, and a few stored bytes must not become megabytes.
+        """
         decompressor = zlib.decompressobj(-15)
+        allowed = entry.uncompressed_size + 1
         produced = 0
         for chunk in self.iter_stored_chunks(entry, chunk_size=chunk_size):
-            try:
-                out = decompressor.decompress(chunk)
-            except zlib.error as error:
-                raise ZipFormatError(f"corrupt deflate member: {error}") from None
-            if out:
-                produced += len(out)
-                if produced > entry.uncompressed_size:
-                    raise ZipFormatError(
-                        f"deflate member decompressed to more than "
-                        f"{entry.uncompressed_size} bytes, expected exactly that"
-                    )
-                yield out
+            while chunk:
+                try:
+                    out = decompressor.decompress(
+                        chunk, min(chunk_size, allowed - produced))
+                except zlib.error as error:
+                    raise ZipFormatError(f"corrupt deflate member: {error}") from None
+                chunk = decompressor.unconsumed_tail
+                if out:
+                    produced += len(out)
+                    if produced > entry.uncompressed_size:
+                        raise ZipFormatError(
+                            f"deflate member decompressed to more than "
+                            f"{entry.uncompressed_size} bytes, expected exactly that"
+                        )
+                    yield out
         out = decompressor.flush()
         if out:
             produced += len(out)
@@ -393,6 +402,8 @@ class ZipReader:
         entry, data_offset = read_local_header(self._source.read_at, offset)
         if data_offset + entry.compressed_size > self._source.size:
             raise ZipFormatError("pseudo-file extends past end of archive")
+        if entry.uncompressed_size > MAX_MEMBER_SIZE:
+            raise ZipFormatError(f"pseudo-file at offset {offset} is implausibly large")
         stored = self._source.read_at(data_offset, entry.compressed_size)
         if entry.method == METHOD_STORE:
             if len(stored) != entry.uncompressed_size:

@@ -37,18 +37,25 @@ def deflate_compress(data: bytes, level: int = 9) -> bytes:
     return compressor.compress(data) + compressor.flush()
 
 
-def deflate_decompress(data: bytes, expected_size: int | None = None) -> bytes:
-    """Raw DEFLATE decompression with an optional output-size sanity bound."""
+def deflate_decompress(data: bytes, expected_size: int) -> bytes:
+    """Raw DEFLATE decompression, held to ``expected_size``.
+
+    Inflation stops one byte past the expected size: a stream that declares
+    a few bytes and holds megabytes costs what it declares, not what it holds.
+    """
     decompressor = zlib.decompressobj(-15)
-    limit = expected_size if expected_size is not None else -1
     try:
-        output = decompressor.decompress(data, max(0, limit) if limit >= 0 else 0)
-        output += decompressor.flush()
+        output = decompressor.decompress(data, expected_size + 1)
+        # ``flush`` inflates whatever input is left, unbounded: only when none is.
+        if not decompressor.unconsumed_tail:
+            output += decompressor.flush()
     except zlib.error as error:
         raise ZipFormatError(f"corrupt deflate member: {error}") from None
-    if expected_size is not None and len(output) != expected_size:
+    if len(output) != expected_size:
+        found = (f"more than {expected_size}" if len(output) > expected_size
+                 else len(output))
         raise ZipFormatError(
-            f"deflate member decompressed to {len(output)} bytes, expected {expected_size}"
+            f"deflate member decompressed to {found} bytes, expected {expected_size}"
         )
     return output
 

@@ -276,14 +276,10 @@ def test_session_surfaces_analysis_counters():
 def test_elision_disabled_by_option():
     codec = VxzCodec()
     data = synthetic_source_tree_bytes(6000, seed=14)
-    buffer = io.BytesIO()
-    with ArchiveBuilder(buffer) as builder:
-        builder.add("a.txt", data)
-        builder.finish()
-    options = ReadOptions(mode=MODE_VXA, analysis_elision=False)
-    with Archive(io.BytesIO(buffer.getvalue()), options) as archive:
-        assert archive.extract("a.txt").data == data
-        assert archive.session.stats.guards_elided == 0
+    vm = VirtualMachine(codec.guest_decoder_image(), analysis_elision=False)
+    result = vm.decode(codec.encode(data))
+    assert result.ok and result.output == data
+    assert result.stats.guards_elided == 0
 
 
 def test_pop_into_sp_is_analysed_the_way_the_engines_run_it():

@@ -191,9 +191,13 @@ def test_read_options_validate():
         vxa.ReadOptions(executor="carrier-pigeon")
     # Translator switches are VirtualMachine keywords, not session options:
     # unknown here like any other name (no alias, no ignored keyword).
-    for removed in ("code_cache_limit", "superblock_limit", "chain_fragments"):
+    for removed in ("code_cache_limit", "superblock_limit", "chain_fragments",
+                    "analysis_elision"):
         with pytest.raises(TypeError):
             vxa.ReadOptions(**{removed: 1})
+    # Every archive carries its decoders: there is no switch to leave them out.
+    with pytest.raises(TypeError):
+        vxa.WriteOptions(attach_decoders=False)
     options = vxa.ReadOptions(mode=vxa.MODE_VXA)
     assert options.with_changes(force_decode=True).force_decode
     assert options.mode == vxa.MODE_VXA     # frozen original untouched

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from repro.cli import main
+from repro.cli import main, unzip_main
 from repro.workloads.text import synthetic_source_tree_bytes
 
 
@@ -89,6 +89,13 @@ def test_cli_store_raw_and_error_handling(workspace, capsys):
     status = main(["create", str(tmp_path / "x.zip"), str(tmp_path / "does-not-exist")])
     assert status == 2
     assert "error" in capsys.readouterr().err
+
+    # A flag that no longer exists is a usage error.
+    for command in ("extract", "check"):
+        with pytest.raises(SystemExit) as exited:
+            unzip_main([command, str(archive), "--no-guard-elision"])
+        assert exited.value.code == 2
+        assert "--no-guard-elision" in capsys.readouterr().err
 
 
 def test_cli_check_detects_corruption(workspace, capsys):

@@ -15,7 +15,6 @@ from repro.bench.timelines import (
 from repro.errors import FormatError
 from repro.formats.bmp import is_bmp, read_bmp, write_bmp
 from repro.formats.ppm import is_ppm, read_ppm, write_ppm
-from repro.formats.sniff import KIND_COMPRESSED, KIND_RAW_AUDIO, KIND_RAW_IMAGE, KIND_RAW_TEXT, sniff
 from repro.formats.wav import WavAudio, is_wav, read_wav, write_wav
 from repro.workloads.audio import synthetic_music, synthetic_speech
 from repro.workloads.images import synthetic_diagram, synthetic_photo
@@ -97,22 +96,6 @@ def test_ppm_rejects_truncated():
     data = write_ppm(pixels)
     with pytest.raises(FormatError):
         read_ppm(data[:-10])
-
-
-# -- sniffing -----------------------------------------------------------------------
-
-
-def test_sniff_classifies_content():
-    from repro.codecs.vxz import VxzCodec
-
-    assert sniff(b"hello world").kind == KIND_RAW_TEXT
-    assert sniff(write_ppm(synthetic_photo(8, 8, seed=6))).kind == KIND_RAW_IMAGE
-    assert sniff(write_wav(synthetic_music(seconds=0.05, sample_rate=8000,
-                                           channels=1, seed=7))).kind == KIND_RAW_AUDIO
-    compressed = VxzCodec().encode(b"some data to compress")
-    result = sniff(compressed)
-    assert result.kind == KIND_COMPRESSED
-    assert result.codec_name == "vxz"
 
 
 # -- workloads -----------------------------------------------------------------------

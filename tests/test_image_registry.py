@@ -221,13 +221,11 @@ def test_every_translator_input_is_part_of_the_cache_key(
         echo_decoder_image, field, value):
     base = _session_cache(echo_decoder_image, SHARED)
     assert _session_cache(echo_decoder_image, SHARED) is base
-    if field in vxa.ReadOptions.__dataclass_fields__:
-        assert getattr(SHARED, field) != value
-        other = _session_cache(echo_decoder_image,
-                               SHARED.with_changes(**{field: value}))
-    else:               # a VirtualMachine keyword only: set where it lives
-        other = _session_cache(echo_decoder_image, SHARED, **{field: value})
-    assert other is not base
+    # A VirtualMachine keyword, not a session option: set where it lives.
+    assert field not in vxa.ReadOptions.__dataclass_fields__
+    vm = VirtualMachine(echo_decoder_image, **{field: value})
+    vm.share_code_cache()
+    assert vm.code_cache is not base
 
 
 def test_check_policy_and_fragment_cache_use_are_part_of_the_cache_key(
@@ -245,14 +243,14 @@ def test_elision_is_keyed_on_whether_it_applies_not_on_the_request():
     hostile = build_asm("_start:\n    movi r1, 0x7ffffff0\n    st32 [r1], r1\n"
                         "    halt\n")
     assert not verify.verify_image(hostile).ok
-    kept = SHARED.with_changes(analysis_elision=False)
     session = vxa.DecoderSession(lambda offset: hostile, SHARED, ExecutionLimits())
     with pytest.raises(MemoryFault):
         session.decode(0, b"")
-    other = vxa.DecoderSession(lambda offset: hostile, kept, ExecutionLimits())
+    kept = VirtualMachine(hostile, analysis_elision=False)
+    kept.share_code_cache()
     with pytest.raises(MemoryFault):
-        other.decode(0, b"")
-    assert session._vms[0].code_cache is other._vms[0].code_cache
+        kept.decode(b"")
+    assert session._vms[0].code_cache is kept.code_cache
 
 
 def test_every_policy_shares_the_image_cache_and_a_bare_vm_keeps_its_own(
@@ -300,7 +298,7 @@ def test_an_explicit_code_cache_is_used_as_given(echo_decoder_image, work):
 
 
 #: Values swept per request field: every field vxserve reads into
-#: ``ReadOptions``, the reuse policy, and four names it used to read and now
+#: ``ReadOptions``, the reuse policy, and five names it used to read and now
 #: ignores like any unknown field.
 _WIRE_SWEEP = {
     "mode": ["auto", "native", "vxa"],
@@ -320,7 +318,7 @@ _WIRE_SWEEP = {
     "chain_fragments": [False, True],
 }
 _IGNORED_ON_THE_WIRE = {"code_cache_limit", "superblock_limit", "chain_fragments",
-                        "chunk_size"}
+                        "chunk_size", "analysis_elision"}
 
 
 def test_no_request_sequence_gives_an_image_more_than_two_caches(tmp_path):

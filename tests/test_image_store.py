@@ -480,7 +480,7 @@ def _assert_restored_agrees(image: bytes, tag, **vm_kwargs) -> None:
     oracle = VirtualMachine(image, engine=ENGINE_INTERPRETER,
                             limits=ExecutionLimits(max_instructions=2_000_000),
                             **{key: value for key, value in vm_kwargs.items()
-                               if key in ("memory_size", "check_policy")})
+                               if key == "check_policy"})
     result = oracle.decode(b"")
     assert restored == ((result.exit_code, result.output, result.stderr,
                          result.stats.instructions), list(oracle.regs),
@@ -504,12 +504,10 @@ def test_forwarding_programs_agree_from_a_restored_table(name):
 def test_hostile_pointers_agree_from_a_restored_table(name, policy):
     """Where an entry guard bailed, the table holds the fragment that took
     the entry over: the restored run does not bail again."""
-    body, memory_size, _, faults = _HOSTILE_POINTERS[name]
+    body, _, faults = _HOSTILE_POINTERS[name]
     image = build_asm("_start:\n    movi r5, use\n" + body
                       + "    halt\n.data\nbuffer:\n    .space 64\n")
     sandbox = {"check_policy": policy}
-    if memory_size is not None:
-        sandbox["memory_size"] = memory_size
     _assert_restored_agrees(image, (name, policy), **sandbox)
     if faults:      # memory at the fault is exact: stores happen in order
         oracle = VirtualMachine(image, engine=ENGINE_INTERPRETER, **sandbox)

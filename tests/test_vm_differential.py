@@ -519,9 +519,14 @@ def test_a_store_into_text_changes_what_loads_see_not_what_runs(name):
 #: without the view.  Each program sets the pointer in one fragment and uses
 #: it in the next (``jmpr r5`` between them, r5 = ``use`` kept to the end), so
 #: it arrives as an entry register, not as a constant of the trace.
-#: ``(body, memory_size, bails, faults)``: must the entry guard of the
-#: fragment at ``use`` bail, and must the run end in a ``MemoryFault``.
-_ODD_SIZE = (4 << 20) + 2
+#: ``(body, bails, faults)``: must the entry guard of the fragment at ``use``
+#: bail, and must the run end in a ``MemoryFault``.
+#: A body that starts with this grows the sandbox by two bytes first.
+_GROW_BY_A_TAIL = """
+        movi r0, 3              ; setperm
+        movi r1, 0x400002
+        vxcall
+"""
 _HOSTILE_POINTERS = {
     **{f"sp_off_by_{n}": (f"""
         addi r7, {n}
@@ -533,7 +538,7 @@ _HOSTILE_POINTERS = {
         pop  r3
         ld32 r4, [r7-4]         ; forwarded or not, 0x11223344
         ld32 r1, [r7-8]
-    """, None, True, False) for n in (1, 2, 3)},
+    """, True, False) for n in (1, 2, 3)},
     "fp_misaligned": ("""
         movi r6, buffer
         addi r6, 2
@@ -545,7 +550,7 @@ _HOSTILE_POINTERS = {
         ld16u r3, [r6+6]        ; the upper half of the word just stored
         ld32 r4, [r6]
         st32 [r6-4], r3
-    """, None, True, False),
+    """, True, False),
     # r7 - LOW == 0: the lowest state the guard admits; word 0 is written.
     "sp_8_two_pushes": ("""
         movi r7, 8
@@ -554,7 +559,7 @@ _HOSTILE_POINTERS = {
         push r5
         push r7
         ld32 r1, [r7]
-    """, None, False, False),
+    """, False, False),
     # The second push is at -4, i.e. 0xfffffffc: as an index it would be the
     # last word of the sandbox.
     "sp_4_second_push_wraps": ("""
@@ -563,7 +568,7 @@ _HOSTILE_POINTERS = {
     use:
         push r5
         push r7
-    """, None, True, True),
+    """, True, True),
     # r7 + 8 wraps past 2**32 to address 0: as an index, far out of range.
     "sp_high_sum_wraps": ("""
         movi r1, 0x600DF00D
@@ -574,7 +579,7 @@ _HOSTILE_POINTERS = {
     use:
         ld32 r3, [r7+8]         ; 0x600DF00D
         ld32 r4, [r7+12]
-    """, None, True, False),
+    """, True, False),
     # A loop that pushes: the guarded pointer is loop-carried, so the guard,
     # which runs once ahead of the loop, cannot vouch for the second pass.
     "loop_that_pushes": ("""
@@ -587,7 +592,7 @@ _HOSTILE_POINTERS = {
         cmpi r1, 0
         jgtu again
         ld32 r2, [r7+16]        ; 5
-    """, None, False, False),
+    """, False, False),
     # A loop through two fragments that moves sp by one byte per pass: the
     # first pass satisfies the guard at ``use``, the second does not.
     "loop_that_misaligns_sp": ("""
@@ -604,7 +609,7 @@ _HOSTILE_POINTERS = {
         subi r1, 1
         cmpi r1, 0
         jgtu use
-    """, None, True, False),
+    """, True, False),
     # The last whole word of the sandbox, by a constant address ...
     "last_word": ("""
         jmpr r5
@@ -615,17 +620,17 @@ _HOSTILE_POINTERS = {
         ld32 r3, [r1]
         movi r4, 0x3ffff8
         ld32 r4, [r4+4]
-    """, None, False, False),
+    """, False, False),
     # ... one past it ...
     "past_the_last_word": ("""
         jmpr r5
     use:
         movi r1, 0x400000
         ld32 r3, [r1]
-    """, None, False, True),
+    """, False, True),
     # ... and the same two where the sandbox ends in a two-byte tail, which
     # byte accesses reach and no word does.
-    "last_word_before_a_tail": ("""
+    "last_word_before_a_tail": (_GROW_BY_A_TAIL + """
         jmpr r5
     use:
         movi r1, 0x3ffffc
@@ -634,14 +639,14 @@ _HOSTILE_POINTERS = {
         st8  [r1+5], r2
         ld8u r3, [r1+5]         ; 0x0D
         ld32 r4, [r1]
-    """, _ODD_SIZE, False, False),
-    "word_straddling_the_tail": ("""
+    """, False, False),
+    "word_straddling_the_tail": (_GROW_BY_A_TAIL + """
         jmpr r5
     use:
         movi r1, 0x400000
         movi r2, 0xCAFEF00D
         st32 [r1], r2
-    """, _ODD_SIZE, False, True),
+    """, False, True),
 }
 
 
@@ -662,12 +667,10 @@ def _observe(image: bytes, engine: str, faults: bool, **vm_kwargs):
 @pytest.mark.parametrize("policy", ["full", "write-only", "none"])
 @pytest.mark.parametrize("name", _HOSTILE_POINTERS)
 def test_pointers_the_entry_guard_refuses_are_still_legal(name, policy):
-    body, memory_size, bails, faults = _HOSTILE_POINTERS[name]
+    body, bails, faults = _HOSTILE_POINTERS[name]
     image = build_asm("_start:\n    movi r5, use\n" + body
                       + "    halt\n.data\nbuffer:\n    .space 64\n")
     sandbox = {"check_policy": policy}
-    if memory_size is not None:
-        sandbox["memory_size"] = memory_size
     reference, oracle = _observe(image, ENGINE_INTERPRETER, faults, **sandbox)
     for config in _TRANSLATOR_CONFIGS:
         observed, vm = _observe(image, ENGINE_TRANSLATOR, faults,

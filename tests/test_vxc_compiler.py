@@ -1,5 +1,6 @@
 """End-to-end tests for the vxc compiler: compile programs, run them on the VM."""
 
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -606,3 +607,25 @@ def test_bundled_images_do_not_depend_on_the_hash_seed():
             capture_output=True, text=True, timeout=120).stdout)
     assert listings[0].count("\n") == 6
     assert listings[0] == listings[1] == listings[2]
+
+
+#: SHA-256 of each bundled decoder image.  The digest is the registry key and
+#: the archive's dedup key, so a change to a decoder's source or to what vxc
+#: emits moves its pin, nothing else may, and every Python CI runs must build
+#: the same bytes.
+_IMAGE_DIGESTS = {
+    "vxz": "c27c4bc6adfe3cdb907f99ddd805241b6f598c255f647a5edb20db54bab1fd38",
+    "vxbwt": "7594a6a70d88d29b56d23d861220f90d938e12b28d70c556dd74715376a65c9c",
+    "vximg": "912492fda7ded15fbe8d2fa7d2d5843aa0d1eed1c4c078a9ff19f4e2e7444df5",
+    "vxjp2": "43341a05366a74e1653ca7ccb8a0662459503f070c0f86becc6ce0198a2b3167",
+    "vxflac": "6e11d194e4159bb80c2cda8814a83ea8c1c866a8ab298677dbf9796bba4d3758",
+    "vxsnd": "632692e3e0f7a7f47abcd870284dbd18bbb9c37366546c36ca9070d66fb06599",
+}
+
+
+def test_bundled_images_are_pinned():
+    from repro.codecs.registry import default_registry
+
+    digests = {codec.name: hashlib.sha256(codec.guest_decoder_image()).hexdigest()
+               for codec in default_registry()}
+    assert digests == _IMAGE_DIGESTS

@@ -5,6 +5,7 @@ import pathlib
 import random
 import struct
 import sys
+import tracemalloc
 import zipfile
 import zlib
 
@@ -111,6 +112,66 @@ def test_deflate_size_mismatch_detected():
     compressed = deflate_compress(b"hello world")
     with pytest.raises(ZipFormatError):
         deflate_decompress(compressed, 5)
+
+
+def _deflated_zeros(mebibytes: int) -> bytes:
+    """Raw deflate of that many MiB of zeros (65 KB for 64), a MiB at a time."""
+    compressor = zlib.compressobj(9, zlib.DEFLATED, -15)
+    zeros = bytes(1 << 20)
+    return (b"".join(compressor.compress(zeros) for _ in range(mebibytes))
+            + compressor.flush())
+
+
+def test_a_deflate_bomb_is_refused_at_its_declared_size():
+    """65 KB of deflate holding 64 MiB of zeros, declared as 10 bytes, as a
+    decoder pseudo-file and as a plain member: each is refused having
+    inflated no more than it declares, not the 64 MiB it holds."""
+    bomb = _deflated_zeros(64)
+    writer = ZipWriter()
+    pseudo = writer.add_member("", bomb, method=METHOD_DEFLATE, uncompressed_size=10,
+                               crc=0, in_central_directory=False)
+    writer.add_member("bomb.txt", bomb, method=METHOD_DEFLATE, uncompressed_size=10,
+                      crc=0)
+    reader = ZipReader(writer.finish())
+    entry = reader.find("bomb.txt")
+    del bomb, writer
+    for read in (lambda: reader.read_member_at(pseudo.local_header_offset),
+                 lambda: reader.read_member(entry)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ZipFormatError):
+                read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def test_a_deflate_member_streams_in_chunks_of_the_size_asked_for():
+    """The same 64 MiB of zeros, declared as what they are, comes out in
+    64 KiB chunks, never all at once."""
+    stored = _deflated_zeros(64)
+    checksum = 0
+    for _ in range(64):
+        checksum = crc32(bytes(1 << 20), checksum)
+    writer = ZipWriter()
+    writer.add_member("zeros.bin", stored, method=METHOD_DEFLATE,
+                      uncompressed_size=64 << 20, crc=checksum)
+    reader = ZipReader(writer.finish())
+    entry = reader.find("zeros.bin")
+    del stored, writer
+    total = largest = 0
+    tracemalloc.start()
+    try:
+        for chunk in reader.iter_member_chunks(entry):
+            total += len(chunk)
+            largest = max(largest, len(chunk))
+            del chunk
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (total, largest) == (64 << 20, DEFAULT_CHUNK_SIZE)
+    assert peak < 1 << 20
 
 
 # -- extra fields ---------------------------------------------------------------------
