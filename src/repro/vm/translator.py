@@ -70,15 +70,23 @@ value, and a later ``ld32``/``pop``/``ret`` of the same address value takes
 the remembered value with no memory access and no guard.  The aliasing rule
 needs the trace alone: a store forgets every remembered word it may overlap
 -- under the *same* base local by an exact test on the two constants and the
-store's width; under a *different* base local always.  (So a push forgets
-what is known of the frame, and a frame store what is known of the stack,
-unless one pointer was copied from the other inside the trace; telling them
-apart takes the static analysis's stack-zone facts and is not done here.)
-Address computations, bounds checks (a wider one subsumes a narrower one at
-the same address value) and wrap elision (per-local upper bounds) key on the
-same immutable values, so a register write invalidates nothing.  Each pass
-over the trace starts from no knowledge at all, which is what makes a
-back-edge to the trace head sound.
+store's width; under a *different* base local always -- but for the frame's
+*slots*, the words ``[r6 + 4k]`` the view reaches, which stay *held* by a
+guard, never by an analysis fact.  An ``sp`` store through the view misses
+every slot the fragment touches (one more entry test: ``... or r7 - r6 > c
+and r7 - r6 < d: return BAIL``); any other store made while a slot is held
+is followed by one range test against their span, ``if fl < a and a < fl +
+n:``, which leaves by a side exit with everything written back.  Slots that
+differ between the arms of an inlined ``if`` get join roots, as registers
+do.  Address computations,
+bounds checks (a wider one subsumes a narrower one at the same address value)
+and wrap elision (per-local upper bounds) key on the same immutable values,
+so a register write invalidates nothing.  Each pass over the trace starts
+from no knowledge but what the slots held when it began: a slot first read
+before any store of its path may have changed it is one root, which a
+looping fragment loads ahead of the loop (under an entry test that bails,
+never faults, unless the slot is a word of the view) and its back-edges
+reassign with the registers.  That is what makes a back-edge sound.
 
 A word goes through ``struct`` only where nothing is known of its address.
 Where that is a multiple of four *by construction or by an entry guard* --
@@ -305,9 +313,19 @@ def _negated(x: str) -> str:
 
 
 def _indented(lines: list) -> list:
-    """``lines`` one level deeper, write-back records too (:meth:`_Trace.leave`)."""
+    """``lines`` one level deeper, records too (:meth:`_Trace.render`)."""
     return ["    " + line if line.__class__ is str else ("    " + line[0], line[1])
             for line in lines]
+
+
+def _block(lines: list) -> list:
+    """``lines`` as a block, with a ``pass`` if only records might fill it."""
+    return lines if any(line.__class__ is str for line in lines) else lines + ["pass"]
+
+
+def _offset(local: str, k: int) -> str:
+    """``local + k`` for a signed ``k``, as the word view's indices spell it."""
+    return f"{local} {'-' if k < 0 else '+'} {abs(k)}" if k else local
 
 
 def _plus(value, k: int):
@@ -342,11 +360,12 @@ class _Trace:
     assigned exactly once per pass over the trace: an entry local
     (``r0..r7``, ``cca``, ``ccb``) or a *root* ``v<n>`` created for a load or
     for arithmetic that is not an addition of a constant.  Back-edges do
-    reassign the entry locals, but only immediately before ``continue``,
-    which starts a new pass from the entry state below.  Since no local
-    changes mid-pass, everything keyed on values -- ``held``, ``guarded``,
-    ``words`` -- stays true until the pass ends; a guest register write
-    replaces ``regs[i]`` and invalidates nothing.
+    reassign the entry locals and the roots of hoisted slots, but only
+    immediately before ``continue``, which starts a new pass from the entry
+    state below.  Since no local changes mid-pass, everything keyed on
+    values -- ``held``, ``guarded``, ``words`` -- stays true until the pass
+    ends; a guest register write replaces ``regs[i]`` and invalidates
+    nothing.
     """
 
     def __init__(self, translator: "Translator", view: bool):
@@ -380,6 +399,17 @@ class _Trace:
         #: second pass on their entry locals differ from ``vm.regs`` /
         #: ``vm.cc``, so every exit must write them back.
         self.loop_carried: set[int] = set()
+        #: Slot -> root of its value at the pass's start (:meth:`load32`),
+        #: and those bound before the last back-edge; signed offsets of the
+        #: slots and of the ``sp`` stores through the view; range guards?
+        self.bound: dict[tuple, str] = {}
+        self.hoisted: dict[tuple, str] = {}
+        self.frame: set[int] = set()
+        self.sp_stores: set[int] = set()
+        self.guards = False
+        #: Stores of this path since the pass began that may have changed a
+        #: slot: ``(k, width)`` at ``r6 + k``, ``None`` anywhere.
+        self.clobbers: tuple = ()
 
     # -- values ------------------------------------------------------------------
 
@@ -431,14 +461,17 @@ class _Trace:
         sums, differences, NOT and NEG are spelled so that they never leave
         32 bits (:meth:`alu`, :meth:`step`).
         """
-        name = f"v{self.roots}"
-        self.roots += 1
+        name = self.name()
         if bound > _MASK:
             text = f"{text} & {_MASK}"
         elif bound < _MASK:
             self.bounds[name] = bound
         self.lines.append(f"{name} = {text}")
         return (name, 0)
+
+    def name(self) -> str:
+        self.roots += 1
+        return f"v{self.roots - 1}"
 
     # -- guest memory ------------------------------------------------------------
 
@@ -501,15 +534,27 @@ class _Trace:
             index = f"{self.address(value, 4, kind, pc)} >> 2"
         elif local in ("r6", "r7") and (k + _REACH & _MASK) <= 2 * _REACH:
             offset = _signed(k)
-            step = f" {'-' if offset < 0 else '+'} " if offset else ""
-            self.address(value, 4, kind, pc,
-                         local + (step and f"{step}{abs(offset)}"))
+            self.address(value, 4, kind, pc, _offset(local, offset))
             self.low[local] = max(self.low.get(local, 0), -offset)
-            index = f"q{local[1]}" + (step and f"{step}{abs(offset) >> 2}")
+            if local == "r6":
+                self.frame.add(offset)
+            index = _offset(f"q{local[1]}", offset >> 2)
         else:
             return None
         self.uses_view = True
         return f"w[{index}]"
+
+    def slot(self, address) -> bool:
+        """Is ``address`` a frame slot: ``r6 + 4k``, reached through the view?"""
+        local, k = address
+        return (local == "r6" and self.view and not k & 3
+                and (k + _REACH & _MASK) <= 2 * _REACH)
+
+    def unchanged(self, address, clobbers: tuple) -> bool:
+        """Did none of ``clobbers`` overlap the slot at ``address``?"""
+        return all(clobber is not None
+                   and 4 <= (clobber[0] - address[1] & _MASK) <= _MASK + 1 - clobber[1]
+                   for clobber in clobbers)
 
     def load32(self, address, pc: int):
         """Value of the word at ``address``: forwarded if known, else loaded.
@@ -519,16 +564,26 @@ class _Trace:
         in this pass (so it did not fault, and neither would this one --
         the sandbox cannot shrink or grow inside a fragment) and
         :meth:`store` has dropped it if any store since might overlap it.
+        A slot still as the pass found it loads into the root :attr:`bound`
+        to it, a load that a back-edge after it moves ahead of the loop.
         """
         value = self.words.get(address)
         if value is None:
+            mark = len(self.lines)
             text = (self.word(address, "read", pc) or
                     f"_u32(buf, {self.address(address, 4, 'read', pc)})[0]")
-            value = self.words[address] = self.root(text, _MASK)
+            if self.slot(address) and self.unchanged(address, self.clobbers):
+                root = self.bound.get(address) or self.bound.setdefault(address, self.name())
+                site = self.lines[mark:] + [f"{root} = {text}"]    # its check too
+                self.lines[mark:] = [("", lambda: [] if address in self.hoisted else site)]
+                value = self.words[address] = (root, 0)
+            else:
+                value = self.words[address] = self.root(text, _MASK)
         return value
 
-    def store(self, address, width: int, value, pc: int) -> None:
-        """Emit the store (always), then update what is known of memory."""
+    def store(self, address, width: int, value, pc: int):
+        """Emit the store (always), then update what is known of memory; the
+        address a range guard must test, if a held slot needs one, comes back."""
         viewed = self.word(address, "write", pc) if width == 4 else None
         local = viewed or self.address(address, width, "write", pc)
         source = self.atom(value)
@@ -545,19 +600,31 @@ class _Trace:
         # cannot overlap [address, address + width): same base local and
         # ``4 <= distance <= 2**32 - width`` (mod 2**32), which separates the
         # two ranges whether or not either sum wrapped.  Words under any
-        # other base local may be anywhere, so they are forgotten.
+        # other base local may be anywhere, so they are forgotten, but for
+        # slots, which an entry test or a range guard protects.
         base, k = address
+        test = None
+        if base == "r6":
+            self.clobbers += ((k, width),)
+        elif viewed and base == "r7":
+            self.sp_stores.add(_signed(k))
+        elif any(map(self.slot, self.words)):
+            self.guards = True
+            test = self.atom(address)
+        else:
+            self.clobbers += (None,)
         self.words = {
             known: word for known, word in self.words.items()
-            if known[0] == base
-            and 4 <= (k - known[1] & _MASK) <= _MASK + 1 - width}
+            if (4 <= (k - known[1] & _MASK) <= _MASK + 1 - width
+                if known[0] == base else base != "r6" and self.slot(known))}
         if width == 4:
             self.words[address] = value
+        return test
 
-    def push(self, value, pc: int) -> None:
+    def push(self, value, pc: int):
         """Store ``value`` (read by the caller *before* sp moves) below sp."""
         sp = self.regs[7] = _plus(self.regs[7], -4)
-        self.store(sp, 4, value, pc)
+        return self.store(sp, 4, value, pc)
 
     def pop(self, pc: int):
         """The word at sp, with sp moved past it."""
@@ -568,7 +635,7 @@ class _Trace:
 
     # -- straight-line instructions ----------------------------------------------
 
-    def step(self, op, rd: int, rs: int, imm: int, pc: int) -> None:
+    def step(self, op, rd: int, rs: int, imm: int, pc: int):
         """Evaluate one instruction that is neither a branch nor a trap."""
         regs = self.regs
         if op is Op.MOVI:
@@ -596,9 +663,9 @@ class _Trace:
             regs[rd] = self.root(
                 text, _MASK if signed else (1 << 8 * width) - 1)
         elif op in _STORE_WIDTHS:
-            self.store(_plus(regs[rd], imm), _STORE_WIDTHS[op], regs[rs], pc)
+            return self.store(_plus(regs[rd], imm), _STORE_WIDTHS[op], regs[rs], pc)
         elif op is Op.PUSH:
-            self.push(regs[rd], pc)
+            return self.push(regs[rd], pc)
         elif op is Op.POP:
             value = self.pop(pc)
             if rd != 7:           # rd is written before sp: ``pop r7`` = sp + 4
@@ -695,101 +762,143 @@ class _Trace:
     def leave(self, indent: str, executed: int, *tail: str) -> None:
         """Account instructions, write the machine state back, run ``tail``.
 
-        The write-back is recorded as ``(indent, expressions)`` -- one per
-        entry of ``regs``, ``None`` for "still the entry local" -- and
-        completed by :meth:`render` with the loop-carried ones, which are
-        only known once every back-edge of the trace has been seen.  The
-        expressions are fixed *now*, so they use nothing the main line
-        computes later; and nothing computed for an exit enters ``held``,
-        so the main line uses nothing computed inside an exit block.
+        The write-back is a record (:meth:`render`): one expression per entry
+        of ``regs``, ``None`` for "still the entry local", completed with the
+        loop-carried ones, which are only known once every back-edge of the
+        trace has been seen.  The expressions are fixed *now*, so they use
+        nothing the main line computes later; and nothing computed for an
+        exit enters ``held``, so the main line uses nothing computed inside
+        an exit block.
         """
         self.lines.append(f"{indent}vm.icount += {executed}")
         writes: list = [None] * 10
         for i in self.changed():
             writes[i] = self.expr(self.regs[i])
-        self.lines.append((indent, writes))
+
+        def write_back() -> list[str]:
+            for i in self.loop_carried:
+                writes[i] = writes[i] or _ENTRY[i][0]
+            lines = []
+            if dirty := [i for i in range(8) if writes[i]]:
+                lines.append("; ".join(f"r[{i}] = {writes[i]}" for i in dirty))
+            if writes[8]:                  # ``cmp`` sets both operands
+                lines.append(f"vm.cc = ({writes[8]}, {writes[9]})")
+            return lines
+
+        self.lines.append((indent, write_back))
         self.lines += [indent + line for line in tail]
 
     def back_edge(self, indent: str, executed: int) -> None:
         """Jump to the fragment entry *inside* the fragment.
 
-        The entry locals take their new values in one parallel assignment
-        (every right-hand side is read first) and the next pass begins; no
-        write-back or reload happens.  The instruction budget must be
-        enforced here, because a looping fragment may not return to the
-        dispatcher for a long time (or, for a guest spinning forever, ever).
+        The entry locals take their new values, as one parallel assignment
+        would give them (every right-hand side read first), and the next pass
+        begins; no write-back happens.  So do the hoisted roots of slots: the
+        value held here, a reload if a store may have changed the slot, or
+        nothing.  The instruction budget must be enforced here, because a
+        looping fragment may not return to the dispatcher for a long time
+        (or, for a guest spinning forever, ever).
         """
         self.looping = True
+        self.hoisted = dict(self.bound)
         changed = self.changed()
         self.loop_carried.update(changed)
-        lines = [f"vm.icount += {executed}",
-                 "if vm.icount > vm.budget: _over(vm)"]
-        if changed:
-            lines.append(
-                ", ".join(_ENTRY[i][0] for i in changed) + " = "
-                + ", ".join(self.expr(self.regs[i]) for i in changed))
-        self.lines += [indent + line for line in lines + ["continue"]]
+        moves = [(_ENTRY[i][0], self.regs[i][0], self.expr(self.regs[i])) for i in changed]
+        slots = {address: (value[0], self.expr(value)) for address, value in self.words.items()
+                 if self.slot(address)}
+        clobbers = self.clobbers
+
+        def assign() -> list[str]:
+            pending = list(moves)
+            for address, root in self.hoisted.items():
+                local, value = slots.get(address, (None, None))
+                if value is None and not self.unchanged(address, clobbers):
+                    value = f"w[{_offset('q6', _signed(address[1]) >> 2)}]"
+                if value not in (None, root):
+                    pending.append((root, local, value))
+            # One statement a name where an order exists: past three names a
+            # parallel assignment builds and unpacks a tuple, ~3x the cost.
+            lines = []
+            while ready := [move for move in pending if all(
+                    move[0] != other[1] for other in pending if other is not move)]:
+                lines += [f"{name} = {value}" for name, _, value in ready]
+                pending = [move for move in pending if move not in ready]
+            if pending:             # a cycle: what is left, in parallel
+                lines.append(f"{', '.join(move[0] for move in pending)} = "
+                             f"{', '.join(move[2] for move in pending)}")
+            return lines
+
+        self.lines += [f"{indent}vm.icount += {executed}",
+                       f"{indent}if vm.icount > vm.budget: _over(vm)",
+                       (indent, assign), f"{indent}continue"]
 
     # -- inlined if-arms ----------------------------------------------------------
 
     def fork(self) -> tuple:
         """The state both arms of an inlined ``if`` start from."""
-        return list(self.regs), self.held, self.guarded, self.words, self.lines
+        return (list(self.regs), self.held, self.guarded, self.words, self.lines,
+                self.clobbers)
 
     def arm(self, fork: tuple) -> None:
         """Translate an arm next: from ``fork``, into lines of its own."""
         self.regs[:] = fork[0]
         self.held, self.guarded, self.words = map(dict, fork[1:4])
-        self.lines = []
+        self.lines, self.clobbers = [], fork[5]
 
     def join(self, fork: tuple, test: str, arms: list, delta: int) -> None:
         """Emit ``if test:`` over the two arms and go on from the join.
 
         ``arms`` holds the then-arm's and the else-arm's ``(lines, regs,
-        held, words)`` at their ends.  Each index of ``regs`` whose value
-        differs between them gets a new root, assigned at the end of both
-        arms (a local assigned once per path); ``delta``, the then-path's
-        instructions less the else-path's, which the main line goes on
-        counting, is added on the then-path.  Nothing an arm computed is
-        ``held`` after the join and no check it made is ``guarded``; a word
-        stays remembered if both paths remember the same value for it.
+        held, words, clobbers)`` at their ends.  Each index of ``regs``, and
+        each slot both hold, whose value differs between them gets a new
+        root, assigned at the end of both arms (a local assigned once per
+        path); ``delta``, the then-path's instructions less the else-path's,
+        which the main line goes on counting, is added on the then-path.
+        Nothing an arm computed is ``held`` after the join and no check it
+        made is ``guarded``; any other word stays remembered if both paths
+        remember the same value for it.
         """
-        (then, then_regs, _, then_words), (_, else_regs, _, else_words) = arms
-        differ = [i for i in range(10) if then_regs[i] != else_regs[i]]
-        roots = []
-        for i in differ:
-            roots.append(name := f"v{self.roots}")
-            self.roots += 1
-            if (bound := max(self.limit(then_regs[i]), self.limit(else_regs[i]))) < _MASK:
-                self.bounds[name] = bound
-        for lines, regs, held, _ in arms:
+        states = [dict(enumerate(regs)) | {address: value for address, value in words.items()
+                                           if self.slot(address)}
+                  for _, regs, _, words, _ in arms]
+        roots = {}
+        for key, value in states[0].items():
+            if states[1].get(key, value) != value:
+                roots[key] = name = self.name()
+                if (bound := max(self.limit(value), self.limit(states[1][key]))) < _MASK:
+                    self.bounds[name] = bound
+        for (lines, _, held, _, _), state in zip(arms, states):
             self.held = held
-            lines += [f"{root} = {self.expr(regs[i])}"
-                      for root, i in zip(roots, differ)]
+            lines += [f"{root} = {self.expr(state[key])}" for key, root in roots.items()]
+        (then, then_regs, _, then_words, _), (orelse, _, _, else_words, _) = arms
         if delta:
             then.append(f"vm.icount += {delta}")
         lines = fork[4]
         lines.append(f"if {test}:")
-        lines += _indented(then or ["pass"])
-        if arms[1][0]:
-            lines += ["else:"] + _indented(arms[1][0])
-        for root, i in zip(roots, differ):
-            then_regs[i] = (root, 0)
+        lines += _indented(_block(then))
+        if orelse:
+            lines += ["else:"] + _indented(_block(orelse))
+        for key, root in roots.items():
+            (then_regs if key.__class__ is int else then_words)[key] = (root, 0)
         self.regs[:] = then_regs
         self.held, self.guarded, self.lines = fork[1], fork[2], lines
         self.words = {address: word for address, word in then_words.items()
-                      if else_words.get(address) == word}
+                      if address in roots or else_words.get(address) == word}
+        self.clobbers = arms[0][4] + arms[1][4]
 
     def render(self, params: str):
-        """The fragment's source; ``None``: a back-edge moves a guarded pointer."""
+        """The fragment's source; ``None``: a back-edge moves a guarded pointer.
+        ``fl < a < fl + n`` holds of every ``[a, a + 4)`` that meets a slot."""
         prologue = ["r0, r1, r2, r3, r4, r5, r6, r7 = r"]
         for pointer, low in sorted(self.low.items()):
             if int(pointer[1]) in self.loop_carried:
                 return None
-            outside = (f"not {low} <= {pointer} < {low + _SPAN}" if low
-                       else f"{pointer} >= {_SPAN}")
-            prologue += [f"if {pointer} & 3 or {outside}: return {_BAIL}",
-                         f"q{pointer[1]} = {pointer} >> 2"]
+            test = f"{pointer} & 3 or " + (f"not {low} <= {pointer} < {low + _SPAN}"
+                                          if low else f"{pointer} >= {_SPAN}")
+            if pointer == "r7" and self.frame and self.sp_stores:
+                test += (f" or r7 - r6 > {min(self.frame) - max(self.sp_stores) - 4}"
+                         f" and r7 - r6 < {max(self.frame) + 4 - min(self.sp_stores)}")
+            prologue += [f"if {test}: return {_BAIL}", f"q{pointer[1]} = {pointer} >> 2"]
         if self.uses_view:
             prologue.append("w = mem.words")
         widths = sorted(self.guard_widths)
@@ -800,20 +909,18 @@ class _Trace:
             prologue += [f"s{w} = size - {w}" for w in widths]
         if self.reads_entry_cc or 8 in self.loop_carried:   # regs[8:] = cc
             prologue.append("cca, ccb = vm.cc")
+        if self.guards:
+            prologue.append(f"fl = {_offset('r6', min(self.frame) - 4)}")
+        if self.hoisted:
+            prologue += ["try:"] + [f"    {root} = w[{_offset('q6', _signed(address[1]) >> 2)}]"
+                                    for address, root in self.hoisted.items()]
+            prologue += ["except IndexError:", f"    return {_BAIL}"]
         body: list[str] = []
         for line in self.lines:
             if line.__class__ is str:
                 body.append(line)
-                continue
-            indent, writes = line
-            for i in self.loop_carried:
-                writes[i] = writes[i] or _ENTRY[i][0]
-            dirty = [i for i in range(8) if writes[i]]
-            if dirty:
-                body.append(indent + "; ".join(
-                    f"r[{i}] = {writes[i]}" for i in dirty))
-            if writes[8]:                  # ``cmp`` sets both operands
-                body.append(f"{indent}vm.cc = ({writes[8]}, {writes[9]})")
+            else:
+                body += [line[0] + text for text in line[1]()]
         if self.looping:
             body = ["while True:"] + ["    " + line for line in body]
         return "\n".join([f"def _fragment(vm, r, mem, buf{params}):"]
@@ -968,6 +1075,14 @@ class Translator:
             else:
                 trace.leave("    ", executed, chained(target))
 
+        def step(insn, pc: int, executed: int) -> None:
+            """One straight-line instruction; a store that hits a slot leaves."""
+            hit = trace.step(insn.op, insn.rd, insn.rs, insn.imm, pc)
+            if hit:     # the span is the fragment's, known once it is translated
+                trace.lines.append(("", lambda: [
+                    f"if fl < {hit} and {hit} < fl + {max(trace.frame) - min(trace.frame) + 8}:"]))
+                trace.leave("    ", executed, chained(pc + insn.length))
+
         pc = entry
         count = 0                       # instructions along the main line
         size = 0                        # ... and in its inlined arms
@@ -1032,9 +1147,10 @@ class Translator:
                             branch(arm.op, arm_pc + arm.length + arm.imm & _MASK,
                                    executed)
                         elif arm.op is not Op.JMP:
-                            trace.step(arm.op, arm.rd, arm.rs, arm.imm, arm_pc)
+                            step(arm, arm_pc, executed)
                     counts.append(executed)
-                    ends.append((trace.lines, list(regs), trace.held, trace.words))
+                    ends.append((trace.lines, list(regs), trace.held, trace.words,
+                                 trace.clobbers))
                 trace.join(fork, test, ends, counts[0] - counts[1])
                 count = counts[1]
                 size += len(arms[0]) + len(arms[1])
@@ -1075,7 +1191,7 @@ class Translator:
                             "vm.syscall_handler.exit_code = 0",
                             f"return {next_pc}")
                 break
-            trace.step(op, rd, insn.rs, imm, pc)
+            step(insn, pc, count)
             pc = next_pc
 
         # -- compile the fragment ---------------------------------------------

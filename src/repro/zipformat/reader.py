@@ -42,6 +42,9 @@ from repro.zipformat.writer import deflate_decompress
 
 #: Refuse to inflate members that claim more than this (zip-bomb guard).
 MAX_MEMBER_SIZE = 1 << 31
+#: ... and pseudo-files, which hold decoder images, that claim more than the
+#: initial sandbox (``repro.vm.memory.DEFAULT_MEMORY_SIZE``): no larger image fits.
+MAX_PSEUDO_FILE_SIZE = 4 << 20
 
 #: Default unit for chunked member reads.
 DEFAULT_CHUNK_SIZE = 1 << 16
@@ -402,8 +405,9 @@ class ZipReader:
         entry, data_offset = read_local_header(self._source.read_at, offset)
         if data_offset + entry.compressed_size > self._source.size:
             raise ZipFormatError("pseudo-file extends past end of archive")
-        if entry.uncompressed_size > MAX_MEMBER_SIZE:
-            raise ZipFormatError(f"pseudo-file at offset {offset} is implausibly large")
+        if max(entry.compressed_size, entry.uncompressed_size) > MAX_PSEUDO_FILE_SIZE:
+            raise ZipFormatError(f"pseudo-file at offset {offset} is larger than any "
+                                 f"decoder image ({entry.uncompressed_size} bytes)")
         stored = self._source.read_at(data_offset, entry.compressed_size)
         if entry.method == METHOD_STORE:
             if len(stored) != entry.uncompressed_size:

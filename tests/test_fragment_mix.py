@@ -12,6 +12,7 @@ from functools import partial
 
 from repro.vm.machine import VirtualMachine
 from repro.vm.translator import Translator
+from repro.vxc.compiler import compile_source
 
 from tests.conftest import build_asm
 
@@ -53,13 +54,43 @@ def test_every_kind_of_statement_gets_its_class():
     assert by_line["a2 = (r7 - 3 if r7 >= 3 else r7 + 4294967293)"] == "address r6|r7 +- k"
     assert by_line["v2 = v1 << 2 & 4294967295"] == "alu masked"
     assert by_line["a1 = (v0 + 1 if v0 < 4294967295 else v0 - 4294967295)"] == "alu wrapped"
-    assert by_line["if r7 & 3 or not 4 <= r7 < 1073741828: return -1073741824"] == "entry guard"
+    assert by_line["if r7 & 3 or not 4 <= r7 < 1073741828 or r7 - r6 > 8 and r7 - r6 < 16: "
+                   "return -1073741824"] == "entry guard"
+    assert by_line["try:"] == by_line["except IndexError:"] == "entry guard"
+    assert by_line["fl = r6 + 4"] == "entry span"
+    assert (by_line["if fl < a1 and a1 < fl + 8:"] == by_line["if fl < 8192 and 8192 < fl + 8:"]
+            == "range guard")
     assert by_line["v4 = buf[a2]"] == "narrow load"
     assert by_line["if v3 == 7:"] == "compare"
+    assert by_line["r0 = v4"] == by_line["ccb = 7"] == "exit loop"
     assert by_line["continue"] == "exit loop"
     assert by_line["return v6"] == "exit return"
     guards = [name for name in classes if name == "entry guard"]
-    assert len(guards) == 2 and len(classes) == source.count("\n") + 1
+    assert len(guards) == 4 and len(classes) == source.count("\n") + 1
+
+
+def test_a_back_edge_that_carries_a_slot_is_an_exit_and_constants_are_found():
+    """``v0``, the slot ``[r6+8]``, is loaded ahead of the loop and carried by
+    the back-edge: the assignments right before ``continue``, to a root too,
+    are the loop's, not a join.  ``1 << 9`` computes on two literals."""
+    vm = VirtualMachine(build_asm("""
+    _start:
+        ld32 r1, [r6+8]
+        addi r1, 1
+        st32 [r6+8], r1
+        movi r2, 1
+        shli r2, 9
+        cmp  r1, r2
+        jltu _start
+        halt
+    """))
+    translator = Translator(vm.memory, vm.text_start, vm.text_end, text=vm.text)
+    source = translator.translate(vm.pc).source
+    by_line = dict(zip((line.strip() for line in source.split("\n")),
+                       fragment_mix.classify(source)))
+    assert by_line["v0 = w[q6 + 2]"] == "word load view fp"      # the prologue's
+    assert by_line["r1 = a0"] == by_line["v0 = a0"] == "exit loop"
+    assert by_line["v1 = 1 << 9"] == "constant op"
 
 
 def test_wraps_and_signed_compares_get_their_classes():
@@ -178,3 +209,50 @@ def test_costs_print_one_row_per_class(monkeypatch, capsys):
     for line in cost_table.splitlines()[1:]:
         for cell in line.split()[-2:]:                      # a number per column
             float(cell)
+
+
+#: A vxc loop over frame slots, with a store through another base each pass
+#: (``g[...]``) and, once, a store into a local array that the loop also reads.
+_HELD_LOOP = """
+int g[8];
+int main() {
+    int t[2];
+    int a = 0; int b = 1; int c = 2; int d = 3; int e = 4; int i = 0;
+    t[0] = 0; t[1] = 0;
+    while (i < 40) {
+        a = a + b + t[0]; b = b + c;
+        g[i & 7] = a;
+        if (i == 30) { t[i & 1] = 1; }
+        if (c > 10) { c = c - d; } else { c = c + e; }
+        d = d + 1; e = e + d;
+        i = i + 1;
+    }
+    return 0;
+}
+"""
+
+
+def test_held_counts_the_slots_a_fragment_loads_again():
+    """Every slot the loop reads stays in a local across the array stores and
+    the back-edge: 14 ``fp`` loads in all, none of a slot already held.  The
+    translator that forgot the frame at every other base's store and began
+    each pass knowing nothing counted 212: 47 held earlier in the same pass,
+    155 in an earlier one, and 1 whose value the store into ``t`` had changed
+    -- the one re-read that was needed, which the range guard now leaves the
+    loop for."""
+    image = compile_source(_HELD_LOOP, codec_name="test").elf
+    assert fragment_mix.held(image, b"") == {
+        "fp loads": 14, "held earlier in the same pass": 0,
+        "held in an earlier pass": 0, "held, value changed since": 0}
+
+
+def test_held_prints_one_row_per_kind(monkeypatch, capsys):
+    small = b"a small member, mostly repeats " * 12
+    monkeypatch.setattr(fragment_mix, "members", lambda: ({"vxz": small}, Counter(vxz=8)))
+    fragment_mix.main(["--held"])
+    held_table = capsys.readouterr().out.split("\n\n")[1].splitlines()
+    assert held_table[0].split()[-2:] == ["vxz", "pass"]
+    assert [line[:32].strip() for line in held_table[1:]] == list(fragment_mix.HELD)
+    for line in held_table[1:]:
+        count, weighted = map(int, line.split()[-2:])
+        assert weighted == 8 * count

@@ -190,19 +190,24 @@ def test_bundled_decoder_memory_sites(name, monkeypatch):
 #: Per archived image: ``guards_elided`` of that decode and the SHA-256 of its
 #: output and of every ``Fragment.source`` in entry order.  The output is as
 #: computed at the commit before the word view existed, and the view must
-#: leave it and the elided count alone.  The elided count and the sources are
-#: pinned to the generator that inlines forward if-arms (a site after a join
-#: is translated, and its guard elided, once) and spells wraps, signed
-#: compares and entry guards as comparisons and writes back by index; the
-#: sources are what a host of the other byte order generates -- the
-#: ``struct`` path -- so any other change to that text shows.  The 0.2 row is
-#: the one ``vxz`` had until vxc 0.3 (same image bytes, same input).
+#: leave it alone.  The elided count and the sources are pinned to the
+#: generator that inlines forward if-arms (a site after a join is translated,
+#: and its guard elided, once) and spells wraps, signed compares and entry
+#: guards as comparisons, writes back by index and reassigns a back-edge's
+#: locals one statement each where an order exists; the sources are what a
+#: host of the other byte order generates -- the ``struct`` path -- so any
+#: other change to that text shows.  The 0.2 row is the one ``vxz`` had until
+#: vxc 0.3 (same image bytes, same input).
 _BEFORE_THE_VIEW = {
     "vxz-vxc-0.1": (403, "dd8add34c82cd720",
-                    "5fee5e7e4b9dd21c44a156aefb9a845b04fadaada4f6f709288b949a4aaa48a7"),
+                    "953ec1d9337783bc5ec30a4e54d6dbe5c96dc0478b050f98d917fd6e66e0bf54"),
     "vxz-vxc-0.2": (290, "e4871d5b6ded4275",
-                    "805dfe198e86e1425e21348cdfe39475f415f26261c064046ddfda71fc40eb79"),
+                    "2d1d2e5c3b95ebf6f97f8d713765829d082b84d01c8515d94f6368b6f7605433"),
 }
+#: ``guards_elided`` through the view, where frame slots stay held across
+#: stores through other bases and loops: a load that is forwarded has no
+#: guard to drop, so fewer sites remain than on the ``struct`` path.
+_ELIDED_THROUGH_THE_VIEW = {"vxz-vxc-0.1": 352, "vxz-vxc-0.2": 283}
 
 
 def _sources_digest(vm) -> str:
@@ -220,21 +225,21 @@ def test_the_word_view_serves_nearly_every_word_site(name):
     assert result.stats.retranslations == 0          # no entry guard bailed
     assert result.output == expected
     if name in _ARCHIVED:
-        guards_elided, output, _ = _BEFORE_THE_VIEW[name]
-        assert result.stats.guards_elided == guards_elided
-        assert hashlib.sha256(result.output).hexdigest().startswith(output)
+        assert result.stats.guards_elided == _ELIDED_THROUGH_THE_VIEW[name]
+        assert hashlib.sha256(result.output).hexdigest().startswith(_BEFORE_THE_VIEW[name][1])
 
 
 @pytest.mark.parametrize("name", _BUNDLED + _ARCHIVED)
 def test_the_struct_path_is_what_it_was(name, monkeypatch):
-    """On a big-endian host no word goes through the (native-order) view, the
-    same guards are elided and the same bytes come out; for the archived
-    images what is generated instead is, byte for byte, the pinned text."""
+    """On a big-endian host no word goes through the (native-order) view, so
+    no slot is held past another base's store and at least as many guards
+    are elided, and the same bytes come out; for the archived images what is
+    generated instead is, byte for byte, the pinned text."""
     through_the_view = _decode(name)[1]
     monkeypatch.setattr(translator, "_BYTEORDER", "big")
     vm, result, expected = _decode(name)
     assert _word_sites(_cache_source(vm))[2] == 0
-    assert result.stats.guards_elided == through_the_view.stats.guards_elided
+    assert result.stats.guards_elided >= through_the_view.stats.guards_elided
     assert result.output == expected
     if name in _ARCHIVED:
         guards_elided, _, sources = _BEFORE_THE_VIEW[name]

@@ -1130,3 +1130,246 @@ def test_image_built_by_the_previous_compiler_still_decodes():
 
 def test_image_built_by_vxc_0_2_still_decodes():
     _assert_archived_image_still_decodes("vxc-0.2", 6807, "844fec34")
+
+
+#: A loop over frame slots -- ``i`` at ``[r6-4]``, ``acc`` at ``[r6-8]``, ``k``
+#: at ``[r6-12]``, a pointer ``p`` at ``[r6-16]`` -- that the translator holds
+#: in locals across other bases' stores and across its back-edge.  ``{store}``
+#: runs between a read of each slot and a re-read of it, with ``r1 = i`` and
+#: ``r2``, ``r4``, ``r5`` free; the slots' values decide the final memory.
+_SLOT_LOOP = """
+_start:
+    subi r7, 256
+    mov  r6, r7
+    subi r7, 64
+    movi r1, 0
+    st32 [r6-4], r1
+    st32 [r6-8], r1
+    movi r2, 7
+    st32 [r6-12], r2
+    lea  r2, [r6-20]
+    st32 [r6-16], r2
+{setup}
+loop:
+    ld32 r1, [r6-4]
+    ld32 r2, [r6-8]
+    ld32 r3, [r6-12]
+    add  r2, r3
+    st32 [r6-8], r2
+{store}
+    ld32 r3, [r6-12]
+    ld32 r5, [r6-8]
+    add  r5, r3
+    ld32 r4, [r6-16]
+    add  r5, r4
+    st32 [r6-8], r5
+    ld32 r1, [r6-4]
+    addi r1, 1
+    st32 [r6-4], r1
+    cmpi r1, 12
+    jltu loop
+    ld32 r0, [r6-8]
+    halt
+poke:
+    ld32 r4, [r7+4]
+    ld32 r5, [r4]
+    addi r5, 3
+    st32 [r4], r5
+    ret
+.data
+buffer:
+    .space 64
+"""
+_SLOT_STORES = {
+    # ``[r6 - 16 + 4 * (i & 3)]``: the array reaches p, k, acc and i in turn.
+    "array_store_into_the_live_frame": ("", """
+        mov  r4, r1
+        andi r4, 3
+        shli r4, 2
+        add  r4, r6
+        subi r4, 16
+        st32 [r4], r1
+    """),
+    # p walks up from r6 - 20, one word a pass, across every slot and fp.
+    "pointer_walk_across_fp": ("", """
+        ld32 r4, [r6-16]
+        st32 [r4], r2
+        addi r4, 4
+        st32 [r6-16], r4
+    """),
+    "callee_writes_a_slot_through_a_pointer": ("", """
+        lea  r4, [r6-12]
+        push r4
+        call poke
+        addi r7, 4
+    """),
+    # ... and a virtual system call: ``read`` four input bytes into k.
+    "system_call_writes_a_slot": ("", """
+        movi r0, 1
+        movi r1, 0
+        lea  r2, [r6-12]
+        movi r3, 4
+        vxcall
+    """),
+    # An inlined if whose arms leave k different: a join root carries it.
+    "slot_stored_in_one_arm": ("", """
+        cmpi r1, 6
+        jltu then
+        jmp  join
+    then:
+        st32 [r6-12], r1
+    join:
+    """),
+    # Through another base (held slots meet a range guard), then through fp
+    # itself (the exact aliasing test), each straddling two slots.
+    "misaligned_store_over_a_slot": ("", """
+        lea  r4, [r6-11]
+        xori r4, 0
+        st32 [r4], r1
+        st16 [r6-7], r2
+        st8  [r6-13], r1
+    """),
+    # sp sits inside the frame, so a push lands on acc's slot.
+    "sp_store_into_the_frame": ("    lea  r7, [r6-4]", """
+        push r1
+        pop  r5
+    """),
+    # A store the range guard lets pass, then a load out of the sandbox.
+    "fault_between_the_store_and_the_exit": ("", """
+        movi r4, buffer
+        st32 [r4+8], r2
+        cmpi r1, 5
+        jne  fine
+        ld32 r5, [r6+0x400000]
+    fine:
+    """),
+}
+
+
+def _slot_outcome(image: bytes, engine: str, budget: int = 2_000_000, **config):
+    """Everything one run leaves: its end (exit code, or fault type and
+    address), registers and condition codes where it exited (a fault or a
+    budget stop writes none back), memory and the instructions it counted
+    (not at a fault: a fragment counts at its exits)."""
+    from repro.errors import ResourceLimitExceeded
+    from repro.vm.limits import ExecutionLimits
+    limits = ExecutionLimits(max_instructions=budget)
+    vm = VirtualMachine(image, engine=engine, limits=limits, **config)
+    try:
+        end = (vm.decode(bytes(range(48)), limits=limits).exit_code, list(vm.regs),
+               tuple(vm.cc))
+    except (MemoryFault, ResourceLimitExceeded) as error:
+        end = type(error).__name__, getattr(error, "address", None)
+    executed = None if end[0] == "MemoryFault" else vm.stats.instructions
+    return end, bytes(vm.memory.buffer), executed, vm
+
+
+@pytest.mark.parametrize("name", _SLOT_STORES)
+def test_slots_held_across_stores_and_back_edges_agree(name):
+    setup, store = _SLOT_STORES[name]
+    body = "\n".join("    " + line.strip() if line.strip() and not line.strip().endswith(":")
+                     else line.strip() for line in store.split("\n"))
+    image = build_asm(_SLOT_LOOP.format(setup=setup, store=body))
+    reference = _slot_outcome(image, ENGINE_INTERPRETER)
+    for config in _TRANSLATOR_CONFIGS:
+        candidate = _slot_outcome(image, ENGINE_TRANSLATOR, **config)
+        assert candidate[:3] == reference[:3], (name, config)
+    # What each case is there for did happen on the default translator.
+    vm = _slot_outcome(image, ENGINE_TRANSLATOR)[3]
+    sources = [fragment.source for fragment in vm.code_cache.fragments.values()]
+    if name == "sp_store_into_the_frame":          # the entry check refused the view
+        assert vm.stats.retranslations > 0
+    elif name.startswith(("callee", "system")):                # a call ends the trace
+        assert reference[0][0] == 0 and not any("while True:" in s for s in sources)
+    elif name == "slot_stored_in_one_arm":
+        assert any("while True:" in s and inlined_ifs(s) for s in sources)
+    else:                                      # a slot held past a range guard
+        assert any("if fl < " in source and "w[q6" in source for source in sources)
+        assert (reference[0][0] == "MemoryFault") == name.startswith("fault"), name
+
+
+@pytest.mark.parametrize("budget", [40, 97, 150, 211])
+def test_a_budget_stop_in_a_loop_that_carries_slots_is_exact(budget):
+    """The translator stops at the first exit or back-edge past the budget,
+    with the memory an interpreter leaves after exactly that many
+    instructions."""
+    image = build_asm(_SLOT_LOOP.format(setup="", store=_SLOT_STORES[
+        "array_store_into_the_live_frame"][1]))
+    for config in _TRANSLATOR_CONFIGS:
+        end, memory, executed, vm = _slot_outcome(image, ENGINE_TRANSLATOR, budget, **config)
+        assert end == ("ResourceLimitExceeded", None) and executed > budget, config
+        assert (_slot_outcome(image, ENGINE_INTERPRETER, executed)[:3]
+                == (end, memory, executed)), (budget, config)
+    carried = [fragment.source for fragment in vm.code_cache.fragments.values()
+               if "while True:" in fragment.source]
+    assert "fl = " in carried[0] and "continue" in carried[0]
+
+
+def test_a_back_edge_that_swaps_two_registers_keeps_the_swap():
+    """A back-edge assigns its locals one by one where an order exists, and
+    what is left of a cycle -- ``r1`` and ``r2`` trade values -- at once."""
+    body = """
+        movi r1, 1
+        movi r2, 2
+        movi r5, 41
+    loop:
+        mov  r3, r1
+        mov  r1, r2
+        mov  r2, r3
+        subi r5, 1
+        cmpi r5, 0
+        jne  loop
+        halt
+    """
+    image = build_asm("_start:\n" + "\n".join(line.strip() for line in body.split("\n")))
+    _assert_engines_agree(image, "swap")
+    vm = VirtualMachine(image)
+    vm.decode(b"")
+    assert vm.regs[1:3] == [2, 1]
+    assert any("r1, r2 = r2, r1" in fragment.source or "r2, r1 = r1, r2" in fragment.source
+               for fragment in vm.code_cache.fragments.values())
+
+
+#: Loops that hold ``[r6+8]`` ahead of their first pass, with r6 at the last
+#: word of the sandbox: the slot lies past its end.  The first reads it (and
+#: faults there); the second leaves before it would.
+_SLOTS_PAST_THE_END = {
+    "read": ("""
+        movi r2, 2
+        jmpr r5
+    use:
+        ld32 r1, [r6+8]
+        subi r2, 1
+        cmpi r2, 0
+        jne  use
+    """, True),
+    "never_read": ("""
+        movi r2, 0
+        jmpr r5
+    use:
+        cmpi r2, 0
+        je   done
+        ld32 r1, [r6+8]
+        subi r2, 1
+        jmp  use
+    done:
+    """, False),
+}
+
+
+@pytest.mark.parametrize("policy", ["full", "write-only", "none"])
+@pytest.mark.parametrize("name", _SLOTS_PAST_THE_END)
+def test_a_slot_loaded_ahead_of_the_loop_moves_no_fault(name, policy):
+    """The entry check bails where a held slot is no word of the view, so the
+    load ahead of the loop never faults: the generic translation faults where
+    the interpreter does, or not at all."""
+    body, faults = _SLOTS_PAST_THE_END[name]
+    image = build_asm("_start:\n    movi r5, use\n    movi r6, 0x3ffff8\n" + body
+                      + "    halt\n")
+    sandbox = {"check_policy": policy}
+    reference = _observe(image, ENGINE_INTERPRETER, faults, **sandbox)[0]
+    for config in _TRANSLATOR_CONFIGS:
+        observed, vm = _observe(image, ENGINE_TRANSLATOR, faults, **config, **sandbox)
+        assert observed == reference, (name, config)
+        if config == {}:
+            assert vm.stats.retranslations == 1, name

@@ -14,9 +14,11 @@ from hypothesis import given, strategies as st
 
 import repro.api as vxa
 import repro.zipformat
+from repro.core.extension import VxaExtension
 from repro.errors import ZipFormatError
+from repro.vm.memory import DEFAULT_MEMORY_SIZE
 from repro.zipformat.crc import crc32
-from repro.zipformat.reader import DEFAULT_CHUNK_SIZE, ZipReader
+from repro.zipformat.reader import DEFAULT_CHUNK_SIZE, MAX_PSEUDO_FILE_SIZE, ZipReader
 from repro.zipformat.structures import (
     ExtraField,
     METHOD_DEFLATE,
@@ -145,6 +147,41 @@ def test_a_deflate_bomb_is_refused_at_its_declared_size():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def test_a_pseudo_file_larger_than_the_initial_sandbox_is_refused_unread(tmp_path):
+    """65 KB of deflate honestly declaring 64 MiB of zeros, the decoder of a
+    member: no image that large fits the initial sandbox, so it is refused
+    from its header, before a byte of it is read or inflated -- by the
+    reader, and by an archive that extracts or checks the member."""
+    assert MAX_PSEUDO_FILE_SIZE == DEFAULT_MEMORY_SIZE
+    bomb = _deflated_zeros(64)
+    checksum = 0
+    for _ in range(64):
+        checksum = crc32(bytes(1 << 20), checksum)
+    writer = ZipWriter()
+    pseudo = writer.add_member("", bomb, method=METHOD_DEFLATE, uncompressed_size=64 << 20,
+                               crc=checksum, in_central_directory=False)
+    extension = VxaExtension(pseudo.local_header_offset, 5, crc32(b"hello"), "vxz")
+    writer.add_member("a.txt", b"hello", extra=extension.pack())
+    path = tmp_path / "bomb.zip"
+    path.write_bytes(writer.finish())
+    del bomb, writer
+    with vxa.open(path) as archive:
+        for read in (lambda: ZipReader(path.read_bytes()).read_member_at(
+                         pseudo.local_header_offset),
+                     lambda: archive.decoder_image_for("a.txt"),
+                     lambda: archive.extract("a.txt", mode="vxa", force_decode=True)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ZipFormatError, match="larger than any decoder image"):
+                    read()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 << 20
+        report = archive.check()
+    assert report.failures and "larger than any decoder image" in report.failures[0]
 
 
 def test_a_deflate_member_streams_in_chunks_of_the_size_asked_for():

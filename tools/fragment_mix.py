@@ -8,9 +8,11 @@ what the statement is for: guest memory traffic (by width, by path --
 that only feed it, arithmetic, guards, compares, and what a fragment pays on
 entry and exit.  The counts are exact and repeat; they say where statements
 go inside ``vm.execute``, not how long each takes.  The first row counts
-fragment executions, the lines of an inlined if's join are classed ``join``.
+fragment executions, the lines of an inlined if's join are classed ``join``,
+and a statement whose operands are all literals (``if 1 != 0:``, ``v15 = 1 <<
+9``) is a ``constant op`` whatever it computes.
 
-    PYTHONPATH=src python tools/fragment_mix.py [--costs]
+    PYTHONPATH=src python tools/fragment_mix.py [--costs] [--held]
 
 ``--costs`` adds how long they take: each class's cost per statement, timed
 alone (``timeit``) on one statement shaped like the generated code, with the
@@ -19,6 +21,12 @@ next to it a measured warm decode of the same member, untraced.  The sum
 leaves out what is no statement -- the fragment call and return, the
 dispatcher, the virtual system calls -- so the residual is theirs, plus the
 error of taking one shape for a class.  The costs are reported, never gated.
+
+``--held`` counts, per decoder and pass, the executed ``fp`` loads through the
+view that re-read a slot the same fragment execution already held -- loaded or
+stored through the view: held earlier in the same pass over a looping
+fragment's body, held in an earlier pass, or held with a value that a store
+has changed since (a true alias).  Counts only, like the mix.
 
 The members are built by vxabench's own ``inputs.mixed_members`` (seed 7, the
 ``bench`` shape): the first member of each decoder, and the ``pass`` column
@@ -51,15 +59,17 @@ SEED = 7
 _BASE = re.compile(r"(?P<sp>[rq]7\b)|(?P<fp>[rq]6\b)|(?P<const>\d+$)")
 #: First match wins; ``{base}`` is the base of the address in group 1.
 _CLASSES = [(name, re.compile(pattern)) for name, pattern in (
-    ("entry unpack", r"r0, r1, .* = r$"), ("entry guard", r"^if r[67] & 3 or .*: return"),
+    ("entry unpack", r"r0, r1, .* = r$"),
+    ("entry guard", r"^if r[67] & 3 or .*: return|^try:$|^except IndexError:$"),
     ("entry q", r"q[67] = "), ("entry view", r"w = mem\.words"),
     ("entry size", r"^(size|s\d) = "), ("entry cc", r"cca, ccb = vm\.cc"),
-    ("exit loop", r"^(r\d|cc[ab])(, (r\d|cc[ab]))* = |continue|while True:"),
+    ("entry span", r"^fl = "),
+    ("exit loop", r"^continue$|^while True:"),
     ("exit icount", r"vm\.icount \+= "), ("exit budget", r"if vm\.icount > vm\.budget"),
     ("exit write-back", r"^r\[[\d:]*\] = "), ("exit cc", r"vm\.cc = "),
     ("exit return", r"return "),
     ("exit syscall", r"t, act = |vm\.halted|if act ==|vm\.syscall_handler"),
-    ("bounds guard", r"if .* > s\d: _flt"),
+    ("bounds guard", r"if .* > s\d: _flt"), ("range guard", r"^if fl < \w+ and \w+ < fl \+ \d+:$"),
     ("word load struct {base}", r"= _u32\(buf, (.*)\)\[0\]"),
     ("word load view {base}", r"= w\[(.*)\]$"),
     ("word store struct {base}", r"_p32\(buf, (\w+), "), ("word store view {base}", r"^w\[(.*)\] = "),
@@ -68,6 +78,11 @@ _CLASSES = [(name, re.compile(pattern)) for name, pattern in (
     ("address r6|r7 +- k", r"^a\d+ = \(r([67]) [+-] \d+ if r\1 [<>]=? \d+ else r\1 [+-] \d+\)$"),
     ("alu masked", r" & 4294967295$"), ("alu wrapped", r" if .* else |^\w+ = 4294967295 - "),
     ("alu plain", r"= "))]
+
+
+#: A back-edge's parallel assignment; the root or test of a statement.
+_ASSIGNS = re.compile(r"^\w+(, \w+)* = ")
+_COMPUTES = re.compile(r"^(?:if (.*):|v\d+ = (.*))$")
 
 
 def members() -> tuple[dict[str, bytes], Counter]:
@@ -101,15 +116,27 @@ def classify(source: str) -> list[str]:
     lines = [line.strip() for line in raw]
     depth = [len(line) - len(line.lstrip()) for line in raw] + [0]
     definitions = dict(line.split(" = ", 1) for line in lines if re.match(r"a\d+ = ", line))
-    roots = Counter(line.split(" = ")[0] for line in lines if re.match(r"v\d+ = ", line))
+    # A slot's root is loaded wherever a path first reads the slot.
+    roots = Counter(line.split(" = ")[0] for line in lines if re.match(r"v\d+ = (?!w\[)", line))
+    back_edges = set()                  # the assignments right before a ``continue``
+    for number, line in enumerate(lines):
+        while line == "continue" and _ASSIGNS.match(lines[number - 1]):
+            number -= 1
+            back_edges.add(number)
     classes = ["entry def"]
     for number, line in enumerate(lines[1:], 1):
-        if roots[line.split(" = ")[0]] > 1:
+        if number in back_edges:
+            # A back-edge that reloads a slot a store may have changed loads it.
+            classes.append("word load view fp" if "w[q6" in line else "exit loop")
+        elif roots[line.split(" = ")[0]] > 1:
             classes.append("join")
         elif line.startswith("vm.icount += ") and depth[number + 1] < depth[number]:
             classes.append("join icount")
         elif line in ("pass", "else:"):
             classes.append(f"join {line.rstrip(':')}")
+        elif (found := _COMPUTES.match(line)) and set(
+                re.findall(r"[A-Za-z_]\w*", found.group(1) or found.group(2))) <= {"if", "else"}:
+            classes.append("constant op")
         else:
             name, pattern = next(entry for entry in _CLASSES if entry[1].search(line))
             if "{base}" in name:
@@ -153,6 +180,73 @@ def measure(name: str, data: bytes) -> Counter:
     return mix
 
 
+#: The index of a slot load or store through the view: ``w[q6 - 2]``.
+_SLOT = re.compile(r"w\[q6(?: ([+-]) (\d+))?\]")
+#: The rows of ``--held``.
+HELD = ("fp loads", "held earlier in the same pass", "held in an earlier pass",
+        "held, value changed since")
+
+
+def held(image: bytes, encoded: bytes) -> Counter:
+    """``--held`` for one warm decode of ``encoded`` by decoder ``image``.
+
+    A line event comes before its line runs, so a load's slot is read from
+    ``mem.words`` then; a store's value is read at the next event.  A new
+    pass is a line event at a lower line than the last one: a looping
+    fragment's body is the one place that jumps backward.
+    """
+    vm = VirtualMachine(image)
+    vm.decode(encoded)
+    slots: dict = {}                        # code -> line -> (is a load, offsets)
+    for fragment in vm.code_cache.fragments.values():
+        lines = slots[fragment.func.__code__] = {}
+        for number, (line, kind) in enumerate(zip(fragment.source.split("\n"),
+                                                  classify(fragment.source)), 1):
+            if kind in ("word load view fp", "word store view fp"):
+                lines[number] = ("load" in kind, [int(f"{sign or '+'}{words or 0}")
+                                                  for sign, words in _SLOT.findall(line)])
+    counts: Counter = Counter(dict.fromkeys(HELD, 0))
+
+    def execution(frame, event, arg):
+        known: dict[int, tuple] = {}        # slot index -> (pass, value)
+        state = {"pass": 0, "line": 0, "stored": None}
+
+        def tracer(frame, event, arg):
+            if event != "line":
+                return tracer
+            words = vm.memory.words
+            if state["stored"] is not None:
+                known[state["stored"]] = (state["pass"], words[state["stored"]])
+                state["stored"] = None
+            if frame.f_lineno < state["line"]:
+                state["pass"] += 1
+            state["line"] = frame.f_lineno
+            load, offsets = slots[frame.f_code].get(frame.f_lineno, (True, ()))
+            for offset in offsets:
+                index = frame.f_locals["q6"] + offset
+                if not load:
+                    state["stored"] = index
+                    return tracer
+                counts["fp loads"] += 1
+                if index in known:
+                    when, value = known[index]
+                    counts[HELD[3] if value != words[index] else
+                           HELD[1] if when == state["pass"] else HELD[2]] += 1
+                known[index] = (state["pass"], words[index])
+            return tracer
+
+        return tracer if frame.f_code in slots else None
+
+    previous = sys.gettrace()
+    sys.settrace(execution)
+    try:
+        result = vm.decode(encoded)
+    finally:
+        sys.settrace(previous)
+    assert result.exit_code == 0
+    return counts
+
+
 def weighted(mixes: dict[str, Counter], weights: Counter) -> dict[str, Counter]:
     """The decoders' mixes plus ``pass``, each weighted by its member count."""
     whole: Counter = Counter()
@@ -180,7 +274,10 @@ _SNIPPETS = {
     "entry guard": "if r7 & 3 or not 8 <= r7 < 1073741832: _flt(r7, 4, 'read')",
     "entry q": "q7 = r7 >> 2", "entry view": "w = mem.words",
     "entry size": "s4 = mem.size - 4", "entry cc": "cca, ccb = vm.cc",
-    "exit loop": "r1, r2 = v1, v2", "exit icount": "vm.icount += 9",
+    "entry span": "fl = r6 - 44",
+    "range guard": "if fl < a1 and a1 < fl + 64: _flt(a1, 4, 'write')",
+    "constant op": "v4 = 2048 >> 12",
+    "exit loop": "r1 = v1", "exit icount": "vm.icount += 9",
     "exit budget": "if vm.icount > vm.budget: _over(vm)",
     "exit write-back": "r[2] = v1; r[3] = v2", "exit cc": "vm.cc = (v1, 7)",
     "exit return": "X0 or -1", "exit syscall": "if act == ACTION_EXIT: vm.halted = True",
@@ -203,7 +300,7 @@ _ADDRESSES = {"sp": ("q7 - 1", "a7"), "fp": ("q6 + 2", "a6"),
 _SETUP = """\
 vm = _vm; r = list(vm.regs); mem = vm.memory; buf = mem.buffer; w = mem.words
 r0, r1, r2, r3, r4, r5, r6, r7 = r
-q6 = r6 >> 2; q7 = r7 >> 2; s4 = mem.size - 4
+q6 = r6 >> 2; q7 = r7 >> 2; s4 = mem.size - 4; fl = r6 - 44
 a1 = 8192; a6 = r6 + 8; a7 = r7 - 4
 v1, v2, v3 = 123456, 7890, 40503
 u = 0; act = 0; X0 = None
@@ -287,10 +384,20 @@ def main(argv=()) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--costs", action="store_true",
                         help="also time each class and set class x count beside a warm decode")
+    parser.add_argument("--held", action="store_true",
+                        help="also count the fp loads of a slot the fragment already held")
     args = parser.parse_args(argv)
     first, weights = members()
     mixes = {name: measure(name, data) for name, data in first.items()}
     print(report(mixes, weights))
+    if args.held:
+        codecs = {name: default_registry().get(name) for name in first}
+        columns = weighted({name: held(codec.guest_decoder_image(), codec.encode(first[name]))
+                            for name, codec in codecs.items()}, weights)
+        print()
+        print(f"{'fp loads through the view':32}" + "".join(f"{name:>12}" for name in columns))
+        for key in HELD:
+            print(f"{key:32}" + "".join(f"{mix[key]:12d}" for mix in columns.values()))
     if args.costs:
         warm = {name: warm_seconds(name, data) for name, data in first.items()}
         print()
