@@ -21,13 +21,21 @@ from repro.codecs.registry import default_registry
 REPORT_DIR = pathlib.Path(__file__).parent / "reports"
 
 
-def emit_report(name: str, text: str) -> None:
-    """Print a benchmark report past pytest capture and persist it to disk."""
+def _emit_report(name: str, text: str) -> None:
     stream = sys.__stdout__ or sys.stdout
     stream.write("\n" + text + "\n")
     stream.flush()
     REPORT_DIR.mkdir(exist_ok=True)
     (REPORT_DIR / f"{name}.txt").write_text(text + "\n")
+
+
+@pytest.fixture(scope="session")
+def emit_report():
+    """``emit_report(name, text)``: print a benchmark report past pytest
+    capture and persist it to disk.  A fixture, not an import: ``from
+    conftest import ...`` names whichever ``conftest`` pytest loaded last --
+    ``tests/``'s when ``tests`` follows ``benchmarks`` on the command line."""
+    return _emit_report
 
 
 @pytest.fixture(scope="session")

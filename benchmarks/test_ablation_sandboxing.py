@@ -12,8 +12,6 @@ cost sits in this implementation, while the accompanying tests
 (tests/test_vm_execution.py) show that only the full policy blocks wild reads.
 """
 
-from conftest import emit_report
-
 from repro.bench.harness import time_callable
 from repro.bench.reporting import format_ratio, format_table
 from repro.vm.machine import ENGINE_TRANSLATOR, VirtualMachine
@@ -27,7 +25,7 @@ def _run(image, encoded, policy):
     return result
 
 
-def test_ablation_sandboxing_policy(benchmark, workloads):
+def test_ablation_sandboxing_policy(benchmark, workloads, emit_report):
     workload = workloads["vxz"]
     image = workload.codec.guest_decoder_image()
 

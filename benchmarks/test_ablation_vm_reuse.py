@@ -11,8 +11,6 @@ security attributes change.
 
 import io
 
-from conftest import emit_report
-
 import repro.api as vxa
 from repro.bench.harness import time_callable
 from repro.bench.reporting import format_ratio, format_table
@@ -25,7 +23,7 @@ NUM_FILES = 20
 FILE_SIZE = 600
 
 
-def test_ablation_vm_reuse(benchmark, registry, monkeypatch):
+def test_ablation_vm_reuse(benchmark, registry, monkeypatch, emit_report):
     codec = registry.get("vxz")
     files = [
         synthetic_source_file(FILE_SIZE, seed=200 + index).encode()

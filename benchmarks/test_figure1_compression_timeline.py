@@ -6,13 +6,11 @@ churn.  This benchmark regenerates the timeline series and the per-decade
 churn statistics derived from it.
 """
 
-from conftest import emit_report
-
 from repro.bench.reporting import format_table
 from repro.bench.timelines import COMPRESSION_FORMATS, events_per_decade, format_churn_summary
 
 
-def test_figure1_compression_timeline(benchmark):
+def test_figure1_compression_timeline(benchmark, emit_report):
     summary = benchmark(format_churn_summary)
 
     rows = [[event.year, event.name, event.category] for event in COMPRESSION_FORMATS]

@@ -7,8 +7,6 @@ architecture displaced it.  Instruction encodings are therefore historically
 more durable than data encodings -- the observation VXA is built on.
 """
 
-from conftest import emit_report
-
 from repro.bench.reporting import format_table
 from repro.bench.timelines import (
     COMPRESSION_FORMATS,
@@ -17,7 +15,7 @@ from repro.bench.timelines import (
 )
 
 
-def test_figure2_architecture_timeline(benchmark):
+def test_figure2_architecture_timeline(benchmark, emit_report):
     summary = benchmark(format_churn_summary)
 
     rows = [[event.year, event.name, event.category] for event in PROCESSOR_ARCHITECTURES]

@@ -19,7 +19,6 @@ and per-decoder VM/native ratios are measured and what they cost today.
 import pathlib
 
 import pytest
-from conftest import emit_report
 
 from repro.bench.harness import measure_workload, time_callable
 from repro.bench.reporting import format_ratio, format_table
@@ -69,7 +68,7 @@ def test_figure7_decoder_under_vm(benchmark, name, workloads):
     benchmark.extra_info["output_bytes"] = result.stats.bytes_written
 
 
-def test_figure7_summary(benchmark, workloads):
+def test_figure7_summary(benchmark, workloads, emit_report):
     """Regenerate the Figure 7 series: normalised decode time per decoder."""
 
     def collect():
@@ -191,7 +190,7 @@ _CALL_HEAVY_0_2 = (pathlib.Path(__file__).parent.parent / "tests" / "data"
                    / "anecdote-calls-vxc-0.2.elf")
 
 
-def test_figure7_inlining_anecdote(benchmark):
+def test_figure7_inlining_anecdote(benchmark, emit_report):
     """Reproduce the vorbis observation: per-sample helper calls in the inner
     loop magnify the VM's flow-control overhead (return-address lookups);
     inlining them narrows the gap.  Three rows: the call-per-sample image an

@@ -15,8 +15,6 @@ reproduced result.
 
 import io
 
-from conftest import emit_report
-
 import repro.api as vxa
 from repro.bench.reporting import format_kb, format_percent, format_table
 from repro.formats.wav import write_wav
@@ -45,7 +43,7 @@ def _build_archive(files: dict[str, bytes], *, lossy: bool):
     return buffer.getvalue(), manifest
 
 
-def test_sec53_storage_overhead(benchmark):
+def test_sec53_storage_overhead(benchmark, emit_report):
     one_song = _songs(1)
     ten_songs = _songs(10)
 

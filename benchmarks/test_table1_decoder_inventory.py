@@ -6,13 +6,11 @@ produces.  This benchmark regenerates the same rows from the live codec
 registry and times a full registry + guest-decoder build.
 """
 
-from conftest import emit_report
-
 from repro.bench.reporting import format_table
 from repro.codecs.registry import CodecRegistry
 
 
-def test_table1_decoder_inventory(benchmark, registry):
+def test_table1_decoder_inventory(benchmark, registry, emit_report):
     def build_inventory():
         # Rebuild a registry from scratch so the benchmark measures the cost
         # of assembling the codec plug-in set the archiver starts from.

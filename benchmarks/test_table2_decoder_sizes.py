@@ -15,8 +15,6 @@ and audio decoders larger than the general-purpose ones), the library share,
 and the roughly 2x deflate saving.
 """
 
-from conftest import emit_report
-
 from repro.bench.harness import decoder_size_rows
 from repro.bench.reporting import format_kb, format_percent, format_table
 
@@ -31,7 +29,7 @@ PAPER_TABLE2 = {
 }
 
 
-def test_table2_decoder_sizes(benchmark, registry):
+def test_table2_decoder_sizes(benchmark, registry, emit_report):
     rows_raw = benchmark.pedantic(
         lambda: decoder_size_rows(registry=registry), rounds=1, iterations=1
     )

@@ -57,9 +57,11 @@ if TYPE_CHECKING:
 
 #: Images remembered per process; past it the least recently used record is
 #: forgotten (a VM holding it keeps running on it).  A record's caches are
-#: bounded in turn: sessions ask for at most two (guards elided where the
-#: analysis proves them, or kept where an interpreter session ran none), each
-#: holds at most ``max_fragments`` and at most one per text address.
+#: bounded in turn.  One is keyed by check policy, superblock limit and
+#: elision (:meth:`~repro.vm.machine.VirtualMachine.share_code_cache`), and
+#: sessions set only the last: they ask for at most two (guards elided where
+#: the analysis proves them, or kept where an interpreter session ran none).
+#: Each holds at most ``max_fragments`` and at most one per text address.
 IMAGE_LIMIT = 64
 
 #: A record pins its image's bytes and text span: the table takes only images

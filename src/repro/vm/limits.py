@@ -80,14 +80,12 @@ class ExecutionStats:
     blocks_executed: int = 0
     fragments_translated: int = 0
     fragment_cache_hits: int = 0
-    fragment_cache_misses: int = 0
     chained_branches: int = 0       # transitions over back-patched direct edges
     retranslations: int = 0         # entries translated again: their guard bailed
     guards_elided: int = 0          # guards dropped on proofs, at emitted sites
     syscalls: dict[str, int] = field(default_factory=dict)
     bytes_read: int = 0
     bytes_written: int = 0
-    streams_decoded: int = 0
 
     def record_syscall(self, name: str) -> None:
         self.syscalls[name] = self.syscalls.get(name, 0) + 1

@@ -61,7 +61,6 @@ class VirtualMachine:
         limits: resource ceilings; defaults to :class:`ExecutionLimits`.
         check_policy: memory sandbox policy (``full``, ``write-only``,
             ``none``) -- see :mod:`repro.vm.memory`.
-        use_fragment_cache: disable only for the fragment-cache ablation.
         code_cache: a :class:`~repro.vm.code_cache.CodeCache` to use as
             given (the caller vouches for every VM sharing it); ``None``
             gives the VM an empty table of its own, kept for the VM's life
@@ -70,9 +69,6 @@ class VirtualMachine:
         superblock_limit: maximum guest instructions per translated trace
             (``None`` uses the translator default; ``1`` reproduces the old
             one-basic-block engine).
-        chain_fragments: back-patch direct-branch successors so the
-            dispatcher's hash lookup is only paid on indirect branches
-            (disable only for the chaining ablation).
         verify_images: static-analysis admission policy -- ``"off"``
             (default), ``"warn"`` or ``"reject"``.  ``"reject"`` raises
             :class:`~repro.errors.ImageVerificationError` from the
@@ -91,10 +87,8 @@ class VirtualMachine:
         engine: str = ENGINE_TRANSLATOR,
         limits: ExecutionLimits | None = None,
         check_policy: str = CHECK_FULL,
-        use_fragment_cache: bool = True,
         code_cache: CodeCache | None = None,
         superblock_limit: int | None = None,
-        chain_fragments: bool = True,
         verify_images: str = "off",
         analysis_elision: bool = True,
     ):
@@ -108,10 +102,8 @@ class VirtualMachine:
         self.engine = engine
         self.limits = limits or ExecutionLimits()
         self._check_policy = check_policy
-        self.use_fragment_cache = use_fragment_cache
         self.code_cache = code_cache if code_cache is not None else CodeCache()
         self.superblock_limit = superblock_limit
-        self.chain_fragments = chain_fragments
         self.analysis_elision = analysis_elision
         self.analysis_report = self._admit(verify_images)
 
@@ -164,9 +156,7 @@ class VirtualMachine:
         found under every input :func:`~repro.vm.translator.run_translator`
         reads besides the image's text, so whoever else holds it translates
         exactly as this VM would."""
-        config = (self._check_policy, self.superblock_limit,
-                  self.use_fragment_cache, self.chain_fragments,
-                  self.elides_guards)
+        config = (self._check_policy, self.superblock_limit, self.elides_guards)
         self.code_cache = self._record.code_cache(config)
 
     def reset(self) -> None:

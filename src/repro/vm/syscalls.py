@@ -175,7 +175,6 @@ class SyscallHandler:
             return ENOMEM
 
     def _done(self) -> int:
-        self._stats.streams_decoded += 1
         if self._on_done is None:
             return -1
         has_more = self._on_done()

@@ -10,9 +10,10 @@ guest entry point.
 The stream it scans is the image's immutable text (``ElfImage.text``), never
 guest memory: a guest may store over its own code, and loads see the store,
 but what executes is what was archived.  A fragment is therefore a function
-of the image and the translator's configuration alone, which is what lets
-its cache be the process-wide one found under the image's SHA-256
-(:mod:`repro.vm.images`) and outlive sandboxes, sessions and threads.
+of the image and the translator's configuration alone -- the sandbox's check
+policy, the superblock limit and whether proved guards are dropped -- which
+is what lets its cache be the process-wide one found under the image's
+SHA-256 (:mod:`repro.vm.images`) and outlive sandboxes, sessions and threads.
 
 The engine goes beyond one-basic-block-at-a-time translation in three ways,
 mirroring the optimisations that make vx32 fast:
@@ -338,9 +339,12 @@ def _plus(value, k: int):
 #: Python code object is immutable, so a *compilation* can be shared where a
 #: fragment table cannot: across different images and configurations.  The
 #: bundled decoders emit identical source for the runtime code they link at
-#: equal addresses: decoding vxabench's tiny seed-7 members in one process, 71
-#: of 509 compilations are served from here (per decoder 0/9/10/19/13/20), and
-#: ``compile`` is by far the most expensive step of translation.
+#: equal addresses, and ``compile`` is by far the most expensive step of
+#: translation.  Lookups served from here, against compilations: 72 against
+#: 452 in a cold image store's first pass over vxabench's seed-7 mixed
+#: archive; none against none once the store is warm (nothing is translated);
+#: 69,904 against 16,870 in the test suite, which translates the same images
+#: under several configurations.
 _CODE_MEMO: dict[str, object] = {}
 _CODE_MEMO_LIMIT = 4096
 #: The memo is process-wide shared state: the in-process thread pool of
@@ -901,7 +905,16 @@ class _Trace:
             prologue += [f"if {test}: return {_BAIL}", f"q{pointer[1]} = {pointer} >> 2"]
         if self.uses_view:
             prologue.append("w = mem.words")
-        widths = sorted(self.guard_widths)
+        body: list[str] = []
+        for line in self.lines:
+            if line.__class__ is str:
+                body.append(line)
+            else:
+                body += [line[0] + text for text in line[1]()]
+        # A width counts only where an emitted check reads it: a slot load
+        # hoisted ahead of the loop drops its check (the ``try:`` bails).
+        text = "\n".join(body)
+        widths = [w for w in sorted(self.guard_widths) if f" > s{w}: " in text]
         if len(widths) == 1:
             prologue.append(f"s{widths[0]} = mem.size - {widths[0]}")
         elif widths:
@@ -915,12 +928,6 @@ class _Trace:
             prologue += ["try:"] + [f"    {root} = w[{_offset('q6', _signed(address[1]) >> 2)}]"
                                     for address, root in self.hoisted.items()]
             prologue += ["except IndexError:", f"    return {_BAIL}"]
-        body: list[str] = []
-        for line in self.lines:
-            if line.__class__ is str:
-                body.append(line)
-            else:
-                body += [line[0] + text for text in line[1]()]
         if self.looping:
             body = ["while True:"] + ["    " + line for line in body]
         return "\n".join([f"def _fragment(vm, r, mem, buf{params}):"]
@@ -939,9 +946,6 @@ class Translator:
         superblock_limit: maximum guest instructions per trace (``None``
             uses :data:`MAX_SUPERBLOCK_INSTRUCTIONS`; ``1`` degenerates to
             one instruction per fragment, for ablations).
-        chain: emit back-patchable exits for statically known successors.
-            Disabled together with the fragment cache, since a chained exit
-            is itself a cached translation.
         proved_reads, proved_writes: instruction addresses whose memory
             access the static verifier (:mod:`repro.analysis`) proved in
             bounds for every sandbox of at least the report's ``min_size``
@@ -952,7 +956,7 @@ class Translator:
 
     def __init__(self, memory, text_start: int, text_end: int, *,
                  text: bytes,
-                 superblock_limit: int | None = None, chain: bool = True,
+                 superblock_limit: int | None = None,
                  known_entries=None,
                  proved_reads: frozenset = frozenset(),
                  proved_writes: frozenset = frozenset()):
@@ -960,7 +964,6 @@ class Translator:
         self._text_start = text_start
         self._text_end = text_end
         self._limit = superblock_limit or MAX_SUPERBLOCK_INSTRUCTIONS
-        self._chain = chain
         #: Entry points already translated (the cache's fragment table).  A
         #: trace that reaches one of these stops and chains to the existing
         #: fragment instead of duplicating its tail -- the same reason vx32
@@ -1062,8 +1065,6 @@ class Translator:
 
         def chained(target: int) -> str:
             """``return`` statement of an exit to the static pc ``target``."""
-            if not self._chain:
-                return f"return {target}"
             exits.append(target)                       # back-patchable slot
             return f"return X{len(exits) - 1} or {-len(exits)}"
 
@@ -1244,8 +1245,6 @@ def run_translator(vm) -> None:
     regs = vm.regs
     stats = vm.stats
     cache = vm.code_cache
-    use_cache = vm.use_fragment_cache
-    chain = use_cache and vm.chain_fragments
     limits = vm.limits_in_effect          # the per-run (input-scaled) limits
     budget = limits.max_instructions
     if budget is None:
@@ -1266,8 +1265,7 @@ def run_translator(vm) -> None:
         proved_writes = vm.analysis_report.proved_writes
     translator = Translator(
         memory, vm.text_start, vm.text_end, text=vm.text,
-        superblock_limit=vm.superblock_limit, chain=chain,
-        known_entries=cache.fragments if use_cache else None,
+        superblock_limit=vm.superblock_limit, known_entries=cache.fragments,
         proved_reads=proved_reads, proved_writes=proved_writes,
     )
     fragments = cache.fragments
@@ -1283,12 +1281,12 @@ def run_translator(vm) -> None:
     def resolve(target: int, bailed: Fragment | None = None) -> Fragment:
         """The fragment for ``target``, not ``bailed`` (its entry guard refused)."""
         nonlocal misses, retranslated
-        fragment = fragments.get(target) if use_cache else None
+        fragment = fragments.get(target)
         if fragment is not None and fragment is not bailed:
             return fragment
         # The limit bounds translation-table memory (a bail replaces an
         # entry, so it cannot grow the table).
-        if use_cache and bailed is None and len(fragments) >= max_fragments:
+        if bailed is None and len(fragments) >= max_fragments:
             raise ResourceLimitExceeded(
                 f"decoder exceeded the translated-fragment limit "
                 f"({max_fragments})"
@@ -1298,8 +1296,7 @@ def run_translator(vm) -> None:
         misses += 1
         if bailed is not None:      # the one way an entry is translated twice
             retranslated += 1
-        if use_cache:
-            cache.store(target, fragment)
+        cache.store(target, fragment)
         return fragment
 
     try:
@@ -1350,10 +1347,9 @@ def run_translator(vm) -> None:
                     slot = -1 - ret
                     pc = frag.exit_targets[slot]
                     successor = resolve(pc)
-                    if chain:
-                        defaults = list(func.__defaults__)
-                        defaults[slot] = successor
-                        func.__defaults__ = tuple(defaults)
+                    defaults = list(func.__defaults__)
+                    defaults[slot] = successor
+                    func.__defaults__ = tuple(defaults)
                     frag = successor
                     func = successor.func
             else:
@@ -1368,7 +1364,6 @@ def run_translator(vm) -> None:
         stats.instructions += vm.icount
         stats.blocks_executed += blocks
         stats.fragments_translated += misses
-        stats.fragment_cache_misses += misses
         stats.fragment_cache_hits += hits
         stats.chained_branches += chained
         stats.retranslations += retranslated

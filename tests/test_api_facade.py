@@ -195,6 +195,15 @@ def test_read_options_validate():
                     "analysis_elision"):
         with pytest.raises(TypeError):
             vxa.ReadOptions(**{removed: 1})
+    # Nor do they include running without the fragment cache or without
+    # chained exits: the translator always caches and always chains.
+    from repro.vm.machine import VirtualMachine
+    from tests.conftest import build_asm
+
+    image = build_asm("_start:\n    halt\n")
+    for removed in ("use_fragment_cache", "chain_fragments"):
+        with pytest.raises(TypeError):
+            VirtualMachine(image, **{removed: False})
     # Every archive carries its decoders: there is no switch to leave them out.
     with pytest.raises(TypeError):
         vxa.WriteOptions(attach_decoders=False)

@@ -201,20 +201,17 @@ def test_every_reuse_policy_translates_each_image_once(archive_path, members,
 # -- what may share a cache, and what may not ---------------------------------------
 
 
-def _session_cache(image: bytes, options: vxa.ReadOptions, **vm_fields) -> CodeCache:
+def _session_cache(image: bytes, options: vxa.ReadOptions) -> CodeCache:
     """The cache a session under ``options`` hands its VM for ``image``."""
     session = vxa.DecoderSession(lambda offset: image, options, ExecutionLimits())
     session.decode(0, b"")
     (vm,) = session._vms.values()
-    for name, value in vm_fields.items():       # knobs ReadOptions does not carry
-        setattr(vm, name, value)
-        vm.share_code_cache()
     return vm.code_cache
 
 
 @pytest.mark.parametrize("field,value", [
     ("superblock_limit", 1),
-    ("chain_fragments", False),
+    ("check_policy", CHECK_WRITE_ONLY),
     ("analysis_elision", False),      # proved guards dropped, or kept
 ])
 def test_every_translator_input_is_part_of_the_cache_key(
@@ -226,15 +223,6 @@ def test_every_translator_input_is_part_of_the_cache_key(
     vm = VirtualMachine(echo_decoder_image, **{field: value})
     vm.share_code_cache()
     assert vm.code_cache is not base
-
-
-def test_check_policy_and_fragment_cache_use_are_part_of_the_cache_key(
-        echo_decoder_image):
-    base = _session_cache(echo_decoder_image, SHARED)
-    assert _session_cache(echo_decoder_image, SHARED,
-                          _check_policy=CHECK_WRITE_ONLY) is not base
-    assert _session_cache(echo_decoder_image, SHARED,
-                          use_fragment_cache=False) is not base
 
 
 def test_elision_is_keyed_on_whether_it_applies_not_on_the_request():
@@ -352,7 +340,7 @@ def test_no_request_sequence_gives_an_image_more_than_two_caches(tmp_path):
         service.close()
     (record,) = images._RECORDS.values()
     assert 1 <= len(record._caches) <= 2
-    assert {config[:4] for config in record._caches} == {("full", None, True, True)}
+    assert {config[:2] for config in record._caches} == {("full", None)}
 
 
 def test_compile_memo_serves_runtime_code_shared_across_images(monkeypatch):
@@ -531,6 +519,6 @@ def test_many_threads_on_one_shared_cache_lose_no_update(echo_decoder_image):
     # lost none of them, and every block a run executed was a hit or a miss.
     translated = sum(run.fragments_translated for run in stats)
     assert 0 < len(cache) <= translated <= threads * len(cache)
-    assert all(run.fragment_cache_hits + run.fragment_cache_misses
+    assert all(run.fragment_cache_hits + run.fragments_translated
                == run.blocks_executed for run in stats)
     assert len({run.instructions for run in stats}) == 1

@@ -260,6 +260,17 @@ def test_every_bundled_decoder_inlines_if_arms(name):
         assert any(arms) == inlined, config
 
 
+@pytest.mark.parametrize("name", _BUNDLED)
+def test_every_size_local_is_read_by_a_check(name):
+    """The prologue computes ``sN = ... - N`` only for a bounds check ``> sN``
+    that the body emits.  A slot load that a looping fragment hoists ahead of
+    the loop drops its check, which may have been its width's only reader."""
+    for elision in (True, False):
+        for fragment in _decode(name, analysis_elision=elision)[0].code_cache.fragments.values():
+            for width in re.findall(r"\bs(\d+) = ", fragment.source):
+                assert f" > s{width}: " in fragment.source, (elision, fragment.source)
+
+
 #: The lines that may still mask with ``& 0xFFFFFFFF``: a product, a left
 #: shift and the signed shift (their values really do exceed 32 bits), and a
 #: system call's result (a host value, negative for an error).

@@ -7,7 +7,7 @@ values, store-to-load forwarding, bounds-based mask elision -- so this suite
 is its safety net: randomized guest programs (generated straight into
 assembler source) must behave *identically* on the reference interpreter and
 on the translator in every configuration worth shipping: default superblocks,
-single-instruction fragments and chaining disabled.
+single-instruction fragments and every bounds guard kept.
 
 "Identically" covers exit code, stdout, stderr, the final register file, the
 final condition codes, the entire guest memory image and the executed
@@ -222,8 +222,6 @@ def _run(image: bytes, engine: str, **vm_kwargs):
 _TRANSLATOR_CONFIGS = [
     {},                                        # default engine (elision on)
     {"superblock_limit": 1},                   # one instruction per fragment
-    {"chain_fragments": False},                # chaining ablation
-    {"use_fragment_cache": False, "chain_fragments": False},
     {"analysis_elision": False},               # keep every bounds guard
 ]
 
@@ -678,11 +676,9 @@ def test_pointers_the_entry_guard_refuses_are_still_legal(name, policy):
         assert observed == reference, (name, config)
         # The fallback is tested, not assumed: where the guard must refuse,
         # it did, and a fragment without one has taken the entry over.
-        # (One instruction per fragment bails at a later entry than ``use``;
-        # without a cache there is no fragment to look at.)
+        # (One instruction per fragment bails at a later entry than ``use``.)
         assert (vm.stats.retranslations > 0) == bails, (name, config)
-        if bails and config in ({}, {"chain_fragments": False},
-                                {"analysis_elision": False}):
+        if bails and config != {"superblock_limit": 1}:
             source = vm.code_cache.fragments[oracle.regs[5]].source
             assert "w[" not in source, (name, config)
             assert f"return {_BAIL}" not in source, (name, config)
