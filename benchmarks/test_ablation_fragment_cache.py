@@ -48,7 +48,7 @@ def test_ablation_fragment_cache(benchmark, workloads, emit_report):
     blocks = stats.blocks_executed
     translations = stats.fragments_translated
     lookups = blocks - stats.chained_branches
-    hit_rate = stats.fragment_cache_hits / max(1, stats.fragment_cache_hits + translations)
+    hit_rate = stats.cache_hits / max(1, stats.cache_hits + translations)
     rows = [
         ["translator + fragment cache + chaining", f"{cached_seconds * 1000:.0f}ms",
          "1.00x", f"{translations}", f"{lookups}",
@@ -79,7 +79,7 @@ def test_ablation_fragment_cache(benchmark, workloads, emit_report):
     # every one of them, over twice as many dispatches as the translator
     # makes fragment executions.
     assert hit_rate > 0.95
-    assert stats.fragment_cache_hits + translations == blocks
+    assert stats.cache_hits + translations == blocks
     assert blocks > 2 * translations
     assert blocks > 2 * lookups
     cached, interpreted = counted["cached"], counted["interpreter"]

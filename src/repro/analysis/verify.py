@@ -8,11 +8,13 @@ access, branch and virtual system call as
 * ``guard``   -- not statically resolvable; the dynamic bounds guard stays,
 * ``unsafe``  -- statically guaranteed to fault or structurally ill-formed.
 
-The resulting :class:`AnalysisReport` is serialisable (``as_dict`` /
-``from_dict``) so parallel extraction workers and the vxserve batch service
-can ship it alongside the image, and it is kept in the image's process-wide
-record (:mod:`repro.vm.images`, keyed by SHA-256).  A proof speaks about
-``ElfImage.text``, the very bytes both engines execute.
+The resulting :class:`AnalysisReport` keeps what its readers read: the proved
+sets and ``min_size`` (the translator), the tally of sites per verdict and
+the unsafe sites (``vxunzip analyze``, admission).  It is serialisable
+(``as_dict`` / ``from_dict``) and kept in the image's process-wide record
+(:mod:`repro.vm.images`, keyed by SHA-256), which the per-user store
+restores.  A proof speaks about ``ElfImage.text``, the very bytes both
+engines execute.
 
 The PROVED_SAFE contract consumed by ``vm/translator.py``: for an access pc
 in ``proved_reads``/``proved_writes``, *every* concrete execution of that
@@ -66,33 +68,23 @@ class SiteVerdict:
 
 @dataclass
 class AnalysisReport:
-    """Serialisable outcome of statically verifying one decoder image."""
+    """Serialisable outcome of statically verifying one decoder image: the
+    facts the translator reads, the per-verdict tally of every site, and the
+    sites that are unsafe."""
 
     image_sha256: str
     verdict: str                   # "safe" | "unsafe"
     min_size: int                  # smallest sandbox the proofs hold for
     stack_bounded: bool
     total_down: int                # proven max stack depth (bytes)
-    text_start: int
-    text_end: int
     proved_reads: frozenset[int] = frozenset()
     proved_writes: frozenset[int] = frozenset()
-    sites: list[SiteVerdict] = field(default_factory=list)
-    errors: list[dict] = field(default_factory=list)
+    counts: dict[str, int] = field(default_factory=dict)   # sites per verdict
+    unsafe_sites: list[SiteVerdict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return self.verdict == "safe"
-
-    @property
-    def unsafe_sites(self) -> list[SiteVerdict]:
-        return [s for s in self.sites if s.verdict == VERDICT_UNSAFE]
-
-    def counts(self) -> dict[str, int]:
-        tally = {VERDICT_PROVED: 0, VERDICT_GUARD: 0, VERDICT_UNSAFE: 0}
-        for site in self.sites:
-            tally[site.verdict] += 1
-        return tally
 
     def as_dict(self) -> dict:
         return {
@@ -101,16 +93,13 @@ class AnalysisReport:
             "min_size": self.min_size,
             "stack_bounded": self.stack_bounded,
             "total_down": self.total_down,
-            "text_start": self.text_start,
-            "text_end": self.text_end,
             "proved_reads": sorted(self.proved_reads),
             "proved_writes": sorted(self.proved_writes),
-            "sites": [
-                {"pc": s.pc, "kind": s.kind, "verdict": s.verdict,
-                 "detail": s.detail}
-                for s in self.sites
+            "counts": dict(self.counts),
+            "unsafe_sites": [
+                {"pc": s.pc, "kind": s.kind, "detail": s.detail}
+                for s in self.unsafe_sites
             ],
-            "errors": list(self.errors),
         }
 
     @classmethod
@@ -121,14 +110,12 @@ class AnalysisReport:
             min_size=payload["min_size"],
             stack_bounded=payload["stack_bounded"],
             total_down=payload["total_down"],
-            text_start=payload["text_start"],
-            text_end=payload["text_end"],
             proved_reads=frozenset(payload["proved_reads"]),
             proved_writes=frozenset(payload["proved_writes"]),
-            sites=[SiteVerdict(s["pc"], s["kind"], s["verdict"],
-                               s.get("detail", ""))
-                   for s in payload["sites"]],
-            errors=list(payload["errors"]),
+            counts=dict(payload["counts"]),
+            unsafe_sites=[SiteVerdict(s["pc"], s["kind"], VERDICT_UNSAFE,
+                                      s["detail"])
+                          for s in payload["unsafe_sites"]],
         )
 
 
@@ -158,34 +145,27 @@ def _verify_parsed(image: ElfImage, digest: str) -> AnalysisReport:
                 and result.total_down <= min_size - _STACK_MARGIN)
 
     sites = _classify_sites(cfg, result, min_size, stack_ok)
-    errors = [
-        {"pc": e.pc, "reason": e.reason, "message": e.message,
-         "severity": e.severity}
-        for e in cfg.errors
-    ]
-    for e in cfg.errors:
-        if e.severity == SEVERITY_ERROR:
-            sites.append(SiteVerdict(e.pc, "code", VERDICT_UNSAFE, e.reason))
-
-    proved_reads = frozenset(
-        s.pc for s in sites if s.kind == "read" and s.verdict == VERDICT_PROVED)
-    proved_writes = frozenset(
-        s.pc for s in sites if s.kind == "write" and s.verdict == VERDICT_PROVED)
-    verdict = "safe" if not any(s.verdict == VERDICT_UNSAFE for s in sites) \
-        else "unsafe"
+    sites.extend(SiteVerdict(e.pc, "code", VERDICT_UNSAFE, e.reason)
+                 for e in cfg.errors if e.severity == SEVERITY_ERROR)
     sites.sort(key=lambda s: (s.pc, s.kind))
+    counts = {VERDICT_PROVED: 0, VERDICT_GUARD: 0, VERDICT_UNSAFE: 0}
+    for site in sites:
+        counts[site.verdict] += 1
+    unsafe = [s for s in sites if s.verdict == VERDICT_UNSAFE]
     return AnalysisReport(
         image_sha256=digest,
-        verdict=verdict,
+        verdict="unsafe" if unsafe else "safe",
         min_size=min_size,
         stack_bounded=stack_ok,
         total_down=result.total_down,
-        text_start=cfg.text_start,
-        text_end=cfg.text_end,
-        proved_reads=proved_reads,
-        proved_writes=proved_writes,
-        sites=sites,
-        errors=errors,
+        proved_reads=frozenset(
+            s.pc for s in sites
+            if s.kind == "read" and s.verdict == VERDICT_PROVED),
+        proved_writes=frozenset(
+            s.pc for s in sites
+            if s.kind == "write" and s.verdict == VERDICT_PROVED),
+        counts=counts,
+        unsafe_sites=unsafe,
     )
 
 

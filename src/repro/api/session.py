@@ -36,13 +36,10 @@ from repro.core.types import SessionStats
 from repro.vm.limits import ExecutionLimits, ExecutionStats
 from repro.vm.machine import DecodeResult, VirtualMachine
 
-#: Per-run :class:`ExecutionStats` counter -> the :class:`SessionStats`
-#: counter each decode folds it into: the one rename, plus every name the
-#: two declare in common.
-_RUN_COUNTERS = {"fragment_cache_hits": "cache_hits"} | {
-    field.name: field.name for field in fields(ExecutionStats)
-    if field.name in SessionStats.__dataclass_fields__
-}
+#: The per-run :class:`ExecutionStats` counters each decode folds into the
+#: :class:`SessionStats` counter of the same name: every name the two share.
+_RUN_COUNTERS = tuple(field.name for field in fields(ExecutionStats)
+                      if field.name in SessionStats.__dataclass_fields__)
 
 
 class DecoderSession:
@@ -126,9 +123,9 @@ class DecoderSession:
         run_limits = limits or self._limits.scaled_for_input(len(encoded))
         result = vm.decode(encoded, limits=run_limits, fresh=fresh,
                            fault_syscall=fault_syscall)
-        for run, session in _RUN_COUNTERS.items():
-            setattr(self.stats, session,
-                    getattr(self.stats, session) + getattr(result.stats, run))
+        for name in _RUN_COUNTERS:
+            setattr(self.stats, name,
+                    getattr(self.stats, name) + getattr(result.stats, name))
         return result
 
     # -- lifecycle -------------------------------------------------------------

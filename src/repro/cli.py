@@ -144,7 +144,7 @@ def _cmd_analyze(args) -> int:
         for offset, (codec, members) in sorted(decoders.items()):
             image = archive.decoder_image_for(members[0])
             report = verify_image(image)
-            counts = report.counts()
+            counts = report.counts
             status = "SAFE" if report.ok else "UNSAFE"
             # Images outlive the compiler that built them; say which one did.
             toolchain = read_note(image).get("toolchain", "unknown toolchain")
@@ -172,10 +172,9 @@ def _cmd_check(args) -> int:
         # Media-level verdict: operates on the raw bytes (no decoder runs),
         # so it works even on archives too damaged to open normally.
         # Exit codes: 0 clean / 1 salvageable / 2 unrecoverable.
-        from repro.core.integrity import format_assessment
-        from repro.repair import deep_check
+        from repro.core.integrity import assess_media, format_assessment
 
-        assessment = deep_check(args.archive)
+        assessment = assess_media(args.archive)
         print(format_assessment(assessment))
         return assessment.exit_code()
     with vxa.open(args.archive, _read_options(args)) as archive:

@@ -132,7 +132,7 @@ def _open_salvage_reader(archive):
 
     if isinstance(archive, (bytes, bytearray, memoryview)):
         return ZipReader(bytes(archive), salvage=True)
-    if isinstance(archive, (str, bytes)) or hasattr(archive, "__fspath__"):
+    if isinstance(archive, str) or hasattr(archive, "__fspath__"):
         with open(archive, "rb") as handle:
             return ZipReader(handle.read(), salvage=True)
     return ZipReader(archive, salvage=True)

@@ -497,13 +497,10 @@ class BatchService:
     def _op_check(self, request: dict) -> dict:
         options = self._request_options(request)
         jobs = self._request_jobs(request)
-        reuse = request.get("reuse")
         start = time.perf_counter()
         with vxa.open(request["archive"], options) as archive:
-            report = parallel_check(
-                archive, jobs,
-                reuse=VmReusePolicy(reuse) if reuse is not None else None,
-                names=request.get("members"), pool=self.pool)
+            report = parallel_check(archive, jobs, names=request.get("members"),
+                                    pool=self.pool)
         self._absorb(report)
         return {
             "archive": request["archive"],

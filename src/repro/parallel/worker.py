@@ -62,13 +62,11 @@ def _shard_archive(payload: dict):
     """
     import repro.api as vxa
 
-    source = payload["source"]
-    target = source["path"] if "path" in source else source["data"]
     options = payload["options"].with_changes(jobs=1)
     previous = getattr(_STATE, "in_worker", False)
     _STATE.in_worker = True
     try:
-        with vxa.open(target, options) as archive:
+        with vxa.open(payload["source"]["path"], options) as archive:
             archive.session.stats = vxa.SessionStats()
             yield archive
     finally:
@@ -85,7 +83,8 @@ def shutdown_worker() -> None:
 def run_extract_shard(payload: dict) -> dict:
     """Extract one shard's members; returns records plus session counters.
 
-    Payload keys: ``source`` (``{"path": ...}`` or ``{"data": ...}``),
+    Payload keys: ``source`` (``{"path": ...}``: the engine spools an
+    in-memory archive to a temporary file first),
     ``options`` (:class:`~repro.api.options.ReadOptions`), ``names`` (the
     shard's members, already in the scheduler's cache-friendly order),
     ``directory``, ``mode``, ``force_decode``; plus the containment

@@ -1,20 +1,20 @@
 """``repro.repair`` -- salvage and rebuild damaged vxZIP archives.
 
 The durability counterpart to :mod:`repro.faults`: where the fault modules
-*inject* media damage, this package recovers from it.  Three entry points:
+*inject* media damage, this package recovers from it.  Two entry points:
 
-* :func:`deep_check` -- media-level verdict for an archive (``vxunzip
-  check --deep``): classifies it ``clean`` / ``salvageable`` /
-  ``unrecoverable`` with per-member ``intact``/``suspect``/``lost`` detail;
 * :func:`repair_archive` -- rebuild a clean archive from the salvageable
   set, with a structured damage report (``vxunzip repair``);
 * :func:`minimal_diagnosis` -- the FastDiag-style smallest set of damaged
   regions explaining every lost member.
+
+The media-level verdict both start from (``vxunzip check --deep``) is
+:func:`repro.core.integrity.assess_media`.
 """
 
 from __future__ import annotations
 
-from repro.core.integrity import MediaAssessment, assess_media, format_assessment
+from repro.core.integrity import MediaAssessment, format_assessment
 from repro.repair.diagnosis import DamageRegion, minimal_diagnosis
 from repro.repair.rebuild import (
     ACTION_COPIED,
@@ -25,20 +25,6 @@ from repro.repair.rebuild import (
     repair_archive,
 )
 
-
-def deep_check(source) -> MediaAssessment:
-    """Media-level assessment of an archive (path or bytes); no decoder runs.
-
-    ``assessment.exit_code()`` follows the repair contract: 0 clean,
-    1 salvageable, 2 unrecoverable.
-    """
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        return assess_media(bytes(source))
-    import pathlib
-
-    return assess_media(pathlib.Path(source).read_bytes())
-
-
 __all__ = [
     "ACTION_COPIED",
     "ACTION_COPIED_WITHOUT_DECODER",
@@ -47,7 +33,6 @@ __all__ = [
     "MediaAssessment",
     "MemberAction",
     "RepairResult",
-    "deep_check",
     "format_assessment",
     "minimal_diagnosis",
     "repair_archive",

@@ -141,7 +141,7 @@ class ImageRecord:
             report = self._report
         tables = {
             config: [(fragment.entry, fragment.code, fragment.instruction_count,
-                      fragment.end, fragment.exit_targets, fragment.source)
+                      fragment.exit_targets, fragment.source)
                      for fragment in cache.snapshot()]
             for config, cache in caches}
         store.write(self.digest,
@@ -151,9 +151,9 @@ class ImageRecord:
 def _restored_cache(rows) -> CodeCache:
     """A table holding the fragments :meth:`ImageRecord.save` wrote as ``rows``."""
     cache = CodeCache()
-    for entry, code, count, end, exits, source in rows:
+    for entry, code, count, exits, source in rows:
         cache.fragments[entry] = Fragment(
-            entry, bind_fragment(code), count, end, source, exits, code)
+            entry, bind_fragment(code), count, source, exits, code)
     cache.restored = len(rows)
     return cache
 

@@ -79,7 +79,7 @@ class ExecutionStats:
     instructions: int = 0
     blocks_executed: int = 0
     fragments_translated: int = 0
-    fragment_cache_hits: int = 0
+    cache_hits: int = 0
     chained_branches: int = 0       # transitions over back-patched direct edges
     retranslations: int = 0         # entries translated again: their guard bailed
     guards_elided: int = 0          # guards dropped on proofs, at emitted sites

@@ -170,7 +170,6 @@ class Fragment:
     entry: int                    # guest address of the first instruction
     func: Callable                # compiled fragment: (vm, regs, mem, buf, *exits)
     instruction_count: int        # guest instructions translated, arms included
-    end: int                      # guest address where the trace stopped
     source: str                   # generated Python source (for inspection/tests)
     exit_targets: tuple[int, ...] = ()   # static successor pc per chainable exit
     code: object = None           # what ``compile`` made of ``source``: a table
@@ -1213,7 +1212,6 @@ class Translator:
             entry=entry,
             func=bind_fragment(code_object),
             instruction_count=size,
-            end=pc,
             source=source,
             exit_targets=tuple(exits),
             code=code_object,
@@ -1364,7 +1362,7 @@ def run_translator(vm) -> None:
         stats.instructions += vm.icount
         stats.blocks_executed += blocks
         stats.fragments_translated += misses
-        stats.fragment_cache_hits += hits
+        stats.cache_hits += hits
         stats.chained_branches += chained
         stats.retranslations += retranslated
         stats.guards_elided += translator.guards_elided

@@ -22,14 +22,10 @@ import pytest
 
 import repro.api as vxa
 from repro.api.options import EXECUTOR_THREAD
+from repro.core.integrity import assess_media
 from repro.errors import ArchiveDamagedError, CodecError, VxaError, ZipFormatError
 from repro.faults.media import TornFinalize, flip_bytes, truncate_tail
-from repro.repair import (
-    ACTION_COPIED,
-    deep_check,
-    minimal_diagnosis,
-    repair_archive,
-)
+from repro.repair import ACTION_COPIED, minimal_diagnosis, repair_archive
 from repro.workloads import synthetic_log_bytes
 from repro.zipformat.reader import ZipReader
 
@@ -121,7 +117,7 @@ def test_commit_record_can_be_disabled(tmp_path, members):
     reader = ZipReader(path.read_bytes())
     assert reader.commit_marker is None
     assert not reader.commit_verified
-    assessment = deep_check(path)
+    assessment = assess_media(path)
     assert assessment.commit_status == "absent"
     assert assessment.classification() == "clean"
 
@@ -140,7 +136,7 @@ def test_nondurable_create_writes_in_place(tmp_path, members):
     path = tmp_path / "direct.vxa"
     _build(path, members, vxa.WriteOptions(durable=False))
     assert path.exists()
-    assert deep_check(path).classification() == "clean"
+    assert assess_media(path).classification() == "clean"
 
 
 @pytest.mark.parametrize("fault", ["pre-fsync", "pre-rename", "mid-directory"])
@@ -157,14 +153,14 @@ def test_torn_directory_temp_is_salvageable(tmp_path, members):
     with pytest.raises(TornFinalize):
         _build(path, members, vxa.WriteOptions(finalize_fault="mid-directory"))
     [temp] = list(tmp_path.glob("torn.vxa.vxa-tmp.*"))
-    assessment = deep_check(temp)
+    assessment = assess_media(temp)
     assert assessment.classification() == "salvageable"
     assert assessment.directory_status == "reconstructed"
     repaired = tmp_path / "repaired.vxa"
     result = repair_archive(temp, repaired)
     assert result.rebuilt
     assert sorted(result.copied) == sorted(members)
-    assert deep_check(repaired).classification() == "clean"
+    assert assess_media(repaired).classification() == "clean"
 
 
 # -- the chaos matrix --------------------------------------------------------------
@@ -211,7 +207,7 @@ def test_repair_recovers_undamaged_members_byte_identically(
     else:
         lost = _damage(clean_archive, damaged, fault)
 
-    assessment = deep_check(damaged)
+    assessment = assess_media(damaged)
     assert assessment.exit_code() == 1, fault      # damaged but salvageable
     assert {m.name for m in assessment.damaged_members} == lost
 
@@ -222,7 +218,7 @@ def test_repair_recovers_undamaged_members_byte_identically(
     assert set(result.copied) == set(members) - lost
     # The repaired archive carries a fresh, verified commit record and its
     # own media assessment is clean (every copied extent CRC/digest-checked).
-    verify = deep_check(repaired)
+    verify = assess_media(repaired)
     assert verify.exit_code() == 0
     assert verify.commit_status == "verified"
     # Survivors re-extract byte-identically at the pinned worker count.
@@ -235,12 +231,12 @@ def test_repair_recovers_undamaged_members_byte_identically(
 
 def test_deep_check_exit_codes_span_the_scale(tmp_path, members,
                                               clean_archive):
-    assert deep_check(clean_archive).exit_code() == 0
+    assert assess_media(clean_archive).exit_code() == 0
     data = clean_archive.read_bytes()
     reader = ZipReader(data)
     salvageable = tmp_path / "salvageable.vxa"
     _damage(clean_archive, salvageable, "flip-payload")
-    assert deep_check(salvageable).exit_code() == 1
+    assert assess_media(salvageable).exit_code() == 1
     # Damage every member extent: nothing intact, nothing salvageable.
     hopeless = data
     for entry in reader.entries:
@@ -248,7 +244,7 @@ def test_deep_check_exit_codes_span_the_scale(tmp_path, members,
         hopeless = flip_bytes(hopeless, start + size - 4, 4, seed=13)
     wrecked = tmp_path / "wrecked.vxa"
     wrecked.write_bytes(hopeless)
-    assert deep_check(wrecked).exit_code() == 2
+    assert assess_media(wrecked).exit_code() == 2
     with pytest.raises(ArchiveDamagedError):
         repair_archive(wrecked, tmp_path / "no.vxa")
 
@@ -256,10 +252,10 @@ def test_deep_check_exit_codes_span_the_scale(tmp_path, members,
 def test_minimal_diagnosis_attributes_loss_to_decoder_extent(tmp_path,
                                                              clean_archive):
     data = clean_archive.read_bytes()
-    decoder_offset = min(deep_check(clean_archive).decoders)
+    decoder_offset = min(assess_media(clean_archive).decoders)
     damaged = tmp_path / "decoderless.vxa"
     damaged.write_bytes(flip_bytes(data, decoder_offset + 40, 4, seed=14))
-    assessment = deep_check(damaged)
+    assessment = assess_media(damaged)
     regions = minimal_diagnosis(assessment)
     # One region (the decoder extent) explains every dependent member; the
     # members damaged only via the decoder get no regions of their own.

@@ -519,6 +519,6 @@ def test_many_threads_on_one_shared_cache_lose_no_update(echo_decoder_image):
     # lost none of them, and every block a run executed was a hit or a miss.
     translated = sum(run.fragments_translated for run in stats)
     assert 0 < len(cache) <= translated <= threads * len(cache)
-    assert all(run.fragment_cache_hits + run.fragments_translated
+    assert all(run.cache_hits + run.fragments_translated
                == run.blocks_executed for run in stats)
     assert len({run.instructions for run in stats}) == 1

@@ -33,6 +33,7 @@ import repro.analysis.verify as verify
 import repro.api as vxa
 import repro.vm.images as images
 from repro.api.session import DecoderSession
+from repro.cli import unzip_main
 from repro.errors import MemoryFault
 from repro.vm import store
 from repro.vm.limits import ExecutionLimits
@@ -40,6 +41,7 @@ from repro.vm.machine import ENGINE_INTERPRETER, ENGINE_TRANSLATOR, VirtualMachi
 from repro.workloads import synthetic_log_bytes
 
 from tests.conftest import build_asm
+from tests.test_analysis import _hostile_archive, hostile_images  # noqa: F401
 from tests.test_import_graph import (  # noqa: F401
     ANALYSIS_ENGINES,
     SRC,
@@ -394,6 +396,41 @@ def test_a_second_interpreter_translates_and_analyses_nothing(
     assert third["stats"] == first["stats"]
 
 
+@pytest.fixture
+def hostile_archive(hostile_images, tmp_path):  # noqa: F811
+    """``test_analysis``'s archive whose decoder stores outside every sandbox."""
+    path = tmp_path / "hostile.zip"
+    path.write_bytes(_hostile_archive(hostile_images))
+    return path, None
+
+
+def _analyze(archive, capsys) -> tuple[int, str]:
+    code = unzip_main(["analyze", str(archive)])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fixture,decoders", [("six_decoders", 6),
+                                              ("hostile_archive", 1)])
+def test_analyze_prints_the_same_from_a_restored_report(
+        request, capsys, monkeypatch, fixture, decoders):
+    """A report keeps the tally, the unsafe sites, the proved sets and the
+    stack bound -- all that ``vxunzip analyze`` prints -- so the text is the
+    same whether this process computed the report or the store restored it."""
+    archive, _ = request.getfixturevalue(fixture)
+    computed = _analyze(archive, capsys)
+    unzip_main(["check", str(archive)])       # a session's close writes
+    capsys.readouterr()
+    assert len(_files()) == decoders
+    _new_process()
+
+    def analysed_again(*args):
+        raise AssertionError("the report was computed, not restored")
+
+    monkeypatch.setattr(verify, "_verify_parsed", analysed_again)
+    assert _analyze(archive, capsys) == computed
+    assert computed[0] == (0 if decoders == 6 else 1)
+
+
 def _tables(image: bytes) -> dict:
     record = images.image_record(image)
     with images._LOCK:
@@ -414,11 +451,10 @@ def _assert_restores_field_for_field(image: bytes) -> int:
         for entry, fragment in fragments.items():
             twin = restored[config][entry]
             assert twin is not fragment and twin.func is not fragment.func
-            assert (twin.entry, twin.source, twin.instruction_count, twin.end,
+            assert (twin.entry, twin.source, twin.instruction_count,
                     twin.exit_targets, twin.code, twin.code.co_filename) == (
                 fragment.entry, fragment.source, fragment.instruction_count,
-                fragment.end, fragment.exit_targets, fragment.code,
-                fragment.code.co_filename)
+                fragment.exit_targets, fragment.code, fragment.code.co_filename)
             assert twin.code.co_filename.startswith("<vxa-fragment-0x")
     return sum(map(len, restored.values()))
 

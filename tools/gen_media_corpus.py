@@ -23,8 +23,9 @@ import sys
 
 import repro.api as vxa
 from repro.api.options import EXECUTOR_THREAD
+from repro.core.integrity import assess_media
 from repro.faults.media import TornFinalize, flip_bytes, truncate_tail
-from repro.repair import deep_check, repair_archive
+from repro.repair import repair_archive
 from repro.workloads import synthetic_log_bytes
 from repro.zipformat.reader import ZipReader
 
@@ -111,7 +112,7 @@ def verify(corpus: pathlib.Path, manifest: list[dict], jobs: int) -> int:
     failures = 0
     for case in manifest:
         path = pathlib.Path(case["path"])
-        assessment = deep_check(path)
+        assessment = assess_media(path)
         got = assessment.classification()
         if got != case["expect"]:
             print(f"FAIL {case['name']}: classified {got}, "
@@ -127,7 +128,7 @@ def verify(corpus: pathlib.Path, manifest: list[dict], jobs: int) -> int:
                   f"expected {sorted(case['lost'])}")
             failures += 1
             continue
-        if deep_check(repaired).classification() != "clean":
+        if assess_media(repaired).classification() != "clean":
             print(f"FAIL {case['name']}: repaired archive is not clean")
             failures += 1
             continue
