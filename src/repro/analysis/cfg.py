@@ -17,9 +17,10 @@ reason) rather than an exception, so :class:`~repro.analysis.verify.AnalysisRepo
 can list every defect in one pass.
 
 Code reachable *only* as the fall-through of a ``VXCALL`` is walked
-leniently (``severity="warning"``): a decoder ending in ``vxcall`` with
-``EXIT``/``DONE`` in ``r0`` never resumes, so trailing garbage there is
-unreachable in practice but not provably so without value analysis.
+leniently: its blocks join the graph, but its defects are not recorded.  A
+decoder ending in ``vxcall`` with ``EXIT``/``DONE`` in ``r0`` never resumes,
+so trailing garbage there is unreachable in practice but not provably so
+without value analysis.
 """
 
 from __future__ import annotations
@@ -32,9 +33,6 @@ from repro.errors import InvalidInstructionError
 from repro.isa.encoding import Instruction, decode
 from repro.isa.opcodes import CONDITIONAL_JUMPS, Op, OPCODES
 
-SEVERITY_ERROR = "error"
-SEVERITY_WARNING = "warning"
-
 
 @dataclass(frozen=True)
 class CfgError:
@@ -42,8 +40,6 @@ class CfgError:
 
     pc: int
     reason: str
-    message: str
-    severity: str = SEVERITY_ERROR
 
 
 @dataclass
@@ -87,7 +83,7 @@ class ControlFlowGraph:
 
     @property
     def ok(self) -> bool:
-        return not any(e.severity == SEVERITY_ERROR for e in self.errors)
+        return not self.errors
 
 
 def recover_cfg(image: ElfImage | bytes) -> ControlFlowGraph:
@@ -104,19 +100,13 @@ def recover_cfg(image: ElfImage | bytes) -> ControlFlowGraph:
     leaders: set[int] = set()
     vxcall_followups: list[int] = []
 
-    def add_error(pc: int, reason: str, message: str, soft: bool) -> None:
-        errors.append(CfgError(pc, reason, message,
-                               SEVERITY_WARNING if soft else SEVERITY_ERROR))
+    def walk(roots: list[int], found: list[CfgError]) -> None:
+        def valid_target(site: int, target: int) -> bool:
+            if not text_start <= target < text_end:
+                found.append(CfgError(site, "target-out-of-text"))
+                return False
+            return True
 
-    def valid_target(site: int, target: int, soft: bool, what: str) -> bool:
-        if not text_start <= target < text_end:
-            add_error(site, "target-out-of-text",
-                      f"{what} at 0x{site:x} targets 0x{target:x}, "
-                      f"outside text [0x{text_start:x}, 0x{text_end:x})", soft)
-            return False
-        return True
-
-    def walk(roots: list[int], soft: bool) -> None:
         worklist = list(roots)
         while worklist:
             pc = worklist.pop()
@@ -129,7 +119,7 @@ def recover_cfg(image: ElfImage | bytes) -> ControlFlowGraph:
                 reason = error.reason
                 if reason in ("past-end", "truncated"):
                     reason = "falls-off-text"
-                add_error(at, reason, str(error), soft)
+                found.append(CfgError(at, reason))
                 continue
             insns[pc] = insn      # (``code`` ends at text_end: no straddlers)
             next_pc = pc + insn.length
@@ -139,34 +129,32 @@ def recover_cfg(image: ElfImage | bytes) -> ControlFlowGraph:
                 pass
             elif insn.op is Op.VXCALL:
                 # EXIT/DONE never resume; the fall-through is walked in a
-                # separate lenient pass so junk after a final vxcall is a
-                # warning, not a rejection.
+                # separate lenient pass so junk after a final vxcall is not
+                # a rejection.
                 if next_pc < text_end:
                     vxcall_followups.append(next_pc)
             elif insn.op is Op.JMP:
                 target = next_pc + insn.imm
-                if valid_target(pc, target, soft, "jump"):
+                if valid_target(pc, target):
                     succs.append(target)
             elif insn.op in CONDITIONAL_JUMPS:
                 target = next_pc + insn.imm
-                if valid_target(pc, target, soft, "branch"):
+                if valid_target(pc, target):
                     succs.append(target)
                 if next_pc < text_end:
                     succs.append(next_pc)
                 else:
-                    add_error(pc, "falls-off-text",
-                              f"branch fall-through at 0x{pc:x} leaves text", soft)
+                    found.append(CfgError(pc, "falls-off-text"))
             elif insn.op is Op.CALL:
                 target = next_pc + insn.imm
-                if valid_target(pc, target, soft, "call"):
+                if valid_target(pc, target):
                     call_sites[pc] = target
                     worklist.append(target)
                     leaders.add(target)
                 if next_pc < text_end:
                     succs.append(next_pc)
                 else:
-                    add_error(pc, "falls-off-text",
-                              f"call return point at 0x{pc:x} leaves text", soft)
+                    found.append(CfgError(pc, "falls-off-text"))
             elif insn.op is Op.CALLR:
                 indirect_pcs.add(pc)
                 if next_pc < text_end:
@@ -176,52 +164,38 @@ def recover_cfg(image: ElfImage | bytes) -> ControlFlowGraph:
             elif next_pc < text_end:
                 succs.append(next_pc)
             else:
-                add_error(pc, "falls-off-text",
-                          f"code at 0x{pc:x} falls off the end of text", soft)
+                found.append(CfgError(pc, "falls-off-text"))
             edges[pc] = succs
             if info.is_terminator:
                 leaders.update(succs)
             worklist.extend(succs)
 
     if not text_start <= image.entry < text_end:
-        errors.append(CfgError(image.entry, "entry-out-of-text",
-                               f"entry point 0x{image.entry:x} is outside the "
-                               f"executable region"))
+        errors.append(CfgError(image.entry, "entry-out-of-text"))
     else:
-        walk([image.entry], soft=False)
+        walk([image.entry], errors)
         while vxcall_followups:
             pending = [pc for pc in vxcall_followups if pc not in insns]
             vxcall_followups = []
             for pc in pending:
                 leaders.add(pc)
-                walk([pc], soft=True)
+                walk([pc], [])        # lenient: its defects are dropped
     leaders.add(image.entry)
 
     # Overlap / mid-instruction detection: every decoded start must not fall
     # inside the byte span of another decoded instruction.
-    interior: dict[int, int] = {}
-    for pc, insn in insns.items():
-        for inner in range(pc + 1, pc + insn.length):
-            interior[inner] = pc
+    interior = {inner for pc, insn in insns.items()
+                for inner in range(pc + 1, pc + insn.length)}
     for pc in insns:
         if pc in interior:
-            errors.append(CfgError(
-                pc, "mid-instruction-target",
-                f"instruction at 0x{pc:x} starts inside the instruction at "
-                f"0x{interior[pc]:x} (overlapping decodings)"))
+            errors.append(CfgError(pc, "mid-instruction-target"))
     for site, succs in edges.items():
         for target in succs:
             if target not in insns and target in interior:
-                errors.append(CfgError(
-                    site, "mid-instruction-target",
-                    f"branch at 0x{site:x} targets 0x{target:x}, the middle "
-                    f"of the instruction at 0x{interior[target]:x}"))
+                errors.append(CfgError(site, "mid-instruction-target"))
     for site, target in call_sites.items():
         if target not in insns and target in interior:
-            errors.append(CfgError(
-                site, "mid-instruction-target",
-                f"call at 0x{site:x} targets 0x{target:x}, the middle of the "
-                f"instruction at 0x{interior[target]:x}"))
+            errors.append(CfgError(site, "mid-instruction-target"))
 
     blocks = _partition(insns, edges, call_sites, indirect_pcs, leaders)
     call_targets = set(call_sites.values())

@@ -135,7 +135,7 @@ def _verify_parsed(image: ElfImage, digest: str) -> AnalysisReport:
     # Imported here, not at the top: a process whose reports all come from the
     # store (repro.vm.store) builds AnalysisReports and never runs an engine.
     from repro.analysis.absint import analyze
-    from repro.analysis.cfg import SEVERITY_ERROR, recover_cfg
+    from repro.analysis.cfg import recover_cfg
 
     cfg = recover_cfg(image)
     result = analyze(cfg)
@@ -146,7 +146,7 @@ def _verify_parsed(image: ElfImage, digest: str) -> AnalysisReport:
 
     sites = _classify_sites(cfg, result, min_size, stack_ok)
     sites.extend(SiteVerdict(e.pc, "code", VERDICT_UNSAFE, e.reason)
-                 for e in cfg.errors if e.severity == SEVERITY_ERROR)
+                 for e in cfg.errors)
     sites.sort(key=lambda s: (s.pc, s.kind))
     counts = {VERDICT_PROVED: 0, VERDICT_GUARD: 0, VERDICT_UNSAFE: 0}
     for site in sites:

@@ -10,9 +10,12 @@ and decoder VM lifecycle is owned by a single
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import pathlib
+import shutil
+import tempfile
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
@@ -78,10 +81,6 @@ class ExtractionRecord:
     def as_dict(self) -> dict:
         return dict(vars(self), path=str(self.path))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExtractionRecord":
-        return cls(**dict(data, path=pathlib.Path(data["path"])))
-
 
 @dataclass
 class MemberFailure:
@@ -113,14 +112,6 @@ class MemberFailure:
 
     def as_dict(self) -> dict:
         return dict(vars(self))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MemberFailure":
-        return cls(**{key: data.get(key) for key in
-                      ("name", "error_type", "message", "offset",
-                       "instructions", "worker")},
-                   attempts=data.get("attempts", 1),
-                   quarantined=bool(data.get("quarantined", False)))
 
 
 class ExtractionReport(list):
@@ -635,32 +626,37 @@ class Archive:
                     names, mode=MODE_VXA, force_decode=True)
                 if item.decoder_offset is not None]
 
-    def worker_source(self) -> dict:
-        """How a worker process/thread should reopen this archive.
+    @contextlib.contextmanager
+    def worker_path(self) -> Iterator[str]:
+        """A path a pool worker reopens this archive by, for the ``with`` block.
 
-        Returns ``{"path": str}`` when the archive is backed by a named
-        file (workers open it independently -- concurrent seeks on one
-        shared file object would corrupt each other), else ``{"data":
-        bytes}`` with the full archive contents.  A path is only trusted
-        while it still names the very file this reader holds open (after
-        an atomic-rename update the handle and the path are different
+        Each shard opens the archive on its own -- concurrent seeks on one
+        shared file object would corrupt each other.  The archive's own path
+        serves while it still names the very file this reader holds open
+        (after an atomic-rename update the handle and the path are different
         archives, and workers reopening by name would diverge from the
-        serial path); otherwise the bytes are shipped.
+        serial path).  Otherwise the open handle is copied, from offset 0, to
+        a temporary spool that is unlinked on exit; a worker still holding it
+        open keeps a valid handle (POSIX).  The copy streams in bounded
+        chunks: the archive is never held in memory as a whole.
         """
         for candidate in (self._source_path, getattr(self._file, "name", None)):
-            if candidate is not None and isinstance(candidate, (str, pathlib.Path)):
-                if self._path_matches_handle(pathlib.Path(candidate)):
-                    return {"path": str(candidate)}
-        file = self._file
-        if isinstance(file, io.BytesIO):
-            return {"data": file.getvalue()}
-        position = file.tell()
+            if (isinstance(candidate, (str, pathlib.Path))
+                    and self._path_matches_handle(pathlib.Path(candidate))):
+                yield str(candidate)
+                return
+        handle, spool = tempfile.mkstemp(prefix="vxa-archive-", suffix=".zip")
         try:
-            file.seek(0)
-            data = file.read()
+            with os.fdopen(handle, "wb") as sink:
+                position = self._file.tell()
+                try:
+                    self._file.seek(0)
+                    shutil.copyfileobj(self._file, sink)
+                finally:
+                    self._file.seek(position)
+            yield spool
         finally:
-            file.seek(position)
-        return {"data": data}
+            os.unlink(spool)
 
     def _path_matches_handle(self, path: pathlib.Path) -> bool:
         """Does ``path`` still name the file this archive holds open?"""

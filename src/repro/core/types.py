@@ -83,13 +83,8 @@ class SessionStats:
             setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def as_dict(self) -> dict:
-        """Counters as a plain dict (JSON transport across worker processes)."""
+        """Counters as a plain dict (the vxserve wire)."""
         return {name: getattr(self, name) for name in _COUNTER_PHRASES}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SessionStats":
-        return cls(**{name: data[name] for name in _COUNTER_PHRASES
-                      if name in data})
 
 
 _COUNTER_PHRASES = {counter.name: counter.metadata["phrase"]

@@ -11,10 +11,11 @@ decision), its shard runner, and how to absorb a shard's result.  The driver
 2. runs the shards on a :class:`~repro.parallel.pool.WorkerPool` (an
    ephemeral one for facade calls; ``vxserve`` passes its own long-lived
    pool), each shard on an archive and session of its own,
-3. hands each result to the caller, which merges deterministically:
-   extraction records return in the caller's requested order, check
-   failures in archive order, and every worker session's counters are
-   summed.
+3. hands each shard's result -- the very report objects the serial path
+   built in the worker -- to the caller, which merges them
+   deterministically: extraction records return in the caller's requested
+   order, check failures in archive order, and every worker session's
+   counters are summed.
 
 Output equality with the serial path is structural, not incidental: each
 worker executes the *serial* extraction/check code over its shard, and that
@@ -37,47 +38,22 @@ only it crashes again.
 from __future__ import annotations
 
 import contextlib
-import os
-import tempfile
 
-from repro.core.types import IntegrityReport, SessionStats
+from repro.core.types import IntegrityReport
 from repro.parallel.pool import WorkerPool
 from repro.parallel.scheduler import Scheduler
 from repro.parallel.worker import run_check_shard, run_extract_shard
-
-
-@contextlib.contextmanager
-def _shippable_source(archive):
-    """The archive's worker source, spooled to a temp file if data-backed.
-
-    Every shard payload references the same source, and process-mode
-    payloads are pickled independently -- shipping a big archive's raw
-    bytes once per shard would copy it ``jobs`` times over the IPC pipe.
-    A temp file is written once and passed by path instead; workers that
-    still hold it open when it is unlinked keep a valid handle (POSIX).
-    """
-    source = archive.worker_source()
-    if "path" in source:
-        yield source
-        return
-    handle, spooled = tempfile.mkstemp(prefix="vxa-archive-", suffix=".zip")
-    try:
-        with os.fdopen(handle, "wb") as sink:
-            sink.write(source["data"])
-        yield {"path": spooled}
-    finally:
-        os.unlink(spooled)
 
 
 def _run_sharded(archive, plan, jobs, pool, runner, base, *, absorb,
                  exhausted, recover=True) -> bool:
     """The one sharded driver; both parallel entry points call it.
 
-    It shards ``plan``, spools the source, builds every payload from
-    ``base``, runs the shards on ``pool`` (or an ephemeral pool) and hands
-    each shard's result to ``absorb``.  Returns False, having run nothing,
-    when the plan makes at most one shard: the caller's serial path is then
-    the whole job.
+    It shards ``plan``, takes the path workers reopen the archive by
+    (:meth:`Archive.worker_path`), builds every payload from ``base``, runs
+    the shards on ``pool`` (or an ephemeral pool) and hands each shard's
+    result to ``absorb``.  Returns False, having run nothing, when the plan
+    makes at most one shard: the caller's serial path is then the whole job.
 
     Crash recovery (see the module docstring): each member of a crashed shard
     is charged one attempt and re-run alone as a shard of its own, until it
@@ -104,7 +80,7 @@ def _run_sharded(archive, plan, jobs, pool, runner, base, *, absorb,
             absorb(outcome.result)
 
     with contextlib.ExitStack() as stack:
-        base = dict(base, source=stack.enter_context(_shippable_source(archive)),
+        base = dict(base, source={"path": stack.enter_context(archive.worker_path())},
                     options=archive.options)
         payloads = [dict(base, names=shard.names, worker=shard.worker)
                     for shard in shards]
@@ -140,10 +116,10 @@ def parallel_extract_into(archive, directory, names, jobs, *,
     failures: list[MemberFailure] = []
 
     def absorb(result):
-        archive.session.stats.merge(SessionStats.from_dict(result["stats"]))
-        for record in result["records"]:
-            by_name[record["name"]] = ExtractionRecord.from_dict(record)
-        failures.extend(map(MemberFailure.from_dict, result["failures"]))
+        report, stats = result
+        archive.session.stats.merge(stats)
+        by_name.update((record.name, record) for record in report)
+        failures.extend(report.failures)
 
     def exhausted(name, attempts):
         failures.append(MemberFailure(
@@ -178,12 +154,12 @@ def parallel_check(archive, jobs, *, reuse=None, names=None, pool=None):
     report = IntegrityReport()
     failures: list[tuple[int, str]] = []
 
-    def absorb(result):
-        report.checked += result["checked"]
-        report.passed += result["passed"]
-        for failure in result["failures"]:
-            failures.append((_failure_order(failure, order), failure))
-        report.merge(SessionStats.from_dict(result))
+    def absorb(shard):
+        report.checked += shard.checked
+        report.passed += shard.passed
+        failures.extend((_failure_order(failure, order), failure)
+                        for failure in shard.failures)
+        report.merge(shard)
 
     def exhausted(name, attempts):
         report.checked += 1

@@ -79,7 +79,8 @@ def resolve_executor(kind: str, jobs: int, *, total_cost: int | None = None,
 class WorkOutcome:
     """What happened to one payload submitted through :meth:`WorkerPool.run_all`.
 
-    Exactly one of ``result``/``error`` is populated.  ``crashed`` marks the
+    Exactly one of ``result`` (what the runner returned: a shard runner's
+    report objects) and ``error`` is populated.  ``crashed`` marks the
     worker-death flavour of failure (a dead process pool worker, or a
     simulated :class:`~repro.errors.WorkerCrashed` in thread mode): the
     payload's work was lost wholesale, not rejected, and the engine's crash
@@ -87,7 +88,7 @@ class WorkOutcome:
     """
 
     payload: dict
-    result: dict | None = None
+    result: object = None
     error: BaseException | None = None
     crashed: bool = False
 

@@ -15,8 +15,9 @@ every archive and every thread-pool worker that meets the same image.
 Crash retries need nothing extra: every shard starts on a pristine session
 and pristine VMs by construction.
 
-The shard runners return plain dicts of primitives -- they must cross a
-pickle boundary in process mode and a JSON boundary in ``vxserve``.
+The shard runners return the report objects the serial path built; they
+pickle across the process boundary unchanged, and the engine merges them
+as they are.  ``vxserve`` encodes only the merged report, never a shard's.
 """
 
 from __future__ import annotations
@@ -80,11 +81,11 @@ def shutdown_worker() -> None:
     """
 
 
-def run_extract_shard(payload: dict) -> dict:
-    """Extract one shard's members; returns records plus session counters.
+def run_extract_shard(payload: dict):
+    """Extract one shard's members; returns ``(ExtractionReport, SessionStats)``.
 
-    Payload keys: ``source`` (``{"path": ...}``: the engine spools an
-    in-memory archive to a temporary file first),
+    Payload keys: ``source`` (``{"path": ...}``, from
+    :meth:`~repro.api.archive.Archive.worker_path`),
     ``options`` (:class:`~repro.api.options.ReadOptions`), ``names`` (the
     shard's members, already in the scheduler's cache-friendly order),
     ``directory``, ``mode``, ``force_decode``; plus the containment
@@ -98,18 +99,13 @@ def run_extract_shard(payload: dict) -> dict:
             force_decode=payload.get("force_decode"),
             jobs=1,
         )
-        stats = archive.session.stats.as_dict()
-    worker = payload.get("worker")
-    return {
-        "records": [record.as_dict() for record in report],
-        "failures": [dict(failure.as_dict(), worker=worker)
-                     for failure in report.failures],
-        "stats": stats,
-    }
+    for failure in report.failures:
+        failure.worker = payload.get("worker")
+    return report, archive.session.stats
 
 
-def run_check_shard(payload: dict) -> dict:
-    """Check one shard's members; returns verdicts plus session counters.
+def run_check_shard(payload: dict):
+    """Check one shard's members; returns its :class:`IntegrityReport`.
 
     The worker's :meth:`Archive.check` runs over the shard's names in the
     scheduler's order with a dedicated session, exactly as the serial check
@@ -119,14 +115,8 @@ def run_check_shard(payload: dict) -> dict:
 
     with _shard_archive(payload) as archive:
         reuse = payload.get("reuse")
-        report = archive.check(
+        return archive.check(
             reuse=VmReusePolicy(reuse) if reuse is not None else None,
             names=payload["names"],
             jobs=1,
         )
-    return {
-        "checked": report.checked,
-        "passed": report.passed,
-        "failures": list(report.failures),
-        **report.as_dict(),
-    }

@@ -38,7 +38,6 @@ from repro.zipformat.structures import (
     unpack_central_header,
     unpack_local_header,
 )
-from repro.zipformat.writer import deflate_decompress
 
 #: Refuse to inflate members that claim more than this (zip-bomb guard).
 MAX_MEMBER_SIZE = 1 << 31
@@ -309,7 +308,7 @@ class ZipReader:
         )
         size = entry.compressed_size or local_entry.compressed_size
         if data_offset + size > self._source.size:
-            raise ZipFormatError(f"member {entry.name!r} extends past end of archive")
+            raise ZipFormatError(f"{entry.label} extends past end of archive")
         return data_offset, size
 
     def read_stored_bytes(self, entry: ZipEntry) -> bytes:
@@ -323,7 +322,7 @@ class ZipReader:
         data_offset, size = self._stored_extent(entry)
         yield from self._source.iter_at(data_offset, size, chunk_size)
 
-    def iter_member_chunks(self, entry: ZipEntry, *, verify_crc: bool = True,
+    def iter_member_chunks(self, entry: ZipEntry, *,
                            chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[bytes]:
         """Decompress a traditionally-stored member as a stream of chunks.
 
@@ -331,12 +330,12 @@ class ZipReader:
         archived decoder (raise, so callers fall back to the VXA path).
         """
         if entry.uncompressed_size > MAX_MEMBER_SIZE:
-            raise ZipFormatError(f"member {entry.name!r} is implausibly large")
+            raise ZipFormatError(f"{entry.label} is implausibly large")
         if entry.method == METHOD_STORE:
             data_offset, size = self._stored_extent(entry)
             if size != entry.uncompressed_size:
                 raise ZipFormatError(
-                    f"stored member {entry.name!r} holds {size} bytes, "
+                    f"stored {entry.label} holds {size} bytes, "
                     f"its directory entry says {entry.uncompressed_size}"
                 )
             plain = self._source.iter_at(data_offset, size, chunk_size)
@@ -344,20 +343,19 @@ class ZipReader:
             plain = self._iter_inflated_chunks(entry, chunk_size)
         elif entry.method == METHOD_VXA:
             raise ZipFormatError(
-                f"member {entry.name!r} uses the VXA method; extract it through "
+                f"{entry.label} uses the VXA method; extract it through "
                 "the archive reader so the attached decoder can run"
             )
         else:
             raise ZipFormatError(
-                f"member {entry.name!r} uses unsupported method {entry.method}"
+                f"{entry.label} uses unsupported method {entry.method}"
             )
         checksum = 0
         for chunk in plain:
-            if verify_crc:
-                checksum = crc32(chunk, checksum)
+            checksum = crc32(chunk, checksum)
             yield chunk
-        if verify_crc and checksum != entry.crc32:
-            raise ZipFormatError(f"CRC mismatch for member {entry.name!r}")
+        if checksum != entry.crc32:
+            raise ZipFormatError(f"CRC mismatch for {entry.label}")
 
     def _iter_inflated_chunks(self, entry: ZipEntry,
                               chunk_size: int) -> Iterator[bytes]:
@@ -396,35 +394,24 @@ class ZipReader:
                 f"expected {entry.uncompressed_size}"
             )
 
-    def read_member(self, entry: ZipEntry, *, verify_crc: bool = True) -> bytes:
+    def read_member(self, entry: ZipEntry) -> bytes:
         """Decompress a member stored with a traditional ZIP method."""
-        return b"".join(self.iter_member_chunks(entry, verify_crc=verify_crc))
+        return b"".join(self.iter_member_chunks(entry))
 
-    def read_member_at(self, offset: int, *, verify_crc: bool = True) -> tuple[ZipEntry, bytes]:
-        """Read a member (typically a decoder pseudo-file) by local-header offset."""
+    def read_member_at(self, offset: int) -> tuple[ZipEntry, bytes]:
+        """Read a member (typically a decoder pseudo-file) by local-header offset.
+
+        The header alone must place it inside the archive and declare no more
+        than a decoder image can be; the payload then streams through
+        :meth:`iter_member_chunks` like any member's.
+        """
         entry, data_offset = read_local_header(self._source.read_at, offset)
         if data_offset + entry.compressed_size > self._source.size:
             raise ZipFormatError("pseudo-file extends past end of archive")
         if max(entry.compressed_size, entry.uncompressed_size) > MAX_PSEUDO_FILE_SIZE:
             raise ZipFormatError(f"pseudo-file at offset {offset} is larger than any "
                                  f"decoder image ({entry.uncompressed_size} bytes)")
-        stored = self._source.read_at(data_offset, entry.compressed_size)
-        if entry.method == METHOD_STORE:
-            if len(stored) != entry.uncompressed_size:
-                raise ZipFormatError(
-                    f"stored pseudo-file at offset {offset} holds {len(stored)} "
-                    f"bytes, its header says {entry.uncompressed_size}"
-                )
-            data = stored
-        elif entry.method == METHOD_DEFLATE:
-            data = deflate_decompress(stored, entry.uncompressed_size)
-        else:
-            raise ZipFormatError(
-                f"pseudo-file at offset {offset} uses unsupported method {entry.method}"
-            )
-        if verify_crc and crc32(data) != entry.crc32:
-            raise ZipFormatError(f"CRC mismatch for pseudo-file at offset {offset}")
-        return entry, data
+        return entry, self.read_member(entry)
 
     def read_extent(self, offset: int, size: int) -> bytes:
         """Read raw archive bytes (for digest-table verification and repair)."""

@@ -67,6 +67,12 @@ class ZipEntry:
     flags: int = 0
     in_central_directory: bool = True
 
+    @property
+    def label(self) -> str:
+        """How errors name it: a member by name, a pseudo-file by offset."""
+        return (f"member {self.name!r}" if self.name
+                else f"pseudo-file at offset {self.local_header_offset}")
+
     def version_needed(self) -> int:
         if self.method == METHOD_VXA:
             return VERSION_VXA

@@ -37,29 +37,6 @@ def deflate_compress(data: bytes, level: int = 9) -> bytes:
     return compressor.compress(data) + compressor.flush()
 
 
-def deflate_decompress(data: bytes, expected_size: int) -> bytes:
-    """Raw DEFLATE decompression, held to ``expected_size``.
-
-    Inflation stops one byte past the expected size: a stream that declares
-    a few bytes and holds megabytes costs what it declares, not what it holds.
-    """
-    decompressor = zlib.decompressobj(-15)
-    try:
-        output = decompressor.decompress(data, expected_size + 1)
-        # ``flush`` inflates whatever input is left, unbounded: only when none is.
-        if not decompressor.unconsumed_tail:
-            output += decompressor.flush()
-    except zlib.error as error:
-        raise ZipFormatError(f"corrupt deflate member: {error}") from None
-    if len(output) != expected_size:
-        found = (f"more than {expected_size}" if len(output) > expected_size
-                 else len(output))
-        raise ZipFormatError(
-            f"deflate member decompressed to {found} bytes, expected {expected_size}"
-        )
-    return output
-
-
 class ZipWriter:
     """Builds a ZIP archive, either in memory or onto a caller-supplied sink.
 

@@ -10,9 +10,11 @@ their wall-clock deadline on both engines and both executors.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import pathlib
 import pickle
+import shutil
 import time
 
 import pytest
@@ -276,6 +278,35 @@ def test_process_salvage(archive_bytes, clean_outputs, tmp_path, engine,
         report = archive.extract_into(tmp_path / "out")
     assert {failure.name for failure in report.failures} == set(_INJECTED)
     _assert_survivors_identical(report, tmp_path / "out", clean_outputs)
+
+
+def test_the_process_pool_boundary_is_transparent(archive_bytes, tmp_path):
+    """A process-pool extraction hands back what the serial one builds: every
+    field of every record, every field of every failure but the shard worker
+    id, the decode count, and the check's verdicts."""
+    runs, workers = [], []
+    out = tmp_path / "out"
+    for jobs, executor in ((1, "thread"), (2, "process")):
+        options = vxa.ReadOptions(mode=vxa.MODE_VXA,
+                                  on_error=vxa.ON_ERROR_QUARANTINE,
+                                  jobs=jobs, executor=executor,
+                                  fault_plan=_fault_plan())
+        with vxa.open(io.BytesIO(archive_bytes), options) as archive:
+            report = archive.extract_into(out)
+            decodes = archive.session.stats.decodes
+            check = archive.check()
+        shutil.rmtree(out)
+        workers.append({failure.worker for failure in report.failures})
+        runs.append((list(report),
+                     [dataclasses.replace(failure, worker=None)
+                      for failure in report.failures],
+                     decodes,
+                     (check.checked, check.passed, check.failures)))
+    serial, pooled = runs
+    assert workers[0] == {None} and None not in workers[1]   # it did shard
+    assert len(serial[0]) == MEMBERS - len(_INJECTED)
+    assert len(serial[1]) == len(_INJECTED)
+    assert pooled == serial
 
 
 # -- worker crash recovery ---------------------------------------------------------

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import pathlib
 import sys
+import tempfile
 import threading
+import tracemalloc
 
 import pytest
 
@@ -350,18 +352,45 @@ def test_concurrent_translation_shares_memo_safely(echo_decoder_image):
 # -- facade/CLI integration ----------------------------------------------------
 
 
-def test_worker_source_detects_replaced_file(tmp_path, archive_path):
+def test_worker_path_detects_replaced_file(tmp_path, archive_path):
     """After an atomic-rename replacement, workers must not reopen the path."""
     copy = tmp_path / "copy.zip"
     copy.write_bytes(archive_path.read_bytes())
     with vxa.open(copy, _options()) as archive:
-        assert archive.worker_source() == {"path": str(copy)}
+        with archive.worker_path() as path:
+            assert path == str(copy)
         replacement = tmp_path / "other.zip"
         replacement.write_bytes(b"PK\x05\x06" + bytes(18))  # empty zip
         replacement.replace(copy)
-        source = archive.worker_source()
-        assert "data" in source, "stale path handed to workers"
-        assert source["data"] == archive_path.read_bytes()  # the open handle
+        with archive.worker_path() as path:
+            assert path != str(copy), "stale path handed to workers"
+            # The spool holds the open handle's archive, not the replacement.
+            assert pathlib.Path(path).read_bytes() == archive_path.read_bytes()
+        assert not pathlib.Path(path).exists()
+
+
+def test_worker_path_spools_an_unnamed_file_in_bounded_memory():
+    """An archive on an unnamed temporary file, 8 MiB stored member and all,
+    reaches the workers through a spool copied in bounded chunks: its peak
+    allocation stays under 1 MiB, the handle's position is kept, and the
+    spool is gone when the block exits."""
+    with tempfile.TemporaryFile() as file:
+        with vxa.create(file) as builder:
+            builder.add("big.bin", bytes(8 << 20), store_raw=True)
+        with vxa.open(file, _options()) as archive:
+            position = file.tell()
+            tracemalloc.start()
+            try:
+                with archive.worker_path() as path:
+                    peak = tracemalloc.get_traced_memory()[1]
+                    spool = pathlib.Path(path)
+                    assert file.tell() == position
+                    file.seek(0)
+                    assert spool.read_bytes() == file.read()
+            finally:
+                tracemalloc.stop()
+    assert peak < 1 << 20
+    assert not spool.exists()
 
 
 def test_single_decoder_archive_parallelises(tmp_path, archive_path,
