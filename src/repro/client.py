@@ -30,8 +30,7 @@ The ``vxquery`` console script wraps the client for shells and cron jobs::
 
     vxquery --socket /run/vxserve.sock ping
     vxquery --socket /run/vxserve.sock extract backup.zip out/ --jobs 4
-    vxquery --socket /run/vxserve.sock --client ci --priority batch \\
-        check backup.zip
+    vxquery --socket /run/vxserve.sock --client ci check backup.zip
 
 This module deliberately imports no server code -- the wire protocol
 (JSON lines + ``error_code`` strings) is the only contract.
@@ -101,7 +100,6 @@ class VxServeClient:
         socket_path: the server's ``--socket`` path.
         client_id: value for each request's ``client`` field (per-client
             quotas and stats key off it).
-        priority: default request priority (``interactive``/``batch``).
         timeout: per-request wall-clock budget, connection setup included.
         retries: additional attempts after the first (``0`` = single shot).
         base_delay / max_delay: full-jitter backoff schedule bounds.
@@ -115,7 +113,6 @@ class VxServeClient:
     """
 
     def __init__(self, socket_path: str, *, client_id: str | None = None,
-                 priority: str | None = None,
                  timeout: float = DEFAULT_TIMEOUT,
                  retries: int = DEFAULT_RETRIES,
                  base_delay: float = DEFAULT_BASE_DELAY,
@@ -127,7 +124,6 @@ class VxServeClient:
             raise ValueError("delays must be non-negative")
         self.socket_path = str(socket_path)
         self.client_id = client_id
-        self.priority = priority
         self.timeout = timeout
         self.retries = retries
         self.base_delay = base_delay
@@ -222,8 +218,6 @@ class VxServeClient:
         request = {"id": next(self._ids), "op": op}
         if self.client_id is not None:
             request.setdefault("client", self.client_id)
-        if self.priority is not None:
-            request.setdefault("priority", self.priority)
         for name, value in fields.items():
             if value is not None:
                 request[name] = value
@@ -324,14 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="retry attempts after the first (0 = one shot)")
     parser.add_argument("--client", default=None,
                         help="client id for quotas and per-client stats")
-    parser.add_argument("--priority", default=None,
-                        choices=("interactive", "batch"),
-                        help="request priority (batch yields under load)")
     commands = parser.add_subparsers(dest="command", required=True)
 
     commands.add_parser("ping", help="liveness round trip")
-    commands.add_parser("health", help="pool/queue/breaker health snapshot")
-    commands.add_parser("stats", help="gauges + monotonic counters")
+    commands.add_parser("health",
+                        help="configuration and gauges: pool, gate, breakers")
+    commands.add_parser("stats", help="monotonic counters")
     commands.add_parser("drain", help="refuse new work, wait for in-flight")
     commands.add_parser("shutdown", help="drain, then stop the service")
 
@@ -370,8 +362,7 @@ def _split_members(value: str | None) -> list[str] | None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     client = VxServeClient(args.socket, client_id=args.client,
-                           priority=args.priority, timeout=args.timeout,
-                           retries=args.retries)
+                           timeout=args.timeout, retries=args.retries)
     try:
         with client:
             if args.command == "list":

@@ -3,7 +3,7 @@
 The containment layer (per-member salvage, worker crash recovery, member
 deadlines) is only trustworthy if its failure paths are *provoked on
 purpose* and asserted against.  This package provides a seeded, frozen,
-serialisable :class:`FaultPlan` that the read path consults at well-defined
+picklable :class:`FaultPlan` that the read path consults at well-defined
 hook points, behind ``ReadOptions.fault_plan``:
 
 * ``corrupt-payload`` -- flip one deterministic byte of a member's encoded
@@ -98,20 +98,10 @@ class FaultSpec:
         if self.delay < 0:
             raise ValueError("delay must be non-negative")
 
-    def as_dict(self) -> dict:
-        return {"member": self.member, "kind": self.kind, "at": self.at,
-                "times": self.times, "delay": self.delay}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSpec":
-        return cls(member=data["member"], kind=data["kind"],
-                   at=data.get("at", 0), times=data.get("times"),
-                   delay=data.get("delay", 0.0))
-
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A seeded, serialisable set of :class:`FaultSpec` injections.
+    """A seeded, picklable set of :class:`FaultSpec` injections.
 
     Frozen so it can ride inside a frozen ``ReadOptions`` and cross the
     process-pool pickle boundary.  All mutable firing state lives in the
@@ -128,19 +118,6 @@ class FaultPlan:
         for spec in self.specs:
             if not isinstance(spec, FaultSpec):
                 raise TypeError("specs must be FaultSpec instances")
-
-    # -- serialisation -----------------------------------------------------
-
-    def as_dict(self) -> dict:
-        return {"seed": self.seed, "ledger": self.ledger,
-                "specs": [spec.as_dict() for spec in self.specs]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        return cls(specs=tuple(FaultSpec.from_dict(item)
-                               for item in data.get("specs", ())),
-                   seed=data.get("seed", 0),
-                   ledger=data.get("ledger"))
 
     # -- firing bookkeeping ------------------------------------------------
 

@@ -6,14 +6,12 @@ discipline that keep their own state:
 
 * :class:`AdmissionGate` -- a bounded concurrency gate.  At most
   ``max_inflight`` archive-work requests execute at once; up to
-  ``queue_depth`` more wait briefly (``queue_timeout``) for a slot, and
-  everything beyond that is *shed* with a structured
+  ``queue_depth`` more wait briefly (``queue_timeout``) for a slot, first
+  come first served, and everything beyond that is *shed* with a structured
   :class:`OverloadedError` carrying a ``retry_after_seconds`` hint derived
-  from the measured mean request duration and the current backlog.  Two
-  request priorities exist: ``interactive`` requests are granted queued
-  slots first, and under pressure (a full queue) an arriving interactive
-  request evicts the newest queued ``batch`` waiter rather than being shed
-  itself -- batch work yields, it is never wedged ahead of a person.
+  from the measured mean request duration and the current backlog.  There
+  is one class of request: a slot freed while requests wait is handed
+  straight to the oldest of them, so no later arrival can take it first.
 
 * :class:`CircuitBreaker` -- the state machine of one archive's breaker:
   repeated request failures open it; while open, requests for that archive
@@ -41,14 +39,9 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 
 from repro.errors import VxaError
-
-PRIORITY_INTERACTIVE = "interactive"
-PRIORITY_BATCH = "batch"
-PRIORITIES = (PRIORITY_INTERACTIVE, PRIORITY_BATCH)
-
-_RANK = {PRIORITY_INTERACTIVE: 0, PRIORITY_BATCH: 1}
 
 #: Clients that send no ``client`` id share one quota bucket.
 ANONYMOUS_CLIENT = "anonymous"
@@ -128,22 +121,16 @@ class FaultPlanRefusedError(ServiceRejection):
 # --------------------------------------------------------------------------
 
 class _Waiter:
-    """One queued request waiting for an execution slot."""
+    """One queued request; :meth:`AdmissionGate.release` hands it a slot."""
 
-    WAITING = "waiting"
-    ADMITTED = "admitted"
-    SHED = "shed"
+    __slots__ = ("admitted",)
 
-    __slots__ = ("rank", "seq", "state")
-
-    def __init__(self, rank: int, seq: int):
-        self.rank = rank
-        self.seq = seq
-        self.state = _Waiter.WAITING
+    def __init__(self):
+        self.admitted = False
 
 
 class AdmissionGate:
-    """Bounded concurrency with a brief priority queue, then load shedding.
+    """Bounded concurrency with a brief FIFO queue, then load shedding.
 
     Args:
         max_inflight: concurrent execution slots (``None`` = unbounded --
@@ -154,6 +141,7 @@ class AdmissionGate:
         clock: monotonic time source (injectable for tests).
 
     Thread-safe; every public method may be called from any handler thread.
+    The slot count and the queue are touched only under the condition.
     """
 
     def __init__(self, max_inflight: int | None = None, queue_depth: int = 0,
@@ -170,140 +158,76 @@ class AdmissionGate:
         self._clock = clock
         self._condition = threading.Condition()
         self._inflight = 0
-        self._waiters: list[_Waiter] = []
-        self._seq = 0
+        self._waiters: deque[_Waiter] = deque()
         self._mean_duration = _DEFAULT_DURATION
         # Monotonic counters (scrape-friendly: they only ever increase).
         self.admitted = 0
         self.completed = 0
         self.queued = 0
         self.shed_total = 0
-        self.batch_evictions = 0
         self.peak_inflight = 0
         self.peak_queue = 0
 
-    # -- internals (condition held) ----------------------------------------
-
-    def _take_slot(self) -> None:
-        self._inflight += 1
-        self.admitted += 1
-        self.peak_inflight = max(self.peak_inflight, self._inflight)
-
-    def _blocked_by_waiter(self, rank: int) -> bool:
-        """Queue fairness: equal-or-higher-priority waiters go first."""
-        return any(waiter.rank <= rank for waiter in self._waiters)
-
-    def _grant(self) -> None:
-        """Promote queued waiters into freed slots, best priority first."""
-        promoted = False
-        while (self._waiters and self.max_inflight is not None
-               and self._inflight < self.max_inflight):
-            waiter = self._waiters.pop(0)
-            waiter.state = _Waiter.ADMITTED
-            self._take_slot()
-            promoted = True
-        if promoted:
-            self._condition.notify_all()
-
-    def _shed(self, reason: str) -> OverloadedError:
+    def _shed(self, reason: str, backlog: int) -> OverloadedError:
+        """Count one shed; its hint is the backlog over capacity, in
+        mean-request units (condition held)."""
         self.shed_total += 1
-        return OverloadedError(
-            reason, retry_after_seconds=self.retry_hint())
+        hint = self._mean_duration * (backlog + 1) / self.max_inflight
+        return OverloadedError(reason,
+                               retry_after_seconds=round(max(0.05, hint), 3))
 
-    # -- public API --------------------------------------------------------
-
-    def retry_hint(self) -> float:
-        """Suggested client backoff: backlog over capacity, in mean-request
-        units.  Called with or without the condition held (reads only)."""
-        backlog = self._inflight + len(self._waiters) + 1
-        capacity = self.max_inflight or max(1, self._inflight)
-        return round(max(0.05, self._mean_duration * backlog / capacity), 3)
-
-    def admit(self, priority: str = PRIORITY_INTERACTIVE) -> None:
+    def admit(self) -> None:
         """Take an execution slot, queueing briefly; sheds when saturated.
 
         Raises :class:`OverloadedError` (with a retry hint) when the gate
-        and its queue are full, when the queue wait times out, or when this
-        is a ``batch`` request evicted by an arriving ``interactive`` one.
+        and its queue are full, or when the queue wait times out.
         """
-        try:
-            rank = _RANK[priority]
-        except KeyError:
-            raise ValueError(
-                f"unknown priority {priority!r} (expected one of "
-                f"{', '.join(PRIORITIES)})") from None
         with self._condition:
-            if self.max_inflight is None:
-                self._take_slot()
-                return
-            if (self._inflight < self.max_inflight
-                    and not self._blocked_by_waiter(rank)):
-                self._take_slot()
+            if self.max_inflight is None or self._inflight < self.max_inflight:
+                self._inflight += 1
+                self.peak_inflight = max(self.peak_inflight, self._inflight)
+                self.admitted += 1
                 return
             if len(self._waiters) >= self.queue_depth:
-                if rank == _RANK[PRIORITY_BATCH]:
-                    raise self._shed(
-                        f"overloaded: {self._inflight} in flight, "
-                        f"{len(self._waiters)} queued (batch sheds first)")
-                # Interactive under pressure: the newest queued batch
-                # request yields its queue slot rather than this one shed.
-                victim = next((waiter for waiter in reversed(self._waiters)
-                               if waiter.rank == _RANK[PRIORITY_BATCH]), None)
-                if victim is None:
-                    raise self._shed(
-                        f"overloaded: {self._inflight} in flight, queue of "
-                        f"{self.queue_depth} full")
-                self._waiters.remove(victim)
-                victim.state = _Waiter.SHED
-                self.batch_evictions += 1
-                self._condition.notify_all()
-            waiter = _Waiter(rank, self._seq)
-            self._seq += 1
-            index = next((i for i, other in enumerate(self._waiters)
-                          if (rank, waiter.seq) < (other.rank, other.seq)),
-                         len(self._waiters))
-            self._waiters.insert(index, waiter)
+                raise self._shed(
+                    f"overloaded: {self._inflight} in flight, queue of "
+                    f"{self.queue_depth} full",
+                    self._inflight + len(self._waiters))
+            waiter = _Waiter()
+            self._waiters.append(waiter)
             self.queued += 1
             self.peak_queue = max(self.peak_queue, len(self._waiters))
             deadline = self._clock() + self.queue_timeout
-            self._grant()
-            while waiter.state == _Waiter.WAITING:
+            while not waiter.admitted:
                 remaining = deadline - self._clock()
                 if remaining <= 0:
-                    break
+                    self._waiters.remove(waiter)
+                    raise self._shed(
+                        f"overloaded: no execution slot freed within "
+                        f"{self.queue_timeout}s",
+                        self._inflight + len(self._waiters))
                 self._condition.wait(remaining)
-            if waiter.state == _Waiter.ADMITTED:
-                return
-            if waiter in self._waiters:
-                self._waiters.remove(waiter)
-            if waiter.state == _Waiter.SHED:
-                raise self._shed(
-                    "overloaded: batch request yielded its queue slot to "
-                    "interactive work")
-            raise self._shed(
-                f"overloaded: no execution slot freed within "
-                f"{self.queue_timeout}s")
+            self.admitted += 1
 
     def release(self, duration: float | None = None) -> None:
-        """Return a slot; ``duration`` feeds the retry-hint estimate."""
+        """Return a slot; ``duration`` feeds the retry-hint estimate.
+
+        With requests queued, the slot passes straight to the oldest of
+        them and is never free, so a later arrival cannot jump the queue.
+        """
         with self._condition:
-            self._inflight -= 1
             self.completed += 1
             if duration is not None and duration >= 0:
                 self._mean_duration += _DURATION_ALPHA * (
                     duration - self._mean_duration)
-            self._grant()
-            self._condition.notify_all()
-
-    @property
-    def inflight(self) -> int:
-        return self._inflight
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
+            if self._waiters:
+                self._waiters.popleft().admitted = True
+                self._condition.notify_all()
+            else:
+                self._inflight -= 1
 
     def snapshot(self) -> dict:
+        """Configuration and point-in-time gauges (``health``)."""
         with self._condition:
             return {
                 "max_inflight": self.max_inflight,
@@ -312,13 +236,18 @@ class AdmissionGate:
                 "inflight": self._inflight,
                 "queued_now": len(self._waiters),
                 "mean_request_seconds": round(self._mean_duration, 4),
+                "peak_inflight": self.peak_inflight,
+                "peak_queue": self.peak_queue,
+            }
+
+    def counters(self) -> dict:
+        """The monotonic counters (``stats``), read at one instant."""
+        with self._condition:
+            return {
                 "admitted_total": self.admitted,
                 "completed_total": self.completed,
                 "queued_total": self.queued,
-                "shed_total": self.shed_total,
-                "batch_evictions_total": self.batch_evictions,
-                "peak_inflight": self.peak_inflight,
-                "peak_queue": self.peak_queue,
+                "shed_overloaded_total": self.shed_total,
             }
 
 
@@ -419,9 +348,6 @@ __all__ = [
     "DrainingError",
     "FaultPlanRefusedError",
     "OverloadedError",
-    "PRIORITIES",
-    "PRIORITY_BATCH",
-    "PRIORITY_INTERACTIVE",
     "QuotaExceededError",
     "RequestTooLargeError",
     "ServiceRejection",

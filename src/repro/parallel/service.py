@@ -17,10 +17,10 @@ translated code lives in one fragment table, bounded by ``max_fragments``.
 The service is overload-safe.  Each unit of archive work is one row of the
 request table from the draining check to its response; one lock guards the
 table and the per-archive circuit breakers, and the per-client quota
-(``--client-quota``), ``health``, ``stats``, drain and the request watchdog
-all read those rows.  A request passes the quota, then the bounded
+(``--client-quota``), ``health``, drain and the request watchdog all read
+those rows.  A request passes the quota, then the bounded
 admission gate of :mod:`repro.parallel.admission` (``--max-inflight``/
-``--queue-depth``: a brief ``interactive``-first queue, then a structured
+``--queue-depth``: a brief first-come-first-served queue, then a structured
 ``overloaded`` shed with a ``retry_after_seconds`` hint), then its
 archive's breaker (``--breaker-threshold``/``--breaker-reset``).  Refusals
 are structured responses, never dropped connections, and run no guest work
@@ -34,7 +34,7 @@ One request object per line on stdin (or a unix socket connection with
     {"id": 2, "op": "list",    "archive": "backup.zip"}
     {"id": 3, "op": "extract", "archive": "backup.zip", "dest": "out",
      "members": ["a.txt"], "mode": "vxa", "jobs": 4,
-     "client": "ci-bot", "priority": "batch"}
+     "client": "ci-bot"}
     {"id": 4, "op": "check",   "archive": "backup.zip",
      "reuse": "reuse-same-attributes"}
     {"id": 5, "op": "health"}
@@ -48,8 +48,10 @@ failure; structured refusals additionally carry ``error_code`` (one of
 ``request_too_large``/``bad_json``/``fault_plan_refused``/
 ``archive_damaged``) and, where retrying makes sense, a
 ``retry_after_seconds`` hint that :class:`repro.client.VxServeClient`
-honours.  A malformed line yields an error response rather than killing the
-service.  Entry point: the ``vxserve`` console script (or ``python -m
+honours.  ``health`` reports configuration and point-in-time gauges,
+``stats`` the monotonic counters; no fact is reported under two keys.  A
+malformed line yields an error response rather than killing the service.
+Entry point: the ``vxserve`` console script (or ``python -m
 repro.parallel.service``); the matching retrying client is the ``vxquery``
 console script (:mod:`repro.client`).
 """
@@ -86,11 +88,8 @@ from repro.parallel.admission import (
     CircuitBreaker,
     DrainingError,
     FaultPlanRefusedError,
-    PRIORITIES,
-    PRIORITY_INTERACTIVE,
     QuotaExceededError,
     RequestTooLargeError,
-    STATE_CLOSED,
     ServiceRejection,
 )
 from repro.parallel.engine import parallel_check, parallel_extract_into
@@ -245,11 +244,6 @@ class BatchService:
             if op is None or handler is None:
                 raise ValueError(f"unknown op {op!r}")
             if op not in _CONTROL_OPS:
-                priority = request.get("priority") or PRIORITY_INTERACTIVE
-                if priority not in PRIORITIES:
-                    raise ValueError(
-                        f"unknown priority {priority!r} (expected one of "
-                        f"{', '.join(PRIORITIES)})")
                 if request.get("fault_plan") is not None:
                     # Faults are for the process that owns the service:
                     # installed on its default ReadOptions, never sent.
@@ -257,7 +251,7 @@ class BatchService:
                         "fault plans are not accepted over the wire")
                 row = self._register(
                     op, str(request.get("client") or ANONYMOUS_CLIENT))
-                self._admit(row, priority, request.get("archive"))
+                self._admit(row, request.get("archive"))
             response["ok"] = True
             response["result"] = handler(request)
             if row is not None:
@@ -313,14 +307,13 @@ class BatchService:
             self._requests.append(row)
         return row
 
-    def _admit(self, row: _Request, priority: str,
-               archive: str | None) -> None:
+    def _admit(self, row: _Request, archive: str | None) -> None:
         """Take a gate slot, then pass the archive's breaker.
 
         A breaker refusal gives the slot back unmeasured; every other exit
         is undone by :meth:`_retire`.
         """
-        self.gate.admit(priority)
+        self.gate.admit()
         try:
             if (row.op in _BREAKER_OPS and self.breaker_threshold
                     and archive is not None):
@@ -407,42 +400,35 @@ class BatchService:
                 "uptime_seconds": time.monotonic() - self.started}
 
     def _op_health(self, request: dict) -> dict:
-        """Liveness + load in one scrape: pool, gate, quotas, breakers.
+        """Configuration and point-in-time gauges: pool, gate, quotas, breakers.
 
         A control op on purpose -- it must answer within its timeout even
         when every execution slot is busy, because "is the service melting
         or merely loaded?" is exactly the question asked under overload.
+        The monotonic counters are ``stats``'s.
         """
         now = time.monotonic()
-        admission = self.gate.snapshot()
         with self._lock:
             rows = list(self._requests)
-            rejections = self.quota_rejections
             breakers = {key: breaker.snapshot()
                         for key, breaker in self._breakers.items()}
         oldest = min((row.registered for row in rows), default=None)
         return {
-            "ok": True,
-            "accepting": not self._draining.is_set(),
             "draining": self._draining.is_set(),
             "stopping": self._stopping.is_set(),
             "uptime_seconds": now - self.started,
-            "inflight": len(rows),
+            "open_requests": len(rows),
             "oldest_request_seconds": (round(now - oldest, 4)
                                        if oldest is not None else 0.0),
-            "queue_depth": admission["queued_now"],
-            "admission": admission,
+            "admission": self.gate.snapshot(),
             "quotas": {
                 "per_client": self.client_quota,
-                "inflight_by_client": dict(
-                    Counter(row.client for row in rows)),
-                "rejections_total": rejections,
+                "open_by_client": dict(Counter(row.client for row in rows)),
             },
             "breakers": breakers,
             "pool": {
                 "jobs": self.jobs,
                 "executor": self.pool.kind,
-                "respawns": self.pool.respawns,
                 "workers_alive": self.pool.alive_workers(),
             },
         }
@@ -513,67 +499,41 @@ class BatchService:
         }
 
     def _op_stats(self, request: dict) -> dict:
-        """Point-in-time gauges plus monotonic ``counters`` for scraping.
+        """The monotonic ``counters``, for scraping.
 
-        Everything under ``counters`` only ever increases for the life of
-        the process, so an external scraper can treat the dict as a set of
-        Prometheus-style counter series and derive rates by differencing.
+        Every value only ever increases for the life of the process, so an
+        external scraper can treat the dict as a set of Prometheus-style
+        counter series and derive rates by differencing.  The gauges are
+        ``health``'s.
         """
-        health = self._op_health(request)
-        admission = health["admission"]
-        breakers = health["breakers"].values()
+        admission = self.gate.counters()
         with self._lock:
-            requests = self.requests
-            rejected_draining = self.rejected_draining
-            oversized = self.oversized_requests
-            overruns = self.watchdog_overruns
-            session = self.stats.as_dict()
-        counters = {
-            "requests_total": requests,
-            "admitted_total": admission["admitted_total"],
-            "completed_total": admission["completed_total"],
-            "queued_total": admission["queued_total"],
-            "shed_overloaded_total": admission["shed_total"],
-            "batch_evictions_total": admission["batch_evictions_total"],
-            "quota_rejections_total": health["quotas"]["rejections_total"],
-            "rejected_draining_total": rejected_draining,
-            "oversized_requests_total": oversized,
-            "watchdog_overruns_total": overruns,
-            "pool_respawns_total": self.pool.respawns,
-            "breaker_trips_total": sum(entry["trips_total"]
-                                       for entry in breakers),
-            "breaker_rejections_total": sum(entry["rejections_total"]
-                                            for entry in breakers),
-            "breakers_open": sum(entry["state"] != STATE_CLOSED
-                                 for entry in breakers),
-            **{f"session_{name}_total": value
-               for name, value in session.items()},
-        }
-        return {
-            "requests": requests,
-            "jobs": self.jobs,
-            "executor": self.pool.kind,
-            "uptime_seconds": health["uptime_seconds"],
-            "inflight": health["inflight"],
-            "draining": health["draining"],
-            "rejected_draining": rejected_draining,
-            "watchdog_overruns": overruns,
-            "pool_respawns": self.pool.respawns,
-            "admission": admission,
-            "quotas": health["quotas"],
-            "counters": counters,
-            "session": session,
-        }
+            breakers = list(self._breakers.values())
+            counters = {
+                "requests_total": self.requests,
+                **admission,
+                "quota_rejections_total": self.quota_rejections,
+                "rejected_draining_total": self.rejected_draining,
+                "oversized_requests_total": self.oversized_requests,
+                "watchdog_overruns_total": self.watchdog_overruns,
+                "pool_respawns_total": self.pool.respawns,
+                "breaker_trips_total": sum(breaker.trips
+                                           for breaker in breakers),
+                "breaker_rejections_total": sum(breaker.rejections
+                                                for breaker in breakers),
+                **{f"session_{name}_total": value
+                   for name, value in self.stats.as_dict().items()},
+            }
+        return {"counters": counters}
 
     def _op_drain(self, request: dict) -> dict:
         """Stop accepting work, wait for in-flight requests, flush stats."""
-        stats = self.drain(timeout=request.get("timeout"))
-        return {"draining": True, **stats}
+        return self.drain(timeout=request.get("timeout"))
 
     def _op_shutdown(self, request: dict) -> dict:
-        stats = self.drain(timeout=request.get("timeout"))
+        snapshot = self.drain(timeout=request.get("timeout"))
         self._stopping.set()
-        return {"stopping": True, **stats}
+        return {**snapshot, "stopping": True}
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -587,17 +547,16 @@ class BatchService:
         Control ops (``ping``/``health``/``stats``/``drain``/``shutdown``)
         keep being served.  New archive work is refused with a structured
         ``draining`` error, never a dropped connection.  Returns the final
-        stats snapshot -- the flush the caller observes before tearing
-        anything down.  Idempotent; concurrent callers all wait on the same
-        condition.
+        ``health`` and ``stats`` results plus ``drained`` -- the flush the
+        caller observes before tearing anything down.  Idempotent;
+        concurrent callers all wait on the same condition.
         """
         self._draining.set()
         with self._idle:
             self._idle.wait_for(lambda: not self._requests, timeout=timeout)
             pending = len(self._requests)
-        snapshot = self._op_stats({})
-        snapshot["drained"] = pending == 0
-        return snapshot
+        return {**self._op_health({}), **self._op_stats({}),
+                "drained": pending == 0}
 
     def close(self) -> None:
         """Graceful teardown: drain in-flight work, then stop the pool.

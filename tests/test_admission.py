@@ -24,8 +24,6 @@ from repro.parallel.admission import (
     CircuitBreaker,
     CircuitOpenError,
     OverloadedError,
-    PRIORITY_BATCH,
-    PRIORITY_INTERACTIVE,
     STATE_CLOSED,
     STATE_HALF_OPEN,
     STATE_OPEN,
@@ -61,11 +59,11 @@ def test_unbounded_gate_counts_but_never_sheds():
     gate = AdmissionGate(None)
     for _ in range(100):
         gate.admit()
-    assert gate.inflight == 100
+    assert gate.snapshot()["inflight"] == 100
     assert gate.admitted == 100
     for _ in range(100):
         gate.release(0.01)
-    assert gate.inflight == 0
+    assert gate.snapshot()["inflight"] == 0
     assert gate.completed == 100
 
 
@@ -84,14 +82,11 @@ def test_gate_sheds_beyond_cap_with_retry_hint():
     assert gate.admitted == 3
 
 
-def test_gate_rejects_bad_configuration_and_priority():
+def test_gate_rejects_bad_configuration():
     with pytest.raises(ValueError):
         AdmissionGate(0)
     with pytest.raises(ValueError):
         AdmissionGate(1, queue_depth=-1)
-    gate = AdmissionGate(1)
-    with pytest.raises(ValueError):
-        gate.admit("urgent")
 
 
 def test_queued_request_is_granted_on_release():
@@ -105,7 +100,7 @@ def test_queued_request_is_granted_on_release():
 
     thread = threading.Thread(target=waiter)
     thread.start()
-    wait_until(lambda: gate.queue_length == 1)
+    wait_until(lambda: gate.snapshot()["queued_now"] == 1)
     assert not admitted
     gate.release(0.01)
     thread.join(timeout=5)
@@ -123,72 +118,50 @@ def test_queue_wait_times_out_as_overloaded():
         gate.admit()
     assert time.monotonic() - started >= 0.05
     assert gate.shed_total == 1
-    assert gate.queue_length == 0  # the shed waiter removed itself
+    assert gate.snapshot()["queued_now"] == 0  # the shed waiter left
 
 
-def test_interactive_waiter_is_granted_before_batch():
+def test_waiters_are_granted_in_arrival_order():
     gate = AdmissionGate(1, queue_depth=4, queue_timeout=5.0)
     gate.admit()
     order: list[str] = []
 
-    def waiter(priority: str, tag: str):
-        gate.admit(priority)
+    def waiter(tag: str):
+        gate.admit()
         order.append(tag)
 
-    batch = threading.Thread(target=waiter, args=(PRIORITY_BATCH, "batch"))
-    batch.start()
-    wait_until(lambda: gate.queue_length == 1)
-    interactive = threading.Thread(
-        target=waiter, args=(PRIORITY_INTERACTIVE, "interactive"))
-    interactive.start()
-    wait_until(lambda: gate.queue_length == 2)
-    gate.release()   # one slot: the interactive waiter must win it
-    wait_until(lambda: order == ["interactive"])
-    gate.release()   # now the batch waiter gets its turn
-    wait_until(lambda: order == ["interactive", "batch"])
-    batch.join(timeout=5)
-    interactive.join(timeout=5)
+    threads = []
+    for count, tag in enumerate(("first", "second"), start=1):
+        threads.append(threading.Thread(target=waiter, args=(tag,)))
+        threads[-1].start()
+        wait_until(lambda: gate.snapshot()["queued_now"] == count)
+    gate.release()   # one slot: the earlier arrival must win it
+    wait_until(lambda: order == ["first"])
+    gate.release()   # now the later one gets its turn
+    wait_until(lambda: order == ["first", "second"])
+    for thread in threads:
+        thread.join(timeout=5)
     gate.release()
 
 
-def test_interactive_evicts_newest_batch_waiter_when_queue_full():
-    gate = AdmissionGate(1, queue_depth=1, queue_timeout=5.0)
+def test_released_slot_goes_to_the_waiter_not_a_newcomer():
+    """A slot freed while a request waits is handed over under the lock,
+    so a request arriving after the release queues behind it."""
+    gate = AdmissionGate(1, queue_depth=1, queue_timeout=0.5)
     gate.admit()
-    outcome: dict[str, object] = {}
-
-    def batch_waiter():
-        try:
-            gate.admit(PRIORITY_BATCH)
-            outcome["batch"] = "admitted"
-        except OverloadedError as error:
-            outcome["batch"] = error
-
-    def interactive_waiter():
-        gate.admit(PRIORITY_INTERACTIVE)
-        outcome["interactive"] = "admitted"
-
-    batch = threading.Thread(target=batch_waiter)
-    batch.start()
-    wait_until(lambda: gate.queue_length == 1)
-    interactive = threading.Thread(target=interactive_waiter)
-    interactive.start()
-    # The interactive arrival evicts the queued batch request outright.
-    wait_until(lambda: isinstance(outcome.get("batch"), OverloadedError))
-    assert gate.batch_evictions == 1
-    assert "yielded" in str(outcome["batch"])
+    admitted = []
+    thread = threading.Thread(target=lambda: admitted.append(gate.admit()))
+    thread.start()
+    wait_until(lambda: gate.snapshot()["queued_now"] == 1)
     gate.release()
-    interactive.join(timeout=5)
-    assert outcome["interactive"] == "admitted"
-    batch.join(timeout=5)
+    snapshot = gate.snapshot()
+    assert (snapshot["inflight"], snapshot["queued_now"]) == (1, 0)
+    with pytest.raises(OverloadedError, match="no execution slot freed"):
+        gate.admit()   # the newcomer queued, and nothing freed in time
+    thread.join(timeout=5)
+    assert admitted == [None]
     gate.release()
-
-
-def test_batch_is_shed_not_queued_when_queue_full():
-    gate = AdmissionGate(1, queue_depth=0, queue_timeout=5.0)
-    gate.admit()
-    with pytest.raises(OverloadedError, match="batch sheds first"):
-        gate.admit(PRIORITY_BATCH)
-    gate.release()
+    assert gate.counters()["admitted_total"] == 2
 
 
 def test_snapshot_reports_monotonic_counters_and_gauges():
@@ -197,12 +170,11 @@ def test_snapshot_reports_monotonic_counters_and_gauges():
     snapshot = gate.snapshot()
     assert snapshot["max_inflight"] == 2
     assert snapshot["inflight"] == 1
-    assert snapshot["admitted_total"] == 1
+    assert gate.counters()["admitted_total"] == 1
     assert snapshot["peak_inflight"] == 1
     gate.release(0.2)
-    after = gate.snapshot()
-    assert after["completed_total"] == 1
-    assert after["mean_request_seconds"] > 0
+    assert gate.counters()["completed_total"] == 1
+    assert gate.snapshot()["mean_request_seconds"] > 0
 
 
 # -- CircuitBreaker ------------------------------------------------------------
@@ -315,7 +287,7 @@ def counters(service: BatchService) -> dict:
 
 
 def by_client(service: BatchService) -> dict:
-    return health(service)["quotas"]["inflight_by_client"]
+    return health(service)["quotas"]["open_by_client"]
 
 
 class Held:
@@ -352,7 +324,6 @@ def test_quota_caps_one_client_but_not_others(make_service):
     assert alice.pop(0).finish()["ok"]
     alice.append(Held(service, "alice"))  # freed capacity is reusable
     wait_until(lambda: by_client(service) == {"alice": 2, "bob": 1})
-    assert health(service)["quotas"]["rejections_total"] == 1
     assert counters(service)["quota_rejections_total"] == 1
     for held in alice + [bob]:
         assert held.finish()["ok"]
@@ -366,7 +337,8 @@ def test_quota_disabled_still_tracks_gauges(make_service):
     for held in greedy:
         assert held.finish()["ok"]
     assert health(service)["quotas"] == {
-        "per_client": None, "inflight_by_client": {}, "rejections_total": 0}
+        "per_client": None, "open_by_client": {}}
+    assert counters(service)["quota_rejections_total"] == 0
 
 
 def test_quota_and_table_stay_consistent_under_concurrent_clients(
@@ -420,8 +392,9 @@ def test_quota_and_table_stay_consistent_under_concurrent_clients(
         == codes.count("ok")
     assert after["quota_rejections_total"] == codes.count("quota_exceeded")
     scrape = health(service)
-    assert scrape["inflight"] == 0 and scrape["admission"]["inflight"] == 0
-    assert scrape["quotas"]["inflight_by_client"] == {}
+    assert scrape["admission"]["peak_inflight"] <= 4
+    assert scrape["open_requests"] == 0 and scrape["admission"]["inflight"] == 0
+    assert scrape["quotas"]["open_by_client"] == {}
 
 
 def test_board_keys_breakers_by_archive_and_sums_totals(make_service):
@@ -440,8 +413,25 @@ def test_board_keys_breakers_by_archive_and_sums_totals(make_service):
     assert breakers["/tmp/healthy.zip"]["state"] == STATE_CLOSED
     totals = counters(service)
     assert totals["breaker_trips_total"] == 1
-    assert totals["breakers_open"] == 1
     assert totals["breaker_rejections_total"] == 1
+
+
+def test_no_counter_falls_when_a_breaker_closes(make_service):
+    """``stats`` counters are monotonic: an archive's breaker opening and
+    then closing after its half-open probe lowers none of them."""
+    service = make_service(breaker_threshold=1, breaker_reset=0.05)
+    flaky = {"op": "check", "archive": "/tmp/flaky.zip"}
+    assert service.handle({**flaky, "fail": True})["ok"] is False
+    assert health(service)["breakers"]["/tmp/flaky.zip"]["state"] == STATE_OPEN
+    before = counters(service)
+    time.sleep(0.1)             # past the cool-down: the next request probes
+    assert service.handle(flaky)["ok"]
+    assert health(service)["breakers"]["/tmp/flaky.zip"]["state"] \
+        == STATE_CLOSED
+    after = counters(service)
+    assert set(after) == set(before)
+    assert {name: (before[name], after[name]) for name in before
+            if after[name] < before[name]} == {}
 
 
 def test_board_disabled_passes_everything(make_service):

@@ -2,12 +2,15 @@
 
 These tests walk ``dataclasses.fields`` of :class:`SessionStats` and
 :class:`ExecutionStats` instead of naming today's members, so adding a
-counter without its consumers picking it up fails here.
+counter without its consumers picking it up fails here; and they walk what
+``vxserve``'s ``health`` and ``stats`` put on the wire, so a fact reported
+at two places fails here too.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -118,5 +121,38 @@ def test_every_counter_reaches_the_vxserve_counters_block(
     assert len(numbered_shards) == 2
     for index, name in enumerate(COUNTERS):
         assert response["result"][name] == 2 * (index + 1), name
-        assert stats["session"][name] == 2 * (index + 1), name
         assert stats["counters"][f"session_{name}_total"] == 2 * (index + 1), name
+
+
+def _leaves(value, path=()):
+    """Yield ``(path, leaf)`` for every scalar under ``value``.
+
+    Maps keyed by data, not by schema -- the per-archive breakers and the
+    per-client counts -- are leaves themselves.
+    """
+    if isinstance(value, dict) and path[-1:] not in (("breakers",),
+                                                     ("open_by_client",)):
+        for key, item in value.items():
+            yield from _leaves(item, path + (key,))
+    else:
+        yield path, value
+
+
+def test_health_and_stats_report_each_fact_once():
+    """``health`` carries gauges and configuration, ``stats`` the monotonic
+    counters, and no name appears at two paths of the two results."""
+    service = BatchService(jobs=1, executor=EXECUTOR_THREAD)
+    try:
+        results = {op: service.handle({"op": op})["result"]
+                   for op in ("health", "stats")}
+    finally:
+        service.close()
+    paths = [path for op, result in results.items()
+             for path, _ in _leaves(result, (op,))]
+    # A counter and the gauge it totals are one fact.
+    names = Counter(path[-1].removesuffix("_total") for path in paths)
+    assert sorted(".".join(path) for path in paths
+                  if names[path[-1].removesuffix("_total")] > 1) == []
+    assert [".".join(path) for path in paths if path[-1].endswith("_total")
+            and path[:2] != ("stats", "counters")] == []
+    assert "ok" not in results["health"]  # the response's own ``ok`` says it

@@ -81,12 +81,15 @@ def _assert_survivors_identical(report, out_dir, clean_outputs):
 
 
 def test_plan_serialisation_round_trip():
+    """A plan reaches process workers pickled inside ``ReadOptions``."""
     plan = FaultPlan(specs=(
         FaultSpec(member="a", kind=KIND_KILL_WORKER, times=2),
         FaultSpec(member="b", kind=KIND_SYSCALL_ERROR, at=3),
         FaultSpec(member="c", kind=KIND_DELAY_IO, delay=0.5),
     ), seed=7, ledger="/tmp/ledger")
-    assert FaultPlan.from_dict(plan.as_dict()) == plan
+    assert pickle.loads(pickle.dumps(plan)) == plan
+    options = vxa.ReadOptions(fault_plan=plan)
+    assert pickle.loads(pickle.dumps(options)).fault_plan == plan
 
 
 def test_plan_rejects_unknown_kind():

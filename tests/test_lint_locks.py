@@ -1,10 +1,11 @@
 """The AST lock-linter: the repo is clean, and violations are detected.
 
-``tools/lint_locks.py`` guards four concurrency invariants (CodeCache state
+``tools/lint_locks.py`` guards five concurrency invariants (CodeCache state
 mutations under ``self.lock``; ``_CODE_MEMO`` accesses under
 ``_CODE_MEMO_LOCK``; the image registry's table and record slots under
 ``_LOCK``, with nothing slow called while it is held; ``vxserve``'s request
-table and breakers under its one lock).  These tests pin both
+table and breakers under its one lock; the admission gate's slot count and
+waiter queue under its condition).  These tests pin both
 directions: the shipped sources pass, and deliberately broken synthetic
 sources fail with pointed messages.
 """
@@ -219,6 +220,48 @@ def test_service_table_rules(tmp_path, change, message):
     path = tmp_path / "service.py"
     path.write_text(_SERVICE.format(**{**_SERVICE_CLEAN, **change}))
     violations = lint_locks.check_service(path)
+    if message is None:
+        assert violations == []
+    else:
+        assert len(violations) == 1 and message in violations[0][2]
+
+
+_GATE = """
+class AdmissionGate:
+    def __init__(self):
+        self._inflight = 0
+        self._waiters = deque()
+
+    def release(self):
+        {release}
+
+    def snapshot(self):
+        {snapshot}
+
+
+class CircuitBreaker:
+    def _inflight_probe(self):
+        return self._inflight
+"""
+
+_GATE_CLEAN = dict(
+    release="with self._condition:\n            self._inflight -= 1",
+    snapshot="with self._condition:\n            return len(self._waiters)")
+
+
+@pytest.mark.parametrize("change,message", [
+    ({}, None),
+    ({"release": "self._inflight -= 1"},
+     "AdmissionGate.release accesses self._inflight outside"),
+    ({"snapshot": "return len(self._waiters)"},
+     "AdmissionGate.snapshot accesses self._waiters outside"),
+    ({"release": "with self._lock:\n            self._waiters.popleft()"},
+     "AdmissionGate.release accesses self._waiters outside"),
+], ids=["clean", "unlocked-slot-write", "unlocked-queue-read", "wrong-lock"])
+def test_admission_gate_rules(tmp_path, change, message):
+    path = tmp_path / "admission.py"
+    path.write_text(_GATE.format(**{**_GATE_CLEAN, **change}))
+    violations = lint_locks.check_gate(path)
     if message is None:
         assert violations == []
     else:

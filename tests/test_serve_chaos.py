@@ -224,7 +224,7 @@ def test_quota_sheds_per_client_over_socket(tmp_path, serve, archive_path,
             "dest": str(tmp_path / "greedy1"), "client": "greedy",
         }) + "\n").encode())
         wait_until(lambda: one_shot(
-            socket_path, {"op": "health"})["result"]["inflight"] >= 1)
+            socket_path, {"op": "health"})["result"]["open_requests"] >= 1)
         over = one_shot(socket_path, {
             "op": "check", "archive": str(archive_path), "client": "greedy"})
         assert over["ok"] is False
@@ -302,9 +302,10 @@ def test_chaos_under_load_breaker_opens_and_recovers(tmp_path, serve,
 
         # Under all of that, control ops still answer promptly.
         started = time.monotonic()
-        health = one_shot(socket_path, {"op": "health"})["result"]
+        response = one_shot(socket_path, {"op": "health"})
         assert time.monotonic() - started < 10
-        assert health["ok"] is True and health["accepting"] is True
+        health = response["result"]
+        assert response["ok"] is True and health["draining"] is False
         assert health["breakers"][str(poison_path)]["state"] == "open"
 
         # Heal: rewrite the archive without its poisonous member; after the
@@ -358,7 +359,8 @@ def test_concurrent_drain_inflight_and_new_submissions(tmp_path, archive_path,
         extract = threading.Thread(target=inflight_extract)
         extract.start()
         wait_until(
-            lambda: service.handle({"op": "health"})["result"]["inflight"] >= 1)
+            lambda: service.handle({"op": "health"})["result"]["open_requests"]
+            >= 1)
 
         drains = [threading.Thread(target=drainer, args=(f"drain{index}",))
                   for index in range(2)]
@@ -381,7 +383,7 @@ def test_concurrent_drain_inflight_and_new_submissions(tmp_path, archive_path,
             assert responses[tag]["ok"]
             assert responses[tag]["result"]["draining"] is True
             assert responses[tag]["result"]["drained"] is True
-            assert responses[tag]["result"]["inflight"] == 0
+            assert responses[tag]["result"]["open_requests"] == 0
         for response in submissions:
             assert response["ok"] is False
             assert response["error_code"] == "draining"

@@ -113,6 +113,7 @@ def test_check_request(service, archive_path, members):
     response = service.handle({
         "op": "check", "archive": str(archive_path), "jobs": 2,
         "reuse": VmReusePolicy.REUSE_SAME_ATTRIBUTES.value,
+        "priority": "urgent",   # no longer a field: ignored like any other
     })
     assert response["ok"], response
     result = response["result"]
@@ -127,22 +128,26 @@ def test_stats_accumulate_across_requests(tmp_path, service, archive_path):
                     "dest": str(tmp_path / "o"), "mode": "vxa"})
     response = service.handle({"op": "stats"})
     assert response["ok"]
-    result = response["result"]
-    assert result["requests"] == 3
-    assert result["executor"] == EXECUTOR_THREAD
-    assert result["session"]["decodes"] >= 10  # check + extract both decoded
+    counters = response["result"]["counters"]
+    assert counters["requests_total"] == 3
+    health = service.handle({"op": "health"})["result"]
+    assert health["pool"]["executor"] == EXECUTOR_THREAD
+    assert counters["session_decodes_total"] >= 10  # check + extract decoded
 
 
 def test_health_reports_pool_admission_and_breakers(service, archive_path):
     service.handle({"op": "check", "archive": str(archive_path)})
     response = service.handle({"id": 9, "op": "health"})
-    assert response["ok"]
+    assert response["ok"] is True and response["id"] == 9
     result = response["result"]
-    assert result["ok"] is True
-    assert result["accepting"] is True and result["draining"] is False
-    assert result["inflight"] == 0 and result["queue_depth"] == 0
+    assert "ok" not in result  # the response's own ``ok`` says it
+    assert result["draining"] is False and result["stopping"] is False
+    assert result["open_requests"] == 0
+    assert result["admission"]["queued_now"] == 0
     assert result["uptime_seconds"] >= 0
-    assert result["admission"]["completed_total"] == 1
+    assert result["admission"]["inflight"] == 0
+    counters = service.handle({"op": "stats"})["result"]["counters"]
+    assert counters["completed_total"] == 1
     assert result["pool"]["jobs"] == 2
     assert result["pool"]["executor"] == EXECUTOR_THREAD
     breaker = result["breakers"][str(archive_path)]
@@ -194,7 +199,7 @@ def test_wire_shape_of_health_and_stats(tmp_path, archive_path, members):
         holder = threading.Thread(target=service.handle, args=(slow,))
         holder.start()
         deadline = time.monotonic() + 30
-        while health()["quotas"]["inflight_by_client"] != {"greedy": 1}:
+        while health()["quotas"]["open_by_client"] != {"greedy": 1}:
             assert time.monotonic() < deadline, "slow check never registered"
             time.sleep(0.005)
         refused = service.handle({"op": "check", "archive": str(archive_path),
@@ -214,25 +219,15 @@ def test_wire_shape_of_health_and_stats(tmp_path, archive_path, members):
     finally:
         service.close()
 
-    admission_keys = {
-        "max_inflight", "queue_depth", "queue_timeout", "inflight",
-        "queued_now", "mean_request_seconds", "admitted_total",
-        "completed_total", "queued_total", "shed_total",
-        "batch_evictions_total", "peak_inflight", "peak_queue"}
     assert set(scrape) == {
-        "ok", "accepting", "draining", "stopping", "uptime_seconds",
-        "inflight", "oldest_request_seconds", "queue_depth", "admission",
-        "quotas", "breakers", "pool"}
-    assert set(scrape["pool"]) == {"jobs", "executor", "respawns",
-                                   "workers_alive"}
-    assert set(scrape["admission"]) == set(stats["admission"]) == admission_keys
-    assert set(stats) == {
-        "requests", "jobs", "executor", "uptime_seconds", "inflight",
-        "draining", "rejected_draining", "watchdog_overruns",
-        "pool_respawns", "admission", "quotas", "counters", "session"}
-    quotas = {"per_client": 1, "inflight_by_client": {}, "rejections_total": 1}
-    assert scrape["quotas"] == stats["quotas"] == quotas
-    assert scrape["inflight"] == stats["inflight"] == 0
+        "draining", "stopping", "uptime_seconds", "open_requests",
+        "oldest_request_seconds", "admission", "quotas", "breakers", "pool"}
+    assert set(scrape["pool"]) == {"jobs", "executor", "workers_alive"}
+    assert set(scrape["admission"]) == {
+        "max_inflight", "queue_depth", "queue_timeout", "inflight",
+        "queued_now", "mean_request_seconds", "peak_inflight", "peak_queue"}
+    assert scrape["quotas"] == {"per_client": 1, "open_by_client": {}}
+    assert scrape["open_requests"] == 0
     assert scrape["oldest_request_seconds"] == 0.0
     assert set(scrape["breakers"]) == {str(archive_path), missing}
     assert scrape["breakers"][str(archive_path)] == {
@@ -244,22 +239,21 @@ def test_wire_shape_of_health_and_stats(tmp_path, archive_path, members):
     assert (opened["state"], opened["failures"], opened["trips_total"],
             opened["rejections_total"]) == ("open", 1, 1, 1)
     assert opened["retry_after_seconds"] > 0
+    assert set(stats) == {"counters"}
     counters = stats["counters"]
     assert set(counters) == {
         "requests_total", "admitted_total", "completed_total",
-        "queued_total", "shed_overloaded_total", "batch_evictions_total",
-        "quota_rejections_total", "rejected_draining_total",
-        "oversized_requests_total", "watchdog_overruns_total",
-        "pool_respawns_total", "breaker_trips_total",
-        "breaker_rejections_total", "breakers_open"} | {
+        "queued_total", "shed_overloaded_total", "quota_rejections_total",
+        "rejected_draining_total", "oversized_requests_total",
+        "watchdog_overruns_total", "pool_respawns_total",
+        "breaker_trips_total", "breaker_rejections_total"} | {
         f"session_{name}_total" for name in vxa.SessionStats().as_dict()}
     # The circuit_open refusal passed the gate, so it counts as admitted and
     # completed; the quota refusal never reached the gate.
     assert counters["admitted_total"] == counters["completed_total"] == 5
     assert (counters["quota_rejections_total"],
             counters["breaker_trips_total"],
-            counters["breaker_rejections_total"],
-            counters["breakers_open"]) == (1, 1, 1, 1)
+            counters["breaker_rejections_total"]) == (1, 1, 1)
 
 
 def test_uptime_uses_monotonic_clock(service, monkeypatch):
@@ -559,4 +553,4 @@ def test_subprocess_stdio_round_trip(tmp_path, archive_path, members):
     assert all(response["ok"] for response in responses), responses
     for name, data in members.items():
         assert (tmp_path / "sub" / name).read_bytes() == data
-    assert responses[2]["result"]["requests"] == 3
+    assert responses[2]["result"]["counters"]["requests_total"] == 3

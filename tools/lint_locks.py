@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """AST lint: shared caches and the service's request table stay under their locks.
 
-Four concurrency invariants keep the in-process worker pool and ``vxserve``
+Five concurrency invariants keep the in-process worker pool and ``vxserve``
 sound, and all are easy to break silently when refactoring:
 
 1. every mutation of :class:`repro.vm.code_cache.CodeCache` state
@@ -21,7 +21,12 @@ sound, and all are easy to break silently when refactoring:
 4. in :mod:`repro.parallel.service`, every access to the request table
    ``self._requests`` and to the breaker dict ``self._breakers`` outside
    ``__init__`` happens inside ``with self._lock:`` or ``with self._idle:``
-   (the one lock every quota, breaker, drain and watchdog decision reads).
+   (the one lock every quota, breaker, drain and watchdog decision reads);
+5. in :mod:`repro.parallel.admission`, every access to ``AdmissionGate``'s
+   slot count ``self._inflight`` and waiter queue ``self._waiters`` outside
+   ``__init__`` happens inside ``with self._condition:`` (the hand-off of a
+   freed slot to the oldest waiter is only first-come-first-served if no
+   thread sees the two out of step).
 
 This checker parses the source with :mod:`ast` -- no imports, no runtime
 monkey-patching -- so it runs anywhere Python runs and is wired into CI and
@@ -57,6 +62,9 @@ MUTATING_METHODS = {
 
 #: BatchService attributes guarded by its one lock.
 SERVICE_STATE = {"_requests", "_breakers"}
+
+#: AdmissionGate attributes guarded by its condition.
+GATE_STATE = {"_inflight", "_waiters"}
 
 #: Methods that may touch cache state without the lock (run before the
 #: object can be shared).
@@ -218,19 +226,25 @@ class _RegistryChecker(_LockTracker):
 
 
 class _ServiceChecker(_LockTracker):
-    """Checks :mod:`repro.parallel.service` against invariant 4."""
+    """Checks one class's ``self.<state>`` accesses against its own lock:
+    ``BatchService`` for invariant 4, ``AdmissionGate`` for invariant 5."""
+
+    def __init__(self, path: pathlib.Path, owner: str, state: set[str],
+                 locks: tuple[str, ...]):
+        super().__init__(path)
+        self.owner, self.state, self.locks = owner, state, locks
 
     def _is_lock_expr(self, node: ast.expr) -> bool:
-        return (isinstance(node, ast.Attribute)
-                and node.attr in ("_lock", "_idle")
+        return (isinstance(node, ast.Attribute) and node.attr in self.locks
                 and isinstance(node.value, ast.Name) and node.value.id == "self")
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if (node.attr in SERVICE_STATE and isinstance(node.value, ast.Name)
+        if (node.attr in self.state and isinstance(node.value, ast.Name)
                 and node.value.id == "self" and not self.lock_depth
                 and self.function not in EXEMPT_METHODS):
-            self._report(node, f"BatchService.{self.function} accesses "
-                               f"self.{node.attr} outside `with self._lock`")
+            self._report(node, f"{self.owner}.{self.function} accesses "
+                               f"self.{node.attr} outside "
+                               f"`with self.{self.locks[0]}`")
         self.generic_visit(node)
 
 
@@ -267,8 +281,18 @@ def check_image_registry(path: pathlib.Path) -> list[tuple[pathlib.Path, int, st
 
 
 def check_service(path: pathlib.Path) -> list[tuple[pathlib.Path, int, str]]:
-    checker = _ServiceChecker(path)
+    checker = _ServiceChecker(path, "BatchService", SERVICE_STATE,
+                              ("_lock", "_idle"))
     checker.visit(_parse(path))
+    return checker.violations
+
+
+def check_gate(path: pathlib.Path) -> list[tuple[pathlib.Path, int, str]]:
+    checker = _ServiceChecker(path, "AdmissionGate", GATE_STATE,
+                              ("_condition",))
+    for node in _parse(path).body:
+        if isinstance(node, ast.ClassDef) and node.name == "AdmissionGate":
+            checker.visit(node)
     return checker.violations
 
 
@@ -277,6 +301,7 @@ def run(root: pathlib.Path = REPO_ROOT) -> list[tuple[pathlib.Path, int, str]]:
     violations += check_code_cache(root / "src" / "repro" / "vm" / "code_cache.py")
     violations += check_image_registry(root / "src" / "repro" / "vm" / "images.py")
     violations += check_service(root / "src" / "repro" / "parallel" / "service.py")
+    violations += check_gate(root / "src" / "repro" / "parallel" / "admission.py")
     for path in sorted((root / "src" / "repro").rglob("*.py")):
         violations += check_code_memo(path)
     return violations
