@@ -31,9 +31,11 @@ decoders), and :mod:`repro.vxc` (the small C-like compiler used to build
 guest decoders).
 """
 
+import importlib
+from typing import TYPE_CHECKING
+
 from repro.api import (
     Archive,
-    ArchiveBuilder,
     DecoderSession,
     MODE_AUTO,
     MODE_NATIVE,
@@ -47,7 +49,6 @@ from repro.api import (
     create,
     open,
 )
-from repro.client import VxServeClient, VxServeError
 from repro.errors import (
     ArchiveDamagedError,
     ArchiveError,
@@ -59,6 +60,24 @@ from repro.errors import (
     VxaError,
     ZipFormatError,
 )
+
+if TYPE_CHECKING:
+    from repro.api.builder import ArchiveBuilder
+    from repro.client import VxServeClient, VxServeError
+
+#: Public names whose modules load at their first use: a reader imports
+#: neither the write path nor the vxserve client and its ``socket``.
+_LAZY = {"ArchiveBuilder": "repro.api.builder",
+         "VxServeClient": "repro.client", "VxServeError": "repro.client"}
+
+
+def __getattr__(name: str):
+    """Resolve a :data:`_LAZY` name from its module, once (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(_LAZY[name]), name)
+    return value
+
 
 __version__ = "0.2.0"
 

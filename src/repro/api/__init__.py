@@ -26,7 +26,9 @@ owned by one :class:`DecoderSession` per archive.
 from __future__ import annotations
 
 import builtins
+import importlib
 import os
+from typing import TYPE_CHECKING
 
 from repro.api.archive import (
     Archive,
@@ -37,7 +39,6 @@ from repro.api.archive import (
     MemberPlan,
     safe_extract_path,
 )
-from repro.api.builder import ArchiveBuilder
 from repro.api.options import (
     EXECUTOR_AUTO,
     EXECUTOR_PROCESS,
@@ -50,7 +51,6 @@ from repro.api.options import (
     ReadOptions,
     WriteOptions,
 )
-from repro.faults import FaultPlan, FaultSpec
 from repro.api.session import DecoderSession
 from repro.core.policy import SecurityAttributes, VmReusePolicy
 from repro.core.types import (
@@ -63,6 +63,15 @@ from repro.core.types import (
     MODE_VXA,
     SessionStats,
 )
+
+if TYPE_CHECKING:
+    from repro.api.builder import ArchiveBuilder
+    from repro.faults import FaultPlan, FaultSpec
+
+#: Public names whose modules load at their first use, so that reading an
+#: archive imports neither the write path nor fault injection.
+_LAZY = {"ArchiveBuilder": "repro.api.builder",
+         "FaultPlan": "repro.faults", "FaultSpec": "repro.faults"}
 
 __all__ = [
     "open",
@@ -101,6 +110,14 @@ __all__ = [
 ]
 
 
+def __getattr__(name: str):
+    """Resolve a :data:`_LAZY` name from its module, once (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(_LAZY[name]), name)
+    return value
+
+
 def open(source, options: ReadOptions | None = None) -> Archive:
     """Open a vxZIP archive for reading.
 
@@ -128,6 +145,9 @@ def create(target, options: WriteOptions | None = None) -> ArchiveBuilder:
     renamed into place -- fsynced -- once complete, so a crash mid-build
     can never leave a torn archive under the target name.
     """
+    # Not ``ArchiveBuilder``: that global is this module's lazy name.
+    from repro.api.builder import ArchiveBuilder as Builder
+
     options = options or WriteOptions()
     if isinstance(target, (str, os.PathLike)):
         if options.durable:
@@ -135,16 +155,16 @@ def create(target, options: WriteOptions | None = None) -> ArchiveBuilder:
             temp_path = f"{final_path}.vxa-tmp.{os.getpid()}"
             file = builtins.open(temp_path, "wb")
             try:
-                return ArchiveBuilder(file, options, owns_file=True,
-                                      final_path=final_path, temp_path=temp_path)
+                return Builder(file, options, owns_file=True,
+                               final_path=final_path, temp_path=temp_path)
             except BaseException:
                 file.close()
                 os.unlink(temp_path)
                 raise
         file = builtins.open(target, "wb")
         try:
-            return ArchiveBuilder(file, options, owns_file=True)
+            return Builder(file, options, owns_file=True)
         except BaseException:
             file.close()
             raise
-    return ArchiveBuilder(target, options)
+    return Builder(target, options)

@@ -15,7 +15,6 @@ import io
 import os
 import pathlib
 import shutil
-import tempfile
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
@@ -645,6 +644,8 @@ class Archive:
                     and self._path_matches_handle(pathlib.Path(candidate))):
                 yield str(candidate)
                 return
+        import tempfile
+
         handle, spool = tempfile.mkstemp(prefix="vxa-archive-", suffix=".zip")
         try:
             with os.fdopen(handle, "wb") as sink:

@@ -16,12 +16,12 @@ from typing import TYPE_CHECKING
 
 from repro.core.policy import VmReusePolicy
 from repro.core.types import MODE_AUTO, MODE_NATIVE, MODE_VXA
-from repro.faults import FaultPlan
 from repro.vm.limits import ExecutionLimits
 from repro.vm.machine import ENGINE_INTERPRETER, ENGINE_TRANSLATOR
 
 if TYPE_CHECKING:
     from repro.codecs.registry import CodecRegistry
+    from repro.faults import FaultPlan
 
 _MODES = (MODE_AUTO, MODE_NATIVE, MODE_VXA)
 _ENGINES = (ENGINE_TRANSLATOR, ENGINE_INTERPRETER)
@@ -157,9 +157,11 @@ class ReadOptions:
             raise ValueError("retries must be non-negative")
         if self.member_deadline is not None and self.member_deadline <= 0:
             raise ValueError("member_deadline must be positive")
-        if self.fault_plan is not None and not isinstance(self.fault_plan,
-                                                          FaultPlan):
-            raise TypeError("fault_plan must be a FaultPlan")
+        if self.fault_plan is not None:
+            from repro.faults import FaultPlan
+
+            if not isinstance(self.fault_plan, FaultPlan):
+                raise TypeError("fault_plan must be a FaultPlan")
         if self.on_damage not in _ON_DAMAGE:
             raise ValueError(f"unknown on_damage policy {self.on_damage!r}")
 

@@ -25,7 +25,6 @@ import pathlib
 import sys
 
 import repro.api as vxa
-from repro.core.integrity import format_report
 from repro.core.policy import VmReusePolicy
 from repro.core.types import format_counters
 from repro.errors import ArchiveDamagedError, VxaError
@@ -177,6 +176,8 @@ def _cmd_check(args) -> int:
         assessment = assess_media(args.archive)
         print(format_assessment(assessment))
         return assessment.exit_code()
+    from repro.core.integrity import format_report
+
     with vxa.open(args.archive, _read_options(args)) as archive:
         report = archive.check()
         print(format_report(report))

@@ -19,10 +19,12 @@ decoders (``mode="vxa"``) imports no codec, no numpy and no compiler.
 from __future__ import annotations
 
 from importlib import import_module
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from repro.codecs.base import Codec
 from repro.errors import CodecError
+
+if TYPE_CHECKING:
+    from repro.codecs.base import Codec
 
 #: The six codecs shipped with the prototype (paper Table 1), in selection
 #: order: registered name -> (module, class).

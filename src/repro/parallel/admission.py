@@ -121,12 +121,14 @@ class FaultPlanRefusedError(ServiceRejection):
 # --------------------------------------------------------------------------
 
 class _Waiter:
-    """One queued request; :meth:`AdmissionGate.release` hands it a slot."""
+    """One queued request; :meth:`AdmissionGate.release` hands it a slot and
+    wakes it alone, on a condition of its own over the gate's lock."""
 
-    __slots__ = ("admitted",)
+    __slots__ = ("admitted", "granted")
 
-    def __init__(self):
+    def __init__(self, lock):
         self.admitted = False
+        self.granted = threading.Condition(lock)
 
 
 class AdmissionGate:
@@ -156,6 +158,8 @@ class AdmissionGate:
         self.queue_depth = queue_depth
         self.queue_timeout = queue_timeout
         self._clock = clock
+        # The gate's lock.  A queued request waits on a condition of its own
+        # over it (:class:`_Waiter`), so a release wakes the one it serves.
         self._condition = threading.Condition()
         self._inflight = 0
         self._waiters: deque[_Waiter] = deque()
@@ -193,7 +197,7 @@ class AdmissionGate:
                     f"overloaded: {self._inflight} in flight, queue of "
                     f"{self.queue_depth} full",
                     self._inflight + len(self._waiters))
-            waiter = _Waiter()
+            waiter = _Waiter(self._condition)
             self._waiters.append(waiter)
             self.queued += 1
             self.peak_queue = max(self.peak_queue, len(self._waiters))
@@ -206,7 +210,7 @@ class AdmissionGate:
                         f"overloaded: no execution slot freed within "
                         f"{self.queue_timeout}s",
                         self._inflight + len(self._waiters))
-                self._condition.wait(remaining)
+                waiter.granted.wait(remaining)
             self.admitted += 1
 
     def release(self, duration: float | None = None) -> None:
@@ -221,8 +225,9 @@ class AdmissionGate:
                 self._mean_duration += _DURATION_ALPHA * (
                     duration - self._mean_duration)
             if self._waiters:
-                self._waiters.popleft().admitted = True
-                self._condition.notify_all()
+                waiter = self._waiters.popleft()
+                waiter.admitted = True
+                waiter.granted.notify()
             else:
                 self._inflight -= 1
 

@@ -332,6 +332,11 @@ class BatchService:
             breaker = self._breakers[row.breaker_key]
             if ok:
                 breaker.record_success()
+                # Closed, no failures, never tripped or refused: the same as
+                # the fresh one the next request would get, so drop it and
+                # keep the dict to the archives with a history.
+                if not (breaker.trips or breaker.rejections):
+                    del self._breakers[row.breaker_key]
             else:
                 breaker.record_failure()
 

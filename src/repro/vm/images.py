@@ -50,7 +50,7 @@ from repro.elf.reader import parse_executable
 from repro.elf.structures import ElfImage
 from repro.vm import store
 from repro.vm.code_cache import CodeCache
-from repro.vm.translator import Fragment, bind_fragment
+from repro.vm.dispatch import Fragment, bind_fragment
 
 if TYPE_CHECKING:
     from repro.analysis.verify import AnalysisReport

@@ -21,20 +21,27 @@ from dataclasses import dataclass
 
 from repro.errors import VxaError
 from repro.vm.code_cache import CodeCache
+from repro.vm.dispatch import run_translator
 from repro.vm.images import ImageRecord, image_record
-from repro.vm.interpreter import run_interpreter
 from repro.vm.limits import ExecutionLimits, ExecutionStats
 from repro.vm.loader import admit_image, load_image
 from repro.vm.memory import CHECK_FULL, DEFAULT_MEMORY_SIZE, GuestMemory
 from repro.vm.syscalls import StreamSet, SyscallHandler
-from repro.vm.translator import run_translator
 
 ENGINE_TRANSLATOR = "translator"
 ENGINE_INTERPRETER = "interpreter"
 
+
+def _run_interpreter(vm) -> None:
+    """The reference engine, imported by the first VM that runs on it."""
+    from repro.vm.interpreter import run_interpreter
+
+    run_interpreter(vm)
+
+
 _ENGINES = {
     ENGINE_TRANSLATOR: run_translator,
-    ENGINE_INTERPRETER: run_interpreter,
+    ENGINE_INTERPRETER: _run_interpreter,
 }
 
 
@@ -153,7 +160,7 @@ class VirtualMachine:
 
     def share_code_cache(self) -> None:
         """Swap the VM's own table for the process-wide one of this image,
-        found under every input :func:`~repro.vm.translator.run_translator`
+        found under every input :func:`~repro.vm.dispatch.run_translator`
         reads besides the image's text, so whoever else holds it translates
         exactly as this VM would."""
         config = (self._check_policy, self.superblock_limit, self.elides_guards)

@@ -398,7 +398,7 @@ def test_quota_and_table_stay_consistent_under_concurrent_clients(
 
 
 def test_board_keys_breakers_by_archive_and_sums_totals(make_service):
-    """One breaker per archive path, and ``stats`` sums them."""
+    """One breaker per archive path with a history, and ``stats`` sums them."""
     service = make_service(breaker_threshold=1, breaker_reset=9.0)
     poisoned = {"op": "check", "archive": "/tmp/poisoned.zip", "fail": True}
     failed = service.handle(poisoned)
@@ -410,7 +410,7 @@ def test_board_keys_breakers_by_archive_and_sums_totals(make_service):
     breakers = health(service)["breakers"]
     assert breakers["/tmp/poisoned.zip"]["state"] == STATE_OPEN
     assert 0 < breakers["/tmp/poisoned.zip"]["retry_after_seconds"] <= 9.0
-    assert breakers["/tmp/healthy.zip"]["state"] == STATE_CLOSED
+    assert "/tmp/healthy.zip" not in breakers   # closed and failure-free
     totals = counters(service)
     assert totals["breaker_trips_total"] == 1
     assert totals["breaker_rejections_total"] == 1
@@ -432,6 +432,20 @@ def test_no_counter_falls_when_a_breaker_closes(make_service):
     assert set(after) == set(before)
     assert {name: (before[name], after[name]) for name in before
             if after[name] < before[name]} == {}
+
+
+def test_breakers_without_a_history_are_not_kept(make_service):
+    """Requests that succeed, each naming an archive of its own, leave no
+    breaker behind: the dict holds only archives that failed, tripped or
+    were refused."""
+    service = make_service(breaker_threshold=2)
+    for index in range(20):
+        assert service.handle({"op": "check", "archive": f"/tmp/a{index}.zip"})["ok"]
+    assert health(service)["breakers"] == {}
+    assert service.handle({"op": "check", "archive": "/tmp/a0.zip", "fail": True})["ok"] is False
+    assert service.handle({"op": "check", "archive": "/tmp/a0.zip"})["ok"]
+    assert health(service)["breakers"] == {}    # the success reset the only failure
+    assert counters(service)["breaker_trips_total"] == 0
 
 
 def test_board_disabled_passes_everything(make_service):

@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import dataclasses
 import io
-import pathlib
 import pickle
 import shutil
-import time
 
 import pytest
 
 import repro.api as vxa
-import repro.errors
 import repro.faults  # noqa: F401  -- registers FaultPlanError for the walk
 from repro.errors import (
     DeadlineExceeded,

@@ -140,6 +140,71 @@ def test_a_second_extract_imports_no_analysis_engine(six_decoders, tmp_path):
             == {path.name: path.read_bytes() for path in (tmp_path / "out1").iterdir()})
 
 
+#: What a ``--vxa`` extract whose every fragment and report comes from a warm
+#: store never calls: the code generator and the instruction decoder it reads
+#: code with, the reference interpreter, the vxserve client and its socket, the
+#: write path, fault injection and the integrity reporter.
+WARM_STORE_LEAVES_OUT = (
+    "repro.vm.translator", "repro.isa.encoding", "repro.vm.interpreter",
+    "repro.client", "socket", "repro.api.builder", "repro.zipformat.writer",
+    "repro.core.decoder_store", "repro.faults", "repro.core.integrity")
+
+
+def test_a_warm_store_extract_loads_only_the_code_it_runs(six_decoders, tmp_path):
+    """The first process translates, so it imports the code generator; the
+    second restores every fragment from the store and imports none of
+    :data:`WARM_STORE_LEAVES_OUT` -- to the same bytes."""
+    archive, _ = six_decoders
+    runs = [_fresh_interpreter(VXUNZIP, "extract", archive, "-o",
+                               tmp_path / f"out{index}", "--vxa")
+            for index in range(2)]
+    assert "repro.vm.translator" in runs[0]
+    assert [name for name in WARM_STORE_LEAVES_OUT if name in runs[1]] == []
+    assert "repro.vm.dispatch" in runs[1]           # fragments still ran
+    extracted = [{path.name: path.read_bytes() for path in (tmp_path / f"out{index}").iterdir()}
+                 for index in range(2)]
+    assert extracted[0] == extracted[1]
+    assert len(extracted[0]) == 6
+
+
+#: Imports the package, reads each lazy public name and what ``import *``
+#: binds, and reports whether each is its defining module's own object.
+LAZY_NAMES = """
+import importlib, json, sys
+import repro, repro.api
+lazy = {"repro": ("ArchiveBuilder", "VxServeClient", "VxServeError"),
+        "repro.api": ("ArchiveBuilder", "FaultPlan", "FaultSpec")}
+homes = {"ArchiveBuilder": "repro.api.builder", "VxServeClient": "repro.client",
+         "VxServeError": "repro.client", "FaultPlan": "repro.faults",
+         "FaultSpec": "repro.faults"}
+loaded_before = sorted(set(homes.values()) & set(sys.modules))
+same = {}
+for package, names in lazy.items():
+    for name in names:
+        value = getattr(sys.modules[package], name)
+        same[f"{package}.{name}"] = value is getattr(importlib.import_module(homes[name]), name)
+star = {}
+exec("from repro import *", star)
+same["import *"] = all(star[name] is getattr(repro, name) for name in repro.__all__)
+try:
+    repro.api.NoSuchName
+    same["unknown name raises"] = False
+except AttributeError:
+    same["unknown name raises"] = True
+print(json.dumps({"code": 0, "before": loaded_before, "same": same}))
+"""
+
+
+def test_lazy_public_names_are_their_modules_objects():
+    outcome = _fresh_outcome(LAZY_NAMES)
+    assert outcome["before"] == []
+    assert outcome["same"] == {
+        "repro.ArchiveBuilder": True, "repro.VxServeClient": True,
+        "repro.VxServeError": True, "repro.api.ArchiveBuilder": True,
+        "repro.api.FaultPlan": True, "repro.api.FaultSpec": True,
+        "import *": True, "unknown name raises": True}
+
+
 def test_extract_survives_without_numpy_and_compiler(six_decoders, tmp_path):
     """The durability claim: the archive decodes where its encoders cannot
     even be imported, to the bytes it decodes to where they can."""

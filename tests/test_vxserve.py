@@ -150,8 +150,8 @@ def test_health_reports_pool_admission_and_breakers(service, archive_path):
     assert counters["completed_total"] == 1
     assert result["pool"]["jobs"] == 2
     assert result["pool"]["executor"] == EXECUTOR_THREAD
-    breaker = result["breakers"][str(archive_path)]
-    assert breaker["state"] == "closed" and breaker["failures"] == 0
+    # A breaker with no history is not kept: the archive served is not listed.
+    assert str(archive_path) not in result["breakers"]
 
 
 def test_stats_counters_are_monotonic(tmp_path, service, archive_path):
@@ -229,10 +229,7 @@ def test_wire_shape_of_health_and_stats(tmp_path, archive_path, members):
     assert scrape["quotas"] == {"per_client": 1, "open_by_client": {}}
     assert scrape["open_requests"] == 0
     assert scrape["oldest_request_seconds"] == 0.0
-    assert set(scrape["breakers"]) == {str(archive_path), missing}
-    assert scrape["breakers"][str(archive_path)] == {
-        "state": "closed", "failures": 0, "trips_total": 0,
-        "rejections_total": 0}
+    assert set(scrape["breakers"]) == {missing}     # the served one has no history
     opened = scrape["breakers"][missing]
     assert set(opened) == {"state", "failures", "trips_total",
                            "rejections_total", "retry_after_seconds"}
