@@ -2,7 +2,10 @@
 
 Bits are packed least-significant-bit first within each byte, the same
 convention DEFLATE uses, so the guest decoders' bit readers (written in vxc)
-and these Python implementations interoperate byte-for-byte.  The reader
+and these Python implementations interoperate byte-for-byte.  The writer
+ORs each write into one integer of pending bits above those already there
+and moves whole bytes out to its buffer once a word's worth is pending, so a
+write costs a few integer operations whatever its width.  The reader
 mirrors the guest's: multi-bit reads cut from a window of whole bytes while
 enough bytes remain, one bit at a time near the end of the stream.
 """
@@ -11,30 +14,33 @@ from __future__ import annotations
 
 from repro.errors import CodecError
 
+#: Pending bits at which the writer moves whole bytes to its buffer.
+_FLUSH_BITS = 64
+
 
 class BitWriter:
     """Accumulates bits LSB-first and yields bytes."""
 
     def __init__(self):
         self._buffer = bytearray()
-        self._bit_position = 0
-        self._current = 0
+        self._pending = 0        # bits not yet in the buffer, first one lowest
+        self._pending_count = 0
 
     def write_bit(self, bit: int) -> None:
         if bit:
-            self._current |= 1 << self._bit_position
-        self._bit_position += 1
-        if self._bit_position == 8:
-            self._buffer.append(self._current)
-            self._current = 0
-            self._bit_position = 0
+            self._pending |= 1 << self._pending_count
+        self._pending_count += 1
+        if self._pending_count >= _FLUSH_BITS:
+            self._flush()
 
     def write_bits(self, value: int, count: int) -> None:
         """Write ``count`` bits of ``value``, least significant bit first."""
         if count < 0 or value < 0:
             raise CodecError("bit writes must be non-negative")
-        for position in range(count):
-            self.write_bit((value >> position) & 1)
+        self._pending |= (value & ((1 << count) - 1)) << self._pending_count
+        self._pending_count += count
+        if self._pending_count >= _FLUSH_BITS:
+            self._flush()
 
     def write_code(self, code: int, length: int) -> None:
         """Write a Huffman code: most significant bit of the code first.
@@ -43,25 +49,38 @@ class BitWriter:
         lets the decoder either consume one bit at a time and compare against
         the canonical first-code boundaries, or index a table with the next
         few bits, in which a short code appears bit-reversed
-        (:class:`~repro.codecs.huffman.HuffmanDecoder` does both).
+        (:class:`~repro.codecs.huffman.HuffmanDecoder` does both).  The code
+        goes out as one write of its bits reversed.
         """
-        for position in range(length - 1, -1, -1):
-            self.write_bit((code >> position) & 1)
+        if length > 0:
+            self.write_bits(reverse_bits(code, length), length)
 
     def align_to_byte(self) -> None:
-        while self._bit_position != 0:
-            self.write_bit(0)
+        self._pending_count = (self._pending_count + 7) & ~7
+        if self._pending_count >= _FLUSH_BITS:
+            self._flush()
 
     def getvalue(self) -> bytes:
         """Return all complete bytes, padding the final partial byte with zeros."""
-        result = bytearray(self._buffer)
-        if self._bit_position:
-            result.append(self._current)
-        return bytes(result)
+        return bytes(self._buffer) + self._pending.to_bytes(
+            (self._pending_count + 7) >> 3, "little")
 
     @property
     def bit_length(self) -> int:
-        return len(self._buffer) * 8 + self._bit_position
+        return len(self._buffer) * 8 + self._pending_count
+
+    def _flush(self) -> None:
+        """Move the whole bytes of the pending bits to the buffer."""
+        whole = self._pending_count >> 3
+        bits = whole << 3
+        self._buffer += (self._pending & ((1 << bits) - 1)).to_bytes(whole, "little")
+        self._pending >>= bits
+        self._pending_count -= bits
+
+
+def reverse_bits(value: int, count: int) -> int:
+    """The low ``count`` bits of ``value`` in reverse order (``count >= 1``)."""
+    return int(f"{value & ((1 << count) - 1):0{count}b}"[::-1], 2)
 
 
 class BitReader:

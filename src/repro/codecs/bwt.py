@@ -2,7 +2,12 @@
 
 The forward transform uses a prefix-doubling suffix array built with numpy
 (the encoder runs natively inside the archiver, exactly as the paper's
-encoders do).  The inverse transform -- the part the archived guest decoder
+encoders do).  Each doubling round sorts the suffixes by one combined int64
+key -- the rank of their first half times a base above every rank, plus the
+rank of their second half -- with a stable argsort, and the last column is
+one gather of the byte before each sorted suffix.  The run-length pre-pass
+finds its runs with a regular expression and copies the bytes between runs
+as slices.  The inverse transform -- the part the archived guest decoder
 must perform -- uses the standard counting / LF-mapping reconstruction.  The
 guest decoder (``repro.codecs.guest.general``) computes the same values the
 way bzip2's decoder does.  Its inverse move-to-front leaves the alphabet alone
@@ -15,6 +20,8 @@ come out.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -44,41 +51,37 @@ def bwt_forward(block: bytes) -> tuple[bytes, int]:
     data = np.frombuffer(block, dtype=np.uint8).astype(np.int64) + 1
     padded = np.concatenate([data, np.zeros(1, dtype=np.int64)])
     order = _suffix_array_int(padded)
-    output = bytearray()
-    primary = -1
-    for row, start in enumerate(order):
-        if start == 0:
-            # This row's last character is the sentinel; skip it but remember
-            # where the original string ended up.
-            primary = len(output)
-            continue
-        output.append(int(padded[start - 1]) - 1)
-    if primary < 0:
+    # The row of the whole string ends in the sentinel: it is skipped, and
+    # where it was is the primary index.
+    primary_rows = np.flatnonzero(order == 0)
+    if len(primary_rows) != 1:
         raise CodecError("BWT failed to locate the primary index")
-    assert len(output) == length
-    return bytes(output), primary
+    primary = int(primary_rows[0])
+    column = np.delete(padded[order - 1], primary) - 1
+    assert len(column) == length
+    return column.astype(np.uint8).tobytes(), primary
 
 
 def _suffix_array_int(values: np.ndarray) -> np.ndarray:
+    """Prefix doubling: each round sorts the suffixes by one int64 key, the
+    rank of their first ``step`` symbols times the largest rank plus two, plus
+    the rank of the next ``step`` symbols plus one (0 past the end).  The key
+    stays below ``(n + 1) ** 2`` for ``n`` symbols."""
     length = len(values)
     rank = values.copy()
-    order = np.argsort(rank, kind="stable")
     step = 1
     while True:
-        shifted = np.full(length, -1, dtype=np.int64)
+        shifted = np.zeros(length, dtype=np.int64)
         if step < length:
-            shifted[:-step] = rank[step:]
-        order = np.lexsort((shifted, rank))
-        sorted_rank = rank[order]
-        sorted_shift = shifted[order]
+            shifted[:-step] = rank[step:] + 1
+        key = rank * (int(rank.max()) + 2) + shifted
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
         changes = np.empty(length, dtype=np.int64)
         changes[0] = 0
-        changes[1:] = (
-            (sorted_rank[1:] != sorted_rank[:-1]) | (sorted_shift[1:] != sorted_shift[:-1])
-        ).cumsum()
-        new_rank = np.empty(length, dtype=np.int64)
-        new_rank[order] = changes
-        rank = new_rank
+        changes[1:] = (sorted_key[1:] != sorted_key[:-1]).cumsum()
+        rank = np.empty(length, dtype=np.int64)
+        rank[order] = changes
         if changes[-1] == length - 1:
             return order
         step *= 2
@@ -140,30 +143,34 @@ def mtf_decode(data: bytes) -> bytes:
 RLE_TRIGGER = 4
 RLE_MAX_RUN = 255
 
+#: Runs of RLE_TRIGGER (four) identical bytes or more, each as long as it goes.
+_RUNS = re.compile(rb"(.)\1{3,}", re.S)
+
 
 def rle_encode(data: bytes) -> bytes:
     """bzip2-style initial run-length encoding.
 
     Runs of four identical bytes are followed by a count byte giving how many
     *additional* repeats (0..255) follow.  This protects the BWT sorter from
-    degenerate inputs and is exactly what the guest decoder undoes.
+    degenerate inputs and is exactly what the guest decoder undoes.  A run
+    longer than ``RLE_TRIGGER + RLE_MAX_RUN`` is cut into runs that long and
+    a remainder, which is a run of its own only if four bytes or more.
     """
     output = bytearray()
-    index = 0
-    length = len(data)
     longest = RLE_TRIGGER + RLE_MAX_RUN
-    while index < length:
-        byte = data[index]
-        run = 1
-        while index + run < length and data[index + run] == byte and run < longest:
-            run += 1
-        if run >= RLE_TRIGGER:
-            output.extend(bytes([byte]) * RLE_TRIGGER)
-            output.append(run - RLE_TRIGGER)
-            index += run
+    copied = 0
+    for run in _RUNS.finditer(data):
+        start, end = run.span()
+        output += data[copied:start]
+        byte = data[start : start + 1]
+        full, rest = divmod(end - start, longest)
+        output += (byte * RLE_TRIGGER + bytes((RLE_MAX_RUN,))) * full
+        if rest >= RLE_TRIGGER:
+            output += byte * RLE_TRIGGER + bytes((rest - RLE_TRIGGER,))
         else:
-            output.extend(bytes([byte]) * run)
-            index += run
+            output += byte * rest
+        copied = end
+    output += data[copied:]
     return bytes(output)
 
 

@@ -16,10 +16,10 @@ input to the same symbols and stop at the same bit.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from repro.codecs.bitio import BitReader, BitWriter
+from repro.codecs.bitio import BitReader, BitWriter, reverse_bits
 from repro.errors import CodecError
 
 #: Maximum code length accepted anywhere in this library (same limit as DEFLATE).
@@ -128,10 +128,23 @@ def canonical_codes(lengths: list[int]) -> list[int]:
 
 @dataclass
 class HuffmanEncoder:
-    """Canonical Huffman encoder for one alphabet."""
+    """Canonical Huffman encoder for one alphabet.
+
+    A code goes MSB-first into an LSB-first stream, so each symbol's code is
+    kept mirrored, as the value of one :meth:`BitWriter.write_bits`, and as
+    that value's digits for :meth:`write_symbols`.
+    """
 
     lengths: list[int]
     codes: list[int]
+    _mirrored: list[int] = field(init=False, repr=False, compare=False)
+    _digits: list[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._mirrored = [reverse_bits(code, length) if length else 0
+                          for code, length in zip(self.codes, self.lengths)]
+        self._digits = [f"{mirrored:0{length}b}" if length else ""
+                        for mirrored, length in zip(self._mirrored, self.lengths)]
 
     @classmethod
     def from_frequencies(cls, frequencies: list[int],
@@ -150,7 +163,21 @@ class HuffmanEncoder:
         length = self.lengths[symbol]
         if length == 0:
             raise CodecError(f"symbol {symbol} has no code")
-        writer.write_code(self.codes[symbol], length)
+        writer.write_bits(self._mirrored[symbol], length)
+
+    def write_symbols(self, writer: BitWriter, symbols: bytes) -> None:
+        """Write every symbol of ``symbols`` in turn, as one write.
+
+        The value of that write has the first symbol's bits lowest, so its
+        binary digits are the symbols' own, last symbol first.
+        """
+        for symbol in set(symbols):
+            if self.lengths[symbol] == 0:
+                raise CodecError(f"symbol {symbol} has no code")
+        digits = self._digits
+        text = "".join([digits[symbol] for symbol in reversed(symbols)])
+        if text:
+            writer.write_bits(int(text, 2), len(text))
 
 
 class HuffmanDecoder:

@@ -21,6 +21,7 @@ Stream layout (little endian)::
 from __future__ import annotations
 
 import struct
+from collections import Counter
 
 from repro.codecs.base import Codec, CodecInfo
 from repro.codecs.bitio import BitReader, BitWriter
@@ -44,6 +45,13 @@ DEFAULT_BLOCK_SIZE = 64 * 1024
 MAX_BLOCK_SIZE = 900 * 1024
 
 
+def _checked_block_size(block_size: int) -> int:
+    """``block_size`` if the archived decoder accepts it, else ValueError."""
+    if not 1024 <= block_size <= MAX_BLOCK_SIZE:
+        raise ValueError("block size must be between 1 KB and 900 KB")
+    return block_size
+
+
 class VxbwtCodec(Codec):
     """bzip2-class block-sorting codec."""
 
@@ -57,9 +65,7 @@ class VxbwtCodec(Codec):
     )
 
     def __init__(self, *, block_size: int = DEFAULT_BLOCK_SIZE):
-        if not 1024 <= block_size <= MAX_BLOCK_SIZE:
-            raise ValueError("block size must be between 1 KB and 900 KB")
-        self._block_size = block_size
+        self._block_size = _checked_block_size(block_size)
 
     @property
     def magic(self) -> bytes:
@@ -71,7 +77,7 @@ class VxbwtCodec(Codec):
     # -- encoding ------------------------------------------------------------------
 
     def encode(self, data: bytes, **options) -> bytes:
-        block_size = options.get("block_size", self._block_size)
+        block_size = _checked_block_size(options.get("block_size", self._block_size))
         pieces = [_HEADER.pack(MAGIC, len(data), block_size)]
         for start in range(0, len(data), block_size):
             block = data[start : start + block_size]
@@ -86,12 +92,11 @@ class VxbwtCodec(Codec):
         ranks = mtf_encode(transformed)
 
         frequencies = [0] * 256
-        for rank in ranks:
-            frequencies[rank] += 1
+        for rank, count in Counter(ranks).items():
+            frequencies[rank] = count
         encoder = HuffmanEncoder.from_frequencies(frequencies)
         writer = BitWriter()
-        for rank in ranks:
-            encoder.write_symbol(writer, rank)
+        encoder.write_symbols(writer, ranks)
         writer.align_to_byte()
         return (
             _BLOCK_HEADER.pack(len(block), len(ranks), primary)

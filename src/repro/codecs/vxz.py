@@ -80,20 +80,18 @@ class VxzCodec(Codec):
 
         litlen_freq = [0] * NUM_LITLEN_SYMBOLS
         dist_freq = [0] * NUM_DISTANCE_SYMBOLS
-        staged: list[tuple] = []
+        # A literal stays its byte; a match becomes its two slot codes.
+        staged: list[int | tuple[tuple[int, int, int], tuple[int, int, int]]] = []
         for token in tokens:
-            if token.is_literal:
-                litlen_freq[token.literal] += 1
-                staged.append(("lit", token.literal))
+            if isinstance(token, int):
+                litlen_freq[token] += 1
+                staged.append(token)
             else:
-                length_slot, length_bits, length_extra = length_to_slot(token.length)
-                dist_slot, dist_bits, dist_extra = distance_to_slot(token.distance)
-                litlen_freq[257 + length_slot] += 1
-                dist_freq[dist_slot] += 1
-                staged.append(
-                    ("match", length_slot, length_bits, length_extra,
-                     dist_slot, dist_bits, dist_extra)
-                )
+                length_code = length_to_slot(token[0])
+                dist_code = distance_to_slot(token[1])
+                litlen_freq[257 + length_code[0]] += 1
+                dist_freq[dist_code[0]] += 1
+                staged.append((length_code, dist_code))
         litlen_freq[END_OF_BLOCK] += 1
 
         litlen_encoder = HuffmanEncoder.from_frequencies(litlen_freq)
@@ -101,14 +99,14 @@ class VxzCodec(Codec):
 
         writer = BitWriter()
         for entry in staged:
-            if entry[0] == "lit":
-                litlen_encoder.write_symbol(writer, entry[1])
-            else:
-                _, length_slot, length_bits, length_extra, dist_slot, dist_bits, dist_extra = entry
-                litlen_encoder.write_symbol(writer, 257 + length_slot)
-                writer.write_bits(length_extra, length_bits)
-                dist_encoder.write_symbol(writer, dist_slot)
-                writer.write_bits(dist_extra, dist_bits)
+            if isinstance(entry, int):
+                litlen_encoder.write_symbol(writer, entry)
+                continue
+            (length_slot, length_bits, length_extra), (dist_slot, dist_bits, dist_extra) = entry
+            litlen_encoder.write_symbol(writer, 257 + length_slot)
+            writer.write_bits(length_extra, length_bits)
+            dist_encoder.write_symbol(writer, dist_slot)
+            writer.write_bits(dist_extra, dist_bits)
         litlen_encoder.write_symbol(writer, END_OF_BLOCK)
 
         return (

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.api as vxa
 from repro.codecs.vxbwt import VxbwtCodec
 from repro.codecs.vxflac import VxflacCodec
 from repro.codecs.vximg import VximgCodec, rgb_to_ycbcr, ycbcr_to_rgb
@@ -114,6 +115,25 @@ def test_vxbwt_degenerate_runs():
 def test_vxbwt_rejects_bad_block_size():
     with pytest.raises(ValueError):
         VxbwtCodec(block_size=10)
+
+
+def test_vxbwt_rejects_a_per_call_block_size_no_decoder_accepts(tmp_path):
+    # The archived decoder refuses blocks over 900 KB, so the encoder must
+    # refuse them before anything of the member is written.
+    text = sample_text(5000)
+    path = tmp_path / "a.zip"
+    with vxa.create(path) as builder:
+        for block_size in (1_000_000, 0, 1023):
+            with pytest.raises(ValueError):
+                builder.add("big.txt", text, codec="vxbwt",
+                            encode_options={"block_size": block_size})
+        for block_size in (1024, 4096, 30000):
+            builder.add(f"{block_size}.txt", text, codec="vxbwt",
+                        encode_options={"block_size": block_size})
+    with vxa.open(path) as archive:
+        assert archive.names() == ["1024.txt", "4096.txt", "30000.txt"]
+        for name in archive.names():
+            assert archive.extract(name).data == text
 
 
 @settings(max_examples=15, deadline=None)
