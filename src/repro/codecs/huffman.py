@@ -131,20 +131,16 @@ class HuffmanEncoder:
     """Canonical Huffman encoder for one alphabet.
 
     A code goes MSB-first into an LSB-first stream, so each symbol's code is
-    kept mirrored, as the value of one :meth:`BitWriter.write_bits`, and as
-    that value's digits for :meth:`write_symbols`.
+    kept mirrored, as the value of one :meth:`BitWriter.write_bits`.
     """
 
     lengths: list[int]
     codes: list[int]
     _mirrored: list[int] = field(init=False, repr=False, compare=False)
-    _digits: list[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._mirrored = [reverse_bits(code, length) if length else 0
                           for code, length in zip(self.codes, self.lengths)]
-        self._digits = [f"{mirrored:0{length}b}" if length else ""
-                        for mirrored, length in zip(self._mirrored, self.lengths)]
 
     @classmethod
     def from_frequencies(cls, frequencies: list[int],
@@ -164,20 +160,6 @@ class HuffmanEncoder:
         if length == 0:
             raise CodecError(f"symbol {symbol} has no code")
         writer.write_bits(self._mirrored[symbol], length)
-
-    def write_symbols(self, writer: BitWriter, symbols: bytes) -> None:
-        """Write every symbol of ``symbols`` in turn, as one write.
-
-        The value of that write has the first symbol's bits lowest, so its
-        binary digits are the symbols' own, last symbol first.
-        """
-        for symbol in set(symbols):
-            if self.lengths[symbol] == 0:
-                raise CodecError(f"symbol {symbol} has no code")
-        digits = self._digits
-        text = "".join([digits[symbol] for symbol in reversed(symbols)])
-        if text:
-            writer.write_bits(int(text, 2), len(text))
 
 
 class HuffmanDecoder:

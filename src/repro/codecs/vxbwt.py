@@ -96,7 +96,8 @@ class VxbwtCodec(Codec):
             frequencies[rank] = count
         encoder = HuffmanEncoder.from_frequencies(frequencies)
         writer = BitWriter()
-        encoder.write_symbols(writer, ranks)
+        for rank in ranks:
+            encoder.write_symbol(writer, rank)
         writer.align_to_byte()
         return (
             _BLOCK_HEADER.pack(len(block), len(ranks), primary)
