@@ -7,10 +7,18 @@ ORs each write into one integer of pending bits above those already there
 and moves whole bytes out to its buffer once a word's worth is pending, so a
 write costs a few integer operations whatever its width.  The reader
 mirrors the guest's: multi-bit reads cut from a window of whole bytes while
-enough bytes remain, one bit at a time near the end of the stream.
+enough bytes remain, one bit at a time near the end of the stream.  For the
+Huffman decode loops it also holds every two-byte window of its data in one
+``array('H')``, built once from two unaligned reads of the whole string: a
+loop indexes it with a bit position of its own, meets ``IndexError`` where
+fewer than two bytes remain, and hands the position back through
+:attr:`BitReader.position` before calling the reader's bit-at-a-time paths.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
 
 from repro.errors import CodecError
 
@@ -90,6 +98,7 @@ class BitReader:
         self._data = data
         self._byte_position = start
         self._bit_position = 0
+        self._windows: array | None = None
 
     def read_bit(self) -> int:
         if self._byte_position >= len(self._data):
@@ -112,27 +121,36 @@ class BitReader:
         position = self._byte_position
         if count <= 17 and len(data) - position >= 3:
             window = data[position] | data[position + 1] << 8 | data[position + 2] << 16
-            value = (window >> self._bit_position) & ((1 << count) - 1)
-            self.skip(count)
+            bits = self._bit_position
+            value = (window >> bits) & ((1 << count) - 1)
+            bits += count
+            self._byte_position = position + (bits >> 3)
+            self._bit_position = bits & 7
             return value
         value = 0
         for position in range(count):
             value |= self.read_bit() << position
         return value
 
-    def peek_window(self) -> int:
-        """The unread bits of the next two bytes (at least nine of them),
-        LSB-first, without consuming any; -1 when fewer than two remain."""
-        data = self._data
-        position = self._byte_position
-        if len(data) - position < 2:
-            return -1
-        return (data[position] | data[position + 1] << 8) >> self._bit_position
+    @property
+    def windows(self) -> array:
+        """``windows[i]`` is ``data[i] | data[i + 1] << 8`` for every ``i``
+        that has two bytes from it on, built once per reader: a decode loop
+        cuts the next nine bits or more from ``windows[p >> 3] >> (p & 7)``
+        and meets ``IndexError`` where fewer than two bytes remain."""
+        if self._windows is None:
+            self._windows = _two_byte_windows(self._data)
+        return self._windows
 
-    def skip(self, count: int) -> None:
-        """Consume ``count`` bits already seen through :meth:`peek_window`."""
-        bits = self._bit_position + count
-        self._byte_position += bits >> 3
+    @property
+    def position(self) -> int:
+        """Bits read from the start of the data; a decode loop that ran over
+        :attr:`windows` sets it back before any other read."""
+        return self._byte_position * 8 + self._bit_position
+
+    @position.setter
+    def position(self, bits: int) -> None:
+        self._byte_position = bits >> 3
         self._bit_position = bits & 7
 
     def align_to_byte(self) -> None:
@@ -157,6 +175,26 @@ class BitReader:
     @property
     def byte_position(self) -> int:
         return self._byte_position
+
+
+def _two_byte_windows(data: bytes) -> array:
+    """The little-endian 16-bit value at every byte offset of ``data`` that
+    has two bytes from it on: the even offsets and the odd ones are each one
+    unaligned read of the whole string, interleaved by slice assignment."""
+    count = len(data) - 1
+    if count <= 0:
+        return array("H")
+    view = memoryview(data)
+    even, odd = array("H"), array("H")
+    even.frombytes(view[: 2 * ((count + 1) >> 1)])
+    odd.frombytes(view[1 : 1 + 2 * (count >> 1)])
+    if sys.byteorder == "big":
+        even.byteswap()
+        odd.byteswap()
+    windows = array("H", [0]) * count
+    windows[0::2] = even
+    windows[1::2] = odd
+    return windows
 
 
 def zigzag_encode(value: int) -> int:

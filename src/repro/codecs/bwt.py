@@ -16,12 +16,18 @@ words per step.  It writes the last column in place with a hole at the
 primary row, where the sentinel sorts, and counts each byte as it writes it,
 so no separate histogram pass is needed.  A counting sort then places the
 rows, and one walk of the LF mapping undoes the run-length layer as the bytes
-come out.
+come out.  Natively the LF mapping is one stable numpy argsort of the column,
+and the walk runs over a flat ``array('i')`` of it; a walk that comes back to
+the primary row before the block is complete is a ``CodecError`` here and
+exit 54 in the guest.  The run-length decoder finds its runs with a regular
+expression, as the encoder does, and copies the bytes between them as
+slices.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 
 import numpy as np
 
@@ -98,17 +104,25 @@ def bwt_inverse(last_column: bytes, primary: int) -> bytes:
         return b""
     if not 0 <= primary <= length:
         raise CodecError("BWT primary index out of range")
-    # Reinsert the virtual sentinel as symbol -1 at position `primary`.
-    symbols = np.empty(length + 1, dtype=np.int64)
-    symbols[:primary] = np.frombuffer(last_column[:primary], dtype=np.uint8)
-    symbols[primary] = -1
-    symbols[primary + 1 :] = np.frombuffer(last_column[primary:], dtype=np.uint8)
-    order = np.argsort(symbols, kind="stable")
+    # Reinsert the virtual sentinel, which sorts before every byte, at row
+    # `primary`; the LF mapping is one stable argsort of the column.
+    keys = np.empty(length + 1, dtype=np.int16)
+    keys[:primary] = np.frombuffer(last_column, dtype=np.uint8, count=primary)
+    keys[primary] = -1
+    keys[primary + 1 :] = np.frombuffer(last_column, dtype=np.uint8, offset=primary)
+    order = np.argsort(keys, kind="stable").astype(np.int32)
+    del keys
+    lf = array("i")
+    lf.frombytes(order.view(np.uint8))
+    del order
+    column = last_column[:primary] + b"\0" + last_column[primary:]
     output = bytearray(length)
     row = primary
     for index in range(length):
-        row = int(order[row])
-        output[index] = int(symbols[row])
+        row = lf[row]
+        if row == primary:
+            raise CodecError("BWT walk returns to the primary row early")
+        output[index] = column[row]
     return bytes(output)
 
 
@@ -145,6 +159,8 @@ RLE_MAX_RUN = 255
 
 #: Runs of RLE_TRIGGER (four) identical bytes or more, each as long as it goes.
 _RUNS = re.compile(rb"(.)\1{3,}", re.S)
+#: Four identical bytes and the count byte after them, if there is one.
+_RUN_COUNTS = re.compile(rb"(.)\1{3}(.)?", re.S)
 
 
 def rle_encode(data: bytes) -> bytes:
@@ -175,27 +191,16 @@ def rle_encode(data: bytes) -> bytes:
 
 
 def rle_decode(data: bytes) -> bytes:
-    """Inverse of :func:`rle_encode`."""
+    """Inverse of :func:`rle_encode`: each run of four identical bytes is
+    followed by its count byte, and the next run starts after that byte."""
     output = bytearray()
-    index = 0
-    length = len(data)
-    run = 0
-    previous = -1
-    while index < length:
-        byte = data[index]
-        index += 1
-        output.append(byte)
-        if byte == previous:
-            run += 1
-        else:
-            run = 1
-            previous = byte
-        if run == RLE_TRIGGER:
-            if index >= length:
-                raise CodecError("truncated RLE run count")
-            extra = data[index]
-            index += 1
-            output.extend(bytes([byte]) * extra)
-            run = 0
-            previous = -1
+    copied = 0
+    for run in _RUN_COUNTS.finditer(data):
+        if run.group(2) is None:
+            raise CodecError("truncated RLE run count")
+        end = run.end()
+        output += data[copied : end - 1]
+        output += run.group(1) * data[end - 1]
+        copied = end
+    output += data[copied:]
     return bytes(output)

@@ -11,6 +11,13 @@ zlib's ``inflate``), with the standard count/first-code walk, one bit at a
 time, behind it for longer codes and for the last byte of a stream.  The
 table holds exactly what the walk would return, so both paths decode every
 input to the same symbols and stop at the same bit.
+
+Natively the table step is written into the decode loops themselves, never
+called per symbol: :meth:`HuffmanDecoder.decode_into` reads a run of byte
+symbols (vxbwt's ranks, the image codecs' token bytes) and ``vxz`` has a loop
+of its own.  Each keeps the bit position in a local and cuts the nine bits
+from the two-byte windows its :class:`~repro.codecs.bitio.BitReader` builds
+once per stream; the walk, on the reader, takes the rest.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ MAX_CODE_LENGTH = 15
 #: and the guest library.  At most 9: two bytes of stream always hold the next
 #: nine bits, whatever the bit position within the first.
 FAST_BITS = 9
-_FAST_MASK = (1 << FAST_BITS) - 1
+FAST_MASK = (1 << FAST_BITS) - 1
 
 #: ``_REVERSED[i]`` is ``i``'s FAST_BITS-bit pattern mirrored: a code of length
 #: ``L`` sent MSB-first starts an LSB-first window with the bits
@@ -201,7 +208,7 @@ class HuffmanDecoder:
         self._symbols = symbols
         self._counts = counts
         self._max_length = max_length
-        self._fast = fast = [0] * (1 << FAST_BITS)
+        self.table = table = [0] * (1 << FAST_BITS)
         if max_length == 0:
             return
         # Validate the Kraft inequality so corrupt headers fail loudly.
@@ -216,7 +223,7 @@ class HuffmanDecoder:
             shift = FAST_BITS - length
             for symbol in symbols[position : position + count]:
                 entries = [symbol << 4 | length] * (1 << shift)
-                fast[_REVERSED[code << shift] :: 1 << length] = entries
+                table[_REVERSED[code << shift] :: 1 << length] = entries
                 code += 1
             position += count
             code <<= 1
@@ -225,16 +232,43 @@ class HuffmanDecoder:
     def is_empty(self) -> bool:
         return self._max_length == 0
 
-    def read_symbol(self, reader: BitReader) -> int:
-        window = reader.peek_window()
-        if window >= 0:
-            entry = self._fast[window & _FAST_MASK]
-            if entry:
-                reader.skip(entry & 15)
-                return entry >> 4
-        return self._walk(reader)
+    def decode_into(self, reader: BitReader, out: bytearray, count: int) -> int:
+        """Read up to ``count`` symbols, appending each one below 256 to
+        ``out``: return the first symbol above 255 (not appended), or -1
+        once ``count`` are in.
 
-    def _walk(self, reader: BitReader) -> int:
+        One loop over the reader's :attr:`~BitReader.windows`: while two
+        bytes remain, the next nine bits index the primary table; a zero
+        entry (a code longer than the table) and the last byte of the stream
+        take :meth:`walk`.  On a ``CodecError`` the reader stands where the
+        walk stopped, with ``out`` holding every symbol before it.
+        """
+        table = self.table
+        windows = reader.windows
+        walk = self.walk
+        append = out.append
+        position = reader.position
+        for _ in range(count):
+            try:
+                entry = table[windows[position >> 3] >> (position & 7) & FAST_MASK]
+            except IndexError:
+                entry = 0
+            if entry:
+                position += entry & 15
+                symbol = entry >> 4
+            else:
+                reader.position = position
+                symbol = walk(reader)
+                position = reader.position
+            try:
+                append(symbol)
+            except ValueError:      # above 255: the symbol that ends the run
+                reader.position = position
+                return symbol
+        reader.position = position
+        return -1
+
+    def walk(self, reader: BitReader) -> int:
         """The count/first-code walk, one bit at a time."""
         if self.is_empty:
             raise CodecError("cannot decode with an empty Huffman table")

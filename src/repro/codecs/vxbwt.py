@@ -114,6 +114,7 @@ class VxbwtCodec(Codec):
         if block_size > MAX_BLOCK_SIZE:
             raise CodecError("vxbwt block size exceeds the supported maximum")
         offset = _HEADER.size
+        reader = BitReader(data)
         output = bytearray()
         while len(output) < original_length or (original_length == 0 and offset < len(data)):
             if offset + _BLOCK_HEADER.size > len(data):
@@ -123,11 +124,9 @@ class VxbwtCodec(Codec):
             if transformed_length > 4 * block_size + 1024:
                 raise CodecError("vxbwt block declares an implausible size")
             lengths, offset = read_lengths_header(data, offset, 256)
-            decoder = HuffmanDecoder(lengths)
-            reader = BitReader(data, start=offset)
-            ranks = bytearray(transformed_length)
-            for index in range(transformed_length):
-                ranks[index] = decoder.read_symbol(reader)
+            reader.position = offset * 8
+            ranks = bytearray()
+            HuffmanDecoder(lengths).decode_into(reader, ranks, transformed_length)
             reader.align_to_byte()
             offset = reader.byte_position
             transformed = mtf_decode(bytes(ranks))

@@ -146,6 +146,11 @@ class VxflacCodec(Codec):
         _, sample_rate, channels, bits, num_frames, block_size = _HEADER.unpack_from(data, 0)
         if bits != 16 or channels < 1 or channels > 8 or block_size < 1:
             raise CodecError("vxflac header is malformed")
+        if sample_rate * channels * 2 >= 1 << 32:
+            raise CodecError("vxflac sample rate does not fit a WAV header")
+        if num_frames * channels > 8 * len(data):
+            # Every residual takes a bit or more: the stream would run out.
+            raise CodecError("vxflac stream is too short for its frame count")
         reader = BitReader(data, start=_HEADER.size)
         samples = np.zeros((num_frames, channels), dtype=np.int64)
         history = np.zeros((MAX_ORDER, channels), dtype=np.int64)

@@ -267,11 +267,9 @@ def _huffman_pack(payload: bytes) -> bytes:
 def _huffman_unpack(data: bytes, offset: int) -> bytes:
     """Inverse of :func:`_huffman_pack`."""
     lengths, offset = read_lengths_header(data, offset, _HB_SYMBOLS)
-    decoder = HuffmanDecoder(lengths)
     reader = BitReader(data, start=offset)
     output = bytearray()
-    while True:
-        symbol = decoder.read_symbol(reader)
-        if symbol == _HB_EOS:
-            return bytes(output)
-        output.append(symbol)
+    # The end of stream is the only symbol above 255, and every symbol takes
+    # a bit or more: the run ends at it, or the walk finds the stream spent.
+    HuffmanDecoder(lengths).decode_into(reader, output, reader.bits_remaining + 1)
+    return bytes(output)

@@ -163,6 +163,11 @@ class VxsndCodec(Codec):
         _, sample_rate, channels, num_frames, block_size = _HEADER.unpack_from(data, 0)
         if channels < 1 or channels > 8 or block_size < 1:
             raise CodecError("vxsnd header is malformed")
+        if sample_rate * channels * 2 >= 1 << 32:
+            raise CodecError("vxsnd sample rate does not fit a WAV header")
+        if num_frames * channels > 2 * len(data):
+            # Every sample takes a nibble: the stream would run out.
+            raise CodecError("vxsnd stream is too short for its frame count")
         offset = _HEADER.size
         samples = np.zeros((num_frames, channels), dtype=np.int16)
         position = 0

@@ -14,6 +14,13 @@ Stream layout (all integers little endian)::
     324 ... bit stream: Huffman-coded symbols; literal 0..255, 256 = end of
             stream, 257+i = length slot i followed by its extra bits and a
             distance symbol with its extra bits
+
+The native decoder is one loop with the Huffman table step written in for
+both alphabets (:mod:`repro.codecs.huffman`): nine bits from the reader's
+two-byte windows per symbol, extra bits from three bytes, and the reader's
+bit-at-a-time walk for long codes and the last bytes of the stream.  A match
+that does not overlap its source is copied as one slice, one that does as
+its last ``distance`` bytes repeated.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import struct
 from repro.codecs.base import Codec, CodecInfo
 from repro.codecs.bitio import BitReader, BitWriter
 from repro.codecs.huffman import (
+    FAST_MASK,
     HuffmanDecoder,
     HuffmanEncoder,
     read_lengths_header,
@@ -129,13 +137,28 @@ class VxzCodec(Codec):
         dist_lengths, offset = read_lengths_header(data, offset, NUM_DISTANCE_SYMBOLS)
         litlen_decoder = HuffmanDecoder(litlen_lengths)
         dist_decoder = HuffmanDecoder(dist_lengths)
+        litlen_table = litlen_decoder.table
+        dist_table = dist_decoder.table
         reader = BitReader(data, start=offset)
+        windows = reader.windows
+        position = reader.position
 
         output = bytearray()
+        append = output.append
         while True:
-            symbol = litlen_decoder.read_symbol(reader)
+            try:
+                entry = litlen_table[windows[position >> 3] >> (position & 7) & FAST_MASK]
+            except IndexError:
+                entry = 0
+            if entry:
+                position += entry & 15
+                symbol = entry >> 4
+            else:
+                reader.position = position
+                symbol = litlen_decoder.walk(reader)
+                position = reader.position
             if symbol < 256:
-                output.append(symbol)
+                append(symbol)
                 continue
             if symbol == END_OF_BLOCK:
                 break
@@ -143,17 +166,48 @@ class VxzCodec(Codec):
             if slot >= len(LENGTH_SLOTS):
                 raise CodecError("invalid length symbol in vxz stream")
             base, extra_bits = LENGTH_SLOTS[slot]
-            length = base + reader.read_bits(extra_bits)
-            dist_slot = dist_decoder.read_symbol(reader)
+            # Extra bits (at most 13) come from three bytes while three remain.
+            here = position >> 3
+            try:
+                length = base + ((windows[here] | data[here + 2] << 16)
+                                 >> (position & 7) & ((1 << extra_bits) - 1))
+                position += extra_bits
+            except IndexError:
+                reader.position = position
+                length = base + reader.read_bits(extra_bits)
+                position = reader.position
+            try:
+                entry = dist_table[windows[position >> 3] >> (position & 7) & FAST_MASK]
+            except IndexError:
+                entry = 0
+            if entry:
+                position += entry & 15
+                dist_slot = entry >> 4
+            else:
+                reader.position = position
+                dist_slot = dist_decoder.walk(reader)
+                position = reader.position
             base, extra_bits = DISTANCE_SLOTS[dist_slot]
-            distance = base + reader.read_bits(extra_bits)
-            if distance > len(output):
+            here = position >> 3
+            try:
+                distance = base + ((windows[here] | data[here + 2] << 16)
+                                   >> (position & 7) & ((1 << extra_bits) - 1))
+                position += extra_bits
+            except IndexError:
+                reader.position = position
+                distance = base + reader.read_bits(extra_bits)
+                position = reader.position
+            size = len(output)
+            if distance > size:
                 raise CodecError("vxz match reaches before the start of output")
-            if len(output) + length > MAX_OUTPUT:
+            if size + length > MAX_OUTPUT:
                 raise CodecError("vxz output exceeds the size limit")
-            start = len(output) - distance
-            for index in range(length):
-                output.append(output[start + index])
+            start = size - distance
+            if distance >= length:
+                output += output[start : start + length]
+            else:
+                # An overlapping match repeats its last ``distance`` bytes.
+                output += (output[start:] * (length // distance + 1))[:length]
         if len(output) != original_length:
             raise CodecError(
                 f"vxz stream decoded to {len(output)} bytes, header says {original_length}"

@@ -4,7 +4,9 @@ import pathlib
 
 import pytest
 
+import repro.api as vxa
 from repro.cli import main, unzip_main
+from repro.codecs.vxbwt import VxbwtCodec
 from repro.workloads.text import synthetic_source_tree_bytes
 
 
@@ -114,3 +116,33 @@ def test_cli_check_detects_corruption(workspace, capsys):
     assert status in (0, 1, 2)
     if status == 1:
         assert "failures" in out
+
+
+def test_cli_skips_a_vxbwt_member_whose_walk_returns_early(workspace, capsys):
+    # Bit 0 of the first block's primary index (stream offset 20) sends the
+    # LF walk back to the primary row early: natively a CodecError, which
+    # `--on-error skip` contains; the archived decoder exits 54 on it.
+    tmp_path, source_dir = workspace
+    text = (source_dir / "module.c").read_bytes()[:3000]
+    archive = tmp_path / "walk.zip"
+    with vxa.create(archive) as builder:
+        builder.add("a.txt", text, codec="vxbwt")
+        builder.add("b.txt", text, codec="vxz")
+    data = bytearray(archive.read_bytes())
+    at = data.find(VxbwtCodec().encode(text))
+    assert at > 0
+    data[at + 20] ^= 1
+    archive.write_bytes(bytes(data))
+
+    out_dir = tmp_path / "out"
+    assert unzip_main(["extract", str(archive), "-o", str(out_dir),
+                       "--on-error", "skip"]) == 1
+    captured = capsys.readouterr()
+    assert ("a.txt: skipped -- CodecError: BWT walk returns to the primary row early"
+            in captured.err)
+    assert "b.txt: 3000 bytes via native decoder" in captured.out
+    assert sorted(item.name for item in out_dir.iterdir()) == ["b.txt"]
+    assert (out_dir / "b.txt").read_bytes() == text
+
+    assert unzip_main(["check", str(archive)]) == 1
+    assert "status 54" in capsys.readouterr().out

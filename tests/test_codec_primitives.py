@@ -137,7 +137,8 @@ def test_huffman_encode_decode_round_trip(data):
         encoder.write_symbol(writer, byte)
     decoder = HuffmanDecoder(encoder.lengths)
     reader = BitReader(writer.getvalue())
-    decoded = bytes(decoder.read_symbol(reader) for _ in range(len(data)))
+    decoded = bytearray()
+    assert decoder.decode_into(reader, decoded, len(data)) == -1
     assert decoded == data
 
 

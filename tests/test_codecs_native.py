@@ -348,3 +348,38 @@ def test_registry_inventory_matches_table1_shape():
     names = {row["decoder"] for row in rows}
     assert names == {"vxz", "vxbwt", "vximg", "vxjp2", "vxflac", "vxsnd"}
     assert {row["output_format"] for row in rows} == {"raw data", "BMP image", "WAV audio"}
+
+
+def _small_streams() -> dict[str, bytes]:
+    from repro.codecs.registry import default_registry
+
+    registry = default_registry()
+    text = synthetic_source_tree_bytes(300, seed=3)[:300]
+    photo = write_ppm(synthetic_photo(8, 8, seed=3))
+    clip = write_wav(synthetic_music(seconds=0.01, sample_rate=8000, channels=1, seed=3))
+    raw = {"vxz": text, "vxbwt": text, "vximg": photo, "vxjp2": photo,
+           "vxflac": clip, "vxsnd": clip}
+    return {name: registry.get(name).encode(data) for name, data in raw.items()}
+
+
+@pytest.mark.parametrize("name", ["vxz", "vxbwt", "vximg", "vxjp2", "vxflac", "vxsnd"])
+def test_native_decoders_fail_only_with_codec_error(name):
+    # Every single-bit flip and every cut of one small stream either decodes
+    # or raises CodecError: anything else escapes on_error="skip" and salvage.
+    from repro.codecs.registry import default_registry
+
+    codec = default_registry().get(name)
+    stream = _small_streams()[name]
+    variants = [stream[:cut] for cut in range(len(stream))]
+    for bit in range(8 * len(stream)):
+        flipped = bytearray(stream)
+        flipped[bit >> 3] ^= 1 << (bit & 7)
+        variants.append(bytes(flipped))
+    decoded = 0
+    for variant in variants:
+        try:
+            codec.decode(variant)
+            decoded += 1
+        except CodecError:
+            pass
+    assert 0 < decoded < len(variants)

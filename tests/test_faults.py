@@ -39,6 +39,7 @@ from repro.faults import (
     KIND_KILL_WORKER,
     KIND_SYSCALL_ERROR,
 )
+from repro.workloads.text import synthetic_source_tree_bytes
 
 MEMBERS = 6
 
@@ -106,6 +107,30 @@ def test_corrupt_is_deterministic_and_changes_payload():
     other = FaultPlan(specs=(FaultSpec(member="m", kind=KIND_CORRUPT_PAYLOAD),),
                       seed=43)
     assert other.corrupt("m", payload) != first
+
+
+def test_corrupt_vxbwt_member_is_contained_in_auto_mode(tmp_path):
+    # A flipped payload byte of a natively decoded vxbwt member -- most often
+    # one that sends its LF walk back to the primary row early -- fails that
+    # member with a CodecError; under on_error="skip" its sibling extracts.
+    text = synthetic_source_tree_bytes(3000, seed=1)[:3000]
+    path = tmp_path / "a.zip"
+    with vxa.create(path) as builder:
+        builder.add("a.txt", text, codec="vxbwt")
+        builder.add("b.txt", text, codec="vxz")
+    messages = []
+    for seed in range(6):
+        plan = FaultPlan(specs=(FaultSpec("a.txt", KIND_CORRUPT_PAYLOAD),), seed=seed)
+        out = tmp_path / f"out{seed}"
+        with vxa.open(path, vxa.ReadOptions(on_error="skip", fault_plan=plan)) as archive:
+            report = archive.extract_into(out)
+        assert [(failure.name, failure.error_type) for failure in report.failures] == [
+            ("a.txt", "CodecError")]
+        messages.append(report.failures[0].message)
+        assert [record.name for record in report] == ["b.txt"]
+        assert sorted(item.name for item in out.iterdir()) == ["b.txt"]
+        assert (out / "b.txt").read_bytes() == text
+    assert "BWT walk returns to the primary row early" in messages
 
 
 def test_fuel_and_syscall_defaults():

@@ -13,6 +13,7 @@ guest) after the same symbols, and the same final bit position.
 from __future__ import annotations
 
 import functools
+import itertools
 import pathlib
 import random
 import re
@@ -284,21 +285,46 @@ def _cases(draw):
 # -- native ---------------------------------------------------------------------------
 
 
+def _walk_run(decoder, reader, values, count):
+    for _ in range(count):
+        values.append(decoder.read_symbol(reader))
+
+
+def _table_run(decoder, reader, values, count):
+    """``count`` symbols through :meth:`HuffmanDecoder.decode_into`, the loop
+    the codecs run: one call per stretch of symbols below 256, the next one
+    resumed after each symbol above."""
+    while count:
+        out = bytearray()
+        try:
+            stop = decoder.decode_into(reader, out, count)
+        finally:
+            values.extend(out)
+        count -= len(out)
+        if stop >= 0:
+            values.append(stop)
+            count -= 1
+
+
 def _run_native(decoder_class, reader_class, tables, ops, stream):
     """Every value the script reads, the error that ended it (if one did)
-    and where the reader stands."""
+    and where the reader stands.  A run of symbols from one table is one
+    :func:`_table_run` for :class:`HuffmanDecoder`, one read at a time for
+    the oracle."""
     try:
         decoders = [decoder_class(lengths) for lengths in tables]
     except CodecError:
         return "tables rejected"
+    read_run = _table_run if decoder_class is HuffmanDecoder else _walk_run
     reader = reader_class(stream)
     values = []
     try:
-        for op in ops:
+        for op, run in itertools.groupby(ops):
+            count = len(list(run))
             if op in (_SYMBOL_0, _SYMBOL_1):
-                values.append(decoders[_SYMBOL_0 - op].read_symbol(reader))
+                read_run(decoders[_SYMBOL_0 - op], reader, values, count)
             else:
-                values.append(reader.read_bits(op))
+                values.extend(reader.read_bits(op) for _ in range(count))
         error = None
     except CodecError as exc:
         error = str(exc)
@@ -324,7 +350,7 @@ def test_native_table_holds_each_short_code_at_its_reversed_index():
     # Lengths 1, 2, 3, 3: codes 0, 10, 110, 111 (MSB first).  An LSB-first
     # reader sees code 10 as the index bits ...01, 110 as ...011, 111 as ...111.
     decoder = HuffmanDecoder([1, 2, 3, 3])
-    table = decoder._fast
+    table = decoder.table
     assert len(table) == 1 << FAST_BITS
     assert {table[index] for index in range(0, 1 << FAST_BITS, 2)} == {0 << 4 | 1}
     assert {table[index] for index in range(1, 1 << FAST_BITS, 4)} == {1 << 4 | 2}
